@@ -15,11 +15,6 @@ class ConfigError(Exception):
     pass
 
 
-# slots kept / relation queries per subset (width stays fixed)
-SLOT_PRESETS = {"goal": (16, 16), "object": (24, 24), "spatial": (24, 24),
-                "long": (24, 24), "pair": (16, 16)}
-
-
 @dataclass
 class RunConfig:
     subset: str = "goal"
@@ -57,7 +52,6 @@ class RunConfig:
     carryover_on: bool = True
     relations_on: bool = True
     residual_mlp: bool = True
-    relation_carryover: bool = False
     min_objects: int = 4
     max_objects: int = 7
     num_layouts: int = 1
@@ -79,6 +73,9 @@ class RunConfig:
     def validate(self) -> None:
         if self.subset not in SUBSET_PRESETS:
             raise ConfigError(f"unknown subset {self.subset!r}")
+        if self.num_slots < self.max_objects + 1:
+            raise ConfigError(f"num_slots {self.num_slots} cannot hold max_objects "
+                              f"{self.max_objects} plus the robot")
         if not (1 <= self.num_selected <= self.num_slots):
             raise ConfigError(f"num_selected {self.num_selected} must lie in "
                               f"[1, num_slots={self.num_slots}]")
@@ -198,8 +195,7 @@ def load_config(path: str | Path | None = None,
     subset = values.get("subset", RunConfig.subset)
     if subset not in SUBSET_PRESETS:
         raise ConfigError(f"unknown subset {subset!r}")
-    slots, relations = SLOT_PRESETS[subset]
-    lo, hi, layouts, colors, shapes = SUBSET_PRESETS[subset]
+    lo, hi, layouts, colors, shapes, slots, relations = SUBSET_PRESETS[subset]
     presets = {"num_slots": slots, "num_relations": relations, "min_objects": lo,
                "max_objects": hi, "num_layouts": layouts, "color_pool": colors,
                "shape_pool": shapes}

@@ -10,8 +10,6 @@ classification heads, one per control dimension, over uniform bins spanning
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -36,20 +34,6 @@ def action_to_bins(action: np.ndarray, bins: int) -> np.ndarray:
 def snap_action(value: float, bins: int) -> float:
     """Quantize a scalar to its containing bin center."""
     return float(bin_centers(bins)[action_to_bins(np.asarray([value]), bins)[0]])
-
-
-@dataclass
-class TokenBundle:
-    """Decoder input [objects; relations; language; proprio] as one matrix."""
-
-    tokens: Tensor
-    num_objects: int
-    num_relations: int   # 0 in object-only mode
-    num_language: int
-
-    @property
-    def length(self) -> int:
-        return self.tokens.shape[0]
 
 
 class ActionDecoder:
@@ -81,26 +65,24 @@ class ActionDecoder:
         return g
 
     def assemble_bundle(self, objects: Tensor, relations: Tensor | None,
-                        language: Tensor, proprio: np.ndarray) -> TokenBundle:
+                        language: Tensor, proprio: np.ndarray) -> Tensor:
+        """Decoder input [objects; relations; language; proprio] as one matrix."""
         proprio = np.asarray(proprio, dtype=np.float64).reshape(1, -1)
         if proprio.shape[1] != self.proprio_dim:
             raise ShapeError(f"proprio has {proprio.shape[1]} dims, "
                              f"expected {self.proprio_dim}")
         seg = self.segments
         parts = [T.add(objects, T.gather_rows(seg, [0] * objects.shape[0]))]
-        n_rel = 0
         if relations is not None:
             parts.append(T.add(relations, T.gather_rows(seg, [1] * relations.shape[0])))
-            n_rel = relations.shape[0]
         parts.append(T.add(language, T.gather_rows(seg, [2] * language.shape[0])))
         o_token = T.linear(Tensor(proprio), self.proprio_w, self.proprio_b)
         parts.append(T.add(o_token, T.gather_rows(seg, [3])))
-        return TokenBundle(T.concat(parts, axis=0), objects.shape[0], n_rel,
-                           language.shape[0])
+        return T.concat(parts, axis=0)
 
-    def decode_actions(self, bundle: TokenBundle) -> Tensor:
+    def decode_actions(self, bundle: Tensor) -> Tensor:
         """Per-dimension bin logits, shape (7, bins)."""
-        x = bundle.tokens
+        x = bundle
         for block in self.blocks:
             x = self_attention_block(x, block)
         pooled = T.mean(x, axis=0, keepdims=True)

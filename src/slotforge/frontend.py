@@ -8,7 +8,7 @@ position information reaches the slot encoder unscaled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,11 +19,10 @@ from .tensor import ShapeError, Tensor
 
 @dataclass
 class Frame:
-    """One observation: rgb in [0,1], optional depth plane, time index."""
+    """One observation: rgb in [0,1] and its time index."""
 
     rgb: np.ndarray
     t: int
-    depth: np.ndarray | None = None
 
     def __post_init__(self):
         rgb = np.asarray(self.rgb, dtype=np.float64)
@@ -33,8 +32,6 @@ class Frame:
             raise ValueError("frame rgb values outside [0,1]")
         if self.t < 0:
             raise ValueError(f"negative frame index {self.t}")
-        if self.depth is not None and np.asarray(self.depth).shape != rgb.shape[:2]:
-            raise ShapeError("depth plane shape does not match rgb")
         self.rgb = rgb
 
 
@@ -60,16 +57,14 @@ class PatchEmbedder:
     """Learned projection of flattened patches with positional embeddings."""
 
     def __init__(self, rng: np.random.Generator, patch_size: int = 8, width: int = 64,
-                 image_size: int = 64, with_depth: bool = False):
+                 image_size: int = 64):
         if image_size % patch_size:
             raise ShapeError(f"image size {image_size} not divisible by patch {patch_size}")
         self.patch_size = patch_size
         self.width = width
         self.image_size = image_size
-        self.with_depth = with_depth
         self.grid = image_size // patch_size
-        channels = 4 if with_depth else 3
-        self.proj_w = param(rng, patch_size * patch_size * channels, width)
+        self.proj_w = param(rng, patch_size * patch_size * 3, width)
         self.proj_b = zeros_param(width)
         self.pos = param(rng, self.grid * self.grid, width, scale=0.1)
 
@@ -87,13 +82,8 @@ class PatchEmbedder:
         h, w, _ = img.shape
         if h != self.image_size or w != self.image_size:
             raise ShapeError(f"frame {h}x{w} != configured {self.image_size}")
-        if self.with_depth:
-            if frame.depth is None:
-                raise ValueError("embedder configured with depth but frame has none")
-            img = np.concatenate([img, np.asarray(frame.depth)[..., None]], axis=2)
-        c = img.shape[2]
-        cells = img.reshape(h // p, p, w // p, p, c).transpose(0, 2, 1, 3, 4)
-        return cells.reshape(self.grid * self.grid, p * p * c)
+        cells = img.reshape(h // p, p, w // p, p, 3).transpose(0, 2, 1, 3, 4)
+        return cells.reshape(self.grid * self.grid, p * p * 3)
 
     def __call__(self, frame: Frame) -> DenseTokens:
         flat = Tensor(self.patches(frame))

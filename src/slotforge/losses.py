@@ -8,7 +8,7 @@ cross-entropy over discretized action bins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -53,9 +53,6 @@ class MatchAssignment:
     pairs: list[tuple[int, int]]      # (slot index, gt index)
     unmatched_slots: list[int]
     total_cost: float
-
-    def slot_for_gt(self) -> dict[int, int]:
-        return {g: s for s, g in self.pairs}
 
 
 def _optimal_cost(cost: np.ndarray) -> float:
@@ -299,10 +296,8 @@ def track_loss(embeddings: Tensor, labels: np.ndarray, frames: np.ndarray,
         per_anchor.append(T.sub(lse_all, lse_pos))
     if not per_anchor:
         return Tensor(0.0), 0, skipped
-    total = per_anchor[0]
-    for term in per_anchor[1:]:
-        total = T.add(total, term)
-    return T.mul(T.sum_(total), 1.0 / len(per_anchor)), len(per_anchor), skipped
+    return (T.mul(T.sum_(T.add_all(per_anchor)), 1.0 / len(per_anchor)),
+            len(per_anchor), skipped)
 
 
 class TrackProjection:

@@ -7,7 +7,8 @@ projection makes the whole block an exact identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -140,8 +141,9 @@ class MhaParams:
             group.add(f"{prefix}.{name}", getattr(self, name))
 
 
-def multi_head_attention(queries: Tensor, context: Tensor, p: MhaParams) -> Tensor:
-    """Scaled dot-product cross-attention; rows of `queries` attend to `context`."""
+def _head_attention(queries: Tensor, context: Tensor,
+                    p: MhaParams) -> Iterator[tuple[Tensor, Tensor]]:
+    """Per head: (softmax attention over context rows, the head's value columns)."""
     d = queries.shape[1]
     if context.shape[1] != d:
         raise ShapeError(f"attention: query width {d} != context width {context.shape[1]}")
@@ -149,30 +151,24 @@ def multi_head_attention(queries: Tensor, context: Tensor, p: MhaParams) -> Tens
     q = T.matmul(queries, p.wq)
     k = T.matmul(context, p.wk)
     v = T.matmul(context, p.wv)
-    outs = []
     for h in range(p.heads):
         qh = T.slice_cols(q, h * dh, (h + 1) * dh)
         kh = T.slice_cols(k, h * dh, (h + 1) * dh)
         vh = T.slice_cols(v, h * dh, (h + 1) * dh)
         logits = T.mul(T.matmul(qh, T.transpose(kh)), 1.0 / np.sqrt(dh))
-        outs.append(T.matmul(T.softmax(logits, axis=1), vh))
+        yield T.softmax(logits, axis=1), vh
+
+
+def multi_head_attention(queries: Tensor, context: Tensor, p: MhaParams) -> Tensor:
+    """Scaled dot-product cross-attention; rows of `queries` attend to `context`."""
+    outs = [T.matmul(weights, vh) for weights, vh in _head_attention(queries, context, p)]
     return T.matmul(T.concat(outs, axis=1), p.wo)
 
 
 def attention_weights(queries: Tensor, context: Tensor, p: MhaParams) -> np.ndarray:
     """Head-averaged attention matrix (queries x context), for reports only."""
-    d = queries.shape[1]
-    dh = d // p.heads
     with T.no_grad():
-        q = T.matmul(queries, p.wq)
-        k = T.matmul(context, p.wk)
-        acc = np.zeros((queries.shape[0], context.shape[0]))
-        for h in range(p.heads):
-            qh = T.slice_cols(q, h * dh, (h + 1) * dh)
-            kh = T.slice_cols(k, h * dh, (h + 1) * dh)
-            logits = T.mul(T.matmul(qh, T.transpose(kh)), 1.0 / np.sqrt(dh))
-            acc += T.softmax(logits, axis=1).data
-    return acc / p.heads
+        return sum(weights.data for weights, _ in _head_attention(queries, context, p)) / p.heads
 
 
 @dataclass

@@ -3,11 +3,20 @@
 Owns every parameter group, the stage-1/stage-2 split, frame encoding with
 carryover, the per-batch stage-1 objective, cached stage-2 logits, and the
 closed-loop policy step used during rollouts.
+
+`Pipeline.walk` is the one episode walk: it encodes consecutive frames and
+seeds each frame's slots with the previous frame's refined slots. The stage-1
+objective, validation, the flip rate, the stage-2 cache and inspection
+reports all walk frames through it; only a closed-loop rollout, whose next
+frame depends on the action taken, steps `policy_step` itself.
+`Pipeline.select` is the one task-filter call, and stage-2 logits and the
+policy step share one decode tail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -16,12 +25,11 @@ from .config import RunConfig
 from .decoder import ActionDecoder
 from .frontend import DenseTokens, Frame, PatchEmbedder
 from .language import EmbeddingTable
-from .losses import (FrameTargets, MatchAssignment, TrackProjection, match_frame,
-                     relevance_loss, slot_attn_loss, slot_relevance_labels,
-                     stage1_total, track_loss)
+from .losses import (FrameTargets, TrackProjection, match_frame, relevance_loss,
+                     slot_attn_loss, slot_relevance_labels, stage1_total, track_loss)
 from .nn import ParamGroup
 from .relations import RelationEncoder
-from .slots import SlotAttention, SlotHeads, SlotState
+from .slots import AttentionMaps, SlotAttention, SlotHeads, SlotState
 from .task_filter import TaskFilter
 from .tensor import Tensor
 from .world import FrameRecord
@@ -115,6 +123,19 @@ class Pipeline:
         state = SlotState(state.slots, t, state.init_mode)
         return dense, state, maps
 
+    def walk(self, frames: Iterable[Frame], episode_key: int,
+             base_t: int = 0) -> Iterator[tuple[int, DenseTokens, SlotState, AttentionMaps]]:
+        """Encode consecutive frames of one episode, the first at time `base_t`,
+        each seeded with the previous frame's state; yields (t, dense, state, maps)."""
+        state = None
+        for t, frame in enumerate(frames, start=base_t):
+            dense, state, maps = self.encode_frame(frame, state, episode_key, t)
+            yield t, dense, state, maps
+
+    def select(self, slots: Tensor, lang: Tensor):
+        """Task filter over one frame's slots: (kept rows, scores, score column)."""
+        return self.filter(slots, lang, self.cfg.num_selected, enabled=self.cfg.filter_on)
+
     def track_embedding(self, slots: Tensor) -> Tensor:
         return self.track_proj(slots) if self.track_proj is not None else slots
 
@@ -129,23 +150,17 @@ class Pipeline:
         emb_labels: list[int] = []
         emb_frames: list[int] = []
         intern: dict[tuple[int, str], int] = {}
-        n_frames = 0
         for clip in batch:
             lang = self.lang_filter(clip.task)
-            prev = None
-            for local_t, (frame, targets) in enumerate(zip(clip.frames, clip.targets)):
-                t = clip.base_t + local_t
-                _, state, _ = self.encode_frame(frame, prev, clip.episode_key, t)
-                prev = state
+            walk = self.walk(clip.frames, clip.episode_key, clip.base_t)
+            for (t, _, state, _), targets in zip(walk, clip.targets):
                 preds = self.heads(state.slots)
                 match = match_frame(preds, targets, self.loss_cfg)
                 term, parts = slot_attn_loss(preds, targets, match, self.loss_cfg)
                 slot_terms.append(term)
                 for key in parts_acc:
                     parts_acc[key] += parts[key]
-                n_frames += 1
-                _, _, pi = self.filter(state.slots, lang, self.cfg.num_selected,
-                                       enabled=self.cfg.filter_on)
+                _, _, pi = self.select(state.slots, lang)
                 labels = slot_relevance_labels(match, targets.relevance,
                                                self.cfg.num_slots)
                 int_terms.append(relevance_loss(pi, labels, self.loss_cfg.w_pos,
@@ -160,8 +175,9 @@ class Pipeline:
                         else:
                             emb_labels.append(-1)
                         emb_frames.append(t)
-        slot_mean = T.mul(_sum_terms(slot_terms), 1.0 / max(len(slot_terms), 1))
-        int_mean = T.mul(_sum_terms(int_terms), 1.0 / max(len(int_terms), 1))
+        n_frames = len(slot_terms)
+        slot_mean = T.mul(T.add_all(slot_terms), 1.0 / max(n_frames, 1))
+        int_mean = T.mul(T.add_all(int_terms), 1.0 / max(n_frames, 1))
         if self.loss_cfg.lambda_track > 0 and emb_blocks:
             track, anchors, skipped = track_loss(
                 T.concat(emb_blocks, axis=0), np.array(emb_labels),
@@ -182,14 +198,10 @@ class Pipeline:
         """Frozen stage-1 features for every frame (no tape participation)."""
         cache = []
         with T.no_grad():
-            prev = None
-            for record in frames:
-                frame = frame_from_record(record)
-                dense, state, _ = self.encode_frame(frame, prev, episode_key, record.t)
-                prev = state
-                lang = self.lang_filter(record.task)
-                kept, scores, _ = self.filter(state.slots, lang, self.cfg.num_selected,
-                                              enabled=self.cfg.filter_on)
+            lang = self.lang_filter(frames[0].task)
+            walk = self.walk(map(frame_from_record, frames), episode_key)
+            for (_, dense, state, _), record in zip(walk, frames):
+                kept, scores, _ = self.select(state.slots, lang)
                 cache.append({
                     "dense": dense.tokens.data.copy(),
                     "grid": (dense.grid_h, dense.grid_w),
@@ -201,14 +213,17 @@ class Pipeline:
                 })
         return cache
 
-    def stage2_logits(self, cached: dict) -> Tensor:
-        grid_h, grid_w = cached["grid"]
-        dense = DenseTokens(Tensor(cached["dense"]), grid_h, grid_w)
-        objects = Tensor(cached["slots"])
+    def _logits(self, dense: DenseTokens, objects: Tensor, task: str,
+                proprio: np.ndarray) -> Tensor:
+        """Relations, language and proprio around the kept slots, then decoding."""
         rel = self.relations(dense, objects) if self.cfg.relations_on else None
-        language = self.lang_decoder(cached["task"])
-        bundle = self.decoder.assemble_bundle(objects, rel, language, cached["proprio"])
+        bundle = self.decoder.assemble_bundle(objects, rel, self.lang_decoder(task), proprio)
         return self.decoder.decode_actions(bundle)
+
+    def stage2_logits(self, cached: dict) -> Tensor:
+        dense = DenseTokens(Tensor(cached["dense"]), *cached["grid"])
+        return self._logits(dense, Tensor(cached["slots"]), cached["task"],
+                            cached["proprio"])
 
     # ------------------------------------------------------------------
     # closed-loop policy
@@ -218,20 +233,6 @@ class Pipeline:
         """Greedy action for one observation; returns (action, new slot state)."""
         with T.no_grad():
             dense, state, _ = self.encode_frame(frame, prev_state, episode_key, t)
-            lang = self.lang_filter(task)
-            kept, _, _ = self.filter(state.slots, lang, self.cfg.num_selected,
-                                     enabled=self.cfg.filter_on)
-            rel = self.relations(dense, kept) if self.cfg.relations_on else None
-            language = self.lang_decoder(task)
-            bundle = self.decoder.assemble_bundle(kept, rel, language, proprio)
-            logits = self.decoder.decode_actions(bundle)
+            kept, _, _ = self.select(state.slots, self.lang_filter(task))
+            logits = self._logits(dense, kept, task, proprio)
             return self.decoder.greedy_action(logits), state
-
-
-def _sum_terms(terms: list[Tensor]) -> Tensor:
-    if not terms:
-        return Tensor(0.0)
-    total = terms[0]
-    for term in terms[1:]:
-        total = T.add(total, term)
-    return total

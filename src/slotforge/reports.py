@@ -28,19 +28,14 @@ def inspect_report(pipeline: Pipeline, episode: Episode, frame_idx: int,
     key = episode.seed if episode.seed >= 0 else 0
 
     with T.no_grad():
-        prev = None
-        for t in range(frame_idx + 1):
-            record = episode.frames[t]
-            dense, state, maps = pipeline.encode_frame(
-                frame_from_record(record), prev, key, t)
-            prev = state
+        frames = map(frame_from_record, episode.frames[:frame_idx + 1])
+        for _, dense, state, maps in pipeline.walk(frames, key):
+            pass
         record = episode.frames[frame_idx]
         targets = frame_targets(record, cfg.patch_size)
         preds = pipeline.heads(state.slots)
         match = match_frame(preds, targets, pipeline.loss_cfg)
-        lang = pipeline.lang_filter(record.task)
-        kept, scores, _ = pipeline.filter(state.slots, lang, cfg.num_selected,
-                                          enabled=cfg.filter_on)
+        kept, scores, _ = pipeline.select(state.slots, pipeline.lang_filter(record.task))
         relation_attn = pipeline.relations.slot_attention_summary(dense, kept) \
             if cfg.relations_on else None
 

@@ -33,10 +33,6 @@ class SlotState:
     t: int
     init_mode: str  # "random" | "carryover"
 
-    @property
-    def count(self) -> int:
-        return self.slots.shape[0]
-
 
 @dataclass
 class AttentionMaps:

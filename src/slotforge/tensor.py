@@ -12,6 +12,7 @@ Broadcasting is limited to: equal shapes, scalars, a trailing row vector
 
 from __future__ import annotations
 
+import functools
 import itertools
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
@@ -165,11 +166,6 @@ def active_tape() -> GradTape:
     return _TAPE
 
 
-def reset_tape() -> None:
-    global _TAPE
-    _TAPE = GradTape()
-
-
 @contextmanager
 def fresh_tape():
     """Swap in a new tape for the duration of the block (one training step)."""
@@ -257,6 +253,11 @@ def _binary(a, b, fwd, bwd_a, bwd_b, op: str) -> Tensor:
 
 def add(a, b) -> Tensor:
     return _binary(a, b, lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g, "add")
+
+
+def add_all(terms: Sequence[Tensor]) -> Tensor:
+    """Left-to-right sum ((t0 + t1) + t2) + ...; a zero scalar when empty."""
+    return functools.reduce(add, terms) if terms else Tensor(0.0)
 
 
 def sub(a, b) -> Tensor:

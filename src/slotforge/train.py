@@ -20,10 +20,10 @@ from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .decoder import ACTION_DIMS, action_to_bins
-from .losses import action_ce, match_frame
+from .losses import action_ce, iou_matrix, match_frame, slot_relevance_labels
 from .optim import AdaptiveOptimizer
 from .pipeline import Clip, Pipeline, frame_from_record, frame_targets
-from .world import Episode, episode_files, load_episode
+from .world import Episode, WorldError, episode_files, load_episode
 
 LOSS_CSV_HEADER = "step,L_box,L_obj,L_seg,L_track,L_int,total"
 
@@ -54,11 +54,12 @@ def write_manifest(out_dir: Path, cfg: RunConfig, **extra) -> None:
 
 
 class Corpus:
-    """Episodes with precomputed frames and supervision targets."""
+    """Episodes with precomputed frames and supervision targets; an empty
+    corpus is a data error (`WorldError`)."""
 
     def __init__(self, episodes: list[Episode], patch_size: int):
         if not episodes:
-            raise TrainingError("empty corpus")
+            raise WorldError("empty corpus")
         self.episodes = episodes
         self.frames = [[frame_from_record(r) for r in ep.frames] for ep in episodes]
         self.targets = [[frame_targets(r, patch_size) for r in ep.frames]
@@ -68,7 +69,7 @@ class Corpus:
     def load(data_dir: str | Path, patch_size: int) -> "Corpus":
         files = episode_files(data_dir)
         if not files:
-            raise TrainingError(f"no episodes under {data_dir}")
+            raise WorldError(f"no episodes under {data_dir}")
         return Corpus([load_episode(p) for p in files], patch_size)
 
     def __len__(self) -> int:
@@ -115,27 +116,19 @@ def auc_score(scores: np.ndarray, labels: np.ndarray) -> float:
 
 def stage1_metrics(pipeline: Pipeline, corpus: Corpus) -> dict[str, float]:
     """Matched-slot box IoU and relevance AUC over a full corpus."""
-    from .losses import iou_matrix
     ious: list[float] = []
     pi_all: list[float] = []
     labels_all: list[float] = []
     with T.no_grad():
         for idx in range(len(corpus)):
-            key = corpus.episode_key(idx)
             lang = pipeline.lang_filter(corpus.episodes[idx].frames[0].task)
-            prev = None
-            for t, (frame, targets) in enumerate(zip(corpus.frames[idx],
-                                                     corpus.targets[idx])):
-                _, state, _ = pipeline.encode_frame(frame, prev, key, t)
-                prev = state
+            walk = pipeline.walk(corpus.frames[idx], corpus.episode_key(idx))
+            for (_, _, state, _), targets in zip(walk, corpus.targets[idx]):
                 preds = pipeline.heads(state.slots)
                 match = match_frame(preds, targets, pipeline.loss_cfg)
                 pairwise = iou_matrix(preds.boxes.data, targets.boxes)
                 ious.extend(pairwise[s, g] for s, g in match.pairs)
-                _, _, pi = pipeline.filter(state.slots, lang,
-                                           pipeline.cfg.num_selected,
-                                           enabled=pipeline.cfg.filter_on)
-                from .losses import slot_relevance_labels
+                _, _, pi = pipeline.select(state.slots, lang)
                 lbl = slot_relevance_labels(match, targets.relevance,
                                             pipeline.cfg.num_slots)
                 pi_all.extend(pi.data.reshape(-1).tolist())
@@ -154,13 +147,9 @@ def assignment_flip_rate(pipeline: Pipeline, corpus: Corpus,
     try:
         with T.no_grad():
             for idx in range(len(corpus)):
-                key = corpus.episode_key(idx)
-                prev = None
                 prev_map: dict[str, int] = {}
-                for t, (frame, targets) in enumerate(zip(corpus.frames[idx],
-                                                         corpus.targets[idx])):
-                    _, state, _ = pipeline.encode_frame(frame, prev, key, t)
-                    prev = state
+                walk = pipeline.walk(corpus.frames[idx], corpus.episode_key(idx))
+                for (_, _, state, _), targets in zip(walk, corpus.targets[idx]):
                     preds = pipeline.heads(state.slots)
                     match = match_frame(preds, targets, pipeline.loss_cfg)
                     current = {targets.instance_ids[g]: s for s, g in match.pairs}
@@ -288,10 +277,7 @@ def train_stage2(cfg: RunConfig, stage1_ckpt: str | Path, data_dir: str | Path,
                     logits = pipeline.stage2_logits(entry)
                     bins = action_to_bins(entry["action"], cfg.action_bins)
                     terms.append(action_ce(logits, bins))
-                total = terms[0]
-                for term in terms[1:]:
-                    total = T.add(total, term)
-                loss = T.mul(total, 1.0 / (len(picks) * ACTION_DIMS))
+                loss = T.mul(T.add_all(terms), 1.0 / (len(picks) * ACTION_DIMS))
                 opt.zero_grad()
                 tape.backward(loss)
             opt.step()

@@ -14,7 +14,7 @@ mask-tight boxes stay well defined under overlap.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,12 +50,13 @@ class EpisodeParseError(WorldError):
 
 
 SUBSET_PRESETS = {
-    # name: (min_objects, max_objects, layouts, colors used, shapes used)
-    "goal": (4, 7, 1, 4, 2),
-    "object": (10, 12, 1, 6, 2),
-    "spatial": (9, 11, 10, 6, 2),
-    "long": (26, 29, 9, 8, 4),
-    "pair": (2, 2, 1, 4, 2),  # two-object variant for behavior cloning
+    # name: (min_objects, max_objects, layouts, colors used, shapes used,
+    #        slots, relation queries); slots hold every object plus the robot
+    "goal": (4, 7, 1, 4, 2, 16, 16),
+    "object": (10, 12, 1, 6, 2, 24, 24),
+    "spatial": (9, 11, 10, 6, 2, 24, 24),
+    "long": (26, 29, 9, 8, 4, 32, 24),
+    "pair": (2, 2, 1, 4, 2, 16, 16),  # two-object variant for behavior cloning
 }
 
 
@@ -82,7 +83,7 @@ class WorldConfig:
     def for_subset(subset: str, **overrides) -> "WorldConfig":
         if subset not in SUBSET_PRESETS:
             raise WorldError(f"unknown subset {subset!r}; choose from {sorted(SUBSET_PRESETS)}")
-        lo, hi, layouts, ncolors, nshapes = SUBSET_PRESETS[subset]
+        lo, hi, layouts, ncolors, nshapes, _, _ = SUBSET_PRESETS[subset]
         cfg = WorldConfig(subset=subset, min_objects=lo, max_objects=hi,
                           num_layouts=layouts, color_pool=ncolors, shape_pool=nshapes)
         for k, v in overrides.items():

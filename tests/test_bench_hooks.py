@@ -1,0 +1,41 @@
+"""The benchmark's wrappers still find every attribute they wrap.
+
+The benchmark (`benchmarks/slotbench`) times and counts slotforge by
+replacing functions and methods by attribute name. A rename of one of those
+attributes would otherwise only show in the benchmark's own, much slower,
+test run.
+"""
+
+import sys
+from pathlib import Path
+
+from slotforge import pipeline, train
+from slotforge.config import load_config
+from slotforge.world import generate_episode
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+
+from slotbench.tracing import Patches, Recorder  # noqa: E402
+from slotbench.workloads import CutPoints, install_spans  # noqa: E402
+
+
+def test_hooks_install_count_each_frame_once_and_undo():
+    originals = {name: vars(pipeline.Pipeline)[name]
+                 for name in ("encode_frame", "encode_episode_cache", "policy_step")}
+    patches, recorder, cut = Patches(), Recorder(), CutPoints(sample_loop=False)
+    install_spans(patches, recorder)
+    cut.install(patches)
+    try:
+        cfg = load_config(overrides=["subset=pair"])
+        corpus = train.Corpus([generate_episode(3, cfg.world_config())], cfg.patch_size)
+        cache = train.flatten_cache(pipeline.Pipeline(cfg), corpus)
+    finally:
+        patches.undo()
+    frames = len(corpus.frames[0])
+    assert len(cache) == frames
+    assert cut.encoded == frames
+    assert cut.current.corpus_passes[0][2] == frames
+    names = [span[0] for span in recorder.spans]
+    assert names.count("pipeline.Pipeline.encode_frame") == frames
+    assert names.count("pipeline.Pipeline.encode_episode_cache") == 1
+    assert {name: vars(pipeline.Pipeline)[name] for name in originals} == originals

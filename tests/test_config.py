@@ -1,0 +1,34 @@
+"""Subset presets: every subset trains, and configs with too few slots fail."""
+
+import numpy as np
+import pytest
+
+from slotforge import tensor as T
+from slotforge.cli import EXIT_CONFIG, main
+from slotforge.config import ConfigError, RunConfig, load_config
+from slotforge.pipeline import Pipeline
+from slotforge.train import Corpus, sample_clips
+from slotforge.world import SUBSET_PRESETS, generate_episode
+
+
+@pytest.mark.parametrize("subset", sorted(SUBSET_PRESETS))
+def test_one_stage1_step_on_the_most_crowded_scene(subset):
+    cfg = load_config(overrides=[f"subset={subset}", "batch_clips=1", "clip_len=2"])
+    episode = generate_episode(5, cfg.world_config(min_objects=cfg.max_objects))
+    assert len(episode.frames[0].instances) == cfg.max_objects + 1  # plus the robot
+    pipeline = Pipeline(cfg)
+    batch = sample_clips(Corpus([episode], cfg.patch_size), cfg, 0)
+    with T.fresh_tape() as tape:
+        loss, parts = pipeline.stage1_batch_loss(batch)
+        tape.backward(loss)
+    assert np.isfinite(parts["total"])
+    assert all(t.grad is not None for t in pipeline.slot_attn.params().tensors())
+
+
+def test_fewer_slots_than_objects_plus_robot_is_a_config_error():
+    with pytest.raises(ConfigError, match="num_slots 7 cannot hold max_objects 7"):
+        RunConfig(num_slots=7)
+    with pytest.raises(ConfigError):
+        load_config(overrides=["subset=long", "num_slots=24"])
+    assert main(["budget", "--override", "subset=long",
+                 "--override", "num_slots=24"]) == EXIT_CONFIG

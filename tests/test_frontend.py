@@ -21,10 +21,6 @@ class TestFrameInvariants:
         with pytest.raises(ValueError):
             Frame(rgb=np.zeros((8, 8, 3)), t=-1)
 
-    def test_depth_shape_checked(self):
-        with pytest.raises(ShapeError):
-            Frame(rgb=np.zeros((8, 8, 3)), t=0, depth=np.zeros((4, 4)))
-
 
 class TestPatchEmbed:
     def test_grid_arithmetic(self):
@@ -59,20 +55,6 @@ class TestPatchEmbed:
         err = T.finite_diff_check(lambda: T.mean(T.mul(emb(frame).tokens,
                                                        emb(frame).tokens)), wrt)
         assert err <= 1e-4
-
-    def test_depth_plane_appended(self):
-        rng = np.random.default_rng(6)
-        emb = PatchEmbedder(np.random.default_rng(7), patch_size=4, width=8,
-                            image_size=8, with_depth=True)
-        frame = Frame(rgb=rng.uniform(size=(8, 8, 3)), t=0, depth=rng.uniform(size=(8, 8)))
-        assert emb.patches(frame).shape == (4, 4 * 4 * 4)
-        assert emb(frame).tokens.shape == (4, 8)
-
-    def test_depth_configured_but_missing(self):
-        emb = PatchEmbedder(np.random.default_rng(8), patch_size=4, width=8,
-                            image_size=8, with_depth=True)
-        with pytest.raises(ValueError):
-            emb(zero_frame(8))
 
     def test_patch_translation_permutes_tokens(self):
         """A sprite shifted by exactly one patch moves its token to the new
