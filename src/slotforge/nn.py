@@ -2,17 +2,19 @@
 
 All blocks are plain containers of named parameter Tensors plus pure forward
 functions. Residual branches are pre-normalized, so zeroing a branch's output
-projection makes the whole block an exact identity.
+projection makes the whole block an exact identity. Multi-head attention is
+three projections, one `tensor.attention_heads` op that holds every head,
+and the output projection: five tape entries per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from . import tensor as T
+from .checkpoint import CheckpointError
 from .tensor import ShapeError, Tensor
 
 
@@ -66,13 +68,14 @@ class ParamGroup:
         return {k: v.data for k, v in self._params.items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Load every parameter; a missing one or a shape mismatch is a CheckpointError."""
         missing = sorted(set(self._params) - set(state))
         if missing:
-            raise KeyError(f"checkpoint missing parameters: {missing}")
+            raise CheckpointError(f"checkpoint missing parameters: {missing}")
         for k, v in self._params.items():
             arr = np.asarray(state[k], dtype=np.float64)
             if arr.shape != v.data.shape:
-                raise ShapeError(
+                raise CheckpointError(
                     f"parameter {k}: checkpoint shape {arr.shape} != model shape {v.data.shape}"
                 )
             v.data = np.ascontiguousarray(arr)
@@ -141,34 +144,18 @@ class MhaParams:
             group.add(f"{prefix}.{name}", getattr(self, name))
 
 
-def _head_attention(queries: Tensor, context: Tensor,
-                    p: MhaParams) -> Iterator[tuple[Tensor, Tensor]]:
-    """Per head: (softmax attention over context rows, the head's value columns)."""
-    d = queries.shape[1]
-    if context.shape[1] != d:
-        raise ShapeError(f"attention: query width {d} != context width {context.shape[1]}")
-    dh = d // p.heads
-    q = T.matmul(queries, p.wq)
-    k = T.matmul(context, p.wk)
-    v = T.matmul(context, p.wv)
-    for h in range(p.heads):
-        qh = T.slice_cols(q, h * dh, (h + 1) * dh)
-        kh = T.slice_cols(k, h * dh, (h + 1) * dh)
-        vh = T.slice_cols(v, h * dh, (h + 1) * dh)
-        logits = T.mul(T.matmul(qh, T.transpose(kh)), 1.0 / np.sqrt(dh))
-        yield T.softmax(logits, axis=1), vh
-
-
 def multi_head_attention(queries: Tensor, context: Tensor, p: MhaParams) -> Tensor:
     """Scaled dot-product cross-attention; rows of `queries` attend to `context`."""
-    outs = [T.matmul(weights, vh) for weights, vh in _head_attention(queries, context, p)]
-    return T.matmul(T.concat(outs, axis=1), p.wo)
+    heads = T.attention_heads(T.matmul(queries, p.wq), T.matmul(context, p.wk),
+                              T.matmul(context, p.wv), p.heads)
+    return T.matmul(heads, p.wo)
 
 
 def attention_weights(queries: Tensor, context: Tensor, p: MhaParams) -> np.ndarray:
     """Head-averaged attention matrix (queries x context), for reports only."""
     with T.no_grad():
-        return sum(weights.data for weights, _ in _head_attention(queries, context, p)) / p.heads
+        q, k = T.matmul(queries, p.wq), T.matmul(context, p.wk)
+    return T.attention_head_weights(q, k, p.heads).sum(axis=0) / p.heads
 
 
 @dataclass

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .checkpoint import CheckpointError
 from .nn import ParamGroup
 
 
@@ -69,9 +70,15 @@ class AdaptiveOptimizer:
         return out
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        for name in self._second_moment:
-            key = f"opt.{name}.v"
-            if key in state:
-                self._second_moment[name] = np.asarray(state[key], dtype=np.float64).copy()
-        if "opt.step" in state:
-            self.step_count = int(state["opt.step"][0])
+        """Restore what `state()` saved; a missing key or a shape mismatch is a
+        CheckpointError."""
+        missing = [key for key in self.state() if key not in state]
+        if missing:
+            raise CheckpointError(f"checkpoint missing optimizer state: {missing}")
+        for name, v in self._second_moment.items():
+            arr = np.asarray(state[f"opt.{name}.v"], dtype=np.float64)
+            if arr.shape != v.shape:
+                raise CheckpointError(f"optimizer state opt.{name}.v: checkpoint shape "
+                                      f"{arr.shape} != model shape {v.shape}")
+            self._second_moment[name] = arr.copy()
+        self.step_count = int(state["opt.step"][0])

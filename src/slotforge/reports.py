@@ -10,6 +10,7 @@ import numpy as np
 
 from . import tensor as T
 from . import pnm
+from .config import ConfigError
 from .losses import iou_matrix, match_frame, slot_relevance_labels
 from .pipeline import Pipeline, frame_from_record, frame_targets
 from .world import Episode
@@ -20,8 +21,8 @@ def inspect_report(pipeline: Pipeline, episode: Episode, frame_idx: int,
     """Encode an episode up to `frame_idx`, then dump per-slot attention PGMs,
     predicted boxes, relevance scores, and relation attention summaries."""
     if not (0 <= frame_idx < len(episode.frames)):
-        raise IndexError(f"frame {frame_idx} outside episode of "
-                         f"{len(episode.frames)} frames")
+        raise ConfigError(f"frame {frame_idx} outside episode of "
+                          f"{len(episode.frames)} frames")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = pipeline.cfg

@@ -8,6 +8,10 @@ NonFiniteError rather than propagating silently.
 
 Broadcasting is limited to: equal shapes, scalars, a trailing row vector
 (n,d)op(d,) and a column (n,d)op(n,1). Anything else is a ShapeError.
+
+Multi-head attention is one fused op, `attention_heads(q, k, v, heads)`:
+the heads are a reshape inside it, not separate graph nodes, so one
+attention costs one tape entry whatever the head count.
 """
 
 from __future__ import annotations
@@ -406,6 +410,73 @@ def softmax(a, axis: int = -1) -> Tensor:
         return ((g - dot) * out,)
 
     return _make(out, (a,), backward, "softmax")
+
+
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """(n, heads*dh) -> contiguous (heads, n, dh); head h owns columns h*dh:(h+1)*dh."""
+    n, d = x.shape
+    return np.ascontiguousarray(x.reshape(n, heads, d // heads).transpose(1, 0, 2))
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """(heads, n, dh) -> (n, heads*dh), the inverse of `_split_heads`."""
+    heads, n, dh = x.shape
+    return x.transpose(1, 0, 2).reshape(n, heads * dh)
+
+
+def _head_softmax(q: np.ndarray, k: np.ndarray, heads: int):
+    """The one head computation: (q split into heads, k_hᵀ per head, scale,
+    weights softmax(q_h k_hᵀ · scale) of shape (heads, n, m))."""
+    if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1]:
+        raise ShapeError(f"attention: query shape {q.shape} and key shape {k.shape} "
+                         "differ in width")
+    if heads < 1 or q.shape[1] % heads:
+        raise ShapeError(f"attention: width {q.shape[1]} not divisible by {heads} heads")
+    m, d = k.shape
+    dh = d // heads
+    scale = 1.0 / np.sqrt(dh)
+    qh = _split_heads(q, heads)
+    kt = np.ascontiguousarray(k.reshape(m, heads, dh).transpose(1, 2, 0))
+    with np.errstate(all="ignore"):
+        logits = _check_finite((qh @ kt) * scale, "attention logits")
+    e = np.exp(logits - logits.max(axis=2, keepdims=True))
+    return qh, kt, scale, e / e.sum(axis=2, keepdims=True)
+
+
+def attention_head_weights(q: Tensor, k: Tensor, heads: int) -> np.ndarray:
+    """Per-head attention weights of `attention_heads`, (heads, n, m); no tape."""
+    return _head_softmax(_coerce(q).data, _coerce(k).data, heads)[3]
+
+
+def attention_heads(q, k, v, heads: int) -> Tensor:
+    """concat_h softmax(q_h k_hᵀ / √dh) v_h as one tape entry.
+
+    Head h owns columns h*dh:(h+1)*dh of q, k and v. Every head runs in one
+    batched (heads, n, ·) matmul; values and gradients are bitwise those of
+    the per-head slice/transpose/matmul/mul/softmax/matmul/concat graph.
+    """
+    q, k, v = _coerce(q), _coerce(k), _coerce(v)
+    if v.shape != k.shape:
+        raise ShapeError(f"attention: value shape {v.shape} != key shape {k.shape}")
+    qh, kt, scale, weights = _head_softmax(q.data, k.data, heads)
+    vh = _split_heads(v.data, heads)
+    out = _merge_heads(weights @ vh)
+
+    def backward(g):
+        gh = _split_heads(g, heads)
+        dw = gh @ vh.transpose(0, 2, 1)
+        dot = (dw * weights).sum(axis=2, keepdims=True)
+        dlogits = ((dw - dot) * weights) * scale
+        # summed into zeros, so a -0.0 turns +0.0 as in the per-head scatter-add
+        dq = np.zeros_like(q.data)
+        dq += _merge_heads(dlogits @ kt.transpose(0, 2, 1))
+        dk = np.zeros_like(k.data)
+        dk += _merge_heads((qh.transpose(0, 2, 1) @ dlogits).transpose(0, 2, 1))
+        dv = np.zeros_like(v.data)
+        dv += _merge_heads(weights.transpose(0, 2, 1) @ gh)
+        return dq, dk, dv
+
+    return _make(out, (q, k, v), backward, "attention_heads")
 
 
 def layer_norm(a, gain: Tensor | None = None, bias: Tensor | None = None,

@@ -172,7 +172,6 @@ def train_stage1(cfg: RunConfig, data_dir: str | Path, out_dir: str | Path,
                  val_dir: str | Path | None = None,
                  resume: str | Path | None = None) -> dict:
     out_dir = Path(out_dir)
-    write_manifest(out_dir, cfg, stage=1, data=str(data_dir))
     corpus = Corpus.load(data_dir, cfg.patch_size)
     val = Corpus.load(val_dir, cfg.patch_size) if val_dir else None
     pipeline = Pipeline(cfg)
@@ -183,6 +182,7 @@ def train_stage1(cfg: RunConfig, data_dir: str | Path, out_dir: str | Path,
         state = load_checkpoint(resume)
         params.load_state(state)
         opt.load_state(state)
+    write_manifest(out_dir, cfg, stage=1, data=str(data_dir))
     log_path = out_dir / "stage1_loss.csv"
     mode = "a" if resume is not None and log_path.exists() else "w"
     history: list[dict] = []
@@ -248,17 +248,16 @@ def action_accuracy(pipeline: Pipeline, cache: list[dict]) -> dict:
 def train_stage2(cfg: RunConfig, stage1_ckpt: str | Path, data_dir: str | Path,
                  out_dir: str | Path, val_dir: str | Path | None = None) -> dict:
     out_dir = Path(out_dir)
-    write_manifest(out_dir, cfg, stage=2, data=str(data_dir),
-                   stage1=str(stage1_ckpt))
     pipeline = Pipeline(cfg)
-    stage1_state = load_checkpoint(stage1_ckpt)
-    pipeline.stage1_params().load_state(stage1_state)
+    pipeline.stage1_params().load_state(load_checkpoint(stage1_ckpt))
     fingerprint = _stage1_fingerprint(pipeline)
 
     corpus = Corpus.load(data_dir, cfg.patch_size)
+    val = Corpus.load(val_dir, cfg.patch_size) if val_dir else None
+    write_manifest(out_dir, cfg, stage=2, data=str(data_dir),
+                   stage1=str(stage1_ckpt))
     cache = flatten_cache(pipeline, corpus)
-    val_cache = flatten_cache(pipeline, Corpus.load(val_dir, cfg.patch_size)) \
-        if val_dir else None
+    val_cache = flatten_cache(pipeline, val) if val is not None else None
 
     params = pipeline.stage2_params()
     opt = AdaptiveOptimizer(params, lr=cfg.lr, total_steps=cfg.stage2_iters,

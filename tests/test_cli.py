@@ -1,13 +1,33 @@
-"""Command line exit codes for data errors."""
+"""Command line exit codes for configuration and data errors."""
 
 import pytest
 
 from slotforge.checkpoint import save_checkpoint
-from slotforge.cli import EXIT_DATA, main
+from slotforge.cli import EXIT_CONFIG, EXIT_DATA, main
 from slotforge.config import RunConfig
 from slotforge.pipeline import Pipeline
 from slotforge.train import Corpus
-from slotforge.world import WorldError
+from slotforge.world import WorldError, generate_episode, serialize_episode
+
+
+@pytest.fixture(scope="module")
+def stage1_ckpt(tmp_path_factory):
+    """A stage-1 checkpoint of parameters only, with no optimizer state."""
+    path = tmp_path_factory.mktemp("ckpt") / "stage1.ckpt"
+    save_checkpoint(path, Pipeline(RunConfig()).stage1_params().state())
+    return path
+
+
+@pytest.fixture(scope="module")
+def episode(tmp_path_factory):
+    """The path of one serialized episode; its directory is a one-episode corpus."""
+    root = tmp_path_factory.mktemp("episodes")
+    return serialize_episode(generate_episode(3, RunConfig().world_config()), root)
+
+
+def assert_no_manifest(out):
+    assert not (out / "config.txt").exists()
+    assert not (out / "manifest.json").exists()
 
 
 def test_train1_without_episodes_exits_with_data_error(tmp_path, capsys):
@@ -16,18 +36,43 @@ def test_train1_without_episodes_exits_with_data_error(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_DATA
     assert "no episodes under" in capsys.readouterr().err
+    assert_no_manifest(tmp_path / "out")
 
 
-def test_train2_without_episodes_exits_with_data_error(tmp_path, capsys):
+def test_train2_without_episodes_exits_with_data_error(tmp_path, capsys, stage1_ckpt):
     (tmp_path / "empty").mkdir()
-    stage1 = tmp_path / "stage1.ckpt"
-    save_checkpoint(stage1, Pipeline(RunConfig()).stage1_params().state())
-    code = main(["train2", "--data", str(tmp_path / "empty"), "--stage1", str(stage1),
+    code = main(["train2", "--data", str(tmp_path / "empty"), "--stage1", str(stage1_ckpt),
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_DATA
     assert "no episodes under" in capsys.readouterr().err
+    assert_no_manifest(tmp_path / "out")
 
 
 def test_empty_corpus_is_a_data_error():
     with pytest.raises(WorldError, match="empty corpus"):
         Corpus([], patch_size=8)
+
+
+def test_eval_with_a_stage1_checkpoint_as_stage2_exits_with_data_error(
+        tmp_path, capsys, stage1_ckpt):
+    code = main(["eval", "--stage1", str(stage1_ckpt), "--stage2", str(stage1_ckpt),
+                 "--rollouts", "1", "--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    assert "checkpoint missing parameters" in capsys.readouterr().err
+
+
+def test_inspect_frame_outside_episode_exits_with_config_error(
+        tmp_path, capsys, stage1_ckpt, episode):
+    code = main(["inspect", "--stage1", str(stage1_ckpt), "--episode", str(episode),
+                 "--frame", "999", "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert "frame 999 outside episode" in capsys.readouterr().err
+
+
+def test_train1_resume_without_optimizer_state_exits_with_data_error(
+        tmp_path, capsys, stage1_ckpt, episode):
+    code = main(["train1", "--data", str(episode.parent), "--resume", str(stage1_ckpt),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    assert "checkpoint missing optimizer state: ['opt." in capsys.readouterr().err
+    assert_no_manifest(tmp_path / "out")

@@ -60,6 +60,81 @@ class TestSoftmax:
         assert err <= 1e-4
 
 
+def unfused_heads(q, k, v, heads):
+    """The per-head slice/transpose/matmul/mul/softmax/matmul/concat graph
+    that `attention_heads` replaces, op for op."""
+    dh = q.shape[1] // heads
+    outs = []
+    for h in range(heads):
+        qh = T.slice_cols(q, h * dh, (h + 1) * dh)
+        kh = T.slice_cols(k, h * dh, (h + 1) * dh)
+        vh = T.slice_cols(v, h * dh, (h + 1) * dh)
+        logits = T.mul(T.matmul(qh, T.transpose(kh)), 1.0 / np.sqrt(dh))
+        outs.append(T.matmul(T.softmax(logits, axis=1), vh))
+    return T.concat(outs, axis=1)
+
+
+class TestAttentionHeads:
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_gradient_vs_finite_differences(self, heads):
+        rng = np.random.default_rng(20 + heads)
+        q = rand_tensor(rng, 3, 8)
+        k = rand_tensor(rng, 5, 8)
+        v = rand_tensor(rng, 5, 8)
+        w = Tensor(rng.standard_normal((3, 8)))
+        err = T.finite_diff_check(
+            lambda: T.sum_(T.mul(T.attention_heads(q, k, v, heads), w)), [q, k, v])
+        assert err <= 1e-4
+
+    @pytest.mark.parametrize("n,m,d,heads", [(3, 5, 8, 1), (3, 5, 8, 2), (4, 7, 16, 4),
+                                             (1, 6, 8, 4), (5, 1, 8, 2), (16, 9, 64, 4)])
+    def test_bitwise_equal_to_unfused_graph(self, n, m, d, heads):
+        rng = np.random.default_rng(n * 100 + m * 10 + heads)
+        data = [rng.standard_normal(shape) for shape in ((n, d), (m, d), (m, d))]
+        wo = Tensor(rng.standard_normal((d, d)))
+        weight = Tensor(rng.standard_normal((n, d)))
+        results = []
+        for attend in (unfused_heads, T.attention_heads):
+            q, k, v = (Tensor(x, requires_grad=True) for x in data)
+            with T.fresh_tape() as tape:
+                out = attend(q, k, v, heads)
+                tape.backward(T.sum_(T.mul(T.matmul(out, wo), weight)))
+            results.append([out.data.tobytes()] + [t.grad.tobytes() for t in (q, k, v)])
+        assert results[0] == results[1]
+
+    def test_head_weights_match_unfused_softmax(self):
+        rng = np.random.default_rng(30)
+        q, k = rng.standard_normal((4, 8)), rng.standard_normal((6, 8))
+        weights = T.attention_head_weights(Tensor(q), Tensor(k), 2)
+        assert weights.shape == (2, 4, 6)
+        for h in range(2):
+            logits = T.mul(T.matmul(Tensor(q[:, 4 * h:4 * h + 4]),
+                                    Tensor(k[:, 4 * h:4 * h + 4].T)), 1.0 / np.sqrt(4))
+            assert weights[h].tobytes() == T.softmax(logits, axis=1).data.tobytes()
+
+    def test_one_tape_entry_per_multi_head_attention(self):
+        rng = np.random.default_rng(31)
+        p = nn.MhaParams.create(rng, 8, 4)
+        with T.fresh_tape() as tape:
+            nn.multi_head_attention(rand_tensor(rng, 3, 8), rand_tensor(rng, 5, 8), p)
+        assert len(tape) == 5
+
+    def test_overflowing_logits_raise(self):
+        big = Tensor(np.full((2, 4), 1e160), requires_grad=True)
+        with pytest.raises(NonFiniteError, match="attention logits"):
+            T.attention_heads(big, big, big, 2)
+
+    def test_width_not_divisible_by_heads(self):
+        x = Tensor(np.zeros((2, 6)))
+        with pytest.raises(ShapeError, match="not divisible"):
+            T.attention_heads(x, x, x, 4)
+
+    def test_query_and_key_widths_differ(self):
+        with pytest.raises(ShapeError, match="differ in width"):
+            T.attention_heads(Tensor(np.zeros((2, 8))), Tensor(np.zeros((3, 4))),
+                              Tensor(np.zeros((3, 4))), 2)
+
+
 class TestGruCell:
     def test_zero_everything_gives_zero(self):
         rng = np.random.default_rng(0)
