@@ -73,6 +73,10 @@ class RunConfig:
     def validate(self) -> None:
         if self.subset not in SUBSET_PRESETS:
             raise ConfigError(f"unknown subset {self.subset!r}")
+        for name in ("width", "heads", "patch_size", "image_size", "batch_clips",
+                     "batch_frames"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.num_slots < self.max_objects + 1:
             raise ConfigError(f"num_slots {self.num_slots} cannot hold max_objects "
                               f"{self.max_objects} plus the robot")

@@ -1,17 +1,23 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Values are contiguous row-major numpy arrays of rank 0..2. Every op that
-receives a grad-requiring input records a tape entry (define-by-run); a
-backward pass replays the tape in reverse and accumulates `.grad` on the
-requires_grad leaves. Forward outputs are checked for NaN/Inf and raise
-NonFiniteError rather than propagating silently.
+receives a grad-requiring input records a tape entry (define-by-run). The
+backward pass is one reverse sweep over the tape: an entry runs only when
+its output has received a gradient, that gradient is dropped as the entry
+runs (creation order is topological, so nothing adds to it afterwards), and
+leaf gradients accumulate only into `.grad` on the requires_grad leaves.
+Operands with requires_grad=False get no gradient at all: the elementwise
+binary ops and `matmul`/`linear` return None for them. Forward outputs are
+checked for NaN/Inf and raise NonFiniteError rather than propagating
+silently.
 
 Broadcasting is limited to: equal shapes, scalars, a trailing row vector
 (n,d)op(d,) and a column (n,d)op(n,1). Anything else is a ShapeError.
 
 Multi-head attention is one fused op, `attention_heads(q, k, v, heads)`:
 the heads are a reshape inside it, not separate graph nodes, so one
-attention costs one tape entry whatever the head count.
+attention costs one tape entry whatever the head count. Likewise
+`linear(x, w, b)` with a bias is one entry, not a matmul and an add.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ _NO_GRAD = 0
 
 
 def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite value produced by {op}")
     return arr
 
@@ -136,30 +142,19 @@ class GradTape:
     def backward(self, loss: Tensor) -> None:
         if loss.data.size != 1:
             raise ShapeError(f"backward from non-scalar of shape {loss.shape}")
-        by_out = {uid: i for i, (uid, _, _) in enumerate(self._entries)}
-        # restrict the reverse sweep to the ancestry of the loss node
-        needed: set[int] = set()
-        stack = [loss.uid]
-        while stack:
-            uid = stack.pop()
-            if uid in needed or uid not in by_out:
-                continue
-            needed.add(uid)
-            for p in self._entries[by_out[uid]][1]:
-                stack.append(p.uid)
+        produced = self._produced
         grads: dict[int, np.ndarray] = {loss.uid: np.ones_like(loss.data)}
         for out_uid, parents, fn in reversed(self._entries):
-            if out_uid not in needed or out_uid not in grads:
+            grad_out = grads.pop(out_uid, None)
+            if grad_out is None:
                 continue
-            parent_grads = fn(grads[out_uid])
-            for p, g in zip(parents, parent_grads):
+            for p, g in zip(parents, fn(grad_out)):
                 if g is None:
                     continue
-                if p.uid in grads:
-                    grads[p.uid] = grads[p.uid] + g
-                else:
-                    grads[p.uid] = g
-                if p.requires_grad and p.uid not in self._produced:
+                if p.uid in produced:
+                    prev = grads.get(p.uid)
+                    grads[p.uid] = g if prev is None else prev + g
+                elif p.requires_grad:
                     p.grad = g.copy() if p.grad is None else p.grad + g
 
 
@@ -248,8 +243,8 @@ def _binary(a, b, fwd, bwd_a, bwd_b, op: str) -> Tensor:
 
     def backward(g):
         return (
-            _unbroadcast(bwd_a(g, a.data, b.data), a.shape),
-            _unbroadcast(bwd_b(g, a.data, b.data), b.shape),
+            _unbroadcast(bwd_a(g, a.data, b.data), a.shape) if a.requires_grad else None,
+            _unbroadcast(bwd_b(g, a.data, b.data), b.shape) if b.requires_grad else None,
         )
 
     return _make(out, (a, b), backward, op)
@@ -294,7 +289,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def backward(g):
-        return (g @ b.data.T, a.data.T @ g)
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
     return _make(out, (a, b), backward, "matmul")
 
@@ -524,9 +520,29 @@ def layer_norm(a, gain: Tensor | None = None, bias: Tensor | None = None,
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w (+ b): the standard affine map over row vectors."""
-    y = matmul(x, w)
-    return y if b is None else add(y, b)
+    """x @ w (+ b): the standard affine map over row vectors.
+
+    With a bias it is one tape entry whose values and gradients are bitwise
+    those of `add(matmul(x, w), b)`; without one it is `matmul(x, w)`.
+    """
+    if b is None:
+        return matmul(x, w)
+    x, w, b = _coerce(x), _coerce(w), _coerce(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"linear: incompatible shapes {x.shape} and {w.shape}")
+    y = x.data @ w.data
+    if not _broadcast_ok(y.shape, b.shape):
+        raise ShapeError(f"linear: incompatible shapes {y.shape} and {b.shape}")
+    with np.errstate(all="ignore"):
+        out = y + b.data
+
+    def backward(g):
+        gy = _unbroadcast(g, y.shape)
+        return (gy @ w.data.T if x.requires_grad else None,
+                x.data.T @ gy if w.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
+
+    return _make(out, (x, w, b), backward, "linear")
 
 
 def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:

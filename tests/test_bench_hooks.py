@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 from slotforge import pipeline, train
+from slotforge import tensor as T
 from slotforge.config import load_config
 from slotforge.world import generate_episode
 
@@ -39,3 +40,19 @@ def test_hooks_install_count_each_frame_once_and_undo():
     assert names.count("pipeline.Pipeline.encode_frame") == frames
     assert names.count("pipeline.Pipeline.encode_episode_cache") == 1
     assert {name: vars(pipeline.Pipeline)[name] for name in originals} == originals
+
+
+def test_tape_counter_reads_the_whole_tape_after_backward():
+    patches, recorder = Patches(), Recorder()
+    install_spans(patches, recorder)
+    try:
+        cfg = load_config(overrides=["batch_clips=1", "clip_len=2"])
+        corpus = train.Corpus([generate_episode(3, cfg.world_config())], cfg.patch_size)
+        model = pipeline.Pipeline(cfg)
+        with T.fresh_tape() as tape:
+            loss, _ = model.stage1_batch_loss(train.sample_clips(corpus, cfg, 0))
+            tape.backward(loss)
+    finally:
+        patches.undo()
+    assert len(tape) > 0
+    assert recorder.counts["tape_entries"] == [len(tape)]

@@ -1,0 +1,56 @@
+"""Checkpoint files: atomic saves, and corrupt or missing files rejected."""
+
+import numpy as np
+import pytest
+
+from slotforge.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+
+
+def arrays():
+    return {"w": np.arange(6.0).reshape(2, 3), "b": np.array([0.5, -1.5]),
+            "s": np.array([2.0])}
+
+
+def test_round_trip(tmp_path):
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(path, arrays())
+    loaded = load_checkpoint(path)
+    assert list(loaded) == ["w", "b", "s"]
+    for name, arr in arrays().items():
+        assert loaded[name].tobytes() == arr.tobytes()
+        assert loaded[name].shape == arr.shape
+    assert [p.name for p in tmp_path.iterdir()] == ["a.ckpt"]
+
+
+def test_failed_save_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(path, arrays())
+    before = path.read_bytes()
+    bad = {"z": ["not", "a", "number"]} | arrays()
+    with pytest.raises(ValueError):
+        save_checkpoint(path, bad)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["a.ckpt"]
+
+
+def test_truncated_file_is_rejected(tmp_path):
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(path, arrays())
+    blob = path.read_bytes()
+    for cut in (6, 10, 20, len(blob) - 3):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+
+def test_bad_magic_is_rejected(tmp_path):
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(path, arrays())
+    path.write_bytes(b"XXXX" + path.read_bytes()[4:])
+    with pytest.raises(CheckpointError, match="bad magic"):
+        load_checkpoint(path)
+
+
+def test_missing_file_is_rejected(tmp_path):
+    with pytest.raises(CheckpointError, match="cannot read checkpoint"):
+        load_checkpoint(tmp_path / "missing.ckpt")

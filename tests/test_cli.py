@@ -76,3 +76,20 @@ def test_train1_resume_without_optimizer_state_exits_with_data_error(
     assert code == EXIT_DATA
     assert "checkpoint missing optimizer state: ['opt." in capsys.readouterr().err
     assert_no_manifest(tmp_path / "out")
+
+
+@pytest.mark.parametrize("command", ["eval", "train2", "inspect", "train1"])
+def test_missing_checkpoint_file_exits_with_data_error(command, tmp_path, capsys,
+                                                         stage1_ckpt, episode):
+    missing = str(tmp_path / "missing.ckpt")
+    out = ["--out", str(tmp_path / "out")]
+    argv = {
+        "eval": ["eval", "--stage1", missing, "--stage2", str(stage1_ckpt),
+                 "--rollouts", "1"],
+        "train2": ["train2", "--data", str(episode.parent), "--stage1", missing],
+        "inspect": ["inspect", "--stage1", missing, "--episode", str(episode)],
+        "train1": ["train1", "--data", str(episode.parent), "--resume", missing],
+    }[command]
+    assert main(argv + out) == EXIT_DATA
+    assert f"{missing}: cannot read checkpoint" in capsys.readouterr().err
+    assert_no_manifest(tmp_path / "out")

@@ -32,3 +32,11 @@ def test_fewer_slots_than_objects_plus_robot_is_a_config_error():
         load_config(overrides=["subset=long", "num_slots=24"])
     assert main(["budget", "--override", "subset=long",
                  "--override", "num_slots=24"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("override", ["width=0", "heads=0", "heads=-4", "patch_size=0",
+                                      "image_size=0", "batch_clips=0", "batch_frames=0"])
+def test_sizes_below_one_are_a_config_error(override, capsys):
+    assert main(["budget", "--override", override]) == EXIT_CONFIG
+    name, value = override.split("=")
+    assert f"{name} must be >= 1, got {value}" in capsys.readouterr().err

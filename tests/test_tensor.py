@@ -359,3 +359,106 @@ class TestTapeSemantics:
             err = T.finite_diff_check(
                 lambda: T.mean(T.tanh(T.matmul(a, b))), [a, b])
             assert err <= 1e-4
+
+
+def parent_grads(tape, g):
+    """The per-parent gradients of the tape's last entry for output gradient g."""
+    return tape._entries[-1][2](g)
+
+
+class TestLinear:
+    @pytest.mark.parametrize("n,k,d,bias", [(3, 4, 5, (5,)), (1, 3, 4, (4,)),
+                                            (2, 6, 1, (1,)), (4, 3, 1, (1,)),
+                                            (3, 4, 5, (3, 1)), (3, 4, 1, (3, 5))])
+    def test_bitwise_equal_to_matmul_plus_add(self, n, k, d, bias):
+        rng = np.random.default_rng(n * 100 + k * 10 + d)
+        data = [rng.standard_normal((n, k)), rng.standard_normal((k, d)),
+                rng.standard_normal(bias)]
+        weight = Tensor(rng.standard_normal(np.broadcast_shapes((n, d), bias)))
+        results = []
+        for affine in (lambda x, w, b: T.add(T.matmul(x, w), b), T.linear):
+            x, w, b = (Tensor(a, requires_grad=True) for a in data)
+            with T.fresh_tape() as tape:
+                out = affine(x, w, b)
+                tape.backward(T.sum_(T.mul(T.tanh(out), weight)))
+            results.append([out.data.tobytes()] + [t.grad.tobytes() for t in (x, w, b)])
+        assert results[0] == results[1]
+
+    def test_gradient_vs_finite_differences(self):
+        rng = np.random.default_rng(40)
+        x, w, b = rand_tensor(rng, 3, 4), rand_tensor(rng, 4, 2), rand_tensor(rng, 2)
+        err = T.finite_diff_check(lambda: T.sum_(T.tanh(T.linear(x, w, b))), [x, w, b])
+        assert err <= 1e-4
+
+    def test_one_tape_entry_with_bias_and_a_matmul_without(self):
+        rng = np.random.default_rng(41)
+        x, w, b = rand_tensor(rng, 3, 4), rand_tensor(rng, 4, 2), rand_tensor(rng, 2)
+        with T.fresh_tape() as tape:
+            T.linear(x, w, b)
+            assert len(tape) == 1
+            T.linear(x, w)
+            assert len(tape) == 2
+        assert tape._entries[1][1] == (x, w)
+
+    def test_mismatched_widths(self):
+        x, w = Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5)))
+        with pytest.raises(ShapeError, match=r"linear: .*\(2, 3\).*\(4, 5\)"):
+            T.linear(x, w, Tensor(np.zeros(5)))
+        with pytest.raises(ShapeError, match=r"linear: .*\(2, 5\).*\(4,\)"):
+            T.linear(Tensor(np.zeros((2, 4))), w, Tensor(np.zeros(4)))
+
+    def test_overflow_in_the_product_raises(self):
+        x = Tensor(np.full((2, 2), 1e200), requires_grad=True)
+        with pytest.raises(NonFiniteError, match="linear"), np.errstate(over="ignore"):
+            T.linear(x, x, Tensor(np.zeros(2)))
+
+
+class TestConstantOperands:
+    def test_constant_operands_get_no_gradient(self):
+        rng = np.random.default_rng(42)
+        x, c = rand_tensor(rng, 3, 3), rand_tensor(rng, 3, 3, requires_grad=False)
+        g = np.ones((3, 3))
+        for op, args in ((T.matmul, (x, c)), (T.matmul, (c, x)), (T.mul, (x, c)),
+                         (T.mul, (c, x)), (T.mul, (x, 0.5)),
+                         (T.linear, (x, c, Tensor(np.zeros(3)))),
+                         (T.linear, (c, x, Tensor(np.zeros(3))))):
+            with T.fresh_tape() as tape:
+                op(*args)
+                grads = parent_grads(tape, g)
+            for arg, grad in zip(tape._entries[-1][1], grads):
+                assert (grad is None) == (not arg.requires_grad)
+
+    def test_constant_keeps_no_grad_after_backward(self):
+        rng = np.random.default_rng(43)
+        x, c = rand_tensor(rng, 2, 2), rand_tensor(rng, 2, 2, requires_grad=False)
+        with T.fresh_tape() as tape:
+            tape.backward(T.sum_(T.mul(T.matmul(x, c), c)))
+        assert c.grad is None
+        assert x.grad is not None
+
+
+class TestOnePassBackward:
+    def test_leaf_in_three_entries_gets_the_reverse_tape_left_fold(self):
+        rng = np.random.default_rng(44)
+        x = rand_tensor(rng, 8, 8)
+        c1, c2, c3 = (rng.standard_normal((8, 8)) for _ in range(3))
+        with T.fresh_tape() as tape:
+            y = T.add(T.add(T.mul(x, c1), T.mul(x, c2)), T.mul(x, c3))
+            tape.backward(T.sum_(y))
+        # each entry hands x its constant (1.0 * c); the last entry adds first
+        expected = (c3 + c2) + c1
+        assert x.grad.tobytes() == expected.tobytes()
+        assert expected.tobytes() != ((c1 + c2) + c3).tobytes()
+
+    def test_branch_off_the_loss_leaves_its_leaf_without_grad(self):
+        rng = np.random.default_rng(45)
+        x, z = rand_tensor(rng, 3), rand_tensor(rng, 3)
+        with T.fresh_tape() as tape:
+            T.exp(T.mul(x, 2.0))
+            loss = T.sum_(T.mul(z, z))
+            T.mul(loss, x)
+            entries = len(tape)
+            tape.backward(loss)
+        assert x.grad is None
+        assert z.grad.tobytes() == (z.data + z.data).tobytes()
+        assert len(tape) == entries
