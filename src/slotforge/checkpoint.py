@@ -37,7 +37,7 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
             fh.write(MAGIC)
             fh.write(struct.pack("<I", VERSION))
             for name, arr in arrays.items():
-                arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
+                arr = np.asarray(arr, dtype=np.float64)
                 encoded = name.encode("utf-8")
                 fh.write(struct.pack("<I", len(encoded)))
                 fh.write(encoded)

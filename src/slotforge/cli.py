@@ -11,8 +11,7 @@ from pathlib import Path
 
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import ConfigError, load_config
-from .world import (WorldError, WorldConfig, generate_episode, serialize_episode,
-                    validate_dataset)
+from .world import WorldError, generate_episode, serialize_episode, validate_dataset
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -61,7 +61,6 @@ class RunConfig:
     noop_eps: float = 1e-3
     eval_every: int = 200
     rollout_horizon: int = 80
-    rollouts_per_task: int = 20
     target_iou: float = 0.5
     target_auc: float = 0.95
     target_acc: float = 0.70
@@ -74,7 +73,7 @@ class RunConfig:
         if self.subset not in SUBSET_PRESETS:
             raise ConfigError(f"unknown subset {self.subset!r}")
         for name in ("width", "heads", "patch_size", "image_size", "batch_clips",
-                     "batch_frames"):
+                     "batch_frames", "eval_every", "num_layouts"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.num_slots < self.max_objects + 1:
@@ -92,8 +91,12 @@ class RunConfig:
             raise ConfigError(f"action_bins must be >= 2, got {self.action_bins}")
         if self.refine_steps < 1:
             raise ConfigError("refine_steps must be >= 1")
-        if self.tau <= 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
+        if not self.noop_eps >= 0:
+            raise ConfigError(f"noop_eps must be >= 0, got {self.noop_eps}")
+        try:
+            self.loss_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.clip_len < 2:
             raise ConfigError("clip_len must be >= 2 for the tracking loss")
 

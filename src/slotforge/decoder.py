@@ -53,15 +53,13 @@ class ActionDecoder:
                       for _ in range(ACTION_DIMS)]
 
     def params(self) -> ParamGroup:
-        g = ParamGroup("decoder")
-        g.add("proprio_w", self.proprio_w)
-        g.add("proprio_b", self.proprio_b)
-        g.add("segments", self.segments)
+        """Own tensors and blocks by attribute path; the head pairs by hand."""
+        g = ParamGroup().collect("decoder", self)
         for i, block in enumerate(self.blocks):
-            block.register(g, f"block{i}")
+            g.collect(f"decoder.block{i}", block)
         for i, (w, b) in enumerate(self.heads):
-            g.add(f"head{i}_w", w)
-            g.add(f"head{i}_b", b)
+            g.add(f"decoder.head{i}_w", w)
+            g.add(f"decoder.head{i}_b", b)
         return g
 
     def assemble_bundle(self, objects: Tensor, relations: Tensor | None,

@@ -69,11 +69,7 @@ class PatchEmbedder:
         self.pos = param(rng, self.grid * self.grid, width, scale=0.1)
 
     def params(self) -> ParamGroup:
-        g = ParamGroup("frontend")
-        g.add("proj_w", self.proj_w)
-        g.add("proj_b", self.proj_b)
-        g.add("pos", self.pos)
-        return g
+        return ParamGroup().collect("frontend", self)
 
     def patches(self, frame: Frame) -> np.ndarray:
         """Flattened patch matrix, one row per grid cell (row-major cells)."""

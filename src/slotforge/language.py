@@ -46,9 +46,7 @@ class EmbeddingTable:
         self.table = param(rng, len(VOCABULARY), width)
 
     def params(self) -> ParamGroup:
-        g = ParamGroup(self.prefix)
-        g.add("table", self.table)
-        return g
+        return ParamGroup().collect(self.prefix, self)
 
     def __call__(self, task: str) -> Tensor:
         return T.gather_rows(self.table, tokenize(task))

@@ -307,9 +307,7 @@ class TrackProjection:
         self.w = param(rng, width, max(width // 2, 1))
 
     def params(self) -> ParamGroup:
-        g = ParamGroup("track_proj")
-        g.add("w", self.w)
-        return g
+        return ParamGroup().collect("track_proj", self)
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.matmul(x, self.w)

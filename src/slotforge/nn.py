@@ -5,10 +5,17 @@ functions. Residual branches are pre-normalized, so zeroing a branch's output
 projection makes the whole block an exact identity. Multi-head attention is
 three projections, one `tensor.attention_heads` op that holds every head,
 and the output projection: five tape entries per call.
+
+Parameters name themselves: `ParamGroup.collect` keys each trainable Tensor
+by its attribute path (`filter.bca_slots.attn.wq`), so renaming an attribute
+renames its checkpoint record. Attributes are walked in declaration order,
+which is also the order in which the optimizer sums gradients for clipping,
+so reordering them changes training bitwise.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +55,20 @@ class ParamGroup:
             raise ValueError(f"duplicate parameter name {key}")
         self._params[key] = t
         return t
+
+    def collect(self, prefix: str, owner) -> "ParamGroup":
+        """Add every trainable Tensor of `owner` as `prefix.attr`, recursing into
+        dataclass values; dataclass fields go in declaration order, other
+        objects in `vars()` order. Returns self."""
+        names = ([f.name for f in dataclasses.fields(owner)]
+                 if dataclasses.is_dataclass(owner) else list(vars(owner)))
+        for name in names:
+            value = getattr(owner, name)
+            if isinstance(value, Tensor) and value.requires_grad:
+                self.add(f"{prefix}.{name}", value)
+            elif dataclasses.is_dataclass(value):
+                self.collect(f"{prefix}.{name}", value)
+        return self
 
     def merge(self, other: "ParamGroup") -> None:
         for k, v in other._params.items():
@@ -104,11 +125,6 @@ class GRUParams:
             w_cand=param(rng, d, d), u_cand=param(rng, d, d), b_cand=zeros_param(d),
         )
 
-    def register(self, group: ParamGroup, prefix: str) -> None:
-        for name in ("w_update", "u_update", "b_update", "w_reset", "u_reset",
-                     "b_reset", "w_cand", "u_cand", "b_cand"):
-            group.add(f"{prefix}.{name}", getattr(self, name))
-
 
 def gru_cell(inputs: Tensor, states: Tensor, p: GRUParams) -> Tensor:
     """One GRU step applied to each row independently.
@@ -139,10 +155,6 @@ class MhaParams:
         return MhaParams(heads=heads, wq=param(rng, d, d), wk=param(rng, d, d),
                          wv=param(rng, d, d), wo=param(rng, d, d))
 
-    def register(self, group: ParamGroup, prefix: str) -> None:
-        for name in ("wq", "wk", "wv", "wo"):
-            group.add(f"{prefix}.{name}", getattr(self, name))
-
 
 def multi_head_attention(queries: Tensor, context: Tensor, p: MhaParams) -> Tensor:
     """Scaled dot-product cross-attention; rows of `queries` attend to `context`."""
@@ -159,27 +171,6 @@ def attention_weights(queries: Tensor, context: Tensor, p: MhaParams) -> np.ndar
 
 
 @dataclass
-class FeedForwardParams:
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-    @staticmethod
-    def create(rng: np.random.Generator, d: int, expansion: int = 4) -> "FeedForwardParams":
-        return FeedForwardParams(w1=param(rng, d, d * expansion), b1=zeros_param(d * expansion),
-                                 w2=param(rng, d * expansion, d), b2=zeros_param(d))
-
-    def register(self, group: ParamGroup, prefix: str) -> None:
-        for name in ("w1", "b1", "w2", "b2"):
-            group.add(f"{prefix}.{name}", getattr(self, name))
-
-
-def feed_forward(x: Tensor, p: FeedForwardParams) -> Tensor:
-    return T.linear(T.relu(T.linear(x, p.w1, p.b1)), p.w2, p.b2)
-
-
-@dataclass
 class NormParams:
     gain: Tensor
     bias: Tensor
@@ -188,81 +179,9 @@ class NormParams:
     def create(d: int) -> "NormParams":
         return NormParams(gain=ones_param(d), bias=zeros_param(d))
 
-    def register(self, group: ParamGroup, prefix: str) -> None:
-        group.add(f"{prefix}.gain", self.gain)
-        group.add(f"{prefix}.bias", self.bias)
-
 
 def norm(x: Tensor, p: NormParams) -> Tensor:
     return T.layer_norm(x, p.gain, p.bias)
-
-
-@dataclass
-class CrossAttentionBlockParams:
-    """Pre-norm cross-attention + feed-forward block ("CAB")."""
-
-    attn: MhaParams
-    ff: FeedForwardParams
-    norm_q: NormParams
-    norm_ctx: NormParams
-    norm_ff: NormParams
-
-    @staticmethod
-    def create(rng: np.random.Generator, d: int, heads: int,
-               expansion: int = 4) -> "CrossAttentionBlockParams":
-        return CrossAttentionBlockParams(
-            attn=MhaParams.create(rng, d, heads),
-            ff=FeedForwardParams.create(rng, d, expansion),
-            norm_q=NormParams.create(d),
-            norm_ctx=NormParams.create(d),
-            norm_ff=NormParams.create(d),
-        )
-
-    def register(self, group: ParamGroup, prefix: str) -> None:
-        self.attn.register(group, f"{prefix}.attn")
-        self.ff.register(group, f"{prefix}.ff")
-        self.norm_q.register(group, f"{prefix}.norm_q")
-        self.norm_ctx.register(group, f"{prefix}.norm_ctx")
-        self.norm_ff.register(group, f"{prefix}.norm_ff")
-
-
-def cross_attention_block(queries: Tensor, context: Tensor,
-                          p: CrossAttentionBlockParams) -> Tensor:
-    x = T.add(queries, multi_head_attention(norm(queries, p.norm_q),
-                                            norm(context, p.norm_ctx), p.attn))
-    return T.add(x, feed_forward(norm(x, p.norm_ff), p.ff))
-
-
-@dataclass
-class SelfAttentionBlockParams:
-    """Pre-norm self-attention + feed-forward transformer layer."""
-
-    attn: MhaParams
-    ff: FeedForwardParams
-    norm_attn: NormParams
-    norm_ff: NormParams
-
-    @staticmethod
-    def create(rng: np.random.Generator, d: int, heads: int,
-               expansion: int = 4) -> "SelfAttentionBlockParams":
-        return SelfAttentionBlockParams(
-            attn=MhaParams.create(rng, d, heads),
-            ff=FeedForwardParams.create(rng, d, expansion),
-            norm_attn=NormParams.create(d),
-            norm_ff=NormParams.create(d),
-        )
-
-    def register(self, group: ParamGroup, prefix: str) -> None:
-        self.attn.register(group, f"{prefix}.attn")
-        self.ff.register(group, f"{prefix}.ff")
-        self.norm_attn.register(group, f"{prefix}.norm_attn")
-        self.norm_ff.register(group, f"{prefix}.norm_ff")
-
-
-def self_attention_block(x: Tensor, p: SelfAttentionBlockParams) -> Tensor:
-    h = norm(x, p.norm_attn)
-    x = T.add(x, multi_head_attention(h, h, p.attn))
-    return T.add(x, feed_forward(norm(x, p.norm_ff), p.ff))
 
 
 @dataclass
@@ -277,10 +196,59 @@ class MlpParams:
         return MlpParams(w1=param(rng, d_in, d_hidden), b1=zeros_param(d_hidden),
                          w2=param(rng, d_hidden, d_out), b2=zeros_param(d_out))
 
-    def register(self, group: ParamGroup, prefix: str) -> None:
-        for name in ("w1", "b1", "w2", "b2"):
-            group.add(f"{prefix}.{name}", getattr(self, name))
-
 
 def mlp(x: Tensor, p: MlpParams) -> Tensor:
     return T.linear(T.relu(T.linear(x, p.w1, p.b1)), p.w2, p.b2)
+
+
+@dataclass
+class CrossAttentionBlockParams:
+    """Pre-norm cross-attention + feed-forward block ("CAB")."""
+
+    attn: MhaParams
+    ff: MlpParams
+    norm_q: NormParams
+    norm_ctx: NormParams
+    norm_ff: NormParams
+
+    @staticmethod
+    def create(rng: np.random.Generator, d: int, heads: int) -> "CrossAttentionBlockParams":
+        return CrossAttentionBlockParams(
+            attn=MhaParams.create(rng, d, heads),
+            ff=MlpParams.create(rng, d, 4 * d, d),
+            norm_q=NormParams.create(d),
+            norm_ctx=NormParams.create(d),
+            norm_ff=NormParams.create(d),
+        )
+
+
+def cross_attention_block(queries: Tensor, context: Tensor,
+                          p: CrossAttentionBlockParams) -> Tensor:
+    x = T.add(queries, multi_head_attention(norm(queries, p.norm_q),
+                                            norm(context, p.norm_ctx), p.attn))
+    return T.add(x, mlp(norm(x, p.norm_ff), p.ff))
+
+
+@dataclass
+class SelfAttentionBlockParams:
+    """Pre-norm self-attention + feed-forward transformer layer."""
+
+    attn: MhaParams
+    ff: MlpParams
+    norm_attn: NormParams
+    norm_ff: NormParams
+
+    @staticmethod
+    def create(rng: np.random.Generator, d: int, heads: int) -> "SelfAttentionBlockParams":
+        return SelfAttentionBlockParams(
+            attn=MhaParams.create(rng, d, heads),
+            ff=MlpParams.create(rng, d, 4 * d, d),
+            norm_attn=NormParams.create(d),
+            norm_ff=NormParams.create(d),
+        )
+
+
+def self_attention_block(x: Tensor, p: SelfAttentionBlockParams) -> Tensor:
+    h = norm(x, p.norm_attn)
+    x = T.add(x, multi_head_attention(h, h, p.attn))
+    return T.add(x, mlp(norm(x, p.norm_ff), p.ff))

@@ -104,11 +104,6 @@ class Pipeline:
             g.merge(sub)
         return g
 
-    def all_params(self) -> ParamGroup:
-        g = self.stage1_params()
-        g.merge(self.stage2_params())
-        return g
-
     # ------------------------------------------------------------------
     # encoding
 

@@ -26,11 +26,7 @@ class RelationEncoder:
         self.slot_cab = CrossAttentionBlockParams.create(rng, width, heads)
 
     def params(self) -> ParamGroup:
-        g = ParamGroup("relations")
-        g.add("queries", self.queries)
-        self.visual_cab.register(g, "visual_cab")
-        self.slot_cab.register(g, "slot_cab")
-        return g
+        return ParamGroup().collect("relations", self)
 
     def __call__(self, dense: DenseTokens, slots: Tensor) -> Tensor:
         if slots.shape[0] == 0:

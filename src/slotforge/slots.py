@@ -63,15 +63,7 @@ class SlotAttention:
         self.mlp = MlpParams.create(rng, d, 2 * d, d)
 
     def params(self) -> ParamGroup:
-        g = ParamGroup("slots")
-        g.add("wq", self.wq)
-        g.add("wk", self.wk)
-        g.add("wv", self.wv)
-        self.gru.register(g, "gru")
-        g.add("init_mu", self.init_mu)
-        g.add("init_log_sigma", self.init_log_sigma)
-        self.mlp.register(g, "mlp")
-        return g
+        return ParamGroup().collect("slots", self)
 
     def init_slots(self, state_prev: SlotState | None, rng_seed: int, t: int = 0) -> SlotState:
         """Fresh Gaussian slots at t=0; bitwise carryover copy otherwise."""
@@ -136,12 +128,7 @@ class SlotHeads:
         self.mask = MlpParams.create(rng, width, width, grid_cells)
 
     def params(self) -> ParamGroup:
-        g = ParamGroup("heads")
-        self.box.register(g, "box")
-        g.add("objectness_w", self.objectness_w)
-        g.add("objectness_b", self.objectness_b)
-        self.mask.register(g, "mask")
-        return g
+        return ParamGroup().collect("heads", self)
 
     def __call__(self, slots: Tensor) -> SlotPredictions:
         return SlotPredictions(

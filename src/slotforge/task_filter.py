@@ -42,25 +42,19 @@ def top_k_filter(slots: Tensor, scores: np.ndarray, k: int) -> tuple[Tensor, lis
 class TaskFilter:
     def __init__(self, rng: np.random.Generator, width: int = 64, heads: int = 4):
         self.width = width
-        self.slots_to_lang = CrossAttentionBlockParams.create(rng, width, heads)
-        self.lang_to_slots = CrossAttentionBlockParams.create(rng, width, heads)
+        self.bca_slots = CrossAttentionBlockParams.create(rng, width, heads)
+        self.bca_lang = CrossAttentionBlockParams.create(rng, width, heads)
         self.trans = SelfAttentionBlockParams.create(rng, width, heads)
         self.head_w = param(rng, width, 1)
         self.head_b = zeros_param(1)
 
     def params(self) -> ParamGroup:
-        g = ParamGroup("filter")
-        self.slots_to_lang.register(g, "bca_slots")
-        self.lang_to_slots.register(g, "bca_lang")
-        self.trans.register(g, "trans")
-        g.add("head_w", self.head_w)
-        g.add("head_b", self.head_b)
-        return g
+        return ParamGroup().collect("filter", self)
 
     def bca(self, slots: Tensor, lang: Tensor) -> tuple[Tensor, Tensor]:
         """Both streams attend to the (pre-update) other stream."""
-        slots_out = cross_attention_block(slots, lang, self.slots_to_lang)
-        lang_out = cross_attention_block(lang, slots, self.lang_to_slots)
+        slots_out = cross_attention_block(slots, lang, self.bca_slots)
+        lang_out = cross_attention_block(lang, slots, self.bca_lang)
         return slots_out, lang_out
 
     def score_slots(self, slots_bca: Tensor) -> Tensor:

@@ -547,8 +547,14 @@ def serialize_episode(episode: Episode, out_dir: str | Path) -> Path:
 def load_episode(path: str | Path) -> Episode:
     path = Path(path)
     base = path.parent
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise EpisodeParseError(f"{path}: cannot read episode: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise EpisodeParseError(f"{path}: not a text episode file: {exc.reason}") from exc
     frames: list[FrameRecord] = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -573,6 +579,8 @@ def load_episode(path: str | Path) -> Episode:
                 instances=instances, rgb=rgb))
         except KeyError as exc:
             raise EpisodeParseError(f"{path}:{lineno}: missing field {exc}") from exc
+        except (OSError, pnm.PnmError) as exc:
+            raise EpisodeParseError(f"{path}:{lineno}: cannot read frame: {exc}") from exc
     if not frames:
         raise EpisodeParseError(f"{path}: no frame records")
     meta_path = base / (path.stem + ".meta.json")
@@ -664,7 +672,7 @@ def validate_dataset(data_dir: str | Path, noop_eps: float = 1e-3) -> tuple[dict
     for path in files:
         try:
             episode = load_episode(path)
-        except (EpisodeParseError, pnm.PnmError) as exc:
+        except EpisodeParseError as exc:
             errors.append(str(exc))
             continue
         for err in validate_episode(episode, noop_eps):

@@ -93,3 +93,16 @@ def test_missing_checkpoint_file_exits_with_data_error(command, tmp_path, capsys
     assert main(argv + out) == EXIT_DATA
     assert f"{missing}: cannot read checkpoint" in capsys.readouterr().err
     assert_no_manifest(tmp_path / "out")
+
+
+@pytest.mark.parametrize("content, message", [(None, "cannot read episode"),
+                                              (b"\x86\xff", "not a text episode file")])
+def test_unreadable_episode_exits_with_data_error(content, message, tmp_path, capsys,
+                                                  stage1_ckpt):
+    path = tmp_path / "ep_bad.jsonl"
+    if content is not None:
+        path.write_bytes(content)
+    code = main(["inspect", "--stage1", str(stage1_ckpt), "--episode", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    assert f"{path}: {message}" in capsys.readouterr().err

@@ -35,8 +35,27 @@ def test_fewer_slots_than_objects_plus_robot_is_a_config_error():
 
 
 @pytest.mark.parametrize("override", ["width=0", "heads=0", "heads=-4", "patch_size=0",
-                                      "image_size=0", "batch_clips=0", "batch_frames=0"])
+                                      "image_size=0", "batch_clips=0", "batch_frames=0",
+                                      "eval_every=0", "num_layouts=0"])
 def test_sizes_below_one_are_a_config_error(override, capsys):
     assert main(["budget", "--override", override]) == EXIT_CONFIG
     name, value = override.split("=")
     assert f"{name} must be >= 1, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, message", [
+    ("lambda_box=-1", "loss weights must be finite and non-negative"),
+    ("tau=0", "temperature must be positive"),
+    ("noop_eps=-1", "noop_eps must be >= 0, got -1.0"),
+])
+def test_invalid_loss_weights_and_noop_threshold_are_config_errors(override, message,
+                                                                    capsys):
+    assert main(["budget", "--override", override]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def test_a_removed_config_key_is_rejected(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("rollouts_per_task = 20\n")
+    assert main(["budget", "--config", str(path)]) == EXIT_CONFIG
+    assert "unknown config key 'rollouts_per_task'" in capsys.readouterr().err

@@ -55,7 +55,7 @@ class TestBca:
         # attention over one key returns the same value row for every slot,
         # so pre-FF differences between slots survive unchanged
         attn_shift = out.data - slots
-        h = filt.slots_to_lang
+        h = filt.bca_slots
         # recompute the pure attention contribution: identical across slots
         from slotforge.nn import multi_head_attention, norm
         attn_only = multi_head_attention(norm(Tensor(slots), h.norm_q),
@@ -214,5 +214,5 @@ class TestRelationEncoder:
 def _cab_params(cab):
     from slotforge.nn import ParamGroup
     g = ParamGroup("tmp")
-    cab.register(g, "cab")
+    g.collect("cab", cab)
     return list(g.items())

@@ -6,11 +6,15 @@ parameter fails here before it breaks old checkpoints or bitwise training.
 """
 
 import hashlib
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from slotforge.config import load_config
+from slotforge.nn import NormParams, ParamGroup, param
 from slotforge.pipeline import Pipeline
+from slotforge.tensor import Tensor
 
 PINNED = {
     "stage1": (75, 235590, "ed252d990c25cd578ceb365a6ccf8a96efb3814c36af102574bd11b39e860ecc"),
@@ -36,3 +40,28 @@ def test_parameter_names_shapes_and_order_are_pinned(pipeline, stage):
 def test_every_parameter_appears_once(pipeline):
     tensors = pipeline.stage1_params().tensors() + pipeline.stage2_params().tensors()
     assert len({id(t) for t in tensors}) == len(tensors) == 146
+
+
+def test_collect_keeps_trainable_tensors_in_attribute_order():
+    """Constants and list items are skipped; dataclasses are walked field by field."""
+
+    @dataclass
+    class Inner:
+        b: Tensor
+        a: Tensor
+
+    class Owner:
+        def __init__(self):
+            rng = np.random.default_rng(0)
+            self.width = 2
+            self.z = param(rng, 2, 2)
+            self.inner = Inner(b=param(rng, 2), a=param(rng, 3))
+            self.constant = Tensor(np.zeros(2))
+            self.listed = [param(rng, 2)]
+            self.norm = NormParams.create(2)
+
+    owner = Owner()
+    group = ParamGroup("m").collect("owner", owner)
+    assert list(group.names()) == ["m.owner.z", "m.owner.inner.b", "m.owner.inner.a",
+                                   "m.owner.norm.gain", "m.owner.norm.bias"]
+    assert group.tensors()[0] is owner.z

@@ -1,5 +1,7 @@
 """Synthetic world: determinism, annotation invariants, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,17 @@ class TestSerialization:
         lines[1] = lines[1][:-5]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(EpisodeParseError, match=r":2:"):
+            load_episode(path)
+
+    def test_missing_or_corrupt_frame_file_reports_line_number(self, tmp_path):
+        ep = generate_episode(4, WorldConfig.for_subset("pair"))
+        path = serialize_episode(ep, tmp_path)
+        frame_file = tmp_path / json.loads(path.read_text().splitlines()[1])["frame_file"]
+        frame_file.write_bytes(b"P2\n1 1\n255\n0")
+        with pytest.raises(EpisodeParseError, match=r":2: cannot read frame: .*expected P6"):
+            load_episode(path)
+        frame_file.unlink()
+        with pytest.raises(EpisodeParseError, match=r":2: cannot read frame: "):
             load_episode(path)
 
     def test_floats_serialized_at_full_precision(self, tmp_path):
