@@ -74,7 +74,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _require_positive(name: str, value: int) -> None:
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
+
+
 def cmd_gen(args) -> int:
+    _require_positive("episodes", args.episodes)
     overrides = list(args.override)
     if args.subset:
         overrides.append(f"subset={args.subset}")
@@ -124,6 +130,7 @@ def cmd_train2(args) -> int:
 def cmd_eval(args) -> int:
     from .evaluate import evaluate
     from .pipeline import Pipeline
+    _require_positive("rollouts", args.rollouts)
     cfg = load_config(args.config, args.override)
     pipeline = Pipeline(cfg)
     pipeline.stage1_params().load_state(load_checkpoint(args.stage1))

@@ -4,6 +4,13 @@ Stage 1 combines box/objectness/mask supervision routed through a
 minimum-cost assignment, a multi-positive contrastive tracking term over
 slot embeddings, and a class-weighted relevance term. Stage 2 is plain
 cross-entropy over discretized action bins.
+
+The two stage-1 hot spots are single tape entries with analytic backwards:
+`giou_pairs` (one entry per frame) and the anchor term of `track_loss` (one
+entry per batch, after the similarity graph). Both reproduce the values and
+gradients of the elementwise graphs they replaced bit for bit, so training
+runs are unchanged. `hungarian_match` proves the optimum unique with n_gt
+forbidden-edge solves before paying for its lexicographic tie-break.
 """
 
 from __future__ import annotations
@@ -62,12 +69,36 @@ def _optimal_cost(cost: np.ndarray) -> float:
     return float(cost[rows, cols].sum())
 
 
+def _optimum_is_unique(cost: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                       bound: float) -> bool:
+    """True when every assignment that avoids one edge of (rows, cols) costs
+    more than `bound`, or none exists."""
+    trial = cost.copy()
+    for i, j in zip(rows, cols):
+        trial[i, j] = np.inf
+        try:
+            alt = trial[linear_sum_assignment(trial)].sum()
+        except ValueError:  # infeasible: every assignment uses this edge
+            alt = np.inf
+        trial[i, j] = cost[i, j]
+        if alt <= bound:
+            return False
+    return True
+
+
 def hungarian_match(cost: np.ndarray) -> MatchAssignment:
     """Minimum-total-cost assignment of every gt column to a distinct slot row.
 
     Ties between equal-total assignments break toward the lexicographically
     smallest (slot, gt) pair list: columns are fixed in order, each taking
-    the lowest slot index that still permits an optimal completion.
+    the lowest slot index that still permits an optimal completion. Totals
+    within tol = 1e-12·max(1, |optimum|) of the optimum count as equal.
+
+    That O(n_gt·n_slots) refinement runs only when a tie may exist. Any other
+    assignment avoids one of the optimum's n_gt edges, so when the n_gt
+    solves that each forbid one edge all cost more than optimum + 2·tol, the
+    optimum is unique and is what the refinement would return. The second
+    tol is a guard band for sums rounded in different orders.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
@@ -77,23 +108,26 @@ def hungarian_match(cost: np.ndarray) -> MatchAssignment:
     n_slots, n_gt = cost.shape
     if n_gt > n_slots:
         raise ValueError(f"{n_gt} objects exceed {n_slots} slots")
-    best = _optimal_cost(cost)
+    rows, cols = linear_sum_assignment(cost)
+    best = float(cost[rows, cols].sum())
     tol = _TIE_RTOL * max(1.0, abs(best))
-    pairs: list[tuple[int, int]] = []
-    free = list(range(n_slots))
-    spent = 0.0
-    for j in range(n_gt):
-        rest = cost[:, j + 1:]
-        for pos, i in enumerate(free):
-            sub = np.delete(rest[free], pos, axis=0)
-            total = spent + cost[i, j] + _optimal_cost(sub)
-            if total <= best + tol:
-                pairs.append((i, j))
-                spent += cost[i, j]
-                free.pop(pos)
-                break
-        else:  # pragma: no cover - optimality guarantees a break
-            raise RuntimeError("assignment refinement failed to complete")
+    if _optimum_is_unique(cost, rows, cols, best + 2.0 * tol):
+        pairs = [(i, j) for j, i in sorted(zip(cols.tolist(), rows.tolist()))]
+        free = sorted(set(range(n_slots)) - set(rows.tolist()))
+    else:
+        pairs, free, spent = [], list(range(n_slots)), 0.0
+        for j in range(n_gt):
+            rest = cost[:, j + 1:]
+            for pos, i in enumerate(free):
+                sub = np.delete(rest[free], pos, axis=0)
+                total = spent + cost[i, j] + _optimal_cost(sub)
+                if total <= best + tol:
+                    pairs.append((i, j))
+                    spent += cost[i, j]
+                    free.pop(pos)
+                    break
+            else:  # pragma: no cover - optimality guarantees a break
+                raise RuntimeError("assignment refinement failed to complete")
     return MatchAssignment(pairs=pairs, unmatched_slots=free,
                            total_cost=float(sum(cost[i, j] for i, j in pairs)))
 
@@ -150,39 +184,78 @@ def box_cost(pred: np.ndarray, gt: np.ndarray, l1_weight: float = 5.0,
     return l1_weight * l1 + giou_weight * (1.0 - giou_matrix(pred, gt))
 
 
-def _minimum(a: Tensor, b: Tensor) -> Tensor:
-    return T.sub(b, T.relu(T.sub(b, a)))
-
-
-def _maximum(a: Tensor, b: Tensor) -> Tensor:
-    return T.add(a, T.relu(T.sub(b, a)))
-
-
-def _corners_t(boxes: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    cx = T.slice_cols(boxes, 0, 1)
-    cy = T.slice_cols(boxes, 1, 2)
-    w = T.slice_cols(boxes, 2, 3)
-    h = T.slice_cols(boxes, 3, 4)
-    return (T.sub(cx, T.mul(w, 0.5)), T.sub(cy, T.mul(h, 0.5)),
-            T.add(cx, T.mul(w, 0.5)), T.add(cy, T.mul(h, 0.5)))
+def _relu(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0)
 
 
 def giou_pairs(pred: Tensor, gt: np.ndarray) -> Tensor:
-    """Row-wise GIoU between matched prediction rows and constant gt rows."""
-    if pred.shape != np.asarray(gt).shape:
-        raise ShapeError(f"giou_pairs: shapes {pred.shape} vs {np.asarray(gt).shape}")
-    gt_t = Tensor(gt)
-    px0, py0, px1, py1 = _corners_t(pred)
-    gx0, gy0, gx1, gy1 = _corners_t(gt_t)
-    iw = T.relu(T.sub(_minimum(px1, gx1), _maximum(px0, gx0)))
-    ih = T.relu(T.sub(_minimum(py1, gy1), _maximum(py0, gy0)))
-    inter = T.mul(iw, ih)
-    area_p = T.mul(T.sub(px1, px0), T.sub(py1, py0))
-    area_g = T.mul(T.sub(gx1, gx0), T.sub(gy1, gy0))
-    union = T.sub(T.add(area_p, area_g), inter)
-    hull = T.mul(T.sub(_maximum(px1, gx1), _minimum(px0, gx0)),
-                 T.sub(_maximum(py1, gy1), _minimum(py0, gy0)))
-    return T.sub(T.div(inter, union), T.div(T.sub(hull, union), hull))
+    """Row-wise GIoU between matched prediction rows and constant gt rows, (n, 1).
+
+    One tape entry with an analytic backward. Its values and gradients are
+    bitwise those of the former graph of 53 elementwise tape ops, so the
+    arithmetic is kept as that graph had it: min(a, b) = b - relu(b - a) and
+    max(a, b) = a + relu(b - a), which can differ from np.minimum/np.maximum in
+    the last bit, and each corner's gradient summed in the order the reverse
+    sweep added its parts. `giou_matrix` is the (tape-free) pairwise form.
+    """
+    gt = np.asarray(gt, dtype=np.float64)
+    if pred.shape != gt.shape or pred.data.ndim != 2 or pred.shape[1] != 4:
+        raise ShapeError(f"giou_pairs: shapes {pred.shape} vs {gt.shape}")
+    with np.errstate(all="ignore"):
+        px0, py0, px1, py1 = _corners(pred.data)
+        gx0, gy0, gx1, gy1 = _corners(gt)
+        # gaps from each predicted corner to the gt corner, and their relus
+        dx1, dx0, dy1, dy0 = gx1 - px1, gx0 - px0, gy1 - py1, gy0 - py0
+        rx1, rx0, ry1, ry0 = _relu(dx1), _relu(dx0), _relu(dy1), _relu(dy0)
+        ix = (gx1 - rx1) - (px0 + rx0)
+        iy = (gy1 - ry1) - (py0 + ry0)
+        iw, ih = _relu(ix), _relu(iy)
+        inter = iw * ih
+        wp, hp = px1 - px0, py1 - py0
+        union = (wp * hp + (gx1 - gx0) * (gy1 - gy0)) - inter
+        hw = (px1 + rx1) - (gx0 - rx0)
+        hh = (py1 + ry1) - (gy0 - ry0)
+        hull = hw * hh
+        spare = hull - union
+        out = (inter / union - spare / hull)[:, None]
+
+    def backward(g):
+        # the former graph's reverse sweep: each sum adds its parts in the
+        # order they arrived, and each sign flip is the op that made it
+        g = g[:, 0]
+        g_spare = -g / hull
+        g_hull = -(-g) * spare / (hull * hull) + g_spare
+        g_union = -g_spare
+        g_inter = g / union
+        g_union = g_union + -g * inter / (union * union)
+        g_hw, g_hh = g_hull * hh, g_hull * hw
+        g_py0 = -(-(-g_hh) * (dy0 > 0))
+        g_py1 = g_hh
+        g_py1 = g_py1 + -(g_hh * (dy1 > 0))
+        g_px0 = -(-(-g_hw) * (dx0 > 0))
+        g_px1 = g_hw
+        g_px1 = g_px1 + -(g_hw * (dx1 > 0))
+        g_inter = g_inter + -g_union
+        g_wp, g_hp = g_union * hp, g_union * wp
+        g_py1 = g_py1 + g_hp
+        g_py0 = g_py0 + -g_hp
+        g_px1 = g_px1 + g_wp
+        g_px0 = g_px0 + -g_wp
+        g_iw, g_ih = g_inter * ih, g_inter * iw
+        g_iy = g_ih * (iy > 0)
+        g_py0 = g_py0 + -g_iy
+        g_py0 = g_py0 + -(-g_iy * (dy0 > 0))
+        g_py1 = g_py1 + -(-g_iy * (dy1 > 0))
+        g_ix = g_iw * (ix > 0)
+        g_px0 = g_px0 + -g_ix
+        g_px0 = g_px0 + -(-g_ix * (dx0 > 0))
+        g_px1 = g_px1 + -(-g_ix * (dx1 > 0))
+        g_h = g_py1 * 0.5 + -g_py0 * 0.5
+        g_w = g_px1 * 0.5 + -g_px0 * 0.5
+        # the four column slices were scatter-added into zeros: -0.0 -> +0.0
+        return (np.stack([g_px1 + g_px0, g_py1 + g_py0, g_w, g_h], axis=1) + 0.0,)
+
+    return T.primitive(out, (pred,), backward, "giou_pairs")
 
 
 @dataclass
@@ -217,7 +290,7 @@ def slot_attn_loss(preds: SlotPredictions, targets: FrameTargets,
         gt_idx = [g for _, g in match.pairs]
         pred_rows = T.gather_rows(preds.boxes, slot_idx)
         gt_rows = targets.boxes[gt_idx]
-        l1 = T.mean(T.sum_(_abs(T.sub(pred_rows, Tensor(gt_rows))), axis=1))
+        l1 = T.mean(T.sum_(T.abs_(T.sub(pred_rows, Tensor(gt_rows))), axis=1))
         giou_term = T.mean(T.sub(1.0, giou_pairs(pred_rows, gt_rows)))
         loss_box = T.add(T.mul(l1, cfg.cost_l1), T.mul(giou_term, cfg.cost_giou))
         mask_rows = T.gather_rows(preds.mask_logits, slot_idx)
@@ -234,10 +307,6 @@ def slot_attn_loss(preds: SlotPredictions, targets: FrameTargets,
                   T.mul(loss_seg, cfg.lambda_seg))
     parts = {"box": loss_box.item(), "obj": loss_obj.item(), "seg": loss_seg.item()}
     return total, parts
-
-
-def _abs(x: Tensor) -> Tensor:
-    return T.add(T.relu(x), T.relu(T.neg(x)))
 
 
 def slot_relevance_labels(match: MatchAssignment, gt_relevance: np.ndarray,
@@ -262,6 +331,13 @@ def cosine_rows(x: Tensor) -> Tensor:
     return T.div(x, T.sqrt(T.add(sq, 1e-12)))
 
 
+def _logsumexp_row(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`T.logsumexp_rows` of one (1, k) row: ((1, 1) value, (1, k) softmax)."""
+    m = x.max(axis=1, keepdims=True)
+    out = m + np.log(np.exp(x - m).sum(axis=1, keepdims=True))
+    return out, np.exp(x - out)
+
+
 def track_loss(embeddings: Tensor, labels: np.ndarray, frames: np.ndarray,
                tau: float = 0.1, window: int = 2) -> tuple[Tensor, int, int]:
     """Multi-positive contrastive loss over slot embeddings.
@@ -269,6 +345,12 @@ def track_loss(embeddings: Tensor, labels: np.ndarray, frames: np.ndarray,
     Positives share an instance label within `window` frames; negatives carry
     a different label (unmatched rows, label -1, are negatives only). Anchors
     without positives are skipped and counted. Returns (loss, anchors, skipped).
+
+    After the cosine-similarity graph, the mean over anchors of
+    lse(all) - lse(positives) is one tape entry. The positive and all-pair
+    masks are built once; each anchor's log-sum-exp runs on its compacted
+    row, so values and gradients are bitwise those of the former graph of
+    about ten tape entries per anchor.
     """
     labels = np.asarray(labels)
     frames = np.asarray(frames)
@@ -276,28 +358,39 @@ def track_loss(embeddings: Tensor, labels: np.ndarray, frames: np.ndarray,
     if labels.shape != (n,) or frames.shape != (n,):
         raise ShapeError(f"track_loss: {n} embeddings, {labels.shape} labels, "
                          f"{frames.shape} frames")
+    same = labels[:, None] == labels[None, :]
+    near = np.abs(frames[:, None] - frames[None, :]) <= window
+    pos = same & near & (frames[:, None] != frames[None, :])
+    candidates = labels >= 0
+    has_pos = pos.any(axis=1)
+    anchors = np.flatnonzero(candidates & has_pos)
+    skipped = int(np.count_nonzero(candidates & ~has_pos))
+    if not anchors.size:
+        return Tensor(0.0), 0, skipped
     sims = T.mul(T.matmul(cosine_rows(embeddings), T.transpose(cosine_rows(embeddings))),
                  1.0 / tau)
-    per_anchor: list[Tensor] = []
-    skipped = 0
-    for a in range(n):
-        if labels[a] < 0:
-            continue
-        same = (labels == labels[a])
-        near = np.abs(frames - frames[a]) <= window
-        pos = same & near & (frames != frames[a])
-        neg = ~same
-        if not pos.any():
-            skipped += 1
-            continue
-        row = T.transpose(T.gather_rows(sims, [a]))  # column of similarities
-        lse_pos = T.logsumexp_rows(T.transpose(T.gather_rows(row, np.flatnonzero(pos))))
-        lse_all = T.logsumexp_rows(T.transpose(T.gather_rows(row, np.flatnonzero(pos | neg))))
-        per_anchor.append(T.sub(lse_all, lse_pos))
-    if not per_anchor:
-        return Tensor(0.0), 0, skipped
-    return (T.mul(T.sum_(T.add_all(per_anchor)), 1.0 / len(per_anchor)),
-            len(per_anchor), skipped)
+    scale = 1.0 / anchors.size
+    per_anchor = []
+    total = None
+    for a in anchors:
+        pos_idx, all_idx = np.flatnonzero(pos[a]), np.flatnonzero(pos[a] | ~same[a])
+        lse_pos, soft_pos = _logsumexp_row(sims.data[a, pos_idx][None, :])
+        lse_all, soft_all = _logsumexp_row(sims.data[a, all_idx][None, :])
+        term = lse_all - lse_pos
+        total = term if total is None else total + term
+        per_anchor.append((a, pos_idx, soft_pos, all_idx, soft_all))
+
+    def backward(g):
+        g_term = g * scale
+        grad = np.zeros_like(sims.data)
+        for a, pos_idx, soft_pos, all_idx, soft_all in per_anchor:
+            # + 0.0: the former scatter-add into zeros turned -0.0 into +0.0
+            grad[a, all_idx] = g_term * soft_all[0] + 0.0
+            grad[a, pos_idx] += -g_term * soft_pos[0]
+        return (grad,)
+
+    loss = T.primitive(total.sum() * scale, (sims,), backward, "track_loss")
+    return loss, int(anchors.size), skipped
 
 
 class TrackProjection:

@@ -17,7 +17,10 @@ Broadcasting is limited to: equal shapes, scalars, a trailing row vector
 Multi-head attention is one fused op, `attention_heads(q, k, v, heads)`:
 the heads are a reshape inside it, not separate graph nodes, so one
 attention costs one tape entry whatever the head count. Likewise
-`linear(x, w, b)` with a bias is one entry, not a matmul and an add.
+`linear(x, w, b)` with a bias is one entry, not a matmul and an add, and
+`abs_` is one entry, not two relus, a neg and an add. `primitive` records a
+numpy forward with a hand-written backward as one entry for ops that live
+beside their callers (`losses.giou_pairs`, `losses.track_loss`).
 """
 
 from __future__ import annotations
@@ -212,6 +215,16 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], fn: Callable, op: str) ->
     return out
 
 
+def primitive(data: np.ndarray, parents: Sequence[Tensor], backward: Callable,
+              op: str) -> Tensor:
+    """One tape entry for a forward value computed in numpy.
+
+    `backward(g)` returns one gradient array (or None) per parent, each of
+    its parent's shape. The value is checked for NaN/Inf like every op's.
+    """
+    return _make(data, parents, backward, op)
+
+
 def _broadcast_ok(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     if a == b or a == () or b == ():
         return True
@@ -343,6 +356,14 @@ def tanh(a) -> Tensor:
 
 def relu(a) -> Tensor:
     return _unary(a, lambda x: np.maximum(x, 0.0), lambda g, x, y: g * (x > 0), "relu")
+
+
+def abs_(a) -> Tensor:
+    """|x|; the gradient is sign(x)·g with zeros as +0.0, also at x == 0.
+
+    Values and gradients are bitwise those of relu(x) + relu(-x).
+    """
+    return _unary(a, np.abs, lambda g, x, y: g * np.sign(x) + 0.0, "abs")
 
 
 def clip(a, lo: float, hi: float) -> Tensor:

@@ -49,10 +49,19 @@ def test_tape_counter_reads_the_whole_tape_after_backward():
         cfg = load_config(overrides=["batch_clips=1", "clip_len=2"])
         corpus = train.Corpus([generate_episode(3, cfg.world_config())], cfg.patch_size)
         model = pipeline.Pipeline(cfg)
+        batch = train.sample_clips(corpus, cfg, 0)
         with T.fresh_tape() as tape:
-            loss, _ = model.stage1_batch_loss(train.sample_clips(corpus, cfg, 0))
+            loss, _ = model.stage1_batch_loss(batch)
             tape.backward(loss)
     finally:
         patches.undo()
     assert len(tape) > 0
     assert recorder.counts["tape_entries"] == [len(tape)]
+    # the loss spans wrap names the stage-1 loss must keep calling
+    frames = sum(len(clip.targets) for clip in batch)
+    with_objects = sum(len(t.boxes) > 0 for clip in batch for t in clip.targets)
+    assert with_objects == frames == 2
+    names = [span[0] for span in recorder.spans]
+    assert names.count("losses.hungarian_match") == frames
+    assert names.count("losses.giou_pairs") == with_objects
+    assert names.count("losses.track_loss") == 1

@@ -106,3 +106,17 @@ def test_unreadable_episode_exits_with_data_error(content, message, tmp_path, ca
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_DATA
     assert f"{path}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--episodes", "0"], "episodes must be >= 1, got 0"),
+    (["gen", "--episodes", "-1"], "episodes must be >= 1, got -1"),
+    (["eval", "--rollouts", "0"], "rollouts must be >= 1, got 0"),
+])
+def test_counts_below_one_exit_with_config_error(argv, message, tmp_path, capsys,
+                                                 stage1_ckpt):
+    if argv[0] == "eval":
+        argv = argv + ["--stage1", str(stage1_ckpt), "--stage2", str(stage1_ckpt)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

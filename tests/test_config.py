@@ -1,11 +1,12 @@
-"""Subset presets: every subset trains, and configs with too few slots fail."""
+"""Subset presets: every subset trains, configs with too few slots fail, and
+the text form rebuilds every field."""
 
 import numpy as np
 import pytest
 
 from slotforge import tensor as T
 from slotforge.cli import EXIT_CONFIG, main
-from slotforge.config import ConfigError, RunConfig, load_config
+from slotforge.config import ConfigError, RunConfig, load_config, parse_config_text
 from slotforge.pipeline import Pipeline
 from slotforge.train import Corpus, sample_clips
 from slotforge.world import SUBSET_PRESETS, generate_episode
@@ -59,3 +60,25 @@ def test_a_removed_config_key_is_rejected(tmp_path, capsys):
     path.write_text("rollouts_per_task = 20\n")
     assert main(["budget", "--config", str(path)]) == EXIT_CONFIG
     assert "unknown config key 'rollouts_per_task'" in capsys.readouterr().err
+
+
+# one override of each field type: str is the subset, then int, float and bool
+ROUND_TRIP_OVERRIDES = ["seed=12", "lr=0.000123456789", "tau=0.37", "filter_on=false",
+                        "carryover_on=false", "noop_eps=0", "target_iou=0.1"]
+
+
+@pytest.mark.parametrize("subset", [None] + sorted(SUBSET_PRESETS))
+def test_the_text_form_rebuilds_every_field(subset):
+    if subset is None:
+        cfg = RunConfig()
+    else:
+        cfg = load_config(overrides=[f"subset={subset}"] + ROUND_TRIP_OVERRIDES)
+    values = parse_config_text(cfg.to_text())
+    assert sorted(values) == sorted(vars(cfg))
+    rebuilt = RunConfig(**values)
+    assert rebuilt == cfg
+    assert rebuilt.to_text() == cfg.to_text()
+
+
+def test_default_config_hash_is_pinned():
+    assert RunConfig().hash() == "4ce9d6abc5a37fa8"

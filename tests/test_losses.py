@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import slotforge.tensor as T
 from slotforge import losses
@@ -51,6 +52,29 @@ def rasterized_giou(box_a, box_b, res=256):
     return inter / union - (hull - union) / hull
 
 
+def refined_match(cost: np.ndarray) -> MatchAssignment:
+    """The lexicographic refinement alone: every column takes the lowest slot
+    that still permits a completion within tol of the optimum."""
+    def optimal(c):
+        if c.shape[1] == 0:
+            return 0.0
+        rows, cols = linear_sum_assignment(c)
+        return float(c[rows, cols].sum())
+
+    best = optimal(cost)
+    tol = 1e-12 * max(1.0, abs(best))
+    pairs, free, spent = [], list(range(cost.shape[0])), 0.0
+    for j in range(cost.shape[1]):
+        for pos, i in enumerate(free):
+            sub = np.delete(cost[:, j + 1:][free], pos, axis=0)
+            if spent + cost[i, j] + optimal(sub) <= best + tol:
+                pairs.append((i, j))
+                spent += cost[i, j]
+                free.pop(pos)
+                break
+    return MatchAssignment(pairs, free, float(sum(cost[i, j] for i, j in pairs)))
+
+
 class TestHungarian:
     def test_two_by_two_enumerated(self):
         match = hungarian_match(np.array([[1.0, 2.0], [2.0, 1.0]]))
@@ -92,6 +116,152 @@ class TestHungarian:
         match = hungarian_match(np.array([[1.0], [0.0], [2.0]]))
         assert match.pairs == [(1, 0)]
         assert match.unmatched_slots == [0, 2]
+
+    @pytest.mark.parametrize("n_slots,n_gt", [(16, 7), (24, 13), (32, 30), (5, 5), (4, 0)])
+    @pytest.mark.parametrize("kind", ["uniform", "integer", "equal", "box"])
+    def test_same_result_as_the_refinement(self, n_slots, n_gt, kind):
+        rng = np.random.default_rng(n_slots * 100 + n_gt)
+        for _ in range(3):
+            cost = {
+                "uniform": lambda: rng.uniform(0, 10, (n_slots, n_gt)),
+                "integer": lambda: rng.integers(0, 3, (n_slots, n_gt)).astype(float),
+                "equal": lambda: np.full((n_slots, n_gt), 0.7),
+                "box": lambda: box_cost(random_boxes(rng, n_slots), random_boxes(rng, n_gt)),
+            }[kind]()
+            fast, oracle = hungarian_match(cost), refined_match(cost)
+            assert fast.pairs == oracle.pairs
+            assert all(type(i) is int and type(j) is int for i, j in fast.pairs)
+            assert fast.unmatched_slots == oracle.unmatched_slots
+            assert fast.total_cost.hex() == oracle.total_cost.hex()
+
+    @pytest.mark.parametrize("gap, pairs", [(0.2, [(0, 0), (1, 1)]), (0.9, [(0, 0), (1, 1)]),
+                                            (1.5, [(1, 0), (0, 1)]), (3.0, [(1, 0), (0, 1)])])
+    def test_near_ties_around_the_guard_band(self, gap, pairs):
+        # the diagonal costs gap·tol more than the optimal anti-diagonal; within
+        # tol the lexicographically smaller diagonal is returned
+        tol = 1e-12 * 2.0
+        cost = np.array([[1.0, 1.0], [1.0, 1.0 + gap * tol]])
+        assert hungarian_match(cost).pairs == refined_match(cost).pairs == pairs
+
+
+def graph_giou_pairs(pred, gt):
+    """The former giou_pairs: relu min/max and column slices, 53 tape ops."""
+    def minimum(a, b):
+        return T.sub(b, T.relu(T.sub(b, a)))
+
+    def maximum(a, b):
+        return T.add(a, T.relu(T.sub(b, a)))
+
+    def corners(boxes):
+        cx, cy, w, h = (T.slice_cols(boxes, k, k + 1) for k in range(4))
+        return (T.sub(cx, T.mul(w, 0.5)), T.sub(cy, T.mul(h, 0.5)),
+                T.add(cx, T.mul(w, 0.5)), T.add(cy, T.mul(h, 0.5)))
+
+    px0, py0, px1, py1 = corners(pred)
+    gx0, gy0, gx1, gy1 = corners(Tensor(gt))
+    iw = T.relu(T.sub(minimum(px1, gx1), maximum(px0, gx0)))
+    ih = T.relu(T.sub(minimum(py1, gy1), maximum(py0, gy0)))
+    inter = T.mul(iw, ih)
+    area_p = T.mul(T.sub(px1, px0), T.sub(py1, py0))
+    area_g = T.mul(T.sub(gx1, gx0), T.sub(gy1, gy0))
+    union = T.sub(T.add(area_p, area_g), inter)
+    hull = T.mul(T.sub(maximum(px1, gx1), minimum(px0, gx0)),
+                 T.sub(maximum(py1, gy1), minimum(py0, gy0)))
+    return T.sub(T.div(inter, union), T.div(T.sub(hull, union), hull))
+
+
+def graph_track_loss(embeddings, labels, frames, tau=0.1, window=2):
+    """The former track_loss: about ten tape ops per anchor."""
+    sims = T.mul(T.matmul(losses.cosine_rows(embeddings),
+                          T.transpose(losses.cosine_rows(embeddings))), 1.0 / tau)
+    per_anchor, skipped = [], 0
+    for a in range(embeddings.shape[0]):
+        if labels[a] < 0:
+            continue
+        same = labels == labels[a]
+        pos = same & (np.abs(frames - frames[a]) <= window) & (frames != frames[a])
+        if not pos.any():
+            skipped += 1
+            continue
+        row = T.transpose(T.gather_rows(sims, [a]))
+        lse_pos = T.logsumexp_rows(T.transpose(T.gather_rows(row, np.flatnonzero(pos))))
+        lse_all = T.logsumexp_rows(
+            T.transpose(T.gather_rows(row, np.flatnonzero(pos | ~same))))
+        per_anchor.append(T.sub(lse_all, lse_pos))
+    if not per_anchor:
+        return Tensor(0.0), 0, skipped
+    return (T.mul(T.sum_(T.add_all(per_anchor)), 1.0 / len(per_anchor)),
+            len(per_anchor), skipped)
+
+
+def outputs_and_grads(build, data, weight):
+    """Bytes of build(*leaves)'s value and of each leaf's gradient after
+    backward from sum(value · weight)."""
+    leaves = [Tensor(x, requires_grad=True) for x in data]
+    with T.fresh_tape() as tape:
+        out = build(*leaves)
+        tape.backward(T.sum_(T.mul(out, weight)))
+    return [out.data.tobytes()] + [t.grad.tobytes() for t in leaves]
+
+
+GIOU_CASES = {
+    # (pred, gt) in cxcywh
+    "overlapping": (np.array([[0.5, 0.5, 0.3, 0.2], [0.3, 0.6, 0.2, 0.25]]),
+                    np.array([[0.55, 0.45, 0.25, 0.32], [0.35, 0.55, 0.2, 0.2]])),
+    "disjoint": (np.array([[0.2, 0.2, 0.1, 0.1], [0.8, 0.3, 0.1, 0.2]]),
+                 np.array([[0.7, 0.8, 0.2, 0.1], [0.2, 0.7, 0.1, 0.1]])),
+    "contained": (np.array([[0.5, 0.5, 0.1, 0.1], [0.4, 0.4, 0.5, 0.5]]),
+                  np.array([[0.5, 0.5, 0.4, 0.3], [0.45, 0.4, 0.1, 0.2]])),
+    "one row": (np.array([[0.41, 0.37, 0.22, 0.3]]), np.array([[0.5, 0.4, 0.2, 0.2]])),
+    # identical boxes, then a shared left and bottom edge (x0 and y1 equal)
+    "shared edges": (np.array([[0.5, 0.5, 0.2, 0.2], [0.35, 0.45, 0.1, 0.3]]),
+                     np.array([[0.5, 0.5, 0.2, 0.2], [0.4, 0.5, 0.2, 0.2]])),
+}
+
+
+class TestGiouPairsOp:
+    @pytest.mark.parametrize("case", sorted(GIOU_CASES))
+    @pytest.mark.parametrize("signs", ["positive", "mixed"])
+    def test_bitwise_equal_to_the_graph(self, case, signs):
+        pred, gt = GIOU_CASES[case]
+        weight = np.linspace(1.0, 2.0, len(pred))[:, None]
+        if signs == "mixed":  # a -0.0 and a negative upstream gradient
+            weight = weight * np.array([[-0.0], [-1.0]])[:len(pred)]
+        results = [outputs_and_grads(lambda p, f=f: f(p, gt), [pred], Tensor(weight))
+                   for f in (graph_giou_pairs, giou_pairs)]
+        assert results[0] == results[1]
+
+    def test_bitwise_on_random_rows(self):
+        # corners spread over the whole unit square, so b - relu(b - a) often
+        # differs from min(a, b) in the last bit
+        rng = np.random.default_rng(11)
+
+        def boxes(n):
+            return np.concatenate([rng.uniform(0.0, 1.0, (n, 2)),
+                                   rng.uniform(0.01, 0.6, (n, 2))], axis=1)
+
+        pred, gt = boxes(500), boxes(500)
+        weight = Tensor(rng.standard_normal((500, 1)))
+        assert (outputs_and_grads(lambda p: graph_giou_pairs(p, gt), [pred], weight)
+                == outputs_and_grads(lambda p: giou_pairs(p, gt), [pred], weight))
+
+    @pytest.mark.parametrize("case", ["overlapping", "disjoint", "contained"])
+    def test_gradient_vs_finite_differences(self, case):
+        pred, gt = GIOU_CASES[case]
+        x = Tensor(pred.copy(), requires_grad=True)
+        weight = Tensor(np.linspace(-1.0, 2.0, len(pred))[:, None])
+        err = T.finite_diff_check(lambda: T.sum_(T.mul(giou_pairs(x, gt), weight)), [x])
+        assert err <= 1e-4
+
+    def test_one_tape_entry(self):
+        pred, gt = GIOU_CASES["overlapping"]
+        with T.fresh_tape() as tape:
+            giou_pairs(Tensor(pred, requires_grad=True), gt)
+        assert len(tape) == 1
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(T.ShapeError):
+            giou_pairs(Tensor(np.zeros((2, 4))), np.zeros((3, 4)))
 
 
 class TestBoxGeometry:
@@ -244,6 +414,71 @@ class TestTrackLoss:
         frames = np.array([0, 1, 0, 1, 0, 1])
         err = T.finite_diff_check(lambda: track_loss(emb, labels, frames)[0], [emb])
         assert err <= 1e-4
+
+
+TRACK_CASES = {
+    # name: (labels, frames, anchors, skipped); three frames of three slots
+    "labeled": ([0, 1, 2, 0, 1, 2, 0, 1, 2], [0, 0, 0, 1, 1, 1, 2, 2, 2], 9, 0),
+    # unmatched rows (-1) are negatives only
+    "unlabeled rows": ([0, -1, 1, 0, -1, 1, -1, 0, 2], [0, 0, 0, 1, 1, 1, 2, 2, 2], 5, 1),
+    # instances 2 and 3 have no partner within the window
+    "skipped anchors": ([0, 2, 1, 0, 1, 3, 0, 1, 2], [0, 0, 0, 1, 1, 1, 2, 2, 9], 6, 3),
+    # positives are symmetric, so the fewest anchors is one pair: rows 0 and 1
+    "one positive pair": ([0, 0, -1, 1, 2, -1, 3, 4, 5], [0, 1, 0, 1, 0, 1, 0, 1, 0], 2, 5),
+}
+
+
+class TestTrackLossOp:
+    @pytest.mark.parametrize("case", sorted(TRACK_CASES))
+    @pytest.mark.parametrize("upstream", [0.5, -2.0, -0.0])
+    def test_bitwise_equal_to_the_graph(self, case, upstream):
+        labels, frames = map(np.array, TRACK_CASES[case][:2])
+        anchors, skipped = TRACK_CASES[case][2:]
+        rng = np.random.default_rng(len(case))
+        emb = rng.standard_normal((len(labels), 5))
+        results = []
+        for track in (graph_track_loss, track_loss):
+            x = Tensor(emb, requires_grad=True)
+            with T.fresh_tape() as tape:
+                loss, *counts = track(x, labels, frames, tau=0.2)
+                tape.backward(T.mul(loss, upstream))
+            results.append((loss.data.tobytes(), x.grad.tobytes(), tuple(counts)))
+        assert results[0] == results[1]
+        assert results[1][2] == (anchors, skipped)
+
+    @pytest.mark.parametrize("seed", range(10, 18))
+    def test_bitwise_on_a_crowded_batch(self, seed):
+        # three frames of 16 slots: dozens of anchors, so the fold order shows
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(-1, 7, 48)
+        frames = np.repeat(np.arange(3), 16)
+        emb = rng.standard_normal((48, 8))
+        results = []
+        for track in (graph_track_loss, track_loss):
+            x = Tensor(emb, requires_grad=True)
+            with T.fresh_tape() as tape:
+                loss, *counts = track(x, labels, frames)
+                tape.backward(loss)
+            results.append((loss.data.tobytes(), x.grad.tobytes(), tuple(counts)))
+        assert results[0] == results[1]
+        assert results[1][2][0] > 30
+
+    @pytest.mark.parametrize("case", sorted(TRACK_CASES))
+    def test_gradient_vs_finite_differences(self, case):
+        labels, frames = map(np.array, TRACK_CASES[case][:2])
+        x = Tensor(np.random.default_rng(3).standard_normal((len(labels), 4)),
+                   requires_grad=True)
+        err = T.finite_diff_check(lambda: track_loss(x, labels, frames)[0], [x])
+        assert err <= 1e-4
+
+    def test_one_entry_after_the_similarity_graph(self):
+        labels, frames = map(np.array, TRACK_CASES["labeled"][:2])
+        x = Tensor(np.random.default_rng(4).standard_normal((9, 4)), requires_grad=True)
+        with T.fresh_tape() as sims_tape:
+            T.mul(T.matmul(losses.cosine_rows(x), T.transpose(losses.cosine_rows(x))), 10.0)
+        with T.fresh_tape() as tape:
+            track_loss(x, labels, frames)
+        assert len(tape) == len(sims_tape) + 1
 
 
 class TestRelevanceLoss:

@@ -185,7 +185,8 @@ class TestLayerNorm:
 
 class TestReductionsAndElementwise:
     @pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "sigmoid", "tanh",
-                                    "exp", "log", "sqrt", "concat", "mean", "linear"])
+                                    "exp", "log", "sqrt", "concat", "mean", "linear",
+                                    "abs"])
     def test_gradients(self, op):
         rng = np.random.default_rng(hash(op) % 2**32)
         a = rand_tensor(rng, 3, 4)
@@ -207,6 +208,7 @@ class TestReductionsAndElementwise:
                                             T.concat([b, a], axis=1))), [a, b]),
             "mean": (lambda: T.mean(T.mul(a, a)), [a]),
             "linear": (lambda: T.sum_(T.tanh(T.linear(a, w, bias))), [a, w, bias]),
+            "abs": (lambda: T.sum_(T.mul(T.abs_(a), b)), [a]),
         }
         f, wrt = funcs[op]
         assert T.finite_diff_check(f, wrt) <= 1e-4
@@ -237,6 +239,46 @@ class TestReductionsAndElementwise:
         err = T.finite_diff_check(lambda: T.sum_(T.mul(T.slice_cols(x, 1, 4),
                                                        T.slice_cols(x, 2, 5))), [x])
         assert err <= 1e-4
+
+
+class TestAbs:
+    @pytest.mark.parametrize("upstream", [1.5, -2.0, 0.0, -0.0])
+    def test_bitwise_equal_to_the_relu_pair(self, upstream):
+        data = np.array([[-1.5, -0.0, 0.0, 2.25], [1e-300, -1e-300, 3.0, -7.0]])
+        weight = Tensor(np.array([[1.0, -1.0, 2.0, -0.5], [0.0, 1.0, -3.0, 1.0]]) * upstream)
+        results = []
+        for absolute in (lambda x: T.add(T.relu(x), T.relu(T.neg(x))), T.abs_):
+            x = Tensor(data, requires_grad=True)
+            with T.fresh_tape() as tape:
+                out = absolute(x)
+                tape.backward(T.sum_(T.mul(out, weight)))
+            results.append((out.data.tobytes(), x.grad.tobytes()))
+        assert results[0] == results[1]
+
+    def test_gradient_at_zero_is_positive_zero(self):
+        x = Tensor(np.array([[0.0, -0.0]]), requires_grad=True)
+        with T.fresh_tape() as tape:
+            tape.backward(T.sum_(T.mul(T.abs_(x), -1.0)))
+        assert np.signbit(x.grad).tolist() == [[False, False]]
+
+    def test_one_tape_entry(self):
+        with T.fresh_tape() as tape:
+            T.abs_(Tensor(np.ones((2, 3)), requires_grad=True))
+        assert len(tape) == 1
+
+
+class TestPrimitive:
+    def test_records_one_entry_with_its_backward(self):
+        x = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+        with T.fresh_tape() as tape:
+            out = T.primitive(x.data * 3.0, (x,), lambda g: (g * 3.0,), "triple")
+            tape.backward(T.sum_(out))
+        assert len(tape) == 2 and x.grad.tolist() == [[3.0, 3.0]]
+
+    def test_non_finite_value_names_the_op(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(NonFiniteError, match="triple"):
+            T.primitive(np.array([1.0, np.inf]), (x,), lambda g: (g,), "triple")
 
 
 class TestLossPrimitives:
