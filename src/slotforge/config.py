@@ -73,9 +73,15 @@ class RunConfig:
         if self.subset not in SUBSET_PRESETS:
             raise ConfigError(f"unknown subset {self.subset!r}")
         for name in ("width", "heads", "patch_size", "image_size", "batch_clips",
-                     "batch_frames", "eval_every", "num_layouts"):
+                     "batch_frames", "eval_every", "num_layouts", "rollout_horizon"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (2 <= self.min_objects <= self.max_objects):
+            # every scene holds at least a carried object and a target
+            raise ConfigError(f"need 2 <= min_objects <= max_objects, got "
+                              f"{self.min_objects} and {self.max_objects}")
+        if self.idle_frames < 0:
+            raise ConfigError(f"idle_frames must be >= 0, got {self.idle_frames}")
         if self.num_slots < self.max_objects + 1:
             raise ConfigError(f"num_slots {self.num_slots} cannot hold max_objects "
                               f"{self.max_objects} plus the robot")

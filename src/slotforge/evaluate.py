@@ -53,6 +53,8 @@ def evaluate(pipeline: Pipeline, cfg: RunConfig, n_rollouts: int,
              out_dir: str | Path | None = None) -> dict:
     """Success over seeded rollouts, grouped per task string like a results
     table row set: one row per task plus the average."""
+    if n_rollouts < 1:
+        raise ValueError(f"n_rollouts must be >= 1, got {n_rollouts}")
     base = cfg.seed * 100003 + 50021 if base_seed is None else base_seed
     results = [run_rollout(pipeline, cfg, base + i, expert=expert)
                for i in range(n_rollouts)]

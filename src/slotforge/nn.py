@@ -127,17 +127,54 @@ class GRUParams:
 
 
 def gru_cell(inputs: Tensor, states: Tensor, p: GRUParams) -> Tensor:
-    """One GRU step applied to each row independently.
+    """One GRU step applied to each row independently, as one tape entry.
 
     The update gate multiplies the previous state, so a saturated gate
-    (large positive bias) passes the state through unchanged.
+    (large positive bias) passes the state through unchanged. Values and
+    gradients are bitwise those of the former graph of 20 tape ops: the
+    forward keeps its order, (x @ W + s @ U) + b for each gate and
+    z * s + (1 - z) * cand at the end, and the backward replays its reverse
+    sweep. The states are listed as a parent once per use (4 times) and the
+    inputs once per use (3 times), so the tape sums their gradients in the
+    old order.
     """
     if inputs.shape != states.shape:
         raise ShapeError(f"gru_cell: inputs {inputs.shape} != states {states.shape}")
-    z = T.sigmoid(T.linear(inputs, p.w_update) + T.linear(states, p.u_update) + p.b_update)
-    r = T.sigmoid(T.linear(inputs, p.w_reset) + T.linear(states, p.u_reset) + p.b_reset)
-    cand = T.tanh(T.linear(inputs, p.w_cand) + T.linear(T.mul(r, states), p.u_cand) + p.b_cand)
-    return T.add(T.mul(z, states), T.mul(T.sub(1.0, z), cand))
+    x, s = inputs.data, states.data
+    with np.errstate(all="ignore"):
+        # a gate saturates to a finite value on an infinite pre-activation
+        pre_z = T.check_finite((x @ p.w_update.data + s @ p.u_update.data) + p.b_update.data,
+                               "gru_cell")
+        z = T.stable_sigmoid(pre_z)
+        pre_r = T.check_finite((x @ p.w_reset.data + s @ p.u_reset.data) + p.b_reset.data,
+                               "gru_cell")
+        r = T.stable_sigmoid(pre_r)
+        rs = r * s
+        pre_c = T.check_finite((x @ p.w_cand.data + rs @ p.u_cand.data) + p.b_cand.data,
+                               "gru_cell")
+        cand = np.tanh(pre_c)
+        keep = 1.0 - z
+        out = z * s + keep * cand
+    parents = (states, p.b_cand, p.u_cand, states, inputs, p.w_cand,
+               p.b_reset, states, p.u_reset, inputs, p.w_reset,
+               p.b_update, states, p.u_update, inputs, p.w_update)
+
+    def backward(g):
+        # the former reverse sweep: z gets its (1 - z) gradient before z * s's
+        g_z = -(g * cand) + g * s
+        g_c = (g * keep) * (1.0 - cand * cand)
+        g_rs = g_c @ p.u_cand.data.T
+        g_pre_r = (g_rs * s) * r * (1.0 - r)
+        g_pre_z = g_z * z * (1.0 - z)
+        grads = (g * z, T.unbroadcast(g_c, p.b_cand.shape), rs.T @ g_c, g_rs * r,
+                 g_c @ p.w_cand.data.T, x.T @ g_c,
+                 T.unbroadcast(g_pre_r, p.b_reset.shape), g_pre_r @ p.u_reset.data.T,
+                 s.T @ g_pre_r, g_pre_r @ p.w_reset.data.T, x.T @ g_pre_r,
+                 T.unbroadcast(g_pre_z, p.b_update.shape), g_pre_z @ p.u_update.data.T,
+                 s.T @ g_pre_z, g_pre_z @ p.w_update.data.T, x.T @ g_pre_z)
+        return tuple(grad if t.requires_grad else None for t, grad in zip(parents, grads))
+
+    return T.primitive(out, parents, backward, "gru_cell")
 
 
 @dataclass

@@ -7,6 +7,11 @@ between projected tokens and slots, normalizes over the slot axis per token,
 re-normalizes the transposed weights over tokens, and feeds the weighted
 token mean into a row-wise GRU, optionally followed by a residual MLP.
 
+A refinement step records 7 tape entries: `slot_attention` and `gru_cell`
+are one fused entry each, and the residual MLP block takes five. Both fused
+ops reproduce the values and gradients of the 12- and 20-entry graphs they
+replaced bit for bit.
+
 Gradients are truncated at frame boundaries: carryover passes values, not
 tape history.
 """
@@ -41,6 +46,52 @@ class AttentionMaps:
 
     attn: np.ndarray
     weights: np.ndarray
+
+
+def slot_attention(tokens: Tensor, slots: Tensor, wq: Tensor, wk: Tensor,
+                   wv: Tensor) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Slot-competitive attention as one tape entry: (update, attn, weights).
+
+    attn = softmax over slots of (tokens wk)(slots wq)ᵀ / √d, one row per
+    token; weights = attn / max(column sum, COLUMN_EPS); update = weightsᵀ
+    (tokens wv). Values and gradients are bitwise those of the former graph
+    of 12 tape ops: the transposes are contiguous copies as that graph made
+    them, and the backward replays its reverse sweep. The tokens are listed
+    as a parent once per use (the value use first), so the tape sums their
+    gradients in the old order. The returned arrays must not be modified.
+    """
+    tok, sl = tokens.data, slots.data
+    scale = 1.0 / np.sqrt(sl.shape[1])
+    with np.errstate(all="ignore"):
+        keys = tok @ wk.data
+        queries_t = (sl @ wq.data).T.copy()
+        # softmax turns a -inf logit into a finite 0, so check before it
+        logits = T.check_finite((keys @ queries_t) * scale, "slot_attention")
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        attn = e / e.sum(axis=1, keepdims=True)
+        col = attn.sum(axis=0, keepdims=True)
+        col_norm = np.maximum(col, COLUMN_EPS)
+        weights = attn / col_norm
+        weights_t = weights.T.copy()
+        values = tok @ wv.data
+        out = weights_t @ values
+    parents = (tokens, wv, slots, wq, tokens, wk)
+
+    def backward(g):
+        g_v = weights_t.T @ g
+        g_w = (g @ values.T).T
+        g_attn = g_w / col_norm
+        g_col = T.unbroadcast(-g_w * attn / (col_norm * col_norm), col_norm.shape)
+        g_attn = g_attn + np.broadcast_to(g_col * (col >= COLUMN_EPS), attn.shape).copy()
+        dot = (g_attn * attn).sum(axis=1, keepdims=True)
+        g_logits = ((g_attn - dot) * attn) * scale
+        g_q = (keys.T @ g_logits).T
+        g_k = g_logits @ queries_t.T
+        grads = (g_v @ wv.data.T, tok.T @ g_v, g_q @ wq.data.T, sl.T @ g_q,
+                 g_k @ wk.data.T, tok.T @ g_k)
+        return tuple(grad if t.requires_grad else None for t, grad in zip(parents, grads))
+
+    return T.primitive(out, parents, backward, "slot_attention"), attn, weights
 
 
 class SlotAttention:
@@ -83,17 +134,11 @@ class SlotAttention:
             raise ShapeError(f"slot width {slots.shape[1]} != token width {tokens.shape[1]}")
         if tokens.shape[0] == 0:
             raise ShapeError("refine_step: empty dense token set")
-        scale = 1.0 / np.sqrt(self.width)
-        logits = T.mul(T.matmul(T.matmul(tokens, self.wk),
-                                T.transpose(T.matmul(slots, self.wq))), scale)
-        attn = T.softmax(logits, axis=1)  # compete over slots per token
-        col_norm = T.clip_min(T.sum_(attn, axis=0, keepdims=True), COLUMN_EPS)
-        weights = T.div(attn, col_norm)
-        update = T.matmul(T.transpose(weights), T.matmul(tokens, self.wv))
+        update, attn, weights = slot_attention(tokens, slots, self.wq, self.wk, self.wv)
         new_slots = gru_cell(update, slots, self.gru)
         if self.residual_mlp:
             new_slots = T.add(new_slots, mlp(T.layer_norm(new_slots), self.mlp))
-        maps = AttentionMaps(attn.data.copy(), weights.data.copy())
+        maps = AttentionMaps(attn.copy(), weights.copy())
         return SlotState(new_slots, state.t, state.init_mode), maps
 
     def encode_frame(self, dense: DenseTokens, state_prev: SlotState | None,

@@ -4,6 +4,9 @@ Bidirectional cross-attention mixes the slot and language streams, a single
 transformer layer contextualizes the slots, and a sigmoid head produces one
 relevance score per slot. The k best-scoring slots survive; gradients flow
 only through the gathered rows.
+
+Scoring reads only the slot stream, so `TaskFilter.__call__` runs just the
+slot-side block; `bca` computes both streams.
 """
 
 from __future__ import annotations
@@ -68,8 +71,7 @@ class TaskFilter:
 
         Returns (kept slot rows, scores + selection, score column tensor for
         the relevance loss)."""
-        slots_bca, _ = self.bca(slots, lang)
-        pi = self.score_slots(slots_bca)
+        pi = self.score_slots(cross_attention_block(slots, lang, self.bca_slots))
         keep = k if enabled else slots.shape[0]
         kept, selected = top_k_filter(slots, pi.data, keep)
         return kept, RelevanceScores(pi.data.reshape(-1).copy(), selected), pi

@@ -20,7 +20,9 @@ attention costs one tape entry whatever the head count. Likewise
 `linear(x, w, b)` with a bias is one entry, not a matmul and an add, and
 `abs_` is one entry, not two relus, a neg and an add. `primitive` records a
 numpy forward with a hand-written backward as one entry for ops that live
-beside their callers (`losses.giou_pairs`, `losses.track_loss`).
+beside their callers: `losses.giou_pairs`, `losses.track_loss`, the GRU cell
+`nn.gru_cell` (20 entries before) and slot-competitive attention
+`slots.slot_attention` (12 entries before).
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ _UIDS = itertools.count()
 _NO_GRAD = 0
 
 
-def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
+def check_finite(arr: np.ndarray, op: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite value produced by {op}")
     return arr
@@ -66,7 +68,7 @@ class Tensor:
             arr = np.ascontiguousarray(arr)
         if arr.ndim > 2:
             raise ShapeError(f"rank {arr.ndim} > 2 not supported (shape {arr.shape})")
-        _check_finite(arr, "tensor construction")
+        check_finite(arr, "tensor construction")
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
@@ -203,7 +205,7 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], fn: Callable, op: str) ->
     data = np.asarray(data, dtype=np.float64)
     if data.ndim and not data.flags["C_CONTIGUOUS"]:
         data = np.ascontiguousarray(data)
-    _check_finite(data, op)
+    check_finite(data, op)
     track = grad_enabled() and any(p.requires_grad for p in parents)
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -220,7 +222,14 @@ def primitive(data: np.ndarray, parents: Sequence[Tensor], backward: Callable,
     """One tape entry for a forward value computed in numpy.
 
     `backward(g)` returns one gradient array (or None) per parent, each of
-    its parent's shape. The value is checked for NaN/Inf like every op's.
+    its parent's shape. The value is checked for NaN/Inf like every op's;
+    `check_finite` names the op for intermediates that can be non-finite
+    while the value is not.
+
+    A tensor the op uses k times is listed k times among the parents, once
+    per use, in reverse use order, with one gradient each. The backward
+    sweep then adds them one by one, exactly as it would have added the
+    gradients of k separate entries, so fusing ops keeps gradients bitwise.
     """
     return _make(data, parents, backward, op)
 
@@ -235,7 +244,8 @@ def _broadcast_ok(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return False
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a gradient over the axes its operand of `shape` was broadcast along."""
     if grad.shape == shape:
         return grad
     g = grad
@@ -256,8 +266,8 @@ def _binary(a, b, fwd, bwd_a, bwd_b, op: str) -> Tensor:
 
     def backward(g):
         return (
-            _unbroadcast(bwd_a(g, a.data, b.data), a.shape) if a.requires_grad else None,
-            _unbroadcast(bwd_b(g, a.data, b.data), b.shape) if b.requires_grad else None,
+            unbroadcast(bwd_a(g, a.data, b.data), a.shape) if a.requires_grad else None,
+            unbroadcast(bwd_b(g, a.data, b.data), b.shape) if b.requires_grad else None,
         )
 
     return _make(out, (a, b), backward, op)
@@ -338,16 +348,18 @@ def sqrt(a) -> Tensor:
     return _unary(a, np.sqrt, lambda g, x, y: g * 0.5 / y, "sqrt")
 
 
-def sigmoid(a) -> Tensor:
-    def fwd(x):
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) in numpy, never exponentiating a positive number."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
-    return _unary(a, fwd, lambda g, x, y: g * y * (1.0 - y), "sigmoid")
+
+def sigmoid(a) -> Tensor:
+    return _unary(a, stable_sigmoid, lambda g, x, y: g * y * (1.0 - y), "sigmoid")
 
 
 def tanh(a) -> Tensor:
@@ -455,7 +467,7 @@ def _head_softmax(q: np.ndarray, k: np.ndarray, heads: int):
     qh = _split_heads(q, heads)
     kt = np.ascontiguousarray(k.reshape(m, heads, dh).transpose(1, 2, 0))
     with np.errstate(all="ignore"):
-        logits = _check_finite((qh @ kt) * scale, "attention logits")
+        logits = check_finite((qh @ kt) * scale, "attention logits")
     e = np.exp(logits - logits.max(axis=2, keepdims=True))
     return qh, kt, scale, e / e.sum(axis=2, keepdims=True)
 
@@ -558,10 +570,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         out = y + b.data
 
     def backward(g):
-        gy = _unbroadcast(g, y.shape)
+        gy = unbroadcast(g, y.shape)
         return (gy @ w.data.T if x.requires_grad else None,
                 x.data.T @ gy if w.requires_grad else None,
-                _unbroadcast(g, b.shape) if b.requires_grad else None)
+                unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _make(out, (x, w, b), backward, "linear")
 
@@ -656,11 +668,7 @@ def bce_logits(x, targets, weights=None) -> Tensor:
     z = x.data
     elem = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
     out = np.asarray((w * elem).sum() / n)
-    sig = np.empty_like(z)
-    pos = z >= 0
-    sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    sig[~pos] = ez / (1.0 + ez)
+    sig = stable_sigmoid(z)
 
     def backward(g):
         return (g * w * (sig - t) / n,)

@@ -65,3 +65,6 @@ def test_tape_counter_reads_the_whole_tape_after_backward():
     assert names.count("losses.hungarian_match") == frames
     assert names.count("losses.giou_pairs") == with_objects
     assert names.count("losses.track_loss") == 1
+    # the slot and filter spans wrap names each encoded frame must keep calling
+    assert names.count("slots.SlotAttention.encode_frame") == frames
+    assert names.count("task_filter.TaskFilter.__call__") == frames

@@ -5,6 +5,7 @@ import pytest
 from slotforge.checkpoint import save_checkpoint
 from slotforge.cli import EXIT_CONFIG, EXIT_DATA, main
 from slotforge.config import RunConfig
+from slotforge.evaluate import evaluate
 from slotforge.pipeline import Pipeline
 from slotforge.train import Corpus
 from slotforge.world import WorldError, generate_episode, serialize_episode
@@ -120,3 +121,9 @@ def test_counts_below_one_exit_with_config_error(argv, message, tmp_path, capsys
     assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n_rollouts", [0, -2])
+def test_evaluate_below_one_rollout_raises_value_error(n_rollouts):
+    with pytest.raises(ValueError, match=f"n_rollouts must be >= 1, got {n_rollouts}"):
+        evaluate(Pipeline(RunConfig()), RunConfig(), n_rollouts)

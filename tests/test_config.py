@@ -37,7 +37,7 @@ def test_fewer_slots_than_objects_plus_robot_is_a_config_error():
 
 @pytest.mark.parametrize("override", ["width=0", "heads=0", "heads=-4", "patch_size=0",
                                       "image_size=0", "batch_clips=0", "batch_frames=0",
-                                      "eval_every=0", "num_layouts=0"])
+                                      "eval_every=0", "num_layouts=0", "rollout_horizon=0"])
 def test_sizes_below_one_are_a_config_error(override, capsys):
     assert main(["budget", "--override", override]) == EXIT_CONFIG
     name, value = override.split("=")
@@ -60,6 +60,22 @@ def test_a_removed_config_key_is_rejected(tmp_path, capsys):
     path.write_text("rollouts_per_task = 20\n")
     assert main(["budget", "--config", str(path)]) == EXIT_CONFIG
     assert "unknown config key 'rollouts_per_task'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (["min_objects=9"], "need 2 <= min_objects <= max_objects, got 9 and 7"),
+    (["min_objects=1", "max_objects=1"], "need 2 <= min_objects <= max_objects, got 1 and 1"),
+    (["min_objects=0", "max_objects=0"], "need 2 <= min_objects <= max_objects, got 0 and 0"),
+    (["idle_frames=-3"], "idle_frames must be >= 0, got -3"),
+])
+def test_impossible_world_sizes_are_config_errors(overrides, message, tmp_path, capsys):
+    out = tmp_path / "episodes"
+    argv = ["gen", "--out", str(out), "--episodes", "1"]
+    for pair in overrides:
+        argv += ["--override", pair]
+    assert main(argv) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 # one override of each field type: str is the subset, then int, float and bool

@@ -5,8 +5,11 @@ import pytest
 
 import slotforge.tensor as T
 from slotforge.frontend import DenseTokens
-from slotforge.slots import SlotAttention, SlotHeads, SlotState
-from slotforge.tensor import Tensor
+from slotforge.nn import mlp
+from slotforge.slots import (COLUMN_EPS, SlotAttention, SlotHeads, SlotState,
+                             slot_attention)
+from slotforge.tensor import NonFiniteError, Tensor
+from test_tensor import graph_gru_cell
 
 
 def dense_from(rng, n=12, d=16):
@@ -43,6 +46,111 @@ class TestInitSlots:
         assert a.tobytes() == b.tobytes()
         c = attn.init_slots(None, rng_seed=43).slots.data
         assert a.tobytes() != c.tobytes()
+
+
+def graph_slot_attention(tokens, slots, wq, wk, wv):
+    """The 12-entry graph that the fused `slot_attention` replaced, op for op."""
+    scale = 1.0 / np.sqrt(slots.shape[1])
+    logits = T.mul(T.matmul(T.matmul(tokens, wk), T.transpose(T.matmul(slots, wq))), scale)
+    attn = T.softmax(logits, axis=1)
+    col_norm = T.clip_min(T.sum_(attn, axis=0, keepdims=True), COLUMN_EPS)
+    weights = T.div(attn, col_norm)
+    update = T.matmul(T.transpose(weights), T.matmul(tokens, wv))
+    return update, attn.data, weights.data
+
+
+def graph_refine_step(attn, slots, tokens):
+    """`SlotAttention.refine_step` as it was built from the unfused graphs."""
+    update, _, _ = graph_slot_attention(tokens, slots, attn.wq, attn.wk, attn.wv)
+    new_slots = graph_gru_cell(update, slots, attn.gru)
+    return T.add(new_slots, mlp(T.layer_norm(new_slots), attn.mlp))
+
+
+def fused_refine_step(attn, slots, tokens):
+    dense = DenseTokens(tokens, 1, tokens.shape[0])
+    state, _ = attn.refine_step(SlotState(slots, 0, "random"), dense)
+    return state.slots
+
+
+def attention_run(attend, n, k, d, slots_kind, seed):
+    """Value, maps and every leaf gradient after one attention, as bytes.
+
+    The tokens are produced by an op and used again afterwards; the slots
+    are a leaf, a produced tensor or a constant."""
+    rng = np.random.default_rng(seed)
+    wq, wk, wv = (Tensor(rng.standard_normal((d, d)) * 0.5, requires_grad=True)
+                  for _ in range(3))
+    tok_leaf = Tensor(rng.standard_normal((n, d)), requires_grad=True)
+    slot_leaf = Tensor(rng.standard_normal((k, d)), requires_grad=slots_kind != "constant")
+    weight = Tensor(rng.standard_normal((k, d)))
+    with T.fresh_tape() as tape:
+        tokens = T.mul(tok_leaf, 1.25)
+        slots = T.mul(slot_leaf, 0.5) if slots_kind == "produced" else slot_leaf
+        out, attn_map, weights = attend(tokens, slots, wq, wk, wv)
+        loss = T.add(T.sum_(T.mul(T.tanh(out), weight)), T.sum_(T.mul(tokens, tokens)))
+        tape.backward(loss)
+    leaves = (tok_leaf, slot_leaf, wq, wk, wv)
+    return [out.data.tobytes(), attn_map.tobytes(), weights.tobytes()] + [
+        None if t.grad is None else t.grad.tobytes() for t in leaves]
+
+
+class TestSlotAttentionOp:
+    @pytest.mark.parametrize("slots_kind", ["leaf", "produced", "constant"])
+    @pytest.mark.parametrize("n,k,d", [(64, 16, 64), (1, 4, 8), (12, 1, 8), (7, 3, 6)])
+    def test_bitwise_equal_to_the_unfused_graph(self, n, k, d, slots_kind):
+        fused = attention_run(slot_attention, n, k, d, slots_kind, n * 100 + k)
+        graph = attention_run(graph_slot_attention, n, k, d, slots_kind, n * 100 + k)
+        assert fused == graph
+        assert (fused[4] is None) == (slots_kind == "constant")
+
+    @pytest.mark.parametrize("carried", [False, True])
+    def test_three_refine_steps_bitwise_equal_to_the_unfused_graph(self, carried):
+        # carried slots are a constant in step 1 and a produced tensor after it
+        results = []
+        for refine in (graph_refine_step, fused_refine_step):
+            attn = make_attn(seed=12)
+            rng = np.random.default_rng(13)
+            tok_leaf = Tensor(rng.standard_normal((12, 16)), requires_grad=True)
+            weight = Tensor(rng.standard_normal((4, 16)))
+            with T.fresh_tape() as tape:
+                tokens = T.mul(tok_leaf, 1.0)
+                slots = (Tensor(rng.standard_normal((4, 16))) if carried
+                         else attn.init_slots(None, rng_seed=3).slots)
+                for _ in range(3):
+                    slots = refine(attn, slots, tokens)
+                tape.backward(T.sum_(T.mul(slots, weight)))
+            results.append([slots.data.tobytes(), tok_leaf.grad.tobytes()]
+                           + [None if t.grad is None else t.grad.tobytes()
+                              for t in attn.params().tensors()])
+        assert results[0] == results[1]
+
+    def test_gradient_vs_finite_differences(self):
+        rng = np.random.default_rng(14)
+        tokens, slots = (Tensor(rng.standard_normal(shape), requires_grad=True)
+                         for shape in ((5, 6), (3, 6)))
+        ws = [Tensor(rng.standard_normal((6, 6)), requires_grad=True) for _ in range(3)]
+        weight = Tensor(rng.standard_normal((3, 6)))
+        err = T.finite_diff_check(
+            lambda: T.sum_(T.mul(slot_attention(tokens, slots, *ws)[0], weight)),
+            [tokens, slots] + ws)
+        assert err <= 1e-4
+
+    @pytest.mark.parametrize("residual_mlp, entries", [(True, 7), (False, 2)])
+    def test_tape_entries_per_refine_step(self, residual_mlp, entries):
+        attn = make_attn(residual_mlp=residual_mlp)
+        state = attn.init_slots(None, rng_seed=1)
+        dense = dense_from(np.random.default_rng(15))
+        with T.fresh_tape() as tape:
+            attn.refine_step(SlotState(state.slots.detach(), 0, "carryover"), dense)
+        assert len(tape) == entries
+
+    def test_negative_infinite_logit_raises_naming_the_op(self):
+        # softmax would turn the -inf logit into a finite 0 weight
+        eye = Tensor(np.eye(2), requires_grad=True)
+        tokens = Tensor([[1e200, 0.0], [0.0, 1.0]])
+        slots = Tensor([[-1e200, 0.0], [0.0, 1.0]])
+        with pytest.raises(NonFiniteError, match="slot_attention"):
+            slot_attention(tokens, slots, eye, eye, eye)
 
 
 class TestRefineStep:

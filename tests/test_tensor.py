@@ -135,7 +135,70 @@ class TestAttentionHeads:
                               Tensor(np.zeros((3, 4))), 2)
 
 
+def graph_gru_cell(inputs, states, p):
+    """The 20-entry graph that the fused `nn.gru_cell` replaced, op for op."""
+    z = T.sigmoid(T.linear(inputs, p.w_update) + T.linear(states, p.u_update) + p.b_update)
+    r = T.sigmoid(T.linear(inputs, p.w_reset) + T.linear(states, p.u_reset) + p.b_reset)
+    cand = T.tanh(T.linear(inputs, p.w_cand) + T.linear(T.mul(r, states), p.u_cand) + p.b_cand)
+    return T.add(T.mul(z, states), T.mul(T.sub(1.0, z), cand))
+
+
+def gru_run(cell, n, d, states_kind, seed, upstream="normal"):
+    """Value and every leaf gradient after one cell call, as bytes.
+
+    The inputs are produced by an op; the states are a leaf, a produced
+    tensor or a constant. Both are used again after the cell, so the cell's
+    gradients add onto ones that arrived before them."""
+    rng = np.random.default_rng(seed)
+    p = nn.GRUParams.create(np.random.default_rng(seed + 1), d)
+    for b in (p.b_update, p.b_reset, p.b_cand):
+        b.data[...] = rng.standard_normal(d)
+    x_leaf = rand_tensor(rng, n, d)
+    s_leaf = rand_tensor(rng, n, d, requires_grad=states_kind != "constant")
+    weight = rng.standard_normal((n, d))
+    if upstream == "sparse":
+        weight[::2] = 0.0
+        weight[1::3] = -0.0
+    with T.fresh_tape() as tape:
+        inputs = T.mul(x_leaf, 0.75)
+        states = T.mul(s_leaf, 1.5) if states_kind == "produced" else s_leaf
+        out = cell(inputs, states, p)
+        loss = T.add(T.sum_(T.mul(T.tanh(out), Tensor(weight))),
+                     T.sum_(T.mul(T.add(inputs, states), 0.5)))
+        tape.backward(loss)
+    leaves = [x_leaf, s_leaf] + [getattr(p, name) for name in vars(p)]
+    return [out.data.tobytes()] + [None if t.grad is None else t.grad.tobytes()
+                                   for t in leaves]
+
+
 class TestGruCell:
+    @pytest.mark.parametrize("states_kind", ["leaf", "produced", "constant"])
+    @pytest.mark.parametrize("n,d", [(16, 64), (1, 8), (3, 8), (5, 16)])
+    def test_bitwise_equal_to_the_unfused_graph(self, n, d, states_kind):
+        for upstream in ("normal", "sparse"):
+            fused = gru_run(nn.gru_cell, n, d, states_kind, n * 100 + d, upstream)
+            graph = gru_run(graph_gru_cell, n, d, states_kind, n * 100 + d, upstream)
+            assert fused == graph
+        assert (fused[2] is None) == (states_kind == "constant")
+
+    def test_one_tape_entry_against_twenty(self):
+        rng = np.random.default_rng(1)
+        p = nn.GRUParams.create(rng, 8)
+        x, s = rand_tensor(rng, 3, 8), rand_tensor(rng, 3, 8)
+        for cell, entries in ((nn.gru_cell, 1), (graph_gru_cell, 20)):
+            with T.fresh_tape() as tape:
+                cell(x, s, p)
+            assert len(tape) == entries
+
+    def test_infinite_gate_pre_activation_raises_naming_the_cell(self):
+        # z saturates to exactly 1, so the output alone would look finite
+        rng = np.random.default_rng(2)
+        p = nn.GRUParams.create(rng, 4)
+        p.u_update.data[...] = 1e300
+        states = Tensor(np.full((2, 4), 1e10), requires_grad=True)
+        with pytest.raises(NonFiniteError, match="gru_cell"):
+            nn.gru_cell(Tensor(np.zeros((2, 4))), states, p)
+
     def test_zero_everything_gives_zero(self):
         rng = np.random.default_rng(0)
         p = nn.GRUParams.create(rng, 4)
@@ -491,6 +554,26 @@ class TestOnePassBackward:
         expected = (c3 + c2) + c1
         assert x.grad.tobytes() == expected.tobytes()
         assert expected.tobytes() != ((c1 + c2) + c3).tobytes()
+
+    def test_a_parent_listed_twice_sums_in_list_order_like_two_entries(self):
+        rng = np.random.default_rng(46)
+        c1, c2, c3 = (rng.standard_normal((8, 8)) for _ in range(3))
+
+        def separate(x):
+            return T.add(T.mul(x, c1), T.mul(x, c2))
+
+        def listed_twice(x):
+            return T.primitive(x.data * c1 + x.data * c2, (x, x),
+                               lambda g: (g * c2, g * c1), "pair")
+
+        grads = []
+        for pair in (separate, listed_twice):
+            x = rand_tensor(np.random.default_rng(47), 8, 8)
+            with T.fresh_tape() as tape:
+                tape.backward(T.sum_(T.add(pair(x), T.mul(x, c3))))
+            grads.append(x.grad.tobytes())
+        assert grads[0] == grads[1] == ((c3 + c2) + c1).tobytes()
+        assert grads[1] != ((c3 + c1) + c2).tobytes()
 
     def test_branch_off_the_loss_leaves_its_leaf_without_grad(self):
         rng = np.random.default_rng(45)
