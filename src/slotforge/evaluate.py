@@ -28,7 +28,7 @@ def run_rollout(pipeline: Pipeline, cfg: RunConfig, seed: int,
     released, otherwise runs to the horizon."""
     world = World(cfg.world_config(), seed)
     controller = ScriptedExpert(world) if expert else None
-    state = None
+    slots = None
     steps = 0
     for t in range(cfg.rollout_horizon):
         if expert:
@@ -37,8 +37,8 @@ def run_rollout(pipeline: Pipeline, cfg: RunConfig, seed: int,
             action = controller.action()
         else:
             rgb, _ = world.render()
-            action, state = pipeline.policy_step(
-                Frame(rgb=rgb, t=t), world.proprio(), world.task, state,
+            action, slots = pipeline.policy_step(
+                Frame(rgb=rgb, t=t), world.proprio(), world.task, slots,
                 episode_key=seed, t=t)
         world.step(action)
         steps = t + 1

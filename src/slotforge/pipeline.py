@@ -5,7 +5,10 @@ carryover, the per-batch stage-1 objective, cached stage-2 logits, and the
 closed-loop policy step used during rollouts.
 
 `Pipeline.walk` is the one episode walk: it encodes consecutive frames and
-seeds each frame's slots with the previous frame's refined slots. The stage-1
+hands each frame the previous frame's refined slots. `Pipeline.encode_frame`
+is the one place that decides carryover: a frame starts from the previous
+slots when `carryover_on` is set, `t > 0` and previous slots exist, and from
+a fresh seeded draw otherwise. The stage-1
 objective, validation, the flip rate, the stage-2 cache and inspection
 reports all walk frames through it; only a closed-loop rollout, whose next
 frame depends on the action taken, steps `policy_step` itself.
@@ -29,7 +32,7 @@ from .losses import (FrameTargets, TrackProjection, match_frame, relevance_loss,
                      slot_attn_loss, slot_relevance_labels, stage1_total, track_loss)
 from .nn import ParamGroup
 from .relations import RelationEncoder
-from .slots import AttentionMaps, SlotAttention, SlotHeads, SlotState
+from .slots import AttentionMaps, SlotAttention, SlotHeads
 from .task_filter import TaskFilter
 from .tensor import Tensor
 from .world import FrameRecord
@@ -107,25 +110,23 @@ class Pipeline:
     # ------------------------------------------------------------------
     # encoding
 
-    def encode_frame(self, frame: Frame, prev_state: SlotState | None,
+    def encode_frame(self, frame: Frame, prev_slots: Tensor | None,
                      episode_key: int, t: int):
+        """(dense tokens, refined slots, attention maps) for one frame."""
         dense = self.frontend(frame)
-        seed = init_seed(self.cfg.seed, episode_key, t)
-        carry = self.cfg.carryover_on and prev_state is not None and t > 0
-        state, maps = self.slot_attn.encode_frame(
-            dense, prev_state if carry else None, rng_seed=seed,
-            t=t if carry else 0, carryover=carry)
-        state = SlotState(state.slots, t, state.init_mode)
-        return dense, state, maps
+        carry = prev_slots if self.cfg.carryover_on and t > 0 else None
+        slots, maps = self.slot_attn.encode_frame(
+            dense, carry, init_seed(self.cfg.seed, episode_key, t))
+        return dense, slots, maps
 
     def walk(self, frames: Iterable[Frame], episode_key: int,
-             base_t: int = 0) -> Iterator[tuple[int, DenseTokens, SlotState, AttentionMaps]]:
+             base_t: int = 0) -> Iterator[tuple[int, DenseTokens, Tensor, AttentionMaps]]:
         """Encode consecutive frames of one episode, the first at time `base_t`,
-        each seeded with the previous frame's state; yields (t, dense, state, maps)."""
-        state = None
+        each handed the previous frame's slots; yields (t, dense, slots, maps)."""
+        slots = None
         for t, frame in enumerate(frames, start=base_t):
-            dense, state, maps = self.encode_frame(frame, state, episode_key, t)
-            yield t, dense, state, maps
+            dense, slots, maps = self.encode_frame(frame, slots, episode_key, t)
+            yield t, dense, slots, maps
 
     def select(self, slots: Tensor, lang: Tensor):
         """Task filter over one frame's slots: (kept rows, scores, score column)."""
@@ -148,20 +149,20 @@ class Pipeline:
         for clip in batch:
             lang = self.lang_filter(clip.task)
             walk = self.walk(clip.frames, clip.episode_key, clip.base_t)
-            for (t, _, state, _), targets in zip(walk, clip.targets):
-                preds = self.heads(state.slots)
+            for (t, _, slots, _), targets in zip(walk, clip.targets):
+                preds = self.heads(slots)
                 match = match_frame(preds, targets, self.loss_cfg)
                 term, parts = slot_attn_loss(preds, targets, match, self.loss_cfg)
                 slot_terms.append(term)
                 for key in parts_acc:
                     parts_acc[key] += parts[key]
-                _, _, pi = self.select(state.slots, lang)
+                _, _, pi = self.select(slots, lang)
                 labels = slot_relevance_labels(match, targets.relevance,
                                                self.cfg.num_slots)
                 int_terms.append(relevance_loss(pi, labels, self.loss_cfg.w_pos,
                                                 self.loss_cfg.w_neg))
                 if self.loss_cfg.lambda_track > 0:
-                    emb_blocks.append(self.track_embedding(state.slots))
+                    emb_blocks.append(self.track_embedding(slots))
                     gt_for_slot = dict(match.pairs)
                     for s in range(self.cfg.num_slots):
                         if s in gt_for_slot:
@@ -195,8 +196,8 @@ class Pipeline:
         with T.no_grad():
             lang = self.lang_filter(frames[0].task)
             walk = self.walk(map(frame_from_record, frames), episode_key)
-            for (_, dense, state, _), record in zip(walk, frames):
-                kept, scores, _ = self.select(state.slots, lang)
+            for (_, dense, slots, _), record in zip(walk, frames):
+                kept, scores, _ = self.select(slots, lang)
                 cache.append({
                     "dense": dense.tokens.data.copy(),
                     "grid": (dense.grid_h, dense.grid_w),
@@ -224,10 +225,10 @@ class Pipeline:
     # closed-loop policy
 
     def policy_step(self, frame: Frame, proprio: np.ndarray, task: str,
-                    prev_state: SlotState | None, episode_key: int, t: int):
-        """Greedy action for one observation; returns (action, new slot state)."""
+                    prev_slots: Tensor | None, episode_key: int, t: int):
+        """Greedy action for one observation; returns (action, refined slots)."""
         with T.no_grad():
-            dense, state, _ = self.encode_frame(frame, prev_state, episode_key, t)
-            kept, _, _ = self.select(state.slots, self.lang_filter(task))
+            dense, slots, _ = self.encode_frame(frame, prev_slots, episode_key, t)
+            kept, _, _ = self.select(slots, self.lang_filter(task))
             logits = self._logits(dense, kept, task, proprio)
-            return self.decoder.greedy_action(logits), state
+            return self.decoder.greedy_action(logits), slots

@@ -30,13 +30,13 @@ def inspect_report(pipeline: Pipeline, episode: Episode, frame_idx: int,
 
     with T.no_grad():
         frames = map(frame_from_record, episode.frames[:frame_idx + 1])
-        for _, dense, state, maps in pipeline.walk(frames, key):
+        for _, dense, slots, maps in pipeline.walk(frames, key):
             pass
         record = episode.frames[frame_idx]
         targets = frame_targets(record, cfg.patch_size)
-        preds = pipeline.heads(state.slots)
+        preds = pipeline.heads(slots)
         match = match_frame(preds, targets, pipeline.loss_cfg)
-        kept, scores, _ = pipeline.select(state.slots, pipeline.lang_filter(record.task))
+        kept, scores, _ = pipeline.select(slots, pipeline.lang_filter(record.task))
         relation_attn = pipeline.relations.slot_attention_summary(dense, kept) \
             if cfg.relations_on else None
 

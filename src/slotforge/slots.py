@@ -1,8 +1,8 @@
 """Iterative slot refinement over dense tokens, with cross-frame carryover.
 
-A frame's slots start either from a seeded Gaussian draw (first frame, or
-carryover disabled) or as a bitwise copy of the previous frame's final
-refined slots. Each refinement step computes scaled dot-product logits
+A frame's slots are a plain Tensor. They start either from a seeded Gaussian
+draw or, when the previous frame's final refined slots are passed in, as a
+bitwise copy of them; `Pipeline.encode_frame` decides which. Each refinement step computes scaled dot-product logits
 between projected tokens and slots, normalizes over the slot axis per token,
 re-normalizes the transposed weights over tokens, and feeds the weighted
 token mean into a row-wise GRU, optionally followed by a residual MLP.
@@ -28,15 +28,6 @@ from .nn import GRUParams, MlpParams, ParamGroup, gru_cell, mlp, param, zeros_pa
 from .tensor import ShapeError, Tensor
 
 COLUMN_EPS = 1e-8
-
-
-@dataclass
-class SlotState:
-    """Current slot matrix for one frame plus its provenance."""
-
-    slots: Tensor
-    t: int
-    init_mode: str  # "random" | "carryover"
 
 
 @dataclass
@@ -116,20 +107,17 @@ class SlotAttention:
     def params(self) -> ParamGroup:
         return ParamGroup().collect("slots", self)
 
-    def init_slots(self, state_prev: SlotState | None, rng_seed: int, t: int = 0) -> SlotState:
-        """Fresh Gaussian slots at t=0; bitwise carryover copy otherwise."""
-        if t > 0:
-            if state_prev is None:
-                raise ValueError(f"carryover init at t={t} requires a previous state")
-            return SlotState(state_prev.slots.detach(), t, "carryover")
+    def init_slots(self, prev: Tensor | None, rng_seed: int) -> Tensor:
+        """Fresh Gaussian slots without `prev`; a bitwise carryover copy of it otherwise."""
+        if prev is not None:
+            return prev.detach()
         rng = np.random.default_rng(rng_seed)
         noise = rng.standard_normal((self.num_slots, self.width))
         sigma = T.exp(self.init_log_sigma)
-        slots = T.add(self.init_mu, T.mul(Tensor(noise), sigma))
-        return SlotState(slots, t, "random")
+        return T.add(self.init_mu, T.mul(Tensor(noise), sigma))
 
-    def refine_step(self, state: SlotState, dense: DenseTokens) -> tuple[SlotState, AttentionMaps]:
-        slots, tokens = state.slots, dense.tokens
+    def refine_step(self, slots: Tensor, dense: DenseTokens) -> tuple[Tensor, AttentionMaps]:
+        tokens = dense.tokens
         if slots.shape[1] != tokens.shape[1]:
             raise ShapeError(f"slot width {slots.shape[1]} != token width {tokens.shape[1]}")
         if tokens.shape[0] == 0:
@@ -138,20 +126,17 @@ class SlotAttention:
         new_slots = gru_cell(update, slots, self.gru)
         if self.residual_mlp:
             new_slots = T.add(new_slots, mlp(T.layer_norm(new_slots), self.mlp))
-        maps = AttentionMaps(attn.copy(), weights.copy())
-        return SlotState(new_slots, state.t, state.init_mode), maps
+        return new_slots, AttentionMaps(attn.copy(), weights.copy())
 
-    def encode_frame(self, dense: DenseTokens, state_prev: SlotState | None,
-                     rng_seed: int, t: int = 0,
-                     carryover: bool = True) -> tuple[SlotState, AttentionMaps]:
-        """Init (random or carryover) then run the configured refinement steps."""
-        state = self.init_slots(state_prev if carryover else None, rng_seed,
-                                t if carryover else 0)
-        state = SlotState(state.slots, t, state.init_mode)
+    def encode_frame(self, dense: DenseTokens, prev: Tensor | None,
+                     rng_seed: int) -> tuple[Tensor, AttentionMaps]:
+        """Init (carried over exactly when `prev` is given), then run the
+        configured refinement steps."""
+        slots = self.init_slots(prev, rng_seed)
         maps = None
         for _ in range(self.refine_steps):
-            state, maps = self.refine_step(state, dense)
-        return state, maps
+            slots, maps = self.refine_step(slots, dense)
+        return slots, maps
 
 
 @dataclass

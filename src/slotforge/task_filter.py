@@ -1,12 +1,9 @@
 """Language-conditioned slot relevance scoring and top-k retention.
 
-Bidirectional cross-attention mixes the slot and language streams, a single
-transformer layer contextualizes the slots, and a sigmoid head produces one
-relevance score per slot. The k best-scoring slots survive; gradients flow
-only through the gathered rows.
-
-Scoring reads only the slot stream, so `TaskFilter.__call__` runs just the
-slot-side block; `bca` computes both streams.
+One cross-attention block lets the slots attend to the task tokens, a single
+transformer layer contextualizes the slots, and a linear head produces one
+relevance logit per slot; its sigmoid is the slot's relevance score. The k
+best-scoring slots survive; gradients flow only through the gathered rows.
 """
 
 from __future__ import annotations
@@ -46,19 +43,15 @@ class TaskFilter:
     def __init__(self, rng: np.random.Generator, width: int = 64, heads: int = 4):
         self.width = width
         self.bca_slots = CrossAttentionBlockParams.create(rng, width, heads)
-        self.bca_lang = CrossAttentionBlockParams.create(rng, width, heads)
+        # the draws of a former language-side block, so later weights keep
+        # the values every seed gave them
+        rng.random(12 * width * width)
         self.trans = SelfAttentionBlockParams.create(rng, width, heads)
         self.head_w = param(rng, width, 1)
         self.head_b = zeros_param(1)
 
     def params(self) -> ParamGroup:
         return ParamGroup().collect("filter", self)
-
-    def bca(self, slots: Tensor, lang: Tensor) -> tuple[Tensor, Tensor]:
-        """Both streams attend to the (pre-update) other stream."""
-        slots_out = cross_attention_block(slots, lang, self.bca_slots)
-        lang_out = cross_attention_block(lang, slots, self.bca_lang)
-        return slots_out, lang_out
 
     def score_slots(self, slots_bca: Tensor) -> Tensor:
         """Transformer layer over the slot stream, then per-slot sigmoid head."""

@@ -123,12 +123,12 @@ def stage1_metrics(pipeline: Pipeline, corpus: Corpus) -> dict[str, float]:
         for idx in range(len(corpus)):
             lang = pipeline.lang_filter(corpus.episodes[idx].frames[0].task)
             walk = pipeline.walk(corpus.frames[idx], corpus.episode_key(idx))
-            for (_, _, state, _), targets in zip(walk, corpus.targets[idx]):
-                preds = pipeline.heads(state.slots)
+            for (_, _, slots, _), targets in zip(walk, corpus.targets[idx]):
+                preds = pipeline.heads(slots)
                 match = match_frame(preds, targets, pipeline.loss_cfg)
                 pairwise = iou_matrix(preds.boxes.data, targets.boxes)
                 ious.extend(pairwise[s, g] for s, g in match.pairs)
-                _, _, pi = pipeline.select(state.slots, lang)
+                _, _, pi = pipeline.select(slots, lang)
                 lbl = slot_relevance_labels(match, targets.relevance,
                                             pipeline.cfg.num_slots)
                 pi_all.extend(pi.data.reshape(-1).tolist())
@@ -149,8 +149,8 @@ def assignment_flip_rate(pipeline: Pipeline, corpus: Corpus,
             for idx in range(len(corpus)):
                 prev_map: dict[str, int] = {}
                 walk = pipeline.walk(corpus.frames[idx], corpus.episode_key(idx))
-                for (_, _, state, _), targets in zip(walk, corpus.targets[idx]):
-                    preds = pipeline.heads(state.slots)
+                for (_, _, slots, _), targets in zip(walk, corpus.targets[idx]):
+                    preds = pipeline.heads(slots)
                     match = match_frame(preds, targets, pipeline.loss_cfg)
                     current = {targets.instance_ids[g]: s for s, g in match.pairs}
                     for name, slot in current.items():

@@ -17,7 +17,7 @@ from slotforge.pipeline import Pipeline
 from slotforge.tensor import Tensor
 
 PINNED = {
-    "stage1": (75, 235590, "ed252d990c25cd578ceb365a6ccf8a96efb3814c36af102574bd11b39e860ecc"),
+    "stage1": (61, 185734, "69c08f70172b00ac86ea2901291fd9194e56c970e00514e916a26f4e646f2f37"),
     "stage2": (71, 318272, "6b2f9f6c0c08cc91f411796907c0385ab0f57664682e54a5d4e3094ce948d95e"),
 }
 
@@ -39,7 +39,7 @@ def test_parameter_names_shapes_and_order_are_pinned(pipeline, stage):
 
 def test_every_parameter_appears_once(pipeline):
     tensors = pipeline.stage1_params().tensors() + pipeline.stage2_params().tensors()
-    assert len({id(t) for t in tensors}) == len(tensors) == 146
+    assert len({id(t) for t in tensors}) == len(tensors) == 132
 
 
 def test_collect_keeps_trainable_tensors_in_attribute_order():

@@ -90,7 +90,7 @@ def run(tmp_path_factory):
                                          record.proprio, record.task, state,
                                          episode_key=VAL_SEED, t=record.t)
         actions.append(action.tobytes())
-    out["policy"] = digest(*actions, state.slots.data.tobytes())
+    out["policy"] = digest(*actions, state.data.tobytes())
 
     report = inspect_report(s1["pipeline"], episode, 3, root / "inspect")
     out["report_json"] = (root / "inspect" / "report.json").read_text()
@@ -110,7 +110,7 @@ def test_stage1_losses_validation_and_parameters(run):
     assert run["stage1_history"] == [
         {"iou": 0.02249798216238171, "auc": 0.4860220797720798, "step": 2},
         {"iou": 0.01842615505510723, "auc": 0.484107905982906, "step": 4}]
-    assert run["stage1_params"] == "d7b8b0edccd42d78"
+    assert run["stage1_params"] == "0fc0f72325a8a6cb"
 
 
 def test_flip_rate_with_and_without_carryover(run):

@@ -6,8 +6,7 @@ import pytest
 import slotforge.tensor as T
 from slotforge.frontend import DenseTokens
 from slotforge.nn import mlp
-from slotforge.slots import (COLUMN_EPS, SlotAttention, SlotHeads, SlotState,
-                             slot_attention)
+from slotforge.slots import COLUMN_EPS, SlotAttention, SlotHeads, slot_attention
 from slotforge.tensor import NonFiniteError, Tensor
 from test_tensor import graph_gru_cell
 
@@ -25,26 +24,22 @@ class TestInitSlots:
     def test_sigma_zero_limit_collapses_to_mu(self):
         attn = make_attn()
         attn.init_log_sigma.data[...] = -40.0
-        state = attn.init_slots(None, rng_seed=5)
-        assert np.allclose(state.slots.data, np.tile(attn.init_mu.data, (4, 1)), atol=1e-15)
+        slots = attn.init_slots(None, rng_seed=5)
+        assert np.allclose(slots.data, np.tile(attn.init_mu.data, (4, 1)), atol=1e-15)
 
     def test_carryover_is_bitwise_copy(self):
         attn = make_attn()
-        prev = SlotState(Tensor(np.random.default_rng(1).standard_normal((4, 16))), 2, "random")
-        state = attn.init_slots(prev, rng_seed=99, t=3)
-        assert state.init_mode == "carryover"
-        assert state.slots.data.tobytes() == prev.slots.data.tobytes()
-
-    def test_missing_previous_state_rejected(self):
-        with pytest.raises(ValueError):
-            make_attn().init_slots(None, rng_seed=0, t=1)
+        prev = Tensor(np.random.default_rng(1).standard_normal((4, 16)), requires_grad=True)
+        slots = attn.init_slots(prev, rng_seed=99)
+        assert slots.data.tobytes() == prev.data.tobytes()
+        assert not slots.requires_grad  # values cross the frame boundary, not history
 
     def test_seeded_init_reproducible_bitwise(self):
         attn = SlotAttention(np.random.default_rng(7), width=4, num_slots=2)
-        a = attn.init_slots(None, rng_seed=42).slots.data
-        b = attn.init_slots(None, rng_seed=42).slots.data
+        a = attn.init_slots(None, rng_seed=42).data
+        b = attn.init_slots(None, rng_seed=42).data
         assert a.tobytes() == b.tobytes()
-        c = attn.init_slots(None, rng_seed=43).slots.data
+        c = attn.init_slots(None, rng_seed=43).data
         assert a.tobytes() != c.tobytes()
 
 
@@ -68,8 +63,7 @@ def graph_refine_step(attn, slots, tokens):
 
 def fused_refine_step(attn, slots, tokens):
     dense = DenseTokens(tokens, 1, tokens.shape[0])
-    state, _ = attn.refine_step(SlotState(slots, 0, "random"), dense)
-    return state.slots
+    return attn.refine_step(slots, dense)[0]
 
 
 def attention_run(attend, n, k, d, slots_kind, seed):
@@ -115,7 +109,7 @@ class TestSlotAttentionOp:
             with T.fresh_tape() as tape:
                 tokens = T.mul(tok_leaf, 1.0)
                 slots = (Tensor(rng.standard_normal((4, 16))) if carried
-                         else attn.init_slots(None, rng_seed=3).slots)
+                         else attn.init_slots(None, rng_seed=3))
                 for _ in range(3):
                     slots = refine(attn, slots, tokens)
                 tape.backward(T.sum_(T.mul(slots, weight)))
@@ -138,10 +132,10 @@ class TestSlotAttentionOp:
     @pytest.mark.parametrize("residual_mlp, entries", [(True, 7), (False, 2)])
     def test_tape_entries_per_refine_step(self, residual_mlp, entries):
         attn = make_attn(residual_mlp=residual_mlp)
-        state = attn.init_slots(None, rng_seed=1)
+        slots = attn.init_slots(None, rng_seed=1)
         dense = dense_from(np.random.default_rng(15))
         with T.fresh_tape() as tape:
-            attn.refine_step(SlotState(state.slots.detach(), 0, "carryover"), dense)
+            attn.refine_step(slots.detach(), dense)
         assert len(tape) == entries
 
     def test_negative_infinite_logit_raises_naming_the_op(self):
@@ -156,26 +150,26 @@ class TestSlotAttentionOp:
 class TestRefineStep:
     def test_identical_slots_symmetric_input_uniform_attention(self):
         attn = make_attn()
-        state = SlotState(Tensor(np.tile([1.0] * 16, (4, 1))), 0, "random")
+        slots = Tensor(np.tile([1.0] * 16, (4, 1)))
         dense = dense_from(np.random.default_rng(2))
-        _, maps = attn.refine_step(state, dense)
+        _, maps = attn.refine_step(slots, dense)
         assert np.allclose(maps.attn, 0.25, atol=1e-12)
 
     def test_single_input_token(self):
         attn = make_attn()
         rng = np.random.default_rng(3)
         dense = DenseTokens(Tensor(rng.standard_normal((1, 16))), 1, 1)
-        state = attn.init_slots(None, rng_seed=1)
-        _, maps = attn.refine_step(state, dense)
+        slots = attn.init_slots(None, rng_seed=1)
+        _, maps = attn.refine_step(slots, dense)
         assert np.allclose(maps.weights, 1.0, atol=1e-12)
 
     def test_normalizations_hold_each_step(self):
         attn = make_attn(steps=4)
         rng = np.random.default_rng(4)
         dense = dense_from(rng)
-        state = attn.init_slots(None, rng_seed=2)
+        slots = attn.init_slots(None, rng_seed=2)
         for _ in range(4):
-            state, maps = attn.refine_step(state, dense)
+            slots, maps = attn.refine_step(slots, dense)
             assert np.all(np.abs(maps.attn.sum(axis=1) - 1.0) <= 1e-9)
             assert np.all(np.abs(maps.weights.sum(axis=0) - 1.0) <= 1e-9)
 
@@ -188,8 +182,8 @@ class TestRefineStep:
         dense.tokens.requires_grad = True
 
         def f():
-            out, _ = attn.refine_step(SlotState(slots0, 0, "random"), dense)
-            return T.mean(T.mul(out.slots, out.slots))
+            out, _ = attn.refine_step(slots0, dense)
+            return T.mean(T.mul(out, out))
 
         assert T.finite_diff_check(f, params) <= 1e-4
 
@@ -199,9 +193,9 @@ class TestRefineStep:
         dense = dense_from(rng)
         slots = rng.standard_normal((4, 16))
         perm = [2, 0, 3, 1]
-        out_a, _ = attn.refine_step(SlotState(Tensor(slots), 0, "random"), dense)
-        out_b, _ = attn.refine_step(SlotState(Tensor(slots[perm]), 0, "random"), dense)
-        assert np.allclose(out_a.slots.data[perm], out_b.slots.data, atol=1e-12)
+        out_a, _ = attn.refine_step(Tensor(slots), dense)
+        out_b, _ = attn.refine_step(Tensor(slots[perm]), dense)
+        assert np.allclose(out_a.data[perm], out_b.data, atol=1e-12)
 
 
 class TestEncodeFrame:
@@ -209,28 +203,29 @@ class TestEncodeFrame:
         attn = make_attn(steps=1)
         rng = np.random.default_rng(7)
         dense = dense_from(rng)
-        state, _ = attn.encode_frame(dense, None, rng_seed=11, t=0)
+        slots, _ = attn.encode_frame(dense, None, rng_seed=11)
         manual = attn.init_slots(None, rng_seed=11)
         manual, _ = attn.refine_step(manual, dense)
-        assert np.array_equal(state.slots.data, manual.slots.data)
+        assert np.array_equal(slots.data, manual.data)
 
     def test_carryover_disabled_rerandomizes_each_frame(self):
         attn = make_attn()
         rng = np.random.default_rng(8)
         dense = dense_from(rng)
-        state_a, _ = attn.encode_frame(dense, None, rng_seed=20, t=0, carryover=False)
-        state_b, _ = attn.encode_frame(dense, state_a, rng_seed=21, t=1, carryover=False)
-        assert state_b.init_mode == "random"
-        assert not np.array_equal(state_a.slots.data, state_b.slots.data)
+        slots_a, _ = attn.encode_frame(dense, None, rng_seed=20)
+        slots_b, _ = attn.encode_frame(dense, None, rng_seed=21)
+        assert not np.array_equal(slots_a.data, slots_b.data)
 
     def test_carryover_enabled_chains_states(self):
         attn = make_attn()
         rng = np.random.default_rng(9)
         dense = dense_from(rng)
-        state0, _ = attn.encode_frame(dense, None, rng_seed=30, t=0)
-        state1, _ = attn.encode_frame(dense, state0, rng_seed=31, t=1)
-        assert state1.init_mode == "carryover"
-        assert state1.t == 1
+        slots0, _ = attn.encode_frame(dense, None, rng_seed=30)
+        slots1, _ = attn.encode_frame(dense, slots0, rng_seed=31)
+        manual = slots0.detach()
+        for _ in range(attn.refine_steps):
+            manual, _ = attn.refine_step(manual, dense)
+        assert slots1.data.tobytes() == manual.data.tobytes()
 
     def test_refine_steps_validated(self):
         with pytest.raises(ValueError):
