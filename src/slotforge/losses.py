@@ -318,12 +318,12 @@ def slot_relevance_labels(match: MatchAssignment, gt_relevance: np.ndarray,
     return labels
 
 
-def relevance_loss(pi: Tensor, labels: np.ndarray, w_pos: float = 2.0,
+def relevance_loss(logits: Tensor, labels: np.ndarray, w_pos: float = 2.0,
                    w_neg: float = 1.0) -> Tensor:
-    """Class-weighted BCE on relevance probabilities, mean over slots."""
-    labels = np.asarray(labels, dtype=np.float64).reshape(pi.shape)
+    """Class-weighted BCE on relevance logits, mean over slots."""
+    labels = np.asarray(labels, dtype=np.float64).reshape(logits.shape)
     weights = np.where(labels > 0.5, w_pos, w_neg)
-    return T.bce(T.clip(pi, 1e-12, 1.0 - 1e-12), labels, weights)
+    return T.bce_logits(logits, labels, weights)
 
 
 def cosine_rows(x: Tensor) -> Tensor:

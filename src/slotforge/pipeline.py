@@ -129,7 +129,7 @@ class Pipeline:
             yield t, dense, slots, maps
 
     def select(self, slots: Tensor, lang: Tensor):
-        """Task filter over one frame's slots: (kept rows, scores, score column)."""
+        """Task filter over one frame's slots: (kept rows, scores, logit column)."""
         return self.filter(slots, lang, self.cfg.num_selected, enabled=self.cfg.filter_on)
 
     def track_embedding(self, slots: Tensor) -> Tensor:
@@ -156,10 +156,10 @@ class Pipeline:
                 slot_terms.append(term)
                 for key in parts_acc:
                     parts_acc[key] += parts[key]
-                _, _, pi = self.select(slots, lang)
+                _, _, logits = self.select(slots, lang)
                 labels = slot_relevance_labels(match, targets.relevance,
                                                self.cfg.num_slots)
-                int_terms.append(relevance_loss(pi, labels, self.loss_cfg.w_pos,
+                int_terms.append(relevance_loss(logits, labels, self.loss_cfg.w_pos,
                                                 self.loss_cfg.w_neg))
                 if self.loss_cfg.lambda_track > 0:
                     emb_blocks.append(self.track_embedding(slots))

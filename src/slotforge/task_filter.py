@@ -54,17 +54,18 @@ class TaskFilter:
         return ParamGroup().collect("filter", self)
 
     def score_slots(self, slots_bca: Tensor) -> Tensor:
-        """Transformer layer over the slot stream, then per-slot sigmoid head."""
+        """Transformer layer over the slot stream, then the per-slot logit head."""
         h = self_attention_block(slots_bca, self.trans)
-        return T.sigmoid(T.linear(h, self.head_w, self.head_b))
+        return T.linear(h, self.head_w, self.head_b)
 
     def __call__(self, slots: Tensor, lang: Tensor, k: int,
                  enabled: bool = True) -> tuple[Tensor, RelevanceScores, Tensor]:
         """Score every slot; keep the top k (all of them when disabled).
 
-        Returns (kept slot rows, scores + selection, score column tensor for
+        Returns (kept slot rows, scores + selection, logit column tensor for
         the relevance loss)."""
-        pi = self.score_slots(cross_attention_block(slots, lang, self.bca_slots))
+        logits = self.score_slots(cross_attention_block(slots, lang, self.bca_slots))
+        scores = T.stable_sigmoid(logits.data).reshape(-1)
         keep = k if enabled else slots.shape[0]
-        kept, selected = top_k_filter(slots, pi.data, keep)
-        return kept, RelevanceScores(pi.data.reshape(-1).copy(), selected), pi
+        kept, selected = top_k_filter(slots, scores, keep)
+        return kept, RelevanceScores(scores, selected), logits

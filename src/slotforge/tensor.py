@@ -378,15 +378,6 @@ def abs_(a) -> Tensor:
     return _unary(a, np.abs, lambda g, x, y: g * np.sign(x) + 0.0, "abs")
 
 
-def clip(a, lo: float, hi: float) -> Tensor:
-    return _unary(
-        a,
-        lambda x: np.clip(x, lo, hi),
-        lambda g, x, y: g * ((x >= lo) & (x <= hi)),
-        "clip",
-    )
-
-
 def clip_min(a, lo: float) -> Tensor:
     return _unary(a, lambda x: np.maximum(x, lo), lambda g, x, y: g * (x >= lo), "clip_min")
 
@@ -632,29 +623,6 @@ def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
         return (full,)
 
     return _make(out, (a,), backward, "slice_cols")
-
-
-def bce(p, targets, weights=None) -> Tensor:
-    """Mean (optionally weighted) binary cross-entropy on probabilities.
-
-    `targets` and `weights` are constants. p must lie in (0,1); exact 0/1
-    against the opposite target raises via the NaN/Inf policy.
-    """
-    p = _coerce(p)
-    t = np.asarray(targets, dtype=np.float64)
-    if t.shape != p.shape:
-        raise ShapeError(f"bce: target shape {t.shape} != input shape {p.shape}")
-    w = np.ones_like(t) if weights is None else np.asarray(weights, dtype=np.float64)
-    if w.shape != p.shape:
-        raise ShapeError(f"bce: weight shape {w.shape} != input shape {p.shape}")
-    n = max(p.data.size, 1)
-    elem = -(t * np.log(p.data) + (1.0 - t) * np.log(1.0 - p.data))
-    out = np.asarray((w * elem).sum() / n)
-
-    def backward(g):
-        return (g * w * (p.data - t) / (p.data * (1.0 - p.data)) / n,)
-
-    return _make(out, (p,), backward, "bce")
 
 
 def bce_logits(x, targets, weights=None) -> Tensor:

@@ -128,10 +128,10 @@ def stage1_metrics(pipeline: Pipeline, corpus: Corpus) -> dict[str, float]:
                 match = match_frame(preds, targets, pipeline.loss_cfg)
                 pairwise = iou_matrix(preds.boxes.data, targets.boxes)
                 ious.extend(pairwise[s, g] for s, g in match.pairs)
-                _, _, pi = pipeline.select(slots, lang)
+                _, scores, _ = pipeline.select(slots, lang)
                 lbl = slot_relevance_labels(match, targets.relevance,
                                             pipeline.cfg.num_slots)
-                pi_all.extend(pi.data.reshape(-1).tolist())
+                pi_all.extend(scores.scores.tolist())
                 labels_all.extend(lbl.tolist())
     return {"iou": float(np.mean(ious)) if ious else 0.0,
             "auc": auc_score(np.array(pi_all), np.array(labels_all))}

@@ -80,8 +80,9 @@ class TestScoreSlots:
         filt = TaskFilter(np.random.default_rng(7), width=16, heads=4)
         filt.head_w.data[...] = 0.0
         filt.head_b.data[...] = 0.0
-        pi = filt.score_slots(Tensor(np.random.default_rng(8).standard_normal((5, 16))))
-        assert np.allclose(pi.data, 0.5)
+        logits = filt.score_slots(Tensor(np.random.default_rng(8).standard_normal((5, 16))))
+        assert np.array_equal(logits.data, np.zeros((5, 1)))
+        assert np.array_equal(T.stable_sigmoid(logits.data), np.full((5, 1), 0.5))
 
     def test_head_logit_monotonicity(self):
         base = np.zeros((4, 1))
