@@ -7,6 +7,7 @@ import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
+from .language import COLORS, SHAPES
 from .losses import LossConfig
 from .world import SUBSET_PRESETS, WorldConfig
 
@@ -82,6 +83,17 @@ class RunConfig:
                               f"{self.min_objects} and {self.max_objects}")
         if self.idle_frames < 0:
             raise ConfigError(f"idle_frames must be >= 0, got {self.idle_frames}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name, pool in (("color_pool", COLORS), ("shape_pool", SHAPES)):
+            if not (1 <= getattr(self, name) <= len(pool)):
+                raise ConfigError(f"{name} must lie in [1, {len(pool)}], "
+                                  f"got {getattr(self, name)}")
+        if self.color_pool * self.shape_pool < self.max_objects:
+            # every object in a scene is a distinct color/shape pair
+            raise ConfigError(f"color_pool {self.color_pool} x shape_pool "
+                              f"{self.shape_pool} cannot give max_objects "
+                              f"{self.max_objects} distinct objects")
         if self.num_slots < self.max_objects + 1:
             raise ConfigError(f"num_slots {self.num_slots} cannot hold max_objects "
                               f"{self.max_objects} plus the robot")

@@ -51,6 +51,9 @@ class LossConfig:
             raise ValueError("loss weights must be finite and non-negative")
         if not (np.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"temperature must be positive, got {self.tau}")
+        if self.track_window < 1:
+            # a positive pair lies 1 to track_window frames apart
+            raise ValueError(f"track_window must be >= 1, got {self.track_window}")
 
 
 @dataclass

@@ -5,13 +5,13 @@ carryover, the per-batch stage-1 objective, cached stage-2 logits, and the
 closed-loop policy step used during rollouts.
 
 `Pipeline.walk` is the one episode walk: it encodes consecutive frames and
-hands each frame the previous frame's refined slots. `Pipeline.encode_frame`
-is the one place that decides carryover: a frame starts from the previous
-slots when `carryover_on` is set, `t > 0` and previous slots exist, and from
-a fresh seeded draw otherwise. The stage-1
-objective, validation, the flip rate, the stage-2 cache and inspection
-reports all walk frames through it; only a closed-loop rollout, whose next
-frame depends on the action taken, steps `policy_step` itself.
+hands each frame the previous frame's refined slots. The stage-1 objective,
+validation, the flip rate, the stage-2 cache and inspection reports all walk
+frames through it; only a closed-loop rollout, whose next frame depends on
+the action taken, steps `policy_step` itself. `Pipeline.encode_frame` is the
+one place that decides carryover: a frame starts from the previous frame's
+slots, when there are any, if `carryover_on` is set and `t > 0`, and from a
+fresh seeded draw otherwise.
 `Pipeline.select` is the one task-filter call, and stage-2 logits and the
 policy step share one decode tail.
 """

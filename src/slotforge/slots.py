@@ -1,11 +1,12 @@
 """Iterative slot refinement over dense tokens, with cross-frame carryover.
 
-A frame's slots are a plain Tensor. They start either from a seeded Gaussian
-draw or, when the previous frame's final refined slots are passed in, as a
-bitwise copy of them; `Pipeline.encode_frame` decides which. Each refinement step computes scaled dot-product logits
-between projected tokens and slots, normalizes over the slot axis per token,
-re-normalizes the transposed weights over tokens, and feeds the weighted
-token mean into a row-wise GRU, optionally followed by a residual MLP.
+A frame's slots are a plain Tensor. They start from a seeded Gaussian draw,
+or, when the previous frame's final refined slots are passed in, as a bitwise
+copy of them; `Pipeline.encode_frame` decides which. Each refinement step
+computes scaled dot-product logits between projected tokens and slots,
+normalizes over the slot axis per token, re-normalizes the transposed weights
+over tokens, and feeds the weighted token mean into a row-wise GRU,
+optionally followed by a residual MLP.
 
 A refinement step records 7 tape entries: `slot_attention` and `gru_cell`
 are one fused entry each, and the residual MLP block takes five. Both fused

@@ -1,5 +1,6 @@
-"""Subset presets: every subset trains, configs with too few slots fail, and
-the text form rebuilds every field."""
+"""Subset presets: every subset trains both stages and every parameter gets a
+gradient, configs with too few slots fail, and the text form rebuilds every
+field."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from slotforge import tensor as T
 from slotforge.cli import EXIT_CONFIG, main
 from slotforge.config import ConfigError, RunConfig, load_config, parse_config_text
+from slotforge.decoder import action_to_bins
+from slotforge.losses import action_ce
 from slotforge.pipeline import Pipeline
 from slotforge.train import Corpus, sample_clips
 from slotforge.world import SUBSET_PRESETS, generate_episode
@@ -23,7 +26,20 @@ def test_one_stage1_step_on_the_most_crowded_scene(subset):
         loss, parts = pipeline.stage1_batch_loss(batch)
         tape.backward(loss)
     assert np.isfinite(parts["total"])
-    assert all(t.grad is not None for t in pipeline.slot_attn.params().tensors())
+    assert [name for name, t in pipeline.stage1_params().items() if t.grad is None] == []
+
+
+@pytest.mark.parametrize("subset", sorted(SUBSET_PRESETS))
+def test_one_stage2_step_reaches_every_stage2_parameter(subset):
+    cfg = load_config(overrides=[f"subset={subset}"])
+    episode = generate_episode(5, cfg.world_config(min_objects=cfg.max_objects))
+    pipeline = Pipeline(cfg)
+    entry = pipeline.encode_episode_cache(episode.frames[:1], episode_key=5)[0]
+    with T.fresh_tape() as tape:
+        logits = pipeline.stage2_logits(entry)
+        tape.backward(action_ce(logits, action_to_bins(entry["action"], cfg.action_bins)))
+    assert [name for name, t in pipeline.stage2_params().items() if t.grad is None] == []
+    assert all(t.grad is None for t in pipeline.stage1_params().tensors())
 
 
 def test_fewer_slots_than_objects_plus_robot_is_a_config_error():
@@ -48,6 +64,7 @@ def test_sizes_below_one_are_a_config_error(override, capsys):
     ("lambda_box=-1", "loss weights must be finite and non-negative"),
     ("tau=0", "temperature must be positive"),
     ("noop_eps=-1", "noop_eps must be >= 0, got -1.0"),
+    ("track_window=0", "track_window must be >= 1, got 0"),
 ])
 def test_invalid_loss_weights_and_noop_threshold_are_config_errors(override, message,
                                                                     capsys):
@@ -67,6 +84,11 @@ def test_a_removed_config_key_is_rejected(tmp_path, capsys):
     (["min_objects=1", "max_objects=1"], "need 2 <= min_objects <= max_objects, got 1 and 1"),
     (["min_objects=0", "max_objects=0"], "need 2 <= min_objects <= max_objects, got 0 and 0"),
     (["idle_frames=-3"], "idle_frames must be >= 0, got -3"),
+    (["seed=-1"], "seed must be >= 0, got -1"),
+    (["color_pool=0"], "color_pool must lie in [1, 8], got 0"),
+    (["color_pool=9"], "color_pool must lie in [1, 8], got 9"),
+    (["shape_pool=5"], "shape_pool must lie in [1, 4], got 5"),
+    (["color_pool=3"], "color_pool 3 x shape_pool 2 cannot give max_objects 7"),
 ])
 def test_impossible_world_sizes_are_config_errors(overrides, message, tmp_path, capsys):
     out = tmp_path / "episodes"
