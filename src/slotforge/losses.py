@@ -6,11 +6,11 @@ slot embeddings, and a class-weighted relevance term. Stage 2 is plain
 cross-entropy over discretized action bins.
 
 The two stage-1 hot spots are single tape entries with analytic backwards:
-`giou_pairs` (one entry per frame) and the anchor term of `track_loss` (one
-entry per batch, after the similarity graph). Both reproduce the values and
-gradients of the elementwise graphs they replaced bit for bit, so training
-runs are unchanged. `hungarian_match` proves the optimum unique with n_gt
-forbidden-edge solves before paying for its lexicographic tie-break.
+`giou_pairs` (one entry per frame), which shares its box arithmetic with
+`giou_matrix`, and the anchor term of `track_loss` (one entry per batch,
+after the similarity graph). `hungarian_match` proves the optimum unique
+with n_gt forbidden-edge solves before paying for its lexicographic
+tie-break.
 """
 
 from __future__ import annotations
@@ -144,37 +144,38 @@ def _validate_boxes(boxes: np.ndarray, name: str, reject_degenerate: bool) -> np
     return boxes
 
 
-def _corners(boxes: np.ndarray) -> tuple[np.ndarray, ...]:
-    cx, cy, w, h = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
-    return cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2
+def _corners(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) corners of cxcywh boxes; their last axis holds x then y."""
+    half = boxes[..., 2:] / 2
+    return boxes[..., :2] - half, boxes[..., :2] + half
+
+
+def _overlap(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(side, span, inter, union, hull) of cxcywh boxes whose leading axes
+    broadcast: (n, 1, 4) against (m, 4) pairs every row with every row, and
+    (n, 4) against (n, 4) pairs row i with row i. `side` and `span` are the
+    x and y extents of the intersection (negative when apart) and of the hull."""
+    (p_lo, p_hi), (g_lo, g_hi) = _corners(pred), _corners(gt)
+    side = np.minimum(p_hi, g_hi) - np.maximum(p_lo, g_lo)
+    span = np.maximum(p_hi, g_hi) - np.minimum(p_lo, g_lo)
+    inter = np.maximum(side[..., 0], 0.0) * np.maximum(side[..., 1], 0.0)
+    ext_p, ext_g = p_hi - p_lo, g_hi - g_lo
+    union = ext_p[..., 0] * ext_p[..., 1] + ext_g[..., 0] * ext_g[..., 1] - inter
+    return side, span, inter, union, span[..., 0] * span[..., 1]
 
 
 def giou_matrix(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     """Pairwise generalized IoU for cxcywh boxes, values in (-1, 1]."""
     pred = _validate_boxes(pred, "pred boxes", reject_degenerate=False)
     gt = _validate_boxes(gt, "gt boxes", reject_degenerate=True)
-    px0, py0, px1, py1 = (c[:, None] for c in _corners(pred))
-    gx0, gy0, gx1, gy1 = _corners(gt)
-    iw = np.maximum(np.minimum(px1, gx1) - np.maximum(px0, gx0), 0.0)
-    ih = np.maximum(np.minimum(py1, gy1) - np.maximum(py0, gy0), 0.0)
-    inter = iw * ih
-    area_p = ((px1 - px0) * (py1 - py0))
-    area_g = ((gx1 - gx0) * (gy1 - gy0))
-    union = area_p + area_g - inter
-    hull = (np.maximum(px1, gx1) - np.minimum(px0, gx0)) * \
-           (np.maximum(py1, gy1) - np.minimum(py0, gy0))
+    _, _, inter, union, hull = _overlap(pred[:, None], gt)
     return inter / union - (hull - union) / hull
 
 
 def iou_matrix(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     pred = _validate_boxes(pred, "pred boxes", reject_degenerate=False)
     gt = _validate_boxes(gt, "gt boxes", reject_degenerate=True)
-    px0, py0, px1, py1 = (c[:, None] for c in _corners(pred))
-    gx0, gy0, gx1, gy1 = _corners(gt)
-    iw = np.maximum(np.minimum(px1, gx1) - np.maximum(px0, gx0), 0.0)
-    ih = np.maximum(np.minimum(py1, gy1) - np.maximum(py0, gy0), 0.0)
-    inter = iw * ih
-    union = (px1 - px0) * (py1 - py0) + (gx1 - gx0) * (gy1 - gy0) - inter
+    _, _, inter, union, _ = _overlap(pred[:, None], gt)
     return inter / union
 
 
@@ -187,76 +188,34 @@ def box_cost(pred: np.ndarray, gt: np.ndarray, l1_weight: float = 5.0,
     return l1_weight * l1 + giou_weight * (1.0 - giou_matrix(pred, gt))
 
 
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 def giou_pairs(pred: Tensor, gt: np.ndarray) -> Tensor:
     """Row-wise GIoU between matched prediction rows and constant gt rows, (n, 1).
 
-    One tape entry with an analytic backward. Its values and gradients are
-    bitwise those of the former graph of 53 elementwise tape ops, so the
-    arithmetic is kept as that graph had it: min(a, b) = b - relu(b - a) and
-    max(a, b) = a + relu(b - a), which can differ from np.minimum/np.maximum in
-    the last bit, and each corner's gradient summed in the order the reverse
-    sweep added its parts. `giou_matrix` is the (tape-free) pairwise form.
+    One tape entry: the arithmetic of `giou_matrix`, row by row, and its chain
+    rule. Where a predicted edge ties the gt edge, the prediction gets the
+    gradient of the max (the intersection's low edge, the hull's high edge),
+    not of the min.
     """
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape or pred.data.ndim != 2 or pred.shape[1] != 4:
         raise ShapeError(f"giou_pairs: shapes {pred.shape} vs {gt.shape}")
     with np.errstate(all="ignore"):
-        px0, py0, px1, py1 = _corners(pred.data)
-        gx0, gy0, gx1, gy1 = _corners(gt)
-        # gaps from each predicted corner to the gt corner, and their relus
-        dx1, dx0, dy1, dy0 = gx1 - px1, gx0 - px0, gy1 - py1, gy0 - py0
-        rx1, rx0, ry1, ry0 = _relu(dx1), _relu(dx0), _relu(dy1), _relu(dy0)
-        ix = (gx1 - rx1) - (px0 + rx0)
-        iy = (gy1 - ry1) - (py0 + ry0)
-        iw, ih = _relu(ix), _relu(iy)
-        inter = iw * ih
-        wp, hp = px1 - px0, py1 - py0
-        union = (wp * hp + (gx1 - gx0) * (gy1 - gy0)) - inter
-        hw = (px1 + rx1) - (gx0 - rx0)
-        hh = (py1 + ry1) - (gy0 - ry0)
-        hull = hw * hh
-        spare = hull - union
-        out = (inter / union - spare / hull)[:, None]
+        side, span, inter, union, hull = _overlap(pred.data, gt)
+        out = (inter / union - (hull - union) / hull)[:, None]
 
     def backward(g):
-        # the former graph's reverse sweep: each sum adds its parts in the
-        # order they arrived, and each sign flip is the op that made it
         g = g[:, 0]
-        g_spare = -g / hull
-        g_hull = -(-g) * spare / (hull * hull) + g_spare
-        g_union = -g_spare
-        g_inter = g / union
-        g_union = g_union + -g * inter / (union * union)
-        g_hw, g_hh = g_hull * hh, g_hull * hw
-        g_py0 = -(-(-g_hh) * (dy0 > 0))
-        g_py1 = g_hh
-        g_py1 = g_py1 + -(g_hh * (dy1 > 0))
-        g_px0 = -(-(-g_hw) * (dx0 > 0))
-        g_px1 = g_hw
-        g_px1 = g_px1 + -(g_hw * (dx1 > 0))
-        g_inter = g_inter + -g_union
-        g_wp, g_hp = g_union * hp, g_union * wp
-        g_py1 = g_py1 + g_hp
-        g_py0 = g_py0 + -g_hp
-        g_px1 = g_px1 + g_wp
-        g_px0 = g_px0 + -g_wp
-        g_iw, g_ih = g_inter * ih, g_inter * iw
-        g_iy = g_ih * (iy > 0)
-        g_py0 = g_py0 + -g_iy
-        g_py0 = g_py0 + -(-g_iy * (dy0 > 0))
-        g_py1 = g_py1 + -(-g_iy * (dy1 > 0))
-        g_ix = g_iw * (ix > 0)
-        g_px0 = g_px0 + -g_ix
-        g_px0 = g_px0 + -(-g_ix * (dx0 > 0))
-        g_px1 = g_px1 + -(-g_ix * (dx1 > 0))
-        g_h = g_py1 * 0.5 + -g_py0 * 0.5
-        g_w = g_px1 * 0.5 + -g_px0 * 0.5
-        # the four column slices were scatter-added into zeros: -0.0 -> +0.0
-        return (np.stack([g_px1 + g_px0, g_py1 + g_py0, g_w, g_h], axis=1) + 0.0,)
+        g_union = g / hull - g * inter / (union * union)
+        g_inter = g / union - g_union
+        g_hull = -g * union / (hull * hull)
+        (lo, hi), (gt_lo, gt_hi) = _corners(pred.data), _corners(gt)
+        # each extent's gradient is the other axis's factor of its product
+        g_side = g_inter[:, None] * np.maximum(side[:, ::-1], 0.0) * (side > 0)
+        g_span = g_hull[:, None] * span[:, ::-1]
+        g_ext = g_union[:, None] * (hi - lo)[:, ::-1]
+        g_hi = np.where(hi < gt_hi, g_side, g_span) + g_ext
+        g_lo = -np.where(lo < gt_lo, g_span, g_side) - g_ext
+        return (np.concatenate([g_lo + g_hi, (g_hi - g_lo) / 2], axis=1),)
 
     return T.primitive(out, (pred,), backward, "giou_pairs")
 
@@ -334,13 +293,6 @@ def cosine_rows(x: Tensor) -> Tensor:
     return T.div(x, T.sqrt(T.add(sq, 1e-12)))
 
 
-def _logsumexp_row(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`T.logsumexp_rows` of one (1, k) row: ((1, 1) value, (1, k) softmax)."""
-    m = x.max(axis=1, keepdims=True)
-    out = m + np.log(np.exp(x - m).sum(axis=1, keepdims=True))
-    return out, np.exp(x - out)
-
-
 def track_loss(embeddings: Tensor, labels: np.ndarray, frames: np.ndarray,
                tau: float = 0.1, window: int = 2) -> tuple[Tensor, int, int]:
     """Multi-positive contrastive loss over slot embeddings.
@@ -350,10 +302,8 @@ def track_loss(embeddings: Tensor, labels: np.ndarray, frames: np.ndarray,
     without positives are skipped and counted. Returns (loss, anchors, skipped).
 
     After the cosine-similarity graph, the mean over anchors of
-    lse(all) - lse(positives) is one tape entry. The positive and all-pair
-    masks are built once; each anchor's log-sum-exp runs on its compacted
-    row, so values and gradients are bitwise those of the former graph of
-    about ten tape entries per anchor.
+    lse(all pairs) - lse(positives) is one tape entry: both log-sum-exps run
+    at once on the anchor rows, masked to their entries.
     """
     labels = np.asarray(labels)
     frames = np.asarray(frames)
@@ -372,27 +322,21 @@ def track_loss(embeddings: Tensor, labels: np.ndarray, frames: np.ndarray,
         return Tensor(0.0), 0, skipped
     sims = T.mul(T.matmul(cosine_rows(embeddings), T.transpose(cosine_rows(embeddings))),
                  1.0 / tau)
+    rows = sims.data[anchors]
+    # each anchor row's entries in lse(all pairs), then in lse(positives)
+    masks = np.stack([pos[anchors] | ~same[anchors], pos[anchors]])
+    peak = np.where(masks, rows, -np.inf).max(axis=2, keepdims=True)
+    lse = peak + np.log(np.exp(np.where(masks, rows - peak, -np.inf))
+                        .sum(axis=2, keepdims=True))
+    soft = np.exp(np.where(masks, rows - lse, -np.inf))
     scale = 1.0 / anchors.size
-    per_anchor = []
-    total = None
-    for a in anchors:
-        pos_idx, all_idx = np.flatnonzero(pos[a]), np.flatnonzero(pos[a] | ~same[a])
-        lse_pos, soft_pos = _logsumexp_row(sims.data[a, pos_idx][None, :])
-        lse_all, soft_all = _logsumexp_row(sims.data[a, all_idx][None, :])
-        term = lse_all - lse_pos
-        total = term if total is None else total + term
-        per_anchor.append((a, pos_idx, soft_pos, all_idx, soft_all))
 
     def backward(g):
-        g_term = g * scale
         grad = np.zeros_like(sims.data)
-        for a, pos_idx, soft_pos, all_idx, soft_all in per_anchor:
-            # + 0.0: the former scatter-add into zeros turned -0.0 into +0.0
-            grad[a, all_idx] = g_term * soft_all[0] + 0.0
-            grad[a, pos_idx] += -g_term * soft_pos[0]
+        grad[anchors] = (g * scale) * (soft[0] - soft[1])
         return (grad,)
 
-    loss = T.primitive(total.sum() * scale, (sims,), backward, "track_loss")
+    loss = T.primitive((lse[0] - lse[1]).sum() * scale, (sims,), backward, "track_loss")
     return loss, int(anchors.size), skipped
 
 

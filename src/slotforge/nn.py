@@ -129,49 +129,41 @@ class GRUParams:
 def gru_cell(inputs: Tensor, states: Tensor, p: GRUParams) -> Tensor:
     """One GRU step applied to each row independently, as one tape entry.
 
+    z = σ(x W_z + s U_z + b_z), r = σ(x W_r + s U_r + b_r),
+    cand = tanh(x W_c + (r ⊙ s) U_c + b_c) and out = z ⊙ s + (1 - z) ⊙ cand.
     The update gate multiplies the previous state, so a saturated gate
-    (large positive bias) passes the state through unchanged. Values and
-    gradients are bitwise those of the former graph of 20 tape ops: the
-    forward keeps its order, (x @ W + s @ U) + b for each gate and
-    z * s + (1 - z) * cand at the end, and the backward replays its reverse
-    sweep. The states are listed as a parent once per use (4 times) and the
-    inputs once per use (3 times), so the tape sums their gradients in the
-    old order.
+    (large positive bias) passes the state through unchanged.
     """
     if inputs.shape != states.shape:
         raise ShapeError(f"gru_cell: inputs {inputs.shape} != states {states.shape}")
     x, s = inputs.data, states.data
     with np.errstate(all="ignore"):
         # a gate saturates to a finite value on an infinite pre-activation
-        pre_z = T.check_finite((x @ p.w_update.data + s @ p.u_update.data) + p.b_update.data,
+        pre_z = T.check_finite(x @ p.w_update.data + s @ p.u_update.data + p.b_update.data,
                                "gru_cell")
         z = T.stable_sigmoid(pre_z)
-        pre_r = T.check_finite((x @ p.w_reset.data + s @ p.u_reset.data) + p.b_reset.data,
+        pre_r = T.check_finite(x @ p.w_reset.data + s @ p.u_reset.data + p.b_reset.data,
                                "gru_cell")
         r = T.stable_sigmoid(pre_r)
         rs = r * s
-        pre_c = T.check_finite((x @ p.w_cand.data + rs @ p.u_cand.data) + p.b_cand.data,
+        pre_c = T.check_finite(x @ p.w_cand.data + rs @ p.u_cand.data + p.b_cand.data,
                                "gru_cell")
         cand = np.tanh(pre_c)
-        keep = 1.0 - z
-        out = z * s + keep * cand
-    parents = (states, p.b_cand, p.u_cand, states, inputs, p.w_cand,
-               p.b_reset, states, p.u_reset, inputs, p.w_reset,
-               p.b_update, states, p.u_update, inputs, p.w_update)
+        out = z * s + (1.0 - z) * cand
+    parents = (inputs, states, p.w_update, p.u_update, p.b_update, p.w_reset, p.u_reset,
+               p.b_reset, p.w_cand, p.u_cand, p.b_cand)
 
     def backward(g):
-        # the former reverse sweep: z gets its (1 - z) gradient before z * s's
-        g_z = -(g * cand) + g * s
-        g_c = (g * keep) * (1.0 - cand * cand)
-        g_rs = g_c @ p.u_cand.data.T
-        g_pre_r = (g_rs * s) * r * (1.0 - r)
-        g_pre_z = g_z * z * (1.0 - z)
-        grads = (g * z, T.unbroadcast(g_c, p.b_cand.shape), rs.T @ g_c, g_rs * r,
-                 g_c @ p.w_cand.data.T, x.T @ g_c,
-                 T.unbroadcast(g_pre_r, p.b_reset.shape), g_pre_r @ p.u_reset.data.T,
-                 s.T @ g_pre_r, g_pre_r @ p.w_reset.data.T, x.T @ g_pre_r,
-                 T.unbroadcast(g_pre_z, p.b_update.shape), g_pre_z @ p.u_update.data.T,
-                 s.T @ g_pre_z, g_pre_z @ p.w_update.data.T, x.T @ g_pre_z)
+        g_pre_z = g * (s - cand) * z * (1.0 - z)
+        g_pre_c = g * (1.0 - z) * (1.0 - cand * cand)
+        g_rs = g_pre_c @ p.u_cand.data.T
+        g_pre_r = g_rs * s * r * (1.0 - r)
+        g_x = (g_pre_z @ p.w_update.data.T + g_pre_r @ p.w_reset.data.T
+               + g_pre_c @ p.w_cand.data.T)
+        g_s = g * z + g_rs * r + g_pre_z @ p.u_update.data.T + g_pre_r @ p.u_reset.data.T
+        grads = (g_x, g_s, x.T @ g_pre_z, s.T @ g_pre_z, g_pre_z.sum(axis=0),
+                 x.T @ g_pre_r, s.T @ g_pre_r, g_pre_r.sum(axis=0),
+                 x.T @ g_pre_c, rs.T @ g_pre_c, g_pre_c.sum(axis=0))
         return tuple(grad if t.requires_grad else None for t, grad in zip(parents, grads))
 
     return T.primitive(out, parents, backward, "gru_cell")

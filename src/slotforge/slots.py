@@ -2,16 +2,17 @@
 
 A frame's slots are a plain Tensor. They start from a seeded Gaussian draw,
 or, when the previous frame's final refined slots are passed in, as a bitwise
-copy of them; `Pipeline.encode_frame` decides which. Each refinement step
-computes scaled dot-product logits between projected tokens and slots,
-normalizes over the slot axis per token, re-normalizes the transposed weights
-over tokens, and feeds the weighted token mean into a row-wise GRU,
-optionally followed by a residual MLP.
+copy of them; `Pipeline.encode_frame` decides which. The dense tokens are
+projected to keys and values once per frame (Algorithm 1 of Locatello et
+al. 2020). Each refinement step computes scaled dot-product logits between
+the keys and the projected slots, normalizes over the slot axis per token,
+re-normalizes the transposed weights over tokens, and feeds the weighted
+mean of the values into a row-wise GRU, optionally followed by a residual
+MLP.
 
-A refinement step records 7 tape entries: `slot_attention` and `gru_cell`
-are one fused entry each, and the residual MLP block takes five. Both fused
-ops reproduce the values and gradients of the 12- and 20-entry graphs they
-replaced bit for bit.
+A frame records 2 tape entries for the projections, and each refinement
+step 7: `slot_attention` and `gru_cell` are one fused entry each, and the
+residual MLP block takes five.
 
 Gradients are truncated at frame boundaries: carryover passes values, not
 tape history.
@@ -40,47 +41,36 @@ class AttentionMaps:
     weights: np.ndarray
 
 
-def slot_attention(tokens: Tensor, slots: Tensor, wq: Tensor, wk: Tensor,
-                   wv: Tensor) -> tuple[Tensor, np.ndarray, np.ndarray]:
+def slot_attention(keys: Tensor, values: Tensor, slots: Tensor,
+                   wq: Tensor) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Slot-competitive attention as one tape entry: (update, attn, weights).
 
-    attn = softmax over slots of (tokens wk)(slots wq)ᵀ / √d, one row per
-    token; weights = attn / max(column sum, COLUMN_EPS); update = weightsᵀ
-    (tokens wv). Values and gradients are bitwise those of the former graph
-    of 12 tape ops: the transposes are contiguous copies as that graph made
-    them, and the backward replays its reverse sweep. The tokens are listed
-    as a parent once per use (the value use first), so the tape sums their
-    gradients in the old order. The returned arrays must not be modified.
+    attn = softmax over slots of keys (slots wq)ᵀ / √d, one row per token;
+    weights = attn / max(column sum, COLUMN_EPS); update = weightsᵀ values.
+    The returned arrays must not be modified.
     """
-    tok, sl = tokens.data, slots.data
+    k, v, sl = keys.data, values.data, slots.data
     scale = 1.0 / np.sqrt(sl.shape[1])
     with np.errstate(all="ignore"):
-        keys = tok @ wk.data
-        queries_t = (sl @ wq.data).T.copy()
+        queries = sl @ wq.data
         # softmax turns a -inf logit into a finite 0, so check before it
-        logits = T.check_finite((keys @ queries_t) * scale, "slot_attention")
+        logits = T.check_finite((k @ queries.T) * scale, "slot_attention")
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         attn = e / e.sum(axis=1, keepdims=True)
         col = attn.sum(axis=0, keepdims=True)
         col_norm = np.maximum(col, COLUMN_EPS)
         weights = attn / col_norm
-        weights_t = weights.T.copy()
-        values = tok @ wv.data
-        out = weights_t @ values
-    parents = (tokens, wv, slots, wq, tokens, wk)
+        out = weights.T @ v
+    parents = (keys, values, slots, wq)
 
     def backward(g):
-        g_v = weights_t.T @ g
-        g_w = (g @ values.T).T
-        g_attn = g_w / col_norm
-        g_col = T.unbroadcast(-g_w * attn / (col_norm * col_norm), col_norm.shape)
-        g_attn = g_attn + np.broadcast_to(g_col * (col >= COLUMN_EPS), attn.shape).copy()
-        dot = (g_attn * attn).sum(axis=1, keepdims=True)
-        g_logits = ((g_attn - dot) * attn) * scale
-        g_q = (keys.T @ g_logits).T
-        g_k = g_logits @ queries_t.T
-        grads = (g_v @ wv.data.T, tok.T @ g_v, g_q @ wq.data.T, sl.T @ g_q,
-                 g_k @ wk.data.T, tok.T @ g_k)
+        g_w = v @ g.T
+        # a column sum below COLUMN_EPS is replaced, so it passes no gradient
+        g_col = (g_w * weights).sum(axis=0, keepdims=True) * (col >= COLUMN_EPS)
+        g_attn = (g_w - g_col) / col_norm
+        g_logits = (g_attn - (g_attn * attn).sum(axis=1, keepdims=True)) * attn * scale
+        g_q = g_logits.T @ k
+        grads = (g_logits @ queries, weights @ g, g_q @ wq.data.T, sl.T @ g_q)
         return tuple(grad if t.requires_grad else None for t, grad in zip(parents, grads))
 
     return T.primitive(out, parents, backward, "slot_attention"), attn, weights
@@ -117,13 +107,13 @@ class SlotAttention:
         sigma = T.exp(self.init_log_sigma)
         return T.add(self.init_mu, T.mul(Tensor(noise), sigma))
 
-    def refine_step(self, slots: Tensor, dense: DenseTokens) -> tuple[Tensor, AttentionMaps]:
-        tokens = dense.tokens
-        if slots.shape[1] != tokens.shape[1]:
-            raise ShapeError(f"slot width {slots.shape[1]} != token width {tokens.shape[1]}")
-        if tokens.shape[0] == 0:
+    def refine_step(self, slots: Tensor, keys: Tensor,
+                    values: Tensor) -> tuple[Tensor, AttentionMaps]:
+        if slots.shape[1] != keys.shape[1]:
+            raise ShapeError(f"slot width {slots.shape[1]} != key width {keys.shape[1]}")
+        if keys.shape[0] == 0:
             raise ShapeError("refine_step: empty dense token set")
-        update, attn, weights = slot_attention(tokens, slots, self.wq, self.wk, self.wv)
+        update, attn, weights = slot_attention(keys, values, slots, self.wq)
         new_slots = gru_cell(update, slots, self.gru)
         if self.residual_mlp:
             new_slots = T.add(new_slots, mlp(T.layer_norm(new_slots), self.mlp))
@@ -131,12 +121,13 @@ class SlotAttention:
 
     def encode_frame(self, dense: DenseTokens, prev: Tensor | None,
                      rng_seed: int) -> tuple[Tensor, AttentionMaps]:
-        """Init (carried over exactly when `prev` is given), then run the
-        configured refinement steps."""
+        """Init (carried over exactly when `prev` is given), project the tokens
+        to keys and values once, then run the configured refinement steps."""
+        keys, values = T.matmul(dense.tokens, self.wk), T.matmul(dense.tokens, self.wv)
         slots = self.init_slots(prev, rng_seed)
         maps = None
         for _ in range(self.refine_steps):
-            slots, maps = self.refine_step(slots, dense)
+            slots, maps = self.refine_step(slots, keys, values)
         return slots, maps
 
 

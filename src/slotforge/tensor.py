@@ -18,11 +18,11 @@ Multi-head attention is one fused op, `attention_heads(q, k, v, heads)`:
 the heads are a reshape inside it, not separate graph nodes, so one
 attention costs one tape entry whatever the head count. Likewise
 `linear(x, w, b)` with a bias is one entry, not a matmul and an add, and
-`abs_` is one entry, not two relus, a neg and an add. `primitive` records a
-numpy forward with a hand-written backward as one entry for ops that live
-beside their callers: `losses.giou_pairs`, `losses.track_loss`, the GRU cell
-`nn.gru_cell` (20 entries before) and slot-competitive attention
-`slots.slot_attention` (12 entries before).
+`abs_` is one entry. `primitive` records a numpy forward with a hand-written
+backward as one entry for ops that live beside their callers: the GIoU of
+matched box pairs `losses.giou_pairs`, the anchor term of
+`losses.track_loss`, the GRU cell `nn.gru_cell` and slot-competitive
+attention `slots.slot_attention`.
 """
 
 from __future__ import annotations
@@ -226,10 +226,8 @@ def primitive(data: np.ndarray, parents: Sequence[Tensor], backward: Callable,
     `check_finite` names the op for intermediates that can be non-finite
     while the value is not.
 
-    A tensor the op uses k times is listed k times among the parents, once
-    per use, in reverse use order, with one gradient each. The backward
-    sweep then adds them one by one, exactly as it would have added the
-    gradients of k separate entries, so fusing ops keeps gradients bitwise.
+    A tensor the op uses more than once is listed once, and the backward
+    returns the sum of its gradients.
     """
     return _make(data, parents, backward, op)
 
@@ -371,11 +369,8 @@ def relu(a) -> Tensor:
 
 
 def abs_(a) -> Tensor:
-    """|x|; the gradient is sign(x)·g with zeros as +0.0, also at x == 0.
-
-    Values and gradients are bitwise those of relu(x) + relu(-x).
-    """
-    return _unary(a, np.abs, lambda g, x, y: g * np.sign(x) + 0.0, "abs")
+    """|x|; the gradient is sign(x)·g, zero at x == 0."""
+    return _unary(a, np.abs, lambda g, x, y: g * np.sign(x), "abs")
 
 
 def clip_min(a, lo: float) -> Tensor:
@@ -472,8 +467,7 @@ def attention_heads(q, k, v, heads: int) -> Tensor:
     """concat_h softmax(q_h k_hᵀ / √dh) v_h as one tape entry.
 
     Head h owns columns h*dh:(h+1)*dh of q, k and v. Every head runs in one
-    batched (heads, n, ·) matmul; values and gradients are bitwise those of
-    the per-head slice/transpose/matmul/mul/softmax/matmul/concat graph.
+    batched (heads, n, ·) matmul.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     if v.shape != k.shape:
@@ -487,14 +481,9 @@ def attention_heads(q, k, v, heads: int) -> Tensor:
         dw = gh @ vh.transpose(0, 2, 1)
         dot = (dw * weights).sum(axis=2, keepdims=True)
         dlogits = ((dw - dot) * weights) * scale
-        # summed into zeros, so a -0.0 turns +0.0 as in the per-head scatter-add
-        dq = np.zeros_like(q.data)
-        dq += _merge_heads(dlogits @ kt.transpose(0, 2, 1))
-        dk = np.zeros_like(k.data)
-        dk += _merge_heads((qh.transpose(0, 2, 1) @ dlogits).transpose(0, 2, 1))
-        dv = np.zeros_like(v.data)
-        dv += _merge_heads(weights.transpose(0, 2, 1) @ gh)
-        return dq, dk, dv
+        return (_merge_heads(dlogits @ kt.transpose(0, 2, 1)),
+                _merge_heads((qh.transpose(0, 2, 1) @ dlogits).transpose(0, 2, 1)),
+                _merge_heads(weights.transpose(0, 2, 1) @ gh))
 
     return _make(out, (q, k, v), backward, "attention_heads")
 

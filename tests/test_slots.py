@@ -8,7 +8,7 @@ from slotforge.frontend import DenseTokens
 from slotforge.nn import mlp
 from slotforge.slots import COLUMN_EPS, SlotAttention, SlotHeads, slot_attention
 from slotforge.tensor import NonFiniteError, Tensor
-from test_tensor import graph_gru_cell
+from test_tensor import assert_all_close, graph_gru_cell
 
 
 def dense_from(rng, n=12, d=16):
@@ -18,6 +18,11 @@ def dense_from(rng, n=12, d=16):
 def make_attn(seed=0, d=16, slots=4, steps=3, residual_mlp=True):
     return SlotAttention(np.random.default_rng(seed), width=d, num_slots=slots,
                          refine_steps=steps, residual_mlp=residual_mlp)
+
+
+def project(attn, dense):
+    """The keys and values that `SlotAttention.encode_frame` projects once per frame."""
+    return T.matmul(dense.tokens, attn.wk), T.matmul(dense.tokens, attn.wv)
 
 
 class TestInitSlots:
@@ -54,20 +59,30 @@ def graph_slot_attention(tokens, slots, wq, wk, wv):
     return update, attn.data, weights.data
 
 
-def graph_refine_step(attn, slots, tokens):
-    """`SlotAttention.refine_step` as it was built from the unfused graphs."""
-    update, _, _ = graph_slot_attention(tokens, slots, attn.wq, attn.wk, attn.wv)
-    new_slots = graph_gru_cell(update, slots, attn.gru)
-    return T.add(new_slots, mlp(T.layer_norm(new_slots), attn.mlp))
+def fused_attention(tokens, slots, wq, wk, wv):
+    """`slot_attention` after the key and value projections."""
+    return slot_attention(T.matmul(tokens, wk), T.matmul(tokens, wv), slots, wq)
 
 
-def fused_refine_step(attn, slots, tokens):
-    dense = DenseTokens(tokens, 1, tokens.shape[0])
-    return attn.refine_step(slots, dense)[0]
+def graph_refine_steps(attn, slots, tokens, steps):
+    """`SlotAttention.refine_step` as it was built from the unfused graphs,
+    which project the tokens again in every step."""
+    for _ in range(steps):
+        update, _, _ = graph_slot_attention(tokens, slots, attn.wq, attn.wk, attn.wv)
+        new_slots = graph_gru_cell(update, slots, attn.gru)
+        slots = T.add(new_slots, mlp(T.layer_norm(new_slots), attn.mlp))
+    return slots
+
+
+def fused_refine_steps(attn, slots, tokens, steps):
+    keys, values = project(attn, DenseTokens(tokens, 1, tokens.shape[0]))
+    for _ in range(steps):
+        slots = attn.refine_step(slots, keys, values)[0]
+    return slots
 
 
 def attention_run(attend, n, k, d, slots_kind, seed):
-    """Value, maps and every leaf gradient after one attention, as bytes.
+    """Value, maps and every leaf gradient after one attention.
 
     The tokens are produced by an op and used again afterwards; the slots
     are a leaf, a produced tensor or a constant."""
@@ -84,24 +99,23 @@ def attention_run(attend, n, k, d, slots_kind, seed):
         loss = T.add(T.sum_(T.mul(T.tanh(out), weight)), T.sum_(T.mul(tokens, tokens)))
         tape.backward(loss)
     leaves = (tok_leaf, slot_leaf, wq, wk, wv)
-    return [out.data.tobytes(), attn_map.tobytes(), weights.tobytes()] + [
-        None if t.grad is None else t.grad.tobytes() for t in leaves]
+    return [out.data, attn_map, weights] + [t.grad for t in leaves]
 
 
 class TestSlotAttentionOp:
     @pytest.mark.parametrize("slots_kind", ["leaf", "produced", "constant"])
     @pytest.mark.parametrize("n,k,d", [(64, 16, 64), (1, 4, 8), (12, 1, 8), (7, 3, 6)])
     def test_bitwise_equal_to_the_unfused_graph(self, n, k, d, slots_kind):
-        fused = attention_run(slot_attention, n, k, d, slots_kind, n * 100 + k)
+        fused = attention_run(fused_attention, n, k, d, slots_kind, n * 100 + k)
         graph = attention_run(graph_slot_attention, n, k, d, slots_kind, n * 100 + k)
-        assert fused == graph
+        assert_all_close(fused, graph)
         assert (fused[4] is None) == (slots_kind == "constant")
 
     @pytest.mark.parametrize("carried", [False, True])
     def test_three_refine_steps_bitwise_equal_to_the_unfused_graph(self, carried):
         # carried slots are a constant in step 1 and a produced tensor after it
         results = []
-        for refine in (graph_refine_step, fused_refine_step):
+        for refine in (graph_refine_steps, fused_refine_steps):
             attn = make_attn(seed=12)
             rng = np.random.default_rng(13)
             tok_leaf = Tensor(rng.standard_normal((12, 16)), requires_grad=True)
@@ -110,13 +124,11 @@ class TestSlotAttentionOp:
                 tokens = T.mul(tok_leaf, 1.0)
                 slots = (Tensor(rng.standard_normal((4, 16))) if carried
                          else attn.init_slots(None, rng_seed=3))
-                for _ in range(3):
-                    slots = refine(attn, slots, tokens)
+                slots = refine(attn, slots, tokens, 3)
                 tape.backward(T.sum_(T.mul(slots, weight)))
-            results.append([slots.data.tobytes(), tok_leaf.grad.tobytes()]
-                           + [None if t.grad is None else t.grad.tobytes()
-                              for t in attn.params().tensors()])
-        assert results[0] == results[1]
+            results.append([slots.data, tok_leaf.grad]
+                           + [t.grad for t in attn.params().tensors()])
+        assert_all_close(results[1], results[0])
 
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(14)
@@ -125,7 +137,7 @@ class TestSlotAttentionOp:
         ws = [Tensor(rng.standard_normal((6, 6)), requires_grad=True) for _ in range(3)]
         weight = Tensor(rng.standard_normal((3, 6)))
         err = T.finite_diff_check(
-            lambda: T.sum_(T.mul(slot_attention(tokens, slots, *ws)[0], weight)),
+            lambda: T.sum_(T.mul(fused_attention(tokens, slots, *ws)[0], weight)),
             [tokens, slots] + ws)
         assert err <= 1e-4
 
@@ -134,9 +146,31 @@ class TestSlotAttentionOp:
         attn = make_attn(residual_mlp=residual_mlp)
         slots = attn.init_slots(None, rng_seed=1)
         dense = dense_from(np.random.default_rng(15))
+        with T.fresh_tape():
+            keys, values = project(attn, dense)
         with T.fresh_tape() as tape:
-            attn.refine_step(slots.detach(), dense)
+            attn.refine_step(slots.detach(), keys, values)
         assert len(tape) == entries
+
+    @pytest.mark.parametrize("residual_mlp, entries", [(True, 2 + 3 * 7), (False, 2 + 3 * 2)])
+    def test_tape_entries_per_frame(self, residual_mlp, entries):
+        # two projections, then three refine steps; carried slots add no init
+        attn = make_attn(residual_mlp=residual_mlp)
+        prev = attn.init_slots(None, rng_seed=1)
+        dense = dense_from(np.random.default_rng(15))
+        with T.fresh_tape() as tape:
+            attn.encode_frame(dense, prev, rng_seed=2)
+        assert len(tape) == entries
+
+    def test_whole_frame_gradient_vs_finite_differences(self):
+        attn = make_attn(d=6, slots=3, steps=3, residual_mlp=True)
+        rng = np.random.default_rng(16)
+        dense = DenseTokens(Tensor(rng.standard_normal((5, 6))), 1, 5)
+        weight = Tensor(rng.standard_normal((3, 6)))
+        wrt = [attn.wq, attn.wk, attn.wv] + [getattr(attn.gru, n) for n in vars(attn.gru)]
+        err = T.finite_diff_check(
+            lambda: T.sum_(T.mul(attn.encode_frame(dense, None, rng_seed=4)[0], weight)), wrt)
+        assert err <= 1e-4
 
     def test_negative_infinite_logit_raises_naming_the_op(self):
         # softmax would turn the -inf logit into a finite 0 weight
@@ -144,7 +178,7 @@ class TestSlotAttentionOp:
         tokens = Tensor([[1e200, 0.0], [0.0, 1.0]])
         slots = Tensor([[-1e200, 0.0], [0.0, 1.0]])
         with pytest.raises(NonFiniteError, match="slot_attention"):
-            slot_attention(tokens, slots, eye, eye, eye)
+            fused_attention(tokens, slots, eye, eye, eye)
 
 
 class TestRefineStep:
@@ -152,7 +186,7 @@ class TestRefineStep:
         attn = make_attn()
         slots = Tensor(np.tile([1.0] * 16, (4, 1)))
         dense = dense_from(np.random.default_rng(2))
-        _, maps = attn.refine_step(slots, dense)
+        _, maps = attn.refine_step(slots, *project(attn, dense))
         assert np.allclose(maps.attn, 0.25, atol=1e-12)
 
     def test_single_input_token(self):
@@ -160,7 +194,7 @@ class TestRefineStep:
         rng = np.random.default_rng(3)
         dense = DenseTokens(Tensor(rng.standard_normal((1, 16))), 1, 1)
         slots = attn.init_slots(None, rng_seed=1)
-        _, maps = attn.refine_step(slots, dense)
+        _, maps = attn.refine_step(slots, *project(attn, dense))
         assert np.allclose(maps.weights, 1.0, atol=1e-12)
 
     def test_normalizations_hold_each_step(self):
@@ -169,7 +203,7 @@ class TestRefineStep:
         dense = dense_from(rng)
         slots = attn.init_slots(None, rng_seed=2)
         for _ in range(4):
-            slots, maps = attn.refine_step(slots, dense)
+            slots, maps = attn.refine_step(slots, *project(attn, dense))
             assert np.all(np.abs(maps.attn.sum(axis=1) - 1.0) <= 1e-9)
             assert np.all(np.abs(maps.weights.sum(axis=0) - 1.0) <= 1e-9)
 
@@ -182,7 +216,7 @@ class TestRefineStep:
         dense.tokens.requires_grad = True
 
         def f():
-            out, _ = attn.refine_step(slots0, dense)
+            out, _ = attn.refine_step(slots0, *project(attn, dense))
             return T.mean(T.mul(out, out))
 
         assert T.finite_diff_check(f, params) <= 1e-4
@@ -193,8 +227,8 @@ class TestRefineStep:
         dense = dense_from(rng)
         slots = rng.standard_normal((4, 16))
         perm = [2, 0, 3, 1]
-        out_a, _ = attn.refine_step(Tensor(slots), dense)
-        out_b, _ = attn.refine_step(Tensor(slots[perm]), dense)
+        out_a, _ = attn.refine_step(Tensor(slots), *project(attn, dense))
+        out_b, _ = attn.refine_step(Tensor(slots[perm]), *project(attn, dense))
         assert np.allclose(out_a.data[perm], out_b.data, atol=1e-12)
 
 
@@ -205,7 +239,7 @@ class TestEncodeFrame:
         dense = dense_from(rng)
         slots, _ = attn.encode_frame(dense, None, rng_seed=11)
         manual = attn.init_slots(None, rng_seed=11)
-        manual, _ = attn.refine_step(manual, dense)
+        manual, _ = attn.refine_step(manual, *project(attn, dense))
         assert np.array_equal(slots.data, manual.data)
 
     def test_carryover_disabled_rerandomizes_each_frame(self):
@@ -224,7 +258,7 @@ class TestEncodeFrame:
         slots1, _ = attn.encode_frame(dense, slots0, rng_seed=31)
         manual = slots0.detach()
         for _ in range(attn.refine_steps):
-            manual, _ = attn.refine_step(manual, dense)
+            manual, _ = attn.refine_step(manual, *project(attn, dense))
         assert slots1.data.tobytes() == manual.data.tobytes()
 
     def test_refine_steps_validated(self):
