@@ -146,11 +146,12 @@ def cmd_eval(args) -> int:
 def cmd_inspect(args) -> int:
     from .pipeline import Pipeline
     from .reports import inspect_report
-    from .world import load_episode
+    from .world import check_frame_size, load_episode
     cfg = load_config(args.config, args.override)
     pipeline = Pipeline(cfg)
     pipeline.stage1_params().load_state(load_checkpoint(args.stage1))
     episode = load_episode(args.episode)
+    check_frame_size(episode, cfg.image_size)
     summary = inspect_report(pipeline, episode, args.frame, args.out)
     print(f"task: {summary['task']}")
     print(f"selected slots: {summary['selected_slots']}")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,9 +75,16 @@ class RunConfig:
         if self.subset not in SUBSET_PRESETS:
             raise ConfigError(f"unknown subset {self.subset!r}")
         for name in ("width", "heads", "patch_size", "image_size", "batch_clips",
-                     "batch_frames", "eval_every", "num_layouts", "rollout_horizon"):
+                     "batch_frames", "eval_every", "num_layouts", "rollout_horizon",
+                     "num_relations"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("stage1_iters", "stage2_iters"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("lr", "grad_clip"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if not (2 <= self.min_objects <= self.max_objects):
             # every scene holds at least a carried object and a target
             raise ConfigError(f"need 2 <= min_objects <= max_objects, got "

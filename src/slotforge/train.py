@@ -23,7 +23,7 @@ from .decoder import ACTION_DIMS, action_to_bins
 from .losses import action_ce, iou_matrix, match_frame, slot_relevance_labels
 from .optim import AdaptiveOptimizer
 from .pipeline import Clip, Pipeline, frame_from_record, frame_targets
-from .world import Episode, WorldError, episode_files, load_episode
+from .world import Episode, WorldError, check_frame_size, episode_files, load_episode
 
 LOSS_CSV_HEADER = "step,L_box,L_obj,L_seg,L_track,L_int,total"
 
@@ -54,23 +54,29 @@ def write_manifest(out_dir: Path, cfg: RunConfig, **extra) -> None:
 
 
 class Corpus:
-    """Episodes with precomputed frames and supervision targets; an empty
-    corpus is a data error (`WorldError`)."""
+    """Episodes with precomputed frames and supervision targets. An empty
+    corpus, or a frame whose size is not `image_size` when one is given, is a
+    data error (`WorldError`)."""
 
-    def __init__(self, episodes: list[Episode], patch_size: int):
+    def __init__(self, episodes: list[Episode], patch_size: int,
+                 image_size: int | None = None):
         if not episodes:
             raise WorldError("empty corpus")
+        if image_size is not None:
+            for episode in episodes:
+                check_frame_size(episode, image_size)
         self.episodes = episodes
         self.frames = [[frame_from_record(r) for r in ep.frames] for ep in episodes]
         self.targets = [[frame_targets(r, patch_size) for r in ep.frames]
                         for ep in episodes]
 
     @staticmethod
-    def load(data_dir: str | Path, patch_size: int) -> "Corpus":
+    def load(data_dir: str | Path, patch_size: int,
+             image_size: int | None = None) -> "Corpus":
         files = episode_files(data_dir)
         if not files:
             raise WorldError(f"no episodes under {data_dir}")
-        return Corpus([load_episode(p) for p in files], patch_size)
+        return Corpus([load_episode(p) for p in files], patch_size, image_size)
 
     def __len__(self) -> int:
         return len(self.episodes)
@@ -172,8 +178,8 @@ def train_stage1(cfg: RunConfig, data_dir: str | Path, out_dir: str | Path,
                  val_dir: str | Path | None = None,
                  resume: str | Path | None = None) -> dict:
     out_dir = Path(out_dir)
-    corpus = Corpus.load(data_dir, cfg.patch_size)
-    val = Corpus.load(val_dir, cfg.patch_size) if val_dir else None
+    corpus = Corpus.load(data_dir, cfg.patch_size, cfg.image_size)
+    val = Corpus.load(val_dir, cfg.patch_size, cfg.image_size) if val_dir else None
     pipeline = Pipeline(cfg)
     params = pipeline.stage1_params()
     opt = AdaptiveOptimizer(params, lr=cfg.lr, total_steps=cfg.stage1_iters,
@@ -252,8 +258,8 @@ def train_stage2(cfg: RunConfig, stage1_ckpt: str | Path, data_dir: str | Path,
     pipeline.stage1_params().load_state(load_checkpoint(stage1_ckpt))
     fingerprint = _stage1_fingerprint(pipeline)
 
-    corpus = Corpus.load(data_dir, cfg.patch_size)
-    val = Corpus.load(val_dir, cfg.patch_size) if val_dir else None
+    corpus = Corpus.load(data_dir, cfg.patch_size, cfg.image_size)
+    val = Corpus.load(val_dir, cfg.patch_size, cfg.image_size) if val_dir else None
     write_manifest(out_dir, cfg, stage=2, data=str(data_dir),
                    stage1=str(stage1_ckpt))
     cache = flatten_cache(pipeline, corpus)

@@ -544,6 +544,14 @@ def serialize_episode(episode: Episode, out_dir: str | Path) -> Path:
     return path
 
 
+def check_frame_size(episode: Episode, image_size: int) -> None:
+    """A frame that is not image_size x image_size is a data error."""
+    for record in episode.frames:
+        h, w = record.rgb.shape[:2]
+        if (h, w) != (image_size, image_size):
+            raise WorldError(f"frame t={record.t} is {h}x{w}, not image_size {image_size}")
+
+
 def load_episode(path: str | Path) -> Episode:
     path = Path(path)
     base = path.parent

@@ -3,8 +3,8 @@
 import pytest
 
 from slotforge.checkpoint import save_checkpoint
-from slotforge.cli import EXIT_CONFIG, EXIT_DATA, main
-from slotforge.config import RunConfig
+from slotforge.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from slotforge.config import RunConfig, load_config
 from slotforge.evaluate import evaluate
 from slotforge.pipeline import Pipeline
 from slotforge.train import Corpus
@@ -127,3 +127,60 @@ def test_counts_below_one_exit_with_config_error(argv, message, tmp_path, capsys
 def test_evaluate_below_one_rollout_raises_value_error(n_rollouts):
     with pytest.raises(ValueError, match=f"n_rollouts must be >= 1, got {n_rollouts}"):
         evaluate(Pipeline(RunConfig()), RunConfig(), n_rollouts)
+
+
+@pytest.mark.parametrize("command", ["train1", "train2", "inspect"])
+def test_frame_of_another_size_exits_with_data_error(command, tmp_path, capsys, episode):
+    small = tmp_path / "small.ckpt"
+    save_checkpoint(small, Pipeline(load_config(overrides=["image_size=32"]))
+                    .stage1_params().state())
+    argv = {
+        "train1": ["train1", "--data", str(episode.parent)],
+        "train2": ["train2", "--data", str(episode.parent), "--stage1", str(small)],
+        "inspect": ["inspect", "--stage1", str(small), "--episode", str(episode)],
+    }[command]
+    out = tmp_path / "out"
+    assert main(argv + ["--override", "image_size=32", "--out", str(out)]) == EXIT_DATA
+    assert "frame t=0 is 64x64, not image_size 32" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_command_end_to_end(tmp_path, capsys):
+    """gen, train1, train2, eval, inspect and budget on a tiny `pair` run, then
+    one config error and one data error through train1."""
+    pair = ["--override", "subset=pair", "--override", "stage1_iters=2",
+            "--override", "stage2_iters=2", "--override", "rollout_horizon=4"]
+    data, s1, s2, ev, report = (tmp_path / name for name in
+                                ("data", "s1", "s2", "eval", "inspect"))
+
+    def names(path):
+        return sorted(p.name for p in path.iterdir())
+
+    assert main(["gen", "--episodes", "1", "--out", str(data)] + pair) == EXIT_OK
+    assert names(data) == ["ep_000000", "ep_000000.jsonl", "ep_000000.meta.json"]
+    assert main(["train1", "--data", str(data), "--out", str(s1)] + pair) == EXIT_OK
+    assert names(s1) == ["config.txt", "manifest.json", "stage1.ckpt", "stage1_loss.csv"]
+    assert len((s1 / "stage1_loss.csv").read_text().splitlines()) == 1 + 2
+    assert main(["train2", "--data", str(data), "--stage1", str(s1 / "stage1.ckpt"),
+                 "--out", str(s2)] + pair) == EXIT_OK
+    assert names(s2) == ["config.txt", "manifest.json", "stage2.ckpt", "stage2_loss.csv"]
+    assert len((s2 / "stage2_loss.csv").read_text().splitlines()) == 1 + 2
+    assert main(["eval", "--stage1", str(s1 / "stage1.ckpt"), "--stage2",
+                 str(s2 / "stage2.ckpt"), "--rollouts", "1", "--out", str(ev)] + pair) == EXIT_OK
+    assert names(ev) == ["success.csv"]
+    assert main(["inspect", "--stage1", str(s1 / "stage1.ckpt"), "--episode",
+                 str(data / "ep_000000.jsonl"), "--frame", "1", "--out", str(report)]
+                + pair) == EXIT_OK
+    assert names(report) == (["relation_attention.csv", "report.json"]
+                             + [f"slot_{s:02d}_attn.pgm" for s in range(16)] + ["slots.csv"])
+    assert main(["budget"] + pair) == EXIT_OK
+    assert "configured ORC" in capsys.readouterr().out
+
+    bad = tmp_path / "bad"
+    train1 = ["train1", "--data", str(data), "--out", str(bad)] + pair
+    assert main(train1 + ["--override", "lr=nan"]) == EXIT_CONFIG
+    assert main(train1 + ["--override", "image_size=32"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "lr must be finite and > 0, got nan" in err
+    assert "frame t=0 is 64x64, not image_size 32" in err
+    assert not bad.exists()

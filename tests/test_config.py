@@ -53,7 +53,8 @@ def test_fewer_slots_than_objects_plus_robot_is_a_config_error():
 
 @pytest.mark.parametrize("override", ["width=0", "heads=0", "heads=-4", "patch_size=0",
                                       "image_size=0", "batch_clips=0", "batch_frames=0",
-                                      "eval_every=0", "num_layouts=0", "rollout_horizon=0"])
+                                      "eval_every=0", "num_layouts=0", "rollout_horizon=0",
+                                      "num_relations=0"])
 def test_sizes_below_one_are_a_config_error(override, capsys):
     assert main(["budget", "--override", override]) == EXIT_CONFIG
     name, value = override.split("=")
@@ -68,6 +69,22 @@ def test_sizes_below_one_are_a_config_error(override, capsys):
 ])
 def test_invalid_loss_weights_and_noop_threshold_are_config_errors(override, message,
                                                                     capsys):
+    assert main(["budget", "--override", override]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, message", [
+    ("lr=nan", "lr must be finite and > 0, got nan"),
+    ("lr=-1", "lr must be finite and > 0, got -1.0"),
+    ("lr=0", "lr must be finite and > 0, got 0.0"),
+    ("lr=inf", "lr must be finite and > 0, got inf"),
+    ("grad_clip=-1", "grad_clip must be finite and > 0, got -1.0"),
+    ("grad_clip=0", "grad_clip must be finite and > 0, got 0.0"),
+    ("grad_clip=nan", "grad_clip must be finite and > 0, got nan"),
+    ("stage1_iters=-1", "stage1_iters must be >= 0, got -1"),
+    ("stage2_iters=-1", "stage2_iters must be >= 0, got -1"),
+])
+def test_bad_step_sizes_and_iteration_counts_are_config_errors(override, message, capsys):
     assert main(["budget", "--override", override]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
 
