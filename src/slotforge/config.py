@@ -76,10 +76,10 @@ class RunConfig:
             raise ConfigError(f"unknown subset {self.subset!r}")
         for name in ("width", "heads", "patch_size", "image_size", "batch_clips",
                      "batch_frames", "eval_every", "num_layouts", "rollout_horizon",
-                     "num_relations"):
+                     "num_relations", "refine_steps"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("stage1_iters", "stage2_iters"):
+        for name in ("idle_frames", "seed", "stage1_iters", "stage2_iters"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("lr", "grad_clip"):
@@ -89,10 +89,6 @@ class RunConfig:
             # every scene holds at least a carried object and a target
             raise ConfigError(f"need 2 <= min_objects <= max_objects, got "
                               f"{self.min_objects} and {self.max_objects}")
-        if self.idle_frames < 0:
-            raise ConfigError(f"idle_frames must be >= 0, got {self.idle_frames}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name, pool in (("color_pool", COLORS), ("shape_pool", SHAPES)):
             if not (1 <= getattr(self, name) <= len(pool)):
                 raise ConfigError(f"{name} must lie in [1, {len(pool)}], "
@@ -115,8 +111,6 @@ class RunConfig:
             raise ConfigError(f"width {self.width} not divisible by heads {self.heads}")
         if self.action_bins < 2:
             raise ConfigError(f"action_bins must be >= 2, got {self.action_bins}")
-        if self.refine_steps < 1:
-            raise ConfigError("refine_steps must be >= 1")
         if not self.noop_eps >= 0:
             raise ConfigError(f"noop_eps must be >= 0, got {self.noop_eps}")
         try:

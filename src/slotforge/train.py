@@ -54,29 +54,23 @@ def write_manifest(out_dir: Path, cfg: RunConfig, **extra) -> None:
 
 
 class Corpus:
-    """Episodes with precomputed frames and supervision targets. An empty
-    corpus, or a frame whose size is not `image_size` when one is given, is a
-    data error (`WorldError`)."""
+    """Episodes with precomputed frames and supervision targets; an empty
+    corpus is a data error (`WorldError`)."""
 
-    def __init__(self, episodes: list[Episode], patch_size: int,
-                 image_size: int | None = None):
+    def __init__(self, episodes: list[Episode], patch_size: int):
         if not episodes:
             raise WorldError("empty corpus")
-        if image_size is not None:
-            for episode in episodes:
-                check_frame_size(episode, image_size)
         self.episodes = episodes
         self.frames = [[frame_from_record(r) for r in ep.frames] for ep in episodes]
         self.targets = [[frame_targets(r, patch_size) for r in ep.frames]
                         for ep in episodes]
 
     @staticmethod
-    def load(data_dir: str | Path, patch_size: int,
-             image_size: int | None = None) -> "Corpus":
+    def load(data_dir: str | Path, patch_size: int) -> "Corpus":
         files = episode_files(data_dir)
         if not files:
             raise WorldError(f"no episodes under {data_dir}")
-        return Corpus([load_episode(p) for p in files], patch_size, image_size)
+        return Corpus([load_episode(p) for p in files], patch_size)
 
     def __len__(self) -> int:
         return len(self.episodes)
@@ -90,6 +84,15 @@ class Corpus:
                     targets=self.targets[index][start:start + length],
                     task=self.episodes[index].frames[0].task,
                     episode_key=self.episode_key(index), base_t=start)
+
+
+def load_corpus(cfg: RunConfig, data_dir: str | Path) -> Corpus:
+    """`Corpus.load` for a run; a frame whose size is not `cfg.image_size` is a
+    data error (`WorldError`)."""
+    corpus = Corpus.load(data_dir, cfg.patch_size)
+    for episode in corpus.episodes:
+        check_frame_size(episode, cfg.image_size)
+    return corpus
 
 
 def sample_clips(corpus: Corpus, cfg: RunConfig, step: int) -> list[Clip]:
@@ -178,8 +181,8 @@ def train_stage1(cfg: RunConfig, data_dir: str | Path, out_dir: str | Path,
                  val_dir: str | Path | None = None,
                  resume: str | Path | None = None) -> dict:
     out_dir = Path(out_dir)
-    corpus = Corpus.load(data_dir, cfg.patch_size, cfg.image_size)
-    val = Corpus.load(val_dir, cfg.patch_size, cfg.image_size) if val_dir else None
+    corpus = load_corpus(cfg, data_dir)
+    val = load_corpus(cfg, val_dir) if val_dir else None
     pipeline = Pipeline(cfg)
     params = pipeline.stage1_params()
     opt = AdaptiveOptimizer(params, lr=cfg.lr, total_steps=cfg.stage1_iters,
@@ -258,8 +261,8 @@ def train_stage2(cfg: RunConfig, stage1_ckpt: str | Path, data_dir: str | Path,
     pipeline.stage1_params().load_state(load_checkpoint(stage1_ckpt))
     fingerprint = _stage1_fingerprint(pipeline)
 
-    corpus = Corpus.load(data_dir, cfg.patch_size, cfg.image_size)
-    val = Corpus.load(val_dir, cfg.patch_size, cfg.image_size) if val_dir else None
+    corpus = load_corpus(cfg, data_dir)
+    val = load_corpus(cfg, val_dir) if val_dir else None
     write_manifest(out_dir, cfg, stage=2, data=str(data_dir),
                    stage1=str(stage1_ckpt))
     cache = flatten_cache(pipeline, corpus)

@@ -54,7 +54,7 @@ def test_fewer_slots_than_objects_plus_robot_is_a_config_error():
 @pytest.mark.parametrize("override", ["width=0", "heads=0", "heads=-4", "patch_size=0",
                                       "image_size=0", "batch_clips=0", "batch_frames=0",
                                       "eval_every=0", "num_layouts=0", "rollout_horizon=0",
-                                      "num_relations=0"])
+                                      "num_relations=0", "refine_steps=0"])
 def test_sizes_below_one_are_a_config_error(override, capsys):
     assert main(["budget", "--override", override]) == EXIT_CONFIG
     name, value = override.split("=")

@@ -152,26 +152,6 @@ class TestSlotAttentionOp:
             attn.refine_step(slots.detach(), keys, values)
         assert len(tape) == entries
 
-    @pytest.mark.parametrize("residual_mlp, entries", [(True, 2 + 3 * 7), (False, 2 + 3 * 2)])
-    def test_tape_entries_per_frame(self, residual_mlp, entries):
-        # two projections, then three refine steps; carried slots add no init
-        attn = make_attn(residual_mlp=residual_mlp)
-        prev = attn.init_slots(None, rng_seed=1)
-        dense = dense_from(np.random.default_rng(15))
-        with T.fresh_tape() as tape:
-            attn.encode_frame(dense, prev, rng_seed=2)
-        assert len(tape) == entries
-
-    def test_whole_frame_gradient_vs_finite_differences(self):
-        attn = make_attn(d=6, slots=3, steps=3, residual_mlp=True)
-        rng = np.random.default_rng(16)
-        dense = DenseTokens(Tensor(rng.standard_normal((5, 6))), 1, 5)
-        weight = Tensor(rng.standard_normal((3, 6)))
-        wrt = [attn.wq, attn.wk, attn.wv] + [getattr(attn.gru, n) for n in vars(attn.gru)]
-        err = T.finite_diff_check(
-            lambda: T.sum_(T.mul(attn.encode_frame(dense, None, rng_seed=4)[0], weight)), wrt)
-        assert err <= 1e-4
-
     def test_negative_infinite_logit_raises_naming_the_op(self):
         # softmax would turn the -inf logit into a finite 0 weight
         eye = Tensor(np.eye(2), requires_grad=True)
@@ -260,6 +240,26 @@ class TestEncodeFrame:
         for _ in range(attn.refine_steps):
             manual, _ = attn.refine_step(manual, *project(attn, dense))
         assert slots1.data.tobytes() == manual.data.tobytes()
+
+    @pytest.mark.parametrize("residual_mlp, entries", [(True, 2 + 3 * 7), (False, 2 + 3 * 2)])
+    def test_tape_entries_per_frame(self, residual_mlp, entries):
+        # two projections, then three refine steps; carried slots add no init
+        attn = make_attn(residual_mlp=residual_mlp)
+        prev = attn.init_slots(None, rng_seed=1)
+        dense = dense_from(np.random.default_rng(15))
+        with T.fresh_tape() as tape:
+            attn.encode_frame(dense, prev, rng_seed=2)
+        assert len(tape) == entries
+
+    def test_whole_frame_gradient_vs_finite_differences(self):
+        attn = make_attn(d=6, slots=3, steps=3, residual_mlp=True)
+        rng = np.random.default_rng(16)
+        dense = DenseTokens(Tensor(rng.standard_normal((5, 6))), 1, 5)
+        weight = Tensor(rng.standard_normal((3, 6)))
+        wrt = [attn.wq, attn.wk, attn.wv] + [getattr(attn.gru, n) for n in vars(attn.gru)]
+        err = T.finite_diff_check(
+            lambda: T.sum_(T.mul(attn.encode_frame(dense, None, rng_seed=4)[0], weight)), wrt)
+        assert err <= 1e-4
 
     def test_refine_steps_validated(self):
         with pytest.raises(ValueError):
