@@ -6,6 +6,11 @@ token, each offset by a learned segment embedding. A small transformer
 encoder processes the bundle; mean-pooled features feed seven parallel
 classification heads, one per control dimension, over uniform bins spanning
 [-1, 1]. Executed actions come from per-dimension greedy argmax.
+
+A batch of B frames is one graph: their bundles are stacked as row blocks
+of equal length, `(B·L, width)`, attention runs within each block
+(`groups=B`) and pooling is per block. The logits come back as `(B·7, bins)`,
+frame-major: rows 7b..7b+6 belong to frame b.
 """
 
 from __future__ import annotations
@@ -64,28 +69,40 @@ class ActionDecoder:
 
     def assemble_bundle(self, objects: Tensor, relations: Tensor | None,
                         language: Tensor, proprio: np.ndarray) -> Tensor:
-        """Decoder input [objects; relations; language; proprio] as one matrix."""
-        proprio = np.asarray(proprio, dtype=np.float64).reshape(1, -1)
-        if proprio.shape[1] != self.proprio_dim:
-            raise ShapeError(f"proprio has {proprio.shape[1]} dims, "
-                             f"expected {self.proprio_dim}")
-        seg = self.segments
-        parts = [T.add(objects, T.gather_rows(seg, [0] * objects.shape[0]))]
-        if relations is not None:
-            parts.append(T.add(relations, T.gather_rows(seg, [1] * relations.shape[0])))
-        parts.append(T.add(language, T.gather_rows(seg, [2] * language.shape[0])))
-        o_token = T.linear(Tensor(proprio), self.proprio_w, self.proprio_b)
-        parts.append(T.add(o_token, T.gather_rows(seg, [3])))
-        return T.concat(parts, axis=0)
+        """Decoder input of B frames, one row per proprio vector: each frame's
+        bundle [objects; relations; language; proprio] in turn. Each part
+        stacks its B frames' rows frame by frame, in equal blocks."""
+        proprio = np.atleast_2d(np.asarray(proprio, dtype=np.float64))
+        if proprio.ndim != 2 or proprio.shape[1] != self.proprio_dim:
+            raise ShapeError(f"proprio has shape {proprio.shape}, "
+                             f"expected (frames, {self.proprio_dim})")
+        groups = proprio.shape[0]
+        o_tokens = T.linear(Tensor(proprio), self.proprio_w, self.proprio_b)
+        parts = [(objects, 0), (relations, 1), (language, 2), (o_tokens, 3)]
+        parts = [(part, seg) for part, seg in parts if part is not None]
+        if any(part.shape[0] % groups for part, _ in parts):
+            raise ShapeError(f"bundle parts of {[p.shape[0] for p, _ in parts]} rows "
+                             f"do not split into {groups} frames")
+        sizes = [part.shape[0] // groups for part, _ in parts]
+        # row indices of each part in the stack, one row of the grid per frame
+        starts = np.cumsum([0] + sizes[:-1]) * groups
+        order = np.concatenate([start + np.arange(groups * size).reshape(groups, size)
+                                for start, size in zip(starts, sizes)], axis=1).reshape(-1)
+        segments = np.tile(np.repeat([seg for _, seg in parts], sizes), groups)
+        stacked = T.gather_rows(T.concat([part for part, _ in parts], axis=0), order)
+        return T.add(stacked, T.gather_rows(self.segments, segments))
 
-    def decode_actions(self, bundle: Tensor) -> Tensor:
-        """Per-dimension bin logits, shape (7, bins)."""
+    def decode_actions(self, bundle: Tensor, groups: int = 1) -> Tensor:
+        """Per-dimension bin logits of `groups` stacked bundles, (groups·7, bins),
+        frame-major."""
         x = bundle
         for block in self.blocks:
-            x = self_attention_block(x, block)
-        pooled = T.mean(x, axis=0, keepdims=True)
-        rows = [T.linear(pooled, w, b) for w, b in self.heads]
-        return T.concat(rows, axis=0)
+            x = self_attention_block(x, block, groups)
+        pooled = T.group_mean(x, groups)
+        rows = T.concat([T.linear(pooled, w, b) for w, b in self.heads], axis=0)
+        # head-major (head i of frame b at row i·groups + b) to frame-major
+        return T.gather_rows(rows, np.arange(ACTION_DIMS * groups)
+                             .reshape(ACTION_DIMS, groups).T.reshape(-1))
 
     def greedy_action(self, logits: Tensor | np.ndarray) -> np.ndarray:
         """Argmax bin center per dimension; ties resolve to the lower bin."""

@@ -4,7 +4,10 @@ All blocks are plain containers of named parameter Tensors plus pure forward
 functions. Residual branches are pre-normalized, so zeroing a branch's output
 projection makes the whole block an exact identity. Multi-head attention is
 three projections, one `tensor.attention_heads` op that holds every head,
-and the output projection: five tape entries per call.
+and the output projection: five tape entries per call. The attention blocks
+take `groups`: with groups=B, queries and context are B row-stacked
+sequences of equal length, each attending only within its own block, and
+every other op of the block is row-wise. The default of 1 is one sequence.
 
 Parameters name themselves: `ParamGroup.collect` keys each trainable Tensor
 by its attribute path (`filter.bca_slots.attn.wq`), so renaming an attribute
@@ -185,10 +188,12 @@ class MhaParams:
                          wv=param(rng, d, d), wo=param(rng, d, d))
 
 
-def multi_head_attention(queries: Tensor, context: Tensor, p: MhaParams) -> Tensor:
-    """Scaled dot-product cross-attention; rows of `queries` attend to `context`."""
+def multi_head_attention(queries: Tensor, context: Tensor, p: MhaParams,
+                         groups: int = 1) -> Tensor:
+    """Scaled dot-product cross-attention; rows of `queries` attend to `context`,
+    group by group."""
     heads = T.attention_heads(T.matmul(queries, p.wq), T.matmul(context, p.wk),
-                              T.matmul(context, p.wv), p.heads)
+                              T.matmul(context, p.wv), p.heads, groups)
     return T.matmul(heads, p.wo)
 
 
@@ -252,9 +257,9 @@ class CrossAttentionBlockParams:
 
 
 def cross_attention_block(queries: Tensor, context: Tensor,
-                          p: CrossAttentionBlockParams) -> Tensor:
+                          p: CrossAttentionBlockParams, groups: int = 1) -> Tensor:
     x = T.add(queries, multi_head_attention(norm(queries, p.norm_q),
-                                            norm(context, p.norm_ctx), p.attn))
+                                            norm(context, p.norm_ctx), p.attn, groups))
     return T.add(x, mlp(norm(x, p.norm_ff), p.ff))
 
 
@@ -277,7 +282,8 @@ class SelfAttentionBlockParams:
         )
 
 
-def self_attention_block(x: Tensor, p: SelfAttentionBlockParams) -> Tensor:
+def self_attention_block(x: Tensor, p: SelfAttentionBlockParams,
+                         groups: int = 1) -> Tensor:
     h = norm(x, p.norm_attn)
-    x = T.add(x, multi_head_attention(h, h, p.attn))
+    x = T.add(x, multi_head_attention(h, h, p.attn, groups))
     return T.add(x, mlp(norm(x, p.norm_ff), p.ff))

@@ -13,7 +13,10 @@ one place that decides carryover: a frame starts from the previous frame's
 slots, when there are any, if `carryover_on` is set and `t > 0`, and from a
 fresh seeded draw otherwise.
 `Pipeline.select` is the one task-filter call, and stage-2 logits and the
-policy step share one decode tail.
+policy step share one decode tail. Stage 2 decodes a batch of cached frames
+as one graph: their tokens are stacked as row blocks and relations and the
+decoder attend within each frame's block; the policy step is the case of one
+frame.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .nn import ParamGroup
 from .relations import RelationEncoder
 from .slots import AttentionMaps, SlotAttention, SlotHeads
 from .task_filter import TaskFilter
-from .tensor import Tensor
+from .tensor import ShapeError, Tensor
 from .world import FrameRecord
 
 
@@ -209,17 +212,33 @@ class Pipeline:
                 })
         return cache
 
-    def _logits(self, dense: DenseTokens, objects: Tensor, task: str,
+    def _logits(self, dense: DenseTokens, objects: Tensor, tasks: list[str],
                 proprio: np.ndarray) -> Tensor:
-        """Relations, language and proprio around the kept slots, then decoding."""
-        rel = self.relations(dense, objects) if self.cfg.relations_on else None
-        bundle = self.decoder.assemble_bundle(objects, rel, self.lang_decoder(task), proprio)
-        return self.decoder.decode_actions(bundle)
+        """Relations, language and proprio around the kept slots, then decoding,
+        for len(tasks) frames whose dense tokens, kept slots and proprio rows
+        are stacked frame by frame: (frames·7, bins) logits, frame-major."""
+        groups = len(tasks)
+        rel = self.relations(dense, objects, groups) if self.cfg.relations_on else None
+        # tokenize splits on whitespace: the joined string embeds each task in turn
+        language = self.lang_decoder(" ".join(tasks))
+        bundle = self.decoder.assemble_bundle(objects, rel, language, proprio)
+        return self.decoder.decode_actions(bundle, groups)
 
-    def stage2_logits(self, cached: dict) -> Tensor:
-        dense = DenseTokens(Tensor(cached["dense"]), *cached["grid"])
-        return self._logits(dense, Tensor(cached["slots"]), cached["task"],
-                            cached["proprio"])
+    def stage2_logits(self, entries: list[dict]) -> Tensor:
+        """Logits of cached frames decoded as one row-stacked graph,
+        (len(entries)·7, bins), frame-major. Rows group by frame only when every
+        bundle has one length, so a batch of mixed lengths is a ShapeError."""
+        extra = (self.cfg.num_relations if self.cfg.relations_on else 0) + 1
+        lengths = [len(e["slots"]) + len(e["task"].split()) + extra for e in entries]
+        if len(set(lengths)) > 1:
+            raise ShapeError(f"stage-2 bundles differ in length: {lengths}")
+        # row-major token grids stacked frame by frame form one grid B times as tall
+        grid_h, grid_w = entries[0]["grid"]
+        dense = DenseTokens(Tensor(np.concatenate([e["dense"] for e in entries])),
+                            grid_h * len(entries), grid_w)
+        return self._logits(dense, Tensor(np.concatenate([e["slots"] for e in entries])),
+                            [e["task"] for e in entries],
+                            np.stack([e["proprio"] for e in entries]))
 
     # ------------------------------------------------------------------
     # closed-loop policy
@@ -230,5 +249,5 @@ class Pipeline:
         with T.no_grad():
             dense, slots, _ = self.encode_frame(frame, prev_slots, episode_key, t)
             kept, _, _ = self.select(slots, self.lang_filter(task))
-            logits = self._logits(dense, kept, task, proprio)
+            logits = self._logits(dense, kept, [task], proprio)
             return self.decoder.greedy_action(logits), slots

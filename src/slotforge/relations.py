@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import tensor as T
 from .frontend import DenseTokens
 from .nn import (CrossAttentionBlockParams, ParamGroup, attention_weights,
                  cross_attention_block, param)
@@ -28,15 +29,18 @@ class RelationEncoder:
     def params(self) -> ParamGroup:
         return ParamGroup().collect("relations", self)
 
-    def __call__(self, dense: DenseTokens, slots: Tensor) -> Tensor:
+    def __call__(self, dense: DenseTokens, slots: Tensor, groups: int = 1) -> Tensor:
+        """Relation tokens of `groups` frames whose dense tokens and slots are
+        stacked frame by frame: (groups·num_relations, width), frame-major."""
         if slots.shape[0] == 0:
             raise ShapeError("relation encoding requires a non-empty slot set")
         if slots.shape[1] != self.width or dense.tokens.shape[1] != self.width:
             raise ShapeError(
                 f"width mismatch: queries {self.width}, tokens {dense.tokens.shape[1]}, "
                 f"slots {slots.shape[1]}")
-        visual = cross_attention_block(self.queries, dense.tokens, self.visual_cab)
-        return cross_attention_block(visual, slots, self.slot_cab)
+        queries = T.gather_rows(self.queries, np.tile(np.arange(self.num_relations), groups))
+        visual = cross_attention_block(queries, dense.tokens, self.visual_cab, groups)
+        return cross_attention_block(visual, slots, self.slot_cab, groups)
 
     def slot_attention_summary(self, dense: DenseTokens, slots: Tensor) -> np.ndarray:
         """Head-averaged attention of relation tokens over slots (reporting)."""

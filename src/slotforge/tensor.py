@@ -14,9 +14,12 @@ silently.
 Broadcasting is limited to: equal shapes, scalars, a trailing row vector
 (n,d)op(d,) and a column (n,d)op(n,1). Anything else is a ShapeError.
 
-Multi-head attention is one fused op, `attention_heads(q, k, v, heads)`:
-the heads are a reshape inside it, not separate graph nodes, so one
-attention costs one tape entry whatever the head count. Likewise
+Multi-head attention is one fused op, `attention_heads(q, k, v, heads,
+groups)`: the heads are a reshape inside it, not separate graph nodes, so one
+attention costs one tape entry whatever the head count. Its `groups`
+argument runs equal-sized attentions stacked as row blocks, `(B·L, d)`, in
+the same entry, so a batch of B sequences stays rank 2; `group_mean` pools
+such a stack to `(B, d)` in one entry. Row-wise ops need no grouping. Likewise
 `linear(x, w, b)` with a bias is one entry, not a matmul and an add, and
 `abs_` is one entry. `primitive` records a numpy forward with a hand-written
 backward as one entry for ops that live beside their callers: the GIoU of
@@ -427,65 +430,88 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make(out, (a,), backward, "softmax")
 
 
-def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    """(n, heads*dh) -> contiguous (heads, n, dh); head h owns columns h*dh:(h+1)*dh."""
-    n, d = x.shape
-    return np.ascontiguousarray(x.reshape(n, heads, d // heads).transpose(1, 0, 2))
+def _split_heads(x: np.ndarray, heads: int, groups: int) -> np.ndarray:
+    """(groups*n, heads*dh) -> contiguous (groups, heads, n, dh); group g owns rows
+    g*n:(g+1)*n and head h owns columns h*dh:(h+1)*dh."""
+    rows, d = x.shape
+    return np.ascontiguousarray(
+        x.reshape(groups, rows // groups, heads, d // heads).transpose(0, 2, 1, 3))
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
-    """(heads, n, dh) -> (n, heads*dh), the inverse of `_split_heads`."""
-    heads, n, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(n, heads * dh)
+    """(groups, heads, n, dh) -> (groups*n, heads*dh), the inverse of `_split_heads`."""
+    groups, heads, n, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(groups * n, heads * dh)
 
 
-def _head_softmax(q: np.ndarray, k: np.ndarray, heads: int):
-    """The one head computation: (q split into heads, k_hᵀ per head, scale,
-    weights softmax(q_h k_hᵀ · scale) of shape (heads, n, m))."""
+def _head_softmax(q: np.ndarray, k: np.ndarray, heads: int, groups: int):
+    """The one head computation: (q split into groups and heads, k_hᵀ per group
+    and head, scale, weights softmax(q_h k_hᵀ · scale) of shape
+    (groups, heads, n, m)). Queries of group g attend to keys of group g only."""
     if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1]:
         raise ShapeError(f"attention: query shape {q.shape} and key shape {k.shape} "
                          "differ in width")
     if heads < 1 or q.shape[1] % heads:
         raise ShapeError(f"attention: width {q.shape[1]} not divisible by {heads} heads")
-    m, d = k.shape
+    if groups < 1 or q.shape[0] % groups or k.shape[0] % groups:
+        raise ShapeError(f"attention: {q.shape[0]} query and {k.shape[0]} key rows "
+                         f"do not split into {groups} groups")
+    rows, d = k.shape
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
-    qh = _split_heads(q, heads)
-    kt = np.ascontiguousarray(k.reshape(m, heads, dh).transpose(1, 2, 0))
+    qh = _split_heads(q, heads, groups)
+    kt = np.ascontiguousarray(
+        k.reshape(groups, rows // groups, heads, dh).transpose(0, 2, 3, 1))
     with np.errstate(all="ignore"):
         logits = check_finite((qh @ kt) * scale, "attention logits")
-    e = np.exp(logits - logits.max(axis=2, keepdims=True))
-    return qh, kt, scale, e / e.sum(axis=2, keepdims=True)
+    e = np.exp(logits - logits.max(axis=3, keepdims=True))
+    return qh, kt, scale, e / e.sum(axis=3, keepdims=True)
 
 
 def attention_head_weights(q: Tensor, k: Tensor, heads: int) -> np.ndarray:
     """Per-head attention weights of `attention_heads`, (heads, n, m); no tape."""
-    return _head_softmax(_coerce(q).data, _coerce(k).data, heads)[3]
+    return _head_softmax(_coerce(q).data, _coerce(k).data, heads, 1)[3][0]
 
 
-def attention_heads(q, k, v, heads: int) -> Tensor:
+def attention_heads(q, k, v, heads: int, groups: int = 1) -> Tensor:
     """concat_h softmax(q_h k_hᵀ / √dh) v_h as one tape entry.
 
-    Head h owns columns h*dh:(h+1)*dh of q, k and v. Every head runs in one
-    batched (heads, n, ·) matmul.
+    Head h owns columns h*dh:(h+1)*dh of q, k and v. With `groups` the rows
+    are that many stacked attentions of equal size: group g's queries (rows
+    g*n:(g+1)*n of q) attend to group g's keys and values only. Every group
+    and head runs in one batched (groups, heads, n, ·) matmul.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     if v.shape != k.shape:
         raise ShapeError(f"attention: value shape {v.shape} != key shape {k.shape}")
-    qh, kt, scale, weights = _head_softmax(q.data, k.data, heads)
-    vh = _split_heads(v.data, heads)
+    qh, kt, scale, weights = _head_softmax(q.data, k.data, heads, groups)
+    vh = _split_heads(v.data, heads, groups)
     out = _merge_heads(weights @ vh)
 
     def backward(g):
-        gh = _split_heads(g, heads)
-        dw = gh @ vh.transpose(0, 2, 1)
-        dot = (dw * weights).sum(axis=2, keepdims=True)
+        gh = _split_heads(g, heads, groups)
+        dw = gh @ vh.swapaxes(2, 3)
+        dot = (dw * weights).sum(axis=3, keepdims=True)
         dlogits = ((dw - dot) * weights) * scale
-        return (_merge_heads(dlogits @ kt.transpose(0, 2, 1)),
-                _merge_heads((qh.transpose(0, 2, 1) @ dlogits).transpose(0, 2, 1)),
-                _merge_heads(weights.transpose(0, 2, 1) @ gh))
+        return (_merge_heads(dlogits @ kt.swapaxes(2, 3)),
+                _merge_heads((qh.swapaxes(2, 3) @ dlogits).swapaxes(2, 3)),
+                _merge_heads(weights.swapaxes(2, 3) @ gh))
 
     return _make(out, (q, k, v), backward, "attention_heads")
+
+
+def group_mean(a, groups: int) -> Tensor:
+    """Row mean of each of `groups` equal row blocks: (groups*n, d) -> (groups, d)."""
+    a = _coerce(a)
+    if a.data.ndim != 2 or groups < 1 or a.shape[0] % groups:
+        raise ShapeError(f"group_mean: shape {a.shape} does not split into {groups} groups")
+    n = a.shape[0] // groups
+    out = a.data.reshape(groups, n, a.shape[1]).mean(axis=1)
+
+    def backward(g):
+        return (np.repeat(g / n, n, axis=0),)
+
+    return _make(out, (a,), backward, "group_mean")
 
 
 def layer_norm(a, gain: Tensor | None = None, bias: Tensor | None = None,

@@ -241,14 +241,17 @@ def flatten_cache(pipeline: Pipeline, corpus: Corpus) -> list[dict]:
 
 
 def action_accuracy(pipeline: Pipeline, cache: list[dict]) -> dict:
-    """Per-dimension top-1 bin accuracy over cached frames."""
+    """Per-dimension top-1 bin accuracy over cached frames, decoded in chunks
+    of `batch_frames` so that memory peaks as in a training step."""
     hits = np.zeros(ACTION_DIMS)
+    size = pipeline.cfg.batch_frames
     with T.no_grad():
-        for entry in cache:
-            logits = pipeline.stage2_logits(entry)
-            pred = np.argmax(logits.data, axis=1)
-            truth = action_to_bins(entry["action"], pipeline.cfg.action_bins)
-            hits += pred == truth
+        for lo in range(0, len(cache), size):
+            chunk = cache[lo:lo + size]
+            logits = pipeline.stage2_logits(chunk)
+            pred = np.argmax(logits.data, axis=1).reshape(len(chunk), ACTION_DIMS)
+            truth = [action_to_bins(e["action"], pipeline.cfg.action_bins) for e in chunk]
+            hits += (pred == np.array(truth)).sum(axis=0)
     per_dim = hits / max(len(cache), 1)
     return {"per_dim": per_dim, "min": float(per_dim.min()),
             "mean": float(per_dim.mean())}
@@ -256,6 +259,12 @@ def action_accuracy(pipeline: Pipeline, cache: list[dict]) -> dict:
 
 def train_stage2(cfg: RunConfig, stage1_ckpt: str | Path, data_dir: str | Path,
                  out_dir: str | Path, val_dir: str | Path | None = None) -> dict:
+    """Behaviour cloning of relations and decoder on frozen stage-1 features.
+
+    Each step decodes `batch_frames` cached frames as one graph. Stage 2
+    always starts from the stage-1 checkpoint: it writes its own checkpoint
+    only when it ends and cannot resume.
+    """
     out_dir = Path(out_dir)
     pipeline = Pipeline(cfg)
     pipeline.stage1_params().load_state(load_checkpoint(stage1_ckpt))
@@ -277,15 +286,13 @@ def train_stage2(cfg: RunConfig, stage1_ckpt: str | Path, data_dir: str | Path,
         log.write("step,action_ce\n")
         for step in range(cfg.stage2_iters):
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7002, step]))
-            picks = rng.integers(0, len(cache), size=cfg.batch_frames)
+            batch = [cache[int(pick)]
+                     for pick in rng.integers(0, len(cache), size=cfg.batch_frames)]
+            bins = np.concatenate([action_to_bins(e["action"], cfg.action_bins)
+                                   for e in batch])
             with T.fresh_tape() as tape:
-                terms = []
-                for pick in picks:
-                    entry = cache[int(pick)]
-                    logits = pipeline.stage2_logits(entry)
-                    bins = action_to_bins(entry["action"], cfg.action_bins)
-                    terms.append(action_ce(logits, bins))
-                loss = T.mul(T.add_all(terms), 1.0 / (len(picks) * ACTION_DIMS))
+                loss = T.mul(action_ce(pipeline.stage2_logits(batch), bins),
+                             1.0 / bins.size)
                 opt.zero_grad()
                 tape.backward(loss)
             opt.step()

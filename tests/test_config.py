@@ -36,7 +36,7 @@ def test_one_stage2_step_reaches_every_stage2_parameter(subset):
     pipeline = Pipeline(cfg)
     entry = pipeline.encode_episode_cache(episode.frames[:1], episode_key=5)[0]
     with T.fresh_tape() as tape:
-        logits = pipeline.stage2_logits(entry)
+        logits = pipeline.stage2_logits([entry])
         tape.backward(action_ce(logits, action_to_bins(entry["action"], cfg.action_bins)))
     assert [name for name, t in pipeline.stage2_params().items() if t.grad is None] == []
     assert all(t.grad is None for t in pipeline.stage1_params().tensors())

@@ -121,7 +121,7 @@ def test_stage2_losses_validation_and_parameters(run):
     assert run["stage2_csv"] == "step,action_ce\n0,6.541984\n1,5.821219\n"
     assert run["stage2_history"] == [
         {"step": 2, "min_acc": 0.0, "mean_acc": 0.017857142857142856}]
-    assert run["stage2_params"] == "d3d26549e5ced356"
+    assert run["stage2_params"] == "76d9f247ae36bffc"
 
 
 def test_feature_cache_has_one_entry_per_frame_and_fixed_bytes(run):

@@ -144,6 +144,68 @@ class TestAttentionHeads:
                               Tensor(np.zeros((3, 4))), 2)
 
 
+class TestGroupedRows:
+    """`attention_heads(..., groups)` and `group_mean` on row-stacked blocks."""
+
+    def test_grouped_attention_gradient_vs_finite_differences(self):
+        rng = np.random.default_rng(40)
+        q = rand_tensor(rng, 3 * 2, 8)
+        k, v = rand_tensor(rng, 3 * 4, 8), rand_tensor(rng, 3 * 4, 8)
+        w = Tensor(rng.standard_normal((6, 8)))
+        err = T.finite_diff_check(
+            lambda: T.sum_(T.mul(T.attention_heads(q, k, v, 2, groups=3), w)), [q, k, v])
+        assert err <= 1e-4
+
+    def test_grouped_attention_matches_each_group_alone(self):
+        rng = np.random.default_rng(41)
+        data = [rng.standard_normal(shape) for shape in ((3 * 2, 8), (3 * 5, 8), (3 * 5, 8))]
+        weight = Tensor(rng.standard_normal((6, 8)))
+
+        def one_graph(q, k, v):
+            return T.attention_heads(q, k, v, 2, groups=3)
+
+        def per_group(q, k, v):
+            return T.concat([T.attention_heads(T.gather_rows(q, range(2 * g, 2 * g + 2)),
+                                               T.gather_rows(k, range(5 * g, 5 * g + 5)),
+                                               T.gather_rows(v, range(5 * g, 5 * g + 5)), 2)
+                             for g in range(3)], axis=0)
+
+        results = []
+        for attend in (per_group, one_graph):
+            q, k, v = (Tensor(x, requires_grad=True) for x in data)
+            with T.fresh_tape() as tape:
+                out = attend(q, k, v)
+                tape.backward(T.sum_(T.mul(out, weight)))
+            results.append([out.data] + [t.grad for t in (q, k, v)])
+        assert_all_close(results[1], results[0])
+
+    def test_group_mean_gradient_vs_finite_differences(self):
+        rng = np.random.default_rng(42)
+        x = rand_tensor(rng, 4 * 3, 5)
+        w = Tensor(rng.standard_normal((4, 5)))
+        assert T.finite_diff_check(lambda: T.sum_(T.mul(T.group_mean(x, 4), w)), [x]) <= 1e-4
+
+    def test_group_mean_is_the_mean_of_each_block(self):
+        x = np.random.default_rng(43).standard_normal((4 * 3, 5))
+        out = T.group_mean(Tensor(x), 4).data
+        assert out.shape == (4, 5)
+        np.testing.assert_allclose(out, x.reshape(4, 3, 5).mean(axis=1), rtol=0, atol=1e-15)
+
+    def test_one_tape_entry_each(self):
+        rng = np.random.default_rng(44)
+        x = rand_tensor(rng, 6, 8)
+        with T.fresh_tape() as tape:
+            T.group_mean(T.attention_heads(x, x, x, 2, groups=3), 3)
+        assert len(tape) == 2
+
+    def test_rows_that_do_not_split_into_groups_raise(self):
+        x = Tensor(np.zeros((4, 8)))
+        with pytest.raises(ShapeError, match="do not split into 3 groups"):
+            T.attention_heads(x, x, x, 2, groups=3)
+        with pytest.raises(ShapeError, match="does not split into 3 groups"):
+            T.group_mean(x, 3)
+
+
 def graph_gru_cell(inputs, states, p):
     """The 20-entry graph that the fused `nn.gru_cell` replaced, op for op."""
     z = T.sigmoid(T.linear(inputs, p.w_update) + T.linear(states, p.u_update) + p.b_update)
