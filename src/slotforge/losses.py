@@ -320,8 +320,8 @@ def track_loss(embeddings: Tensor, labels: np.ndarray, frames: np.ndarray,
     skipped = int(np.count_nonzero(candidates & ~has_pos))
     if not anchors.size:
         return Tensor(0.0), 0, skipped
-    sims = T.mul(T.matmul(cosine_rows(embeddings), T.transpose(cosine_rows(embeddings))),
-                 1.0 / tau)
+    unit = cosine_rows(embeddings)
+    sims = T.mul(T.matmul(unit, T.transpose(unit)), 1.0 / tau)
     rows = sims.data[anchors]
     # each anchor row's entries in lse(all pairs), then in lse(positives)
     masks = np.stack([pos[anchors] | ~same[anchors], pos[anchors]])

@@ -173,8 +173,8 @@ def graph_giou_pairs(pred, gt):
 
 def graph_track_loss(embeddings, labels, frames, tau=0.1, window=2):
     """The former track_loss: about ten tape ops per anchor."""
-    sims = T.mul(T.matmul(losses.cosine_rows(embeddings),
-                          T.transpose(losses.cosine_rows(embeddings))), 1.0 / tau)
+    unit = losses.cosine_rows(embeddings)
+    sims = T.mul(T.matmul(unit, T.transpose(unit)), 1.0 / tau)
     per_anchor, skipped = [], 0
     for a in range(embeddings.shape[0]):
         if labels[a] < 0:
@@ -477,7 +477,8 @@ class TestTrackLossOp:
         labels, frames = map(np.array, TRACK_CASES["labeled"][:2])
         x = Tensor(np.random.default_rng(4).standard_normal((9, 4)), requires_grad=True)
         with T.fresh_tape() as sims_tape:
-            T.mul(T.matmul(losses.cosine_rows(x), T.transpose(losses.cosine_rows(x))), 10.0)
+            unit = losses.cosine_rows(x)
+            T.mul(T.matmul(unit, T.transpose(unit)), 10.0)
         with T.fresh_tape() as tape:
             track_loss(x, labels, frames)
         assert len(tape) == len(sims_tape) + 1

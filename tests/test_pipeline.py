@@ -108,9 +108,9 @@ def test_stage1_losses_validation_and_parameters(run):
         "2,7.973421,0.734628,0.753817,3.982559,0.880401,11.966233\n"
         "3,6.309332,0.756188,0.757080,3.949365,0.879445,10.298634\n")
     assert run["stage1_history"] == [
-        {"iou": 0.022497982162381736, "auc": 0.4860220797720798, "step": 2},
-        {"iou": 0.018426155055107273, "auc": 0.484107905982906, "step": 4}]
-    assert run["stage1_params"] == "75cdebc809901cda"
+        {"iou": 0.02249798216238172, "auc": 0.4860220797720798, "step": 2},
+        {"iou": 0.018426155055107234, "auc": 0.484107905982906, "step": 4}]
+    assert run["stage1_params"] == "fe927fb6e70c971d"
 
 
 def test_flip_rate_with_and_without_carryover(run):
@@ -121,12 +121,12 @@ def test_stage2_losses_validation_and_parameters(run):
     assert run["stage2_csv"] == "step,action_ce\n0,6.541984\n1,5.821219\n"
     assert run["stage2_history"] == [
         {"step": 2, "min_acc": 0.0, "mean_acc": 0.017857142857142856}]
-    assert run["stage2_params"] == "76d9f247ae36bffc"
+    assert run["stage2_params"] == "0ae76258d09fd51a"
 
 
 def test_feature_cache_has_one_entry_per_frame_and_fixed_bytes(run):
     assert run["cache_len"] == (42, 42)
-    assert run["cache"] == "b16625f705b27346"
+    assert run["cache"] == "2db1ed7493fafc5c"
 
 
 def test_rollouts_and_policy_steps(run):
@@ -141,7 +141,7 @@ def test_rollouts_and_policy_steps(run):
         "robot put the blue square on the green square,1,0.000\n"
         "robot put the green square on the red circle,1,0.000\n"
         "average,2,0.000\n")
-    assert run["policy"] == "601e9ebc7648a3c0"
+    assert run["policy"] == "4b50a3d7fd99db6d"
 
 
 def test_inspect_report(run):
