@@ -35,7 +35,8 @@ COLUMN_EPS = 1e-8
 @dataclass
 class AttentionMaps:
     """Per-step normalized attention: rows of `attn` sum to 1 over slots,
-    columns of `weights` sum to 1 over input tokens."""
+    columns of `weights` sum to 1 over input tokens. The arrays are the ones
+    the slot-attention backward reads, so they are read-only."""
 
     attn: np.ndarray
     weights: np.ndarray
@@ -117,7 +118,8 @@ class SlotAttention:
         new_slots = gru_cell(update, slots, self.gru)
         if self.residual_mlp:
             new_slots = T.add(new_slots, mlp(T.layer_norm(new_slots), self.mlp))
-        return new_slots, AttentionMaps(attn.copy(), weights.copy())
+        attn.flags.writeable = weights.flags.writeable = False
+        return new_slots, AttentionMaps(attn, weights)
 
     def encode_frame(self, dense: DenseTokens, prev: Tensor | None,
                      rng_seed: int) -> tuple[Tensor, AttentionMaps]:

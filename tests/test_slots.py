@@ -187,6 +187,15 @@ class TestRefineStep:
             assert np.all(np.abs(maps.attn.sum(axis=1) - 1.0) <= 1e-9)
             assert np.all(np.abs(maps.weights.sum(axis=0) - 1.0) <= 1e-9)
 
+    def test_maps_are_read_only(self):
+        # they are the arrays the backward of the step reads, not copies
+        attn = make_attn()
+        dense = dense_from(np.random.default_rng(6))
+        _, maps = attn.refine_step(attn.init_slots(None, rng_seed=3), *project(attn, dense))
+        for arr in (maps.attn, maps.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 0.0
+
     def test_full_step_gradient_all_params(self):
         attn = make_attn(d=6, slots=3, steps=1)
         rng = np.random.default_rng(5)
