@@ -46,8 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--resume", type=Path, default=None)
 
-    p = sub.add_parser("train2", help="behavior-clone the action decoder; always "
-                       "starts from the stage-1 checkpoint and cannot resume")
+    p = sub.add_parser("train2", help="behavior-clone the action decoder",
+                       description="Behavior-clone the action decoder. Stage 2 always "
+                       "starts from the --stage1 checkpoint and cannot resume.")
     common(p)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--val", type=Path, default=None)

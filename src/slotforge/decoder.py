@@ -7,10 +7,8 @@ encoder processes the bundle; mean-pooled features feed seven parallel
 classification heads, one per control dimension, over uniform bins spanning
 [-1, 1]. Executed actions come from per-dimension greedy argmax.
 
-A batch of B frames is one graph: their bundles are stacked as row blocks
-of equal length, `(B·L, width)`, attention runs within each block
-(`groups=B`) and pooling is per block. The logits come back as `(B·7, bins)`,
-frame-major: rows 7b..7b+6 belong to frame b.
+A batch of B frames is one graph of bundles stacked as equal row blocks; attention
+(`groups=B`) and pooling run per block, and logits are (B·7, bins), frame-major.
 """
 
 from __future__ import annotations
@@ -69,32 +67,26 @@ class ActionDecoder:
 
     def assemble_bundle(self, objects: Tensor, relations: Tensor | None,
                         language: Tensor, proprio: np.ndarray) -> Tensor:
-        """Decoder input of B frames, one row per proprio vector: each frame's
-        bundle [objects; relations; language; proprio] in turn. Each part
-        stacks its B frames' rows frame by frame, in equal blocks."""
+        """Decoder input of B frames, one per proprio row: each frame's bundle [objects;
+        relations; language; proprio] in turn. Every part stacks B equal row blocks."""
         proprio = np.atleast_2d(np.asarray(proprio, dtype=np.float64))
         if proprio.ndim != 2 or proprio.shape[1] != self.proprio_dim:
             raise ShapeError(f"proprio has shape {proprio.shape}, "
                              f"expected (frames, {self.proprio_dim})")
-        groups = proprio.shape[0]
         o_tokens = T.linear(Tensor(proprio), self.proprio_w, self.proprio_b)
-        parts = [(objects, 0), (relations, 1), (language, 2), (o_tokens, 3)]
-        parts = [(part, seg) for part, seg in parts if part is not None]
-        if any(part.shape[0] % groups for part, _ in parts):
-            raise ShapeError(f"bundle parts of {[p.shape[0] for p, _ in parts]} rows "
-                             f"do not split into {groups} frames")
-        sizes = [part.shape[0] // groups for part, _ in parts]
-        # row indices of each part in the stack, one row of the grid per frame
-        starts = np.cumsum([0] + sizes[:-1]) * groups
-        order = np.concatenate([start + np.arange(groups * size).reshape(groups, size)
-                                for start, size in zip(starts, sizes)], axis=1).reshape(-1)
-        segments = np.tile(np.repeat([seg for _, seg in parts], sizes), groups)
-        stacked = T.gather_rows(T.concat([part for part, _ in parts], axis=0), order)
-        return T.add(stacked, T.gather_rows(self.segments, segments))
+        parts = [(seg, part) for seg, part in enumerate((objects, relations, language, o_tokens))
+                 if part is not None]
+        # each part's rows as a (frames, rows per frame) grid, joined frame by frame;
+        # the reshape fails loudly on a part that does not split into equal blocks
+        ends = np.cumsum([part.shape[0] for _, part in parts])
+        order = np.concatenate([np.arange(end - part.shape[0], end).reshape(len(proprio), -1)
+                                for (_, part), end in zip(parts, ends)], axis=1).reshape(-1)
+        segments = np.repeat([seg for seg, _ in parts], [part.shape[0] for _, part in parts])
+        stacked = T.gather_rows(T.concat([part for _, part in parts], axis=0), order)
+        return T.add(stacked, T.gather_rows(self.segments, segments[order]))
 
     def decode_actions(self, bundle: Tensor, groups: int = 1) -> Tensor:
-        """Per-dimension bin logits of `groups` stacked bundles, (groups·7, bins),
-        frame-major."""
+        """Per-dimension bin logits of `groups` stacked bundles, (groups·7, bins)."""
         x = bundle
         for block in self.blocks:
             x = self_attention_block(x, block, groups)

@@ -4,10 +4,9 @@ All blocks are plain containers of named parameter Tensors plus pure forward
 functions. Residual branches are pre-normalized, so zeroing a branch's output
 projection makes the whole block an exact identity. Multi-head attention is
 three projections, one `tensor.attention_heads` op that holds every head,
-and the output projection: five tape entries per call. The attention blocks
-take `groups`: with groups=B, queries and context are B row-stacked
-sequences of equal length, each attending only within its own block, and
-every other op of the block is row-wise. The default of 1 is one sequence.
+and the output projection: five tape entries per call. With `groups=B` the
+attention blocks take B sequences of equal length stacked as row blocks; each
+attends within its own block, and every other op is row-wise.
 
 Parameters name themselves: `ParamGroup.collect` keys each trainable Tensor
 by its attribute path (`filter.bca_slots.attn.wq`), so renaming an attribute
@@ -190,8 +189,7 @@ class MhaParams:
 
 def multi_head_attention(queries: Tensor, context: Tensor, p: MhaParams,
                          groups: int = 1) -> Tensor:
-    """Scaled dot-product cross-attention; rows of `queries` attend to `context`,
-    group by group."""
+    """Scaled dot-product cross-attention; rows of `queries` attend to `context`."""
     heads = T.attention_heads(T.matmul(queries, p.wq), T.matmul(context, p.wk),
                               T.matmul(context, p.wv), p.heads, groups)
     return T.matmul(heads, p.wo)

@@ -13,10 +13,8 @@ one place that decides carryover: a frame starts from the previous frame's
 slots, when there are any, if `carryover_on` is set and `t > 0`, and from a
 fresh seeded draw otherwise.
 `Pipeline.select` is the one task-filter call, and stage-2 logits and the
-policy step share one decode tail. Stage 2 decodes a batch of cached frames
-as one graph: their tokens are stacked as row blocks and relations and the
-decoder attend within each frame's block; the policy step is the case of one
-frame.
+policy step share one decode tail, which decodes frames stacked as row blocks
+in one graph: a stage-2 batch, or the one frame of a policy step.
 """
 
 from __future__ import annotations
@@ -215,8 +213,7 @@ class Pipeline:
     def _logits(self, dense: DenseTokens, objects: Tensor, tasks: list[str],
                 proprio: np.ndarray) -> Tensor:
         """Relations, language and proprio around the kept slots, then decoding,
-        for len(tasks) frames whose dense tokens, kept slots and proprio rows
-        are stacked frame by frame: (frames·7, bins) logits, frame-major."""
+        of len(tasks) frames stacked frame by frame; logits are frame-major."""
         groups = len(tasks)
         rel = self.relations(dense, objects, groups) if self.cfg.relations_on else None
         # tokenize splits on whitespace: the joined string embeds each task in turn
@@ -225,19 +222,17 @@ class Pipeline:
         return self.decoder.decode_actions(bundle, groups)
 
     def stage2_logits(self, entries: list[dict]) -> Tensor:
-        """Logits of cached frames decoded as one row-stacked graph,
-        (len(entries)·7, bins), frame-major. Rows group by frame only when every
-        bundle has one length, so a batch of mixed lengths is a ShapeError."""
+        """Logits of cached frames as one row-stacked graph, (frames·7, bins).
+        Bundles of mixed length cannot be grouped: that is a ShapeError."""
         extra = (self.cfg.num_relations if self.cfg.relations_on else 0) + 1
         lengths = [len(e["slots"]) + len(e["task"].split()) + extra for e in entries]
         if len(set(lengths)) > 1:
             raise ShapeError(f"stage-2 bundles differ in length: {lengths}")
-        # row-major token grids stacked frame by frame form one grid B times as tall
+        stack = {key: np.concatenate([e[key] for e in entries]) for key in ("dense", "slots")}
+        # token grids stacked frame by frame make one grid len(entries) times as tall
         grid_h, grid_w = entries[0]["grid"]
-        dense = DenseTokens(Tensor(np.concatenate([e["dense"] for e in entries])),
-                            grid_h * len(entries), grid_w)
-        return self._logits(dense, Tensor(np.concatenate([e["slots"] for e in entries])),
-                            [e["task"] for e in entries],
+        dense = DenseTokens(Tensor(stack["dense"]), grid_h * len(entries), grid_w)
+        return self._logits(dense, Tensor(stack["slots"]), [e["task"] for e in entries],
                             np.stack([e["proprio"] for e in entries]))
 
     # ------------------------------------------------------------------

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import tensor as T
 from .frontend import DenseTokens
 from .nn import (CrossAttentionBlockParams, ParamGroup, attention_weights,
                  cross_attention_block, param)
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, gather_rows
 
 
 class RelationEncoder:
@@ -30,15 +29,14 @@ class RelationEncoder:
         return ParamGroup().collect("relations", self)
 
     def __call__(self, dense: DenseTokens, slots: Tensor, groups: int = 1) -> Tensor:
-        """Relation tokens of `groups` frames whose dense tokens and slots are
-        stacked frame by frame: (groups·num_relations, width), frame-major."""
+        """(groups·num_relations, width) tokens of `groups` row-stacked frames."""
         if slots.shape[0] == 0:
             raise ShapeError("relation encoding requires a non-empty slot set")
         if slots.shape[1] != self.width or dense.tokens.shape[1] != self.width:
             raise ShapeError(
                 f"width mismatch: queries {self.width}, tokens {dense.tokens.shape[1]}, "
                 f"slots {slots.shape[1]}")
-        queries = T.gather_rows(self.queries, np.tile(np.arange(self.num_relations), groups))
+        queries = gather_rows(self.queries, np.tile(np.arange(self.num_relations), groups))
         visual = cross_attention_block(queries, dense.tokens, self.visual_cab, groups)
         return cross_attention_block(visual, slots, self.slot_cab, groups)
 

@@ -35,8 +35,7 @@ COLUMN_EPS = 1e-8
 @dataclass
 class AttentionMaps:
     """Per-step normalized attention: rows of `attn` sum to 1 over slots,
-    columns of `weights` sum to 1 over input tokens. The arrays are the ones
-    the slot-attention backward reads, so they are read-only."""
+    columns of `weights` sum to 1 over input tokens; read-only, as the backward reads them."""
 
     attn: np.ndarray
     weights: np.ndarray

@@ -16,10 +16,9 @@ Broadcasting is limited to: equal shapes, scalars, a trailing row vector
 
 Multi-head attention is one fused op, `attention_heads(q, k, v, heads,
 groups)`: the heads are a reshape inside it, not separate graph nodes, so one
-attention costs one tape entry whatever the head count. Its `groups`
-argument runs equal-sized attentions stacked as row blocks, `(B·L, d)`, in
-the same entry, so a batch of B sequences stays rank 2; `group_mean` pools
-such a stack to `(B, d)` in one entry. Row-wise ops need no grouping. Likewise
+attention costs one tape entry whatever the head count. With groups=B it runs
+B equal-sized attentions stacked as row blocks, `(B·L, d)`, so a batch stays
+rank 2; `group_mean` pools each block in one entry. Likewise
 `linear(x, w, b)` with a bias is one entry, not a matmul and an add, and
 `abs_` is one entry. `primitive` records a numpy forward with a hand-written
 backward as one entry for ops that live beside their callers: the GIoU of
@@ -399,19 +398,12 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     return _make(out, (a,), backward, "sum")
 
 
-def mean(a, axis=None, keepdims: bool = False) -> Tensor:
+def mean(a) -> Tensor:
+    """Mean of every element, a scalar; `group_mean` pools row blocks."""
     a = _coerce(a)
-    _axis_check(a, axis)
-    n = a.data.size if axis is None else a.shape[axis]
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g / n, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg / n, a.shape).copy(),)
-
-    return _make(out, (a,), backward, "mean")
+    n = a.data.size
+    return _make(a.data.mean(), (a,), lambda g: (np.broadcast_to(g / n, a.shape).copy(),),
+                 "mean")
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -431,8 +423,7 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 
 def _split_heads(x: np.ndarray, heads: int, groups: int) -> np.ndarray:
-    """(groups*n, heads*dh) -> contiguous (groups, heads, n, dh); group g owns rows
-    g*n:(g+1)*n and head h owns columns h*dh:(h+1)*dh."""
+    """(groups*n, heads*dh) -> contiguous (groups, heads, n, dh); blocks of n rows."""
     rows, d = x.shape
     return np.ascontiguousarray(
         x.reshape(groups, rows // groups, heads, d // heads).transpose(0, 2, 1, 3))
@@ -446,8 +437,7 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 def _head_softmax(q: np.ndarray, k: np.ndarray, heads: int, groups: int):
     """The one head computation: (q split into groups and heads, k_hᵀ per group
-    and head, scale, weights softmax(q_h k_hᵀ · scale) of shape
-    (groups, heads, n, m)). Queries of group g attend to keys of group g only."""
+    and head, scale, weights softmax(q_h k_hᵀ · scale) of shape (groups, heads, n, m))."""
     if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1]:
         raise ShapeError(f"attention: query shape {q.shape} and key shape {k.shape} "
                          "differ in width")
@@ -456,12 +446,9 @@ def _head_softmax(q: np.ndarray, k: np.ndarray, heads: int, groups: int):
     if groups < 1 or q.shape[0] % groups or k.shape[0] % groups:
         raise ShapeError(f"attention: {q.shape[0]} query and {k.shape[0]} key rows "
                          f"do not split into {groups} groups")
-    rows, d = k.shape
-    dh = d // heads
-    scale = 1.0 / np.sqrt(dh)
+    scale = 1.0 / np.sqrt(k.shape[1] // heads)
     qh = _split_heads(q, heads, groups)
-    kt = np.ascontiguousarray(
-        k.reshape(groups, rows // groups, heads, dh).transpose(0, 2, 3, 1))
+    kt = np.ascontiguousarray(_split_heads(k, heads, groups).swapaxes(2, 3))
     with np.errstate(all="ignore"):
         logits = check_finite((qh @ kt) * scale, "attention logits")
     e = np.exp(logits - logits.max(axis=3, keepdims=True))
@@ -476,10 +463,9 @@ def attention_head_weights(q: Tensor, k: Tensor, heads: int) -> np.ndarray:
 def attention_heads(q, k, v, heads: int, groups: int = 1) -> Tensor:
     """concat_h softmax(q_h k_hᵀ / √dh) v_h as one tape entry.
 
-    Head h owns columns h*dh:(h+1)*dh of q, k and v. With `groups` the rows
-    are that many stacked attentions of equal size: group g's queries (rows
-    g*n:(g+1)*n of q) attend to group g's keys and values only. Every group
-    and head runs in one batched (groups, heads, n, ·) matmul.
+    Head h owns columns h*dh:(h+1)*dh of q, k and v; the rows of each are
+    `groups` equal blocks, and block g of q attends to block g of k and v only.
+    Every group and head runs in one batched (groups, heads, n, ·) matmul.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     if v.shape != k.shape:
@@ -506,12 +492,8 @@ def group_mean(a, groups: int) -> Tensor:
     if a.data.ndim != 2 or groups < 1 or a.shape[0] % groups:
         raise ShapeError(f"group_mean: shape {a.shape} does not split into {groups} groups")
     n = a.shape[0] // groups
-    out = a.data.reshape(groups, n, a.shape[1]).mean(axis=1)
-
-    def backward(g):
-        return (np.repeat(g / n, n, axis=0),)
-
-    return _make(out, (a,), backward, "group_mean")
+    return _make(a.data.reshape(groups, n, a.shape[1]).mean(axis=1), (a,),
+                 lambda g: (np.repeat(g / n, n, axis=0),), "group_mean")
 
 
 def layer_norm(a, gain: Tensor | None = None, bias: Tensor | None = None,

@@ -241,17 +241,14 @@ def flatten_cache(pipeline: Pipeline, corpus: Corpus) -> list[dict]:
 
 
 def action_accuracy(pipeline: Pipeline, cache: list[dict]) -> dict:
-    """Per-dimension top-1 bin accuracy over cached frames, decoded in chunks
-    of `batch_frames` so that memory peaks as in a training step."""
+    """Per-dimension top-1 bin accuracy over cached frames, `batch_frames` at a time."""
     hits = np.zeros(ACTION_DIMS)
     size = pipeline.cfg.batch_frames
     with T.no_grad():
-        for lo in range(0, len(cache), size):
-            chunk = cache[lo:lo + size]
-            logits = pipeline.stage2_logits(chunk)
-            pred = np.argmax(logits.data, axis=1).reshape(len(chunk), ACTION_DIMS)
+        for chunk in (cache[lo:lo + size] for lo in range(0, len(cache), size)):
+            pred = np.argmax(pipeline.stage2_logits(chunk).data, axis=1)
             truth = [action_to_bins(e["action"], pipeline.cfg.action_bins) for e in chunk]
-            hits += (pred == np.array(truth)).sum(axis=0)
+            hits += (pred.reshape(len(chunk), ACTION_DIMS) == truth).sum(axis=0)
     per_dim = hits / max(len(cache), 1)
     return {"per_dim": per_dim, "min": float(per_dim.min()),
             "mean": float(per_dim.mean())}
@@ -259,12 +256,9 @@ def action_accuracy(pipeline: Pipeline, cache: list[dict]) -> dict:
 
 def train_stage2(cfg: RunConfig, stage1_ckpt: str | Path, data_dir: str | Path,
                  out_dir: str | Path, val_dir: str | Path | None = None) -> dict:
-    """Behaviour cloning of relations and decoder on frozen stage-1 features.
-
-    Each step decodes `batch_frames` cached frames as one graph. Stage 2
-    always starts from the stage-1 checkpoint: it writes its own checkpoint
-    only when it ends and cannot resume.
-    """
+    """Behaviour cloning on frozen stage-1 features, `batch_frames` cached frames
+    per step as one graph. Stage 2 always starts from the stage-1 checkpoint,
+    writes its own only when it ends, and cannot resume."""
     out_dir = Path(out_dir)
     pipeline = Pipeline(cfg)
     pipeline.stage1_params().load_state(load_checkpoint(stage1_ckpt))
@@ -286,13 +280,11 @@ def train_stage2(cfg: RunConfig, stage1_ckpt: str | Path, data_dir: str | Path,
         log.write("step,action_ce\n")
         for step in range(cfg.stage2_iters):
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7002, step]))
-            batch = [cache[int(pick)]
-                     for pick in rng.integers(0, len(cache), size=cfg.batch_frames)]
+            batch = [cache[int(i)] for i in rng.integers(0, len(cache), size=cfg.batch_frames)]
             bins = np.concatenate([action_to_bins(e["action"], cfg.action_bins)
                                    for e in batch])
             with T.fresh_tape() as tape:
-                loss = T.mul(action_ce(pipeline.stage2_logits(batch), bins),
-                             1.0 / bins.size)
+                loss = T.mul(action_ce(pipeline.stage2_logits(batch), bins), 1.0 / bins.size)
                 opt.zero_grad()
                 tape.backward(loss)
             opt.step()
