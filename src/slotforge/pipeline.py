@@ -41,15 +41,13 @@ from .world import FrameRecord
 
 def frame_targets(record: FrameRecord, patch_size: int) -> FrameTargets:
     """Boxes, patch-grid masks (cells at least half covered), relevance flags."""
-    boxes = np.stack([inst.box for inst in record.instances])
-    size = record.rgb.shape[0]
-    g = size // patch_size
-    masks = []
-    for inst in record.instances:
-        cells = inst.mask.reshape(g, patch_size, g, patch_size).mean(axis=(1, 3))
-        masks.append((cells >= 0.5).astype(np.float64).reshape(-1))
+    k = len(record.instances)
+    g = record.instance_map.shape[0] // patch_size
+    masks = record.instance_map == np.arange(1, k + 1)[:, None, None]
+    cells = masks.reshape(k, g, patch_size, g, patch_size).mean(axis=(2, 4))
     return FrameTargets(
-        boxes=boxes, grid_masks=np.stack(masks),
+        boxes=np.stack([inst.box for inst in record.instances]),
+        grid_masks=(cells >= 0.5).astype(np.float64).reshape(k, -1),
         relevance=np.array([float(inst.relevant) for inst in record.instances]),
         instance_ids=[inst.instance_id for inst in record.instances])
 

@@ -2,9 +2,11 @@
 
 Every episode is a scripted pick-and-place: the gripper approaches one
 sprite, grasps it, carries it onto a larger target sprite, and releases.
-Frames come with per-instance masks, mask-tight boxes, stable instance ids,
-task-relevance flags derived from the templated task string, proprioception,
-and the executed action. Identical seeds reproduce episodes bitwise.
+Frames come with an instance map (0 for background, i + 1 for instance i;
+painter's order gives each pixel one owner), mask-tight boxes, stable
+instance ids, task-relevance flags derived from the templated task string,
+proprioception, and the executed action. Identical seeds reproduce episodes
+bitwise.
 
 Sprite sizes are tiered (robot < carried < distractor < target) so a moving
 sprite can never fully occlude another: visible masks stay non-empty and
@@ -116,7 +118,6 @@ class InstanceRecord:
     instance_id: str
     box: np.ndarray        # cxcywh normalized
     relevant: bool
-    mask: np.ndarray       # bool HxW
 
 
 @dataclass
@@ -127,6 +128,7 @@ class FrameRecord:
     proprio: np.ndarray    # gripper x, y, spare, open/close
     instances: list[InstanceRecord]
     rgb: np.ndarray        # HxWx3 float in [0,1], exact multiples of 1/255
+    instance_map: np.ndarray  # uint8 HxW: 0 background, i + 1 for instances[i]
 
 
 @dataclass
@@ -369,10 +371,11 @@ class World:
             ])
             instances.append(InstanceRecord(
                 instance_id=sprite.instance_id, box=box,
-                relevant=sprite.noun in nouns, mask=mask))
+                relevant=sprite.noun in nouns))
         return FrameRecord(t=self.t, task=self.task,
                            action=np.asarray(action, dtype=np.float64),
-                           proprio=self.proprio(), instances=instances, rgb=rgb)
+                           proprio=self.proprio(), instances=instances, rgb=rgb,
+                           instance_map=(owner + 1).astype(np.uint8))
 
     def success(self) -> bool:
         """Carried sprite center inside the target sprite's extent."""
@@ -497,7 +500,8 @@ def generate_episode(seed: int, cfg: WorldConfig) -> Episode:
 
 
 # ---------------------------------------------------------------------------
-# serialization: one jsonl per episode, PGM mask / PPM frame sidecars
+# serialization: one jsonl per episode; each frame has a PPM image and a PGM
+# instance map beside it, so an episode is 2 files per frame plus 2
 
 
 def _fmt(x: float) -> str:
@@ -520,20 +524,20 @@ def serialize_episode(episode: Episode, out_dir: str | Path) -> Path:
     lines = []
     for frame in episode.frames:
         frame_file = f"{stem}/t{frame.t:03d}_rgb.ppm"
+        map_file = f"{stem}/t{frame.t:03d}_map.pgm"
         pnm.write_ppm(out_dir / frame_file,
                       np.round(frame.rgb * 255.0).astype(np.uint8))
-        inst_parts = []
-        for inst in frame.instances:
-            mask_file = f"{stem}/t{frame.t:03d}_{inst.instance_id}.pgm"
-            pnm.write_pgm(out_dir / mask_file, inst.mask.astype(np.uint8) * 255)
-            inst_parts.append(
-                '{"id":%s,"box":%s,"relevant":%s,"mask_file":%s}' % (
-                    json.dumps(inst.instance_id), _fmt_list(inst.box),
-                    "true" if inst.relevant else "false", json.dumps(mask_file)))
+        pnm.write_pgm(out_dir / map_file, frame.instance_map)
+        inst_parts = [
+            '{"id":%s,"box":%s,"relevant":%s}' % (
+                json.dumps(inst.instance_id), _fmt_list(inst.box),
+                "true" if inst.relevant else "false")
+            for inst in frame.instances]
         lines.append(
-            '{"t":%d,"task":%s,"action":%s,"proprio":%s,"frame_file":%s,"instances":[%s]}'
+            '{"t":%d,"task":%s,"action":%s,"proprio":%s,"frame_file":%s,"map_file":%s,'
+            '"instances":[%s]}'
             % (frame.t, json.dumps(frame.task), _fmt_list(frame.action),
-               _fmt_list(frame.proprio), json.dumps(frame_file),
+               _fmt_list(frame.proprio), json.dumps(frame_file), json.dumps(map_file),
                ",".join(inst_parts)))
     path = out_dir / f"{stem}.jsonl"
     path.write_text("\n".join(lines) + "\n")
@@ -576,7 +580,6 @@ def load_episode(path: str | Path) -> Episode:
                     instance_id=inst["id"],
                     box=np.asarray(inst["box"], dtype=np.float64),
                     relevant=bool(inst["relevant"]),
-                    mask=pnm.read_pgm(base / inst["mask_file"]) > 127,
                 )
                 for inst in rec["instances"]
             ]
@@ -584,7 +587,8 @@ def load_episode(path: str | Path) -> Episode:
                 t=int(rec["t"]), task=rec["task"],
                 action=np.asarray(rec["action"], dtype=np.float64),
                 proprio=np.asarray(rec["proprio"], dtype=np.float64),
-                instances=instances, rgb=rgb))
+                instances=instances, rgb=rgb,
+                instance_map=pnm.read_pgm(base / rec["map_file"])))
         except KeyError as exc:
             raise EpisodeParseError(f"{path}:{lineno}: missing field {exc}") from exc
         except (OSError, pnm.PnmError) as exc:
@@ -617,14 +621,13 @@ def validate_episode(episode: Episode, noop_eps: float = 1e-3) -> list[str]:
         ids = [inst.instance_id for inst in frame.instances]
         if ids != first_ids:
             errors.append(f"t={frame.t}: instance ids changed: {ids} != {first_ids}")
-        coverage = np.zeros(frame.rgb.shape[:2], dtype=np.int32)
         nouns = relevant_nouns(frame.task)
-        for inst in frame.instances:
-            coverage += inst.mask.astype(np.int32)
-            if not inst.mask.any():
+        for i, inst in enumerate(frame.instances):
+            mask = frame.instance_map == i + 1
+            if not mask.any():
                 errors.append(f"t={frame.t}: {inst.instance_id} has an empty mask")
                 continue
-            ys, xs = np.nonzero(inst.mask)
+            ys, xs = np.nonzero(mask)
             size = frame.rgb.shape[0]
             box_px = np.array([inst.box[0] * size - inst.box[2] * size / 2,
                                inst.box[1] * size - inst.box[3] * size / 2,
@@ -636,12 +639,10 @@ def validate_episode(episode: Episode, noop_eps: float = 1e-3) -> list[str]:
                               f"{np.abs(box_px - tight).max():.2f}px from its mask")
             if inst.box[2] <= 0 or inst.box[3] <= 0:
                 errors.append(f"t={frame.t}: {inst.instance_id} degenerate box")
-            expected = _noun_for_instance(inst.instance_id, frame, episode) in nouns
+            expected = _noun_for_instance(inst.instance_id, frame.rgb[ys[0], xs[0]]) in nouns
             if bool(inst.relevant) != expected:
                 errors.append(f"t={frame.t}: {inst.instance_id} relevance flag "
                               f"{inst.relevant} contradicts task string")
-        if (coverage > 1).any():
-            errors.append(f"t={frame.t}: instance masks overlap")
         if frame.action.shape != (7,) or np.abs(frame.action).max() > 1.0:
             errors.append(f"t={frame.t}: invalid action vector")
         if frame.t != frame_idx:
@@ -656,14 +657,12 @@ def validate_episode(episode: Episode, noop_eps: float = 1e-3) -> list[str]:
     return errors
 
 
-def _noun_for_instance(instance_id: str, frame: FrameRecord, episode: Episode) -> str:
-    """Recover the noun phrase for an instance from its id and pixel colors."""
+def _noun_for_instance(instance_id: str, pixel: np.ndarray) -> str:
+    """Recover the noun phrase for an instance from its id and one of its pixels."""
     if instance_id.startswith("robot"):
         return "robot"
     shape = instance_id.rstrip("0123456789")
-    inst = next(i for i in frame.instances if i.instance_id == instance_id)
-    ys, xs = np.nonzero(inst.mask)
-    rgb255 = np.round(frame.rgb[ys[0], xs[0]] * 255.0).astype(int)
+    rgb255 = np.round(pixel * 255.0).astype(int)
     for name, value in COLOR_VALUES.items():
         if tuple(rgb255) == value:
             return f"{name} {shape}"

@@ -20,10 +20,14 @@ def episode_bytes(ep):
         chunks.append(f.rgb.tobytes())
         chunks.append(f.action.tobytes())
         chunks.append(f.proprio.tobytes())
+        chunks.append(f.instance_map.tobytes())
         for inst in f.instances:
             chunks.append(inst.box.tobytes())
-            chunks.append(inst.mask.tobytes())
     return b"".join(chunks)
+
+
+def instance_labels(ep):
+    return [[(inst.instance_id, inst.relevant) for inst in f.instances] for f in ep.frames]
 
 
 class TestGeneration:
@@ -75,16 +79,13 @@ class TestAnnotationInvariants:
         ep = generate_episode(13, WorldConfig.for_subset("goal"))
         size = ep.frames[0].rgb.shape[0]
         for frame in ep.frames:
-            total = np.zeros((size, size), dtype=int)
-            for inst in frame.instances:
-                total += inst.mask
-                ys, xs = np.nonzero(inst.mask)
+            for i, inst in enumerate(frame.instances):
+                ys, xs = np.nonzero(frame.instance_map == i + 1)
                 cx, cy, w, h = inst.box * size
                 assert abs((xs.min() + xs.max() + 1) / 2 - cx) <= 1.0
                 assert abs((ys.min() + ys.max() + 1) / 2 - cy) <= 1.0
                 assert abs(xs.max() - xs.min() + 1 - w) <= 1.0
                 assert abs(ys.max() - ys.min() + 1 - h) <= 1.0
-            assert total.max() <= 1
 
     def test_instance_ids_stable_across_frames(self):
         ep = generate_episode(17, WorldConfig.for_subset("spatial"))
@@ -154,12 +155,19 @@ class TestQuantization:
 
 class TestSerialization:
     def test_roundtrip_lossless(self, tmp_path):
-        ep = generate_episode(7, WorldConfig.for_subset("goal"))
-        path = serialize_episode(ep, tmp_path)
-        loaded = load_episode(path)
-        assert loaded.subset == "goal" and loaded.seed == 7
-        assert episode_bytes(loaded) == episode_bytes(ep)
-        assert loaded.frames[0].task == ep.frames[0].task
+        """Every subset, `long` included, round-trips bitwise through 2 files
+        per frame (image and instance map) plus the `.jsonl` and `.meta.json`."""
+        for subset in ("goal", "object", "spatial", "long", "pair"):
+            ep = generate_episode(7, WorldConfig.for_subset(subset))
+            path = serialize_episode(ep, tmp_path / subset)
+            loaded = load_episode(path)
+            assert loaded.subset == subset and loaded.seed == 7
+            assert episode_bytes(loaded) == episode_bytes(ep)
+            assert instance_labels(loaded) == instance_labels(ep)
+            assert all(f.instance_map.dtype == np.uint8 for f in loaded.frames)
+            assert loaded.frames[0].task == ep.frames[0].task
+            files = [p for p in (tmp_path / subset).rglob("*") if p.is_file()]
+            assert len(files) == 2 * len(ep.frames) + 2
 
     def test_empty_relevance_frame_roundtrips(self, tmp_path):
         cfg = WorldConfig.for_subset("goal", include_robot_in_task=False)
