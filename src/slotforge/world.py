@@ -556,6 +556,14 @@ def check_frame_size(episode: Episode, image_size: int) -> None:
             raise WorldError(f"frame t={record.t} is {h}x{w}, not image_size {image_size}")
 
 
+def _numbers(values, n: int, what: str, where: str) -> np.ndarray:
+    """A JSON list of exactly n numbers as float64; anything else is a data error."""
+    if not (isinstance(values, list) and len(values) == n
+            and all(type(v) in (int, float) for v in values)):
+        raise EpisodeParseError(f"{where}: malformed record: {what} is not {n} numbers")
+    return np.asarray(values, dtype=np.float64)
+
+
 def load_episode(path: str | Path) -> Episode:
     path = Path(path)
     base = path.parent
@@ -569,37 +577,59 @@ def load_episode(path: str | Path) -> Episode:
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
+        where = f"{path}:{lineno}"
         try:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise EpisodeParseError(f"{path}:{lineno}: malformed record: {exc}") from exc
+            raise EpisodeParseError(f"{where}: malformed record: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise EpisodeParseError(f"{where}: malformed record: not a JSON object")
+        if "map_file" not in rec:
+            raise EpisodeParseError(
+                f"{where}: record names no instance map (an older corpus layout); "
+                "regenerate the corpus with `slotforge gen`")
         try:
+            if type(rec["t"]) is not int:
+                raise EpisodeParseError(f"{where}: malformed record: t is not an integer")
             rgb = pnm.read_ppm(base / rec["frame_file"]).astype(np.float64) / 255.0
             instances = [
                 InstanceRecord(
                     instance_id=inst["id"],
-                    box=np.asarray(inst["box"], dtype=np.float64),
+                    box=_numbers(inst["box"], 4, "box", where),
                     relevant=bool(inst["relevant"]),
                 )
                 for inst in rec["instances"]
             ]
+            instance_map = pnm.read_pgm(base / rec["map_file"])
             frames.append(FrameRecord(
-                t=int(rec["t"]), task=rec["task"],
-                action=np.asarray(rec["action"], dtype=np.float64),
-                proprio=np.asarray(rec["proprio"], dtype=np.float64),
-                instances=instances, rgb=rgb,
-                instance_map=pnm.read_pgm(base / rec["map_file"])))
+                t=rec["t"], task=rec["task"],
+                action=_numbers(rec["action"], 7, "action", where),
+                proprio=_numbers(rec["proprio"], 4, "proprio", where),
+                instances=instances, rgb=rgb, instance_map=instance_map))
         except KeyError as exc:
-            raise EpisodeParseError(f"{path}:{lineno}: missing field {exc}") from exc
+            raise EpisodeParseError(f"{where}: missing field {exc}") from exc
         except (OSError, pnm.PnmError) as exc:
-            raise EpisodeParseError(f"{path}:{lineno}: cannot read frame: {exc}") from exc
+            raise EpisodeParseError(f"{where}: cannot read frame: {exc}") from exc
+        if instance_map.shape != rgb.shape[:2]:
+            raise EpisodeParseError(
+                f"{where}: instance map is {instance_map.shape[0]}x{instance_map.shape[1]}, "
+                f"frame is {rgb.shape[0]}x{rgb.shape[1]}")
+        if instance_map.max() > len(instances):
+            raise EpisodeParseError(
+                f"{where}: instance map value {instance_map.max()} exceeds the record's "
+                f"{len(instances)} instances")
     if not frames:
         raise EpisodeParseError(f"{path}: no frame records")
     meta_path = base / (path.stem + ".meta.json")
-    meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
+    try:
+        meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
+        if not isinstance(meta, dict):
+            raise ValueError("not a JSON object")
+        seed, layout_id = int(meta.get("seed", -1)), int(meta.get("layout_id", -1))
+    except (OSError, ValueError, TypeError) as exc:
+        raise EpisodeParseError(f"{meta_path}: malformed metadata: {exc}") from exc
     return Episode(frames=frames, subset=meta.get("subset", "unknown"),
-                   seed=int(meta.get("seed", -1)),
-                   layout_id=int(meta.get("layout_id", -1)),
+                   seed=seed, layout_id=layout_id,
                    carried_id=meta.get("carried_id", ""),
                    target_id=meta.get("target_id", ""))
 

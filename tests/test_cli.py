@@ -1,7 +1,11 @@
 """Command line exit codes for configuration and data errors."""
 
+import json
+
+import numpy as np
 import pytest
 
+from slotforge import pnm
 from slotforge.checkpoint import save_checkpoint
 from slotforge.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from slotforge.config import RunConfig, load_config
@@ -143,6 +147,47 @@ def test_frame_of_another_size_exits_with_data_error(command, tmp_path, capsys, 
     assert main(argv + ["--override", "image_size=32", "--out", str(out)]) == EXIT_DATA
     assert "frame t=0 is 64x64, not image_size 32" in capsys.readouterr().err
     assert not out.exists()
+
+
+def corrupt(kind, path):
+    """Damage the one-episode corpus of `path`; return the expected error."""
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[0])
+    map_path = path.parent / rec["map_file"]
+    k = len(rec["instances"])
+    if kind == "map-size":
+        pnm.write_pgm(map_path, np.zeros((32, 32), dtype=np.uint8))
+        return f"{path}:1: instance map is 32x32, frame is 64x64"
+    if kind == "map-value":
+        instance_map = pnm.read_pgm(map_path)
+        instance_map[0, 0] = k + 1
+        pnm.write_pgm(map_path, instance_map)
+        return f"{path}:1: instance map value {k + 1} exceeds the record's {k} instances"
+    if kind == "old-layout":  # one mask file per instance, no map
+        del rec["map_file"]
+        for inst in rec["instances"]:
+            inst["mask_file"] = f"{path.stem}/t000_{inst['id']}.pgm"
+        path.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
+        return (f"{path}:1: record names no instance map (an older corpus layout); "
+                "regenerate the corpus with `slotforge gen`")
+    meta = path.with_name(path.stem + ".meta.json")
+    meta.write_text(kind)
+    return f"{meta}: malformed metadata: "
+
+
+@pytest.mark.parametrize("kind", [
+    "map-size", "map-value", "old-layout",
+    pytest.param("{not json", id="meta-not-json"),
+    pytest.param("[1]", id="meta-not-object"),
+    pytest.param('{"seed": "x"}', id="meta-seed-not-integer"),
+])
+def test_corrupt_corpus_exits_train1_with_data_error(kind, tmp_path, capsys):
+    path = serialize_episode(generate_episode(3, RunConfig().world_config()), tmp_path / "data")
+    message = corrupt(kind, path)
+    out = tmp_path / "out"
+    assert main(["train1", "--data", str(path.parent), "--out", str(out)]) == EXIT_DATA
+    assert message in capsys.readouterr().err
+    assert_no_manifest(out)
 
 
 def test_every_command_end_to_end(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Synthetic world: determinism, annotation invariants, serialization."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -186,6 +187,32 @@ class TestSerialization:
         lines[1] = lines[1][:-5]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(EpisodeParseError, match=r":2:"):
+            load_episode(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("t", "x", "t is not an integer"),
+        ("action", [0.0] * 5, "action is not 7 numbers"),
+        ("action", "x", "action is not 7 numbers"),
+        ("proprio", [0.0] * 3, "proprio is not 4 numbers"),
+        ("box", [0.5, 0.5, 0.1], "box is not 4 numbers"),
+        ("box", [0.5, 0.5, 0.1, True], "box is not 4 numbers"),
+        (None, [1, 2], "not a JSON object"),
+    ], ids=["t", "action-length", "action-string", "proprio-length", "box-length",
+            "box-bool", "record-list"])
+    def test_mistyped_field_is_a_malformed_record(self, field, value, message, tmp_path):
+        path = serialize_episode(generate_episode(4, WorldConfig.for_subset("pair")), tmp_path)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[1])
+        if field is None:
+            rec = value
+        elif field == "box":
+            rec["instances"][0]["box"] = value
+        else:
+            rec[field] = value
+        lines[1] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(EpisodeParseError,
+                           match=re.escape(f"{path}:2: malformed record: {message}")):
             load_episode(path)
 
     def test_missing_or_corrupt_frame_file_reports_line_number(self, tmp_path):
