@@ -3,7 +3,8 @@
 Each non-overlapping p x p patch is flattened, linearly projected to the
 model width, normalized (parameter-free), and offset by a learned 2-D
 positional embedding. The normalization happens before the positional add so
-position information reaches the slot encoder unscaled.
+position information reaches the slot encoder unscaled. A group of frames
+is embedded as one graph, its patches stacked frame by frame.
 """
 
 from __future__ import annotations
@@ -81,7 +82,11 @@ class PatchEmbedder:
         cells = img.reshape(h // p, p, w // p, p, 3).transpose(0, 2, 1, 3, 4)
         return cells.reshape(self.grid * self.grid, p * p * 3)
 
-    def __call__(self, frame: Frame) -> DenseTokens:
-        flat = Tensor(self.patches(frame))
+    def __call__(self, frames: list[Frame]) -> DenseTokens:
+        """Tokens of a group of frames, stacked frame by frame: one grid as many
+        times as tall as there are frames."""
+        flat = Tensor(np.concatenate([self.patches(frame) for frame in frames]))
         projected = T.layer_norm(T.linear(flat, self.proj_w, self.proj_b))
-        return DenseTokens(T.add(projected, self.pos), self.grid, self.grid)
+        cells = self.grid * self.grid
+        pos = T.gather_rows(self.pos, np.tile(np.arange(cells), len(frames)))
+        return DenseTokens(T.add(projected, pos), self.grid * len(frames), self.grid)

@@ -16,6 +16,7 @@ tie-break.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -230,38 +231,59 @@ class FrameTargets:
     instance_ids: list[str]
 
 
-def match_frame(preds: SlotPredictions, targets: FrameTargets,
+def match_frame(boxes: np.ndarray, targets: FrameTargets,
                 cfg: LossConfig) -> MatchAssignment:
+    """Assignment of one frame's gt objects to its slots, from the predicted
+    boxes (one row per slot)."""
     if targets.boxes.shape[0] == 0:
-        return MatchAssignment([], list(range(preds.boxes.shape[0])), 0.0)
-    return hungarian_match(box_cost(preds.boxes.data, targets.boxes,
-                                    cfg.cost_l1, cfg.cost_giou))
+        return MatchAssignment([], list(range(boxes.shape[0])), 0.0)
+    return hungarian_match(box_cost(boxes, targets.boxes, cfg.cost_l1, cfg.cost_giou))
 
 
-def slot_attn_loss(preds: SlotPredictions, targets: FrameTargets,
-                   match: MatchAssignment,
+def slot_attn_loss(preds: SlotPredictions, targets: Sequence[FrameTargets],
+                   matches: Sequence[MatchAssignment],
                    cfg: LossConfig) -> tuple[Tensor, dict[str, float]]:
-    """Box + objectness + mask supervision for one frame under a fixed match."""
-    n_slots = preds.boxes.shape[0]
-    obj_target = np.zeros((n_slots, 1))
-    for s, _ in match.pairs:
-        obj_target[s, 0] = 1.0
-    loss_obj = T.bce_logits(preds.objectness, obj_target)
-    if match.pairs:
-        slot_idx = [s for s, _ in match.pairs]
+    """Box + objectness + mask supervision under fixed matches, for a group of
+    frames whose slot predictions are stacked as equal row blocks, one per
+    frame. Every term is the sum over frames of that frame's mean; the
+    matched rows of all frames are gathered once, and per-row weights keep
+    each frame's mean its own. A group of one frame is that frame's loss."""
+    frames = len(targets)
+    n_slots = preds.boxes.shape[0] // frames
+    obj_target = np.zeros((preds.boxes.shape[0], 1))
+    rows: list[int] = []
+    gt_boxes, gt_masks, pair_counts = [], [], []
+    for f, (frame, match) in enumerate(zip(targets, matches)):
+        rows += [f * n_slots + s for s, _ in match.pairs]
         gt_idx = [g for _, g in match.pairs]
-        pred_rows = T.gather_rows(preds.boxes, slot_idx)
-        gt_rows = targets.boxes[gt_idx]
-        l1 = T.mean(T.sum_(T.abs_(T.sub(pred_rows, Tensor(gt_rows))), axis=1))
-        giou_term = T.mean(T.sub(1.0, giou_pairs(pred_rows, gt_rows)))
+        gt_boxes.append(frame.boxes[gt_idx])
+        gt_masks.append(frame.grid_masks[gt_idx])
+        pair_counts.append(len(gt_idx))
+    obj_target[rows, 0] = 1.0
+    # bce_logits averages over every row; weighting each by the frame count
+    # makes that the sum of the per-frame means
+    loss_obj = T.bce_logits(preds.objectness, obj_target,
+                            np.full(obj_target.shape, float(frames)))
+    if rows:
+        # a mean over all pairs, each pair weighted by (pairs / its frame's
+        # pairs), is the sum over frames of the per-frame means
+        pair_scale = np.repeat([len(rows) / n for n in pair_counts if n],
+                               [n for n in pair_counts if n])
+        pred_rows = T.gather_rows(preds.boxes, rows)
+        gt_rows = np.concatenate(gt_boxes)
+        l1 = T.mean(T.mul(T.sum_(T.abs_(T.sub(pred_rows, Tensor(gt_rows))), axis=1),
+                          pair_scale))
+        giou_term = T.mean(T.mul(T.sub(1.0, giou_pairs(pred_rows, gt_rows)),
+                                 pair_scale[:, None]))
         loss_box = T.add(T.mul(l1, cfg.cost_l1), T.mul(giou_term, cfg.cost_giou))
-        mask_rows = T.gather_rows(preds.mask_logits, slot_idx)
-        gt_masks = targets.grid_masks[gt_idx]
-        if mask_rows.shape != gt_masks.shape:
+        mask_rows = T.gather_rows(preds.mask_logits, rows)
+        masks = np.concatenate(gt_masks)
+        if mask_rows.shape != masks.shape:
             raise ShapeError(
                 f"mask resolution mismatch: predicted {mask_rows.shape}, "
-                f"target {gt_masks.shape}")
-        loss_seg = T.bce_logits(mask_rows, gt_masks)
+                f"target {masks.shape}")
+        loss_seg = T.bce_logits(mask_rows, masks,
+                                np.broadcast_to(pair_scale[:, None], masks.shape))
     else:
         loss_box = Tensor(0.0)
         loss_seg = Tensor(0.0)
@@ -281,10 +303,11 @@ def slot_relevance_labels(match: MatchAssignment, gt_relevance: np.ndarray,
 
 
 def relevance_loss(logits: Tensor, labels: np.ndarray, w_pos: float = 2.0,
-                   w_neg: float = 1.0) -> Tensor:
-    """Class-weighted BCE on relevance logits, mean over slots."""
+                   w_neg: float = 1.0, groups: int = 1) -> Tensor:
+    """Class-weighted BCE on relevance logits: the mean over each frame's
+    slots, summed over the `groups` frames stacked as equal row blocks."""
     labels = np.asarray(labels, dtype=np.float64).reshape(logits.shape)
-    weights = np.where(labels > 0.5, w_pos, w_neg)
+    weights = np.where(labels > 0.5, w_pos, w_neg) * groups
     return T.bce_logits(logits, labels, weights)
 
 

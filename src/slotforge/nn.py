@@ -6,7 +6,9 @@ projection makes the whole block an exact identity. Multi-head attention is
 three projections, one `tensor.attention_heads` op that holds every head,
 and the output projection: five tape entries per call. With `groups=B` the
 attention blocks take B sequences of equal length stacked as row blocks; each
-attends within its own block, and every other op is row-wise.
+attends within its own block, and every other op is row-wise. Stage 1 calls
+them so in the task filter, one group per frame index of its clips; stage 2
+in the relation encoder and the decoder, one group per batch.
 
 Parameters name themselves: `ParamGroup.collect` keys each trainable Tensor
 by its attribute path (`filter.bca_slots.attn.wq`), so renaming an attribute

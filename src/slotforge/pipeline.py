@@ -4,14 +4,20 @@ Owns every parameter group, the stage-1/stage-2 split, frame encoding with
 carryover, the per-batch stage-1 objective, cached stage-2 logits, and the
 closed-loop policy step used during rollouts.
 
-`Pipeline.walk` is the one episode walk: it encodes consecutive frames and
-hands each frame the previous frame's refined slots. The stage-1 objective,
-validation, the flip rate, the stage-2 cache and inspection reports all walk
-frames through it; only a closed-loop rollout, whose next frame depends on
-the action taken, steps `policy_step` itself. `Pipeline.encode_frame` is the
-one place that decides carryover: a frame starts from the previous frame's
-slots, when there are any, if `carryover_on` is set and `t > 0`, and from a
-fresh seeded draw otherwise.
+`Pipeline.encode_frame` encodes a group of frames as one graph, their tokens
+and slots stacked frame by frame as row blocks; one frame is a group of one.
+It is the one place that decides carryover: a group starts from its
+previous slots, when there are any, if `carryover_on` is set and every
+t > 0, and from one fresh seeded draw per frame otherwise.
+
+The stage-1 objective walks the clips of a batch in lockstep: the frames at
+each index form one group, and the heads, the task filter and the tracking
+embeddings run once per group; only matching runs per frame, in numpy.
+`Pipeline.walk` is the one-frame episode walk: it encodes consecutive frames
+and hands each frame the previous frame's refined slots. Validation, the
+flip rate, the stage-2 cache and inspection reports walk frames through it;
+only a closed-loop rollout, whose next frame depends on the action taken,
+steps `policy_step` itself.
 `Pipeline.select` is the one task-filter call, and stage-2 logits and the
 policy step share one decode tail, which decodes frames stacked as row blocks
 in one graph: a stage-2 batch, or the one frame of a policy step.
@@ -71,6 +77,16 @@ def init_seed(run_seed: int, episode_key: int, t: int) -> int:
     return int(np.random.SeedSequence([run_seed, episode_key, t]).generate_state(1)[0])
 
 
+def task_tokens(table: EmbeddingTable, tasks: list[str]) -> Tensor:
+    """The token embeddings of a group's tasks, stacked task by task. Tasks of
+    different word counts cannot be grouped: that is a ShapeError."""
+    counts = [len(task.split()) for task in tasks]
+    if len(set(counts)) > 1:
+        raise ShapeError(f"tasks of a group differ in word count: {counts}")
+    # tokenize splits on whitespace: the joined string embeds each task in turn
+    return table(" ".join(tasks))
+
+
 class Pipeline:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
@@ -109,13 +125,16 @@ class Pipeline:
     # ------------------------------------------------------------------
     # encoding
 
-    def encode_frame(self, frame: Frame, prev_slots: Tensor | None,
-                     episode_key: int, t: int):
-        """(dense tokens, refined slots, attention maps) for one frame."""
-        dense = self.frontend(frame)
-        carry = prev_slots if self.cfg.carryover_on and t > 0 else None
-        slots, maps = self.slot_attn.encode_frame(
-            dense, carry, init_seed(self.cfg.seed, episode_key, t))
+    def encode_frame(self, frames: list[Frame], prev_slots: Tensor | None,
+                     episode_keys: list[int], times: list[int]):
+        """(dense tokens, refined slots, attention maps) of a group of frames,
+        one episode key and time per frame, each stacked frame by frame; one
+        frame is a group of one. `prev_slots` holds the group's previous slots
+        in the same order, and is carried over only when every t > 0."""
+        dense = self.frontend(frames)
+        carry = prev_slots if self.cfg.carryover_on and min(times) > 0 else None
+        seeds = [init_seed(self.cfg.seed, key, t) for key, t in zip(episode_keys, times)]
+        slots, maps = self.slot_attn.encode_frame(dense, carry, seeds)
         return dense, slots, maps
 
     def walk(self, frames: Iterable[Frame], episode_key: int,
@@ -124,12 +143,14 @@ class Pipeline:
         each handed the previous frame's slots; yields (t, dense, slots, maps)."""
         slots = None
         for t, frame in enumerate(frames, start=base_t):
-            dense, slots, maps = self.encode_frame(frame, slots, episode_key, t)
+            dense, slots, maps = self.encode_frame([frame], slots, [episode_key], [t])
             yield t, dense, slots, maps
 
-    def select(self, slots: Tensor, lang: Tensor):
-        """Task filter over one frame's slots: (kept rows, scores, logit column)."""
-        return self.filter(slots, lang, self.cfg.num_selected, enabled=self.cfg.filter_on)
+    def select(self, slots: Tensor, lang: Tensor, groups: int = 1):
+        """Task filter over the slots of `groups` frames stacked as row blocks,
+        with their task tokens stacked alike: (kept rows, scores, logit column)."""
+        return self.filter(slots, lang, self.cfg.num_selected, enabled=self.cfg.filter_on,
+                           groups=groups)
 
     def track_embedding(self, slots: Tensor) -> Tensor:
         return self.track_proj(slots) if self.track_proj is not None else slots
@@ -138,6 +159,12 @@ class Pipeline:
     # stage-1 objective
 
     def stage1_batch_loss(self, batch: list[Clip]) -> tuple[Tensor, dict[str, float]]:
+        """The stage-1 objective of a batch of clips, walked in lockstep: the
+        frames at each index form one group, encoded, scored and supervised as
+        one graph, each frame handed its own clip's previous slots. A clip
+        shorter than the others leaves the group once it ends. Matching runs
+        per frame; the tracking term runs once over the whole batch."""
+        n_slots = self.cfg.num_slots
         slot_terms: list[Tensor] = []
         int_terms: list[Tensor] = []
         parts_acc = {"box": 0.0, "obj": 0.0, "seg": 0.0}
@@ -145,32 +172,48 @@ class Pipeline:
         emb_labels: list[int] = []
         emb_frames: list[int] = []
         intern: dict[tuple[int, str], int] = {}
-        for clip in batch:
-            lang = self.lang_filter(clip.task)
-            walk = self.walk(clip.frames, clip.episode_key, clip.base_t)
-            for (t, _, slots, _), targets in zip(walk, clip.targets):
-                preds = self.heads(slots)
-                match = match_frame(preds, targets, self.loss_cfg)
-                term, parts = slot_attn_loss(preds, targets, match, self.loss_cfg)
-                slot_terms.append(term)
-                for key in parts_acc:
-                    parts_acc[key] += parts[key]
-                _, _, logits = self.select(slots, lang)
-                labels = slot_relevance_labels(match, targets.relevance,
-                                               self.cfg.num_slots)
-                int_terms.append(relevance_loss(logits, labels, self.loss_cfg.w_pos,
-                                                self.loss_cfg.w_neg))
-                if self.loss_cfg.lambda_track > 0:
-                    emb_blocks.append(self.track_embedding(slots))
+        slots, active = None, []
+        for i in range(max((len(clip.frames) for clip in batch), default=0)):
+            going = [c for c, clip in enumerate(batch) if i < len(clip.frames)]
+            if slots is not None and going != active:
+                # carryover passes values, not history: keep the rows of the clips that go on
+                kept = slots.data.reshape(len(active), n_slots, -1)[
+                    [active.index(c) for c in going]]
+                slots = Tensor(kept.reshape(len(going) * n_slots, -1))
+            active = going
+            clips = [batch[c] for c in active]
+            times = [clip.base_t + i for clip in clips]
+            _, slots, _ = self.encode_frame([clip.frames[i] for clip in clips], slots,
+                                            [clip.episode_key for clip in clips], times)
+            targets = [clip.targets[i] for clip in clips]
+            preds = self.heads(slots)
+            boxes = preds.boxes.data
+            matches = [match_frame(boxes[j * n_slots:(j + 1) * n_slots], target,
+                                   self.loss_cfg)
+                       for j, target in enumerate(targets)]
+            term, parts = slot_attn_loss(preds, targets, matches, self.loss_cfg)
+            slot_terms.append(term)
+            for key in parts_acc:
+                parts_acc[key] += parts[key]
+            lang = task_tokens(self.lang_filter, [clip.task for clip in clips])
+            _, _, logits = self.select(slots, lang, len(clips))
+            labels = np.concatenate([
+                slot_relevance_labels(match, target.relevance, n_slots)
+                for match, target in zip(matches, targets)])
+            int_terms.append(relevance_loss(logits, labels, self.loss_cfg.w_pos,
+                                            self.loss_cfg.w_neg, len(clips)))
+            if self.loss_cfg.lambda_track > 0:
+                emb_blocks.append(self.track_embedding(slots))
+                for clip, t, target, match in zip(clips, times, targets, matches):
                     gt_for_slot = dict(match.pairs)
-                    for s in range(self.cfg.num_slots):
+                    for s in range(n_slots):
                         if s in gt_for_slot:
-                            key = (clip.episode_key, targets.instance_ids[gt_for_slot[s]])
+                            key = (clip.episode_key, target.instance_ids[gt_for_slot[s]])
                             emb_labels.append(intern.setdefault(key, len(intern)))
                         else:
                             emb_labels.append(-1)
                         emb_frames.append(t)
-        n_frames = len(slot_terms)
+        n_frames = sum(len(clip.frames) for clip in batch)
         slot_mean = T.mul(T.add_all(slot_terms), 1.0 / max(n_frames, 1))
         int_mean = T.mul(T.add_all(int_terms), 1.0 / max(n_frames, 1))
         if self.loss_cfg.lambda_track > 0 and emb_blocks:
@@ -214,8 +257,7 @@ class Pipeline:
         of len(tasks) frames stacked frame by frame; logits are frame-major."""
         groups = len(tasks)
         rel = self.relations(dense, objects, groups) if self.cfg.relations_on else None
-        # tokenize splits on whitespace: the joined string embeds each task in turn
-        language = self.lang_decoder(" ".join(tasks))
+        language = task_tokens(self.lang_decoder, tasks)
         bundle = self.decoder.assemble_bundle(objects, rel, language, proprio)
         return self.decoder.decode_actions(bundle, groups)
 
@@ -240,7 +282,7 @@ class Pipeline:
                     prev_slots: Tensor | None, episode_key: int, t: int):
         """Greedy action for one observation; returns (action, refined slots)."""
         with T.no_grad():
-            dense, slots, _ = self.encode_frame(frame, prev_slots, episode_key, t)
+            dense, slots, _ = self.encode_frame([frame], prev_slots, [episode_key], [t])
             kept, _, _ = self.select(slots, self.lang_filter(task))
             logits = self._logits(dense, kept, [task], proprio)
             return self.decoder.greedy_action(logits), slots

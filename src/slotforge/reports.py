@@ -35,7 +35,7 @@ def inspect_report(pipeline: Pipeline, episode: Episode, frame_idx: int,
         record = episode.frames[frame_idx]
         targets = frame_targets(record, cfg.patch_size)
         preds = pipeline.heads(slots)
-        match = match_frame(preds, targets, pipeline.loss_cfg)
+        match = match_frame(preds.boxes.data, targets, pipeline.loss_cfg)
         kept, scores, _ = pipeline.select(slots, pipeline.lang_filter(record.task))
         relation_attn = pipeline.relations.slot_attention_summary(dense, kept) \
             if cfg.relations_on else None

@@ -10,9 +10,14 @@ re-normalizes the transposed weights over tokens, and feeds the weighted
 mean of the values into a row-wise GRU, optionally followed by a residual
 MLP.
 
-A frame records 2 tape entries for the projections, and each refinement
-step 7: `slot_attention` and `gru_cell` are one fused entry each, and the
-residual MLP block takes five.
+A group of frames is encoded as one graph: their tokens and slots are
+stacked frame by frame as row blocks, and `slot_attention(..., groups)`
+keeps both normalizations within each frame's block; the projections, the
+GRU, the residual MLP and `layer_norm` are row-wise already. Whatever its
+size, a group records 2 tape entries for the projections, 3 for a fresh
+init (none for carried slots), and 7 per refinement step: `slot_attention`
+and `gru_cell` are one fused entry each, and the residual MLP block takes
+five. One frame is a group of one.
 
 Gradients are truncated at frame boundaries: carryover passes values, not
 tape history.
@@ -21,6 +26,7 @@ tape history.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -41,39 +47,53 @@ class AttentionMaps:
     weights: np.ndarray
 
 
-def slot_attention(keys: Tensor, values: Tensor, slots: Tensor,
-                   wq: Tensor) -> tuple[Tensor, np.ndarray, np.ndarray]:
+def slot_attention(keys: Tensor, values: Tensor, slots: Tensor, wq: Tensor,
+                   groups: int = 1) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Slot-competitive attention as one tape entry: (update, attn, weights).
 
     attn = softmax over slots of keys (slots wq)ᵀ / √d, one row per token;
     weights = attn / max(column sum, COLUMN_EPS); update = weightsᵀ values.
-    The returned arrays must not be modified.
+    With groups=B the rows of keys, values and slots are B equal blocks, one
+    per frame, and the tokens of block g attend to the slots of block g only:
+    the logits are (B, tokens, slots) inside the op, so both normalizations
+    stay within a frame. The maps come back row-stacked, (B·tokens, slots),
+    and must not be modified.
     """
     k, v, sl = keys.data, values.data, slots.data
-    scale = 1.0 / np.sqrt(sl.shape[1])
+    if groups < 1 or k.shape[0] % groups or sl.shape[0] % groups:
+        raise ShapeError(f"slot_attention: {k.shape[0]} token and {sl.shape[0]} slot rows "
+                         f"do not split into {groups} groups")
+    d = sl.shape[1]
+    scale = 1.0 / np.sqrt(d)
+    kb, vb = k.reshape(groups, -1, d), v.reshape(groups, -1, v.shape[1])
     with np.errstate(all="ignore"):
         queries = sl @ wq.data
+        qb = queries.reshape(groups, -1, d)
         # softmax turns a -inf logit into a finite 0, so check before it
-        logits = T.check_finite((k @ queries.T) * scale, "slot_attention")
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        attn = e / e.sum(axis=1, keepdims=True)
-        col = attn.sum(axis=0, keepdims=True)
+        logits = T.check_finite((kb @ qb.transpose(0, 2, 1)) * scale, "slot_attention")
+        e = np.exp(logits - logits.max(axis=2, keepdims=True))
+        attn = e / e.sum(axis=2, keepdims=True)
+        col = attn.sum(axis=1, keepdims=True)
         col_norm = np.maximum(col, COLUMN_EPS)
         weights = attn / col_norm
-        out = weights.T @ v
+        out = (weights.transpose(0, 2, 1) @ vb).reshape(sl.shape[0], v.shape[1])
     parents = (keys, values, slots, wq)
 
     def backward(g):
-        g_w = v @ g.T
+        gb = g.reshape(groups, -1, g.shape[1])
+        g_w = vb @ gb.transpose(0, 2, 1)
         # a column sum below COLUMN_EPS is replaced, so it passes no gradient
-        g_col = (g_w * weights).sum(axis=0, keepdims=True) * (col >= COLUMN_EPS)
+        g_col = (g_w * weights).sum(axis=1, keepdims=True) * (col >= COLUMN_EPS)
         g_attn = (g_w - g_col) / col_norm
-        g_logits = (g_attn - (g_attn * attn).sum(axis=1, keepdims=True)) * attn * scale
-        g_q = g_logits.T @ k
-        grads = (g_logits @ queries, weights @ g, g_q @ wq.data.T, sl.T @ g_q)
+        g_logits = (g_attn - (g_attn * attn).sum(axis=2, keepdims=True)) * attn * scale
+        g_q = (g_logits.transpose(0, 2, 1) @ kb).reshape(sl.shape)
+        grads = ((g_logits @ qb).reshape(k.shape), (weights @ gb).reshape(v.shape),
+                 g_q @ wq.data.T, sl.T @ g_q)
         return tuple(grad if t.requires_grad else None for t, grad in zip(parents, grads))
 
-    return T.primitive(out, parents, backward, "slot_attention"), attn, weights
+    rows = (k.shape[0], sl.shape[0] // groups)
+    return (T.primitive(out, parents, backward, "slot_attention"),
+            attn.reshape(rows), weights.reshape(rows))
 
 
 class SlotAttention:
@@ -98,22 +118,26 @@ class SlotAttention:
     def params(self) -> ParamGroup:
         return ParamGroup().collect("slots", self)
 
-    def init_slots(self, prev: Tensor | None, rng_seed: int) -> Tensor:
-        """Fresh Gaussian slots without `prev`; a bitwise carryover copy of it otherwise."""
+    def init_slots(self, prev: Tensor | None, rng_seed: int | Sequence[int]) -> Tensor:
+        """Slots of a group of frames, stacked frame by frame: a bitwise
+        carryover copy of `prev` when given, else fresh Gaussian slots, one
+        seeded draw per frame from its own seed (an int is one frame), so a
+        frame's start does not depend on its group."""
         if prev is not None:
             return prev.detach()
-        rng = np.random.default_rng(rng_seed)
-        noise = rng.standard_normal((self.num_slots, self.width))
+        noise = np.concatenate([
+            np.random.default_rng(seed).standard_normal((self.num_slots, self.width))
+            for seed in np.atleast_1d(rng_seed).tolist()])
         sigma = T.exp(self.init_log_sigma)
         return T.add(self.init_mu, T.mul(Tensor(noise), sigma))
 
-    def refine_step(self, slots: Tensor, keys: Tensor,
-                    values: Tensor) -> tuple[Tensor, AttentionMaps]:
+    def refine_step(self, slots: Tensor, keys: Tensor, values: Tensor,
+                    groups: int = 1) -> tuple[Tensor, AttentionMaps]:
         if slots.shape[1] != keys.shape[1]:
             raise ShapeError(f"slot width {slots.shape[1]} != key width {keys.shape[1]}")
         if keys.shape[0] == 0:
             raise ShapeError("refine_step: empty dense token set")
-        update, attn, weights = slot_attention(keys, values, slots, self.wq)
+        update, attn, weights = slot_attention(keys, values, slots, self.wq, groups)
         new_slots = gru_cell(update, slots, self.gru)
         if self.residual_mlp:
             new_slots = T.add(new_slots, mlp(T.layer_norm(new_slots), self.mlp))
@@ -121,14 +145,18 @@ class SlotAttention:
         return new_slots, AttentionMaps(attn, weights)
 
     def encode_frame(self, dense: DenseTokens, prev: Tensor | None,
-                     rng_seed: int) -> tuple[Tensor, AttentionMaps]:
-        """Init (carried over exactly when `prev` is given), project the tokens
-        to keys and values once, then run the configured refinement steps."""
+                     rng_seed: int | Sequence[int]) -> tuple[Tensor, AttentionMaps]:
+        """Encode a group of frames, one seed per frame, whose tokens and `prev`
+        slots are stacked frame by frame: init (carried over exactly when
+        `prev` is given), project the tokens to keys and values once, then run
+        the configured refinement steps with each frame's slots attending to
+        its own tokens."""
+        groups = np.size(rng_seed)
         keys, values = T.matmul(dense.tokens, self.wk), T.matmul(dense.tokens, self.wv)
         slots = self.init_slots(prev, rng_seed)
         maps = None
         for _ in range(self.refine_steps):
-            slots, maps = self.refine_step(slots, keys, values)
+            slots, maps = self.refine_step(slots, keys, values, groups)
         return slots, maps
 
 

@@ -21,21 +21,27 @@ from .tensor import Tensor
 @dataclass
 class RelevanceScores:
     scores: np.ndarray       # per-slot values in (0,1)
-    selected: list[int]      # ascending original indices of the k best
+    selected: list[int]      # ascending row indices of each frame's k best
 
 
-def top_k_filter(slots: Tensor, scores: np.ndarray, k: int) -> tuple[Tensor, list[int]]:
-    """Rows of the k largest scores, ascending original order, ties to the
-    lower index. Selection depends only on the score ordering, so any
-    strictly increasing transform picks the same rows."""
+def top_k_filter(slots: Tensor, scores: np.ndarray, k: int,
+                 groups: int = 1) -> tuple[Tensor, list[int]]:
+    """Rows of the k largest scores in each of `groups` equal row blocks, in
+    ascending row order, ties to the lower index. Selection depends only on
+    the score ordering, so any strictly increasing transform picks the same
+    rows."""
     n = slots.shape[0]
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     if scores.shape[0] != n:
         raise T.ShapeError(f"top_k_filter: {scores.shape[0]} scores for {n} slots")
-    if not (1 <= k <= n):
-        raise ValueError(f"top_k_filter: k={k} out of range [1, {n}]")
-    order = sorted(range(n), key=lambda i: (-scores[i], i))
-    selected = sorted(order[:k])
+    if groups < 1 or n % groups:
+        raise T.ShapeError(f"top_k_filter: {n} slots do not split into {groups} groups")
+    per = n // groups
+    if not (1 <= k <= per):
+        raise ValueError(f"top_k_filter: k={k} out of range [1, {per}]")
+    # a stable sort of the negated scores puts ties in index order
+    best = np.argsort(-scores.reshape(groups, per), axis=1, kind="stable")[:, :k]
+    selected = (np.sort(best, axis=1) + per * np.arange(groups)[:, None]).reshape(-1).tolist()
     return T.gather_rows(slots, selected), selected
 
 
@@ -53,19 +59,23 @@ class TaskFilter:
     def params(self) -> ParamGroup:
         return ParamGroup().collect("filter", self)
 
-    def score_slots(self, slots_bca: Tensor) -> Tensor:
+    def score_slots(self, slots_bca: Tensor, groups: int = 1) -> Tensor:
         """Transformer layer over the slot stream, then the per-slot logit head."""
-        h = self_attention_block(slots_bca, self.trans)
+        h = self_attention_block(slots_bca, self.trans, groups)
         return T.linear(h, self.head_w, self.head_b)
 
-    def __call__(self, slots: Tensor, lang: Tensor, k: int,
-                 enabled: bool = True) -> tuple[Tensor, RelevanceScores, Tensor]:
-        """Score every slot; keep the top k (all of them when disabled).
+    def __call__(self, slots: Tensor, lang: Tensor, k: int, enabled: bool = True,
+                 groups: int = 1) -> tuple[Tensor, RelevanceScores, Tensor]:
+        """Score every slot; keep the top k of each frame (all of them when
+        disabled). With groups=B, `slots` and `lang` hold B frames' slots and
+        task tokens as row blocks, and each frame's slots attend to its own
+        task.
 
-        Returns (kept slot rows, scores + selection, logit column tensor for
-        the relevance loss)."""
-        logits = self.score_slots(cross_attention_block(slots, lang, self.bca_slots))
+        Returns (kept slot rows, scores + selected rows, logit column tensor
+        for the relevance loss)."""
+        bca = cross_attention_block(slots, lang, self.bca_slots, groups)
+        logits = self.score_slots(bca, groups)
         scores = T.stable_sigmoid(logits.data).reshape(-1)
-        keep = k if enabled else slots.shape[0]
-        kept, selected = top_k_filter(slots, scores, keep)
+        keep = k if enabled else slots.shape[0] // groups
+        kept, selected = top_k_filter(slots, scores, keep, groups)
         return kept, RelevanceScores(scores, selected), logits

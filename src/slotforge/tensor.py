@@ -24,7 +24,9 @@ rank 2; `group_mean` pools each block in one entry. Likewise
 backward as one entry for ops that live beside their callers: the GIoU of
 matched box pairs `losses.giou_pairs`, the anchor term of
 `losses.track_loss`, the GRU cell `nn.gru_cell` and slot-competitive
-attention `slots.slot_attention`.
+attention `slots.slot_attention`, which takes `groups` as `attention_heads`
+does. The grouped ops, `attention_heads`, `group_mean` and `slot_attention`,
+are what let a batch of frames be one graph of rank-2 tensors.
 """
 
 from __future__ import annotations

@@ -134,7 +134,7 @@ def stage1_metrics(pipeline: Pipeline, corpus: Corpus) -> dict[str, float]:
             walk = pipeline.walk(corpus.frames[idx], corpus.episode_key(idx))
             for (_, _, slots, _), targets in zip(walk, corpus.targets[idx]):
                 preds = pipeline.heads(slots)
-                match = match_frame(preds, targets, pipeline.loss_cfg)
+                match = match_frame(preds.boxes.data, targets, pipeline.loss_cfg)
                 pairwise = iou_matrix(preds.boxes.data, targets.boxes)
                 ious.extend(pairwise[s, g] for s, g in match.pairs)
                 _, scores, _ = pipeline.select(slots, lang)
@@ -160,7 +160,7 @@ def assignment_flip_rate(pipeline: Pipeline, corpus: Corpus,
                 walk = pipeline.walk(corpus.frames[idx], corpus.episode_key(idx))
                 for (_, _, slots, _), targets in zip(walk, corpus.targets[idx]):
                     preds = pipeline.heads(slots)
-                    match = match_frame(preds, targets, pipeline.loss_cfg)
+                    match = match_frame(preds.boxes.data, targets, pipeline.loss_cfg)
                     current = {targets.instance_ids[g]: s for s, g in match.pairs}
                     for name, slot in current.items():
                         if name in prev_map:

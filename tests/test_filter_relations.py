@@ -147,6 +147,52 @@ class TestTopK:
         assert np.any(slots.grad[[0, 2]] != 0.0)
 
 
+class TestGroupedFilter:
+    """Frames stacked as row blocks are filtered as if each were called alone."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_grouped_equals_per_block_calls(self, enabled):
+        filt = TaskFilter(np.random.default_rng(30), width=8, heads=2)
+        rng = np.random.default_rng(31)
+        groups, n_slots, words = 3, 5, 4
+        slots = Tensor(rng.standard_normal((groups * n_slots, 8)), requires_grad=True)
+        lang = Tensor(rng.standard_normal((groups * words, 8)), requires_grad=True)
+        weight = Tensor(rng.standard_normal((groups * n_slots, 1)))
+        leaves = [slots, lang] + filt.params().tensors()
+        results = []
+        for grouped in (True, False):
+            T.zero_grads(leaves)
+            with T.fresh_tape() as tape:
+                if grouped:
+                    kept, scores, logits = filt(slots, lang, 2, enabled, groups)
+                    selected = scores.selected
+                else:
+                    calls = [filt(T.gather_rows(slots, range(g * n_slots, (g + 1) * n_slots)),
+                                  T.gather_rows(lang, range(g * words, (g + 1) * words)),
+                                  2, enabled) for g in range(groups)]
+                    kept, logits = (T.concat([c[i] for c in calls]) for i in (0, 2))
+                    selected = [g * n_slots + s for g, c in enumerate(calls)
+                                for s in c[1].selected]
+                tape.backward(T.add(T.sum_(T.mul(logits, weight)), T.sum_(T.mul(kept, kept))))
+            results.append([kept.data, logits.data, np.array(selected)]
+                           + [t.grad for t in leaves])
+        grouped, per_block = results
+        assert len(grouped[2]) == groups * (2 if enabled else n_slots)
+        for a, b in zip(grouped, per_block):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    def test_top_k_picks_k_rows_per_block(self):
+        slots = Tensor(np.arange(16.0).reshape(8, 2))
+        scores = np.array([0.1, 0.9, 0.5, 0.5, 0.3, 0.2, 0.8, 0.7])
+        kept, selected = top_k_filter(slots, scores, 2, groups=2)
+        assert selected == [1, 2, 6, 7]
+        assert np.array_equal(kept.data, slots.data[selected])
+        with pytest.raises(ValueError, match=r"k=5 out of range \[1, 4\]"):
+            top_k_filter(slots, scores, 5, groups=2)
+        with pytest.raises(T.ShapeError, match="do not split into 3 groups"):
+            top_k_filter(slots, scores, 1, groups=3)
+
+
 class TestRelationEncoder:
     def test_zero_second_cab_returns_first_cab_output(self):
         enc = RelationEncoder(np.random.default_rng(13), width=16, num_relations=4, heads=4)

@@ -330,7 +330,7 @@ class TestSlotAttnLoss:
                                          np.zeros((2, cells))]) > 0.5, 50.0, -50.0)
         preds = make_preds(rng, 5, cells, boxes=boxes, objectness=objectness, masks=masks)
         match = MatchAssignment([(0, 0), (1, 1), (2, 2)], [3, 4], 0.0)
-        total, parts = slot_attn_loss(preds, targets, match, LossConfig())
+        total, parts = slot_attn_loss(preds, [targets], [match], LossConfig())
         assert parts["box"] == pytest.approx(0.0, abs=1e-9)
         assert parts["obj"] == pytest.approx(0.0, abs=1e-3)
         assert parts["seg"] == pytest.approx(0.0, abs=1e-3)
@@ -342,7 +342,7 @@ class TestSlotAttnLoss:
                                relevance=np.zeros(0), instance_ids=[])
         match = MatchAssignment([], [0, 1, 2, 3], 0.0)
         cfg = LossConfig()
-        total, parts = slot_attn_loss(preds, targets, match, cfg)
+        total, parts = slot_attn_loss(preds, [targets], [match], cfg)
         assert parts["box"] == 0.0 and parts["seg"] == 0.0
         expected = T.bce_logits(preds.objectness, np.zeros((4, 1))).item()
         assert total.item() == pytest.approx(cfg.lambda_obj * expected)
@@ -352,10 +352,10 @@ class TestSlotAttnLoss:
         cells = 9
         targets = make_targets(rng, 2, cells)
         preds = make_preds(rng, 4, cells)
-        match = losses.match_frame(preds, targets, LossConfig())
+        match = losses.match_frame(preds.boxes.data, targets, LossConfig())
 
         def f():
-            return slot_attn_loss(preds, targets, match, LossConfig())[0]
+            return slot_attn_loss(preds, [targets], [match], LossConfig())[0]
 
         err = T.finite_diff_check(f, [preds.boxes, preds.objectness, preds.mask_logits])
         assert err <= 1e-4

@@ -161,6 +161,90 @@ class TestSlotAttentionOp:
             fused_attention(tokens, slots, eye, eye, eye)
 
 
+def grouped_attention_run(groups, n=5, k=3, d=6, seed=21):
+    """Value, maps and every leaf gradient of `groups` frames' attention, as one
+    grouped call and as one call per row block on the same tape."""
+    rng = np.random.default_rng(seed)
+    keys, values, slots = (Tensor(rng.standard_normal((groups * rows, d)), requires_grad=True)
+                           for rows in (n, n, k))
+    wq = Tensor(rng.standard_normal((d, d)) * 0.5, requires_grad=True)
+    weight = Tensor(rng.standard_normal((groups * k, d)))
+    leaves = (keys, values, slots, wq)
+    results = []
+    for grouped in (True, False):
+        T.zero_grads(leaves)
+        with T.fresh_tape() as tape:
+            if grouped:
+                out, attn_map, weights = slot_attention(keys, values, slots, wq, groups)
+            else:
+                blocks = [slot_attention(T.gather_rows(keys, range(g * n, (g + 1) * n)),
+                                         T.gather_rows(values, range(g * n, (g + 1) * n)),
+                                         T.gather_rows(slots, range(g * k, (g + 1) * k)), wq)
+                          for g in range(groups)]
+                out = T.concat([b[0] for b in blocks])
+                attn_map, weights = (np.concatenate([b[i] for b in blocks]) for i in (1, 2))
+            tape.backward(T.sum_(T.mul(T.tanh(out), weight)))
+        results.append([out.data, attn_map, weights] + [t.grad for t in leaves])
+    return results
+
+
+class TestGroupedSlotAttention:
+    @pytest.mark.parametrize("groups", [1, 2, 4])
+    def test_grouped_equals_per_block_calls(self, groups):
+        grouped, per_block = grouped_attention_run(groups)
+        assert_all_close(grouped, per_block)
+
+    def test_gradient_vs_finite_differences_with_three_groups(self):
+        rng = np.random.default_rng(22)
+        keys, values = (Tensor(rng.standard_normal((3 * 5, 6)), requires_grad=True)
+                        for _ in range(2))
+        slots = Tensor(rng.standard_normal((3 * 2, 6)), requires_grad=True)
+        wq = Tensor(rng.standard_normal((6, 6)), requires_grad=True)
+        weight = Tensor(rng.standard_normal((3 * 2, 6)))
+        err = T.finite_diff_check(
+            lambda: T.sum_(T.mul(slot_attention(keys, values, slots, wq, 3)[0], weight)),
+            [keys, values, slots, wq])
+        assert err <= 1e-4
+
+    @pytest.mark.parametrize("groups", [1, 3, 8])
+    def test_one_tape_entry_whatever_the_group_size(self, groups):
+        rng = np.random.default_rng(23)
+        keys, values = (Tensor(rng.standard_normal((groups * 4, 6)), requires_grad=True)
+                        for _ in range(2))
+        slots = Tensor(rng.standard_normal((groups * 2, 6)), requires_grad=True)
+        with T.fresh_tape() as tape:
+            slot_attention(keys, values, slots, Tensor(np.eye(6), requires_grad=True), groups)
+        assert len(tape) == 1
+
+    @pytest.mark.parametrize("token_rows, slot_rows, groups", [(9, 4, 2), (8, 3, 2), (8, 4, 0)])
+    def test_rows_that_do_not_split_into_the_groups_are_a_shape_error(
+            self, token_rows, slot_rows, groups):
+        tokens, slots = Tensor(np.zeros((token_rows, 4))), Tensor(np.zeros((slot_rows, 4)))
+        with pytest.raises(T.ShapeError, match="do not split into"):
+            slot_attention(tokens, tokens, slots, Tensor(np.eye(4)), groups)
+
+    def test_encode_frame_of_a_group_equals_one_frame_at_a_time(self):
+        attn = make_attn(seed=24)
+        rng = np.random.default_rng(25)
+        frames = [dense_from(rng) for _ in range(3)]
+        stacked = DenseTokens(T.concat([f.tokens for f in frames]), 3, 12)
+        seeds = [40, 41, 42]
+        fresh, maps = attn.encode_frame(stacked, None, seeds)
+        carried, _ = attn.encode_frame(stacked, fresh, [50, 51, 52])
+        assert fresh.shape == (3 * 4, 16) and maps.attn.shape == (3 * 12, 4)
+        for g, (dense, seed) in enumerate(zip(frames, seeds)):
+            one, one_maps = attn.encode_frame(dense, None, seed)
+            rows = slice(4 * g, 4 * (g + 1))
+            np.testing.assert_allclose(fresh.data[rows], one.data, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(maps.weights[12 * g:12 * (g + 1)], one_maps.weights,
+                                       rtol=1e-12, atol=1e-12)
+            # a frame's start does not depend on its group
+            assert (attn.init_slots(None, seeds).data[rows].tobytes()
+                    == attn.init_slots(None, seed).data.tobytes())
+            again, _ = attn.encode_frame(dense, Tensor(fresh.data[rows]), 60)
+            np.testing.assert_allclose(carried.data[rows], again.data, rtol=1e-12, atol=1e-12)
+
+
 class TestRefineStep:
     def test_identical_slots_symmetric_input_uniform_attention(self):
         attn = make_attn()
