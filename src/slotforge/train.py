@@ -87,11 +87,17 @@ class Corpus:
 
 
 def load_corpus(cfg: RunConfig, data_dir: str | Path) -> Corpus:
-    """`Corpus.load` for a run; a frame whose size is not `cfg.image_size` is a
-    data error (`WorldError`)."""
+    """`Corpus.load` for a run. A frame whose size is not `cfg.image_size`, and
+    tasks of different word counts, are data errors (`WorldError`): both
+    stages group frames, and a group's tasks must be equally long."""
     corpus = Corpus.load(data_dir, cfg.patch_size)
     for episode in corpus.episodes:
         check_frame_size(episode, cfg.image_size)
+    counts = {len(record.task.split()) for episode in corpus.episodes
+              for record in episode.frames}
+    if len(counts) > 1:
+        raise WorldError(f"{data_dir}: tasks differ in word count {sorted(counts)}; "
+                         "a corpus holds one task template")
     return corpus
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import pnm
 from .decoder import action_to_bins, bin_centers, snap_action
-from .language import COLORS, SHAPES
+from .language import COLORS, SHAPES, UnknownWordError, tokenize
 
 BACKGROUND_RGB = (28, 28, 32)
 ROBOT_RGB = (245, 245, 245)
@@ -564,6 +564,17 @@ def _numbers(values, n: int, what: str, where: str) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
+def _task(task, where: str) -> str:
+    """A task string of vocabulary words; anything else is a data error."""
+    if not isinstance(task, str):
+        raise EpisodeParseError(f"{where}: malformed record: task is not a string")
+    try:
+        tokenize(task)
+    except UnknownWordError as exc:
+        raise EpisodeParseError(f"{where}: malformed record: task {task!r}: {exc}") from exc
+    return task
+
+
 def load_episode(path: str | Path) -> Episode:
     path = Path(path)
     base = path.parent
@@ -591,6 +602,11 @@ def load_episode(path: str | Path) -> Episode:
         try:
             if type(rec["t"]) is not int:
                 raise EpisodeParseError(f"{where}: malformed record: t is not an integer")
+            if not (isinstance(rec["instances"], list) and rec["instances"]
+                    and all(isinstance(inst, dict) for inst in rec["instances"])):
+                raise EpisodeParseError(
+                    f"{where}: malformed record: instances is not a non-empty list of objects")
+            task = _task(rec["task"], where)
             rgb = pnm.read_ppm(base / rec["frame_file"]).astype(np.float64) / 255.0
             instances = [
                 InstanceRecord(
@@ -602,7 +618,7 @@ def load_episode(path: str | Path) -> Episode:
             ]
             instance_map = pnm.read_pgm(base / rec["map_file"])
             frames.append(FrameRecord(
-                t=rec["t"], task=rec["task"],
+                t=rec["t"], task=task,
                 action=_numbers(rec["action"], 7, "action", where),
                 proprio=_numbers(rec["proprio"], 4, "proprio", where),
                 instances=instances, rgb=rgb, instance_map=instance_map))

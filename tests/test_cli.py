@@ -163,6 +163,12 @@ def corrupt(kind, path):
         instance_map[0, 0] = k + 1
         pnm.write_pgm(map_path, instance_map)
         return f"{path}:1: instance map value {k + 1} exceeds the record's {k} instances"
+    if kind.startswith("instances-"):
+        rec["instances"] = {"int": 5, "string": ["a"], "empty": []}[kind[len("instances-"):]]
+        if not rec["instances"]:  # no instances, and a map that shows none
+            pnm.write_pgm(map_path, np.zeros((64, 64), dtype=np.uint8))
+        path.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
+        return f"{path}:1: malformed record: instances is not a non-empty list of objects"
     if kind == "old-layout":  # one mask file per instance, no map
         del rec["map_file"]
         for inst in rec["instances"]:
@@ -176,7 +182,8 @@ def corrupt(kind, path):
 
 
 @pytest.mark.parametrize("kind", [
-    "map-size", "map-value", "old-layout",
+    "map-size", "map-value", "old-layout", "instances-int", "instances-string",
+    "instances-empty",
     pytest.param("{not json", id="meta-not-json"),
     pytest.param("[1]", id="meta-not-object"),
     pytest.param('{"seed": "x"}', id="meta-seed-not-integer"),
@@ -186,6 +193,28 @@ def test_corrupt_corpus_exits_train1_with_data_error(kind, tmp_path, capsys):
     message = corrupt(kind, path)
     out = tmp_path / "out"
     assert main(["train1", "--data", str(path.parent), "--out", str(out)]) == EXIT_DATA
+    assert message in capsys.readouterr().err
+    assert_no_manifest(out)
+
+
+@pytest.mark.parametrize("task, message", [
+    (5, ":1: malformed record: task is not a string"),
+    ("robot put the red rocket on the blue square",
+     ":1: malformed record: task 'robot put the red rocket on the blue square': "
+     "word 'rocket' not in vocabulary"),
+    ("put the red square on the blue circle", "tasks differ in word count [8, 9]"),
+], ids=["not-a-string", "unknown-word", "mixed-word-counts"])
+@pytest.mark.parametrize("command", ["train1", "train2"])
+def test_bad_task_exits_with_data_error(command, task, message, tmp_path, capsys,
+                                        stage1_ckpt):
+    path = serialize_episode(generate_episode(3, RunConfig().world_config()), tmp_path / "data")
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[0])
+    rec["task"] = task
+    path.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
+    argv = {"train1": ["train1"], "train2": ["train2", "--stage1", str(stage1_ckpt)]}[command]
+    out = tmp_path / "out"
+    assert main(argv + ["--data", str(path.parent), "--out", str(out)]) == EXIT_DATA
     assert message in capsys.readouterr().err
     assert_no_manifest(out)
 

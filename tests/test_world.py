@@ -197,8 +197,15 @@ class TestSerialization:
         ("box", [0.5, 0.5, 0.1], "box is not 4 numbers"),
         ("box", [0.5, 0.5, 0.1, True], "box is not 4 numbers"),
         (None, [1, 2], "not a JSON object"),
+        ("instances", 5, "instances is not a non-empty list of objects"),
+        ("instances", ["a"], "instances is not a non-empty list of objects"),
+        ("instances", [], "instances is not a non-empty list of objects"),
+        ("task", 5, "task is not a string"),
+        ("task", "put the red rocket on the blue square",
+         "task 'put the red rocket on the blue square': word 'rocket' not in vocabulary"),
     ], ids=["t", "action-length", "action-string", "proprio-length", "box-length",
-            "box-bool", "record-list"])
+            "box-bool", "record-list", "instances-int", "instances-string",
+            "instances-empty", "task-int", "task-unknown-word"])
     def test_mistyped_field_is_a_malformed_record(self, field, value, message, tmp_path):
         path = serialize_episode(generate_episode(4, WorldConfig.for_subset("pair")), tmp_path)
         lines = path.read_text().splitlines()
@@ -208,6 +215,8 @@ class TestSerialization:
         elif field == "box":
             rec["instances"][0]["box"] = value
         else:
+            if value == []:  # no instances, and a map that shows none
+                pnm.write_pgm(tmp_path / rec["map_file"], np.zeros((64, 64), dtype=np.uint8))
             rec[field] = value
         lines[1] = json.dumps(rec)
         path.write_text("\n".join(lines) + "\n")
