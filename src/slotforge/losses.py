@@ -248,27 +248,27 @@ def slot_attn_loss(preds: SlotPredictions, targets: Sequence[FrameTargets],
     frame. Every term is the sum over frames of that frame's mean; the
     matched rows of all frames are gathered once, and per-row weights keep
     each frame's mean its own. A group of one frame is that frame's loss."""
-    frames = len(targets)
-    n_slots = preds.boxes.shape[0] // frames
+    n_frames = len(targets)
+    n_slots = preds.boxes.shape[0] // n_frames
     obj_target = np.zeros((preds.boxes.shape[0], 1))
     rows: list[int] = []
-    gt_boxes, gt_masks, pair_counts = [], [], []
+    frame_pairs: list[int] = []  # for each matched row, its frame's pair count
+    gt_boxes, gt_masks = [], []
     for f, (frame, match) in enumerate(zip(targets, matches)):
         rows += [f * n_slots + s for s, _ in match.pairs]
+        frame_pairs += [len(match.pairs)] * len(match.pairs)
         gt_idx = [g for _, g in match.pairs]
         gt_boxes.append(frame.boxes[gt_idx])
         gt_masks.append(frame.grid_masks[gt_idx])
-        pair_counts.append(len(gt_idx))
     obj_target[rows, 0] = 1.0
     # bce_logits averages over every row; weighting each by the frame count
     # makes that the sum of the per-frame means
     loss_obj = T.bce_logits(preds.objectness, obj_target,
-                            np.full(obj_target.shape, float(frames)))
+                            np.full(obj_target.shape, float(n_frames)))
     if rows:
         # a mean over all pairs, each pair weighted by (pairs / its frame's
         # pairs), is the sum over frames of the per-frame means
-        pair_scale = np.repeat([len(rows) / n for n in pair_counts if n],
-                               [n for n in pair_counts if n])
+        pair_scale = len(rows) / np.array(frame_pairs, dtype=np.float64)
         pred_rows = T.gather_rows(preds.boxes, rows)
         gt_rows = np.concatenate(gt_boxes)
         l1 = T.mean(T.mul(T.sum_(T.abs_(T.sub(pred_rows, Tensor(gt_rows))), axis=1),
