@@ -351,13 +351,10 @@ def sqrt(a) -> Tensor:
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)) in numpy, never exponentiating a positive number."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) in numpy, never exponentiating a positive number:
+    1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere, with e = exp(-|x|)."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(a) -> Tensor:
