@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .frontend import Frame
 from .pipeline import Pipeline
 from .world import ScriptedExpert, World
 
@@ -37,9 +36,8 @@ def run_rollout(pipeline: Pipeline, cfg: RunConfig, seed: int,
             action = controller.action()
         else:
             rgb, _ = world.render()
-            action, slots = pipeline.policy_step(
-                Frame(rgb=rgb, t=t), world.proprio(), world.task, slots,
-                episode_key=seed, t=t)
+            action, slots = pipeline.policy_step(rgb, world.proprio(), world.task, slots,
+                                                 episode_key=seed, t=t)
         world.step(action)
         steps = t + 1
         if world.success() and not world.carrying:

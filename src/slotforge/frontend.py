@@ -3,8 +3,9 @@
 Each non-overlapping p x p patch is flattened, linearly projected to the
 model width, normalized (parameter-free), and offset by a learned 2-D
 positional embedding. The normalization happens before the positional add so
-position information reaches the slot encoder unscaled. A group of frames
-is embedded as one graph, its patches stacked frame by frame.
+position information reaches the slot encoder unscaled. A frame is its HxWx3
+rgb array in [0,1]; a group of frames is embedded as one graph, its patches
+stacked frame by frame.
 """
 
 from __future__ import annotations
@@ -16,24 +17,6 @@ import numpy as np
 from . import tensor as T
 from .nn import ParamGroup, param, zeros_param
 from .tensor import ShapeError, Tensor
-
-
-@dataclass
-class Frame:
-    """One observation: rgb in [0,1] and its time index."""
-
-    rgb: np.ndarray
-    t: int
-
-    def __post_init__(self):
-        rgb = np.asarray(self.rgb, dtype=np.float64)
-        if rgb.ndim != 3 or rgb.shape[2] != 3:
-            raise ShapeError(f"frame rgb must be HxWx3, got {rgb.shape}")
-        if rgb.min() < 0.0 or rgb.max() > 1.0:
-            raise ValueError("frame rgb values outside [0,1]")
-        if self.t < 0:
-            raise ValueError(f"negative frame index {self.t}")
-        self.rgb = rgb
 
 
 @dataclass
@@ -72,17 +55,16 @@ class PatchEmbedder:
     def params(self) -> ParamGroup:
         return ParamGroup().collect("frontend", self)
 
-    def patches(self, frame: Frame) -> np.ndarray:
+    def patches(self, rgb: np.ndarray) -> np.ndarray:
         """Flattened patch matrix, one row per grid cell (row-major cells)."""
         p = self.patch_size
-        img = frame.rgb
-        h, w, _ = img.shape
+        h, w, _ = rgb.shape
         if h != self.image_size or w != self.image_size:
             raise ShapeError(f"frame {h}x{w} != configured {self.image_size}")
-        cells = img.reshape(h // p, p, w // p, p, 3).transpose(0, 2, 1, 3, 4)
+        cells = rgb.reshape(h // p, p, w // p, p, 3).transpose(0, 2, 1, 3, 4)
         return cells.reshape(self.grid * self.grid, p * p * 3)
 
-    def __call__(self, frames: list[Frame]) -> DenseTokens:
+    def __call__(self, frames: list[np.ndarray]) -> DenseTokens:
         """Tokens of a group of frames, stacked frame by frame: one grid as many
         times as tall as there are frames."""
         flat = Tensor(np.concatenate([self.patches(frame) for frame in frames]))

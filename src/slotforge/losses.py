@@ -62,8 +62,6 @@ class MatchAssignment:
     """Injection of ground-truth objects into slots."""
 
     pairs: list[tuple[int, int]]      # (slot index, gt index)
-    unmatched_slots: list[int]
-    total_cost: float
 
 
 def _optimal_cost(cost: np.ndarray) -> float:
@@ -117,7 +115,6 @@ def hungarian_match(cost: np.ndarray) -> MatchAssignment:
     tol = _TIE_RTOL * max(1.0, abs(best))
     if _optimum_is_unique(cost, rows, cols, best + 2.0 * tol):
         pairs = [(i, j) for j, i in sorted(zip(cols.tolist(), rows.tolist()))]
-        free = sorted(set(range(n_slots)) - set(rows.tolist()))
     else:
         pairs, free, spent = [], list(range(n_slots)), 0.0
         for j in range(n_gt):
@@ -132,8 +129,7 @@ def hungarian_match(cost: np.ndarray) -> MatchAssignment:
                     break
             else:  # pragma: no cover - optimality guarantees a break
                 raise RuntimeError("assignment refinement failed to complete")
-    return MatchAssignment(pairs=pairs, unmatched_slots=free,
-                           total_cost=float(sum(cost[i, j] for i, j in pairs)))
+    return MatchAssignment(pairs=pairs)
 
 
 def _validate_boxes(boxes: np.ndarray, name: str, reject_degenerate: bool) -> np.ndarray:
@@ -236,7 +232,7 @@ def match_frame(boxes: np.ndarray, targets: FrameTargets,
     """Assignment of one frame's gt objects to its slots, from the predicted
     boxes (one row per slot)."""
     if targets.boxes.shape[0] == 0:
-        return MatchAssignment([], list(range(boxes.shape[0])), 0.0)
+        return MatchAssignment([])
     return hungarian_match(box_cost(boxes, targets.boxes, cfg.cost_l1, cfg.cost_giou))
 
 

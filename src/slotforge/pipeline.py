@@ -4,20 +4,21 @@ Owns every parameter group, the stage-1/stage-2 split, frame encoding with
 carryover, the per-batch stage-1 objective, cached stage-2 logits, and the
 closed-loop policy step used during rollouts.
 
-`Pipeline.encode_frame` encodes a group of frames as one graph, their tokens
-and slots stacked frame by frame as row blocks; one frame is a group of one.
-It is the one place that decides carryover: a group starts from its
-previous slots, when there are any, if `carryover_on` is set and every
-t > 0, and from one fresh seeded draw per frame otherwise.
+`Pipeline.encode_frame` encodes a group of frames, rgb arrays, as one graph,
+their tokens and slots stacked frame by frame as row blocks; one frame is a
+group of one. It is the one place that decides carryover: a group starts
+from its previous slots, when there are any, if `carryover_on` is set and
+every t > 0, and from one fresh seeded draw per frame otherwise.
 
-The stage-1 objective walks the clips of a batch in lockstep: the frames at
-each index form one group, and the heads, the task filter and the tracking
-embeddings run once per group; only matching runs per frame, in numpy.
-`Pipeline.walk` is the one-frame episode walk: it encodes consecutive frames
-and hands each frame the previous frame's refined slots. Validation, the
-flip rate, the stage-2 cache and inspection reports walk frames through it;
-only a closed-loop rollout, whose next frame depends on the action taken,
-steps `policy_step` itself.
+`Pipeline.walk` is the one episode walk. It steps a list of clips in
+lockstep: the frames at each index form one group, handed the previous
+group's refined slots, and a clip leaves the group once it ends. The
+stage-1 objective walks a batch of clips; its heads, task filter and
+tracking embeddings run once per group, and only matching runs per frame,
+in numpy. Validation, the flip rate, the stage-2 cache and inspection
+reports each walk one whole-episode clip at a time; only a closed-loop
+rollout, whose next frame depends on the action taken, steps `policy_step`
+itself.
 `Pipeline.select` is the one task-filter call, and stage-2 logits and the
 policy step share one decode tail, which decodes frames stacked as row blocks
 in one graph: a stage-2 batch, or the one frame of a policy step.
@@ -26,14 +27,14 @@ in one graph: a stage-2 batch, or the one frame of a policy step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from . import tensor as T
 from .config import RunConfig
 from .decoder import ActionDecoder
-from .frontend import DenseTokens, Frame, PatchEmbedder
+from .frontend import DenseTokens, PatchEmbedder
 from .language import EmbeddingTable
 from .losses import (FrameTargets, TrackProjection, match_frame, relevance_loss,
                      slot_attn_loss, slot_relevance_labels, stage1_total, track_loss)
@@ -58,17 +59,12 @@ def frame_targets(record: FrameRecord, patch_size: int) -> FrameTargets:
         instance_ids=[inst.instance_id for inst in record.instances])
 
 
-def frame_from_record(record: FrameRecord) -> Frame:
-    return Frame(rgb=record.rgb, t=record.t)
-
-
 @dataclass
 class Clip:
-    """A short run of consecutive frames from one episode."""
+    """A run of consecutive frames from one episode, the first at time `base_t`."""
 
-    frames: list[Frame]
-    targets: list[FrameTargets]
-    task: str
+    frames: list[FrameRecord]
+    targets: list[FrameTargets]  # one per frame; empty where nothing is supervised
     episode_key: int   # unique per source episode within a corpus
     base_t: int
 
@@ -125,26 +121,39 @@ class Pipeline:
     # ------------------------------------------------------------------
     # encoding
 
-    def encode_frame(self, frames: list[Frame], prev_slots: Tensor | None,
+    def encode_frame(self, frames: list[np.ndarray], prev_slots: Tensor | None,
                      episode_keys: list[int], times: list[int]):
         """(dense tokens, refined slots, attention maps) of a group of frames,
-        one episode key and time per frame, each stacked frame by frame; one
-        frame is a group of one. `prev_slots` holds the group's previous slots
-        in the same order, and is carried over only when every t > 0."""
+        rgb arrays with one episode key and time each, stacked frame by frame;
+        one frame is a group of one. `prev_slots` holds the group's previous
+        slots in the same order, and is carried over only when every t > 0."""
         dense = self.frontend(frames)
         carry = prev_slots if self.cfg.carryover_on and min(times) > 0 else None
         seeds = [init_seed(self.cfg.seed, key, t) for key, t in zip(episode_keys, times)]
         slots, maps = self.slot_attn.encode_frame(dense, carry, seeds)
         return dense, slots, maps
 
-    def walk(self, frames: Iterable[Frame], episode_key: int,
-             base_t: int = 0) -> Iterator[tuple[int, DenseTokens, Tensor, AttentionMaps]]:
-        """Encode consecutive frames of one episode, the first at time `base_t`,
-        each handed the previous frame's slots; yields (t, dense, slots, maps)."""
-        slots = None
-        for t, frame in enumerate(frames, start=base_t):
-            dense, slots, maps = self.encode_frame([frame], slots, [episode_key], [t])
-            yield t, dense, slots, maps
+    def walk(self, clips: list[Clip]) -> Iterator[
+            tuple[int, list[Clip], DenseTokens, Tensor, AttentionMaps]]:
+        """Encode clips in lockstep: at each frame index i the clips still going,
+        in batch order, form one group, each frame handed its own clip's
+        previous slots. A clip shorter than the others leaves the group once it
+        ends. Yields (i, the group's clips, dense, slots, maps)."""
+        n_slots = self.cfg.num_slots
+        slots, active = None, []
+        for i in range(max((len(clip.frames) for clip in clips), default=0)):
+            going = [c for c, clip in enumerate(clips) if i < len(clip.frames)]
+            if slots is not None and going != active:
+                # carryover passes values, not history: keep the rows of the clips that go on
+                kept = slots.data.reshape(len(active), n_slots, -1)[
+                    [active.index(c) for c in going]]
+                slots = Tensor(kept.reshape(len(going) * n_slots, -1))
+            active = going
+            group = [clips[c] for c in active]
+            dense, slots, maps = self.encode_frame(
+                [clip.frames[i].rgb for clip in group], slots,
+                [clip.episode_key for clip in group], [clip.base_t + i for clip in group])
+            yield i, group, dense, slots, maps
 
     def select(self, slots: Tensor, lang: Tensor, groups: int = 1):
         """Task filter over the slots of `groups` frames stacked as row blocks,
@@ -160,10 +169,9 @@ class Pipeline:
 
     def stage1_batch_loss(self, batch: list[Clip]) -> tuple[Tensor, dict[str, float]]:
         """The stage-1 objective of a batch of clips, walked in lockstep: the
-        frames at each index form one group, encoded, scored and supervised as
-        one graph, each frame handed its own clip's previous slots. A clip
-        shorter than the others leaves the group once it ends. Matching runs
-        per frame; the tracking term runs once over the whole batch."""
+        frames at each index are encoded, scored and supervised as one graph.
+        Matching runs per frame; the tracking term runs once over the whole
+        batch."""
         n_slots = self.cfg.num_slots
         slot_terms: list[Tensor] = []
         int_terms: list[Tensor] = []
@@ -172,19 +180,7 @@ class Pipeline:
         emb_labels: list[int] = []
         emb_frames: list[int] = []
         intern: dict[tuple[int, str], int] = {}
-        slots, active = None, []
-        for i in range(max((len(clip.frames) for clip in batch), default=0)):
-            going = [c for c, clip in enumerate(batch) if i < len(clip.frames)]
-            if slots is not None and going != active:
-                # carryover passes values, not history: keep the rows of the clips that go on
-                kept = slots.data.reshape(len(active), n_slots, -1)[
-                    [active.index(c) for c in going]]
-                slots = Tensor(kept.reshape(len(going) * n_slots, -1))
-            active = going
-            clips = [batch[c] for c in active]
-            times = [clip.base_t + i for clip in clips]
-            _, slots, _ = self.encode_frame([clip.frames[i] for clip in clips], slots,
-                                            [clip.episode_key for clip in clips], times)
+        for i, clips, _, slots, _ in self.walk(batch):
             targets = [clip.targets[i] for clip in clips]
             preds = self.heads(slots)
             boxes = preds.boxes.data
@@ -195,7 +191,7 @@ class Pipeline:
             slot_terms.append(term)
             for key in parts_acc:
                 parts_acc[key] += parts[key]
-            lang = task_tokens(self.lang_filter, [clip.task for clip in clips])
+            lang = task_tokens(self.lang_filter, [clip.frames[0].task for clip in clips])
             _, _, logits = self.select(slots, lang, len(clips))
             labels = np.concatenate([
                 slot_relevance_labels(match, target.relevance, n_slots)
@@ -204,7 +200,7 @@ class Pipeline:
                                             self.loss_cfg.w_neg, len(clips)))
             if self.loss_cfg.lambda_track > 0:
                 emb_blocks.append(self.track_embedding(slots))
-                for clip, t, target, match in zip(clips, times, targets, matches):
+                for clip, target, match in zip(clips, targets, matches):
                     gt_for_slot = dict(match.pairs)
                     for s in range(n_slots):
                         if s in gt_for_slot:
@@ -212,7 +208,7 @@ class Pipeline:
                             emb_labels.append(intern.setdefault(key, len(intern)))
                         else:
                             emb_labels.append(-1)
-                        emb_frames.append(t)
+                        emb_frames.append(clip.base_t + i)
         n_frames = sum(len(clip.frames) for clip in batch)
         slot_mean = T.mul(T.add_all(slot_terms), 1.0 / max(n_frames, 1))
         int_mean = T.mul(T.add_all(int_terms), 1.0 / max(n_frames, 1))
@@ -237,8 +233,8 @@ class Pipeline:
         cache = []
         with T.no_grad():
             lang = self.lang_filter(frames[0].task)
-            walk = self.walk(map(frame_from_record, frames), episode_key)
-            for (_, dense, slots, _), record in zip(walk, frames):
+            for i, _, dense, slots, _ in self.walk([Clip(frames, [], episode_key, 0)]):
+                record = frames[i]
                 kept, scores, _ = self.select(slots, lang)
                 cache.append({
                     "dense": dense.tokens.data.copy(),
@@ -278,11 +274,12 @@ class Pipeline:
     # ------------------------------------------------------------------
     # closed-loop policy
 
-    def policy_step(self, frame: Frame, proprio: np.ndarray, task: str,
+    def policy_step(self, rgb: np.ndarray, proprio: np.ndarray, task: str,
                     prev_slots: Tensor | None, episode_key: int, t: int):
-        """Greedy action for one observation; returns (action, refined slots)."""
+        """Greedy action for one observation, its rgb frame at time `t`;
+        returns (action, refined slots)."""
         with T.no_grad():
-            dense, slots, _ = self.encode_frame([frame], prev_slots, [episode_key], [t])
+            dense, slots, _ = self.encode_frame([rgb], prev_slots, [episode_key], [t])
             kept, _, _ = self.select(slots, self.lang_filter(task))
             logits = self._logits(dense, kept, [task], proprio)
             return self.decoder.greedy_action(logits), slots

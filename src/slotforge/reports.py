@@ -12,7 +12,8 @@ from . import tensor as T
 from . import pnm
 from .config import ConfigError
 from .losses import iou_matrix, match_frame, slot_relevance_labels
-from .pipeline import Pipeline, frame_from_record, frame_targets
+from .pipeline import Pipeline
+from .train import Corpus
 from .world import Episode
 
 
@@ -26,14 +27,12 @@ def inspect_report(pipeline: Pipeline, episode: Episode, frame_idx: int,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = pipeline.cfg
-    key = episode.seed if episode.seed >= 0 else 0
+    clip = Corpus([episode], cfg.patch_size).clip(0, 0, frame_idx + 1)
 
     with T.no_grad():
-        frames = map(frame_from_record, episode.frames[:frame_idx + 1])
-        for _, dense, slots, maps in pipeline.walk(frames, key):
+        for _, _, dense, slots, maps in pipeline.walk([clip]):
             pass
-        record = episode.frames[frame_idx]
-        targets = frame_targets(record, cfg.patch_size)
+        record, targets = clip.frames[-1], clip.targets[-1]
         preds = pipeline.heads(slots)
         match = match_frame(preds.boxes.data, targets, pipeline.loss_cfg)
         kept, scores, _ = pipeline.select(slots, pipeline.lang_filter(record.task))

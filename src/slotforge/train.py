@@ -22,7 +22,7 @@ from .config import RunConfig
 from .decoder import ACTION_DIMS, action_to_bins
 from .losses import action_ce, iou_matrix, match_frame, slot_relevance_labels
 from .optim import AdaptiveOptimizer
-from .pipeline import Clip, Pipeline, frame_from_record, frame_targets
+from .pipeline import Clip, Pipeline, frame_targets
 from .world import Episode, WorldError, check_frame_size, episode_files, load_episode
 
 LOSS_CSV_HEADER = "step,L_box,L_obj,L_seg,L_track,L_int,total"
@@ -54,19 +54,20 @@ def write_manifest(out_dir: Path, cfg: RunConfig, **extra) -> None:
 
 
 class Corpus:
-    """Episodes with precomputed frames and supervision targets; an empty
-    corpus is a data error (`WorldError`)."""
+    """Episodes, their frame records and, given a patch size, the stage-1
+    supervision targets of every frame; stage 2 reads no targets and passes
+    None. An empty corpus is a data error (`WorldError`)."""
 
-    def __init__(self, episodes: list[Episode], patch_size: int):
+    def __init__(self, episodes: list[Episode], patch_size: int | None):
         if not episodes:
             raise WorldError("empty corpus")
         self.episodes = episodes
-        self.frames = [[frame_from_record(r) for r in ep.frames] for ep in episodes]
-        self.targets = [[frame_targets(r, patch_size) for r in ep.frames]
-                        for ep in episodes]
+        self.frames = [ep.frames for ep in episodes]
+        self.targets = None if patch_size is None else [
+            [frame_targets(r, patch_size) for r in frames] for frames in self.frames]
 
     @staticmethod
-    def load(data_dir: str | Path, patch_size: int) -> "Corpus":
+    def load(data_dir: str | Path, patch_size: int | None) -> "Corpus":
         files = episode_files(data_dir)
         if not files:
             raise WorldError(f"no episodes under {data_dir}")
@@ -82,15 +83,15 @@ class Corpus:
     def clip(self, index: int, start: int, length: int) -> Clip:
         return Clip(frames=self.frames[index][start:start + length],
                     targets=self.targets[index][start:start + length],
-                    task=self.episodes[index].frames[0].task,
                     episode_key=self.episode_key(index), base_t=start)
 
 
-def load_corpus(cfg: RunConfig, data_dir: str | Path) -> Corpus:
-    """`Corpus.load` for a run. A frame whose size is not `cfg.image_size`, and
-    tasks of different word counts, are data errors (`WorldError`): both
-    stages group frames, and a group's tasks must be equally long."""
-    corpus = Corpus.load(data_dir, cfg.patch_size)
+def load_corpus(cfg: RunConfig, data_dir: str | Path, targets: bool = True) -> Corpus:
+    """`Corpus.load` for a run, with targets at `cfg.patch_size` or none. A
+    frame whose size is not `cfg.image_size`, and tasks of different word
+    counts, are data errors (`WorldError`): both stages group frames, and a
+    group's tasks must be equally long."""
+    corpus = Corpus.load(data_dir, cfg.patch_size if targets else None)
     for episode in corpus.episodes:
         check_frame_size(episode, cfg.image_size)
     counts = {len(record.task.split()) for episode in corpus.episodes
@@ -136,9 +137,10 @@ def stage1_metrics(pipeline: Pipeline, corpus: Corpus) -> dict[str, float]:
     labels_all: list[float] = []
     with T.no_grad():
         for idx in range(len(corpus)):
-            lang = pipeline.lang_filter(corpus.episodes[idx].frames[0].task)
-            walk = pipeline.walk(corpus.frames[idx], corpus.episode_key(idx))
-            for (_, _, slots, _), targets in zip(walk, corpus.targets[idx]):
+            clip = corpus.clip(idx, 0, len(corpus.frames[idx]))
+            lang = pipeline.lang_filter(clip.frames[0].task)
+            for i, _, _, slots, _ in pipeline.walk([clip]):
+                targets = clip.targets[i]
                 preds = pipeline.heads(slots)
                 match = match_frame(preds.boxes.data, targets, pipeline.loss_cfg)
                 pairwise = iou_matrix(preds.boxes.data, targets.boxes)
@@ -163,8 +165,9 @@ def assignment_flip_rate(pipeline: Pipeline, corpus: Corpus,
         with T.no_grad():
             for idx in range(len(corpus)):
                 prev_map: dict[str, int] = {}
-                walk = pipeline.walk(corpus.frames[idx], corpus.episode_key(idx))
-                for (_, _, slots, _), targets in zip(walk, corpus.targets[idx]):
+                clip = corpus.clip(idx, 0, len(corpus.frames[idx]))
+                for i, _, _, slots, _ in pipeline.walk([clip]):
+                    targets = clip.targets[i]
                     preds = pipeline.heads(slots)
                     match = match_frame(preds.boxes.data, targets, pipeline.loss_cfg)
                     current = {targets.instance_ids[g]: s for s, g in match.pairs}
@@ -270,8 +273,8 @@ def train_stage2(cfg: RunConfig, stage1_ckpt: str | Path, data_dir: str | Path,
     pipeline.stage1_params().load_state(load_checkpoint(stage1_ckpt))
     fingerprint = _stage1_fingerprint(pipeline)
 
-    corpus = load_corpus(cfg, data_dir)
-    val = load_corpus(cfg, val_dir) if val_dir else None
+    corpus = load_corpus(cfg, data_dir, targets=False)
+    val = load_corpus(cfg, val_dir, targets=False) if val_dir else None
     write_manifest(out_dir, cfg, stage=2, data=str(data_dir),
                    stage1=str(stage1_ckpt))
     cache = flatten_cache(pipeline, corpus)

@@ -68,3 +68,18 @@ def test_tape_counter_reads_the_whole_tape_after_backward():
     # the slot and filter spans wrap names each encoded frame must keep calling
     assert names.count("slots.SlotAttention.encode_frame") == frames
     assert names.count("task_filter.TaskFilter.__call__") == frames
+
+
+def test_validation_encodes_each_frame_in_its_own_call():
+    patches, cut = Patches(), CutPoints(sample_loop=False)
+    cut.install(patches)
+    try:
+        cfg = load_config(overrides=["subset=pair"])
+        corpus = train.Corpus([generate_episode(seed, cfg.world_config()) for seed in (3, 4)],
+                              cfg.patch_size)
+        train.stage1_metrics(pipeline.Pipeline(cfg), corpus)
+    finally:
+        patches.undo()
+    frames = sum(len(f) for f in corpus.frames)
+    assert cut.encoded == frames
+    assert [n for _, _, n in cut.current.corpus_passes] == [frames]

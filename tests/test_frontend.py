@@ -4,22 +4,12 @@ import numpy as np
 import pytest
 
 import slotforge.tensor as T
-from slotforge.frontend import Frame, PatchEmbedder
+from slotforge.frontend import PatchEmbedder
 from slotforge.tensor import ShapeError, Tensor
 
 
 def zero_frame(size=64):
-    return Frame(rgb=np.zeros((size, size, 3)), t=0)
-
-
-class TestFrameInvariants:
-    def test_out_of_range_values_rejected(self):
-        with pytest.raises(ValueError):
-            Frame(rgb=np.full((8, 8, 3), 1.5), t=0)
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            Frame(rgb=np.zeros((8, 8, 3)), t=-1)
+    return np.zeros((size, size, 3))
 
 
 class TestPatchEmbed:
@@ -44,13 +34,13 @@ class TestPatchEmbed:
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         emb = PatchEmbedder(np.random.default_rng(3), patch_size=8, width=32, image_size=32)
-        frame = Frame(rgb=rng.uniform(size=(32, 32, 3)), t=0)
+        frame = rng.uniform(size=(32, 32, 3))
         assert np.array_equal(emb([frame]).tokens.data, emb([frame]).tokens.data)
 
     def test_gradient_through_scalar_loss(self):
         rng = np.random.default_rng(4)
         emb = PatchEmbedder(np.random.default_rng(5), patch_size=4, width=8, image_size=8)
-        frame = Frame(rgb=rng.uniform(size=(8, 8, 3)), t=0)
+        frame = rng.uniform(size=(8, 8, 3))
         wrt = [emb.proj_w, emb.proj_b, emb.pos]
         err = T.finite_diff_check(lambda: T.mean(T.mul(emb([frame]).tokens,
                                                        emb([frame]).tokens)), wrt)
@@ -67,7 +57,7 @@ class TestPatchEmbed:
         img[0:8, 0:8] = sprite
         shifted = np.zeros((32, 32, 3))
         shifted[0:8, 8:16] = sprite
-        tokens_a = emb([Frame(rgb=img, t=0)]).tokens.data
-        tokens_b = emb([Frame(rgb=shifted, t=1)]).tokens.data
+        tokens_a = emb([img]).tokens.data
+        tokens_b = emb([shifted]).tokens.data
         assert np.allclose(tokens_a[0], tokens_b[1], atol=1e-12)
         assert np.allclose(tokens_a[1], tokens_b[0], atol=1e-12)  # both background

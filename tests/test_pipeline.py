@@ -16,7 +16,6 @@ import pytest
 
 from slotforge.config import load_config
 from slotforge.evaluate import evaluate
-from slotforge.frontend import Frame
 from slotforge.reports import inspect_report
 from slotforge.train import (Corpus, assignment_flip_rate, flatten_cache,
                              train_stage1, train_stage2)
@@ -86,8 +85,7 @@ def run(tmp_path_factory):
     episode = load_episode(val_path)
     state, actions = None, []
     for record in episode.frames[:4]:
-        action, state = pipe.policy_step(Frame(rgb=record.rgb, t=record.t),
-                                         record.proprio, record.task, state,
+        action, state = pipe.policy_step(record.rgb, record.proprio, record.task, state,
                                          episode_key=VAL_SEED, t=record.t)
         actions.append(action.tobytes())
     out["policy"] = digest(*actions, state.data.tobytes())

@@ -33,9 +33,9 @@ def per_frame_loss(pipe, batch):
     slot_terms, int_terms, parts = [], [], {"box": 0.0, "obj": 0.0, "seg": 0.0}
     emb_blocks, emb_labels, emb_frames, intern = [], [], [], {}
     for clip in batch:
-        lang = pipe.lang_filter(clip.task)
-        walk = pipe.walk(clip.frames, clip.episode_key, clip.base_t)
-        for (t, _, slots, _), target in zip(walk, clip.targets):
+        lang = pipe.lang_filter(clip.frames[0].task)
+        for i, _, _, slots, _ in pipe.walk([clip]):
+            target = clip.targets[i]
             preds = pipe.heads(slots)
             match = match_frame(preds.boxes.data, target, cfg)
             term, frame_parts = slot_attn_loss(preds, [target], [match], cfg)
@@ -54,7 +54,7 @@ def per_frame_loss(pipe, batch):
                         emb_labels.append(intern.setdefault(key, len(intern)))
                     else:
                         emb_labels.append(-1)
-                    emb_frames.append(t)
+                    emb_frames.append(clip.base_t + i)
     n_frames = len(slot_terms)
     slot_mean = T.mul(T.add_all(slot_terms), 1.0 / n_frames)
     int_mean = T.mul(T.add_all(int_terms), 1.0 / n_frames)
@@ -121,3 +121,31 @@ def test_a_step_records_the_same_tape_for_any_batch_size():
             pipe.stage1_batch_loss(batch)
         sizes.append(len(tape))
     assert sizes[0] == sizes[1] < 300
+
+
+def test_walk_keeps_each_clips_rows_as_clips_end():
+    """Clips of lengths 3, 1 and 2: at each index the group holds the clips
+    still going, in batch order, at their own times, and each clip's slots
+    are those of walking it alone."""
+    corpus, pipe = corpus_and_pipeline([])
+    clips = [corpus.clip(0, 4, 3), corpus.clip(1, 2, 1), corpus.clip(2, 6, 2)]
+    encode, times = pipe.encode_frame, []
+
+    def recording_encode(frames, prev_slots, episode_keys, group_times):
+        times.append(group_times)
+        return encode(frames, prev_slots, episode_keys, group_times)
+
+    n_slots, groups = pipe.cfg.num_slots, []
+    with T.no_grad():
+        alone = {id(clip): [slots.data for _, _, _, slots, _ in pipe.walk([clip])]
+                 for clip in clips}
+        pipe.encode_frame = recording_encode
+        for i, group, dense, slots, _ in pipe.walk(clips):
+            groups.append((i, [id(clip) for clip in group]))
+            assert dense.grid_h == len(group) * pipe.frontend.grid
+            for j, clip in enumerate(group):
+                np.testing.assert_allclose(slots.data[j * n_slots:(j + 1) * n_slots],
+                                           alone[id(clip)][i], rtol=1e-12, atol=1e-12)
+    ids = [id(clip) for clip in clips]
+    assert groups == [(0, ids), (1, [ids[0], ids[2]]), (2, [ids[0]])]
+    assert times == [[4, 2, 6], [5, 7], [6]]

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from slotforge import tensor as T
+from slotforge import train
+from slotforge.checkpoint import save_checkpoint
 from slotforge.config import load_config
 from slotforge.decoder import ACTION_DIMS, action_to_bins
 from slotforge.losses import action_ce
 from slotforge.pipeline import Pipeline
-from slotforge.world import generate_episode
+from slotforge.world import generate_episode, serialize_episode
 
 FRAMES = 16
 
@@ -90,3 +92,18 @@ def test_bundles_of_mixed_length_are_a_shape_error():
     extra = cfg.num_selected + cfg.num_relations + 1
     with pytest.raises(T.ShapeError, match=rf"differ in length: \[{extra + 9}, {extra + 8}\]"):
         pipeline.stage2_logits(entries)
+
+
+def test_stage2_computes_no_frame_targets(tmp_path, monkeypatch):
+    cfg = load_config(overrides=["subset=pair", "stage2_iters=1", "batch_frames=2"])
+    serialize_episode(generate_episode(3, cfg.world_config()), tmp_path / "train")
+    serialize_episode(generate_episode(4, cfg.world_config()), tmp_path / "val")
+    save_checkpoint(tmp_path / "s1.ckpt", Pipeline(cfg).stage1_params().state())
+
+    def no_targets(*args):
+        raise AssertionError("stage 2 computed frame targets")
+
+    monkeypatch.setattr(train, "frame_targets", no_targets)
+    result = train.train_stage2(cfg, tmp_path / "s1.ckpt", tmp_path / "train",
+                                tmp_path / "s2", val_dir=tmp_path / "val")
+    assert result["steps"] == 1
