@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from .checkpoint import CheckpointError, load_checkpoint
-from .config import ConfigError, load_config
+from .config import SUBSET_PRESETS, ConfigError, load_config
 from .world import WorldError, generate_episode, serialize_episode, validate_dataset
 
 EXIT_OK = 0
@@ -32,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate synthetic episodes")
     common(p)
-    p.add_argument("--subset", choices=("goal", "object", "spatial", "long", "pair"))
+    p.add_argument("--subset", choices=list(SUBSET_PRESETS))
     p.add_argument("--episodes", type=int, default=20)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", type=Path, required=True)

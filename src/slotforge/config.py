@@ -1,4 +1,11 @@
-"""Flat key=value run configuration with subset presets and overrides."""
+"""Flat key=value run configuration: subset presets, a file and overrides.
+
+`RunConfig` is the one config. Losses read it as it is, and the world reads
+`RunConfig.world_config()`, the fields the two share. `SUBSET_PRESETS` is the
+one table of subset presets, keyed by field name; a preset field left unset
+takes its subset's value when the `RunConfig` is built, so
+`RunConfig(subset=s)` is the config `load_config` gives for that subset.
+"""
 
 from __future__ import annotations
 
@@ -9,8 +16,23 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .language import COLORS, SHAPES
-from .losses import LossConfig
-from .world import SUBSET_PRESETS, WorldConfig
+from .world import WorldConfig
+
+SUBSET_PRESETS = {
+    # slots hold every object plus the robot; the pools are the colors and
+    # shapes the objects are drawn from
+    "goal": dict(min_objects=4, max_objects=7, num_layouts=1, color_pool=4,
+                 shape_pool=2, num_slots=16, num_relations=16),
+    "object": dict(min_objects=10, max_objects=12, num_layouts=1, color_pool=6,
+                   shape_pool=2, num_slots=24, num_relations=24),
+    "spatial": dict(min_objects=9, max_objects=11, num_layouts=10, color_pool=6,
+                    shape_pool=2, num_slots=24, num_relations=24),
+    "long": dict(min_objects=26, max_objects=29, num_layouts=9, color_pool=8,
+                 shape_pool=4, num_slots=32, num_relations=24),
+    # two objects, for behavior cloning
+    "pair": dict(min_objects=2, max_objects=2, num_layouts=1, color_pool=4,
+                 shape_pool=2, num_slots=16, num_relations=16),
+}
 
 
 class ConfigError(Exception):
@@ -23,9 +45,9 @@ class RunConfig:
     image_size: int = 64
     patch_size: int = 8
     width: int = 64
-    num_slots: int = 16
+    num_slots: int | None = None  # None here and below: the subset's preset
     num_selected: int = 4
-    num_relations: int = 16
+    num_relations: int | None = None
     refine_steps: int = 3
     action_bins: int = 256
     heads: int = 4
@@ -54,11 +76,11 @@ class RunConfig:
     carryover_on: bool = True
     relations_on: bool = True
     residual_mlp: bool = True
-    min_objects: int = 4
-    max_objects: int = 7
-    num_layouts: int = 1
-    color_pool: int = 4
-    shape_pool: int = 2
+    min_objects: int | None = None
+    max_objects: int | None = None
+    num_layouts: int | None = None
+    color_pool: int | None = None
+    shape_pool: int | None = None
     idle_frames: int = 0
     noop_eps: float = 1e-3
     eval_every: int = 200
@@ -69,6 +91,9 @@ class RunConfig:
     early_stop_margin: float = 0.02
 
     def __post_init__(self):
+        for name, value in SUBSET_PRESETS.get(self.subset, {}).items():
+            if getattr(self, name) is None:
+                setattr(self, name, value)
         self.validate()
 
     def validate(self) -> None:
@@ -76,7 +101,7 @@ class RunConfig:
             raise ConfigError(f"unknown subset {self.subset!r}")
         for name in ("width", "heads", "patch_size", "image_size", "batch_clips",
                      "batch_frames", "eval_every", "num_layouts", "rollout_horizon",
-                     "num_relations", "refine_steps"):
+                     "num_relations", "refine_steps", "track_window"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("idle_frames", "seed", "stage1_iters", "stage2_iters"):
@@ -113,29 +138,19 @@ class RunConfig:
             raise ConfigError(f"action_bins must be >= 2, got {self.action_bins}")
         if not self.noop_eps >= 0:
             raise ConfigError(f"noop_eps must be >= 0, got {self.noop_eps}")
-        try:
-            self.loss_config()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        if not all(0 <= getattr(self, name) < math.inf for name in (
+                "lambda_slot_attn", "lambda_track", "lambda_int", "lambda_box",
+                "lambda_obj", "lambda_seg", "cost_l1", "cost_giou", "w_pos", "w_neg")):
+            raise ConfigError("loss weights must be finite and non-negative")
+        if not 0 < self.tau < math.inf:
+            raise ConfigError(f"temperature must be positive, got {self.tau}")
         if self.clip_len < 2:
             raise ConfigError("clip_len must be >= 2 for the tracking loss")
 
-    def loss_config(self) -> LossConfig:
-        return LossConfig(
-            lambda_slot_attn=self.lambda_slot_attn, lambda_track=self.lambda_track,
-            lambda_int=self.lambda_int, lambda_box=self.lambda_box,
-            lambda_obj=self.lambda_obj, lambda_seg=self.lambda_seg,
-            cost_l1=self.cost_l1, cost_giou=self.cost_giou, tau=self.tau,
-            w_pos=self.w_pos, w_neg=self.w_neg, track_window=self.track_window)
-
-    def world_config(self, **extra) -> WorldConfig:
-        kwargs = dict(min_objects=self.min_objects, max_objects=self.max_objects,
-                      num_layouts=self.num_layouts, color_pool=self.color_pool,
-                      shape_pool=self.shape_pool, image_size=self.image_size,
-                      idle_frames=self.idle_frames, noop_eps=self.noop_eps,
-                      snap_bins=self.action_bins)
-        kwargs.update(extra)
-        return WorldConfig.for_subset(self.subset, **kwargs)
+    def world_config(self) -> WorldConfig:
+        """The world's view of this run: the fields WorldConfig shares with it."""
+        return WorldConfig(**{f.name: getattr(self, f.name)
+                              for f in dataclasses.fields(WorldConfig)})
 
     def to_text(self) -> str:
         lines = [f"{f.name} = {_format_value(getattr(self, f.name))}"
@@ -174,7 +189,19 @@ def _coerce(name: str, raw: str, target_type: type):
 
 
 def _field_types() -> dict[str, type]:
-    return {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
+    return {name: type(value) for name, value in vars(RunConfig()).items()}
+
+
+def _parse_pair(pair: str, types: dict[str, type], where: str,
+                malformed: str) -> tuple[str, object]:
+    """One `key = value` pair, its value coerced to the field's type; errors
+    begin with `where`."""
+    if "=" not in pair:
+        raise ConfigError(malformed)
+    key, raw = (part.strip() for part in pair.split("=", 1))
+    if key not in types:
+        raise ConfigError(f"{where}unknown config key {key!r}")
+    return key, _coerce(key, raw, types[key])
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -182,53 +209,30 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in types:
-            raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
-        values[key] = _coerce(key, raw, types[key])
+        if stripped:
+            where = f"{source}:{lineno}: "
+            key, value = _parse_pair(stripped, types, where,
+                                     f"{where}expected 'key = value', got {line!r}")
+            values[key] = value
     return values
 
 
 def parse_overrides(pairs: list[str]) -> dict:
     types = _field_types()
-    values: dict = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"override {pair!r} must look like key=value")
-        key, raw = (part.strip() for part in pair.split("=", 1))
-        if key not in types:
-            raise ConfigError(f"unknown config key {key!r}")
-        values[key] = _coerce(key, raw, types[key])
-    return values
+    return dict(_parse_pair(pair, types, "", f"override {pair!r} must look like key=value")
+                for pair in pairs)
 
 
 def load_config(path: str | Path | None = None,
                 overrides: list[str] | None = None) -> RunConfig:
-    """Defaults, then subset presets, then the file, then overrides."""
-    explicit: dict = {}
+    """Defaults, then the file, then overrides; a preset field that neither
+    sets takes its subset's value."""
+    values: dict = {}
     if path is not None:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file {path} does not exist")
-        explicit.update(parse_config_text(path.read_text(), str(path)))
+        values.update(parse_config_text(path.read_text(), str(path)))
     if overrides:
-        explicit.update(parse_overrides(overrides))
-
-    values = dict(explicit)
-    subset = values.get("subset", RunConfig.subset)
-    if subset not in SUBSET_PRESETS:
-        raise ConfigError(f"unknown subset {subset!r}")
-    lo, hi, layouts, colors, shapes, slots, relations = SUBSET_PRESETS[subset]
-    presets = {"num_slots": slots, "num_relations": relations, "min_objects": lo,
-               "max_objects": hi, "num_layouts": layouts, "color_pool": colors,
-               "shape_pool": shapes}
-    for key, value in presets.items():
-        values.setdefault(key, value)
-    try:
-        return RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+        values.update(parse_overrides(overrides))
+    return RunConfig(**values)

@@ -22,39 +22,12 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import tensor as T
+from .config import RunConfig
 from .nn import ParamGroup, param
 from .slots import SlotPredictions
 from .tensor import ShapeError, Tensor
 
 _TIE_RTOL = 1e-12
-
-
-@dataclass
-class LossConfig:
-    lambda_slot_attn: float = 1.0
-    lambda_track: float = 0.5
-    lambda_int: float = 1.0
-    lambda_box: float = 1.0
-    lambda_obj: float = 0.5
-    lambda_seg: float = 1.0
-    cost_l1: float = 5.0
-    cost_giou: float = 2.0
-    tau: float = 0.1
-    w_pos: float = 2.0
-    w_neg: float = 1.0
-    track_window: int = 2
-
-    def __post_init__(self):
-        values = [self.lambda_slot_attn, self.lambda_track, self.lambda_int,
-                  self.lambda_box, self.lambda_obj, self.lambda_seg,
-                  self.cost_l1, self.cost_giou, self.w_pos, self.w_neg]
-        if any(not np.isfinite(v) or v < 0 for v in values):
-            raise ValueError("loss weights must be finite and non-negative")
-        if not (np.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"temperature must be positive, got {self.tau}")
-        if self.track_window < 1:
-            # a positive pair lies 1 to track_window frames apart
-            raise ValueError(f"track_window must be >= 1, got {self.track_window}")
 
 
 @dataclass
@@ -228,7 +201,7 @@ class FrameTargets:
 
 
 def match_frame(boxes: np.ndarray, targets: FrameTargets,
-                cfg: LossConfig) -> MatchAssignment:
+                cfg: RunConfig) -> MatchAssignment:
     """Assignment of one frame's gt objects to its slots, from the predicted
     boxes (one row per slot)."""
     if targets.boxes.shape[0] == 0:
@@ -238,7 +211,7 @@ def match_frame(boxes: np.ndarray, targets: FrameTargets,
 
 def slot_attn_loss(preds: SlotPredictions, targets: Sequence[FrameTargets],
                    matches: Sequence[MatchAssignment],
-                   cfg: LossConfig) -> tuple[Tensor, dict[str, float]]:
+                   cfg: RunConfig) -> tuple[Tensor, dict[str, float]]:
     """Box + objectness + mask supervision under fixed matches, for a group of
     frames whose slot predictions are stacked as equal row blocks, one per
     frame. Every term is the sum over frames of that frame's mean; the
@@ -373,7 +346,7 @@ class TrackProjection:
 
 
 def stage1_total(slot_attn: Tensor, track: Tensor, relevance: Tensor,
-                 cfg: LossConfig) -> Tensor:
+                 cfg: RunConfig) -> Tensor:
     return T.add(T.add(T.mul(slot_attn, cfg.lambda_slot_attn),
                        T.mul(track, cfg.lambda_track)),
                  T.mul(relevance, cfg.lambda_int))

@@ -99,7 +99,6 @@ class Pipeline:
         self.relations = RelationEncoder(rngs[6], cfg.width, cfg.num_relations, cfg.heads)
         self.decoder = ActionDecoder(rngs[7], cfg.width, cfg.action_bins, cfg.heads)
         self.lang_decoder = EmbeddingTable(rngs[8], cfg.width, "decoder_lang")
-        self.loss_cfg = cfg.loss_config()
 
     def stage1_params(self) -> ParamGroup:
         g = ParamGroup()
@@ -157,7 +156,8 @@ class Pipeline:
 
     def select(self, slots: Tensor, lang: Tensor, groups: int = 1):
         """Task filter over the slots of `groups` frames stacked as row blocks,
-        with their task tokens stacked alike: (kept rows, scores, logit column)."""
+        with their task tokens stacked alike: (scores + selected rows, logit
+        column)."""
         return self.filter(slots, lang, self.cfg.num_selected, enabled=self.cfg.filter_on,
                            groups=groups)
 
@@ -172,7 +172,7 @@ class Pipeline:
         frames at each index are encoded, scored and supervised as one graph.
         Matching runs per frame; the tracking term runs once over the whole
         batch."""
-        n_slots = self.cfg.num_slots
+        cfg, n_slots = self.cfg, self.cfg.num_slots
         slot_terms: list[Tensor] = []
         int_terms: list[Tensor] = []
         parts_acc = {"box": 0.0, "obj": 0.0, "seg": 0.0}
@@ -184,21 +184,20 @@ class Pipeline:
             targets = [clip.targets[i] for clip in clips]
             preds = self.heads(slots)
             boxes = preds.boxes.data
-            matches = [match_frame(boxes[j * n_slots:(j + 1) * n_slots], target,
-                                   self.loss_cfg)
+            matches = [match_frame(boxes[j * n_slots:(j + 1) * n_slots], target, cfg)
                        for j, target in enumerate(targets)]
-            term, parts = slot_attn_loss(preds, targets, matches, self.loss_cfg)
+            term, parts = slot_attn_loss(preds, targets, matches, cfg)
             slot_terms.append(term)
             for key in parts_acc:
                 parts_acc[key] += parts[key]
             lang = task_tokens(self.lang_filter, [clip.frames[0].task for clip in clips])
-            _, _, logits = self.select(slots, lang, len(clips))
+            _, logits = self.select(slots, lang, len(clips))
             labels = np.concatenate([
                 slot_relevance_labels(match, target.relevance, n_slots)
                 for match, target in zip(matches, targets)])
-            int_terms.append(relevance_loss(logits, labels, self.loss_cfg.w_pos,
-                                            self.loss_cfg.w_neg, len(clips)))
-            if self.loss_cfg.lambda_track > 0:
+            int_terms.append(relevance_loss(logits, labels, cfg.w_pos, cfg.w_neg,
+                                            len(clips)))
+            if cfg.lambda_track > 0:
                 emb_blocks.append(self.track_embedding(slots))
                 for clip, target, match in zip(clips, targets, matches):
                     gt_for_slot = dict(match.pairs)
@@ -212,13 +211,13 @@ class Pipeline:
         n_frames = sum(len(clip.frames) for clip in batch)
         slot_mean = T.mul(T.add_all(slot_terms), 1.0 / max(n_frames, 1))
         int_mean = T.mul(T.add_all(int_terms), 1.0 / max(n_frames, 1))
-        if self.loss_cfg.lambda_track > 0 and emb_blocks:
+        if cfg.lambda_track > 0 and emb_blocks:
             track, anchors, skipped = track_loss(
                 T.concat(emb_blocks, axis=0), np.array(emb_labels),
-                np.array(emb_frames), self.loss_cfg.tau, self.loss_cfg.track_window)
+                np.array(emb_frames), cfg.tau, cfg.track_window)
         else:
             track, anchors, skipped = Tensor(0.0), 0, 0
-        total = stage1_total(slot_mean, track, int_mean, self.loss_cfg)
+        total = stage1_total(slot_mean, track, int_mean, cfg)
         parts = {k: v / max(n_frames, 1) for k, v in parts_acc.items()}
         parts.update(track=track.item(), int=int_mean.item(), total=total.item(),
                      track_anchors=anchors, track_skipped=skipped)
@@ -235,11 +234,11 @@ class Pipeline:
             lang = self.lang_filter(frames[0].task)
             for i, _, dense, slots, _ in self.walk([Clip(frames, [], episode_key, 0)]):
                 record = frames[i]
-                kept, scores, _ = self.select(slots, lang)
+                scores, _ = self.select(slots, lang)
                 cache.append({
                     "dense": dense.tokens.data.copy(),
                     "grid": (dense.grid_h, dense.grid_w),
-                    "slots": kept.data.copy(),
+                    "slots": slots.data[scores.selected],
                     "selected": scores.selected,
                     "task": record.task,
                     "proprio": record.proprio.copy(),
@@ -280,6 +279,7 @@ class Pipeline:
         returns (action, refined slots)."""
         with T.no_grad():
             dense, slots, _ = self.encode_frame([rgb], prev_slots, [episode_key], [t])
-            kept, _, _ = self.select(slots, self.lang_filter(task))
-            logits = self._logits(dense, kept, [task], proprio)
+            scores, _ = self.select(slots, self.lang_filter(task))
+            logits = self._logits(dense, T.gather_rows(slots, scores.selected), [task],
+                                  proprio)
             return self.decoder.greedy_action(logits), slots

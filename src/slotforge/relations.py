@@ -12,7 +12,7 @@ import numpy as np
 
 from .frontend import DenseTokens
 from .nn import (CrossAttentionBlockParams, ParamGroup, attention_weights,
-                 cross_attention_block, param)
+                 cross_attention_block, norm, param)
 from .tensor import ShapeError, Tensor, gather_rows
 
 
@@ -43,7 +43,6 @@ class RelationEncoder:
     def slot_attention_summary(self, dense: DenseTokens, slots: Tensor) -> np.ndarray:
         """Head-averaged attention of relation tokens over slots (reporting)."""
         visual = cross_attention_block(self.queries, dense.tokens, self.visual_cab)
-        from .nn import norm
         return attention_weights(norm(visual, self.slot_cab.norm_q),
                                  norm(slots, self.slot_cab.norm_ctx),
                                  self.slot_cab.attn)

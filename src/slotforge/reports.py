@@ -34,10 +34,10 @@ def inspect_report(pipeline: Pipeline, episode: Episode, frame_idx: int,
             pass
         record, targets = clip.frames[-1], clip.targets[-1]
         preds = pipeline.heads(slots)
-        match = match_frame(preds.boxes.data, targets, pipeline.loss_cfg)
-        kept, scores, _ = pipeline.select(slots, pipeline.lang_filter(record.task))
-        relation_attn = pipeline.relations.slot_attention_summary(dense, kept) \
-            if cfg.relations_on else None
+        match = match_frame(preds.boxes.data, targets, cfg)
+        scores, _ = pipeline.select(slots, pipeline.lang_filter(record.task))
+        relation_attn = pipeline.relations.slot_attention_summary(
+            dense, T.gather_rows(slots, scores.selected)) if cfg.relations_on else None
 
     grid = dense.grid_h
     for s in range(cfg.num_slots):

@@ -3,7 +3,8 @@
 One cross-attention block lets the slots attend to the task tokens, a single
 transformer layer contextualizes the slots, and a linear head produces one
 relevance logit per slot; its sigmoid is the slot's relevance score. The k
-best-scoring slots survive; gradients flow only through the gathered rows.
+best-scoring slots of each frame are selected; the filter returns their row
+indices, and a caller that reads the kept slots gathers those rows itself.
 """
 
 from __future__ import annotations
@@ -24,25 +25,21 @@ class RelevanceScores:
     selected: list[int]      # ascending row indices of each frame's k best
 
 
-def top_k_filter(slots: Tensor, scores: np.ndarray, k: int,
-                 groups: int = 1) -> tuple[Tensor, list[int]]:
+def top_k_rows(scores: np.ndarray, k: int, groups: int = 1) -> list[int]:
     """Rows of the k largest scores in each of `groups` equal row blocks, in
     ascending row order, ties to the lower index. Selection depends only on
     the score ordering, so any strictly increasing transform picks the same
     rows."""
-    n = slots.shape[0]
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if scores.shape[0] != n:
-        raise T.ShapeError(f"top_k_filter: {scores.shape[0]} scores for {n} slots")
+    n = scores.shape[0]
     if groups < 1 or n % groups:
-        raise T.ShapeError(f"top_k_filter: {n} slots do not split into {groups} groups")
+        raise T.ShapeError(f"top_k_rows: {n} slots do not split into {groups} groups")
     per = n // groups
     if not (1 <= k <= per):
-        raise ValueError(f"top_k_filter: k={k} out of range [1, {per}]")
+        raise ValueError(f"top_k_rows: k={k} out of range [1, {per}]")
     # a stable sort of the negated scores puts ties in index order
     best = np.argsort(-scores.reshape(groups, per), axis=1, kind="stable")[:, :k]
-    selected = (np.sort(best, axis=1) + per * np.arange(groups)[:, None]).reshape(-1).tolist()
-    return T.gather_rows(slots, selected), selected
+    return (np.sort(best, axis=1) + per * np.arange(groups)[:, None]).reshape(-1).tolist()
 
 
 class TaskFilter:
@@ -65,17 +62,16 @@ class TaskFilter:
         return T.linear(h, self.head_w, self.head_b)
 
     def __call__(self, slots: Tensor, lang: Tensor, k: int, enabled: bool = True,
-                 groups: int = 1) -> tuple[Tensor, RelevanceScores, Tensor]:
-        """Score every slot; keep the top k of each frame (all of them when
+                 groups: int = 1) -> tuple[RelevanceScores, Tensor]:
+        """Score every slot; select the top k of each frame (all of them when
         disabled). With groups=B, `slots` and `lang` hold B frames' slots and
         task tokens as row blocks, and each frame's slots attend to its own
         task.
 
-        Returns (kept slot rows, scores + selected rows, logit column tensor
-        for the relevance loss)."""
+        Returns (scores + selected rows, logit column tensor for the
+        relevance loss)."""
         bca = cross_attention_block(slots, lang, self.bca_slots, groups)
         logits = self.score_slots(bca, groups)
         scores = T.stable_sigmoid(logits.data).reshape(-1)
         keep = k if enabled else slots.shape[0] // groups
-        kept, selected = top_k_filter(slots, scores, keep, groups)
-        return kept, RelevanceScores(scores, selected), logits
+        return RelevanceScores(scores, top_k_rows(scores, keep, groups)), logits

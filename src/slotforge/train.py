@@ -142,10 +142,10 @@ def stage1_metrics(pipeline: Pipeline, corpus: Corpus) -> dict[str, float]:
             for i, _, _, slots, _ in pipeline.walk([clip]):
                 targets = clip.targets[i]
                 preds = pipeline.heads(slots)
-                match = match_frame(preds.boxes.data, targets, pipeline.loss_cfg)
+                match = match_frame(preds.boxes.data, targets, pipeline.cfg)
                 pairwise = iou_matrix(preds.boxes.data, targets.boxes)
                 ious.extend(pairwise[s, g] for s, g in match.pairs)
-                _, scores, _ = pipeline.select(slots, lang)
+                scores, _ = pipeline.select(slots, lang)
                 lbl = slot_relevance_labels(match, targets.relevance,
                                             pipeline.cfg.num_slots)
                 pi_all.extend(scores.scores.tolist())
@@ -169,7 +169,7 @@ def assignment_flip_rate(pipeline: Pipeline, corpus: Corpus,
                 for i, _, _, slots, _ in pipeline.walk([clip]):
                     targets = clip.targets[i]
                     preds = pipeline.heads(slots)
-                    match = match_frame(preds.boxes.data, targets, pipeline.loss_cfg)
+                    match = match_frame(preds.boxes.data, targets, pipeline.cfg)
                     current = {targets.instance_ids[g]: s for s, g in match.pairs}
                     for name, slot in current.items():
                         if name in prev_map:

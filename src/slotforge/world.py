@@ -11,6 +11,10 @@ bitwise.
 Sprite sizes are tiered (robot < carried < distractor < target) so a moving
 sprite can never fully occlude another: visible masks stay non-empty and
 mask-tight boxes stay well defined under overlap.
+
+A `WorldConfig` is the world's view of a run, built only by
+`RunConfig.world_config()`; subset presets live in `config.SUBSET_PRESETS`
+and apply when the `RunConfig` is built.
 """
 
 from __future__ import annotations
@@ -51,48 +55,26 @@ class EpisodeParseError(WorldError):
     pass
 
 
-SUBSET_PRESETS = {
-    # name: (min_objects, max_objects, layouts, colors used, shapes used,
-    #        slots, relation queries); slots hold every object plus the robot
-    "goal": (4, 7, 1, 4, 2, 16, 16),
-    "object": (10, 12, 1, 6, 2, 24, 24),
-    "spatial": (9, 11, 10, 6, 2, 24, 24),
-    "long": (26, 29, 9, 8, 4, 32, 24),
-    "pair": (2, 2, 1, 4, 2, 16, 16),  # two-object variant for behavior cloning
-}
+MAX_STEP = 3.0        # gripper travel per unit action, in pixels
+GRASP_RADIUS = 3.5    # a closing gripper this near the carried sprite grasps it
+ARRIVE_EPS = 0.5      # the expert has arrived within this many pixels per axis
+MAX_FRAMES = 200      # a scripted episode longer than this is an error
 
 
 @dataclass
 class WorldConfig:
-    subset: str = "goal"
-    image_size: int = 64
-    min_objects: int = 4
-    max_objects: int = 7
-    num_layouts: int = 1
-    color_pool: int = 4
-    shape_pool: int = 2
-    max_step: float = 3.0
-    grasp_radius: float = 3.5
-    arrive_eps: float = 0.5
-    noop_eps: float = 1e-3
-    snap_bins: int = 256
-    max_frames: int = 200
-    idle_frames: int = 0
-    apply_noop_filter: bool = True
-    include_robot_in_task: bool = True
+    """The `RunConfig` fields the world reads, under the same names."""
 
-    @staticmethod
-    def for_subset(subset: str, **overrides) -> "WorldConfig":
-        if subset not in SUBSET_PRESETS:
-            raise WorldError(f"unknown subset {subset!r}; choose from {sorted(SUBSET_PRESETS)}")
-        lo, hi, layouts, ncolors, nshapes, _, _ = SUBSET_PRESETS[subset]
-        cfg = WorldConfig(subset=subset, min_objects=lo, max_objects=hi,
-                          num_layouts=layouts, color_pool=ncolors, shape_pool=nshapes)
-        for k, v in overrides.items():
-            if not hasattr(cfg, k):
-                raise WorldError(f"unknown world config field {k!r}")
-            setattr(cfg, k, v)
-        return cfg
+    subset: str
+    image_size: int
+    min_objects: int
+    max_objects: int
+    num_layouts: int
+    color_pool: int
+    shape_pool: int
+    noop_eps: float
+    action_bins: int
+    idle_frames: int
 
     def size_tier(self) -> tuple[int, int, int, int]:
         """(robot, carried, distractor, target) pixel sizes."""
@@ -253,11 +235,6 @@ def _grid_place(cfg: WorldConfig, sprites: list[Sprite],
     return positions
 
 
-def _task_string(cfg: WorldConfig, carried: Sprite, target: Sprite) -> str:
-    prefix = "robot put the" if cfg.include_robot_in_task else "put the"
-    return f"{prefix} {carried.noun} on the {target.noun}"
-
-
 def relevant_nouns(task: str) -> set[str]:
     """Noun phrases mentioned in a task string: 'robot' and color-shape pairs."""
     words = task.split()
@@ -278,7 +255,8 @@ class World:
         self.carried_sprite = next(s for s in self.sprites if s.role == "carried")
         self.target_sprite = next(s for s in self.sprites if s.role == "target")
         self.robot = next(s for s in self.sprites if s.role == "robot")
-        self.task = _task_string(cfg, self.carried_sprite, self.target_sprite)
+        self.task = (f"robot put the {self.carried_sprite.noun} "
+                     f"on the {self.target_sprite.noun}")
         self.gripper_closed = False
         self.carrying = False
         self.t = 0
@@ -307,7 +285,7 @@ class World:
             raise WorldError(f"action must have 7 dims, got shape {action.shape}")
         if np.abs(action).max() > 1.0 + 1e-12:
             raise WorldError("action values outside [-1, 1]")
-        delta = action[:2] * self.cfg.max_step
+        delta = action[:2] * MAX_STEP
         new_pos = np.clip(self.gripper_pos() + delta, self._clamp_lo, self._clamp_hi)
         self.positions[self.robot.instance_id] = new_pos
         if self.carrying:
@@ -316,7 +294,7 @@ class World:
         if self.gripper_closed and not self.carrying:
             gap = np.linalg.norm(
                 self.positions[self.carried_sprite.instance_id] - new_pos)
-            if gap <= self.cfg.grasp_radius:
+            if gap <= GRASP_RADIUS:
                 self.carrying = True
                 self.positions[self.carried_sprite.instance_id] = new_pos.copy()
         elif not self.gripper_closed:
@@ -398,21 +376,20 @@ class ScriptedExpert:
         return self.phase == "done"
 
     def _move_action(self, target: np.ndarray, gripper: float) -> np.ndarray:
-        cfg = self.world.cfg
-        delta = np.clip(target - self.world.gripper_pos(), -cfg.max_step, cfg.max_step)
+        bins = self.world.cfg.action_bins
+        delta = np.clip(target - self.world.gripper_pos(), -MAX_STEP, MAX_STEP)
         action = np.zeros(7)
-        action[0] = snap_action(delta[0] / cfg.max_step, cfg.snap_bins)
-        action[1] = snap_action(delta[1] / cfg.max_step, cfg.snap_bins)
+        action[0] = snap_action(delta[0] / MAX_STEP, bins)
+        action[1] = snap_action(delta[1] / MAX_STEP, bins)
         action[6] = gripper  # recorded exactly as -1 or +1
         return action
 
     def _arrived(self, target: np.ndarray) -> bool:
         return bool(np.all(np.abs(target - self.world.gripper_pos())
-                           < self.world.cfg.arrive_eps))
+                           < ARRIVE_EPS))
 
     def action(self) -> np.ndarray:
         world = self.world
-        cfg = world.cfg
         hold_closed, hold_open = 1.0, -1.0
         if self.phase == "approach":
             target = world.positions[world.carried_sprite.instance_id]
@@ -422,7 +399,7 @@ class ScriptedExpert:
                 return self._move_action(target, -1.0)
         if self.phase == "grasp":
             self.phase = "carry"
-            self.idle_remaining = cfg.idle_frames
+            self.idle_remaining = world.cfg.idle_frames
             action = np.zeros(7)
             action[6] = hold_closed
             return action
@@ -450,7 +427,7 @@ class ScriptedExpert:
             away = np.sign(world.gripper_pos()
                            - world.positions[world.target_sprite.instance_id])
             away[away == 0] = 1.0
-            target = world.gripper_pos() + away * cfg.max_step
+            target = world.gripper_pos() + away * MAX_STEP
             return self._move_action(target, -1.0)
         raise WorldError(f"expert queried in phase {self.phase!r}")
 
@@ -479,16 +456,14 @@ def generate_episode(seed: int, cfg: WorldConfig) -> Episode:
     expert = ScriptedExpert(world)
     frames: list[FrameRecord] = []
     while not expert.done():
-        if len(frames) >= cfg.max_frames:
-            raise WorldError(f"episode {seed} exceeded {cfg.max_frames} frames")
+        if len(frames) >= MAX_FRAMES:
+            raise WorldError(f"episode {seed} exceeded {MAX_FRAMES} frames")
         action = expert.action()
         frames.append(world.annotate(action))
         world.step(action)
     if not world.success():
         raise WorldError(f"scripted episode {seed} failed its own task")
-    if cfg.apply_noop_filter:
-        kept = filter_noops([f.action for f in frames], cfg.noop_eps)
-        frames = [frames[i] for i in kept]
+    frames = [frames[i] for i in filter_noops([f.action for f in frames], cfg.noop_eps)]
     if len(frames) < 2:
         raise WorldError(f"episode {seed} shorter than 2 frames after filtering")
     for new_t, frame in enumerate(frames):

@@ -1,24 +1,31 @@
 """Subset presets: every subset trains both stages and every parameter gets a
-gradient, configs with too few slots fail, and the text form rebuilds every
-field."""
+gradient, a preset applies however the config is built, configs with too few
+slots fail, and the text form rebuilds every field."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from slotforge import tensor as T
 from slotforge.cli import EXIT_CONFIG, main
-from slotforge.config import ConfigError, RunConfig, load_config, parse_config_text
+from slotforge.config import (SUBSET_PRESETS, ConfigError, RunConfig, load_config,
+                              parse_config_text)
 from slotforge.decoder import action_to_bins
 from slotforge.losses import action_ce
 from slotforge.pipeline import Pipeline
 from slotforge.train import Corpus, sample_clips
-from slotforge.world import SUBSET_PRESETS, generate_episode
+from slotforge.world import generate_episode
+
+
+def most_crowded_world(cfg):
+    return dataclasses.replace(cfg, min_objects=cfg.max_objects).world_config()
 
 
 @pytest.mark.parametrize("subset", sorted(SUBSET_PRESETS))
 def test_one_stage1_step_on_the_most_crowded_scene(subset):
     cfg = load_config(overrides=[f"subset={subset}", "batch_clips=1", "clip_len=2"])
-    episode = generate_episode(5, cfg.world_config(min_objects=cfg.max_objects))
+    episode = generate_episode(5, most_crowded_world(cfg))
     assert len(episode.frames[0].instances) == cfg.max_objects + 1  # plus the robot
     pipeline = Pipeline(cfg)
     batch = sample_clips(Corpus([episode], cfg.patch_size), cfg, 0)
@@ -32,7 +39,7 @@ def test_one_stage1_step_on_the_most_crowded_scene(subset):
 @pytest.mark.parametrize("subset", sorted(SUBSET_PRESETS))
 def test_one_stage2_step_reaches_every_stage2_parameter(subset):
     cfg = load_config(overrides=[f"subset={subset}"])
-    episode = generate_episode(5, cfg.world_config(min_objects=cfg.max_objects))
+    episode = generate_episode(5, most_crowded_world(cfg))
     pipeline = Pipeline(cfg)
     entry = pipeline.encode_episode_cache(episode.frames[:1], episode_key=5)[0]
     with T.fresh_tape() as tape:
@@ -40,6 +47,21 @@ def test_one_stage2_step_reaches_every_stage2_parameter(subset):
         tape.backward(action_ce(logits, action_to_bins(entry["action"], cfg.action_bins)))
     assert [name for name, t in pipeline.stage2_params().items() if t.grad is None] == []
     assert all(t.grad is None for t in pipeline.stage1_params().tensors())
+
+
+@pytest.mark.parametrize("subset", sorted(SUBSET_PRESETS))
+def test_a_subset_brings_its_presets_however_the_config_is_built(subset):
+    preset = SUBSET_PRESETS[subset]
+    cfg = RunConfig(subset=subset)
+    assert cfg == load_config(overrides=[f"subset={subset}"])
+    assert {name: getattr(cfg, name) for name in preset} == preset
+    world = cfg.world_config()
+    assert (world.subset, world.min_objects, world.max_objects) == (
+        subset, preset["min_objects"], preset["max_objects"])
+    # a preset field that is set wins over the preset; the others still apply
+    wide = RunConfig(subset=subset, num_slots=40)
+    assert (wide.num_slots, wide.max_objects) == (40, preset["max_objects"])
+    assert wide == load_config(overrides=[f"subset={subset}", "num_slots=40"])
 
 
 def test_fewer_slots_than_objects_plus_robot_is_a_config_error():

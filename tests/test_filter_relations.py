@@ -8,7 +8,7 @@ from slotforge.frontend import DenseTokens
 from slotforge.language import EmbeddingTable, UnknownWordError, tokenize
 from slotforge.nn import cross_attention_block, multi_head_attention, norm
 from slotforge.relations import RelationEncoder
-from slotforge.task_filter import TaskFilter, top_k_filter
+from slotforge.task_filter import TaskFilter, top_k_rows
 from slotforge.tensor import Tensor
 
 
@@ -69,7 +69,7 @@ class TestBca:
         weight = Tensor(rng.standard_normal((3, 1)))
 
         def f():
-            return T.sum_(T.mul(filt(slots, lang, k=2)[2], weight))
+            return T.sum_(T.mul(filt(slots, lang, k=2)[1], weight))
 
         wrt = [slots, lang] + filt.params().tensors()
         assert T.finite_diff_check(f, wrt) <= 1e-4
@@ -98,15 +98,10 @@ class TestScoreSlots:
 
 class TestTopK:
     def test_direct_ordering(self):
-        slots = Tensor(np.arange(8.0).reshape(4, 2))
-        kept, selected = top_k_filter(slots, np.array([0.9, 0.1, 0.8, 0.2]), 2)
-        assert selected == [0, 2]
-        assert np.array_equal(kept.data, slots.data[[0, 2]])
+        assert top_k_rows(np.array([0.9, 0.1, 0.8, 0.2]), 2) == [0, 2]
 
     def test_tie_break_prefers_lower_index(self):
-        slots = Tensor(np.zeros((4, 2)))
-        _, selected = top_k_filter(slots, np.full(4, 0.5), 2)
-        assert selected == [0, 1]
+        assert top_k_rows(np.full(4, 0.5), 2) == [0, 1]
 
     def test_invariant_under_strictly_increasing_transforms(self):
         rng = np.random.default_rng(9)
@@ -114,33 +109,29 @@ class TestTopK:
                       lambda x: np.arctan(10 * x)]
         for _ in range(50):
             scores = rng.standard_normal(8)
-            slots = Tensor(rng.standard_normal((8, 3)))
-            _, base = top_k_filter(slots, scores, 3)
+            base = top_k_rows(scores, 3)
             for f in transforms:
-                _, mapped = top_k_filter(slots, f(scores), 3)
-                assert mapped == base
+                assert top_k_rows(f(scores), 3) == base
 
     def test_k_out_of_range(self):
-        slots = Tensor(np.zeros((3, 2)))
         with pytest.raises(ValueError):
-            top_k_filter(slots, np.zeros(3), 0)
+            top_k_rows(np.zeros(3), 0)
         with pytest.raises(ValueError):
-            top_k_filter(slots, np.zeros(3), 4)
+            top_k_rows(np.zeros(3), 4)
 
     def test_disabled_filter_is_identity(self):
         filt = TaskFilter(np.random.default_rng(10), width=16, heads=4)
         rng = np.random.default_rng(11)
         slots = Tensor(rng.standard_normal((6, 16)))
         lang = Tensor(rng.standard_normal((3, 16)))
-        kept, scores, _ = filt(slots, lang, k=2, enabled=False)
+        scores, _ = filt(slots, lang, k=2, enabled=False)
         assert scores.selected == list(range(6))
-        assert np.array_equal(kept.data, slots.data)
 
     def test_gradient_flows_through_selected_rows_only(self):
         slots = Tensor(np.random.default_rng(12).standard_normal((4, 3)),
                        requires_grad=True)
         with T.fresh_tape() as tape:
-            kept, _ = top_k_filter(slots, np.array([0.9, 0.1, 0.8, 0.2]), 2)
+            kept = T.gather_rows(slots, top_k_rows(np.array([0.9, 0.1, 0.8, 0.2]), 2))
             loss = T.sum_(T.mul(kept, kept))
             tape.backward(loss)
         assert np.all(slots.grad[[1, 3]] == 0.0)
@@ -164,15 +155,16 @@ class TestGroupedFilter:
             T.zero_grads(leaves)
             with T.fresh_tape() as tape:
                 if grouped:
-                    kept, scores, logits = filt(slots, lang, 2, enabled, groups)
+                    scores, logits = filt(slots, lang, 2, enabled, groups)
                     selected = scores.selected
                 else:
                     calls = [filt(T.gather_rows(slots, range(g * n_slots, (g + 1) * n_slots)),
                                   T.gather_rows(lang, range(g * words, (g + 1) * words)),
                                   2, enabled) for g in range(groups)]
-                    kept, logits = (T.concat([c[i] for c in calls]) for i in (0, 2))
+                    logits = T.concat([c[1] for c in calls])
                     selected = [g * n_slots + s for g, c in enumerate(calls)
-                                for s in c[1].selected]
+                                for s in c[0].selected]
+                kept = T.gather_rows(slots, selected)
                 tape.backward(T.add(T.sum_(T.mul(logits, weight)), T.sum_(T.mul(kept, kept))))
             results.append([kept.data, logits.data, np.array(selected)]
                            + [t.grad for t in leaves])
@@ -182,15 +174,12 @@ class TestGroupedFilter:
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
     def test_top_k_picks_k_rows_per_block(self):
-        slots = Tensor(np.arange(16.0).reshape(8, 2))
         scores = np.array([0.1, 0.9, 0.5, 0.5, 0.3, 0.2, 0.8, 0.7])
-        kept, selected = top_k_filter(slots, scores, 2, groups=2)
-        assert selected == [1, 2, 6, 7]
-        assert np.array_equal(kept.data, slots.data[selected])
+        assert top_k_rows(scores, 2, groups=2) == [1, 2, 6, 7]
         with pytest.raises(ValueError, match=r"k=5 out of range \[1, 4\]"):
-            top_k_filter(slots, scores, 5, groups=2)
+            top_k_rows(scores, 5, groups=2)
         with pytest.raises(T.ShapeError, match="do not split into 3 groups"):
-            top_k_filter(slots, scores, 1, groups=3)
+            top_k_rows(scores, 1, groups=3)
 
 
 class TestRelationEncoder:

@@ -9,8 +9,9 @@ import hashlib
 
 import pytest
 
+from slotforge.config import RunConfig
 from slotforge.pipeline import frame_targets
-from slotforge.world import WorldConfig, generate_episode
+from slotforge.world import generate_episode
 
 PINNED = {
     "goal": "5a1fbd7885e752c6",
@@ -23,7 +24,7 @@ PINNED = {
 
 def targets_digest(subset: str) -> str:
     h = hashlib.sha256()
-    for record in generate_episode(2, WorldConfig.for_subset(subset)).frames:
+    for record in generate_episode(2, RunConfig(subset=subset).world_config()).frames:
         targets = frame_targets(record, patch_size=8)
         for array in (targets.boxes, targets.grid_masks, targets.relevance):
             h.update(f"{array.dtype}{array.shape}".encode())

@@ -8,7 +8,8 @@ from scipy.optimize import linear_sum_assignment
 
 import slotforge.tensor as T
 from slotforge import losses
-from slotforge.losses import (FrameTargets, LossConfig, MatchAssignment, action_ce,
+from slotforge.config import ConfigError, RunConfig
+from slotforge.losses import (FrameTargets, MatchAssignment, action_ce,
                               box_cost, giou_matrix, giou_pairs, hungarian_match,
                               relevance_loss, slot_attn_loss, slot_relevance_labels,
                               stage1_total, track_loss)
@@ -339,7 +340,7 @@ class TestSlotAttnLoss:
                                          np.zeros((2, cells))]) > 0.5, 50.0, -50.0)
         preds = make_preds(rng, 5, cells, boxes=boxes, objectness=objectness, masks=masks)
         match = MatchAssignment([(0, 0), (1, 1), (2, 2)])
-        total, parts = slot_attn_loss(preds, [targets], [match], LossConfig())
+        total, parts = slot_attn_loss(preds, [targets], [match], RunConfig())
         assert parts["box"] == pytest.approx(0.0, abs=1e-9)
         assert parts["obj"] == pytest.approx(0.0, abs=1e-3)
         assert parts["seg"] == pytest.approx(0.0, abs=1e-3)
@@ -350,7 +351,7 @@ class TestSlotAttnLoss:
         targets = FrameTargets(boxes=np.zeros((0, 4)), grid_masks=np.zeros((0, 16)),
                                relevance=np.zeros(0), instance_ids=[])
         match = MatchAssignment([])
-        cfg = LossConfig()
+        cfg = RunConfig()
         total, parts = slot_attn_loss(preds, [targets], [match], cfg)
         assert parts["box"] == 0.0 and parts["seg"] == 0.0
         expected = T.bce_logits(preds.objectness, np.zeros((4, 1))).item()
@@ -361,10 +362,10 @@ class TestSlotAttnLoss:
         cells = 9
         targets = make_targets(rng, 2, cells)
         preds = make_preds(rng, 4, cells)
-        match = losses.match_frame(preds.boxes.data, targets, LossConfig())
+        match = losses.match_frame(preds.boxes.data, targets, RunConfig())
 
         def f():
-            return slot_attn_loss(preds, [targets], [match], LossConfig())[0]
+            return slot_attn_loss(preds, [targets], [match], RunConfig())[0]
 
         err = T.finite_diff_check(f, [preds.boxes, preds.objectness, preds.mask_logits])
         assert err <= 1e-4
@@ -523,12 +524,12 @@ class TestRelevanceLoss:
 
 class TestStageTotals:
     def test_zero_weights_give_zero(self):
-        cfg = LossConfig(lambda_slot_attn=0.0, lambda_track=0.0, lambda_int=0.0)
+        cfg = RunConfig(lambda_slot_attn=0.0, lambda_track=0.0, lambda_int=0.0)
         total = stage1_total(Tensor(3.0), Tensor(4.0), Tensor(5.0), cfg)
         assert total.item() == 0.0
 
     def test_single_weight_isolates_component(self):
-        cfg = LossConfig(lambda_slot_attn=0.0, lambda_track=2.0, lambda_int=0.0)
+        cfg = RunConfig(lambda_slot_attn=0.0, lambda_track=2.0, lambda_int=0.0)
         total = stage1_total(Tensor(3.0), Tensor(4.0), Tensor(5.0), cfg)
         assert total.item() == pytest.approx(8.0)
 
@@ -537,15 +538,15 @@ class TestStageTotals:
         b = Tensor(0.7, requires_grad=True)
         c = Tensor(2.1, requires_grad=True)
         err = T.finite_diff_check(
-            lambda: stage1_total(T.mul(a, a), T.mul(b, b), T.mul(c, c), LossConfig()),
+            lambda: stage1_total(T.mul(a, a), T.mul(b, b), T.mul(c, c), RunConfig()),
             [a, b, c])
         assert err <= 1e-4
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            LossConfig(tau=0.0)
-        with pytest.raises(ValueError):
-            LossConfig(lambda_box=-1.0)
+        with pytest.raises(ConfigError, match="temperature must be positive, got 0.0"):
+            RunConfig(tau=0.0)
+        with pytest.raises(ConfigError, match="loss weights must be finite and non-negative"):
+            RunConfig(lambda_box=-1.0)
 
 
 class TestActionCE:

@@ -29,7 +29,7 @@ def corpus_and_pipeline(overrides):
 def per_frame_loss(pipe, batch):
     """The stage-1 objective with every frame encoded, scored and supervised
     as its own graph through one-frame calls, clip after clip."""
-    cfg, n_slots = pipe.loss_cfg, pipe.cfg.num_slots
+    cfg, n_slots = pipe.cfg, pipe.cfg.num_slots
     slot_terms, int_terms, parts = [], [], {"box": 0.0, "obj": 0.0, "seg": 0.0}
     emb_blocks, emb_labels, emb_frames, intern = [], [], [], {}
     for clip in batch:
@@ -42,7 +42,7 @@ def per_frame_loss(pipe, batch):
             slot_terms.append(term)
             for key in parts:
                 parts[key] += frame_parts[key]
-            _, _, logits = pipe.select(slots, lang)
+            _, logits = pipe.select(slots, lang)
             labels = slot_relevance_labels(match, target.relevance, n_slots)
             int_terms.append(relevance_loss(logits, labels, cfg.w_pos, cfg.w_neg))
             if cfg.lambda_track > 0:
@@ -98,14 +98,14 @@ def test_lockstep_loss_and_gradients_match_per_frame_walks(overrides, short_clip
     assert list(parts) == list(ref_parts)
     for key in ("track_anchors", "track_skipped"):
         assert parts[key] == ref_parts[key]
-    if pipe.loss_cfg.lambda_track > 0:
+    if pipe.cfg.lambda_track > 0:
         assert parts["track_anchors"] > 0
     for key in ("box", "obj", "seg", "track", "int", "total"):
         assert parts[key] == pytest.approx(ref_parts[key], rel=1e-12, abs=1e-12), key
     reached = [name for name, grad in grads.items() if grad is not None]
     assert reached == [name for name, grad in ref_grads.items() if grad is not None]
     assert any(name.startswith("track_proj.") for name in reached) == (
-        pipe.track_proj is not None and pipe.loss_cfg.lambda_track > 0)
+        pipe.track_proj is not None and pipe.cfg.lambda_track > 0)
     for name in reached:
         np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-12, atol=1e-12,
                                    err_msg=name)

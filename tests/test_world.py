@@ -1,5 +1,6 @@
 """Synthetic world: determinism, annotation invariants, serialization."""
 
+import dataclasses
 import json
 import re
 
@@ -7,12 +8,17 @@ import numpy as np
 import pytest
 
 from slotforge import pnm
-from slotforge.world import (AllNoOpsError, EpisodeParseError, InfeasibleSceneError,
-                             ScriptedExpert, World, WorldConfig, WorldError,
+from slotforge.config import RunConfig
+from slotforge.world import (MAX_FRAMES, AllNoOpsError, EpisodeParseError,
+                             InfeasibleSceneError, ScriptedExpert, World, WorldError,
                              action_to_bins, bin_centers, dataset_statistics,
                              episode_files, filter_noops, generate_episode,
                              load_episode, relevant_nouns, serialize_episode,
                              snap_action, validate_dataset, validate_episode)
+
+
+def world_cfg(subset, **fields):
+    return RunConfig(subset=subset, **fields).world_config()
 
 
 def episode_bytes(ep):
@@ -33,51 +39,45 @@ def instance_labels(ep):
 
 class TestGeneration:
     def test_seeded_episode_reproducible_bitwise(self):
-        cfg = WorldConfig.for_subset("goal")
+        cfg = world_cfg("goal")
         assert episode_bytes(generate_episode(7, cfg)) == episode_bytes(generate_episode(7, cfg))
 
-    def test_relevance_flags_follow_task_template(self):
-        cfg = WorldConfig.for_subset("goal", min_objects=5, max_objects=5,
-                                     include_robot_in_task=False)
-        ep = generate_episode(11, cfg)
-        flags = [inst for inst in ep.frames[0].instances if inst.relevant]
-        assert len(flags) == 2  # robot not mentioned, so only the two objects
-
     def test_robot_counts_when_mentioned(self):
-        ep = generate_episode(11, WorldConfig.for_subset("goal"))
+        ep = generate_episode(11, world_cfg("goal"))
         relevant = {i.instance_id for i in ep.frames[0].instances if i.relevant}
         assert "robot1" in relevant and len(relevant) == 3
 
     def test_crowded_scene_generates_valid_disjoint_masks(self):
-        cfg = WorldConfig.for_subset("long", min_objects=29, max_objects=29)
+        cfg = world_cfg("long", min_objects=29, max_objects=29)
         ep = generate_episode(5, cfg)
         assert len(ep.frames[0].instances) == 30  # 29 objects plus the robot
         assert validate_episode(ep) == []
 
     def test_every_subset_validates(self):
         for subset in ("goal", "object", "spatial", "long", "pair"):
-            ep = generate_episode(2, WorldConfig.for_subset(subset))
+            ep = generate_episode(2, world_cfg(subset))
             assert validate_episode(ep) == [], subset
 
     def test_scripted_expert_succeeds(self):
-        cfg = WorldConfig.for_subset("pair")
+        cfg = world_cfg("pair")
         world = World(cfg, 9)
         expert = ScriptedExpert(world)
-        for _ in range(cfg.max_frames):
+        for _ in range(MAX_FRAMES):
             if expert.done():
                 break
             world.step(expert.action())
         assert world.success()
 
     def test_infeasible_config_raises(self):
-        cfg = WorldConfig.for_subset("goal", min_objects=9, max_objects=9)
+        # a RunConfig rejects this; the world guards itself all the same
+        cfg = dataclasses.replace(world_cfg("goal"), min_objects=9, max_objects=9)
         with pytest.raises(InfeasibleSceneError):
             generate_episode(0, cfg)  # 9 objects > 4x2 color/shape pool
 
 
 class TestAnnotationInvariants:
     def test_masks_disjoint_and_boxes_tight(self):
-        ep = generate_episode(13, WorldConfig.for_subset("goal"))
+        ep = generate_episode(13, world_cfg("goal"))
         size = ep.frames[0].rgb.shape[0]
         for frame in ep.frames:
             for i, inst in enumerate(frame.instances):
@@ -89,15 +89,15 @@ class TestAnnotationInvariants:
                 assert abs(ys.max() - ys.min() + 1 - h) <= 1.0
 
     def test_instance_ids_stable_across_frames(self):
-        ep = generate_episode(17, WorldConfig.for_subset("spatial"))
+        ep = generate_episode(17, world_cfg("spatial"))
         ids = [inst.instance_id for inst in ep.frames[0].instances]
         for frame in ep.frames:
             assert [inst.instance_id for inst in frame.instances] == ids
 
     def test_actions_bounded_snapped_and_stubbed(self):
-        cfg = WorldConfig.for_subset("goal")
+        cfg = world_cfg("goal")
         ep = generate_episode(19, cfg)
-        centers = bin_centers(cfg.snap_bins)
+        centers = bin_centers(cfg.action_bins)
         for frame in ep.frames:
             assert np.abs(frame.action).max() <= 1.0
             for dim in (0, 1):  # movement dims land on bin centers or zero
@@ -127,12 +127,18 @@ class TestNoopFilter:
         assert filter_noops(actions, eps=0.0) == list(range(5))
 
     def test_injected_idle_frames_removed_exactly(self):
-        cfg = WorldConfig.for_subset("goal", idle_frames=3, apply_noop_filter=False)
-        raw = generate_episode(23, cfg)
-        kept = filter_noops([f.action for f in raw.frames], eps=1e-3)
-        assert len(raw.frames) - len(kept) == 3
-        filtered_cfg = WorldConfig.for_subset("goal", idle_frames=3)
-        assert len(generate_episode(23, filtered_cfg).frames) == len(kept)
+        def expert_steps(cfg):
+            world, steps = World(cfg, 23), 0
+            expert = ScriptedExpert(world)
+            while not expert.done():
+                world.step(expert.action())
+                steps += 1
+            return steps
+
+        idle, plain = world_cfg("goal", idle_frames=3), world_cfg("goal")
+        assert expert_steps(idle) - expert_steps(plain) == 3
+        assert episode_bytes(generate_episode(23, idle)) == \
+            episode_bytes(generate_episode(23, plain))
 
     def test_gripper_toggle_kept_despite_zero_motion(self):
         a0 = np.zeros(7); a0[0] = 0.5; a0[6] = -1.0
@@ -159,7 +165,7 @@ class TestSerialization:
         """Every subset, `long` included, round-trips bitwise through 2 files
         per frame (image and instance map) plus the `.jsonl` and `.meta.json`."""
         for subset in ("goal", "object", "spatial", "long", "pair"):
-            ep = generate_episode(7, WorldConfig.for_subset(subset))
+            ep = generate_episode(7, world_cfg(subset))
             path = serialize_episode(ep, tmp_path / subset)
             loaded = load_episode(path)
             assert loaded.subset == subset and loaded.seed == 7
@@ -171,8 +177,7 @@ class TestSerialization:
             assert len(files) == 2 * len(ep.frames) + 2
 
     def test_empty_relevance_frame_roundtrips(self, tmp_path):
-        cfg = WorldConfig.for_subset("goal", include_robot_in_task=False)
-        ep = generate_episode(3, cfg)
+        ep = generate_episode(3, world_cfg("goal"))
         for frame in ep.frames:
             for inst in frame.instances:
                 inst.relevant = False
@@ -181,7 +186,7 @@ class TestSerialization:
                    for frame in loaded.frames for inst in frame.instances)
 
     def test_malformed_record_reports_line_number(self, tmp_path):
-        ep = generate_episode(4, WorldConfig.for_subset("pair"))
+        ep = generate_episode(4, world_cfg("pair"))
         path = serialize_episode(ep, tmp_path)
         lines = path.read_text().splitlines()
         lines[1] = lines[1][:-5]
@@ -207,7 +212,7 @@ class TestSerialization:
             "box-bool", "record-list", "instances-int", "instances-string",
             "instances-empty", "task-int", "task-unknown-word"])
     def test_mistyped_field_is_a_malformed_record(self, field, value, message, tmp_path):
-        path = serialize_episode(generate_episode(4, WorldConfig.for_subset("pair")), tmp_path)
+        path = serialize_episode(generate_episode(4, world_cfg("pair")), tmp_path)
         lines = path.read_text().splitlines()
         rec = json.loads(lines[1])
         if field is None:
@@ -225,7 +230,7 @@ class TestSerialization:
             load_episode(path)
 
     def test_missing_or_corrupt_frame_file_reports_line_number(self, tmp_path):
-        ep = generate_episode(4, WorldConfig.for_subset("pair"))
+        ep = generate_episode(4, world_cfg("pair"))
         path = serialize_episode(ep, tmp_path)
         frame_file = tmp_path / json.loads(path.read_text().splitlines()[1])["frame_file"]
         frame_file.write_bytes(b"P2\n1 1\n255\n0")
@@ -236,7 +241,7 @@ class TestSerialization:
             load_episode(path)
 
     def test_floats_serialized_at_full_precision(self, tmp_path):
-        ep = generate_episode(5, WorldConfig.for_subset("pair"))
+        ep = generate_episode(5, world_cfg("pair"))
         ep.frames[0].proprio[0] = 1.0 / 3.0
         loaded = load_episode(serialize_episode(ep, tmp_path))
         assert loaded.frames[0].proprio[0] == 1.0 / 3.0
@@ -245,13 +250,13 @@ class TestSerialization:
 class TestValidatorAndStats:
     def test_validator_passes_clean_corpus(self, tmp_path):
         for seed in range(3):
-            serialize_episode(generate_episode(seed, WorldConfig.for_subset("pair")), tmp_path)
+            serialize_episode(generate_episode(seed, world_cfg("pair")), tmp_path)
         stats, errors = validate_dataset(tmp_path)
         assert errors == []
         assert stats["pair"]["episodes"] == 3
 
     def test_validator_flags_corrupted_box(self, tmp_path):
-        ep = generate_episode(6, WorldConfig.for_subset("pair"))
+        ep = generate_episode(6, world_cfg("pair"))
         ep.frames[0].instances[0].box = ep.frames[0].instances[0].box + 0.25
         serialize_episode(ep, tmp_path)
         _, errors = validate_dataset(tmp_path)
@@ -259,7 +264,7 @@ class TestValidatorAndStats:
 
     def test_statistics_structure(self, tmp_path):
         for seed in range(2):
-            serialize_episode(generate_episode(seed, WorldConfig.for_subset("goal")), tmp_path)
+            serialize_episode(generate_episode(seed, world_cfg("goal")), tmp_path)
         stats, _ = validate_dataset(tmp_path)
         row = stats["goal"]
         assert set(row) == {"episodes", "tasks", "layouts", "objects", "tr_objects",
