@@ -587,6 +587,26 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
     return _make(out, parts, backward, "concat")
 
 
+def scatter_rows(g: np.ndarray, idx: np.ndarray, rows: int) -> np.ndarray:
+    """`rows` zero rows with row k of g added into row idx[k], in k order:
+    bitwise `np.add.at`. A tile of range(rows) sums its blocks in one
+    reduction and unique indices write in one assignment; only other indices
+    pay for `np.add.at`."""
+    width = g.shape[1]
+    if (idx.size and rows * width > 1 and idx.size % rows == 0
+            and (idx.reshape(-1, rows) == np.arange(rows)).all()):
+        # numpy sums the leading axis of a C-order matrix block after block,
+        # from +0.0; a single column it would sum pairwise instead
+        blocks = np.ascontiguousarray(g).reshape(-1, rows * width)
+        return blocks.sum(axis=0).reshape(rows, width)
+    full = np.zeros((rows, width), dtype=g.dtype)
+    if idx.size == 0 or np.bincount(idx).max() == 1:
+        full[idx] += g
+    else:
+        np.add.at(full, idx, g)
+    return full
+
+
 def gather_rows(a: Tensor, idx) -> Tensor:
     """Select rows by integer index; backward scatter-adds into the source."""
     a = _coerce(a)
@@ -600,9 +620,7 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     out = a.data[idx]
 
     def backward(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
-        return (full,)
+        return (scatter_rows(g, idx, a.shape[0]),)
 
     return _make(out, (a,), backward, "gather_rows")
 

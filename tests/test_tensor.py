@@ -374,6 +374,54 @@ class TestReductionsAndElementwise:
         assert err <= 1e-4
 
 
+class TestScatterRows:
+    """gather_rows' backward, on each of its three paths, is bitwise np.add.at."""
+
+    INDICES = {
+        "tile": lambda rng, rows: np.tile(np.arange(rows), 20),
+        "one tile": lambda rng, rows: np.arange(rows),
+        "unique": lambda rng, rows: rng.permutation(rows)[:max(rows - 2, 1)],
+        "repeated": lambda rng, rows: np.tile(rng.integers(0, rows, 3 * rows), 10),
+        "tile out of order": lambda rng, rows: np.tile(rng.permutation(rows), 3),
+        "empty": lambda rng, rows: np.zeros(0, dtype=np.int64),
+    }
+
+    @staticmethod
+    def add_at(g, idx, rows):
+        full = np.zeros((rows, g.shape[1]))
+        np.add.at(full, idx, g)
+        return full
+
+    @pytest.mark.parametrize("kind", sorted(INDICES))
+    @pytest.mark.parametrize("grad", ["normal", "wide", "zero", "negative zero", "mixed zero",
+                                      "transposed"])
+    @pytest.mark.parametrize("rows, d", [(7, 5), (1, 1), (1, 6), (6, 1)])
+    def test_bitwise_add_at(self, kind, grad, rows, d):
+        rng = np.random.default_rng(11)
+        idx = self.INDICES[kind](rng, rows).astype(np.int64)
+        shape = (idx.size, d)
+        g = {"transposed": lambda: rng.standard_normal(shape[::-1]).T,
+             "normal": lambda: rng.standard_normal(shape),
+             "wide": lambda: rng.standard_normal(shape) * 10.0 ** rng.integers(-9, 9, shape),
+             "zero": lambda: np.zeros(shape),
+             "negative zero": lambda: -np.zeros(shape),
+             "mixed zero": lambda: np.where(rng.random(shape) < 0.5, -0.0, 0.0)}[grad]()
+        out = T.scatter_rows(g, idx, rows)
+        ref = self.add_at(g, idx, rows)
+        assert out.shape == ref.shape and out.dtype == ref.dtype
+        assert out.tobytes() == ref.tobytes()
+
+    def test_gradient_reaches_the_source_rows(self):
+        rng = np.random.default_rng(12)
+        x = rand_tensor(rng, 4, 3)
+        idx = np.tile(np.arange(4), 3)
+        upstream = rng.standard_normal((12, 3))
+        with T.fresh_tape() as tape:
+            out = T.sum_(T.mul(T.gather_rows(x, idx), Tensor(upstream)))
+            tape.backward(out)
+        assert x.grad.tobytes() == self.add_at(upstream, idx, 4).tobytes()
+
+
 class TestAbs:
     @pytest.mark.parametrize("upstream", [1.5, -2.0, 0.0, -0.0])
     def test_bitwise_equal_to_the_relu_pair(self, upstream):
