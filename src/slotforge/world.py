@@ -633,7 +633,8 @@ def episode_files(data_dir: str | Path) -> list[Path]:
 # validation and statistics
 
 
-def validate_episode(episode: Episode, noop_eps: float = 1e-3) -> list[str]:
+def validate_episode(episode: Episode, noop_eps: float) -> list[str]:
+    """Errors of one episode; `noop_eps` is the run's `RunConfig.noop_eps`."""
     errors: list[str] = []
     first_ids = [inst.instance_id for inst in episode.frames[0].instances]
     if len(episode.frames) < 2:
@@ -690,7 +691,7 @@ def _noun_for_instance(instance_id: str, pixel: np.ndarray) -> str:
     return f"unknown {shape}"
 
 
-def validate_dataset(data_dir: str | Path, noop_eps: float = 1e-3) -> tuple[dict, list[str]]:
+def validate_dataset(data_dir: str | Path, noop_eps: float) -> tuple[dict, list[str]]:
     """Validate every episode file; returns (statistics, error list)."""
     errors: list[str] = []
     episodes: list[Episode] = []

@@ -51,12 +51,12 @@ class TestGeneration:
         cfg = world_cfg("long", min_objects=29, max_objects=29)
         ep = generate_episode(5, cfg)
         assert len(ep.frames[0].instances) == 30  # 29 objects plus the robot
-        assert validate_episode(ep) == []
+        assert validate_episode(ep, RunConfig().noop_eps) == []
 
     def test_every_subset_validates(self):
         for subset in ("goal", "object", "spatial", "long", "pair"):
             ep = generate_episode(2, world_cfg(subset))
-            assert validate_episode(ep) == [], subset
+            assert validate_episode(ep, RunConfig().noop_eps) == [], subset
 
     def test_scripted_expert_succeeds(self):
         cfg = world_cfg("pair")
@@ -251,7 +251,7 @@ class TestValidatorAndStats:
     def test_validator_passes_clean_corpus(self, tmp_path):
         for seed in range(3):
             serialize_episode(generate_episode(seed, world_cfg("pair")), tmp_path)
-        stats, errors = validate_dataset(tmp_path)
+        stats, errors = validate_dataset(tmp_path, RunConfig().noop_eps)
         assert errors == []
         assert stats["pair"]["episodes"] == 3
 
@@ -259,13 +259,13 @@ class TestValidatorAndStats:
         ep = generate_episode(6, world_cfg("pair"))
         ep.frames[0].instances[0].box = ep.frames[0].instances[0].box + 0.25
         serialize_episode(ep, tmp_path)
-        _, errors = validate_dataset(tmp_path)
+        _, errors = validate_dataset(tmp_path, RunConfig().noop_eps)
         assert any("box deviates" in e for e in errors)
 
     def test_statistics_structure(self, tmp_path):
         for seed in range(2):
             serialize_episode(generate_episode(seed, world_cfg("goal")), tmp_path)
-        stats, _ = validate_dataset(tmp_path)
+        stats, _ = validate_dataset(tmp_path, RunConfig().noop_eps)
         row = stats["goal"]
         assert set(row) == {"episodes", "tasks", "layouts", "objects", "tr_objects",
                             "frames", "bboxes", "tr_bboxes"}
