@@ -15,10 +15,11 @@ lockstep: the frames at each index form one group, handed the previous
 group's refined slots, and a clip leaves the group once it ends. The
 stage-1 objective walks a batch of clips; its heads, task filter and
 tracking embeddings run once per group, and only matching runs per frame,
-in numpy. Validation, the flip rate, the stage-2 cache and inspection
-reports each walk one whole-episode clip at a time; only a closed-loop
-rollout, whose next frame depends on the action taken, steps `policy_step`
-itself.
+in numpy. The stage-2 cache walks all of a corpus's episodes in lockstep,
+each as one whole-episode clip, and filters each time step's frames as one
+group. Validation, the flip rate and inspection reports each walk one
+whole-episode clip at a time; only a closed-loop rollout, whose next frame
+depends on the action taken, steps `policy_step` itself.
 `Pipeline.select` is the one task-filter call, and stage-2 logits and the
 policy step share one decode tail, which decodes frames stacked as row blocks
 in one graph: a stage-2 batch, or the one frame of a policy step.
@@ -226,25 +227,36 @@ class Pipeline:
     # ------------------------------------------------------------------
     # stage-2 features and logits
 
-    def encode_episode_cache(self, frames: list[FrameRecord],
-                             episode_key: int) -> list[dict]:
-        """Frozen stage-1 features for every frame (no tape participation)."""
-        cache = []
+    def encode_episode_cache(self, episodes: list[list[FrameRecord]],
+                             episode_keys: list[int]) -> list[dict]:
+        """Frozen stage-1 features of every frame of the episodes, outside the
+        tape, in episode-major order: the first episode's frames in time order,
+        then the next episode's. The episodes are walked in lockstep, so the
+        frames at each time step are encoded and filtered as one group; every
+        task must have one word count, or `task_tokens` raises ShapeError.
+        An entry's `selected` holds its kept slot rows within its own frame."""
+        clips = [Clip(frames, [], key, 0)
+                 for frames, key in zip(episodes, episode_keys, strict=True)]
+        caches: list[list[dict]] = [[] for _ in clips]
+        n_slots = self.cfg.num_slots
         with T.no_grad():
-            lang = self.lang_filter(frames[0].task)
-            for i, _, dense, slots, _ in self.walk([Clip(frames, [], episode_key, 0)]):
-                record = frames[i]
-                scores, _ = self.select(slots, lang)
-                cache.append({
-                    "dense": dense.tokens.data.copy(),
-                    "grid": (dense.grid_h, dense.grid_w),
-                    "slots": slots.data[scores.selected],
-                    "selected": scores.selected,
-                    "task": record.task,
-                    "proprio": record.proprio.copy(),
-                    "action": record.action.copy(),
-                })
-        return cache
+            for i, group, dense, slots, _ in self.walk(clips):
+                going = [c for c, frames in enumerate(episodes) if i < len(frames)]
+                lang = task_tokens(self.lang_filter, [clip.frames[0].task for clip in group])
+                selected = self.select(slots, lang, len(group))[0].selected
+                cells, keep = dense.tokens.shape[0] // len(group), len(selected) // len(group)
+                for j, c in enumerate(going):
+                    record, rows = episodes[c][i], selected[j * keep:(j + 1) * keep]
+                    caches[c].append({
+                        "dense": dense.tokens.data[j * cells:(j + 1) * cells].copy(),
+                        "grid": (dense.grid_h // len(group), dense.grid_w),
+                        "slots": slots.data[rows],
+                        "selected": [r - j * n_slots for r in rows],
+                        "task": record.task,
+                        "proprio": record.proprio.copy(),
+                        "action": record.action.copy(),
+                    })
+        return [entry for cache in caches for entry in cache]
 
     def _logits(self, dense: DenseTokens, objects: Tensor, tasks: list[str],
                 proprio: np.ndarray) -> Tensor:

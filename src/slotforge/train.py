@@ -242,11 +242,9 @@ def _stage1_fingerprint(pipeline: Pipeline) -> dict[str, bytes]:
 
 
 def flatten_cache(pipeline: Pipeline, corpus: Corpus) -> list[dict]:
-    flat: list[dict] = []
-    for idx in range(len(corpus)):
-        flat.extend(pipeline.encode_episode_cache(corpus.episodes[idx].frames,
-                                                  corpus.episode_key(idx)))
-    return flat
+    """The stage-2 cache of a corpus, episode-major, in one lockstep pass."""
+    return pipeline.encode_episode_cache(
+        corpus.frames, [corpus.episode_key(idx) for idx in range(len(corpus))])
 
 
 def action_accuracy(pipeline: Pipeline, cache: list[dict]) -> dict:

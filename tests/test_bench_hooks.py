@@ -6,6 +6,7 @@ attributes would otherwise only show in the benchmark's own, much slower,
 test run.
 """
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -41,6 +42,27 @@ def test_hooks_install_count_each_frame_once_and_undo():
     assert names.count("pipeline.Pipeline.encode_episode_cache") == 1
     assert {name: vars(pipeline.Pipeline)[name] for name in originals} == originals
 
+
+def test_a_corpus_cache_is_one_pass_with_one_encode_per_time_step():
+    patches, recorder, cut = Patches(), Recorder(), CutPoints(sample_loop=False)
+    install_spans(patches, recorder)
+    cut.install(patches)
+    try:
+        cfg = load_config(overrides=["subset=pair"])
+        long, short = (generate_episode(seed, cfg.world_config()) for seed in (3, 4))
+        short = dataclasses.replace(short, frames=short.frames[:len(long.frames) // 2])
+        corpus = train.Corpus([long, short], cfg.patch_size)
+        cache = train.flatten_cache(pipeline.Pipeline(cfg), corpus)
+    finally:
+        patches.undo()
+    frames = len(long.frames) + len(short.frames)
+    assert len(cache) == frames
+    assert [n for _, _, n in cut.current.corpus_passes] == [frames]
+    assert cut.encoded == len(long.frames)
+    names = [span[0] for span in recorder.spans]
+    assert names.count("train.flatten_cache") == 1
+    assert names.count("pipeline.Pipeline.encode_episode_cache") == 1
+    assert names.count("pipeline.Pipeline.encode_frame") == len(long.frames)
 
 def test_tape_counter_reads_the_whole_tape_after_backward():
     patches, recorder = Patches(), Recorder()

@@ -41,7 +41,7 @@ def test_one_stage2_step_reaches_every_stage2_parameter(subset):
     cfg = load_config(overrides=[f"subset={subset}"])
     episode = generate_episode(5, most_crowded_world(cfg))
     pipeline = Pipeline(cfg)
-    entry = pipeline.encode_episode_cache(episode.frames[:1], episode_key=5)[0]
+    entry = pipeline.encode_episode_cache([episode.frames[:1]], [5])[0]
     with T.fresh_tape() as tape:
         logits = pipeline.stage2_logits([entry])
         tape.backward(action_ce(logits, action_to_bins(entry["action"], cfg.action_bins)))

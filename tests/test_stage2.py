@@ -23,7 +23,7 @@ def cached_frames(overrides, count=FRAMES):
     cfg = load_config(overrides=["subset=goal", *overrides])
     pipeline = Pipeline(cfg)
     episode = generate_episode(7, cfg.world_config())
-    cache = pipeline.encode_episode_cache(episode.frames, episode_key=7)
+    cache = pipeline.encode_episode_cache([episode.frames], [7])
     assert len(cache) >= count
     return pipeline, cache[:count]
 
