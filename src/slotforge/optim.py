@@ -2,7 +2,7 @@
 
 Updates divide each gradient by the square root of a bias-corrected running
 mean of its square. The learning rate follows a cosine decay over the
-configured horizon. Gradients can be clipped by global norm first.
+run's step count. Gradients are clipped by global norm first.
 """
 
 from __future__ import annotations
@@ -12,15 +12,14 @@ import numpy as np
 from .checkpoint import CheckpointError
 from .nn import ParamGroup
 
+BETA = 0.99   # decay of the running mean of squared gradients
+EPS = 1e-8
+
 
 class AdaptiveOptimizer:
-    def __init__(self, params: ParamGroup, lr: float = 3e-4, beta: float = 0.99,
-                 eps: float = 1e-8, total_steps: int | None = None,
-                 clip_norm: float | None = None):
+    def __init__(self, params: ParamGroup, lr: float, total_steps: int, clip_norm: float):
         self.params = params
         self.lr = lr
-        self.beta = beta
-        self.eps = eps
         self.total_steps = total_steps
         self.clip_norm = clip_norm
         self.step_count = 0
@@ -28,14 +27,10 @@ class AdaptiveOptimizer:
                                for name, t in params.items()}
 
     def current_lr(self) -> float:
-        if not self.total_steps:
-            return self.lr
         frac = min(self.step_count / self.total_steps, 1.0)
         return self.lr * 0.5 * (1.0 + np.cos(np.pi * frac))
 
     def _clip(self) -> None:
-        if self.clip_norm is None:
-            return
         total = 0.0
         for _, t in self.params.items():
             if t.grad is not None:
@@ -51,14 +46,14 @@ class AdaptiveOptimizer:
         self._clip()
         lr = self.current_lr()
         self.step_count += 1
-        correction = 1.0 - self.beta ** self.step_count
+        correction = 1.0 - BETA ** self.step_count
         for name, t in self.params.items():
             if t.grad is None:
                 continue
             v = self._second_moment[name]
-            v *= self.beta
-            v += (1.0 - self.beta) * t.grad * t.grad
-            t.data -= lr * t.grad / (np.sqrt(v / correction) + self.eps)
+            v *= BETA
+            v += (1.0 - BETA) * t.grad * t.grad
+            t.data -= lr * t.grad / (np.sqrt(v / correction) + EPS)
 
     def zero_grad(self) -> None:
         for _, t in self.params.items():

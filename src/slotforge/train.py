@@ -1,8 +1,10 @@
 """Two-stage training: slot encoder supervision, then behavior cloning.
 
-Batches are resampled from (run seed, step), so resuming from a checkpoint
-replays the exact same data order and reproduces the next step's gradients
-bitwise. Loss components stream to a CSV per run.
+`fit` is the one training loop; `train_stage1` and `train_stage2` supply its
+parameters, per-step loss, CSV row and validation. Batches are resampled
+from (run seed, step), so a resume replays the same data order and the next
+step's gradients bitwise. Loss components stream to a CSV per run, which a
+resume cuts back to the checkpoint's step.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .decoder import ACTION_DIMS, action_to_bins
 from .losses import action_ce, iou_matrix, match_frame, slot_relevance_labels
+from .nn import ParamGroup
 from .optim import AdaptiveOptimizer
 from .pipeline import Clip, Pipeline, frame_targets
 from .world import Episode, WorldError, check_frame_size, episode_files, load_episode
@@ -114,6 +117,48 @@ def sample_clips(corpus: Corpus, cfg: RunConfig, step: int) -> list[Clip]:
     return clips
 
 
+def fit(pipeline: Pipeline, params: ParamGroup, iters: int, out_dir: Path, stage: int,
+        header: str, step_loss, validate, check=lambda: None,
+        resume: str | Path | None = None, **manifest) -> dict:
+    """Train `params` to step `iters`, from `resume`'s step if given, and save
+    them as `stage{stage}.ckpt`. `step_loss(step)` gives the loss and the CSV
+    row after the step column; every `eval_every` steps `validate(steps done)`,
+    if given, a history row and whether to stop. `check()` may raise to keep
+    the checkpoint unwritten. A resume keeps the log's rows before its step."""
+    cfg = pipeline.cfg
+    opt = AdaptiveOptimizer(params, lr=cfg.lr, total_steps=iters, clip_norm=cfg.grad_clip)
+    log_path = out_dir / f"stage{stage}_loss.csv"
+    lines = [header]
+    if resume is not None:
+        state = load_checkpoint(resume)
+        params.load_state(state)
+        opt.load_state(state)
+        if log_path.exists():
+            lines = log_path.read_text().splitlines()[:opt.step_count + 1]
+    write_manifest(out_dir, cfg, stage=stage, **manifest)
+    history: list[dict] = []
+    with open(log_path, "w") as log:
+        log.writelines(line + "\n" for line in lines)
+        for step in range(opt.step_count, iters):
+            with T.fresh_tape() as tape:
+                loss, row = step_loss(step)
+                opt.zero_grad()
+                tape.backward(loss)
+            opt.step()
+            log.write(f"{step},{row}\n")
+            if validate is not None and (step + 1) % cfg.eval_every == 0:
+                log.flush()
+                metrics, stop = validate(step + 1)
+                history.append(metrics)
+                if stop:
+                    break
+    check()
+    ckpt = out_dir / f"stage{stage}.ckpt"
+    save_checkpoint(ckpt, params.state() | opt.state())
+    return {"checkpoint": ckpt, "history": history, "steps": opt.step_count,
+            "pipeline": pipeline}
+
+
 # ---------------------------------------------------------------------------
 # metrics
 
@@ -130,26 +175,33 @@ def auc_score(scores: np.ndarray, labels: np.ndarray) -> float:
     return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
+def matched_frames(pipeline: Pipeline, corpus: Corpus):
+    """The one validation walk: each episode walked whole, one frame per
+    `encode_frame` call. Yields (clip, frame index, slots, head predictions,
+    the frame's matching). Callers hold `T.no_grad()` around it: held in here,
+    it would stay on whenever the walk is suspended."""
+    for idx in range(len(corpus)):
+        clip = corpus.clip(idx, 0, len(corpus.frames[idx]))
+        for i, _, _, slots, _ in pipeline.walk([clip]):
+            preds = pipeline.heads(slots)
+            yield clip, i, slots, preds, match_frame(preds.boxes.data, clip.targets[i],
+                                                     pipeline.cfg)
+
+
 def stage1_metrics(pipeline: Pipeline, corpus: Corpus) -> dict[str, float]:
     """Matched-slot box IoU and relevance AUC over a full corpus."""
-    ious: list[float] = []
-    pi_all: list[float] = []
-    labels_all: list[float] = []
+    ious, pi_all, labels_all = [], [], []
     with T.no_grad():
-        for idx in range(len(corpus)):
-            clip = corpus.clip(idx, 0, len(corpus.frames[idx]))
-            lang = pipeline.lang_filter(clip.frames[0].task)
-            for i, _, _, slots, _ in pipeline.walk([clip]):
-                targets = clip.targets[i]
-                preds = pipeline.heads(slots)
-                match = match_frame(preds.boxes.data, targets, pipeline.cfg)
-                pairwise = iou_matrix(preds.boxes.data, targets.boxes)
-                ious.extend(pairwise[s, g] for s, g in match.pairs)
-                scores, _ = pipeline.select(slots, lang)
-                lbl = slot_relevance_labels(match, targets.relevance,
-                                            pipeline.cfg.num_slots)
-                pi_all.extend(scores.scores.tolist())
-                labels_all.extend(lbl.tolist())
+        for clip, i, slots, preds, match in matched_frames(pipeline, corpus):
+            if i == 0:
+                lang = pipeline.lang_filter(clip.frames[0].task)
+            targets = clip.targets[i]
+            pairwise = iou_matrix(preds.boxes.data, targets.boxes)
+            ious.extend(pairwise[s, g] for s, g in match.pairs)
+            scores, _ = pipeline.select(slots, lang)
+            pi_all.extend(scores.scores.tolist())
+            labels_all.extend(slot_relevance_labels(match, targets.relevance,
+                                                    pipeline.cfg.num_slots).tolist())
     return {"iou": float(np.mean(ious)) if ious else 0.0,
             "auc": auc_score(np.array(pi_all), np.array(labels_all))}
 
@@ -157,26 +209,18 @@ def stage1_metrics(pipeline: Pipeline, corpus: Corpus) -> dict[str, float]:
 def assignment_flip_rate(pipeline: Pipeline, corpus: Corpus,
                          carryover: bool) -> float:
     """Fraction of consecutive-frame object matches that switch slots."""
-    flips = 0
-    chances = 0
+    flips = chances = 0
     saved = pipeline.cfg.carryover_on
     pipeline.cfg.carryover_on = carryover
     try:
         with T.no_grad():
-            for idx in range(len(corpus)):
-                prev_map: dict[str, int] = {}
-                clip = corpus.clip(idx, 0, len(corpus.frames[idx]))
-                for i, _, _, slots, _ in pipeline.walk([clip]):
-                    targets = clip.targets[i]
-                    preds = pipeline.heads(slots)
-                    match = match_frame(preds.boxes.data, targets, pipeline.cfg)
-                    current = {targets.instance_ids[g]: s for s, g in match.pairs}
-                    for name, slot in current.items():
-                        if name in prev_map:
-                            chances += 1
-                            if prev_map[name] != slot:
-                                flips += 1
-                    prev_map = current
+            for clip, i, _, _, match in matched_frames(pipeline, corpus):
+                prev_map = {} if i == 0 else current
+                current = {clip.targets[i].instance_ids[g]: s for s, g in match.pairs}
+                for name, slot in current.items():
+                    if name in prev_map:
+                        chances += 1
+                        flips += prev_map[name] != slot
     finally:
         pipeline.cfg.carryover_on = saved
     return flips / chances if chances else 0.0
@@ -189,56 +233,27 @@ def assignment_flip_rate(pipeline: Pipeline, corpus: Corpus,
 def train_stage1(cfg: RunConfig, data_dir: str | Path, out_dir: str | Path,
                  val_dir: str | Path | None = None,
                  resume: str | Path | None = None) -> dict:
-    out_dir = Path(out_dir)
     corpus = load_corpus(cfg, data_dir)
     val = load_corpus(cfg, val_dir) if val_dir else None
     pipeline = Pipeline(cfg)
-    params = pipeline.stage1_params()
-    opt = AdaptiveOptimizer(params, lr=cfg.lr, total_steps=cfg.stage1_iters,
-                            clip_norm=cfg.grad_clip)
-    if resume is not None:
-        state = load_checkpoint(resume)
-        params.load_state(state)
-        opt.load_state(state)
-    write_manifest(out_dir, cfg, stage=1, data=str(data_dir))
-    log_path = out_dir / "stage1_loss.csv"
-    mode = "a" if resume is not None and log_path.exists() else "w"
-    history: list[dict] = []
-    with open(log_path, mode) as log:
-        if mode == "w":
-            log.write(LOSS_CSV_HEADER + "\n")
-        start = opt.step_count
-        for step in range(start, cfg.stage1_iters):
-            batch = sample_clips(corpus, cfg, step)
-            with T.fresh_tape() as tape:
-                loss, parts = pipeline.stage1_batch_loss(batch)
-                opt.zero_grad()
-                tape.backward(loss)
-            opt.step()
-            log.write(f"{step},{parts['box']:.6f},{parts['obj']:.6f},"
-                      f"{parts['seg']:.6f},{parts['track']:.6f},"
-                      f"{parts['int']:.6f},{parts['total']:.6f}\n")
-            if val is not None and (step + 1) % cfg.eval_every == 0:
-                metrics = stage1_metrics(pipeline, val)
-                metrics["step"] = step + 1
-                history.append(metrics)
-                log.flush()
-                if (metrics["iou"] >= cfg.target_iou + cfg.early_stop_margin
-                        and metrics["auc"] >= cfg.target_auc + cfg.early_stop_margin):
-                    break
-    ckpt = out_dir / "stage1.ckpt"
-    blob = params.state() | opt.state()
-    save_checkpoint(ckpt, blob)
-    return {"checkpoint": ckpt, "history": history, "steps": opt.step_count,
-            "pipeline": pipeline}
+
+    def step_loss(step: int):
+        loss, parts = pipeline.stage1_batch_loss(sample_clips(corpus, cfg, step))
+        return loss, ",".join(f"{parts[key]:.6f}"
+                              for key in ("box", "obj", "seg", "track", "int", "total"))
+
+    def validate(step: int):
+        metrics = stage1_metrics(pipeline, val) | {"step": step}
+        return metrics, (metrics["iou"] >= cfg.target_iou + cfg.early_stop_margin
+                         and metrics["auc"] >= cfg.target_auc + cfg.early_stop_margin)
+
+    return fit(pipeline, pipeline.stage1_params(), cfg.stage1_iters, Path(out_dir), 1,
+               LOSS_CSV_HEADER, step_loss, validate if val is not None else None,
+               resume=resume, data=str(data_dir))
 
 
 # ---------------------------------------------------------------------------
 # stage 2
-
-
-def _stage1_fingerprint(pipeline: Pipeline) -> dict[str, bytes]:
-    return {name: t.data.tobytes() for name, t in pipeline.stage1_params().items()}
 
 
 def flatten_cache(pipeline: Pipeline, corpus: Corpus) -> list[dict]:
@@ -266,50 +281,34 @@ def train_stage2(cfg: RunConfig, stage1_ckpt: str | Path, data_dir: str | Path,
     """Behaviour cloning on frozen stage-1 features, `batch_frames` cached frames
     per step as one graph. Stage 2 always starts from the stage-1 checkpoint,
     writes its own only when it ends, and cannot resume."""
-    out_dir = Path(out_dir)
     pipeline = Pipeline(cfg)
-    pipeline.stage1_params().load_state(load_checkpoint(stage1_ckpt))
-    fingerprint = _stage1_fingerprint(pipeline)
-
+    frozen = pipeline.stage1_params()
+    frozen.load_state(load_checkpoint(stage1_ckpt))
+    fingerprint = {name: t.data.tobytes() for name, t in frozen.items()}
     corpus = load_corpus(cfg, data_dir, targets=False)
     val = load_corpus(cfg, val_dir, targets=False) if val_dir else None
-    write_manifest(out_dir, cfg, stage=2, data=str(data_dir),
-                   stage1=str(stage1_ckpt))
     cache = flatten_cache(pipeline, corpus)
     val_cache = flatten_cache(pipeline, val) if val is not None else None
 
-    params = pipeline.stage2_params()
-    opt = AdaptiveOptimizer(params, lr=cfg.lr, total_steps=cfg.stage2_iters,
-                            clip_norm=cfg.grad_clip)
-    log_path = out_dir / "stage2_loss.csv"
-    history: list[dict] = []
-    with open(log_path, "w") as log:
-        log.write("step,action_ce\n")
-        for step in range(cfg.stage2_iters):
-            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7002, step]))
-            batch = [cache[int(i)] for i in rng.integers(0, len(cache), size=cfg.batch_frames)]
-            bins = np.concatenate([action_to_bins(e["action"], cfg.action_bins)
-                                   for e in batch])
-            with T.fresh_tape() as tape:
-                loss = T.mul(action_ce(pipeline.stage2_logits(batch), bins), 1.0 / bins.size)
-                opt.zero_grad()
-                tape.backward(loss)
-            opt.step()
-            log.write(f"{step},{loss.item():.6f}\n")
-            if val_cache is not None and (step + 1) % cfg.eval_every == 0:
-                acc = action_accuracy(pipeline, val_cache)
-                history.append({"step": step + 1, "min_acc": acc["min"],
-                                "mean_acc": acc["mean"]})
-                log.flush()
-                if acc["min"] >= cfg.target_acc + cfg.early_stop_margin:
-                    break
+    def step_loss(step: int):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7002, step]))
+        batch = [cache[int(i)] for i in rng.integers(0, len(cache), size=cfg.batch_frames)]
+        bins = np.concatenate([action_to_bins(e["action"], cfg.action_bins) for e in batch])
+        loss = T.mul(action_ce(pipeline.stage2_logits(batch), bins), 1.0 / bins.size)
+        return loss, f"{loss.item():.6f}"
 
-    for name, t in pipeline.stage1_params().items():
-        if t.data.tobytes() != fingerprint[name]:
-            raise TrainingError(f"stage-1 parameter {name} changed during stage 2")
-        if t.grad is not None:
-            raise TrainingError(f"stage-1 parameter {name} accumulated a gradient")
-    ckpt = out_dir / "stage2.ckpt"
-    save_checkpoint(ckpt, params.state() | opt.state())
-    return {"checkpoint": ckpt, "history": history, "steps": opt.step_count,
-            "pipeline": pipeline}
+    def validate(step: int):
+        acc = action_accuracy(pipeline, val_cache)
+        return ({"step": step, "min_acc": acc["min"], "mean_acc": acc["mean"]},
+                acc["min"] >= cfg.target_acc + cfg.early_stop_margin)
+
+    def check_frozen():
+        for name, t in frozen.items():
+            if t.data.tobytes() != fingerprint[name]:
+                raise TrainingError(f"stage-1 parameter {name} changed during stage 2")
+            if t.grad is not None:
+                raise TrainingError(f"stage-1 parameter {name} accumulated a gradient")
+
+    return fit(pipeline, pipeline.stage2_params(), cfg.stage2_iters, Path(out_dir), 2,
+               "step,action_ce", step_loss, validate if val is not None else None,
+               check_frozen, data=str(data_dir), stage1=str(stage1_ckpt))

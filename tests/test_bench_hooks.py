@@ -13,7 +13,7 @@ from pathlib import Path
 from slotforge import pipeline, train
 from slotforge import tensor as T
 from slotforge.config import load_config
-from slotforge.world import generate_episode
+from slotforge.world import generate_episode, serialize_episode
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
@@ -105,3 +105,22 @@ def test_validation_encodes_each_frame_in_its_own_call():
     frames = sum(len(f) for f in corpus.frames)
     assert cut.encoded == frames
     assert [n for _, _, n in cut.current.corpus_passes] == [frames]
+
+
+def test_a_stage1_run_reaches_every_hook_it_steps_and_validates_through(tmp_path):
+    cfg = load_config(overrides=["subset=pair", "stage1_iters=2", "eval_every=2",
+                                 "batch_clips=1", "clip_len=2"])
+    episode = generate_episode(4, cfg.world_config())
+    serialize_episode(generate_episode(3, cfg.world_config()), tmp_path / "train")
+    serialize_episode(episode, tmp_path / "val")
+    patches, cut = Patches(), CutPoints(sample_loop=False)
+    cut.install(patches)
+    try:
+        result = train.train_stage1(cfg, tmp_path / "train", tmp_path / "s1",
+                                    val_dir=tmp_path / "val")
+    finally:
+        patches.undo()
+    assert result["steps"] == 2
+    assert cut.current.step_frames == [2, 2]
+    assert len(cut.current.step_ends) == 2
+    assert [n for _, _, n in cut.current.corpus_passes] == [len(episode.frames)]

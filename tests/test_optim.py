@@ -13,7 +13,7 @@ def make_optimizer():
     rng = np.random.default_rng(0)
     group.add("w", param(rng, 3, 2))
     group.add("b", param(rng, 2))
-    return AdaptiveOptimizer(group)
+    return AdaptiveOptimizer(group, lr=3e-4, total_steps=10, clip_norm=10.0)
 
 
 def stepped_state():
