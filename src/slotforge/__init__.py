@@ -10,6 +10,6 @@ manipulation world.
 
 __version__ = "0.1.0"
 
-from .tensor import Tensor, GradTape, finite_diff_check, no_grad, fresh_tape
+from .tensor import Tensor, GradTape, no_grad, fresh_tape
 
-__all__ = ["Tensor", "GradTape", "finite_diff_check", "no_grad", "fresh_tape", "__version__"]
+__all__ = ["Tensor", "GradTape", "no_grad", "fresh_tape", "__version__"]

@@ -177,6 +177,9 @@ COMMANDS = {"gen": cmd_gen, "train1": cmd_train1, "train2": cmd_train2,
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        out = getattr(args, "out", None)
+        if out is not None and out.exists() and not out.is_dir():
+            raise ConfigError(f"--out {out} exists and is not a directory")
         return COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -230,9 +230,11 @@ def load_config(path: str | Path | None = None,
     values: dict = {}
     if path is not None:
         path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file {path} does not exist")
-        values.update(parse_config_text(path.read_text(), str(path)))
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {path} cannot be read: {exc}") from None
+        values.update(parse_config_text(text, str(path)))
     if overrides:
         values.update(parse_overrides(overrides))
     return RunConfig(**values)

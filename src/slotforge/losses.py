@@ -149,8 +149,8 @@ def iou_matrix(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     return inter / union
 
 
-def box_cost(pred: np.ndarray, gt: np.ndarray, l1_weight: float = 5.0,
-             giou_weight: float = 2.0) -> np.ndarray:
+def box_cost(pred: np.ndarray, gt: np.ndarray, l1_weight: float,
+             giou_weight: float) -> np.ndarray:
     """Assignment cost mirroring the box loss: weighted L1 plus (1 - GIoU)."""
     pred = _validate_boxes(pred, "pred boxes", reject_degenerate=False)
     gt = _validate_boxes(gt, "gt boxes", reject_degenerate=True)
@@ -271,8 +271,8 @@ def slot_relevance_labels(match: MatchAssignment, gt_relevance: np.ndarray,
     return labels
 
 
-def relevance_loss(logits: Tensor, labels: np.ndarray, w_pos: float = 2.0,
-                   w_neg: float = 1.0, groups: int = 1) -> Tensor:
+def relevance_loss(logits: Tensor, labels: np.ndarray, w_pos: float,
+                   w_neg: float, groups: int = 1) -> Tensor:
     """Class-weighted BCE on relevance logits: the mean over each frame's
     slots, summed over the `groups` frames stacked as equal row blocks."""
     labels = np.asarray(labels, dtype=np.float64).reshape(logits.shape)
@@ -353,5 +353,5 @@ def stage1_total(slot_attn: Tensor, track: Tensor, relevance: Tensor,
 
 
 def action_ce(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Sum of per-step cross-entropies between logit rows and label bins."""
-    return T.cross_entropy(logits, labels, reduce="sum")
+    """Mean over steps of the cross-entropy between logit rows and label bins."""
+    return T.cross_entropy(logits, labels)

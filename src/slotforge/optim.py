@@ -32,13 +32,13 @@ class AdaptiveOptimizer:
 
     def _clip(self) -> None:
         total = 0.0
-        for _, t in self.params.items():
+        for t in self.params.tensors():
             if t.grad is not None:
                 total += float((t.grad * t.grad).sum())
         norm = np.sqrt(total)
         if norm > self.clip_norm:
             scale = self.clip_norm / norm
-            for _, t in self.params.items():
+            for t in self.params.tensors():
                 if t.grad is not None:
                     t.grad *= scale
 
@@ -56,7 +56,7 @@ class AdaptiveOptimizer:
             t.data -= lr * t.grad / (np.sqrt(v / correction) + EPS)
 
     def zero_grad(self) -> None:
-        for _, t in self.params.items():
+        for t in self.params.tensors():
             t.grad = None
 
     def state(self) -> dict[str, np.ndarray]:

@@ -16,9 +16,12 @@ from .pipeline import Pipeline
 from .train import Corpus
 from .world import Episode
 
+# each attention cell becomes an UPSCALE x UPSCALE block of the slot PGMs
+UPSCALE = 8
+
 
 def inspect_report(pipeline: Pipeline, episode: Episode, frame_idx: int,
-                   out_dir: str | Path, upscale: int = 8) -> dict:
+                   out_dir: str | Path) -> dict:
     """Encode an episode up to `frame_idx`, then dump per-slot attention PGMs,
     predicted boxes, relevance scores, and relation attention summaries."""
     if not (0 <= frame_idx < len(episode.frames)):
@@ -44,7 +47,7 @@ def inspect_report(pipeline: Pipeline, episode: Episode, frame_idx: int,
         column = maps.weights[:, s].reshape(grid, grid)
         peak = column.max()
         img = (column / peak * 255.0) if peak > 0 else column
-        img = np.repeat(np.repeat(img, upscale, axis=0), upscale, axis=1)
+        img = np.repeat(np.repeat(img, UPSCALE, axis=0), UPSCALE, axis=1)
         pnm.write_pgm(out_dir / f"slot_{s:02d}_attn.pgm", img)
 
     labels = slot_relevance_labels(match, targets.relevance, cfg.num_slots)

@@ -43,7 +43,7 @@ def top_k_rows(scores: np.ndarray, k: int, groups: int = 1) -> list[int]:
 
 
 class TaskFilter:
-    def __init__(self, rng: np.random.Generator, width: int = 64, heads: int = 4):
+    def __init__(self, rng: np.random.Generator, width: int, heads: int):
         self.width = width
         self.bca_slots = CrossAttentionBlockParams.create(rng, width, heads)
         # the draws of a former language-side block, so later weights keep

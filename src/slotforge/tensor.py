@@ -1,5 +1,10 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
+The core holds only the ops, options and methods the package calls. The ops
+that only tests use as references (`softmax`, `tanh`, `slice_cols`,
+`logsumexp_rows`, `clip_min`, `neg`), built on `primitive`, and the test
+utilities `finite_diff_check` and `zero_grads` live in `tests/reference_ops.py`.
+
 Values are contiguous row-major numpy arrays of rank 0..2. Every op that
 receives a grad-requiring input records a tape entry (define-by-run). The
 backward pass is one reverse sweep over the tape: an entry runs only when
@@ -19,14 +24,14 @@ groups)`: the heads are a reshape inside it, not separate graph nodes, so one
 attention costs one tape entry whatever the head count. With groups=B it runs
 B equal-sized attentions stacked as row blocks, `(B·L, d)`, so a batch stays
 rank 2; `group_mean` pools each block in one entry. Likewise
-`linear(x, w, b)` with a bias is one entry, not a matmul and an add, and
-`abs_` is one entry. `primitive` records a numpy forward with a hand-written
-backward as one entry for ops that live beside their callers: the GIoU of
-matched box pairs `losses.giou_pairs`, the anchor term of
-`losses.track_loss`, the GRU cell `nn.gru_cell` and slot-competitive
-attention `slots.slot_attention`, which takes `groups` as `attention_heads`
-does. The grouped ops, `attention_heads`, `group_mean` and `slot_attention`,
-are what let a batch of frames be one graph of rank-2 tensors.
+`linear(x, w, b)` is one entry, not a matmul and an add, and `abs_` is one
+entry. Every op records its entry through `primitive`, which callers also use
+for ops that live beside them: the GIoU of matched box pairs
+`losses.giou_pairs`, the anchor term of `losses.track_loss`, the GRU cell
+`nn.gru_cell` and slot-competitive attention `slots.slot_attention`, which
+takes `groups` as `attention_heads` does. The grouped ops, `attention_heads`,
+`group_mean` and `slot_attention`, are what let a batch of frames be one
+graph of rank-2 tensors.
 """
 
 from __future__ import annotations
@@ -82,10 +87,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
@@ -94,43 +95,8 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data.copy())
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def backward(self) -> None:
-        active_tape().backward(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; everything routes through the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class GradTape:
@@ -170,10 +136,6 @@ class GradTape:
 _TAPE = GradTape()
 
 
-def active_tape() -> GradTape:
-    return _TAPE
-
-
 @contextmanager
 def fresh_tape():
     """Swap in a new tape for the duration of the block (one training step)."""
@@ -205,7 +167,20 @@ def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], fn: Callable, op: str) -> Tensor:
+def primitive(data: np.ndarray, parents: Sequence[Tensor], backward: Callable,
+              op: str) -> Tensor:
+    """One tape entry for a forward value computed in numpy; every op records
+    through it.
+
+    `backward(g)` returns one gradient array (or None) per parent, each of
+    its parent's shape. The value is checked for NaN/Inf and made contiguous;
+    `check_finite` names the op for intermediates that can be non-finite
+    while the value is not. No entry is recorded under `no_grad` or when no
+    parent requires a gradient.
+
+    A tensor the op uses more than once is listed once, and the backward
+    returns the sum of its gradients.
+    """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim and not data.flags["C_CONTIGUOUS"]:
         data = np.ascontiguousarray(data)
@@ -217,23 +192,8 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], fn: Callable, op: str) ->
     out.grad = None
     out.uid = next(_UIDS)
     if track:
-        _TAPE.record(out, parents, fn)
+        _TAPE.record(out, parents, backward)
     return out
-
-
-def primitive(data: np.ndarray, parents: Sequence[Tensor], backward: Callable,
-              op: str) -> Tensor:
-    """One tape entry for a forward value computed in numpy.
-
-    `backward(g)` returns one gradient array (or None) per parent, each of
-    its parent's shape. The value is checked for NaN/Inf like every op's;
-    `check_finite` names the op for intermediates that can be non-finite
-    while the value is not.
-
-    A tensor the op uses more than once is listed once, and the backward
-    returns the sum of its gradients.
-    """
-    return _make(data, parents, backward, op)
 
 
 def _broadcast_ok(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -272,7 +232,7 @@ def _binary(a, b, fwd, bwd_a, bwd_b, op: str) -> Tensor:
             unbroadcast(bwd_b(g, a.data, b.data), b.shape) if b.requires_grad else None,
         )
 
-    return _make(out, (a, b), backward, op)
+    return primitive(out, (a, b), backward, op)
 
 
 def add(a, b) -> Tensor:
@@ -302,11 +262,6 @@ def div(a, b) -> Tensor:
     )
 
 
-def neg(a) -> Tensor:
-    a = _coerce(a)
-    return _make(-a.data, (a,), lambda g: (-g,), "neg")
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -317,14 +272,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return (g @ b.data.T if a.requires_grad else None,
                 a.data.T @ g if b.requires_grad else None)
 
-    return _make(out, (a, b), backward, "matmul")
+    return primitive(out, (a, b), backward, "matmul")
 
 
 def transpose(a: Tensor) -> Tensor:
     a = _coerce(a)
     if a.data.ndim != 2:
         raise ShapeError(f"transpose: rank-2 required, got shape {a.shape}")
-    return _make(a.data.T.copy(), (a,), lambda g: (g.T,), "transpose")
+    return primitive(a.data.T.copy(), (a,), lambda g: (g.T,), "transpose")
 
 
 def _unary(a, fwd, bwd, op: str) -> Tensor:
@@ -335,15 +290,11 @@ def _unary(a, fwd, bwd, op: str) -> Tensor:
     def backward(g, out=out):
         return (bwd(g, a.data, out),)
 
-    return _make(out, (a,), backward, op)
+    return primitive(out, (a,), backward, op)
 
 
 def exp(a) -> Tensor:
     return _unary(a, np.exp, lambda g, x, y: g * y, "exp")
-
-
-def log(a) -> Tensor:
-    return _unary(a, np.log, lambda g, x, y: g / x, "log")
 
 
 def sqrt(a) -> Tensor:
@@ -361,10 +312,6 @@ def sigmoid(a) -> Tensor:
     return _unary(a, stable_sigmoid, lambda g, x, y: g * y * (1.0 - y), "sigmoid")
 
 
-def tanh(a) -> Tensor:
-    return _unary(a, np.tanh, lambda g, x, y: g * (1.0 - y * y), "tanh")
-
-
 def relu(a) -> Tensor:
     return _unary(a, lambda x: np.maximum(x, 0.0), lambda g, x, y: g * (x > 0), "relu")
 
@@ -372,10 +319,6 @@ def relu(a) -> Tensor:
 def abs_(a) -> Tensor:
     """|x|; the gradient is sign(x)·g, zero at x == 0."""
     return _unary(a, np.abs, lambda g, x, y: g * np.sign(x), "abs")
-
-
-def clip_min(a, lo: float) -> Tensor:
-    return _unary(a, lambda x: np.maximum(x, lo), lambda g, x, y: g * (x >= lo), "clip_min")
 
 
 def _axis_check(a: Tensor, axis) -> None:
@@ -394,31 +337,15 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
         gg = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, a.shape).copy(),)
 
-    return _make(out, (a,), backward, "sum")
+    return primitive(out, (a,), backward, "sum")
 
 
 def mean(a) -> Tensor:
     """Mean of every element, a scalar; `group_mean` pools row blocks."""
     a = _coerce(a)
     n = a.data.size
-    return _make(a.data.mean(), (a,), lambda g: (np.broadcast_to(g / n, a.shape).copy(),),
-                 "mean")
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    """Max-shifted softmax along `axis`; rows sum to 1 within 1e-12."""
-    a = _coerce(a)
-    ax = axis if axis >= 0 else a.data.ndim + axis
-    _axis_check(a, ax)
-    shifted = a.data - a.data.max(axis=ax, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=ax, keepdims=True)
-
-    def backward(g, out=out):
-        dot = (g * out).sum(axis=ax, keepdims=True)
-        return ((g - dot) * out,)
-
-    return _make(out, (a,), backward, "softmax")
+    return primitive(a.data.mean(), (a,),
+                     lambda g: (np.broadcast_to(g / n, a.shape).copy(),), "mean")
 
 
 def _split_heads(x: np.ndarray, heads: int, groups: int) -> np.ndarray:
@@ -482,7 +409,7 @@ def attention_heads(q, k, v, heads: int, groups: int = 1) -> Tensor:
                 _merge_heads((qh.swapaxes(2, 3) @ dlogits).swapaxes(2, 3)),
                 _merge_heads(weights.swapaxes(2, 3) @ gh))
 
-    return _make(out, (q, k, v), backward, "attention_heads")
+    return primitive(out, (q, k, v), backward, "attention_heads")
 
 
 def group_mean(a, groups: int) -> Tensor:
@@ -491,16 +418,15 @@ def group_mean(a, groups: int) -> Tensor:
     if a.data.ndim != 2 or groups < 1 or a.shape[0] % groups:
         raise ShapeError(f"group_mean: shape {a.shape} does not split into {groups} groups")
     n = a.shape[0] // groups
-    return _make(a.data.reshape(groups, n, a.shape[1]).mean(axis=1), (a,),
-                 lambda g: (np.repeat(g / n, n, axis=0),), "group_mean")
+    return primitive(a.data.reshape(groups, n, a.shape[1]).mean(axis=1), (a,),
+                     lambda g: (np.repeat(g / n, n, axis=0),), "group_mean")
 
 
-def layer_norm(a, gain: Tensor | None = None, bias: Tensor | None = None,
-               eps: float = 1e-5) -> Tensor:
+def layer_norm(a, gain: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
     """Normalize each row (last axis) to zero mean / unit variance.
 
     Optional affine gain/bias of shape (d,). A constant row normalizes to
-    zeros (the eps in the denominator keeps the zero-variance case finite).
+    zeros (the 1e-5 added to the variance keeps the zero-variance case finite).
     """
     a = _coerce(a)
     if a.data.ndim == 0:
@@ -508,7 +434,7 @@ def layer_norm(a, gain: Tensor | None = None, bias: Tensor | None = None,
     d = a.shape[-1]
     mu = a.data.mean(axis=-1, keepdims=True)
     var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = (a.data - mu) * inv
     parents: list[Tensor] = [a]
     out = xhat
@@ -536,17 +462,15 @@ def layer_norm(a, gain: Tensor | None = None, bias: Tensor | None = None,
             grads.append(g.sum(axis=0) if g.ndim == 2 else g)
         return tuple(grads)
 
-    return _make(out, parents, backward, "layer_norm")
+    return primitive(out, parents, backward, "layer_norm")
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w (+ b): the standard affine map over row vectors.
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b: the standard affine map over row vectors.
 
-    With a bias it is one tape entry whose values and gradients are bitwise
-    those of `add(matmul(x, w), b)`; without one it is `matmul(x, w)`.
+    One tape entry whose values and gradients are bitwise those of
+    `add(matmul(x, w), b)`; the bias-free map is `matmul(x, w)`.
     """
-    if b is None:
-        return matmul(x, w)
     x, w, b = _coerce(x), _coerce(w), _coerce(b)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeError(f"linear: incompatible shapes {x.shape} and {w.shape}")
@@ -562,7 +486,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
                 x.data.T @ gy if w.requires_grad else None,
                 unbroadcast(g, b.shape) if b.requires_grad else None)
 
-    return _make(out, (x, w, b), backward, "linear")
+    return primitive(out, (x, w, b), backward, "linear")
 
 
 def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -584,7 +508,7 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
             for i in range(len(parts))
         )
 
-    return _make(out, parts, backward, "concat")
+    return primitive(out, parts, backward, "concat")
 
 
 def scatter_rows(g: np.ndarray, idx: np.ndarray, rows: int) -> np.ndarray:
@@ -622,30 +546,16 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     def backward(g):
         return (scatter_rows(g, idx, a.shape[0]),)
 
-    return _make(out, (a,), backward, "gather_rows")
+    return primitive(out, (a,), backward, "gather_rows")
 
 
-def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
-    a = _coerce(a)
-    if a.data.ndim != 2 or not (0 <= lo < hi <= a.shape[1]):
-        raise ShapeError(f"slice_cols: bad range [{lo},{hi}) for shape {a.shape}")
-    out = a.data[:, lo:hi].copy()
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[:, lo:hi] = g
-        return (full,)
-
-    return _make(out, (a,), backward, "slice_cols")
-
-
-def bce_logits(x, targets, weights=None) -> Tensor:
-    """Mean (optionally weighted) BCE on logits, the numerically safe form."""
+def bce_logits(x, targets, weights) -> Tensor:
+    """Mean weighted BCE on logits, the numerically safe form."""
     x = _coerce(x)
     t = np.asarray(targets, dtype=np.float64)
     if t.shape != x.shape:
         raise ShapeError(f"bce_logits: target shape {t.shape} != input shape {x.shape}")
-    w = np.ones_like(t) if weights is None else np.asarray(weights, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
     n = max(x.data.size, 1)
     z = x.data
     elem = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
@@ -655,11 +565,11 @@ def bce_logits(x, targets, weights=None) -> Tensor:
     def backward(g):
         return (g * w * (sig - t) / n,)
 
-    return _make(out, (x,), backward, "bce_logits")
+    return primitive(out, (x,), backward, "bce_logits")
 
 
-def cross_entropy(logits: Tensor, labels, reduce: str = "mean") -> Tensor:
-    """Softmax cross-entropy of integer class labels against logit rows."""
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean softmax cross-entropy of integer class labels against logit rows."""
     logits = _coerce(logits)
     if logits.data.ndim != 2:
         raise ShapeError(f"cross_entropy: rank-2 logits required, got {logits.shape}")
@@ -669,12 +579,10 @@ def cross_entropy(logits: Tensor, labels, reduce: str = "mean") -> Tensor:
         raise ShapeError(f"cross_entropy: labels shape {labels.shape} != ({n},)")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ShapeError(f"cross_entropy: label out of range for {k} classes")
-    if reduce not in ("mean", "sum"):
-        raise ValueError(f"cross_entropy: unknown reduce '{reduce}'")
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=1))
     per_row = logz - shifted[np.arange(n), labels]
-    scale = 1.0 / n if reduce == "mean" else 1.0
+    scale = 1.0 / n
     out = np.asarray(per_row.sum() * scale)
     probs = np.exp(shifted - logz[:, None])
 
@@ -683,61 +591,4 @@ def cross_entropy(logits: Tensor, labels, reduce: str = "mean") -> Tensor:
         d[np.arange(n), labels] -= 1.0
         return (g * scale * d,)
 
-    return _make(out, (logits,), backward, "cross_entropy")
-
-
-def logsumexp_rows(a: Tensor) -> Tensor:
-    """Row-wise log-sum-exp of a rank-2 tensor, returned as (n,1)."""
-    a = _coerce(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"logsumexp_rows: rank-2 required, got {a.shape}")
-    m = a.data.max(axis=1, keepdims=True)
-    out = m + np.log(np.exp(a.data - m).sum(axis=1, keepdims=True))
-    soft = np.exp(a.data - out)
-
-    def backward(g):
-        return (g * soft,)
-
-    return _make(out, (a,), backward, "logsumexp")
-
-
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.grad = None
-
-
-def finite_diff_check(f: Callable[[], Tensor], wrt: Sequence[Tensor],
-                      eps: float = 1e-5) -> float:
-    """Compare analytic gradients of the scalar f() against central differences.
-
-    f must be deterministic and rebuild its graph from the same `wrt` tensor
-    objects on each call. Returns the max over coordinates of
-    |analytic - numeric| / max(1, |analytic|, |numeric|).
-    """
-    if not (1e-6 <= eps <= 1e-4):
-        raise ValueError(f"eps {eps} outside [1e-6, 1e-4]")
-    wrt = list(wrt)
-    zero_grads(wrt)
-    with fresh_tape() as tape:
-        loss = f()
-        if loss.data.size != 1:
-            raise ShapeError(f"finite_diff_check: f returned shape {loss.shape}")
-        tape.backward(loss)
-    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in wrt]
-    worst = 0.0
-    with no_grad():
-        for t, an in zip(wrt, analytic):
-            flat = t.data.reshape(-1)
-            an_flat = an.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                hi = f().item()
-                flat[i] = orig - eps
-                lo = f().item()
-                flat[i] = orig
-                num = (hi - lo) / (2.0 * eps)
-                denom = max(1.0, abs(an_flat[i]), abs(num))
-                worst = max(worst, abs(an_flat[i] - num) / denom)
-    zero_grads(wrt)
-    return worst
+    return primitive(out, (logits,), backward, "cross_entropy")

@@ -294,7 +294,7 @@ def train_stage2(cfg: RunConfig, stage1_ckpt: str | Path, data_dir: str | Path,
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7002, step]))
         batch = [cache[int(i)] for i in rng.integers(0, len(cache), size=cfg.batch_frames)]
         bins = np.concatenate([action_to_bins(e["action"], cfg.action_bins) for e in batch])
-        loss = T.mul(action_ce(pipeline.stage2_logits(batch), bins), 1.0 / bins.size)
+        loss = action_ce(pipeline.stage2_logits(batch), bins)
         return loss, f"{loss.item():.6f}"
 
     def validate(step: int):

@@ -24,6 +24,14 @@ def stage1_ckpt(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def stage2_ckpt(tmp_path_factory):
+    """A stage-2 checkpoint of parameters only, at initialisation."""
+    path = tmp_path_factory.mktemp("ckpt") / "stage2.ckpt"
+    save_checkpoint(path, Pipeline(RunConfig()).stage2_params().state())
+    return path
+
+
+@pytest.fixture(scope="module")
 def episode(tmp_path_factory):
     """The path of one serialized episode; its directory is a one-episode corpus."""
     root = tmp_path_factory.mktemp("episodes")
@@ -258,3 +266,40 @@ def test_every_command_end_to_end(tmp_path, capsys):
     assert "lr must be finite and > 0, got nan" in err
     assert "frame t=0 is 64x64, not image_size 32" in err
     assert not bad.exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "unreadable", "not utf-8"])
+def test_a_config_that_cannot_be_read_is_a_config_error(tmp_path, capsys, monkeypatch, kind):
+    path = tmp_path / "run.cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not utf-8":
+        path.write_bytes(b"lr=0.1\n# \xff\xfe\n")
+    elif kind == "unreadable":
+        # a mode-000 file is still readable by root, so the denial is raised directly
+        path.write_text("lr=0.1\n")
+
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(type(path), "read_text", denied)
+    assert main(["budget", "--config", str(path)]) == EXIT_CONFIG
+    assert f"config error: config file {path} cannot be read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen", "train1", "train2", "eval", "inspect"])
+def test_an_out_that_is_a_file_is_a_config_error(tmp_path, capsys, stage1_ckpt, stage2_ckpt,
+                                                 episode, command):
+    out = tmp_path / "out"
+    out.write_text("kept\n")
+    data = ["--data", str(episode.parent)]
+    argv = {"gen": ["gen", "--episodes", "1"],
+            "train1": ["train1"] + data,
+            "train2": ["train2", "--stage1", str(stage1_ckpt)] + data,
+            "eval": ["eval", "--stage1", str(stage1_ckpt), "--stage2", str(stage2_ckpt),
+                     "--rollouts", "1"],
+            "inspect": ["inspect", "--stage1", str(stage1_ckpt), "--episode", str(episode)],
+            }[command]
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: --out {out} exists and is not a directory" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"

@@ -6,7 +6,9 @@ Every module-level function and every non-dunder method in
 be read as an attribute (`x.field` in a load context) somewhere in `src/`.
 The scans match names only, so a reference to a same-named attribute
 elsewhere (`np.clip`) counts; they find code that nothing can reach, not
-every such piece.
+every such piece. The tensor core gets a stricter scan: each of its
+module-level functions must be reached as `T.<name>` from another module,
+imported from `.tensor` by name, or named inside `tensor.py` itself.
 """
 
 import ast
@@ -16,11 +18,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "slotforge"
 
 # name -> why it stays without a caller in src/
 ALLOWED_UNREFERENCED = {
-    "softmax": "reference in the closeness tests",
-    "slice_cols": "reference in the closeness tests",
-    "logsumexp_rows": "reference in the closeness tests",
-    "clip_min": "reference in the closeness tests",
-    "finite_diff_check": "gradient-check utility for the tests",
     "assignment_flip_rate": "pinned by test_pipeline, not yet logged by a run",
 }
 
@@ -52,6 +49,26 @@ def scan() -> tuple[dict[str, str], set[str]]:
     return defined, referenced
 
 
+def scan_tensor() -> tuple[dict[str, str], set[str]]:
+    """(tensor.py function -> where, every name the package reaches it by)."""
+    defined: dict[str, str] = {}
+    reached: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.name == "tensor.py":
+            defined = {node.name: f"tensor.py:{node.lineno}" for node in tree.body
+                       if isinstance(node, ast.FunctionDef)}
+            reached.update(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
+            continue
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "T"):
+                reached.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "tensor":
+                reached.update(alias.name for alias in node.names)
+    return defined, reached
+
+
 def is_dataclass(node: ast.ClassDef) -> bool:
     return any(isinstance(d, ast.Name) and d.id == "dataclass"
                or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
@@ -79,6 +96,11 @@ def test_every_function_and_method_is_referenced():
     unused = {name: where for name, where in defined.items()
               if name not in referenced and name not in ALLOWED_UNREFERENCED}
     assert unused == {}
+
+
+def test_every_tensor_function_is_reached_from_the_package():
+    defined, reached = scan_tensor()
+    assert {name: where for name, where in defined.items() if name not in reached} == {}
 
 
 def test_every_allowed_name_is_defined_and_still_unreferenced():

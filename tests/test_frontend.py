@@ -6,6 +6,7 @@ import pytest
 import slotforge.tensor as T
 from slotforge.frontend import PatchEmbedder
 from slotforge.tensor import ShapeError, Tensor
+from reference_ops import finite_diff_check
 
 
 def zero_frame(size=64):
@@ -42,8 +43,8 @@ class TestPatchEmbed:
         emb = PatchEmbedder(np.random.default_rng(5), patch_size=4, width=8, image_size=8)
         frame = rng.uniform(size=(8, 8, 3))
         wrt = [emb.proj_w, emb.proj_b, emb.pos]
-        err = T.finite_diff_check(lambda: T.mean(T.mul(emb([frame]).tokens,
-                                                       emb([frame]).tokens)), wrt)
+        err = finite_diff_check(lambda: T.mean(T.mul(emb([frame]).tokens,
+                                                     emb([frame]).tokens)), wrt)
         assert err <= 1e-4
 
     def test_patch_translation_permutes_tokens(self):

@@ -8,6 +8,7 @@ from slotforge.frontend import DenseTokens
 from slotforge.nn import mlp
 from slotforge.slots import COLUMN_EPS, SlotAttention, SlotHeads, slot_attention
 from slotforge.tensor import NonFiniteError, Tensor
+from reference_ops import clip_min, finite_diff_check, softmax, tanh, zero_grads
 from test_tensor import assert_all_close, graph_gru_cell
 
 
@@ -52,8 +53,8 @@ def graph_slot_attention(tokens, slots, wq, wk, wv):
     """The 12-entry graph that the fused `slot_attention` replaced, op for op."""
     scale = 1.0 / np.sqrt(slots.shape[1])
     logits = T.mul(T.matmul(T.matmul(tokens, wk), T.transpose(T.matmul(slots, wq))), scale)
-    attn = T.softmax(logits, axis=1)
-    col_norm = T.clip_min(T.sum_(attn, axis=0, keepdims=True), COLUMN_EPS)
+    attn = softmax(logits, axis=1)
+    col_norm = clip_min(T.sum_(attn, axis=0, keepdims=True), COLUMN_EPS)
     weights = T.div(attn, col_norm)
     update = T.matmul(T.transpose(weights), T.matmul(tokens, wv))
     return update, attn.data, weights.data
@@ -96,7 +97,7 @@ def attention_run(attend, n, k, d, slots_kind, seed):
         tokens = T.mul(tok_leaf, 1.25)
         slots = T.mul(slot_leaf, 0.5) if slots_kind == "produced" else slot_leaf
         out, attn_map, weights = attend(tokens, slots, wq, wk, wv)
-        loss = T.add(T.sum_(T.mul(T.tanh(out), weight)), T.sum_(T.mul(tokens, tokens)))
+        loss = T.add(T.sum_(T.mul(tanh(out), weight)), T.sum_(T.mul(tokens, tokens)))
         tape.backward(loss)
     leaves = (tok_leaf, slot_leaf, wq, wk, wv)
     return [out.data, attn_map, weights] + [t.grad for t in leaves]
@@ -136,7 +137,7 @@ class TestSlotAttentionOp:
                          for shape in ((5, 6), (3, 6)))
         ws = [Tensor(rng.standard_normal((6, 6)), requires_grad=True) for _ in range(3)]
         weight = Tensor(rng.standard_normal((3, 6)))
-        err = T.finite_diff_check(
+        err = finite_diff_check(
             lambda: T.sum_(T.mul(fused_attention(tokens, slots, *ws)[0], weight)),
             [tokens, slots] + ws)
         assert err <= 1e-4
@@ -172,7 +173,7 @@ def grouped_attention_run(groups, n=5, k=3, d=6, seed=21):
     leaves = (keys, values, slots, wq)
     results = []
     for grouped in (True, False):
-        T.zero_grads(leaves)
+        zero_grads(leaves)
         with T.fresh_tape() as tape:
             if grouped:
                 out, attn_map, weights = slot_attention(keys, values, slots, wq, groups)
@@ -183,7 +184,7 @@ def grouped_attention_run(groups, n=5, k=3, d=6, seed=21):
                           for g in range(groups)]
                 out = T.concat([b[0] for b in blocks])
                 attn_map, weights = (np.concatenate([b[i] for b in blocks]) for i in (1, 2))
-            tape.backward(T.sum_(T.mul(T.tanh(out), weight)))
+            tape.backward(T.sum_(T.mul(tanh(out), weight)))
         results.append([out.data, attn_map, weights] + [t.grad for t in leaves])
     return results
 
@@ -201,7 +202,7 @@ class TestGroupedSlotAttention:
         slots = Tensor(rng.standard_normal((3 * 2, 6)), requires_grad=True)
         wq = Tensor(rng.standard_normal((6, 6)), requires_grad=True)
         weight = Tensor(rng.standard_normal((3 * 2, 6)))
-        err = T.finite_diff_check(
+        err = finite_diff_check(
             lambda: T.sum_(T.mul(slot_attention(keys, values, slots, wq, 3)[0], weight)),
             [keys, values, slots, wq])
         assert err <= 1e-4
@@ -292,7 +293,7 @@ class TestRefineStep:
             out, _ = attn.refine_step(slots0, *project(attn, dense))
             return T.mean(T.mul(out, out))
 
-        assert T.finite_diff_check(f, params) <= 1e-4
+        assert finite_diff_check(f, params) <= 1e-4
 
     def test_slot_permutation_equivariance_zero_mlp(self):
         attn = make_attn(residual_mlp=False)
@@ -350,7 +351,7 @@ class TestEncodeFrame:
         dense = DenseTokens(Tensor(rng.standard_normal((5, 6))), 1, 5)
         weight = Tensor(rng.standard_normal((3, 6)))
         wrt = [attn.wq, attn.wk, attn.wv] + [getattr(attn.gru, n) for n in vars(attn.gru)]
-        err = T.finite_diff_check(
+        err = finite_diff_check(
             lambda: T.sum_(T.mul(attn.encode_frame(dense, None, rng_seed=4)[0], weight)), wrt)
         assert err <= 1e-4
 

@@ -15,6 +15,7 @@ from slotforge.losses import (match_frame, relevance_loss, slot_attn_loss,
 from slotforge.pipeline import Pipeline
 from slotforge.train import Corpus, sample_clips
 from slotforge.world import generate_episode
+from reference_ops import zero_grads
 
 EPISODES = (2, 3, 4)
 
@@ -72,7 +73,7 @@ def per_frame_loss(pipe, batch):
 
 def loss_and_grads(pipe, batch, loss_fn):
     params = pipe.stage1_params()
-    T.zero_grads(params.tensors())
+    zero_grads(params.tensors())
     with T.fresh_tape() as tape:
         loss, parts = loss_fn(batch)
         tape.backward(loss)
