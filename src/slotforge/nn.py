@@ -93,7 +93,8 @@ class ParamGroup:
         return {k: v.data for k, v in self._params.items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        """Load every parameter; a missing one or a shape mismatch is a CheckpointError."""
+        """Load every parameter; a missing one, a shape mismatch or a NaN or Inf
+        value is a CheckpointError."""
         missing = sorted(set(self._params) - set(state))
         if missing:
             raise CheckpointError(f"checkpoint missing parameters: {missing}")
@@ -103,6 +104,8 @@ class ParamGroup:
                 raise CheckpointError(
                     f"parameter {k}: checkpoint shape {arr.shape} != model shape {v.data.shape}"
                 )
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"parameter {k}: checkpoint holds non-finite values")
             v.data = np.ascontiguousarray(arr)
             v.grad = None
 

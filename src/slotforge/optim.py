@@ -7,10 +7,13 @@ run's step count. Gradients are clipped by global norm first.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .checkpoint import CheckpointError
 from .nn import ParamGroup
+from .tensor import NonFiniteError
 
 BETA = 0.99   # decay of the running mean of squared gradients
 EPS = 1e-8
@@ -31,10 +34,17 @@ class AdaptiveOptimizer:
         return self.lr * 0.5 * (1.0 + np.cos(np.pi * frac))
 
     def _clip(self) -> None:
+        """Scale every gradient by clip_norm / norm when the global norm exceeds
+        clip_norm. A gradient holding NaN or Inf raises NonFiniteError naming
+        its parameter, before anything is changed."""
         total = 0.0
         for t in self.params.tensors():
             if t.grad is not None:
                 total += float((t.grad * t.grad).sum())
+        if not math.isfinite(total):
+            for name, t in self.params.items():
+                if t.grad is not None and not np.isfinite(t.grad).all():
+                    raise NonFiniteError(f"non-finite gradient for parameter {name}")
         norm = np.sqrt(total)
         if norm > self.clip_norm:
             scale = self.clip_norm / norm
@@ -48,12 +58,20 @@ class AdaptiveOptimizer:
         self.step_count += 1
         correction = 1.0 - BETA ** self.step_count
         for name, t in self.params.items():
-            if t.grad is None:
+            g = t.grad
+            if g is None:
                 continue
+            # v ← βv + ((1-β)·g)·g and data ← data - (lr·g) / (√(v/c) + ε), with
+            # one scratch buffer and the operation order of the plain formula
             v = self._second_moment[name]
+            scratch = np.multiply(1.0 - BETA, g)
+            scratch *= g
             v *= BETA
-            v += (1.0 - BETA) * t.grad * t.grad
-            t.data -= lr * t.grad / (np.sqrt(v / correction) + EPS)
+            v += scratch
+            np.divide(v, correction, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += EPS
+            t.data -= np.divide(np.multiply(lr, g), scratch, out=scratch)
 
     def zero_grad(self) -> None:
         for t in self.params.tensors():

@@ -69,10 +69,14 @@ def slot_attention(keys: Tensor, values: Tensor, slots: Tensor, wq: Tensor,
     with np.errstate(all="ignore"):
         queries = sl @ wq.data
         qb = queries.reshape(groups, -1, d)
-        # softmax turns a -inf logit into a finite 0, so check before it
-        logits = T.check_finite((kb @ qb.transpose(0, 2, 1)) * scale, "slot_attention")
-        e = np.exp(logits - logits.max(axis=2, keepdims=True))
-        attn = e / e.sum(axis=2, keepdims=True)
+        # the softmax runs in the logits buffer; it turns a -inf logit into a
+        # finite 0, so check before it
+        attn = kb @ qb.transpose(0, 2, 1)
+        attn *= scale
+        T.check_finite(attn, "slot_attention")
+        attn -= np.maximum.reduce(attn, axis=2, keepdims=True)
+        np.exp(attn, out=attn)
+        attn /= np.add.reduce(attn, axis=2, keepdims=True)
         col = attn.sum(axis=1, keepdims=True)
         col_norm = np.maximum(col, COLUMN_EPS)
         weights = attn / col_norm

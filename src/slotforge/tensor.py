@@ -12,9 +12,16 @@ its output has received a gradient, that gradient is dropped as the entry
 runs (creation order is topological, so nothing adds to it afterwards), and
 leaf gradients accumulate only into `.grad` on the requires_grad leaves.
 Operands with requires_grad=False get no gradient at all: the elementwise
-binary ops and `matmul`/`linear` return None for them. Forward outputs are
-checked for NaN/Inf and raise NonFiniteError rather than propagating
-silently.
+binary ops, `matmul`, `linear`, `layer_norm` and `attention_heads` return
+None for them and skip the work. Forward outputs are checked for NaN/Inf and
+raise NonFiniteError rather than propagating silently.
+
+An op writes in place only into arrays it allocated itself, such as a
+matmul's fresh product. It never writes into the gradient `g` its backward
+receives, into a parent's `.data`, or into an array that it returns and has
+also saved for its backward. So a backward may return `g` itself or a view
+of it (`add`, `concat`), and one array may be the gradient of several
+parents.
 
 Broadcasting is limited to: equal shapes, scalars, a trailing row vector
 (n,d)op(d,) and a column (n,d)op(n,1). Anything else is a ShapeError.
@@ -61,7 +68,7 @@ _NO_GRAD = 0
 
 
 def check_finite(arr: np.ndarray, op: str) -> np.ndarray:
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NonFiniteError(f"non-finite value produced by {op}")
     return arr
 
@@ -313,7 +320,9 @@ def sigmoid(a) -> Tensor:
 
 
 def relu(a) -> Tensor:
-    return _unary(a, lambda x: np.maximum(x, 0.0), lambda g, x, y: g * (x > 0), "relu")
+    # bitwise g * (x > 0), in one float64 loop
+    return _unary(a, lambda x: np.maximum(x, 0.0),
+                  lambda g, x, y: np.multiply(g, x > 0, dtype=np.float64), "relu")
 
 
 def abs_(a) -> Tensor:
@@ -363,7 +372,8 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 def _head_softmax(q: np.ndarray, k: np.ndarray, heads: int, groups: int):
     """The one head computation: (q split into groups and heads, k_hᵀ per group
-    and head, scale, weights softmax(q_h k_hᵀ · scale) of shape (groups, heads, n, m))."""
+    and head, scale, weights softmax(q_h k_hᵀ · scale) of shape (groups, heads, n, m)).
+    The softmax runs in the buffer the logits matmul allocated."""
     if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1]:
         raise ShapeError(f"attention: query shape {q.shape} and key shape {k.shape} "
                          "differ in width")
@@ -372,13 +382,19 @@ def _head_softmax(q: np.ndarray, k: np.ndarray, heads: int, groups: int):
     if groups < 1 or q.shape[0] % groups or k.shape[0] % groups:
         raise ShapeError(f"attention: {q.shape[0]} query and {k.shape[0]} key rows "
                          f"do not split into {groups} groups")
-    scale = 1.0 / np.sqrt(k.shape[1] // heads)
+    dh = k.shape[1] // heads
+    scale = 1.0 / np.sqrt(dh)
     qh = _split_heads(q, heads, groups)
-    kt = np.ascontiguousarray(_split_heads(k, heads, groups).swapaxes(2, 3))
+    kt = np.ascontiguousarray(
+        k.reshape(groups, k.shape[0] // groups, heads, dh).transpose(0, 2, 3, 1))
     with np.errstate(all="ignore"):
-        logits = check_finite((qh @ kt) * scale, "attention logits")
-    e = np.exp(logits - logits.max(axis=3, keepdims=True))
-    return qh, kt, scale, e / e.sum(axis=3, keepdims=True)
+        weights = qh @ kt
+        weights *= scale
+    check_finite(weights, "attention logits")
+    weights -= np.maximum.reduce(weights, axis=3, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= np.add.reduce(weights, axis=3, keepdims=True)
+    return qh, kt, scale, weights
 
 
 def attention_head_weights(q: Tensor, k: Tensor, heads: int) -> np.ndarray:
@@ -402,12 +418,19 @@ def attention_heads(q, k, v, heads: int, groups: int = 1) -> Tensor:
 
     def backward(g):
         gh = _split_heads(g, heads, groups)
-        dw = gh @ vh.swapaxes(2, 3)
-        dot = (dw * weights).sum(axis=3, keepdims=True)
-        dlogits = ((dw - dot) * weights) * scale
-        return (_merge_heads(dlogits @ kt.swapaxes(2, 3)),
-                _merge_heads((qh.swapaxes(2, 3) @ dlogits).swapaxes(2, 3)),
-                _merge_heads(weights.swapaxes(2, 3) @ gh))
+        dq = dk = None
+        if q.requires_grad or k.requires_grad:
+            dlogits = gh @ vh.swapaxes(2, 3)
+            dot = np.add.reduce(dlogits * weights, axis=3, keepdims=True)
+            dlogits -= dot
+            dlogits *= weights
+            dlogits *= scale
+            if q.requires_grad:
+                dq = _merge_heads(dlogits @ kt.swapaxes(2, 3))
+            if k.requires_grad:
+                dk = _merge_heads((qh.swapaxes(2, 3) @ dlogits).swapaxes(2, 3))
+        dv = _merge_heads(weights.swapaxes(2, 3) @ gh) if v.requires_grad else None
+        return dq, dk, dv
 
     return primitive(out, (q, k, v), backward, "attention_heads")
 
@@ -427,15 +450,17 @@ def layer_norm(a, gain: Tensor | None = None, bias: Tensor | None = None) -> Ten
 
     Optional affine gain/bias of shape (d,). A constant row normalizes to
     zeros (the 1e-5 added to the variance keeps the zero-variance case finite).
+    The moments are `np.add.reduce(...) / d`, bitwise what `mean` and `var`
+    compute.
     """
     a = _coerce(a)
     if a.data.ndim == 0:
         raise ShapeError("layer_norm: rank >= 1 required")
     d = a.shape[-1]
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
+    xhat = a.data - np.add.reduce(a.data, axis=-1, keepdims=True) / d
+    var = np.add.reduce(np.square(xhat), axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = (a.data - mu) * inv
+    xhat *= inv
     parents: list[Tensor] = [a]
     out = xhat
     if gain is not None:
@@ -446,20 +471,27 @@ def layer_norm(a, gain: Tensor | None = None, bias: Tensor | None = None) -> Ten
     if bias is not None:
         if bias.shape != (d,):
             raise ShapeError(f"layer_norm: bias shape {bias.shape} != ({d},)")
-        out = out + bias.data
+        # xhat is saved for the backward, so only the gain's product is reused
+        out = np.add(out, bias.data, out=None if out is xhat else out)
         parents.append(bias)
 
     def backward(g):
-        gy = g * gain.data if gain is not None else g
-        m1 = gy.mean(axis=-1, keepdims=True)
-        m2 = (gy * xhat).mean(axis=-1, keepdims=True)
-        dx = (gy - m1 - xhat * m2) * inv
-        grads: list[np.ndarray] = [dx]
+        grads: list[np.ndarray | None] = [None]
+        if a.requires_grad:
+            gy = g * gain.data if gain is not None else g
+            prod = gy * xhat
+            m2 = np.add.reduce(prod, axis=-1, keepdims=True) / d
+            dx = gy - np.add.reduce(gy, axis=-1, keepdims=True) / d
+            dx -= np.multiply(xhat, m2, out=prod)
+            dx *= inv
+            grads[0] = dx
         if gain is not None:
             gg = g * xhat
-            grads.append(gg.sum(axis=0) if gg.ndim == 2 else gg)
+            grads.append((gg.sum(axis=0) if gg.ndim == 2 else gg)
+                         if gain.requires_grad else None)
         if bias is not None:
-            grads.append(g.sum(axis=0) if g.ndim == 2 else g)
+            grads.append((g.sum(axis=0) if g.ndim == 2 else g)
+                         if bias.requires_grad else None)
         return tuple(grads)
 
     return primitive(out, parents, backward, "layer_norm")
@@ -469,7 +501,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b: the standard affine map over row vectors.
 
     One tape entry whose values and gradients are bitwise those of
-    `add(matmul(x, w), b)`; the bias-free map is `matmul(x, w)`.
+    `add(matmul(x, w), b)`; the bias-free map is `matmul(x, w)`. A bias that
+    broadcasts into the product is added in place into it.
     """
     x, w, b = _coerce(x), _coerce(w), _coerce(b)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
@@ -478,7 +511,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if not _broadcast_ok(y.shape, b.shape):
         raise ShapeError(f"linear: incompatible shapes {y.shape} and {b.shape}")
     with np.errstate(all="ignore"):
-        out = y + b.data
+        # of two shapes `_broadcast_ok` accepts, the larger is the result's
+        out = np.add(y, b.data, out=y if b.data.size <= y.size else None)
 
     def backward(g):
         gy = unbroadcast(g, y.shape)
@@ -499,14 +533,13 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
     if not (0 <= axis < ndim):
         raise ShapeError(f"concat: axis {axis} out of range for rank {ndim}")
     out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    offsets = list(itertools.accumulate([p.shape[axis] for p in parts], initial=0))
+    lead = (slice(None),) * axis
 
     def backward(g):
-        return tuple(
-            np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(parts))
-        )
+        # a contiguous slice is a view, other slices are copied
+        return tuple(np.ascontiguousarray(g[lead + (slice(lo, hi),)])
+                     for lo, hi in zip(offsets, offsets[1:]))
 
     return primitive(out, parts, backward, "concat")
 

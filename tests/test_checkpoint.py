@@ -1,4 +1,4 @@
-"""Checkpoint files: atomic saves, and corrupt or missing files rejected."""
+"""Checkpoint files: atomic saves, and corrupt or missing files or values rejected."""
 
 import struct
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from slotforge.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from slotforge.nn import ParamGroup, param
 
 
 def arrays():
@@ -71,3 +72,14 @@ def test_bad_magic_is_rejected(tmp_path):
 def test_missing_file_is_rejected(tmp_path):
     with pytest.raises(CheckpointError, match="cannot read checkpoint"):
         load_checkpoint(tmp_path / "missing.ckpt")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_loading_a_non_finite_parameter_names_it(bad):
+    group = ParamGroup("m")
+    group.add("w", param(np.random.default_rng(0), 2, 3))
+    group.add("b", param(np.random.default_rng(1), 3))
+    state = {name: a.copy() for name, a in group.state().items()}
+    state["m.b"][1] = bad
+    with pytest.raises(CheckpointError, match=r"parameter m\.b: .*non-finite"):
+        group.load_state(state)

@@ -74,6 +74,19 @@ def test_eval_with_a_stage1_checkpoint_as_stage2_exits_with_data_error(
     assert "checkpoint missing parameters" in capsys.readouterr().err
 
 
+def test_eval_with_a_non_finite_parameter_exits_with_data_error(tmp_path, capsys,
+                                                                stage1_ckpt):
+    state = Pipeline(RunConfig()).stage2_params().state()
+    name = next(iter(state))
+    state[name] = np.full_like(state[name], np.nan)
+    path = tmp_path / "stage2.ckpt"
+    save_checkpoint(path, state)
+    code = main(["eval", "--stage1", str(stage1_ckpt), "--stage2", str(path),
+                 "--rollouts", "1", "--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    assert f"parameter {name}: checkpoint holds non-finite values" in capsys.readouterr().err
+
+
 def test_inspect_frame_outside_episode_exits_with_config_error(
         tmp_path, capsys, stage1_ckpt, episode):
     code = main(["inspect", "--stage1", str(stage1_ckpt), "--episode", str(episode),
