@@ -92,28 +92,27 @@ def attention_inputs(groups, heads):
     return arrays, rng.standard_normal((n, d))
 
 
+def heads_op(attend, heads, groups):
+    return lambda q, k, v: attend(q, k, v, heads, groups)
+
+
 class TestAttentionHeads:
     @pytest.mark.parametrize("heads", [1, 2, 4])
     @pytest.mark.parametrize("groups", [1, 3])
     def test_value_and_gradients_match_the_plain_form(self, groups, heads):
         arrays, upstream = attention_inputs(groups, heads)
-
-        def op(attend):
-            return lambda q, k, v: attend(q, k, v, heads, groups)
-
-        assert_same_bytes(run(op(T.attention_heads), arrays, upstream),
-                          run(op(plain_attention_heads), arrays, upstream))
+        assert_same_bytes(run(heads_op(T.attention_heads, heads, groups), arrays, upstream),
+                          run(heads_op(plain_attention_heads, heads, groups), arrays,
+                              upstream))
 
     @pytest.mark.parametrize("constant", [(0,), (1,), (2,), (0, 1), (1, 2), (0, 2)])
     @pytest.mark.parametrize("groups", [1, 3])
     def test_constant_parents_get_no_gradient(self, groups, constant):
         arrays, upstream = attention_inputs(groups, 2)
-
-        def op(attend):
-            return lambda q, k, v: attend(q, k, v, 2, groups)
-
-        assert_same_bytes(run(op(T.attention_heads), arrays, upstream, constant),
-                          run(op(plain_attention_heads), arrays, upstream), constant)
+        assert_same_bytes(run(heads_op(T.attention_heads, 2, groups), arrays, upstream,
+                              constant),
+                          run(heads_op(plain_attention_heads, 2, groups), arrays, upstream),
+                          constant)
 
 
 class TestLinear:
