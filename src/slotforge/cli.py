@@ -1,6 +1,8 @@
 """Command line surface: gen | train1 | train2 | eval | inspect | budget.
 
-Exit codes: 0 success, 2 configuration error, 3 data validation failure.
+Exit codes: 0 success, 2 configuration error, 3 data validation failure,
+4 training failed (a non-finite value, or a stage-1 parameter that changed
+during stage 2). Each error ends in one line on stderr.
 """
 
 from __future__ import annotations
@@ -9,13 +11,18 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import SUBSET_PRESETS, ConfigError, load_config
+from .optim import TrainingError
+from .tensor import NonFiniteError
 from .world import WorldError, generate_episode, serialize_episode, validate_dataset
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
+EXIT_TRAINING = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,13 +187,19 @@ def main(argv: list[str] | None = None) -> int:
         out = getattr(args, "out", None)
         if out is not None and out.exists() and not out.is_dir():
             raise ConfigError(f"--out {out} exists and is not a directory")
-        return COMMANDS[args.command](args)
+        # every op checks its output and raises NonFiniteError, so numpy's
+        # overflow warnings would only add lines before that one
+        with np.errstate(all="ignore"):
+            return COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (WorldError, CheckpointError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except (NonFiniteError, TrainingError) as exc:
+        print(f"training failed: {exc}", file=sys.stderr)
+        return EXIT_TRAINING
 
 
 if __name__ == "__main__":

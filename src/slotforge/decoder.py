@@ -21,6 +21,8 @@ from .nn import (ParamGroup, SelfAttentionBlockParams, param,
 from .tensor import ShapeError, Tensor
 
 ACTION_DIMS = 7
+LAYERS = 2       # transformer layers over the bundle
+PROPRIO_DIM = 4  # gripper x, y, spare, open/close
 
 
 def bin_centers(bins: int) -> np.ndarray:
@@ -40,18 +42,16 @@ def snap_action(value: float, bins: int) -> float:
 
 
 class ActionDecoder:
-    def __init__(self, rng: np.random.Generator, width: int = 64, bins: int = 256,
-                 heads: int = 4, layers: int = 2, proprio_dim: int = 4):
+    def __init__(self, rng: np.random.Generator, width: int, bins: int, heads: int):
         if bins < 2:
             raise ValueError(f"need at least 2 action bins, got {bins}")
         self.width = width
         self.bins = bins
-        self.proprio_dim = proprio_dim
-        self.proprio_w = param(rng, proprio_dim, width)
+        self.proprio_w = param(rng, PROPRIO_DIM, width)
         self.proprio_b = zeros_param(width)
         self.segments = param(rng, 4, width, scale=0.1)
         self.blocks = [SelfAttentionBlockParams.create(rng, width, heads)
-                       for _ in range(layers)]
+                       for _ in range(LAYERS)]
         self.heads = [(param(rng, width, bins), zeros_param(bins))
                       for _ in range(ACTION_DIMS)]
 
@@ -70,9 +70,9 @@ class ActionDecoder:
         """Decoder input of B frames, one per proprio row: each frame's bundle [objects;
         relations; language; proprio] in turn. Every part stacks B equal row blocks."""
         proprio = np.atleast_2d(np.asarray(proprio, dtype=np.float64))
-        if proprio.ndim != 2 or proprio.shape[1] != self.proprio_dim:
+        if proprio.ndim != 2 or proprio.shape[1] != PROPRIO_DIM:
             raise ShapeError(f"proprio has shape {proprio.shape}, "
-                             f"expected (frames, {self.proprio_dim})")
+                             f"expected (frames, {PROPRIO_DIM})")
         o_tokens = T.linear(Tensor(proprio), self.proprio_w, self.proprio_b)
         parts = [(seg, part) for seg, part in enumerate((objects, relations, language, o_tokens))
                  if part is not None]

@@ -4,13 +4,12 @@ Each non-overlapping p x p patch is flattened, linearly projected to the
 model width, normalized (parameter-free), and offset by a learned 2-D
 positional embedding. The normalization happens before the positional add so
 position information reaches the slot encoder unscaled. A frame is its HxWx3
-rgb array in [0,1]; a group of frames is embedded as one graph, its patches
-stacked frame by frame.
+rgb array in [0,1]; a group of frames is embedded as one graph, and its dense
+tokens are one plain `(frames·cells, width)` Tensor, each frame's `grid²`
+cells in row-major order, frame after frame.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,29 +18,11 @@ from .nn import ParamGroup, param, zeros_param
 from .tensor import ShapeError, Tensor
 
 
-@dataclass
-class DenseTokens:
-    """The N x d visual token matrix plus its patch-grid layout."""
-
-    tokens: Tensor
-    grid_h: int
-    grid_w: int
-
-    @property
-    def count(self) -> int:
-        return self.grid_h * self.grid_w
-
-    def __post_init__(self):
-        if self.tokens.shape[0] != self.count:
-            raise ShapeError(
-                f"token count {self.tokens.shape[0]} != grid {self.grid_h}x{self.grid_w}")
-
-
 class PatchEmbedder:
     """Learned projection of flattened patches with positional embeddings."""
 
-    def __init__(self, rng: np.random.Generator, patch_size: int = 8, width: int = 64,
-                 image_size: int = 64):
+    def __init__(self, rng: np.random.Generator, patch_size: int, width: int,
+                 image_size: int):
         if image_size % patch_size:
             raise ShapeError(f"image size {image_size} not divisible by patch {patch_size}")
         self.patch_size = patch_size
@@ -64,11 +45,10 @@ class PatchEmbedder:
         cells = rgb.reshape(h // p, p, w // p, p, 3).transpose(0, 2, 1, 3, 4)
         return cells.reshape(self.grid * self.grid, p * p * 3)
 
-    def __call__(self, frames: list[np.ndarray]) -> DenseTokens:
-        """Tokens of a group of frames, stacked frame by frame: one grid as many
-        times as tall as there are frames."""
+    def __call__(self, frames: list[np.ndarray]) -> Tensor:
+        """Dense tokens of a group of frames, stacked frame by frame."""
         flat = Tensor(np.concatenate([self.patches(frame) for frame in frames]))
         projected = T.layer_norm(T.linear(flat, self.proj_w, self.proj_b))
         cells = self.grid * self.grid
         pos = T.gather_rows(self.pos, np.tile(np.arange(cells), len(frames)))
-        return DenseTokens(T.add(projected, pos), self.grid * len(frames), self.grid)
+        return T.add(projected, pos)

@@ -10,7 +10,8 @@ The two stage-1 hot spots are single tape entries with analytic backwards:
 `giou_matrix`, and the anchor term of `track_loss` (one entry per batch,
 after the similarity graph). `hungarian_match` proves the optimum unique
 with n_gt forbidden-edge solves before paying for its lexicographic
-tie-break.
+tie-break. A frame's matching is its plain list of (slot, gt) index pairs,
+in gt order.
 """
 
 from __future__ import annotations
@@ -28,13 +29,6 @@ from .slots import SlotPredictions
 from .tensor import ShapeError, Tensor
 
 _TIE_RTOL = 1e-12
-
-
-@dataclass
-class MatchAssignment:
-    """Injection of ground-truth objects into slots."""
-
-    pairs: list[tuple[int, int]]      # (slot index, gt index)
 
 
 def _optimal_cost(cost: np.ndarray) -> float:
@@ -61,7 +55,7 @@ def _optimum_is_unique(cost: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     return True
 
 
-def hungarian_match(cost: np.ndarray) -> MatchAssignment:
+def hungarian_match(cost: np.ndarray) -> list[tuple[int, int]]:
     """Minimum-total-cost assignment of every gt column to a distinct slot row.
 
     Ties between equal-total assignments break toward the lexicographically
@@ -102,7 +96,7 @@ def hungarian_match(cost: np.ndarray) -> MatchAssignment:
                     break
             else:  # pragma: no cover - optimality guarantees a break
                 raise RuntimeError("assignment refinement failed to complete")
-    return MatchAssignment(pairs=pairs)
+    return pairs
 
 
 def _validate_boxes(boxes: np.ndarray, name: str, reject_degenerate: bool) -> np.ndarray:
@@ -201,16 +195,16 @@ class FrameTargets:
 
 
 def match_frame(boxes: np.ndarray, targets: FrameTargets,
-                cfg: RunConfig) -> MatchAssignment:
-    """Assignment of one frame's gt objects to its slots, from the predicted
-    boxes (one row per slot)."""
+                cfg: RunConfig) -> list[tuple[int, int]]:
+    """(slot, gt) pairs assigning one frame's gt objects to its slots, from
+    the predicted boxes (one row per slot)."""
     if targets.boxes.shape[0] == 0:
-        return MatchAssignment([])
+        return []
     return hungarian_match(box_cost(boxes, targets.boxes, cfg.cost_l1, cfg.cost_giou))
 
 
 def slot_attn_loss(preds: SlotPredictions, targets: Sequence[FrameTargets],
-                   matches: Sequence[MatchAssignment],
+                   matches: Sequence[list[tuple[int, int]]],
                    cfg: RunConfig) -> tuple[Tensor, dict[str, float]]:
     """Box + objectness + mask supervision under fixed matches, for a group of
     frames whose slot predictions are stacked as equal row blocks, one per
@@ -223,10 +217,10 @@ def slot_attn_loss(preds: SlotPredictions, targets: Sequence[FrameTargets],
     rows: list[int] = []
     frame_pairs: list[int] = []  # for each matched row, its frame's pair count
     gt_boxes, gt_masks = [], []
-    for f, (frame, match) in enumerate(zip(targets, matches)):
-        rows += [f * n_slots + s for s, _ in match.pairs]
-        frame_pairs += [len(match.pairs)] * len(match.pairs)
-        gt_idx = [g for _, g in match.pairs]
+    for f, (frame, pairs) in enumerate(zip(targets, matches)):
+        rows += [f * n_slots + s for s, _ in pairs]
+        frame_pairs += [len(pairs)] * len(pairs)
+        gt_idx = [g for _, g in pairs]
         gt_boxes.append(frame.boxes[gt_idx])
         gt_masks.append(frame.grid_masks[gt_idx])
     obj_target[rows, 0] = 1.0
@@ -262,11 +256,11 @@ def slot_attn_loss(preds: SlotPredictions, targets: Sequence[FrameTargets],
     return total, parts
 
 
-def slot_relevance_labels(match: MatchAssignment, gt_relevance: np.ndarray,
+def slot_relevance_labels(pairs: list[tuple[int, int]], gt_relevance: np.ndarray,
                           n_slots: int) -> np.ndarray:
     """Each slot inherits the relevance flag of its matched object, else 0."""
     labels = np.zeros(n_slots)
-    for s, g in match.pairs:
+    for s, g in pairs:
         labels[s] = float(gt_relevance[g])
     return labels
 
@@ -286,7 +280,7 @@ def cosine_rows(x: Tensor) -> Tensor:
 
 
 def track_loss(embeddings: Tensor, labels: np.ndarray, frames: np.ndarray,
-               tau: float = 0.1, window: int = 2) -> tuple[Tensor, int, int]:
+               tau: float, window: int) -> tuple[Tensor, int, int]:
     """Multi-positive contrastive loss over slot embeddings.
 
     Positives share an instance label within `window` frames; negatives carry

@@ -218,7 +218,7 @@ class NormParams:
 
 
 def norm(x: Tensor, p: NormParams) -> Tensor:
-    return T.layer_norm(x, p.gain, p.bias)
+    return T.layer_norm(x, (p.gain, p.bias))
 
 
 @dataclass

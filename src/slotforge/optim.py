@@ -19,6 +19,12 @@ BETA = 0.99   # decay of the running mean of squared gradients
 EPS = 1e-8
 
 
+class TrainingError(Exception):
+    """A training run went wrong in a way that is neither config nor data;
+    it lives here, beside the optimizer, so the CLI can map it without
+    importing the training stack."""
+
+
 class AdaptiveOptimizer:
     def __init__(self, params: ParamGroup, lr: float, total_steps: int, clip_norm: float):
         self.params = params
@@ -83,15 +89,27 @@ class AdaptiveOptimizer:
         return out
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        """Restore what `state()` saved; a missing key or a shape mismatch is a
-        CheckpointError."""
+        """Restore what `state()` saved. A missing key, a shape mismatch, a
+        second moment that is not finite and >= 0, or an `opt.step` that is not
+        one finite integer >= 0 is a CheckpointError, raised before anything
+        changes."""
         missing = [key for key in self.state() if key not in state]
         if missing:
             raise CheckpointError(f"checkpoint missing optimizer state: {missing}")
+        moments = {}
         for name, v in self._second_moment.items():
-            arr = np.asarray(state[f"opt.{name}.v"], dtype=np.float64)
+            arr = np.array(state[f"opt.{name}.v"], dtype=np.float64)
             if arr.shape != v.shape:
                 raise CheckpointError(f"optimizer state opt.{name}.v: checkpoint shape "
                                       f"{arr.shape} != model shape {v.shape}")
-            self._second_moment[name] = arr.copy()
-        self.step_count = int(state["opt.step"][0])
+            if not (np.isfinite(arr) & (arr >= 0)).all():
+                raise CheckpointError(f"optimizer state opt.{name}.v: checkpoint holds "
+                                      "values that are not finite and >= 0")
+            moments[name] = arr
+        step = np.asarray(state["opt.step"], dtype=np.float64).reshape(-1)
+        if not (step.size == 1 and np.isfinite(step[0]) and step[0] >= 0
+                and step[0] == np.floor(step[0])):
+            raise CheckpointError(f"optimizer state opt.step: {step.tolist()} is not one "
+                                  "finite integer >= 0")
+        self._second_moment = moments
+        self.step_count = int(step[0])

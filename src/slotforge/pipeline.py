@@ -5,14 +5,16 @@ carryover, the per-batch stage-1 objective, cached stage-2 logits, and the
 closed-loop policy step used during rollouts.
 
 `Pipeline.encode_frame` encodes a group of frames, rgb arrays, as one graph,
-their tokens and slots stacked frame by frame as row blocks; one frame is a
-group of one. It is the one place that decides carryover: a group starts
-from its previous slots, when there are any, if `carryover_on` is set and
-every t > 0, and from one fresh seeded draw per frame otherwise.
+their dense tokens and slots plain Tensors stacked frame by frame as row
+blocks; one frame is a group of one. It is the one place that decides
+carryover: a group starts from its previous slots, when there are any, if
+`carryover_on` is set and every t > 0, and from one fresh seeded draw per
+frame otherwise.
 
 `Pipeline.walk` is the one episode walk. It steps a list of clips in
 lockstep: the frames at each index form one group, handed the previous
-group's refined slots, and a clip leaves the group once it ends. The
+group's refined slots, and a clip leaves the group once it ends; each index
+yields the group's clips, dense tokens, slots and attention weights. The
 stage-1 objective walks a batch of clips; its heads, task filter and
 tracking embeddings run once per group, and only matching runs per frame,
 in numpy. The stage-2 cache walks all of a corpus's episodes in lockstep,
@@ -35,13 +37,13 @@ import numpy as np
 from . import tensor as T
 from .config import RunConfig
 from .decoder import ActionDecoder
-from .frontend import DenseTokens, PatchEmbedder
+from .frontend import PatchEmbedder
 from .language import EmbeddingTable
 from .losses import (FrameTargets, TrackProjection, match_frame, relevance_loss,
                      slot_attn_loss, slot_relevance_labels, stage1_total, track_loss)
 from .nn import ParamGroup
 from .relations import RelationEncoder
-from .slots import AttentionMaps, SlotAttention, SlotHeads
+from .slots import SlotAttention, SlotHeads
 from .task_filter import TaskFilter
 from .tensor import ShapeError, Tensor
 from .world import FrameRecord
@@ -123,22 +125,22 @@ class Pipeline:
 
     def encode_frame(self, frames: list[np.ndarray], prev_slots: Tensor | None,
                      episode_keys: list[int], times: list[int]):
-        """(dense tokens, refined slots, attention maps) of a group of frames,
+        """(dense tokens, refined slots, attention weights) of a group of frames,
         rgb arrays with one episode key and time each, stacked frame by frame;
         one frame is a group of one. `prev_slots` holds the group's previous
         slots in the same order, and is carried over only when every t > 0."""
-        dense = self.frontend(frames)
+        tokens = self.frontend(frames)
         carry = prev_slots if self.cfg.carryover_on and min(times) > 0 else None
         seeds = [init_seed(self.cfg.seed, key, t) for key, t in zip(episode_keys, times)]
-        slots, maps = self.slot_attn.encode_frame(dense, carry, seeds)
-        return dense, slots, maps
+        slots, weights = self.slot_attn.encode_frame(tokens, carry, seeds)
+        return tokens, slots, weights
 
     def walk(self, clips: list[Clip]) -> Iterator[
-            tuple[int, list[Clip], DenseTokens, Tensor, AttentionMaps]]:
+            tuple[int, list[Clip], Tensor, Tensor, np.ndarray]]:
         """Encode clips in lockstep: at each frame index i the clips still going,
         in batch order, form one group, each frame handed its own clip's
         previous slots. A clip shorter than the others leaves the group once it
-        ends. Yields (i, the group's clips, dense, slots, maps)."""
+        ends. Yields (i, the group's clips, tokens, slots, weights)."""
         n_slots = self.cfg.num_slots
         slots, active = None, []
         for i in range(max((len(clip.frames) for clip in clips), default=0)):
@@ -150,10 +152,10 @@ class Pipeline:
                 slots = Tensor(kept.reshape(len(going) * n_slots, -1))
             active = going
             group = [clips[c] for c in active]
-            dense, slots, maps = self.encode_frame(
+            tokens, slots, weights = self.encode_frame(
                 [clip.frames[i].rgb for clip in group], slots,
                 [clip.episode_key for clip in group], [clip.base_t + i for clip in group])
-            yield i, group, dense, slots, maps
+            yield i, group, tokens, slots, weights
 
     def select(self, slots: Tensor, lang: Tensor, groups: int = 1):
         """Task filter over the slots of `groups` frames stacked as row blocks,
@@ -201,7 +203,7 @@ class Pipeline:
             if cfg.lambda_track > 0:
                 emb_blocks.append(self.track_embedding(slots))
                 for clip, target, match in zip(clips, targets, matches):
-                    gt_for_slot = dict(match.pairs)
+                    gt_for_slot = dict(match)
                     for s in range(n_slots):
                         if s in gt_for_slot:
                             key = (clip.episode_key, target.instance_ids[gt_for_slot[s]])
@@ -238,18 +240,18 @@ class Pipeline:
         clips = [Clip(frames, [], key, 0)
                  for frames, key in zip(episodes, episode_keys, strict=True)]
         caches: list[list[dict]] = [[] for _ in clips]
-        n_slots = self.cfg.num_slots
+        n_slots, grid = self.cfg.num_slots, self.frontend.grid
         with T.no_grad():
-            for i, group, dense, slots, _ in self.walk(clips):
+            for i, group, tokens, slots, _ in self.walk(clips):
                 going = [c for c, frames in enumerate(episodes) if i < len(frames)]
                 lang = task_tokens(self.lang_filter, [clip.frames[0].task for clip in group])
                 selected = self.select(slots, lang, len(group))[0].selected
-                cells, keep = dense.tokens.shape[0] // len(group), len(selected) // len(group)
+                cells, keep = tokens.shape[0] // len(group), len(selected) // len(group)
                 for j, c in enumerate(going):
                     record, rows = episodes[c][i], selected[j * keep:(j + 1) * keep]
                     caches[c].append({
-                        "dense": dense.tokens.data[j * cells:(j + 1) * cells].copy(),
-                        "grid": (dense.grid_h // len(group), dense.grid_w),
+                        "dense": tokens.data[j * cells:(j + 1) * cells].copy(),
+                        "grid": (grid, grid),
                         "slots": slots.data[rows],
                         "selected": [r - j * n_slots for r in rows],
                         "task": record.task,
@@ -258,12 +260,12 @@ class Pipeline:
                     })
         return [entry for cache in caches for entry in cache]
 
-    def _logits(self, dense: DenseTokens, objects: Tensor, tasks: list[str],
+    def _logits(self, tokens: Tensor, objects: Tensor, tasks: list[str],
                 proprio: np.ndarray) -> Tensor:
         """Relations, language and proprio around the kept slots, then decoding,
         of len(tasks) frames stacked frame by frame; logits are frame-major."""
         groups = len(tasks)
-        rel = self.relations(dense, objects, groups) if self.cfg.relations_on else None
+        rel = self.relations(tokens, objects, groups) if self.cfg.relations_on else None
         language = task_tokens(self.lang_decoder, tasks)
         bundle = self.decoder.assemble_bundle(objects, rel, language, proprio)
         return self.decoder.decode_actions(bundle, groups)
@@ -275,11 +277,9 @@ class Pipeline:
         lengths = [len(e["slots"]) + len(e["task"].split()) + extra for e in entries]
         if len(set(lengths)) > 1:
             raise ShapeError(f"stage-2 bundles differ in length: {lengths}")
-        stack = {key: np.concatenate([e[key] for e in entries]) for key in ("dense", "slots")}
-        # token grids stacked frame by frame make one grid len(entries) times as tall
-        grid_h, grid_w = entries[0]["grid"]
-        dense = DenseTokens(Tensor(stack["dense"]), grid_h * len(entries), grid_w)
-        return self._logits(dense, Tensor(stack["slots"]), [e["task"] for e in entries],
+        tokens, slots = (Tensor(np.concatenate([e[key] for e in entries]))
+                         for key in ("dense", "slots"))
+        return self._logits(tokens, slots, [e["task"] for e in entries],
                             np.stack([e["proprio"] for e in entries]))
 
     # ------------------------------------------------------------------
@@ -290,8 +290,8 @@ class Pipeline:
         """Greedy action for one observation, its rgb frame at time `t`;
         returns (action, refined slots)."""
         with T.no_grad():
-            dense, slots, _ = self.encode_frame([rgb], prev_slots, [episode_key], [t])
+            tokens, slots, _ = self.encode_frame([rgb], prev_slots, [episode_key], [t])
             scores, _ = self.select(slots, self.lang_filter(task))
-            logits = self._logits(dense, T.gather_rows(slots, scores.selected), [task],
+            logits = self._logits(tokens, T.gather_rows(slots, scores.selected), [task],
                                   proprio)
             return self.decoder.greedy_action(logits), slots

@@ -62,22 +62,25 @@ def _read_header(blob: bytes, magic: bytes, path) -> tuple[int, int, int]:
             raise PnmError(f"{path}: malformed header") from exc
     if fields[2] != 255:
         raise PnmError(f"{path}: only maxval 255 supported, got {fields[2]}")
+    if fields[0] < 1 or fields[1] < 1:
+        raise PnmError(f"{path}: image size {fields[0]}x{fields[1]} is not positive")
     return fields[0], fields[1], pos + 1
 
 
-def read_pgm(path: str | Path) -> np.ndarray:
+def _read_pixels(path: str | Path, magic: bytes, channels: int) -> np.ndarray:
+    """(h, w, channels) pixels; a size below 1 or too few bytes is a PnmError."""
     blob = Path(path).read_bytes()
-    w, h, offset = _read_header(blob, b"P5", path)
-    data = np.frombuffer(blob, dtype=np.uint8, count=w * h, offset=offset)
-    if data.size != w * h:
+    w, h, offset = _read_header(blob, magic, path)
+    count = w * h * channels
+    if len(blob) - offset < count:
         raise PnmError(f"{path}: truncated pixel data")
-    return data.reshape(h, w).copy()
+    pixels = np.frombuffer(blob, dtype=np.uint8, count=count, offset=offset)
+    return pixels.reshape(h, w, channels).copy()
+
+
+def read_pgm(path: str | Path) -> np.ndarray:
+    return _read_pixels(path, b"P5", 1)[:, :, 0]
 
 
 def read_ppm(path: str | Path) -> np.ndarray:
-    blob = Path(path).read_bytes()
-    w, h, offset = _read_header(blob, b"P6", path)
-    data = np.frombuffer(blob, dtype=np.uint8, count=w * h * 3, offset=offset)
-    if data.size != w * h * 3:
-        raise PnmError(f"{path}: truncated pixel data")
-    return data.reshape(h, w, 3).copy()
+    return _read_pixels(path, b"P6", 3)

@@ -33,25 +33,25 @@ def inspect_report(pipeline: Pipeline, episode: Episode, frame_idx: int,
     clip = Corpus([episode], cfg.patch_size).clip(0, 0, frame_idx + 1)
 
     with T.no_grad():
-        for _, _, dense, slots, maps in pipeline.walk([clip]):
+        for _, _, tokens, slots, weights in pipeline.walk([clip]):
             pass
         record, targets = clip.frames[-1], clip.targets[-1]
         preds = pipeline.heads(slots)
         match = match_frame(preds.boxes.data, targets, cfg)
         scores, _ = pipeline.select(slots, pipeline.lang_filter(record.task))
         relation_attn = pipeline.relations.slot_attention_summary(
-            dense, T.gather_rows(slots, scores.selected)) if cfg.relations_on else None
+            tokens, T.gather_rows(slots, scores.selected)) if cfg.relations_on else None
 
-    grid = dense.grid_h
+    grid = pipeline.frontend.grid
     for s in range(cfg.num_slots):
-        column = maps.weights[:, s].reshape(grid, grid)
+        column = weights[:, s].reshape(grid, grid)
         peak = column.max()
         img = (column / peak * 255.0) if peak > 0 else column
         img = np.repeat(np.repeat(img, UPSCALE, axis=0), UPSCALE, axis=1)
         pnm.write_pgm(out_dir / f"slot_{s:02d}_attn.pgm", img)
 
     labels = slot_relevance_labels(match, targets.relevance, cfg.num_slots)
-    gt_for_slot = dict(match.pairs)
+    gt_for_slot = dict(match)
     pairwise_iou = iou_matrix(preds.boxes.data, targets.boxes) \
         if targets.boxes.size else np.zeros((cfg.num_slots, 0))
     with open(out_dir / "slots.csv", "w", newline="") as fh:
@@ -81,7 +81,7 @@ def inspect_report(pipeline: Pipeline, episode: Episode, frame_idx: int,
         "task": record.task,
         "selected_slots": scores.selected,
         "pi": [round(float(v), 6) for v in scores.scores],
-        "matched": {str(s): targets.instance_ids[g] for s, g in match.pairs},
+        "matched": {str(s): targets.instance_ids[g] for s, g in match},
         "relation_tokens": 0 if relation_attn is None else int(relation_attn.shape[0]),
     }
     (out_dir / "report.json").write_text(json.dumps(summary, indent=2) + "\n")

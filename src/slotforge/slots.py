@@ -1,14 +1,15 @@
 """Iterative slot refinement over dense tokens, with cross-frame carryover.
 
-A frame's slots are a plain Tensor. They start from a seeded Gaussian draw,
-or, when the previous frame's final refined slots are passed in, as a bitwise
-copy of them; `Pipeline.encode_frame` decides which. The dense tokens are
-projected to keys and values once per frame (Algorithm 1 of Locatello et
-al. 2020). Each refinement step computes scaled dot-product logits between
-the keys and the projected slots, normalizes over the slot axis per token,
-re-normalizes the transposed weights over tokens, and feeds the weighted
-mean of the values into a row-wise GRU, optionally followed by a residual
-MLP.
+A frame's dense tokens and slots are plain Tensors. The slots start from a
+seeded Gaussian draw, or, when the previous frame's final refined slots are
+passed in, as a bitwise copy of them; `Pipeline.encode_frame` decides which.
+The tokens are projected to keys and values once per frame (Algorithm 1 of
+Locatello et al. 2020). Each refinement step computes scaled dot-product
+logits between the keys and the projected slots, normalizes over the slot
+axis per token, re-normalizes the transposed weights over tokens, and feeds
+the weighted mean of the values into a row-wise GRU, optionally followed by
+a residual MLP. A step also returns those weights, a read-only numpy array
+whose columns sum to 1 over the tokens; reports draw them.
 
 A group of frames is encoded as one graph: their tokens and slots are
 stacked frame by frame as row blocks, and `slot_attention(..., groups)`
@@ -31,33 +32,23 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .frontend import DenseTokens
 from .nn import GRUParams, MlpParams, ParamGroup, gru_cell, mlp, param, zeros_param
 from .tensor import ShapeError, Tensor
 
 COLUMN_EPS = 1e-8
 
 
-@dataclass
-class AttentionMaps:
-    """Per-step normalized attention: rows of `attn` sum to 1 over slots,
-    columns of `weights` sum to 1 over input tokens; read-only, as the backward reads them."""
-
-    attn: np.ndarray
-    weights: np.ndarray
-
-
 def slot_attention(keys: Tensor, values: Tensor, slots: Tensor, wq: Tensor,
-                   groups: int = 1) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Slot-competitive attention as one tape entry: (update, attn, weights).
+                   groups: int = 1) -> tuple[Tensor, np.ndarray]:
+    """Slot-competitive attention as one tape entry: (update, weights).
 
     attn = softmax over slots of keys (slots wq)ᵀ / √d, one row per token;
     weights = attn / max(column sum, COLUMN_EPS); update = weightsᵀ values.
     With groups=B the rows of keys, values and slots are B equal blocks, one
     per frame, and the tokens of block g attend to the slots of block g only:
     the logits are (B, tokens, slots) inside the op, so both normalizations
-    stay within a frame. The maps come back row-stacked, (B·tokens, slots),
-    and must not be modified.
+    stay within a frame. The weights come back row-stacked, (B·tokens, slots),
+    and read-only, as the backward reads them.
     """
     k, v, sl = keys.data, values.data, slots.data
     if groups < 1 or k.shape[0] % groups or sl.shape[0] % groups:
@@ -95,14 +86,14 @@ def slot_attention(keys: Tensor, values: Tensor, slots: Tensor, wq: Tensor,
                  g_q @ wq.data.T, sl.T @ g_q)
         return tuple(grad if t.requires_grad else None for t, grad in zip(parents, grads))
 
-    rows = (k.shape[0], sl.shape[0] // groups)
-    return (T.primitive(out, parents, backward, "slot_attention"),
-            attn.reshape(rows), weights.reshape(rows))
+    maps = weights.reshape(k.shape[0], sl.shape[0] // groups)
+    maps.flags.writeable = False
+    return T.primitive(out, parents, backward, "slot_attention"), maps
 
 
 class SlotAttention:
-    def __init__(self, rng: np.random.Generator, width: int = 64, num_slots: int = 16,
-                 refine_steps: int = 3, residual_mlp: bool = True):
+    def __init__(self, rng: np.random.Generator, width: int, num_slots: int,
+                 refine_steps: int, residual_mlp: bool):
         if refine_steps < 1:
             raise ValueError(f"refine_steps must be >= 1, got {refine_steps}")
         self.width = width
@@ -136,32 +127,31 @@ class SlotAttention:
         return T.add(self.init_mu, T.mul(Tensor(noise), sigma))
 
     def refine_step(self, slots: Tensor, keys: Tensor, values: Tensor,
-                    groups: int = 1) -> tuple[Tensor, AttentionMaps]:
+                    groups: int = 1) -> tuple[Tensor, np.ndarray]:
         if slots.shape[1] != keys.shape[1]:
             raise ShapeError(f"slot width {slots.shape[1]} != key width {keys.shape[1]}")
         if keys.shape[0] == 0:
             raise ShapeError("refine_step: empty dense token set")
-        update, attn, weights = slot_attention(keys, values, slots, self.wq, groups)
+        update, weights = slot_attention(keys, values, slots, self.wq, groups)
         new_slots = gru_cell(update, slots, self.gru)
         if self.residual_mlp:
             new_slots = T.add(new_slots, mlp(T.layer_norm(new_slots), self.mlp))
-        attn.flags.writeable = weights.flags.writeable = False
-        return new_slots, AttentionMaps(attn, weights)
+        return new_slots, weights
 
-    def encode_frame(self, dense: DenseTokens, prev: Tensor | None,
-                     rng_seed: int | Sequence[int]) -> tuple[Tensor, AttentionMaps]:
+    def encode_frame(self, tokens: Tensor, prev: Tensor | None,
+                     rng_seed: int | Sequence[int]) -> tuple[Tensor, np.ndarray]:
         """Encode a group of frames, one seed per frame, whose tokens and `prev`
         slots are stacked frame by frame: init (carried over exactly when
         `prev` is given), project the tokens to keys and values once, then run
         the configured refinement steps with each frame's slots attending to
-        its own tokens."""
+        its own tokens. Returns (slots, the last step's attention weights)."""
         groups = np.size(rng_seed)
-        keys, values = T.matmul(dense.tokens, self.wk), T.matmul(dense.tokens, self.wv)
+        keys, values = T.matmul(tokens, self.wk), T.matmul(tokens, self.wv)
         slots = self.init_slots(prev, rng_seed)
-        maps = None
+        weights = None
         for _ in range(self.refine_steps):
-            slots, maps = self.refine_step(slots, keys, values, groups)
-        return slots, maps
+            slots, weights = self.refine_step(slots, keys, values, groups)
+        return slots, weights
 
 
 @dataclass
@@ -170,7 +160,7 @@ class SlotPredictions:
 
     boxes: Tensor       # num_slots x 4, cxcywh in (0,1)
     objectness: Tensor  # num_slots x 1 logits
-    mask_logits: Tensor  # num_slots x (grid_h*grid_w)
+    mask_logits: Tensor  # num_slots x grid cells
 
 
 class SlotHeads:

@@ -61,7 +61,7 @@ class TaskFilter:
         h = self_attention_block(slots_bca, self.trans, groups)
         return T.linear(h, self.head_w, self.head_b)
 
-    def __call__(self, slots: Tensor, lang: Tensor, k: int, enabled: bool = True,
+    def __call__(self, slots: Tensor, lang: Tensor, k: int, enabled: bool,
                  groups: int = 1) -> tuple[RelevanceScores, Tensor]:
         """Score every slot; select the top k of each frame (all of them when
         disabled). With groups=B, `slots` and `lang` hold B frames' slots and

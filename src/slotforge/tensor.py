@@ -32,7 +32,8 @@ attention costs one tape entry whatever the head count. With groups=B it runs
 B equal-sized attentions stacked as row blocks, `(B·L, d)`, so a batch stays
 rank 2; `group_mean` pools each block in one entry. Likewise
 `linear(x, w, b)` is one entry, not a matmul and an add, and `abs_` is one
-entry. Every op records its entry through `primitive`, which callers also use
+entry. `layer_norm(a, affine=None)` normalizes the rows of a rank-2 tensor in
+the package's two modes: no affine, or `affine=(gain, bias)`. Every op records its entry through `primitive`, which callers also use
 for ops that live beside them: the GIoU of matched box pairs
 `losses.giou_pairs`, the anchor term of `losses.track_loss`, the GRU cell
 `nn.gru_cell` and slot-competitive attention `slots.slot_attention`, which
@@ -445,54 +446,46 @@ def group_mean(a, groups: int) -> Tensor:
                      lambda g: (np.repeat(g / n, n, axis=0),), "group_mean")
 
 
-def layer_norm(a, gain: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
-    """Normalize each row (last axis) to zero mean / unit variance.
+def layer_norm(a, affine: tuple[Tensor, Tensor] | None = None) -> Tensor:
+    """Normalize each row of a rank-2 tensor to zero mean / unit variance.
 
-    Optional affine gain/bias of shape (d,). A constant row normalizes to
-    zeros (the 1e-5 added to the variance keeps the zero-variance case finite).
-    The moments are `np.add.reduce(...) / d`, bitwise what `mean` and `var`
-    compute.
+    Two modes: no affine, or `affine=(gain, bias)`, each of shape (d,), which
+    gives xhat·gain + bias. A constant row normalizes to zeros (the 1e-5 added
+    to the variance keeps the zero-variance case finite). The moments are
+    `np.add.reduce(...) / d`, bitwise what `mean` and `var` compute.
     """
     a = _coerce(a)
-    if a.data.ndim == 0:
-        raise ShapeError("layer_norm: rank >= 1 required")
-    d = a.shape[-1]
-    xhat = a.data - np.add.reduce(a.data, axis=-1, keepdims=True) / d
-    var = np.add.reduce(np.square(xhat), axis=-1, keepdims=True) / d
+    if a.data.ndim != 2:
+        raise ShapeError(f"layer_norm: rank-2 input required, got shape {a.shape}")
+    d = a.shape[1]
+    xhat = a.data - np.add.reduce(a.data, axis=1, keepdims=True) / d
+    var = np.add.reduce(np.square(xhat), axis=1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat *= inv
-    parents: list[Tensor] = [a]
-    out = xhat
-    if gain is not None:
-        if gain.shape != (d,):
-            raise ShapeError(f"layer_norm: gain shape {gain.shape} != ({d},)")
-        out = out * gain.data
-        parents.append(gain)
-    if bias is not None:
-        if bias.shape != (d,):
-            raise ShapeError(f"layer_norm: bias shape {bias.shape} != ({d},)")
-        # xhat is saved for the backward, so only the gain's product is reused
-        out = np.add(out, bias.data, out=None if out is xhat else out)
-        parents.append(bias)
+    parents, out = (a,), xhat
+    if affine is not None:
+        gain, bias = affine
+        if gain.shape != (d,) or bias.shape != (d,):
+            raise ShapeError(f"layer_norm: gain {gain.shape} and bias {bias.shape} "
+                             f"must be ({d},)")
+        # xhat is saved for the backward, so the bias goes into the gain's product
+        out = xhat * gain.data
+        out += bias.data
+        parents = (a, gain, bias)
 
     def backward(g):
-        grads: list[np.ndarray | None] = [None]
+        dx = None
         if a.requires_grad:
-            gy = g * gain.data if gain is not None else g
+            gy = g if affine is None else g * gain.data
             prod = gy * xhat
-            m2 = np.add.reduce(prod, axis=-1, keepdims=True) / d
-            dx = gy - np.add.reduce(gy, axis=-1, keepdims=True) / d
+            m2 = np.add.reduce(prod, axis=1, keepdims=True) / d
+            dx = gy - np.add.reduce(gy, axis=1, keepdims=True) / d
             dx -= np.multiply(xhat, m2, out=prod)
             dx *= inv
-            grads[0] = dx
-        if gain is not None:
-            gg = g * xhat
-            grads.append((gg.sum(axis=0) if gg.ndim == 2 else gg)
-                         if gain.requires_grad else None)
-        if bias is not None:
-            grads.append((g.sum(axis=0) if g.ndim == 2 else g)
-                         if bias.requires_grad else None)
-        return tuple(grads)
+        if affine is None:
+            return (dx,)
+        return (dx, (g * xhat).sum(axis=0) if gain.requires_grad else None,
+                g.sum(axis=0) if bias.requires_grad else None)
 
     return primitive(out, parents, backward, "layer_norm")
 

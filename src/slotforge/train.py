@@ -24,15 +24,11 @@ from .config import RunConfig
 from .decoder import ACTION_DIMS, action_to_bins
 from .losses import action_ce, iou_matrix, match_frame, slot_relevance_labels
 from .nn import ParamGroup
-from .optim import AdaptiveOptimizer
+from .optim import AdaptiveOptimizer, TrainingError
 from .pipeline import Clip, Pipeline, frame_targets
 from .world import Episode, WorldError, check_frame_size, episode_files, load_episode
 
 LOSS_CSV_HEADER = "step,L_box,L_obj,L_seg,L_track,L_int,total"
-
-
-class TrainingError(Exception):
-    pass
 
 
 def git_describe() -> str:
@@ -197,7 +193,7 @@ def stage1_metrics(pipeline: Pipeline, corpus: Corpus) -> dict[str, float]:
                 lang = pipeline.lang_filter(clip.frames[0].task)
             targets = clip.targets[i]
             pairwise = iou_matrix(preds.boxes.data, targets.boxes)
-            ious.extend(pairwise[s, g] for s, g in match.pairs)
+            ious.extend(pairwise[s, g] for s, g in match)
             scores, _ = pipeline.select(slots, lang)
             pi_all.extend(scores.scores.tolist())
             labels_all.extend(slot_relevance_labels(match, targets.relevance,
@@ -216,7 +212,7 @@ def assignment_flip_rate(pipeline: Pipeline, corpus: Corpus,
         with T.no_grad():
             for clip, i, _, _, match in matched_frames(pipeline, corpus):
                 prev_map = {} if i == 0 else current
-                current = {clip.targets[i].instance_ids[g]: s for s, g in match.pairs}
+                current = {clip.targets[i].instance_ids[g]: s for s, g in match}
                 for name, slot in current.items():
                     if name in prev_map:
                         chances += 1

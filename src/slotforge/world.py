@@ -57,6 +57,7 @@ class EpisodeParseError(WorldError):
 
 MAX_STEP = 3.0        # gripper travel per unit action, in pixels
 GRASP_RADIUS = 3.5    # a closing gripper this near the carried sprite grasps it
+GRIPPER_STARTS_CLOSED = False  # every episode starts with the gripper open
 ARRIVE_EPS = 0.5      # the expert has arrived within this many pixels per axis
 MAX_FRAMES = 200      # a scripted episode longer than this is an error
 
@@ -257,7 +258,7 @@ class World:
         self.robot = next(s for s in self.sprites if s.role == "robot")
         self.task = (f"robot put the {self.carried_sprite.noun} "
                      f"on the {self.target_sprite.noun}")
-        self.gripper_closed = False
+        self.gripper_closed = GRIPPER_STARTS_CLOSED
         self.carrying = False
         self.t = 0
         # draw order: static sprites first, then the carried object, robot on top
@@ -432,13 +433,12 @@ class ScriptedExpert:
         raise WorldError(f"expert queried in phase {self.phase!r}")
 
 
-def filter_noops(actions: list[np.ndarray], eps: float,
-                 initial_gripper: float = -1.0) -> list[int]:
+def filter_noops(actions: list[np.ndarray], eps: float) -> list[int]:
     """Indices of frames that move or change the gripper state, in order."""
     if eps < 0:
         raise ValueError(f"no-op threshold must be >= 0, got {eps}")
     keep = []
-    state = initial_gripper > 0
+    state = GRIPPER_STARTS_CLOSED
     for i, action in enumerate(actions):
         action = np.asarray(action)
         new_state = action[6] > 0

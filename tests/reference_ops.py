@@ -61,32 +61,23 @@ def logsumexp_rows(a: Tensor) -> Tensor:
     return T.primitive(out, (a,), lambda g: (g * soft,), "logsumexp")
 
 
-def plain_layer_norm(a: Tensor, gain: Tensor | None = None,
-                     bias: Tensor | None = None) -> Tensor:
+def plain_layer_norm(a: Tensor, affine: tuple[Tensor, Tensor] | None = None) -> Tensor:
     """`T.layer_norm` with `mean`/`var` moments; every parent gets a gradient."""
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
+    mu = a.data.mean(axis=1, keepdims=True)
+    var = a.data.var(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = (a.data - mu) * inv
-    parents, out = [a], xhat
-    if gain is not None:
-        out = out * gain.data
-        parents.append(gain)
-    if bias is not None:
-        out = out + bias.data
-        parents.append(bias)
+    parents, out = (a,), xhat
+    if affine is not None:
+        gain, bias = affine
+        parents, out = (a, gain, bias), xhat * gain.data + bias.data
 
     def backward(g):
-        gy = g * gain.data if gain is not None else g
-        m1 = gy.mean(axis=-1, keepdims=True)
-        m2 = (gy * xhat).mean(axis=-1, keepdims=True)
-        grads = [(gy - m1 - xhat * m2) * inv]
-        if gain is not None:
-            gg = g * xhat
-            grads.append(gg.sum(axis=0) if gg.ndim == 2 else gg)
-        if bias is not None:
-            grads.append(g.sum(axis=0) if g.ndim == 2 else g)
-        return tuple(grads)
+        gy = g if affine is None else g * gain.data
+        m1 = gy.mean(axis=1, keepdims=True)
+        m2 = (gy * xhat).mean(axis=1, keepdims=True)
+        dx = (gy - m1 - xhat * m2) * inv
+        return (dx,) if affine is None else (dx, (g * xhat).sum(axis=0), g.sum(axis=0))
 
     return T.primitive(out, parents, backward, "layer_norm")
 

@@ -1,4 +1,4 @@
-"""Command line exit codes for configuration and data errors."""
+"""Command line exit codes for configuration, data and training errors."""
 
 import json
 
@@ -7,9 +7,10 @@ import pytest
 
 from slotforge import pnm
 from slotforge.checkpoint import save_checkpoint
-from slotforge.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from slotforge.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_TRAINING, main
 from slotforge.config import RunConfig, load_config
 from slotforge.evaluate import evaluate
+from slotforge.optim import AdaptiveOptimizer
 from slotforge.pipeline import Pipeline
 from slotforge.train import Corpus
 from slotforge.world import WorldError, generate_episode, serialize_episode
@@ -104,6 +105,53 @@ def test_train1_resume_without_optimizer_state_exits_with_data_error(
     assert_no_manifest(tmp_path / "out")
 
 
+@pytest.mark.parametrize("key, value", [("opt.step", [-1.0]), ("opt.step", [2.5]),
+                                        ("v", np.nan), ("v", -1.0)],
+                         ids=["negative-step", "fractional-step", "nan-moment",
+                              "negative-moment"])
+def test_train1_resume_from_tampered_optimizer_state_exits_with_data_error(
+        key, value, tmp_path, capsys, episode):
+    params = Pipeline(RunConfig()).stage1_params()
+    state = params.state() | AdaptiveOptimizer(params, 1e-3, 1, 1.0).state()
+    if key == "v":
+        key = next(name for name in state if name.endswith(".v"))
+        state[key] = np.full_like(state[key], value)
+    else:
+        state[key] = np.array(value)
+    save_checkpoint(tmp_path / "tampered.ckpt", state)
+    code = main(["train1", "--data", str(episode.parent), "--resume",
+                 str(tmp_path / "tampered.ckpt"), "--override", "stage1_iters=1",
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    assert f"data error: optimizer state {key}: " in capsys.readouterr().err
+    assert_no_manifest(tmp_path / "out")
+
+
+def test_train1_that_goes_non_finite_exits_with_training_error(tmp_path, capsys, episode):
+    code = main(["train1", "--data", str(episode.parent), "--override", "lr=1e200",
+                 "--override", "stage1_iters=3", "--out", str(tmp_path / "out")])
+    assert code == EXIT_TRAINING
+    err = capsys.readouterr().err
+    assert err.startswith("training failed: non-finite ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_eval_expert_end_to_end_never_steps_the_policy(tmp_path, capsys, monkeypatch,
+                                                       stage1_ckpt, stage2_ckpt):
+    calls = []
+    monkeypatch.setattr(Pipeline, "policy_step", lambda *args, **kwargs: calls.append(args))
+    code = main(["eval", "--stage1", str(stage1_ckpt), "--stage2", str(stage2_ckpt),
+                 "--rollouts", "2", "--expert", "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    assert calls == []
+    assert (tmp_path / "out" / "success.csv").read_text() == (
+        "task,rollouts,success\n"
+        "robot put the blue circle on the red circle,1,1.000\n"
+        "robot put the yellow circle on the green square,1,1.000\n"
+        "average,2,1.000\n")
+    assert "average: 1.000 over 2 rollouts" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["eval", "train2", "inspect", "train1"])
 def test_missing_checkpoint_file_exits_with_data_error(command, tmp_path, capsys,
                                                          stage1_ckpt, episode):
@@ -190,6 +238,13 @@ def corrupt(kind, path):
             pnm.write_pgm(map_path, np.zeros((64, 64), dtype=np.uint8))
         path.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
         return f"{path}:1: malformed record: instances is not a non-empty list of objects"
+    if kind == "truncated":
+        frame_path = path.parent / rec["frame_file"]
+        frame_path.write_bytes(frame_path.read_bytes()[:-10])
+        return f"{path}:1: cannot read frame: {frame_path}: truncated pixel data"
+    if kind == "negative-size":
+        map_path.write_bytes(b"P5\n-8 -8\n255\n" + bytes(64))
+        return f"{path}:1: cannot read frame: {map_path}: image size -8x-8 is not positive"
     if kind == "old-layout":  # one mask file per instance, no map
         del rec["map_file"]
         for inst in rec["instances"]:
@@ -203,8 +258,8 @@ def corrupt(kind, path):
 
 
 @pytest.mark.parametrize("kind", [
-    "map-size", "map-value", "old-layout", "instances-int", "instances-string",
-    "instances-empty",
+    "map-size", "map-value", "truncated", "negative-size", "old-layout", "instances-int",
+    "instances-string", "instances-empty",
     pytest.param("{not json", id="meta-not-json"),
     pytest.param("[1]", id="meta-not-object"),
     pytest.param('{"seed": "x"}', id="meta-seed-not-integer"),

@@ -1,8 +1,10 @@
 """Subset presets: every subset trains both stages and every parameter gets a
 gradient, a preset applies however the config is built, configs with too few
-slots fail, and the text form rebuilds every field."""
+slots fail, the text form rebuilds every field, and the modules take every
+size from the config."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -11,9 +13,14 @@ from slotforge import tensor as T
 from slotforge.cli import EXIT_CONFIG, main
 from slotforge.config import (SUBSET_PRESETS, ConfigError, RunConfig, load_config,
                               parse_config_text)
-from slotforge.decoder import action_to_bins
-from slotforge.losses import action_ce
+from slotforge.decoder import ActionDecoder, action_to_bins
+from slotforge.frontend import PatchEmbedder
+from slotforge.language import EmbeddingTable
+from slotforge.losses import TrackProjection, action_ce
 from slotforge.pipeline import Pipeline
+from slotforge.relations import RelationEncoder
+from slotforge.slots import SlotAttention, SlotHeads
+from slotforge.task_filter import TaskFilter
 from slotforge.train import Corpus, sample_clips
 from slotforge.world import generate_episode
 
@@ -159,3 +166,13 @@ def test_the_text_form_rebuilds_every_field(subset):
 
 def test_default_config_hash_is_pinned():
     assert RunConfig().hash() == "4ce9d6abc5a37fa8"
+
+
+@pytest.mark.parametrize("module", [PatchEmbedder, SlotAttention, SlotHeads, TaskFilter,
+                                    RelationEncoder, ActionDecoder, EmbeddingTable,
+                                    TrackProjection], ids=lambda module: module.__name__)
+def test_the_modules_pipeline_builds_take_no_defaults(module):
+    """`RunConfig` is the one home of every size: `Pipeline` passes each one."""
+    defaults = [name for name, p in inspect.signature(module).parameters.items()
+                if p.default is not inspect.Parameter.empty]
+    assert defaults == []

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import slotforge.tensor as T
-from slotforge.frontend import DenseTokens
 from slotforge.language import EmbeddingTable, UnknownWordError, tokenize
 from slotforge.nn import cross_attention_block, multi_head_attention, norm
 from slotforge.relations import RelationEncoder
@@ -70,7 +69,7 @@ class TestBca:
         weight = Tensor(rng.standard_normal((3, 1)))
 
         def f():
-            return T.sum_(T.mul(filt(slots, lang, k=2)[1], weight))
+            return T.sum_(T.mul(filt(slots, lang, k=2, enabled=True)[1], weight))
 
         wrt = [slots, lang] + filt.params().tensors()
         assert finite_diff_check(f, wrt) <= 1e-4
@@ -189,17 +188,17 @@ class TestRelationEncoder:
         for _, t in _cab_params(enc.slot_cab):
             t.data[...] = 0.0
         rng = np.random.default_rng(14)
-        dense = DenseTokens(Tensor(rng.standard_normal((9, 16))), 3, 3)
+        dense = Tensor(rng.standard_normal((9, 16)))
         slots = Tensor(rng.standard_normal((2, 16)))
         from slotforge.nn import cross_attention_block
-        first = cross_attention_block(enc.queries, dense.tokens, enc.visual_cab)
+        first = cross_attention_block(enc.queries, dense, enc.visual_cab)
         out = enc(dense, slots)
         assert np.array_equal(out.data, first.data)
 
     def test_slot_permutation_invariance(self):
         enc = RelationEncoder(np.random.default_rng(15), width=16, num_relations=5, heads=4)
         rng = np.random.default_rng(16)
-        dense = DenseTokens(Tensor(rng.standard_normal((9, 16))), 3, 3)
+        dense = Tensor(rng.standard_normal((9, 16)))
         slots = rng.standard_normal((4, 16))
         out_a = enc(dense, Tensor(slots))
         out_b = enc(dense, Tensor(slots[[3, 1, 0, 2]]))
@@ -211,8 +210,8 @@ class TestRelationEncoder:
         tokens = rng.standard_normal((6, 16))
         slots = Tensor(rng.standard_normal((2, 16)))
         perm = rng.permutation(6)
-        out_a = enc(DenseTokens(Tensor(tokens), 2, 3), slots)
-        out_b = enc(DenseTokens(Tensor(tokens[perm]), 2, 3), slots)
+        out_a = enc(Tensor(tokens), slots)
+        out_b = enc(Tensor(tokens[perm]), slots)
         assert np.allclose(out_a.data, out_b.data, atol=1e-12)
 
     def test_single_key_context_ignores_attention_weights(self):
@@ -230,7 +229,7 @@ class TestRelationEncoder:
     def test_gradient(self):
         enc = RelationEncoder(np.random.default_rng(22), width=8, num_relations=2, heads=2)
         rng = np.random.default_rng(23)
-        dense = DenseTokens(Tensor(rng.standard_normal((4, 8))), 2, 2)
+        dense = Tensor(rng.standard_normal((4, 8)))
         slots = Tensor(rng.standard_normal((2, 8)), requires_grad=True)
 
         def f():
@@ -242,7 +241,7 @@ class TestRelationEncoder:
 
     def test_empty_slots_rejected(self):
         enc = RelationEncoder(np.random.default_rng(24), width=8, num_relations=2, heads=2)
-        dense = DenseTokens(Tensor(np.zeros((4, 8))), 2, 2)
+        dense = Tensor(np.zeros((4, 8)))
         with pytest.raises(T.ShapeError):
             enc(dense, Tensor(np.zeros((0, 8))))
 

@@ -9,7 +9,7 @@ from scipy.optimize import linear_sum_assignment
 import slotforge.tensor as T
 from slotforge import losses
 from slotforge.config import ConfigError, RunConfig
-from slotforge.losses import (FrameTargets, MatchAssignment, action_ce,
+from slotforge.losses import (FrameTargets, action_ce,
                               box_cost, giou_matrix, giou_pairs, hungarian_match,
                               relevance_loss, slot_attn_loss, slot_relevance_labels,
                               stage1_total, track_loss)
@@ -58,15 +58,15 @@ def rasterized_giou(box_a, box_b, res=256):
     return inter / union - (hull - union) / hull
 
 
-def total_cost(cost: np.ndarray, match: MatchAssignment) -> float:
-    return float(sum(cost[i, j] for i, j in match.pairs))
+def total_cost(cost: np.ndarray, match: list[tuple[int, int]]) -> float:
+    return float(sum(cost[i, j] for i, j in match))
 
 
-def unmatched_slots(n_slots: int, match: MatchAssignment) -> list[int]:
-    return sorted(set(range(n_slots)) - {i for i, _ in match.pairs})
+def unmatched_slots(n_slots: int, match: list[tuple[int, int]]) -> list[int]:
+    return sorted(set(range(n_slots)) - {i for i, _ in match})
 
 
-def refined_match(cost: np.ndarray) -> MatchAssignment:
+def refined_match(cost: np.ndarray) -> list[tuple[int, int]]:
     """The lexicographic refinement alone: every column takes the lowest slot
     that still permits a completion within tol of the optimum."""
     def optimal(c):
@@ -86,20 +86,20 @@ def refined_match(cost: np.ndarray) -> MatchAssignment:
                 spent += cost[i, j]
                 free.pop(pos)
                 break
-    return MatchAssignment(pairs)
+    return pairs
 
 
 class TestHungarian:
     def test_two_by_two_enumerated(self):
         cost = np.array([[1.0, 2.0], [2.0, 1.0]])
         match = hungarian_match(cost)
-        assert match.pairs == [(0, 0), (1, 1)]
+        assert match == [(0, 0), (1, 1)]
         assert total_cost(cost, match) == pytest.approx(2.0)
 
     def test_dominant_zero_cell_always_selected(self):
         cost = np.array([[5.0, 9.0], [0.0, 7.0], [6.0, 8.0]])
         match = hungarian_match(cost)
-        assert (1, 0) in match.pairs
+        assert (1, 0) in match
 
     def test_matches_brute_force_on_random_rectangles(self):
         rng = np.random.default_rng(0)
@@ -108,20 +108,20 @@ class TestHungarian:
             n_gt = int(rng.integers(1, min(n_slots, 6) + 1))
             cost = rng.uniform(0, 10, size=(n_slots, n_gt))
             match = hungarian_match(cost)
-            assert len(match.pairs) == n_gt
+            assert len(match) == n_gt
             assert total_cost(cost, match) == pytest.approx(brute_force_assignment(cost))
 
     def test_lexicographic_tie_break(self):
         # both diagonals cost 5; lexicographic order prefers (0,0),(1,1)
         match = hungarian_match(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert match.pairs == [(0, 0), (1, 1)]
+        assert match == [(0, 0), (1, 1)]
 
     def test_scale_invariance_of_pair_set(self):
         rng = np.random.default_rng(1)
         cost = rng.uniform(0, 3, size=(6, 4))
-        base = hungarian_match(cost).pairs
+        base = hungarian_match(cost)
         for c in (0.5, 2.0, 17.0):
-            assert hungarian_match(c * cost).pairs == base
+            assert hungarian_match(c * cost) == base
 
     def test_more_objects_than_slots_rejected(self):
         with pytest.raises(ValueError):
@@ -129,7 +129,7 @@ class TestHungarian:
 
     def test_unmatched_slots_reported(self):
         match = hungarian_match(np.array([[1.0], [0.0], [2.0]]))
-        assert match.pairs == [(1, 0)]
+        assert match == [(1, 0)]
         assert unmatched_slots(3, match) == [0, 2]
 
     @pytest.mark.parametrize("n_slots,n_gt", [(16, 7), (24, 13), (32, 30), (5, 5), (4, 0)])
@@ -145,8 +145,8 @@ class TestHungarian:
                                          CFG.cost_l1, CFG.cost_giou),
             }[kind]()
             fast, oracle = hungarian_match(cost), refined_match(cost)
-            assert fast.pairs == oracle.pairs
-            assert all(type(i) is int and type(j) is int for i, j in fast.pairs)
+            assert fast == oracle
+            assert all(type(i) is int and type(j) is int for i, j in fast)
             assert unmatched_slots(n_slots, fast) == unmatched_slots(n_slots, oracle)
             assert total_cost(cost, fast).hex() == total_cost(cost, oracle).hex()
 
@@ -157,7 +157,7 @@ class TestHungarian:
         # tol the lexicographically smaller diagonal is returned
         tol = 1e-12 * 2.0
         cost = np.array([[1.0, 1.0], [1.0, 1.0 + gap * tol]])
-        assert hungarian_match(cost).pairs == refined_match(cost).pairs == pairs
+        assert hungarian_match(cost) == refined_match(cost) == pairs
 
 
 def graph_giou_pairs(pred, gt):
@@ -344,7 +344,7 @@ class TestSlotAttnLoss:
         masks = np.where(np.concatenate([targets.grid_masks,
                                          np.zeros((2, cells))]) > 0.5, 50.0, -50.0)
         preds = make_preds(rng, 5, cells, boxes=boxes, objectness=objectness, masks=masks)
-        match = MatchAssignment([(0, 0), (1, 1), (2, 2)])
+        match = [(0, 0), (1, 1), (2, 2)]
         total, parts = slot_attn_loss(preds, [targets], [match], RunConfig())
         assert parts["box"] == pytest.approx(0.0, abs=1e-9)
         assert parts["obj"] == pytest.approx(0.0, abs=1e-3)
@@ -355,7 +355,7 @@ class TestSlotAttnLoss:
         preds = make_preds(rng, 4, 16)
         targets = FrameTargets(boxes=np.zeros((0, 4)), grid_masks=np.zeros((0, 16)),
                                relevance=np.zeros(0), instance_ids=[])
-        match = MatchAssignment([])
+        match = []
         cfg = RunConfig()
         total, parts = slot_attn_loss(preds, [targets], [match], cfg)
         assert parts["box"] == 0.0 and parts["seg"] == 0.0
@@ -397,7 +397,7 @@ class TestTrackLoss:
         emb = Tensor(np.eye(3))
         labels = np.array([0, 1, 2])
         frames = np.array([0, 0, 0])
-        loss, anchors, skipped = track_loss(emb, labels, frames)
+        loss, anchors, skipped = track_loss(emb, labels, frames, tau=0.1, window=2)
         assert anchors == 0 and skipped == 3
         assert loss.item() == 0.0
 
@@ -407,7 +407,7 @@ class TestTrackLoss:
         frames = np.array([0, 1, 10])
         # anchor 2 has no positive within the window; anchors 0/1 see one
         # positive each and no negatives, so their loss is exactly 0
-        loss, anchors, skipped = track_loss(emb, labels, frames, window=2)
+        loss, anchors, skipped = track_loss(emb, labels, frames, tau=0.1, window=2)
         assert anchors == 2 and skipped == 1
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
@@ -418,7 +418,7 @@ class TestTrackLoss:
                 [-1.0, 0.3], [-0.9, -0.4]]), requires_grad=False)
             labels = np.array([0, 0, 1, 2])
             frames = np.array([0, 1, 0, 1])
-            return track_loss(emb, labels, frames, tau=0.2)[0].item()
+            return track_loss(emb, labels, frames, tau=0.2, window=2)[0].item()
 
         values = [loss_at(s) for s in (0.1, 0.4, 0.7, 0.95)]
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -428,7 +428,7 @@ class TestTrackLoss:
         emb = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
         labels = np.array([0, 0, 1, 1, -1, 2])
         frames = np.array([0, 1, 0, 1, 0, 1])
-        err = finite_diff_check(lambda: track_loss(emb, labels, frames)[0], [emb])
+        err = finite_diff_check(lambda: track_loss(emb, labels, frames, 0.1, 2)[0], [emb])
         assert err <= 1e-4
 
 
@@ -456,7 +456,7 @@ class TestTrackLossOp:
         for track in (graph_track_loss, track_loss):
             x = Tensor(emb, requires_grad=True)
             with T.fresh_tape() as tape:
-                loss, *counts = track(x, labels, frames, tau=0.2)
+                loss, *counts = track(x, labels, frames, tau=0.2, window=2)
                 tape.backward(T.mul(loss, upstream))
             results.append(([loss.data, x.grad], tuple(counts)))
         assert_all_close(results[1][0], results[0][0])
@@ -473,7 +473,7 @@ class TestTrackLossOp:
         for track in (graph_track_loss, track_loss):
             x = Tensor(emb, requires_grad=True)
             with T.fresh_tape() as tape:
-                loss, *counts = track(x, labels, frames)
+                loss, *counts = track(x, labels, frames, tau=0.1, window=2)
                 tape.backward(loss)
             results.append(([loss.data, x.grad], tuple(counts)))
         assert_all_close(results[1][0], results[0][0])
@@ -485,7 +485,7 @@ class TestTrackLossOp:
         labels, frames = map(np.array, TRACK_CASES[case][:2])
         x = Tensor(np.random.default_rng(3).standard_normal((len(labels), 4)),
                    requires_grad=True)
-        err = finite_diff_check(lambda: track_loss(x, labels, frames)[0], [x])
+        err = finite_diff_check(lambda: track_loss(x, labels, frames, 0.1, 2)[0], [x])
         assert err <= 1e-4
 
     def test_one_entry_after_the_similarity_graph(self):
@@ -495,7 +495,7 @@ class TestTrackLossOp:
             unit = losses.cosine_rows(x)
             T.mul(T.matmul(unit, T.transpose(unit)), 10.0)
         with T.fresh_tape() as tape:
-            track_loss(x, labels, frames)
+            track_loss(x, labels, frames, 0.1, 2)
         assert len(tape) == len(sims_tape) + 1
 
 
@@ -524,7 +524,7 @@ class TestRelevanceLoss:
         assert err <= 1e-4
 
     def test_labels_inherited_through_match(self):
-        match = MatchAssignment([(2, 0), (0, 1)])
+        match = [(2, 0), (0, 1)]
         labels = slot_relevance_labels(match, np.array([1.0, 0.0]), 4)
         assert labels.tolist() == [0.0, 0.0, 1.0, 0.0]
 

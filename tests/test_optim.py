@@ -46,3 +46,30 @@ def test_load_state_rejects_a_shape_mismatch():
     state["opt.m.b.v"] = np.zeros(3)
     with pytest.raises(CheckpointError, match="opt.m.b.v"):
         make_optimizer().load_state(state)
+
+
+def fresh_state_bytes():
+    return {k: v.tobytes() for k, v in make_optimizer().state().items()}
+
+
+@pytest.mark.parametrize("step", [[np.nan], [np.inf], [], [-1.0], [2.5], [1.0, 2.0]],
+                         ids=["nan", "inf", "empty", "negative", "fraction", "two-values"])
+def test_load_state_rejects_a_step_that_is_not_one_finite_integer(step):
+    state = stepped_state()
+    state["opt.step"] = np.array(step)
+    opt = make_optimizer()
+    with pytest.raises(CheckpointError, match=r"opt\.step: .* is not one finite integer >= 0"):
+        opt.load_state(state)
+    assert {k: v.tobytes() for k, v in opt.state().items()} == fresh_state_bytes()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1e-3])
+def test_load_state_rejects_a_second_moment_that_is_not_finite_and_non_negative(value):
+    state = stepped_state()
+    state["opt.m.w.v"] = state["opt.m.w.v"].copy()
+    state["opt.m.w.v"][1, 0] = value
+    opt = make_optimizer()
+    with pytest.raises(CheckpointError,
+                       match=r"opt\.m\.w\.v: checkpoint holds values that are not finite"):
+        opt.load_state(state)
+    assert {k: v.tobytes() for k, v in opt.state().items()} == fresh_state_bytes()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import slotforge.tensor as T
-from slotforge.frontend import DenseTokens
 from slotforge.nn import mlp
 from slotforge.slots import COLUMN_EPS, SlotAttention, SlotHeads, slot_attention
 from slotforge.tensor import NonFiniteError, Tensor
@@ -13,7 +12,7 @@ from test_tensor import assert_all_close, graph_gru_cell
 
 
 def dense_from(rng, n=12, d=16):
-    return DenseTokens(Tensor(rng.standard_normal((n, d))), 1, n)
+    return Tensor(rng.standard_normal((n, d)))
 
 
 def make_attn(seed=0, d=16, slots=4, steps=3, residual_mlp=True):
@@ -21,9 +20,9 @@ def make_attn(seed=0, d=16, slots=4, steps=3, residual_mlp=True):
                          refine_steps=steps, residual_mlp=residual_mlp)
 
 
-def project(attn, dense):
+def project(attn, tokens):
     """The keys and values that `SlotAttention.encode_frame` projects once per frame."""
-    return T.matmul(dense.tokens, attn.wk), T.matmul(dense.tokens, attn.wv)
+    return T.matmul(tokens, attn.wk), T.matmul(tokens, attn.wv)
 
 
 class TestInitSlots:
@@ -41,7 +40,8 @@ class TestInitSlots:
         assert not slots.requires_grad  # values cross the frame boundary, not history
 
     def test_seeded_init_reproducible_bitwise(self):
-        attn = SlotAttention(np.random.default_rng(7), width=4, num_slots=2)
+        attn = SlotAttention(np.random.default_rng(7), width=4, num_slots=2, refine_steps=3,
+                             residual_mlp=True)
         a = attn.init_slots(None, rng_seed=42).data
         b = attn.init_slots(None, rng_seed=42).data
         assert a.tobytes() == b.tobytes()
@@ -57,7 +57,7 @@ def graph_slot_attention(tokens, slots, wq, wk, wv):
     col_norm = clip_min(T.sum_(attn, axis=0, keepdims=True), COLUMN_EPS)
     weights = T.div(attn, col_norm)
     update = T.matmul(T.transpose(weights), T.matmul(tokens, wv))
-    return update, attn.data, weights.data
+    return update, weights.data
 
 
 def fused_attention(tokens, slots, wq, wk, wv):
@@ -69,21 +69,21 @@ def graph_refine_steps(attn, slots, tokens, steps):
     """`SlotAttention.refine_step` as it was built from the unfused graphs,
     which project the tokens again in every step."""
     for _ in range(steps):
-        update, _, _ = graph_slot_attention(tokens, slots, attn.wq, attn.wk, attn.wv)
+        update, _ = graph_slot_attention(tokens, slots, attn.wq, attn.wk, attn.wv)
         new_slots = graph_gru_cell(update, slots, attn.gru)
         slots = T.add(new_slots, mlp(T.layer_norm(new_slots), attn.mlp))
     return slots
 
 
 def fused_refine_steps(attn, slots, tokens, steps):
-    keys, values = project(attn, DenseTokens(tokens, 1, tokens.shape[0]))
+    keys, values = project(attn, tokens)
     for _ in range(steps):
         slots = attn.refine_step(slots, keys, values)[0]
     return slots
 
 
 def attention_run(attend, n, k, d, slots_kind, seed):
-    """Value, maps and every leaf gradient after one attention.
+    """Value, weights and every leaf gradient after one attention.
 
     The tokens are produced by an op and used again afterwards; the slots
     are a leaf, a produced tensor or a constant."""
@@ -96,11 +96,11 @@ def attention_run(attend, n, k, d, slots_kind, seed):
     with T.fresh_tape() as tape:
         tokens = T.mul(tok_leaf, 1.25)
         slots = T.mul(slot_leaf, 0.5) if slots_kind == "produced" else slot_leaf
-        out, attn_map, weights = attend(tokens, slots, wq, wk, wv)
+        out, weights = attend(tokens, slots, wq, wk, wv)
         loss = T.add(T.sum_(T.mul(tanh(out), weight)), T.sum_(T.mul(tokens, tokens)))
         tape.backward(loss)
     leaves = (tok_leaf, slot_leaf, wq, wk, wv)
-    return [out.data, attn_map, weights] + [t.grad for t in leaves]
+    return [out.data, weights] + [t.grad for t in leaves]
 
 
 class TestSlotAttentionOp:
@@ -110,7 +110,7 @@ class TestSlotAttentionOp:
         fused = attention_run(fused_attention, n, k, d, slots_kind, n * 100 + k)
         graph = attention_run(graph_slot_attention, n, k, d, slots_kind, n * 100 + k)
         assert_all_close(fused, graph)
-        assert (fused[4] is None) == (slots_kind == "constant")
+        assert (fused[3] is None) == (slots_kind == "constant")
 
     @pytest.mark.parametrize("carried", [False, True])
     def test_three_refine_steps_bitwise_equal_to_the_unfused_graph(self, carried):
@@ -163,7 +163,7 @@ class TestSlotAttentionOp:
 
 
 def grouped_attention_run(groups, n=5, k=3, d=6, seed=21):
-    """Value, maps and every leaf gradient of `groups` frames' attention, as one
+    """Value, weights and every leaf gradient of `groups` frames' attention, as one
     grouped call and as one call per row block on the same tape."""
     rng = np.random.default_rng(seed)
     keys, values, slots = (Tensor(rng.standard_normal((groups * rows, d)), requires_grad=True)
@@ -176,16 +176,16 @@ def grouped_attention_run(groups, n=5, k=3, d=6, seed=21):
         zero_grads(leaves)
         with T.fresh_tape() as tape:
             if grouped:
-                out, attn_map, weights = slot_attention(keys, values, slots, wq, groups)
+                out, weights = slot_attention(keys, values, slots, wq, groups)
             else:
                 blocks = [slot_attention(T.gather_rows(keys, range(g * n, (g + 1) * n)),
                                          T.gather_rows(values, range(g * n, (g + 1) * n)),
                                          T.gather_rows(slots, range(g * k, (g + 1) * k)), wq)
                           for g in range(groups)]
                 out = T.concat([b[0] for b in blocks])
-                attn_map, weights = (np.concatenate([b[i] for b in blocks]) for i in (1, 2))
+                weights = np.concatenate([b[1] for b in blocks])
             tape.backward(T.sum_(T.mul(tanh(out), weight)))
-        results.append([out.data, attn_map, weights] + [t.grad for t in leaves])
+        results.append([out.data, weights] + [t.grad for t in leaves])
     return results
 
 
@@ -228,16 +228,16 @@ class TestGroupedSlotAttention:
         attn = make_attn(seed=24)
         rng = np.random.default_rng(25)
         frames = [dense_from(rng) for _ in range(3)]
-        stacked = DenseTokens(T.concat([f.tokens for f in frames]), 3, 12)
+        stacked = T.concat(frames)
         seeds = [40, 41, 42]
-        fresh, maps = attn.encode_frame(stacked, None, seeds)
+        fresh, weights = attn.encode_frame(stacked, None, seeds)
         carried, _ = attn.encode_frame(stacked, fresh, [50, 51, 52])
-        assert fresh.shape == (3 * 4, 16) and maps.attn.shape == (3 * 12, 4)
+        assert fresh.shape == (3 * 4, 16) and weights.shape == (3 * 12, 4)
         for g, (dense, seed) in enumerate(zip(frames, seeds)):
-            one, one_maps = attn.encode_frame(dense, None, seed)
+            one, one_weights = attn.encode_frame(dense, None, seed)
             rows = slice(4 * g, 4 * (g + 1))
             np.testing.assert_allclose(fresh.data[rows], one.data, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(maps.weights[12 * g:12 * (g + 1)], one_maps.weights,
+            np.testing.assert_allclose(weights[12 * g:12 * (g + 1)], one_weights,
                                        rtol=1e-12, atol=1e-12)
             # a frame's start does not depend on its group
             assert (attn.init_slots(None, seeds).data[rows].tobytes()
@@ -251,16 +251,17 @@ class TestRefineStep:
         attn = make_attn()
         slots = Tensor(np.tile([1.0] * 16, (4, 1)))
         dense = dense_from(np.random.default_rng(2))
-        _, maps = attn.refine_step(slots, *project(attn, dense))
-        assert np.allclose(maps.attn, 0.25, atol=1e-12)
+        _, weights = attn.refine_step(slots, *project(attn, dense))
+        # each token splits evenly over 4 slots, so each slot takes 1/12 of 12 tokens
+        assert np.allclose(weights, 1.0 / 12, atol=1e-12)
 
     def test_single_input_token(self):
         attn = make_attn()
         rng = np.random.default_rng(3)
-        dense = DenseTokens(Tensor(rng.standard_normal((1, 16))), 1, 1)
+        dense = Tensor(rng.standard_normal((1, 16)))
         slots = attn.init_slots(None, rng_seed=1)
-        _, maps = attn.refine_step(slots, *project(attn, dense))
-        assert np.allclose(maps.weights, 1.0, atol=1e-12)
+        _, weights = attn.refine_step(slots, *project(attn, dense))
+        assert np.allclose(weights, 1.0, atol=1e-12)
 
     def test_normalizations_hold_each_step(self):
         attn = make_attn(steps=4)
@@ -268,26 +269,23 @@ class TestRefineStep:
         dense = dense_from(rng)
         slots = attn.init_slots(None, rng_seed=2)
         for _ in range(4):
-            slots, maps = attn.refine_step(slots, *project(attn, dense))
-            assert np.all(np.abs(maps.attn.sum(axis=1) - 1.0) <= 1e-9)
-            assert np.all(np.abs(maps.weights.sum(axis=0) - 1.0) <= 1e-9)
+            slots, weights = attn.refine_step(slots, *project(attn, dense))
+            assert np.all(np.abs(weights.sum(axis=0) - 1.0) <= 1e-9)
 
     def test_maps_are_read_only(self):
         # they are the arrays the backward of the step reads, not copies
         attn = make_attn()
         dense = dense_from(np.random.default_rng(6))
-        _, maps = attn.refine_step(attn.init_slots(None, rng_seed=3), *project(attn, dense))
-        for arr in (maps.attn, maps.weights):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0, 0] = 0.0
+        _, weights = attn.refine_step(attn.init_slots(None, rng_seed=3), *project(attn, dense))
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0, 0] = 0.0
 
     def test_full_step_gradient_all_params(self):
         attn = make_attn(d=6, slots=3, steps=1)
         rng = np.random.default_rng(5)
-        dense = DenseTokens(Tensor(rng.standard_normal((5, 6))), 1, 5)
+        dense = Tensor(rng.standard_normal((5, 6)), requires_grad=True)
         slots0 = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
-        params = attn.params().tensors() + [slots0, dense.tokens]
-        dense.tokens.requires_grad = True
+        params = attn.params().tensors() + [slots0, dense]
 
         def f():
             out, _ = attn.refine_step(slots0, *project(attn, dense))
@@ -348,7 +346,7 @@ class TestEncodeFrame:
     def test_whole_frame_gradient_vs_finite_differences(self):
         attn = make_attn(d=6, slots=3, steps=3, residual_mlp=True)
         rng = np.random.default_rng(16)
-        dense = DenseTokens(Tensor(rng.standard_normal((5, 6))), 1, 5)
+        dense = Tensor(rng.standard_normal((5, 6)))
         weight = Tensor(rng.standard_normal((3, 6)))
         wrt = [attn.wq, attn.wk, attn.wv] + [getattr(attn.gru, n) for n in vars(attn.gru)]
         err = finite_diff_check(

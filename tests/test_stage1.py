@@ -48,7 +48,7 @@ def per_frame_loss(pipe, batch):
             int_terms.append(relevance_loss(logits, labels, cfg.w_pos, cfg.w_neg))
             if cfg.lambda_track > 0:
                 emb_blocks.append(pipe.track_embedding(slots))
-                gt_for_slot = dict(match.pairs)
+                gt_for_slot = dict(match)
                 for s in range(n_slots):
                     if s in gt_for_slot:
                         key = (clip.episode_key, target.instance_ids[gt_for_slot[s]])
@@ -141,9 +141,9 @@ def test_walk_keeps_each_clips_rows_as_clips_end():
         alone = {id(clip): [slots.data for _, _, _, slots, _ in pipe.walk([clip])]
                  for clip in clips}
         pipe.encode_frame = recording_encode
-        for i, group, dense, slots, _ in pipe.walk(clips):
+        for i, group, tokens, slots, _ in pipe.walk(clips):
             groups.append((i, [id(clip) for clip in group]))
-            assert dense.grid_h == len(group) * pipe.frontend.grid
+            assert tokens.shape[0] == len(group) * pipe.frontend.grid ** 2
             for j, clip in enumerate(group):
                 np.testing.assert_allclose(slots.data[j * n_slots:(j + 1) * n_slots],
                                            alone[id(clip)][i], rtol=1e-12, atol=1e-12)

@@ -315,8 +315,8 @@ class TestLayerNorm:
         x = rand_tensor(rng, 3, 6)
         g = Tensor(rng.standard_normal(6), requires_grad=True)
         b = Tensor(rng.standard_normal(6), requires_grad=True)
-        err = finite_diff_check(lambda: T.sum_(T.mul(T.layer_norm(x, g, b),
-                                                     T.layer_norm(x, g, b))), [x, g, b])
+        err = finite_diff_check(lambda: T.sum_(T.mul(T.layer_norm(x, (g, b)),
+                                                     T.layer_norm(x, (g, b)))), [x, g, b])
         assert err <= 1e-4
 
 
