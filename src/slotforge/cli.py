@@ -64,11 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="closed-loop rollout evaluation")
     common(p)
-    p.add_argument("--stage1", type=Path, required=True)
-    p.add_argument("--stage2", type=Path, required=True)
+    p.add_argument("--stage1", type=Path, default=None, help="required unless --expert")
+    p.add_argument("--stage2", type=Path, default=None, help="required unless --expert")
     p.add_argument("--rollouts", type=int, default=20)
     p.add_argument("--expert", action="store_true",
-                   help="run the scripted expert instead of the policy")
+                   help="run the scripted expert instead of the policy; reads no checkpoint")
     p.add_argument("--out", type=Path, required=True)
 
     p = sub.add_parser("inspect", help="dump attention and relevance reports")
@@ -141,9 +141,13 @@ def cmd_eval(args) -> int:
     from .pipeline import Pipeline
     _require_positive("rollouts", args.rollouts)
     cfg = load_config(args.config, args.override)
-    pipeline = Pipeline(cfg)
-    pipeline.stage1_params().load_state(load_checkpoint(args.stage1))
-    pipeline.stage2_params().load_state(load_checkpoint(args.stage2))
+    pipeline = None
+    if not args.expert:
+        if args.stage1 is None or args.stage2 is None:
+            raise ConfigError("eval needs --stage1 and --stage2 unless --expert is given")
+        pipeline = Pipeline(cfg)
+        pipeline.stage1_params().load_state(load_checkpoint(args.stage1))
+        pipeline.stage2_params().load_state(load_checkpoint(args.stage2))
     table = evaluate(pipeline, cfg, args.rollouts, expert=args.expert,
                      out_dir=args.out)
     for row in table["rows"]:

@@ -21,10 +21,10 @@ class RolloutResult:
     steps: int
 
 
-def run_rollout(pipeline: Pipeline, cfg: RunConfig, seed: int,
+def run_rollout(pipeline: Pipeline | None, cfg: RunConfig, seed: int,
                 expert: bool = False) -> RolloutResult:
     """One closed-loop episode; ends early once the object is placed and
-    released, otherwise runs to the horizon."""
+    released, otherwise runs to the horizon. The expert needs no pipeline."""
     world = World(cfg.world_config(), seed)
     controller = ScriptedExpert(world) if expert else None
     slots = None
@@ -46,7 +46,7 @@ def run_rollout(pipeline: Pipeline, cfg: RunConfig, seed: int,
                          success=world.success(), steps=steps)
 
 
-def evaluate(pipeline: Pipeline, cfg: RunConfig, n_rollouts: int,
+def evaluate(pipeline: Pipeline | None, cfg: RunConfig, n_rollouts: int,
              base_seed: int | None = None, expert: bool = False,
              out_dir: str | Path | None = None) -> dict:
     """Success over seeded rollouts, grouped per task string like a results

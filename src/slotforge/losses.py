@@ -6,9 +6,9 @@ slot embeddings, and a class-weighted relevance term. Stage 2 is plain
 cross-entropy over discretized action bins.
 
 The two stage-1 hot spots are single tape entries with analytic backwards:
-`giou_pairs` (one entry per frame), which shares its box arithmetic with
-`giou_matrix`, and the anchor term of `track_loss` (one entry per batch,
-after the similarity graph). `hungarian_match` proves the optimum unique
+`giou_pairs` (one entry per batch, over the matched rows of every frame),
+which shares its box arithmetic with `giou_matrix`, and the anchor term of
+`track_loss` (one entry per batch, after the similarity graph). `hungarian_match` proves the optimum unique
 with n_gt forbidden-edge solves before paying for its lexicographic
 tie-break. A frame's matching is its plain list of (slot, gt) index pairs,
 in gt order.

@@ -6,22 +6,22 @@ closed-loop policy step used during rollouts.
 
 `Pipeline.encode_frame` encodes a group of frames, rgb arrays, as one graph,
 their dense tokens and slots plain Tensors stacked frame by frame as row
-blocks; one frame is a group of one. It is the one place that decides
-carryover: a group starts from its previous slots, when there are any, if
-`carryover_on` is set and every t > 0, and from one fresh seeded draw per
-frame otherwise.
+blocks; one frame is a group of one. A group starts from the previous slots
+it is handed if every t > 0, and from one fresh seeded draw per frame
+otherwise; the walk and the policy step hand them over when carryover is on.
 
-`Pipeline.walk` is the one episode walk. It steps a list of clips in
-lockstep: the frames at each index form one group, handed the previous
-group's refined slots, and a clip leaves the group once it ends; each index
-yields the group's clips, dense tokens, slots and attention weights. The
-stage-1 objective walks a batch of clips; its heads, task filter and
-tracking embeddings run once per group, and only matching runs per frame,
-in numpy. The stage-2 cache walks all of a corpus's episodes in lockstep,
-each as one whole-episode clip, and filters each time step's frames as one
-group. Validation, the flip rate and inspection reports each walk one
-whole-episode clip at a time; only a closed-loop rollout, whose next frame
-depends on the action taken, steps `policy_step` itself.
+`Pipeline.walk` is the one episode walk, and the slot recurrence is all it
+carries. It steps a list of clips in lockstep: the frames at each index form
+one group, handed the previous group's refined slots, and a clip leaves the
+group once it ends; each index yields the group's clips, dense tokens, slots
+and attention weights. The stage-1 objective stacks the slots of a whole
+batch and runs its heads, task filter, losses and tracking embeddings once
+over them; only matching runs per frame, in numpy. The stage-2 cache walks
+all of a corpus's episodes in lockstep, each as one whole-episode clip, and
+filters each time step's frames as one group. Validation, the flip rate and
+inspection reports walk one episode at a time, and validation scores its
+stacked slots once; only a closed-loop rollout, whose next frame depends on
+the action taken, steps `policy_step` itself.
 `Pipeline.select` is the one task-filter call, and stage-2 logits and the
 policy step share one decode tail, which decodes frames stacked as row blocks
 in one graph: a stage-2 batch, or the one frame of a policy step.
@@ -127,25 +127,27 @@ class Pipeline:
                      episode_keys: list[int], times: list[int]):
         """(dense tokens, refined slots, attention weights) of a group of frames,
         rgb arrays with one episode key and time each, stacked frame by frame;
-        one frame is a group of one. `prev_slots` holds the group's previous
-        slots in the same order, and is carried over only when every t > 0."""
+        one frame is a group of one. `prev_slots`, if any, holds the group's
+        previous slots in the same order, carried over only when every t > 0."""
         tokens = self.frontend(frames)
-        carry = prev_slots if self.cfg.carryover_on and min(times) > 0 else None
+        carry = prev_slots if min(times) > 0 else None
         seeds = [init_seed(self.cfg.seed, key, t) for key, t in zip(episode_keys, times)]
         slots, weights = self.slot_attn.encode_frame(tokens, carry, seeds)
         return tokens, slots, weights
 
-    def walk(self, clips: list[Clip]) -> Iterator[
+    def walk(self, clips: list[Clip], carryover: bool | None = None) -> Iterator[
             tuple[int, list[Clip], Tensor, Tensor, np.ndarray]]:
         """Encode clips in lockstep: at each frame index i the clips still going,
         in batch order, form one group, each frame handed its own clip's
-        previous slots. A clip shorter than the others leaves the group once it
-        ends. Yields (i, the group's clips, tokens, slots, weights)."""
+        previous slots if `carryover` (by default `cfg.carryover_on`) is set.
+        A clip shorter than the others leaves the group once it ends. Yields
+        (i, the group's clips, tokens, slots, weights)."""
+        carry = self.cfg.carryover_on if carryover is None else carryover
         n_slots = self.cfg.num_slots
         slots, active = None, []
         for i in range(max((len(clip.frames) for clip in clips), default=0)):
             going = [c for c, clip in enumerate(clips) if i < len(clip.frames)]
-            if slots is not None and going != active:
+            if carry and slots is not None and going != active:
                 # carryover passes values, not history: keep the rows of the clips that go on
                 kept = slots.data.reshape(len(active), n_slots, -1)[
                     [active.index(c) for c in going]]
@@ -153,7 +155,7 @@ class Pipeline:
             active = going
             group = [clips[c] for c in active]
             tokens, slots, weights = self.encode_frame(
-                [clip.frames[i].rgb for clip in group], slots,
+                [clip.frames[i].rgb for clip in group], slots if carry else None,
                 [clip.episode_key for clip in group], [clip.base_t + i for clip in group])
             yield i, group, tokens, slots, weights
 
@@ -171,57 +173,44 @@ class Pipeline:
     # stage-1 objective
 
     def stage1_batch_loss(self, batch: list[Clip]) -> tuple[Tensor, dict[str, float]]:
-        """The stage-1 objective of a batch of clips, walked in lockstep: the
-        frames at each index are encoded, scored and supervised as one graph.
-        Matching runs per frame; the tracking term runs once over the whole
-        batch."""
+        """The stage-1 objective of a batch of clips. The walk encodes the
+        frames at each index as one group; the heads, the task filter and the
+        loss terms then run once over every frame's slots, stacked index by
+        index. Matching runs per frame."""
         cfg, n_slots = self.cfg, self.cfg.num_slots
-        slot_terms: list[Tensor] = []
-        int_terms: list[Tensor] = []
-        parts_acc = {"box": 0.0, "obj": 0.0, "seg": 0.0}
-        emb_blocks: list[Tensor] = []
-        emb_labels: list[int] = []
-        emb_frames: list[int] = []
-        intern: dict[tuple[int, str], int] = {}
+        blocks: list[Tensor] = []
+        frames: list[tuple[Clip, int]] = []
         for i, clips, _, slots, _ in self.walk(batch):
-            targets = [clip.targets[i] for clip in clips]
-            preds = self.heads(slots)
-            boxes = preds.boxes.data
-            matches = [match_frame(boxes[j * n_slots:(j + 1) * n_slots], target, cfg)
-                       for j, target in enumerate(targets)]
-            term, parts = slot_attn_loss(preds, targets, matches, cfg)
-            slot_terms.append(term)
-            for key in parts_acc:
-                parts_acc[key] += parts[key]
-            lang = task_tokens(self.lang_filter, [clip.frames[0].task for clip in clips])
-            _, logits = self.select(slots, lang, len(clips))
-            labels = np.concatenate([
-                slot_relevance_labels(match, target.relevance, n_slots)
-                for match, target in zip(matches, targets)])
-            int_terms.append(relevance_loss(logits, labels, cfg.w_pos, cfg.w_neg,
-                                            len(clips)))
-            if cfg.lambda_track > 0:
-                emb_blocks.append(self.track_embedding(slots))
-                for clip, target, match in zip(clips, targets, matches):
-                    gt_for_slot = dict(match)
-                    for s in range(n_slots):
-                        if s in gt_for_slot:
-                            key = (clip.episode_key, target.instance_ids[gt_for_slot[s]])
-                            emb_labels.append(intern.setdefault(key, len(intern)))
-                        else:
-                            emb_labels.append(-1)
-                        emb_frames.append(clip.base_t + i)
-        n_frames = sum(len(clip.frames) for clip in batch)
-        slot_mean = T.mul(T.add_all(slot_terms), 1.0 / max(n_frames, 1))
-        int_mean = T.mul(T.add_all(int_terms), 1.0 / max(n_frames, 1))
-        if cfg.lambda_track > 0 and emb_blocks:
+            blocks.append(slots)
+            frames += [(clip, i) for clip in clips]
+        slots, n_frames = T.concat(blocks, axis=0), len(frames)
+        targets = [clip.targets[i] for clip, i in frames]
+        preds = self.heads(slots)
+        matches = [match_frame(boxes, target, cfg) for boxes, target in
+                   zip(preds.boxes.data.reshape(n_frames, n_slots, 4), targets)]
+        slot_term, parts = slot_attn_loss(preds, targets, matches, cfg)
+        lang = task_tokens(self.lang_filter, [clip.frames[0].task for clip, _ in frames])
+        _, logits = self.select(slots, lang, n_frames)
+        labels = np.concatenate([slot_relevance_labels(match, target.relevance, n_slots)
+                                 for match, target in zip(matches, targets)])
+        int_term = relevance_loss(logits, labels, cfg.w_pos, cfg.w_neg, n_frames)
+        if cfg.lambda_track > 0:
+            # a matched slot's label is its (episode, instance); unmatched slots get -1
+            keys = [{s: (clip.episode_key, target.instance_ids[g]) for s, g in match}
+                    for (clip, _), target, match in zip(frames, targets, matches)]
+            intern: dict[tuple[int, str], int] = {}
+            emb_labels = [intern.setdefault(key[s], len(intern)) if s in key else -1
+                          for key in keys for s in range(n_slots)]
+            emb_frames = np.repeat([clip.base_t + i for clip, i in frames], n_slots)
             track, anchors, skipped = track_loss(
-                T.concat(emb_blocks, axis=0), np.array(emb_labels),
-                np.array(emb_frames), cfg.tau, cfg.track_window)
+                self.track_embedding(slots), np.array(emb_labels), emb_frames,
+                cfg.tau, cfg.track_window)
         else:
             track, anchors, skipped = Tensor(0.0), 0, 0
+        slot_mean = T.mul(slot_term, 1.0 / n_frames)
+        int_mean = T.mul(int_term, 1.0 / n_frames)
         total = stage1_total(slot_mean, track, int_mean, cfg)
-        parts = {k: v / max(n_frames, 1) for k, v in parts_acc.items()}
+        parts = {k: v / n_frames for k, v in parts.items()}
         parts.update(track=track.item(), int=int_mean.item(), total=total.item(),
                      track_anchors=anchors, track_skipped=skipped)
         return total, parts
@@ -290,7 +279,8 @@ class Pipeline:
         """Greedy action for one observation, its rgb frame at time `t`;
         returns (action, refined slots)."""
         with T.no_grad():
-            tokens, slots, _ = self.encode_frame([rgb], prev_slots, [episode_key], [t])
+            carry = prev_slots if self.cfg.carryover_on else None
+            tokens, slots, _ = self.encode_frame([rgb], carry, [episode_key], [t])
             scores, _ = self.select(slots, self.lang_filter(task))
             logits = self._logits(tokens, T.gather_rows(slots, scores.selected), [task],
                                   proprio)

@@ -44,7 +44,6 @@ graph of rank-2 tensors.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
@@ -245,11 +244,6 @@ def _binary(a, b, fwd, bwd_a, bwd_b, op: str) -> Tensor:
 
 def add(a, b) -> Tensor:
     return _binary(a, b, lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g, "add")
-
-
-def add_all(terms: Sequence[Tensor]) -> Tensor:
-    """Left-to-right sum ((t0 + t1) + t2) + ...; a zero scalar when empty."""
-    return functools.reduce(add, terms) if terms else Tensor(0.0)
 
 
 def sub(a, b) -> Tensor:

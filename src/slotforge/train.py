@@ -25,7 +25,8 @@ from .decoder import ACTION_DIMS, action_to_bins
 from .losses import action_ce, iou_matrix, match_frame, slot_relevance_labels
 from .nn import ParamGroup
 from .optim import AdaptiveOptimizer, TrainingError
-from .pipeline import Clip, Pipeline, frame_targets
+from .pipeline import Clip, Pipeline, frame_targets, task_tokens
+from .tensor import NonFiniteError
 from .world import Episode, WorldError, check_frame_size, episode_files, load_episode
 
 LOSS_CSV_HEADER = "step,L_box,L_obj,L_seg,L_track,L_int,total"
@@ -120,7 +121,10 @@ def fit(pipeline: Pipeline, params: ParamGroup, iters: int, out_dir: Path, stage
     them as `stage{stage}.ckpt`. `step_loss(step)` gives the loss and the CSV
     row after the step column; every `eval_every` steps `validate(steps done)`,
     if given, a history row and whether to stop. `check()` may raise to keep
-    the checkpoint unwritten. A resume keeps the log's rows before its step."""
+    the checkpoint unwritten. A resume keeps the log's rows before its step.
+    A run that fails with `NonFiniteError` or `TrainingError` saves no
+    checkpoint; its manifest gets the error and `failed_step`, the count of
+    steps it completed."""
     cfg = pipeline.cfg
     opt = AdaptiveOptimizer(params, lr=cfg.lr, total_steps=iters, clip_norm=cfg.grad_clip)
     log_path = out_dir / f"stage{stage}_loss.csv"
@@ -133,22 +137,28 @@ def fit(pipeline: Pipeline, params: ParamGroup, iters: int, out_dir: Path, stage
             lines = log_path.read_text().splitlines()[:opt.step_count + 1]
     write_manifest(out_dir, cfg, stage=stage, **manifest)
     history: list[dict] = []
-    with open(log_path, "w") as log:
-        log.writelines(line + "\n" for line in lines)
-        for step in range(opt.step_count, iters):
-            with T.fresh_tape() as tape:
-                loss, row = step_loss(step)
-                opt.zero_grad()
-                tape.backward(loss)
-            opt.step()
-            log.write(f"{step},{row}\n")
-            if validate is not None and (step + 1) % cfg.eval_every == 0:
-                log.flush()
-                metrics, stop = validate(step + 1)
-                history.append(metrics)
-                if stop:
-                    break
-    check()
+    try:
+        with open(log_path, "w") as log:
+            log.writelines(line + "\n" for line in lines)
+            for step in range(opt.step_count, iters):
+                with T.fresh_tape() as tape:
+                    loss, row = step_loss(step)
+                    opt.zero_grad()
+                    tape.backward(loss)
+                opt.step()
+                log.write(f"{step},{row}\n")
+                if validate is not None and (step + 1) % cfg.eval_every == 0:
+                    log.flush()
+                    metrics, stop = validate(step + 1)
+                    history.append(metrics)
+                    if stop:
+                        break
+        check()
+    except (NonFiniteError, TrainingError) as exc:
+        path = out_dir / "manifest.json"  # a failed run names its step and error
+        failure = {"failed_step": opt.step_count, "error": f"{type(exc).__name__}: {exc}"}
+        path.write_text(json.dumps(json.loads(path.read_text()) | failure, indent=2) + "\n")
+        raise
     ckpt = out_dir / f"stage{stage}.ckpt"
     save_checkpoint(ckpt, params.state() | opt.state())
     return {"checkpoint": ckpt, "history": history, "steps": opt.step_count,
@@ -171,33 +181,36 @@ def auc_score(scores: np.ndarray, labels: np.ndarray) -> float:
     return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
-def matched_frames(pipeline: Pipeline, corpus: Corpus):
+def matched_frames(pipeline: Pipeline, corpus: Corpus, carryover: bool | None = None):
     """The one validation walk: each episode walked whole, one frame per
-    `encode_frame` call. Yields (clip, frame index, slots, head predictions,
-    the frame's matching). Callers hold `T.no_grad()` around it: held in here,
-    it would stay on whenever the walk is suspended."""
+    `encode_frame` call, with `carryover` as `Pipeline.walk` takes it, then
+    the heads once over its slots stacked frame by frame. Yields (clip, those
+    slots, boxes as (frames, slots, 4), each frame's matching). Callers hold
+    `T.no_grad()` around it: held in here, it would stay on whenever the walk
+    is suspended."""
     for idx in range(len(corpus)):
         clip = corpus.clip(idx, 0, len(corpus.frames[idx]))
-        for i, _, _, slots, _ in pipeline.walk([clip]):
-            preds = pipeline.heads(slots)
-            yield clip, i, slots, preds, match_frame(preds.boxes.data, clip.targets[i],
-                                                     pipeline.cfg)
+        slots = T.concat([slots for _, _, _, slots, _ in pipeline.walk([clip], carryover)],
+                         axis=0)
+        boxes = pipeline.heads(slots).boxes.data.reshape(len(clip.frames), -1, 4)
+        yield clip, slots, boxes, [match_frame(frame_boxes, target, pipeline.cfg)
+                                   for frame_boxes, target in zip(boxes, clip.targets)]
 
 
 def stage1_metrics(pipeline: Pipeline, corpus: Corpus) -> dict[str, float]:
     """Matched-slot box IoU and relevance AUC over a full corpus."""
+    n_slots = pipeline.cfg.num_slots
     ious, pi_all, labels_all = [], [], []
     with T.no_grad():
-        for clip, i, slots, preds, match in matched_frames(pipeline, corpus):
-            if i == 0:
-                lang = pipeline.lang_filter(clip.frames[0].task)
-            targets = clip.targets[i]
-            pairwise = iou_matrix(preds.boxes.data, targets.boxes)
-            ious.extend(pairwise[s, g] for s, g in match)
-            scores, _ = pipeline.select(slots, lang)
-            pi_all.extend(scores.scores.tolist())
-            labels_all.extend(slot_relevance_labels(match, targets.relevance,
-                                                    pipeline.cfg.num_slots).tolist())
+        for clip, slots, boxes, matches in matched_frames(pipeline, corpus):
+            n = len(clip.frames)
+            lang = task_tokens(pipeline.lang_filter, [clip.frames[0].task] * n)
+            pi_all.extend(pipeline.select(slots, lang, n)[0].scores.tolist())
+            for targets, frame_boxes, match in zip(clip.targets, boxes, matches):
+                pairwise = iou_matrix(frame_boxes, targets.boxes)
+                ious.extend(pairwise[s, g] for s, g in match)
+                labels_all.extend(slot_relevance_labels(match, targets.relevance,
+                                                        n_slots).tolist())
     return {"iou": float(np.mean(ious)) if ious else 0.0,
             "auc": auc_score(np.array(pi_all), np.array(labels_all))}
 
@@ -206,19 +219,16 @@ def assignment_flip_rate(pipeline: Pipeline, corpus: Corpus,
                          carryover: bool) -> float:
     """Fraction of consecutive-frame object matches that switch slots."""
     flips = chances = 0
-    saved = pipeline.cfg.carryover_on
-    pipeline.cfg.carryover_on = carryover
-    try:
-        with T.no_grad():
-            for clip, i, _, _, match in matched_frames(pipeline, corpus):
-                prev_map = {} if i == 0 else current
-                current = {clip.targets[i].instance_ids[g]: s for s, g in match}
+    with T.no_grad():
+        for clip, _, _, matches in matched_frames(pipeline, corpus, carryover):
+            prev_map: dict[str, int] = {}
+            for targets, match in zip(clip.targets, matches):
+                current = {targets.instance_ids[g]: s for s, g in match}
                 for name, slot in current.items():
                     if name in prev_map:
                         chances += 1
                         flips += prev_map[name] != slot
-    finally:
-        pipeline.cfg.carryover_on = saved
+                prev_map = current
     return flips / chances if chances else 0.0
 
 

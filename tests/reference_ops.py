@@ -1,7 +1,8 @@
 """Ops and utilities that only the tests use, built on `T.primitive`.
 
 The reference ops are the pieces of the unfused graphs that the tests compare
-the package's fused ops against (`softmax`, `tanh`, `slice_cols`, ...).
+the package's fused and batched ops against (`add_all`, `softmax`, `tanh`,
+`slice_cols`, ...).
 `plain_layer_norm`, `plain_attention_heads`, `plain_linear`, `plain_relu`,
 `plain_concat`, `plain_slot_softmax` and `plain_adaptive_step` are the package's hot kernels in
 their plain form, one fresh array per step, which the rewritten kernels must
@@ -9,12 +10,18 @@ match byte for byte. `finite_diff_check` compares a graph's analytic
 gradients against central differences.
 """
 
+import functools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 import slotforge.tensor as T
 from slotforge.tensor import ShapeError, Tensor
+
+
+def add_all(terms: Sequence[Tensor]) -> Tensor:
+    """Left-to-right sum ((t0 + t1) + t2) + ...; a zero scalar when empty."""
+    return functools.reduce(T.add, terms) if terms else Tensor(0.0)
 
 
 def neg(a: Tensor) -> Tensor:

@@ -85,11 +85,14 @@ def test_tape_counter_reads_the_whole_tape_after_backward():
     assert with_objects == frames == 2
     names = [span[0] for span in recorder.spans]
     assert names.count("losses.hungarian_match") == frames
-    assert names.count("losses.giou_pairs") == with_objects
-    assert names.count("losses.track_loss") == 1
-    # the slot and filter spans wrap names each encoded frame must keep calling
+    # the frames' slots are stacked once: the heads, the filter and each
+    # loss term run once per step
+    for name in ("losses.giou_pairs", "losses.track_loss", "losses.slot_attn_loss",
+                 "losses.relevance_loss", "slots.SlotHeads.__call__",
+                 "task_filter.TaskFilter.__call__"):
+        assert names.count(name) == 1, name
+    # the slot span wraps the name each frame index's group must keep calling
     assert names.count("slots.SlotAttention.encode_frame") == frames
-    assert names.count("task_filter.TaskFilter.__call__") == frames
 
 
 def test_validation_encodes_each_frame_in_its_own_call():
@@ -105,6 +108,28 @@ def test_validation_encodes_each_frame_in_its_own_call():
     frames = sum(len(f) for f in corpus.frames)
     assert cut.encoded == frames
     assert [n for _, _, n in cut.current.corpus_passes] == [frames]
+
+
+def test_validation_runs_the_heads_and_the_filter_once_per_episode():
+    patches, recorder, cut = Patches(), Recorder(), CutPoints(sample_loop=False)
+    install_spans(patches, recorder)
+    cut.install(patches)
+    try:
+        cfg = load_config(overrides=["subset=pair"])
+        long, short = (generate_episode(seed, cfg.world_config()) for seed in (3, 4))
+        short = dataclasses.replace(short, frames=short.frames[:len(long.frames) // 2])
+        corpus = train.Corpus([long, short], cfg.patch_size)
+        train.stage1_metrics(pipeline.Pipeline(cfg), corpus)
+    finally:
+        patches.undo()
+    frames = len(long.frames) + len(short.frames)
+    assert cut.encoded == frames
+    assert [n for _, _, n in cut.current.corpus_passes] == [frames]
+    names = [span[0] for span in recorder.spans]
+    assert names.count("pipeline.Pipeline.encode_frame") == frames
+    assert names.count("losses.match_frame") == frames
+    assert names.count("slots.SlotHeads.__call__") == 2
+    assert names.count("task_filter.TaskFilter.__call__") == 2
 
 
 def test_a_stage1_run_reaches_every_hook_it_steps_and_validates_through(tmp_path):

@@ -136,6 +136,41 @@ def test_train1_that_goes_non_finite_exits_with_training_error(tmp_path, capsys,
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_train1_that_fails_records_the_step_and_error_in_its_manifest(tmp_path, capsys,
+                                                                      episode):
+    out = tmp_path / "out"
+    code = main(["train1", "--data", str(episode.parent), "--override", "lr=1e200",
+                 "--override", "stage1_iters=3", "--out", str(out)])
+    assert code == EXIT_TRAINING
+    manifest = json.loads((out / "manifest.json").read_text())
+    rows = (out / "stage1_loss.csv").read_text().splitlines()[1:]
+    assert manifest["failed_step"] == len(rows) < 3
+    assert manifest["error"].startswith("NonFiniteError: non-finite ")
+    assert manifest["error"].split(": ", 1)[1] in capsys.readouterr().err
+    assert not (out / "stage1.ckpt").exists()
+
+
+def test_eval_expert_needs_no_checkpoint(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(Pipeline, "__init__", lambda *args: pytest.fail("built a Pipeline"))
+    code = main(["eval", "--rollouts", "2", "--expert", "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    assert (tmp_path / "out" / "success.csv").read_text().endswith("average,2,1.000\n")
+    assert "average: 1.000 over 2 rollouts" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("given", ["none", "stage1", "stage2"])
+def test_eval_of_the_policy_without_both_checkpoints_is_a_config_error(given, tmp_path,
+                                                                       capsys, stage1_ckpt,
+                                                                       stage2_ckpt):
+    argv = ["eval", "--rollouts", "1", "--out", str(tmp_path / "out")]
+    if given != "none":
+        argv += [f"--{given}", str(stage1_ckpt if given == "stage1" else stage2_ckpt)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: eval needs --stage1 and --stage2 unless --expert is given\n"
+    assert not (tmp_path / "out" / "success.csv").exists()
+
+
 def test_eval_expert_end_to_end_never_steps_the_policy(tmp_path, capsys, monkeypatch,
                                                        stage1_ckpt, stage2_ckpt):
     calls = []

@@ -15,7 +15,7 @@ from slotforge.losses import (FrameTargets, action_ce,
                               stage1_total, track_loss)
 from slotforge.slots import SlotPredictions
 from slotforge.tensor import Tensor
-from reference_ops import finite_diff_check, logsumexp_rows, slice_cols
+from reference_ops import add_all, finite_diff_check, logsumexp_rows, slice_cols
 from test_tensor import assert_all_close
 
 # the loss weights a run uses unless its config overrides them
@@ -206,7 +206,7 @@ def graph_track_loss(embeddings, labels, frames, tau=0.1, window=2):
         per_anchor.append(T.sub(lse_all, lse_pos))
     if not per_anchor:
         return Tensor(0.0), 0, skipped
-    return (T.mul(T.sum_(T.add_all(per_anchor)), 1.0 / len(per_anchor)),
+    return (T.mul(T.sum_(add_all(per_anchor)), 1.0 / len(per_anchor)),
             len(per_anchor), skipped)
 
 

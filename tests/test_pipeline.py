@@ -106,9 +106,9 @@ def test_stage1_losses_validation_and_parameters(run):
         "2,7.973421,0.734628,0.753817,3.982559,0.880401,11.966233\n"
         "3,6.309332,0.756188,0.757080,3.949365,0.879445,10.298634\n")
     assert run["stage1_history"] == [
-        {"iou": 0.02249798216238168, "auc": 0.4860220797720798, "step": 2},
-        {"iou": 0.01842615505510725, "auc": 0.484107905982906, "step": 4}]
-    assert run["stage1_params"] == "59dc403e2a59abf3"
+        {"iou": 0.022497982162381698, "auc": 0.4860220797720798, "step": 2},
+        {"iou": 0.01842615505510727, "auc": 0.484107905982906, "step": 4}]
+    assert run["stage1_params"] == "43cf7a6dd94ebcf7"
 
 
 def test_flip_rate_with_and_without_carryover(run):
@@ -119,12 +119,12 @@ def test_stage2_losses_validation_and_parameters(run):
     assert run["stage2_csv"] == "step,action_ce\n0,6.541984\n1,5.821219\n"
     assert run["stage2_history"] == [
         {"step": 2, "min_acc": 0.0, "mean_acc": 0.017857142857142856}]
-    assert run["stage2_params"] == "dc71116dbd093bf6"
+    assert run["stage2_params"] == "3414b3e136786625"
 
 
 def test_feature_cache_has_one_entry_per_frame_and_fixed_bytes(run):
     assert run["cache_len"] == (42, 42)
-    assert run["cache"] == "78acd029c83f40a5"
+    assert run["cache"] == "7319bef4e30d7e26"
 
 
 def test_rollouts_and_policy_steps(run):
@@ -139,7 +139,7 @@ def test_rollouts_and_policy_steps(run):
         "robot put the blue square on the green square,1,0.000\n"
         "robot put the green square on the red circle,1,0.000\n"
         "average,2,0.000\n")
-    assert run["policy"] == "2b84aa31af8eeecb"
+    assert run["policy"] == "fe4753b33a890c79"
 
 
 def test_inspect_report(run):

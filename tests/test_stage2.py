@@ -15,7 +15,7 @@ from slotforge.decoder import ACTION_DIMS, action_to_bins
 from slotforge.losses import action_ce
 from slotforge.pipeline import Pipeline
 from slotforge.world import generate_episode, serialize_episode
-from reference_ops import zero_grads
+from reference_ops import add_all, zero_grads
 
 FRAMES = 16
 
@@ -47,7 +47,7 @@ def per_frame(pipeline, entries):
     with T.fresh_tape() as tape:
         logits = [pipeline.stage2_logits([entry]) for entry in entries]
         terms = [step_loss(pipeline, lg, [entry]) for lg, entry in zip(logits, entries)]
-        tape.backward(T.mul(T.add_all(terms), 1.0 / len(entries)))
+        tape.backward(T.mul(add_all(terms), 1.0 / len(entries)))
     return np.concatenate([lg.data for lg in logits])
 
 
