@@ -1,8 +1,11 @@
 """Command line surface: gen | train1 | train2 | eval | inspect | budget.
 
 Exit codes: 0 success, 2 configuration error, 3 data validation failure,
-4 training failed (a non-finite value, or a stage-1 parameter that changed
-during stage 2). Each error ends in one line on stderr.
+4 a run failed: a non-finite value, or a stage-1 parameter that changed
+during stage 2. Each error ends in one line on stderr. Exit 4's line says
+what failed: `training failed:` from train1 and train2, `evaluation failed:`
+from eval, `inspection failed:` from inspect; a non-finite value names the op
+that made it.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_TRAINING = 4
+
+FAILED = {"eval": "evaluation", "inspect": "inspection"}  # what exit 4 names, else training
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,8 +196,8 @@ def main(argv: list[str] | None = None) -> int:
         out = getattr(args, "out", None)
         if out is not None and out.exists() and not out.is_dir():
             raise ConfigError(f"--out {out} exists and is not a directory")
-        # every op checks its output and raises NonFiniteError, so numpy's
-        # overflow warnings would only add lines before that one
+        # a non-finite value raises NonFiniteError, which names its op, so
+        # numpy's overflow warnings would only add lines before that one
         with np.errstate(all="ignore"):
             return COMMANDS[args.command](args)
     except ConfigError as exc:
@@ -202,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NonFiniteError, TrainingError) as exc:
-        print(f"training failed: {exc}", file=sys.stderr)
+        print(f"{FAILED.get(args.command, 'training')} failed: {exc}", file=sys.stderr)
         return EXIT_TRAINING
 
 

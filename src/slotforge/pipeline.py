@@ -25,6 +25,13 @@ the action taken, steps `policy_step` itself.
 `Pipeline.select` is the one task-filter call, and stage-2 logits and the
 policy step share one decode tail, which decodes frames stacked as row blocks
 in one graph: a stage-2 batch, or the one frame of a policy step.
+
+Training checks every op for NaN/Inf on its tape. The passes outside the
+tape, the policy step and the stage-2 cache here and `train.stage1_metrics`
+and `train.action_accuracy`, are `T.inference_pass`es: their ops go
+unchecked, and each checks what it reads out or decides on (dense tokens,
+slots, filter logits, head outputs, action logits). A non-finite value there
+replays the pass with every op checked, so the error names the op.
 """
 
 from __future__ import annotations
@@ -218,6 +225,7 @@ class Pipeline:
     # ------------------------------------------------------------------
     # stage-2 features and logits
 
+    @T.inference_pass
     def encode_episode_cache(self, episodes: list[list[FrameRecord]],
                              episode_keys: list[int]) -> list[dict]:
         """Frozen stage-1 features of every frame of the episodes, outside the
@@ -230,23 +238,26 @@ class Pipeline:
                  for frames, key in zip(episodes, episode_keys, strict=True)]
         caches: list[list[dict]] = [[] for _ in clips]
         n_slots, grid = self.cfg.num_slots, self.frontend.grid
-        with T.no_grad():
-            for i, group, tokens, slots, _ in self.walk(clips):
-                going = [c for c, frames in enumerate(episodes) if i < len(frames)]
-                lang = task_tokens(self.lang_filter, [clip.frames[0].task for clip in group])
-                selected = self.select(slots, lang, len(group))[0].selected
-                cells, keep = tokens.shape[0] // len(group), len(selected) // len(group)
-                for j, c in enumerate(going):
-                    record, rows = episodes[c][i], selected[j * keep:(j + 1) * keep]
-                    caches[c].append({
-                        "dense": tokens.data[j * cells:(j + 1) * cells].copy(),
-                        "grid": (grid, grid),
-                        "slots": slots.data[rows],
-                        "selected": [r - j * n_slots for r in rows],
-                        "task": record.task,
-                        "proprio": record.proprio.copy(),
-                        "action": record.action.copy(),
-                    })
+        for i, group, tokens, slots, _ in self.walk(clips):
+            going = [c for c, frames in enumerate(episodes) if i < len(frames)]
+            lang = task_tokens(self.lang_filter, [clip.frames[0].task for clip in group])
+            scores, logits = self.select(slots, lang, len(group))
+            for value, name in ((tokens, "dense tokens"), (slots, "slots"),
+                                (logits, "filter logits")):
+                T.check_finite(value.data, name)
+            selected = scores.selected
+            cells, keep = tokens.shape[0] // len(group), len(selected) // len(group)
+            for j, c in enumerate(going):
+                record, rows = episodes[c][i], selected[j * keep:(j + 1) * keep]
+                caches[c].append({
+                    "dense": tokens.data[j * cells:(j + 1) * cells].copy(),
+                    "grid": (grid, grid),
+                    "slots": slots.data[rows],
+                    "selected": [r - j * n_slots for r in rows],
+                    "task": record.task,
+                    "proprio": record.proprio.copy(),
+                    "action": record.action.copy(),
+                })
         return [entry for cache in caches for entry in cache]
 
     def _logits(self, tokens: Tensor, objects: Tensor, tasks: list[str],
@@ -274,14 +285,16 @@ class Pipeline:
     # ------------------------------------------------------------------
     # closed-loop policy
 
+    @T.inference_pass
     def policy_step(self, rgb: np.ndarray, proprio: np.ndarray, task: str,
                     prev_slots: Tensor | None, episode_key: int, t: int):
         """Greedy action for one observation, its rgb frame at time `t`;
         returns (action, refined slots)."""
-        with T.no_grad():
-            carry = prev_slots if self.cfg.carryover_on else None
-            tokens, slots, _ = self.encode_frame([rgb], carry, [episode_key], [t])
-            scores, _ = self.select(slots, self.lang_filter(task))
-            logits = self._logits(tokens, T.gather_rows(slots, scores.selected), [task],
-                                  proprio)
-            return self.decoder.greedy_action(logits), slots
+        carry = prev_slots if self.cfg.carryover_on else None
+        tokens, slots, _ = self.encode_frame([rgb], carry, [episode_key], [t])
+        scores, filter_logits = self.select(slots, self.lang_filter(task))
+        logits = self._logits(tokens, T.gather_rows(slots, scores.selected), [task], proprio)
+        for value, name in ((slots, "slots"), (filter_logits, "filter logits"),
+                            (logits, "action logits")):
+            T.check_finite(value.data, name)
+        return self.decoder.greedy_action(logits), slots

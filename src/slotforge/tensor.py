@@ -14,7 +14,13 @@ leaf gradients accumulate only into `.grad` on the requires_grad leaves.
 Operands with requires_grad=False get no gradient at all: the elementwise
 binary ops, `matmul`, `linear`, `layer_norm` and `attention_heads` return
 None for them and skip the work. Forward outputs are checked for NaN/Inf and
-raise NonFiniteError rather than propagating silently.
+raise NonFiniteError rather than propagating silently: every op checks its
+value, on the tape and under `no_grad`, except inside an `inference_pass`.
+Such a pass checks only what it reads out or decides on; `relu` and
+`sigmoid`, which map an infinite input to a finite output, check their input
+there instead, and the fused kernels keep their checks on intermediates. If
+the pass raises, it runs once more with every op checked, so the error names
+the op as it would have without the pass.
 
 An op writes in place only into arrays it allocated itself, such as a
 matmul's fresh product. It never writes into the gradient `g` its backward
@@ -44,6 +50,7 @@ graph of rank-2 tensors.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
@@ -65,6 +72,7 @@ class NonFiniteError(TensorError):
 
 _UIDS = itertools.count()
 _NO_GRAD = 0
+_OP_CHECKS = True  # off only inside an `inference_pass`
 
 
 def check_finite(arr: np.ndarray, op: str) -> np.ndarray:
@@ -157,7 +165,8 @@ def fresh_tape():
 
 @contextmanager
 def no_grad():
-    """Disable tape recording; forward values (and NaN checks) still run."""
+    """Disable tape recording; forward values and every op's NaN check still
+    run. `inference_pass` is the no-grad pass that checks only its read-outs."""
     global _NO_GRAD
     _NO_GRAD += 1
     try:
@@ -170,6 +179,33 @@ def grad_enabled() -> bool:
     return _NO_GRAD == 0
 
 
+def inference_pass(fn: Callable) -> Callable:
+    """Run `fn` under `no_grad` without per-op finite checks.
+
+    The function checks what it reads out or decides on itself, with
+    `check_finite`. If it raises NonFiniteError, it runs once more with every
+    op checked, so the error names the op that made the first non-finite
+    value. That replay is exact only for a pure function of its arguments and
+    the parameters, and only for a whole call: a generator would run its body
+    after the wrapper returned. numpy's floating-point warnings are off in the
+    unchecked run, where non-finite values may travel on to a read-out.
+    """
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        global _OP_CHECKS
+        with no_grad():
+            saved, _OP_CHECKS = _OP_CHECKS, False
+            try:
+                with np.errstate(all="ignore"):
+                    return fn(*args, **kwargs)
+            except NonFiniteError:
+                pass
+            finally:
+                _OP_CHECKS = saved
+            return fn(*args, **kwargs)
+    return run
+
+
 def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
@@ -180,10 +216,11 @@ def primitive(data: np.ndarray, parents: Sequence[Tensor], backward: Callable,
     through it.
 
     `backward(g)` returns one gradient array (or None) per parent, each of
-    its parent's shape. The value is checked for NaN/Inf and made contiguous;
-    `check_finite` names the op for intermediates that can be non-finite
-    while the value is not. No entry is recorded under `no_grad` or when no
-    parent requires a gradient.
+    its parent's shape. The value is made contiguous and checked for NaN/Inf,
+    except inside an `inference_pass`, whose first run checks only what it
+    reads out; `check_finite` names the op for intermediates that can be
+    non-finite while the value is not. No entry is recorded under `no_grad`
+    or when no parent requires a gradient.
 
     A tensor the op uses more than once is listed once, and the backward
     returns the sum of its gradients.
@@ -191,7 +228,8 @@ def primitive(data: np.ndarray, parents: Sequence[Tensor], backward: Callable,
     data = np.asarray(data, dtype=np.float64)
     if data.ndim and not data.flags["C_CONTIGUOUS"]:
         data = np.ascontiguousarray(data)
-    check_finite(data, op)
+    if _OP_CHECKS:
+        check_finite(data, op)
     track = grad_enabled() and any(p.requires_grad for p in parents)
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -284,8 +322,13 @@ def transpose(a: Tensor) -> Tensor:
     return primitive(a.data.T.copy(), (a,), lambda g: (g.T,), "transpose")
 
 
-def _unary(a, fwd, bwd, op: str) -> Tensor:
+def _unary(a, fwd, bwd, op: str, saturates: bool = False) -> Tensor:
+    """An elementwise op. One that `saturates` maps an infinite input to a
+    finite output, which no read-out would see, so it checks its input where
+    ops go unchecked. `exp` maps -inf to 0 too, but reads only a parameter."""
     a = _coerce(a)
+    if saturates and not _OP_CHECKS:
+        check_finite(a.data, op)
     with np.errstate(all="ignore"):
         out = fwd(a.data)
 
@@ -311,13 +354,15 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(a) -> Tensor:
-    return _unary(a, stable_sigmoid, lambda g, x, y: g * y * (1.0 - y), "sigmoid")
+    return _unary(a, stable_sigmoid, lambda g, x, y: g * y * (1.0 - y), "sigmoid",
+                  saturates=True)
 
 
 def relu(a) -> Tensor:
     # bitwise g * (x > 0), in one float64 loop
     return _unary(a, lambda x: np.maximum(x, 0.0),
-                  lambda g, x, y: np.multiply(g, x > 0, dtype=np.float64), "relu")
+                  lambda g, x, y: np.multiply(g, x > 0, dtype=np.float64), "relu",
+                  saturates=True)
 
 
 def abs_(a) -> Tensor:
@@ -552,7 +597,8 @@ def scatter_rows(g: np.ndarray, idx: np.ndarray, rows: int) -> np.ndarray:
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
-    """Select rows by integer index; backward scatter-adds into the source."""
+    """Select rows by integer index; backward scatter-adds into the source.
+    The identity index, such as a one-frame tile, returns `a` itself."""
     a = _coerce(a)
     if a.data.ndim != 2:
         raise ShapeError(f"gather_rows: rank-2 required, got {a.shape}")
@@ -561,6 +607,8 @@ def gather_rows(a: Tensor, idx) -> Tensor:
         raise ShapeError("gather_rows: index must be 1-D")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ShapeError(f"gather_rows: index out of range for {a.shape[0]} rows")
+    if idx.size == a.shape[0] and (idx == np.arange(idx.size)).all():
+        return a
     out = a.data[idx]
 
     def backward(g):

@@ -186,31 +186,38 @@ def matched_frames(pipeline: Pipeline, corpus: Corpus, carryover: bool | None = 
     `encode_frame` call, with `carryover` as `Pipeline.walk` takes it, then
     the heads once over its slots stacked frame by frame. Yields (clip, those
     slots, boxes as (frames, slots, 4), each frame's matching). Callers hold
-    `T.no_grad()` around it: held in here, it would stay on whenever the walk
-    is suspended."""
+    `T.no_grad()` or a `T.inference_pass` around it: held in here, either
+    would stay on whenever the walk is suspended."""
     for idx in range(len(corpus)):
         clip = corpus.clip(idx, 0, len(corpus.frames[idx]))
         slots = T.concat([slots for _, _, _, slots, _ in pipeline.walk([clip], carryover)],
                          axis=0)
-        boxes = pipeline.heads(slots).boxes.data.reshape(len(clip.frames), -1, 4)
+        preds = pipeline.heads(slots)
+        # only the boxes are read, but every head is checked: a pass must fail
+        # wherever per-op checks would
+        for value in (preds.boxes, preds.objectness, preds.mask_logits):
+            T.check_finite(value.data, "slot heads")
+        boxes = preds.boxes.data.reshape(len(clip.frames), -1, 4)
         yield clip, slots, boxes, [match_frame(frame_boxes, target, pipeline.cfg)
                                    for frame_boxes, target in zip(boxes, clip.targets)]
 
 
+@T.inference_pass
 def stage1_metrics(pipeline: Pipeline, corpus: Corpus) -> dict[str, float]:
     """Matched-slot box IoU and relevance AUC over a full corpus."""
     n_slots = pipeline.cfg.num_slots
     ious, pi_all, labels_all = [], [], []
-    with T.no_grad():
-        for clip, slots, boxes, matches in matched_frames(pipeline, corpus):
-            n = len(clip.frames)
-            lang = task_tokens(pipeline.lang_filter, [clip.frames[0].task] * n)
-            pi_all.extend(pipeline.select(slots, lang, n)[0].scores.tolist())
-            for targets, frame_boxes, match in zip(clip.targets, boxes, matches):
-                pairwise = iou_matrix(frame_boxes, targets.boxes)
-                ious.extend(pairwise[s, g] for s, g in match)
-                labels_all.extend(slot_relevance_labels(match, targets.relevance,
-                                                        n_slots).tolist())
+    for clip, slots, boxes, matches in matched_frames(pipeline, corpus):
+        n = len(clip.frames)
+        lang = task_tokens(pipeline.lang_filter, [clip.frames[0].task] * n)
+        scores, logits = pipeline.select(slots, lang, n)
+        T.check_finite(logits.data, "filter logits")
+        pi_all.extend(scores.scores.tolist())
+        for targets, frame_boxes, match in zip(clip.targets, boxes, matches):
+            pairwise = iou_matrix(frame_boxes, targets.boxes)
+            ious.extend(pairwise[s, g] for s, g in match)
+            labels_all.extend(slot_relevance_labels(match, targets.relevance,
+                                                    n_slots).tolist())
     return {"iou": float(np.mean(ious)) if ious else 0.0,
             "auc": auc_score(np.array(pi_all), np.array(labels_all))}
 
@@ -268,15 +275,16 @@ def flatten_cache(pipeline: Pipeline, corpus: Corpus) -> list[dict]:
         corpus.frames, [corpus.episode_key(idx) for idx in range(len(corpus))])
 
 
+@T.inference_pass
 def action_accuracy(pipeline: Pipeline, cache: list[dict]) -> dict:
     """Per-dimension top-1 bin accuracy over cached frames, `batch_frames` at a time."""
     hits = np.zeros(ACTION_DIMS)
     size = pipeline.cfg.batch_frames
-    with T.no_grad():
-        for chunk in (cache[lo:lo + size] for lo in range(0, len(cache), size)):
-            pred = np.argmax(pipeline.stage2_logits(chunk).data, axis=1)
-            truth = [action_to_bins(e["action"], pipeline.cfg.action_bins) for e in chunk]
-            hits += (pred.reshape(len(chunk), ACTION_DIMS) == truth).sum(axis=0)
+    for chunk in (cache[lo:lo + size] for lo in range(0, len(cache), size)):
+        pred = np.argmax(T.check_finite(pipeline.stage2_logits(chunk).data, "action logits"),
+                         axis=1)
+        truth = [action_to_bins(e["action"], pipeline.cfg.action_bins) for e in chunk]
+        hits += (pred.reshape(len(chunk), ACTION_DIMS) == truth).sum(axis=0)
     per_dim = hits / max(len(cache), 1)
     return {"per_dim": per_dim, "min": float(per_dim.min()),
             "mean": float(per_dim.mean())}

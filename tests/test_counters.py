@@ -1,0 +1,76 @@
+"""Counters that do not jitter: finite checks, ops and tape entries per step.
+
+A change to one of them shows here, in review, and not only as a timing in
+the benchmark. The policy step is an `inference_pass`, so it checks its
+read-outs and the few ops that hide a non-finite input; a training step
+checks every op it records on the tape.
+"""
+
+import numpy as np
+import pytest
+
+from slotforge import tensor as T
+from slotforge.config import load_config
+from slotforge.decoder import action_to_bins
+from slotforge.losses import action_ce
+from slotforge.pipeline import Pipeline
+from slotforge.train import Corpus, flatten_cache, sample_clips
+from slotforge.world import World, generate_episode
+
+
+@pytest.fixture(scope="module")
+def goal():
+    cfg = load_config(overrides=["subset=goal"])
+    corpus = Corpus([generate_episode(seed, cfg.world_config()) for seed in (2, 3)],
+                    cfg.patch_size)
+    return cfg, Pipeline(cfg), corpus
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Count `check_finite` calls and ops (`primitive` calls) while a test runs."""
+    seen = {"checks": 0, "ops": 0}
+    check, primitive = T.check_finite, T.primitive
+
+    def counting_check(arr, op):
+        seen["checks"] += 1
+        return check(arr, op)
+
+    def counting_primitive(*args, **kwargs):
+        seen["ops"] += 1
+        return primitive(*args, **kwargs)
+
+    monkeypatch.setattr(T, "check_finite", counting_check)
+    monkeypatch.setattr(T, "primitive", counting_primitive)
+    return seen
+
+
+def test_a_policy_step_checks_its_read_outs_not_every_op(goal, counts):
+    cfg, pipeline, _ = goal
+    world = World(cfg.world_config(), 11)
+    rgb, _ = world.render()
+    _, slots = pipeline.policy_step(rgb, world.proprio(), world.task, None, 11, 0)
+    # 146 checks before: one per op, and the 21 inside kernels and inputs
+    assert counts == {"checks": 33, "ops": 121}
+    counts.update(checks=0, ops=0)
+    pipeline.policy_step(rgb, world.proprio(), world.task, slots, 11, 1)
+    assert counts == {"checks": 33, "ops": 118}  # carried slots need no fresh init
+
+
+def test_a_stage1_step_checks_every_op_on_its_tape(goal, counts):
+    cfg, pipeline, corpus = goal
+    with T.fresh_tape() as tape:
+        loss, _ = pipeline.stage1_batch_loss(sample_clips(corpus, cfg, 0))
+        tape.backward(loss)
+    assert len(tape) == 159
+    assert counts["checks"] == 219
+
+
+def test_a_stage2_step_records_its_tape_entries(goal):
+    cfg, pipeline, corpus = goal
+    cache = flatten_cache(pipeline, Corpus(corpus.episodes, None))
+    batch = [cache[i % len(cache)] for i in range(cfg.batch_frames)]
+    bins = np.concatenate([action_to_bins(e["action"], cfg.action_bins) for e in batch])
+    with T.fresh_tape() as tape:
+        tape.backward(action_ce(pipeline.stage2_logits(batch), bins))
+    assert len(tape) == 68
