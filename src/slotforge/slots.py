@@ -175,9 +175,14 @@ class SlotHeads:
     def params(self) -> ParamGroup:
         return ParamGroup().collect("heads", self)
 
+    def boxes(self, slots: Tensor) -> Tensor:
+        """The box head alone, num_slots x 4, cxcywh in (0,1); validation
+        reads nothing else."""
+        return T.sigmoid(mlp(slots, self.box))
+
     def __call__(self, slots: Tensor) -> SlotPredictions:
         return SlotPredictions(
-            boxes=T.sigmoid(mlp(slots, self.box)),
+            boxes=self.boxes(slots),
             objectness=T.linear(slots, self.objectness_w, self.objectness_b),
             mask_logits=mlp(slots, self.mask),
         )

@@ -184,20 +184,16 @@ def auc_score(scores: np.ndarray, labels: np.ndarray) -> float:
 def matched_frames(pipeline: Pipeline, corpus: Corpus, carryover: bool | None = None):
     """The one validation walk: each episode walked whole, one frame per
     `encode_frame` call, with `carryover` as `Pipeline.walk` takes it, then
-    the heads once over its slots stacked frame by frame. Yields (clip, those
-    slots, boxes as (frames, slots, 4), each frame's matching). Callers hold
+    the box head once over its slots stacked frame by frame. Yields (clip,
+    those slots, boxes as (frames, slots, 4), each frame's matching). Callers hold
     `T.no_grad()` or a `T.inference_pass` around it: held in here, either
     would stay on whenever the walk is suspended."""
     for idx in range(len(corpus)):
         clip = corpus.clip(idx, 0, len(corpus.frames[idx]))
         slots = T.concat([slots for _, _, _, slots, _ in pipeline.walk([clip], carryover)],
                          axis=0)
-        preds = pipeline.heads(slots)
-        # only the boxes are read, but every head is checked: a pass must fail
-        # wherever per-op checks would
-        for value in (preds.boxes, preds.objectness, preds.mask_logits):
-            T.check_finite(value.data, "slot heads")
-        boxes = preds.boxes.data.reshape(len(clip.frames), -1, 4)
+        boxes = T.check_finite(pipeline.heads.boxes(slots).data, "slot boxes")
+        boxes = boxes.reshape(len(clip.frames), -1, 4)
         yield clip, slots, boxes, [match_frame(frame_boxes, target, pipeline.cfg)
                                    for frame_boxes, target in zip(boxes, clip.targets)]
 

@@ -12,6 +12,14 @@ Sprite sizes are tiered (robot < carried < distractor < target) so a moving
 sprite can never fully occlude another: visible masks stay non-empty and
 mask-tight boxes stay well defined under overlap.
 
+Drawing loops over the sprites once: `World.ownership` stamps each sprite's
+footprint in painter's order. The rest of a frame takes a fixed number of
+array ops, whatever the sprite count. `World.render` looks every pixel up in
+a color palette by its owner, and `tight_boxes` finds every instance's
+mask-tight box from row and column occupancy, counted in one pass over the
+instance map. `World.annotate` labels a frame with it, and
+`validate_episode` checks a frame's boxes against it.
+
 A `WorldConfig` is the world's view of a run, built only by
 `RunConfig.world_config()`; subset presets live in `config.SUBSET_PRESETS`
 and apply when the `RunConfig` is built.
@@ -236,6 +244,25 @@ def _grid_place(cfg: WorldConfig, sprites: list[Sprite],
     return positions
 
 
+def tight_boxes(instance_map: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The mask-tight pixel boxes of instances 1..count of an instance map,
+    from one pass over it: (visible, boxes), where visible[i] says whether
+    instance i + 1 owns a pixel and boxes[i] is its (x0, y0, x1, y1), ends
+    exclusive, which means nothing where it is not visible. Map values above
+    `count` are ignored."""
+    h, w = instance_map.shape
+    ids = instance_map.astype(np.intp)
+    # occupancy of each (instance, row) and (instance, column) pair
+    rows = np.bincount((ids * h + np.arange(h)[:, None]).ravel(), minlength=(count + 1) * h)
+    cols = np.bincount((ids * w + np.arange(w)).ravel(), minlength=(count + 1) * w)
+    rows = rows[h:(count + 1) * h].reshape(count, h) > 0
+    cols = cols[w:(count + 1) * w].reshape(count, w) > 0
+    boxes = np.stack([cols.argmax(axis=1), rows.argmax(axis=1),
+                      w - cols[:, ::-1].argmax(axis=1), h - rows[:, ::-1].argmax(axis=1)],
+                     axis=1)
+    return rows.any(axis=1), boxes
+
+
 def relevant_nouns(task: str) -> set[str]:
     """Noun phrases mentioned in a task string: 'robot' and color-shape pairs."""
     words = task.split()
@@ -270,6 +297,9 @@ class World:
         # but can never leave the frame entirely
         self._clamp_lo = 2.0
         self._clamp_hi = cfg.image_size - 3.0
+        # row k + 1 is the color of sprite k, row 0 the background
+        self._palette = np.array([BACKGROUND_RGB] + [sprite.color for sprite in self.sprites],
+                                 dtype=np.float64) / 255.0
 
     def gripper_pos(self) -> np.ndarray:
         return self.positions[self.robot.instance_id]
@@ -323,38 +353,33 @@ class World:
         return owner
 
     def render(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rgb, ownership): the frame as HxWx3 floats in [0, 1], one palette
+        lookup per pixel by its owner, and the ownership map it was drawn from."""
         owner = self.ownership()
-        s = self.cfg.image_size
-        rgb = np.empty((s, s, 3), dtype=np.uint8)
-        rgb[...] = BACKGROUND_RGB
-        for idx, sprite in enumerate(self.sprites):
-            rgb[owner == idx] = sprite.color
-        return rgb.astype(np.float64) / 255.0, owner
+        return np.take(self._palette, owner + 1, axis=0), owner
 
     def annotate(self, action: np.ndarray) -> FrameRecord:
+        """Render the current state and label it: every instance's mask-tight
+        box from one pass over the instance map. A sprite with no visible
+        pixel is an error that names the first such sprite."""
         rgb, owner = self.render()
+        instance_map = (owner + 1).astype(np.uint8)
+        visible, px = tight_boxes(instance_map, len(self.sprites))
+        if not visible.all():
+            hidden = self.sprites[int(np.argmin(visible))]
+            raise WorldError(f"instance {hidden.instance_id} fully occluded at t={self.t}")
+        s = self.cfg.image_size
+        x0, y0, x1, y1 = px.T
+        boxes = np.stack([(x0 + x1) / 2.0 / s, (y0 + y1) / 2.0 / s,
+                          (x1 - x0) / s, (y1 - y0) / s], axis=1)
         nouns = relevant_nouns(self.task)
-        instances = []
-        for idx, sprite in enumerate(self.sprites):
-            mask = owner == idx
-            if not mask.any():
-                raise WorldError(
-                    f"instance {sprite.instance_id} fully occluded at t={self.t}")
-            ys, xs = np.nonzero(mask)
-            s = self.cfg.image_size
-            box = np.array([
-                (xs.min() + xs.max() + 1) / 2.0 / s,
-                (ys.min() + ys.max() + 1) / 2.0 / s,
-                (xs.max() - xs.min() + 1) / s,
-                (ys.max() - ys.min() + 1) / s,
-            ])
-            instances.append(InstanceRecord(
-                instance_id=sprite.instance_id, box=box,
-                relevant=sprite.noun in nouns))
+        instances = [InstanceRecord(instance_id=sprite.instance_id, box=box,
+                                    relevant=sprite.noun in nouns)
+                     for sprite, box in zip(self.sprites, boxes)]
         return FrameRecord(t=self.t, task=self.task,
                            action=np.asarray(action, dtype=np.float64),
                            proprio=self.proprio(), instances=instances, rgb=rgb,
-                           instance_map=(owner + 1).astype(np.uint8))
+                           instance_map=instance_map)
 
     def success(self) -> bool:
         """Carried sprite center inside the target sprite's extent."""
@@ -644,24 +669,26 @@ def validate_episode(episode: Episode, noop_eps: float) -> list[str]:
         if ids != first_ids:
             errors.append(f"t={frame.t}: instance ids changed: {ids} != {first_ids}")
         nouns = relevant_nouns(frame.task)
+        visible, tight_px = tight_boxes(frame.instance_map, len(frame.instances))
+        size = frame.rgb.shape[0]
         for i, inst in enumerate(frame.instances):
-            mask = frame.instance_map == i + 1
-            if not mask.any():
+            if not visible[i]:
                 errors.append(f"t={frame.t}: {inst.instance_id} has an empty mask")
                 continue
-            ys, xs = np.nonzero(mask)
-            size = frame.rgb.shape[0]
             box_px = np.array([inst.box[0] * size - inst.box[2] * size / 2,
                                inst.box[1] * size - inst.box[3] * size / 2,
                                inst.box[0] * size + inst.box[2] * size / 2,
                                inst.box[1] * size + inst.box[3] * size / 2])
-            tight = np.array([xs.min(), ys.min(), xs.max() + 1, ys.max() + 1])
-            if np.abs(box_px - tight).max() > 1.0:
+            deviation = np.abs(box_px - tight_px[i]).max()
+            if deviation > 1.0:
                 errors.append(f"t={frame.t}: {inst.instance_id} box deviates "
-                              f"{np.abs(box_px - tight).max():.2f}px from its mask")
+                              f"{deviation:.2f}px from its mask")
             if inst.box[2] <= 0 or inst.box[3] <= 0:
                 errors.append(f"t={frame.t}: {inst.instance_id} degenerate box")
-            expected = _noun_for_instance(inst.instance_id, frame.rgb[ys[0], xs[0]]) in nouns
+            # the noun comes from the instance's first pixel in raster order
+            y = tight_px[i, 1]
+            x = np.argmax(frame.instance_map[y] == i + 1)
+            expected = _noun_for_instance(inst.instance_id, frame.rgb[y, x]) in nouns
             if bool(inst.relevant) != expected:
                 errors.append(f"t={frame.t}: {inst.instance_id} relevance flag "
                               f"{inst.relevant} contradicts task string")

@@ -10,7 +10,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from slotforge import pipeline, train
+from slotforge import pipeline, slots, train
 from slotforge import tensor as T
 from slotforge.config import load_config
 from slotforge.world import generate_episode, serialize_episode
@@ -113,6 +113,10 @@ def test_validation_encodes_each_frame_in_its_own_call():
 def test_validation_runs_the_heads_and_the_filter_once_per_episode():
     patches, recorder, cut = Patches(), Recorder(), CutPoints(sample_loop=False)
     install_spans(patches, recorder)
+    # the benchmark traces `SlotHeads.__call__` only; validation reads the box
+    # head alone, through `SlotHeads.boxes`
+    patches.replace(slots.SlotHeads, "boxes",
+                    lambda fn: recorder.wrap(fn, "slots.SlotHeads.boxes"))
     cut.install(patches)
     try:
         cfg = load_config(overrides=["subset=pair"])
@@ -128,7 +132,8 @@ def test_validation_runs_the_heads_and_the_filter_once_per_episode():
     names = [span[0] for span in recorder.spans]
     assert names.count("pipeline.Pipeline.encode_frame") == frames
     assert names.count("losses.match_frame") == frames
-    assert names.count("slots.SlotHeads.__call__") == 2
+    assert names.count("slots.SlotHeads.boxes") == 2
+    assert names.count("slots.SlotHeads.__call__") == 0
     assert names.count("task_filter.TaskFilter.__call__") == 2
 
 
