@@ -33,7 +33,7 @@ def write_ppm(path: str | Path, rgb: np.ndarray) -> None:
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise PnmError(f"PPM needs an HxWx3 array, got shape {rgb.shape}")
     if rgb.dtype != np.uint8:
-        rgb = np.clip(np.round(rgb), 0, 255).astype(np.uint8)
+        raise PnmError(f"PPM needs uint8 pixels, got {rgb.dtype}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:

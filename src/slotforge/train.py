@@ -15,7 +15,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import __version__
 from . import tensor as T
@@ -169,6 +168,19 @@ def fit(pipeline: Pipeline, params: ParamGroup, iters: int, out_dir: Path, stage
 # metrics
 
 
+def average_ranks(scores: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties sharing their mean rank: a tie group at sorted
+    positions i..j ranks (i + j) / 2 + 1, an exact half, so the ranks are
+    `scipy.stats.rankdata`'s bitwise."""
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], scores.size] - 1
+    ranks = np.empty(scores.size)
+    ranks[order] = np.repeat((starts + ends) / 2 + 1, ends - starts + 1)
+    return ranks
+
+
 def auc_score(scores: np.ndarray, labels: np.ndarray) -> float:
     """Rank-based AUC with average ranks on ties."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -177,7 +189,7 @@ def auc_score(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return float("nan")
-    ranks = rankdata(scores)
+    ranks = average_ranks(scores)
     return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 

@@ -118,7 +118,7 @@ class FrameRecord:
     action: np.ndarray     # 7 floats in [-1,1]
     proprio: np.ndarray    # gripper x, y, spare, open/close
     instances: list[InstanceRecord]
-    rgb: np.ndarray        # HxWx3 float in [0,1], exact multiples of 1/255
+    rgb: np.ndarray        # uint8 HxWx3, the palette colors as drawn
     instance_map: np.ndarray  # uint8 HxW: 0 background, i + 1 for instances[i]
 
 
@@ -299,7 +299,7 @@ class World:
         self._clamp_hi = cfg.image_size - 3.0
         # row k + 1 is the color of sprite k, row 0 the background
         self._palette = np.array([BACKGROUND_RGB] + [sprite.color for sprite in self.sprites],
-                                 dtype=np.float64) / 255.0
+                                 dtype=np.uint8)
 
     def gripper_pos(self) -> np.ndarray:
         return self.positions[self.robot.instance_id]
@@ -353,8 +353,8 @@ class World:
         return owner
 
     def render(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rgb, ownership): the frame as HxWx3 floats in [0, 1], one palette
-        lookup per pixel by its owner, and the ownership map it was drawn from."""
+        """(rgb, ownership): the frame as uint8 HxWx3, one palette lookup per
+        pixel by its owner, and the ownership map it was drawn from."""
         owner = self.ownership()
         return np.take(self._palette, owner + 1, axis=0), owner
 
@@ -525,8 +525,7 @@ def serialize_episode(episode: Episode, out_dir: str | Path) -> Path:
     for frame in episode.frames:
         frame_file = f"{stem}/t{frame.t:03d}_rgb.ppm"
         map_file = f"{stem}/t{frame.t:03d}_map.pgm"
-        pnm.write_ppm(out_dir / frame_file,
-                      np.round(frame.rgb * 255.0).astype(np.uint8))
+        pnm.write_ppm(out_dir / frame_file, frame.rgb)
         pnm.write_pgm(out_dir / map_file, frame.instance_map)
         inst_parts = [
             '{"id":%s,"box":%s,"relevant":%s}' % (
@@ -607,7 +606,7 @@ def load_episode(path: str | Path) -> Episode:
                 raise EpisodeParseError(
                     f"{where}: malformed record: instances is not a non-empty list of objects")
             task = _task(rec["task"], where)
-            rgb = pnm.read_ppm(base / rec["frame_file"]).astype(np.float64) / 255.0
+            rgb = pnm.read_ppm(base / rec["frame_file"])
             instances = [
                 InstanceRecord(
                     instance_id=inst["id"],
@@ -711,9 +710,9 @@ def _noun_for_instance(instance_id: str, pixel: np.ndarray) -> str:
     if instance_id.startswith("robot"):
         return "robot"
     shape = instance_id.rstrip("0123456789")
-    rgb255 = np.round(pixel * 255.0).astype(int)
+    rgb = tuple(pixel.tolist())
     for name, value in COLOR_VALUES.items():
-        if tuple(rgb255) == value:
+        if rgb == value:
             return f"{name} {shape}"
     return f"unknown {shape}"
 

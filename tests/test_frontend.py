@@ -10,7 +10,11 @@ from reference_ops import finite_diff_check
 
 
 def zero_frame(size=64):
-    return np.zeros((size, size, 3))
+    return np.zeros((size, size, 3), dtype=np.uint8)
+
+
+def random_frame(rng, size):
+    return rng.integers(0, 256, size=(size, size, 3), dtype=np.uint8)
 
 
 class TestPatchEmbed:
@@ -30,16 +34,31 @@ class TestPatchEmbed:
         emb.proj_b.data[...] = 0.0
         assert np.array_equal(emb([zero_frame(32)]).data, emb.pos.data)
 
+    def test_frames_are_bytes_scaled_by_1_over_255(self):
+        rng = np.random.default_rng(6)
+        emb = PatchEmbedder(np.random.default_rng(7), patch_size=4, width=8, image_size=8)
+        frames = [random_frame(rng, 8), random_frame(rng, 8)]
+        floats = np.concatenate([emb.patches(f) for f in frames]).astype(np.float64) / 255.0
+        expected = T.add(T.layer_norm(T.linear(Tensor(floats), emb.proj_w, emb.proj_b)),
+                         T.gather_rows(emb.pos, np.tile(np.arange(4), 2)))
+        assert np.array_equal(emb(frames).data, expected.data)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint16])
+    def test_a_frame_that_is_not_bytes_is_rejected(self, dtype):
+        emb = PatchEmbedder(np.random.default_rng(8), patch_size=4, width=8, image_size=8)
+        with pytest.raises(ShapeError, match="not uint8"):
+            emb([zero_frame(8).astype(dtype)])
+
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         emb = PatchEmbedder(np.random.default_rng(3), patch_size=8, width=32, image_size=32)
-        frame = rng.uniform(size=(32, 32, 3))
+        frame = random_frame(rng, 32)
         assert np.array_equal(emb([frame]).data, emb([frame]).data)
 
     def test_gradient_through_scalar_loss(self):
         rng = np.random.default_rng(4)
         emb = PatchEmbedder(np.random.default_rng(5), patch_size=4, width=8, image_size=8)
-        frame = rng.uniform(size=(8, 8, 3))
+        frame = random_frame(rng, 8)
         wrt = [emb.proj_w, emb.proj_b, emb.pos]
         err = finite_diff_check(lambda: T.mean(T.mul(emb([frame]), emb([frame]))), wrt)
         assert err <= 1e-4
@@ -50,10 +69,10 @@ class TestPatchEmbed:
         rng = np.random.default_rng(9)
         emb = PatchEmbedder(np.random.default_rng(10), patch_size=8, width=16, image_size=32)
         emb.pos.data[...] = 0.0
-        img = np.zeros((32, 32, 3))
-        sprite = rng.uniform(size=(8, 8, 3))
+        img = zero_frame(32)
+        sprite = random_frame(rng, 8)
         img[0:8, 0:8] = sprite
-        shifted = np.zeros((32, 32, 3))
+        shifted = zero_frame(32)
         shifted[0:8, 8:16] = sprite
         tokens_a = emb([img]).data
         tokens_b = emb([shifted]).data

@@ -4,13 +4,15 @@
 pins those bytes across changes to the world. For each subset, one episode at
 a fixed seed is serialized and the SHA-256 of its written tree (the `.jsonl`,
 the `.meta.json` and every PPM and PGM, by relative path) must equal the
-constant below. The in-memory episode is pinned as well, since the written
-PPM rounds the float frame: its rgb, instance map, action, proprio and box
-bytes in frame order.
+constant below. The in-memory episode is pinned as well: its rgb, instance
+map, action, proprio and box bytes in frame order. A frame is held as the
+uint8 bytes its PPM holds; the digest hashes it as `rgb / 255.0`, the float64
+frame that worlds before that held, so the constants computed then still hold.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from slotforge.config import SUBSET_PRESETS, RunConfig
@@ -48,7 +50,7 @@ def tree_digest(root) -> str:
 def episode_digest(episode) -> str:
     digest = hashlib.sha256()
     for frame in episode.frames:
-        for array in (frame.rgb, frame.instance_map, frame.action, frame.proprio,
+        for array in (frame.rgb / 255.0, frame.instance_map, frame.action, frame.proprio,
                       *(inst.box for inst in frame.instances)):
             digest.update(array.tobytes())
     return digest.hexdigest()
@@ -62,5 +64,8 @@ def test_every_subset_preset_is_pinned():
 def test_a_seeded_episode_writes_the_pinned_bytes(subset, tmp_path):
     episode = generate_episode(SEED, RunConfig(subset=subset).world_config())
     serialize_episode(episode, tmp_path)
+    for frame in episode.frames:
+        assert frame.rgb.dtype == np.uint8
+        assert frame.rgb.shape == (*frame.instance_map.shape, 3)
     assert episode_digest(episode) == EPISODE_SHA256[subset]
     assert tree_digest(tmp_path) == TREE_SHA256[subset]

@@ -286,6 +286,12 @@ class TestPnm:
         pnm.write_ppm(tmp_path / "x.ppm", img)
         assert np.array_equal(pnm.read_ppm(tmp_path / "x.ppm"), img)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.uint16])
+    def test_ppm_takes_bytes_only(self, tmp_path, dtype):
+        with pytest.raises(pnm.PnmError, match=f"PPM needs uint8 pixels, got {np.dtype(dtype)}"):
+            pnm.write_ppm(tmp_path / "x.ppm", np.zeros((2, 2, 3), dtype=dtype))
+        assert not (tmp_path / "x.ppm").exists()
+
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / "bad.pgm").write_bytes(b"P2\n1 1\n255\n0")
         with pytest.raises(pnm.PnmError):

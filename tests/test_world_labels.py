@@ -55,7 +55,7 @@ def pixels(frame, i):
 
 
 def recolor(frame, y, x, color_name):
-    frame.rgb[y, x] = np.array(COLOR_VALUES[color_name]) / 255.0
+    frame.rgb[y, x] = COLOR_VALUES[color_name]
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +93,10 @@ def test_the_noun_check_reads_the_first_raster_pixel(episode):
     assert ys[left] != ys[0]
     recolor(frame, ys[left], xs[left], "purple")
     assert validate_episode(ep, NOOP_EPS) == []
+    own = next(name for name, value in COLOR_VALUES.items()
+               if value == tuple(frame.rgb[ys[0], xs[0]].tolist()))
     recolor(frame, ys[0], xs[0], "purple")
     assert validate_episode(ep, NOOP_EPS) == [
         "t=0: circle1 relevance flag True contradicts task string"]
+    recolor(frame, ys[0], xs[0], own)
+    assert validate_episode(ep, NOOP_EPS) == []
