@@ -102,7 +102,6 @@ def cmd_gen(args) -> int:
         overrides.append(f"seed={args.seed}")
     cfg = load_config(args.config, overrides)
     world_cfg = cfg.world_config()
-    args.out.mkdir(parents=True, exist_ok=True)
     for i in range(args.episodes):
         episode = generate_episode(cfg.seed + i, world_cfg)
         serialize_episode(episode, args.out)
@@ -164,12 +163,12 @@ def cmd_eval(args) -> int:
 def cmd_inspect(args) -> int:
     from .pipeline import Pipeline
     from .reports import inspect_report
-    from .world import check_frame_size, load_episode
+    from .world import check_episode, load_episode
     cfg = load_config(args.config, args.override)
     pipeline = Pipeline(cfg)
     pipeline.stage1_params().load_state(load_checkpoint(args.stage1))
     episode = load_episode(args.episode)
-    check_frame_size(episode, cfg.image_size)
+    check_episode(episode, args.episode, cfg.image_size, cfg.num_slots)
     summary = inspect_report(pipeline, episode, args.frame, args.out)
     print(f"task: {summary['task']}")
     print(f"selected slots: {summary['selected_slots']}")

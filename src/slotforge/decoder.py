@@ -45,7 +45,6 @@ class ActionDecoder:
     def __init__(self, rng: np.random.Generator, width: int, bins: int, heads: int):
         if bins < 2:
             raise ValueError(f"need at least 2 action bins, got {bins}")
-        self.width = width
         self.bins = bins
         self.proprio_w = param(rng, PROPRIO_DIM, width)
         self.proprio_b = zeros_param(width)

@@ -28,7 +28,6 @@ class PatchEmbedder:
         if image_size % patch_size:
             raise ShapeError(f"image size {image_size} not divisible by patch {patch_size}")
         self.patch_size = patch_size
-        self.width = width
         self.image_size = image_size
         self.grid = image_size // patch_size
         self.proj_w = param(rng, patch_size * patch_size * 3, width)

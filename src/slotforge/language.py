@@ -41,7 +41,6 @@ class EmbeddingTable:
     """vocab_size x d lookup table; gradients scatter back into the table."""
 
     def __init__(self, rng: np.random.Generator, width: int, prefix: str):
-        self.width = width
         self.prefix = prefix
         self.table = param(rng, len(VOCABULARY), width)
 

@@ -18,17 +18,17 @@ and attention weights. The stage-1 objective stacks the slots of a whole
 batch and runs its heads, task filter, losses and tracking embeddings once
 over them; only matching runs per frame, in numpy. The stage-2 cache walks
 all of a corpus's episodes in lockstep, each as one whole-episode clip, and
-filters each time step's frames as one group. Validation, the flip rate and
-inspection reports walk one episode at a time, and validation scores its
-stacked slots once; only a closed-loop rollout, whose next frame depends on
-the action taken, steps `policy_step` itself.
+filters each time step's frames as one group. Validation, one pass whose
+IoU, AUC and flip rate read one matching per frame, and inspection reports
+walk one episode at a time; only a closed-loop rollout, whose next frame
+depends on the action taken, steps `policy_step` itself.
 `Pipeline.select` is the one task-filter call, and stage-2 logits and the
 policy step share one decode tail, which decodes frames stacked as row blocks
 in one graph: a stage-2 batch, or the one frame of a policy step.
 
 Training checks every op for NaN/Inf on its tape. The passes outside the
-tape, the policy step and the stage-2 cache here and `train.stage1_metrics`
-and `train.action_accuracy`, are `T.inference_pass`es: their ops go
+tape, the policy step and the stage-2 cache here and `train`'s validation
+passes and `train.action_accuracy`, are `T.inference_pass`es: their ops go
 unchecked, and each checks what it reads out or decides on (dense tokens,
 slots, filter logits, head outputs, action logits). A non-finite value there
 replays the pass with every op checked, so the error names the op.

@@ -52,8 +52,7 @@ def inspect_report(pipeline: Pipeline, episode: Episode, frame_idx: int,
 
     labels = slot_relevance_labels(match, targets.relevance, cfg.num_slots)
     gt_for_slot = dict(match)
-    pairwise_iou = iou_matrix(preds.boxes.data, targets.boxes) \
-        if targets.boxes.size else np.zeros((cfg.num_slots, 0))
+    pairwise_iou = iou_matrix(preds.boxes.data, targets.boxes)
     with open(out_dir / "slots.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["slot", "pi", "selected", "gt_relevance", "matched_instance",

@@ -44,7 +44,6 @@ def top_k_rows(scores: np.ndarray, k: int, groups: int = 1) -> list[int]:
 
 class TaskFilter:
     def __init__(self, rng: np.random.Generator, width: int, heads: int):
-        self.width = width
         self.bca_slots = CrossAttentionBlockParams.create(rng, width, heads)
         # the draws of a former language-side block, so later weights keep
         # the values every seed gave them

@@ -4,7 +4,8 @@
 parameters, per-step loss, CSV row and validation. Batches are resampled
 from (run seed, step), so a resume replays the same data order and the next
 step's gradients bitwise. Loss components stream to a CSV per run, which a
-resume cuts back to the checkpoint's step.
+resume cuts back to the checkpoint's step. Stage-1 validation is one pass,
+`validation_scores`, read by `stage1_metrics` and `assignment_flip_rate`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .nn import ParamGroup
 from .optim import AdaptiveOptimizer, TrainingError
 from .pipeline import Clip, Pipeline, frame_targets, task_tokens
 from .tensor import NonFiniteError
-from .world import Episode, WorldError, check_frame_size, episode_files, load_episode
+from .world import Episode, WorldError, check_episode, episode_files, load_episode
 
 LOSS_CSV_HEADER = "step,L_box,L_obj,L_seg,L_track,L_int,total"
 
@@ -86,13 +87,13 @@ class Corpus:
 
 
 def load_corpus(cfg: RunConfig, data_dir: str | Path, targets: bool = True) -> Corpus:
-    """`Corpus.load` for a run, with targets at `cfg.patch_size` or none. A
-    frame whose size is not `cfg.image_size`, and tasks of different word
-    counts, are data errors (`WorldError`): both stages group frames, and a
-    group's tasks must be equally long."""
+    """`Corpus.load` for a run, with targets at `cfg.patch_size` or none. Data
+    errors (`WorldError`): what `check_episode` rejects, a frame's instances
+    counted against `cfg.num_slots` only with targets, and tasks of different
+    word counts, as both stages group frames and a group's tasks must match."""
     corpus = Corpus.load(data_dir, cfg.patch_size if targets else None)
-    for episode in corpus.episodes:
-        check_frame_size(episode, cfg.image_size)
+    for path, episode in zip(episode_files(data_dir), corpus.episodes):
+        check_episode(episode, path, cfg.image_size, cfg.num_slots if targets else None)
     counts = {len(record.task.split()) for episode in corpus.episodes
               for record in episode.frames}
     if len(counts) > 1:
@@ -193,58 +194,49 @@ def auc_score(scores: np.ndarray, labels: np.ndarray) -> float:
     return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
-def matched_frames(pipeline: Pipeline, corpus: Corpus, carryover: bool | None = None):
-    """The one validation walk: each episode walked whole, one frame per
-    `encode_frame` call, with `carryover` as `Pipeline.walk` takes it, then
-    the box head once over its slots stacked frame by frame. Yields (clip,
-    those slots, boxes as (frames, slots, 4), each frame's matching). Callers hold
-    `T.no_grad()` or a `T.inference_pass` around it: held in here, either
-    would stay on whenever the walk is suspended."""
+def validation_scores(pipeline: Pipeline, corpus: Corpus,
+                      carryover: bool | None = None) -> dict[str, float]:
+    """Matched box IoU, relevance AUC and assignment flip rate of a corpus, in
+    a `T.inference_pass`. Each episode is walked whole, one frame per
+    `encode_frame` call, with `carryover` as `Pipeline.walk` takes it; the box
+    head and task filter run once over its slots, and each frame matches once."""
+    n_slots = pipeline.cfg.num_slots
+    ious, pi_all, labels_all, flips = [], [], [], []
     for idx in range(len(corpus)):
         clip = corpus.clip(idx, 0, len(corpus.frames[idx]))
-        slots = T.concat([slots for _, _, _, slots, _ in pipeline.walk([clip], carryover)],
-                         axis=0)
+        n = len(clip.frames)
+        slots = T.concat([slots for _, _, _, slots, _ in pipeline.walk([clip], carryover)])
         boxes = T.check_finite(pipeline.heads.boxes(slots).data, "slot boxes")
-        boxes = boxes.reshape(len(clip.frames), -1, 4)
-        yield clip, slots, boxes, [match_frame(frame_boxes, target, pipeline.cfg)
-                                   for frame_boxes, target in zip(boxes, clip.targets)]
+        lang = task_tokens(pipeline.lang_filter, [clip.frames[0].task] * n)
+        scores, logits = pipeline.select(slots, lang, n)
+        T.check_finite(logits.data, "filter logits")
+        pi_all.extend(scores.scores.tolist())
+        prev: dict[str, int] = {}
+        for targets, frame_boxes in zip(clip.targets, boxes.reshape(n, n_slots, 4)):
+            match = match_frame(frame_boxes, targets, pipeline.cfg)
+            pairwise = iou_matrix(frame_boxes, targets.boxes)
+            ious.extend(pairwise[s, g] for s, g in match)
+            labels_all.extend(slot_relevance_labels(match, targets.relevance,
+                                                    n_slots).tolist())
+            current = {targets.instance_ids[g]: s for s, g in match}
+            flips.extend(prev[name] != s for name, s in current.items() if name in prev)
+            prev = current
+    return {"iou": float(np.mean(ious)) if ious else 0.0,
+            "auc": auc_score(np.array(pi_all), np.array(labels_all)),
+            "flip_rate": float(np.mean(flips)) if flips else 0.0}
 
 
 @T.inference_pass
 def stage1_metrics(pipeline: Pipeline, corpus: Corpus) -> dict[str, float]:
     """Matched-slot box IoU and relevance AUC over a full corpus."""
-    n_slots = pipeline.cfg.num_slots
-    ious, pi_all, labels_all = [], [], []
-    for clip, slots, boxes, matches in matched_frames(pipeline, corpus):
-        n = len(clip.frames)
-        lang = task_tokens(pipeline.lang_filter, [clip.frames[0].task] * n)
-        scores, logits = pipeline.select(slots, lang, n)
-        T.check_finite(logits.data, "filter logits")
-        pi_all.extend(scores.scores.tolist())
-        for targets, frame_boxes, match in zip(clip.targets, boxes, matches):
-            pairwise = iou_matrix(frame_boxes, targets.boxes)
-            ious.extend(pairwise[s, g] for s, g in match)
-            labels_all.extend(slot_relevance_labels(match, targets.relevance,
-                                                    n_slots).tolist())
-    return {"iou": float(np.mean(ious)) if ious else 0.0,
-            "auc": auc_score(np.array(pi_all), np.array(labels_all))}
+    scores = validation_scores(pipeline, corpus)
+    return {"iou": scores["iou"], "auc": scores["auc"]}
 
 
-def assignment_flip_rate(pipeline: Pipeline, corpus: Corpus,
-                         carryover: bool) -> float:
+@T.inference_pass
+def assignment_flip_rate(pipeline: Pipeline, corpus: Corpus, carryover: bool) -> float:
     """Fraction of consecutive-frame object matches that switch slots."""
-    flips = chances = 0
-    with T.no_grad():
-        for clip, _, _, matches in matched_frames(pipeline, corpus, carryover):
-            prev_map: dict[str, int] = {}
-            for targets, match in zip(clip.targets, matches):
-                current = {targets.instance_ids[g]: s for s, g in match}
-                for name, slot in current.items():
-                    if name in prev_map:
-                        chances += 1
-                        flips += prev_map[name] != slot
-                prev_map = current
-    return flips / chances if chances else 0.0
+    return validation_scores(pipeline, corpus, carryover)["flip_rate"]
 
 
 # ---------------------------------------------------------------------------

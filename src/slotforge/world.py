@@ -208,6 +208,9 @@ def _rejection_place(cfg: WorldConfig, sprites: list[Sprite],
     for sprite in sorted(sprites, key=lambda s: -s.size):
         half = sprite.size / 2.0
         lo, hi = half + 2.0, cfg.image_size - 1 - half - 2.0
+        if hi < lo:  # sprites go largest first, so this raises before any draw
+            raise InfeasibleSceneError(f"{sprite.instance_id} ({sprite.size} px) cannot fit "
+                                       f"a {cfg.image_size}x{cfg.image_size} frame")
         for _ in range(100):
             pos = rng.uniform(lo, hi, size=2)
             if all(np.max(np.abs(pos - other)) >= half + other_half + margin
@@ -227,6 +230,9 @@ def _grid_place(cfg: WorldConfig, sprites: list[Sprite],
     cell = 8
     n_cells = cfg.image_size // cell
     target = next(s for s in sprites if s.role == "target")
+    if n_cells < 2:
+        raise InfeasibleSceneError(f"{target.instance_id} needs a 2x2 block of {cell}-pixel "
+                                   f"cells; the frame is {cfg.image_size}x{cfg.image_size}")
     block_r = int(rng.integers(0, n_cells - 1))
     block_c = int(rng.integers(0, n_cells - 1))
     block = {(block_r + dr, block_c + dc) for dr in (0, 1) for dc in (0, 1)}
@@ -278,7 +284,6 @@ class World:
 
     def __init__(self, cfg: WorldConfig, seed: int):
         self.cfg = cfg
-        self.seed = seed
         self.sprites, self.positions, self.layout_id = _sample_scene(cfg, seed)
         self.carried_sprite = next(s for s in self.sprites if s.role == "carried")
         self.target_sprite = next(s for s in self.sprites if s.role == "target")
@@ -547,12 +552,18 @@ def serialize_episode(episode: Episode, out_dir: str | Path) -> Path:
     return path
 
 
-def check_frame_size(episode: Episode, image_size: int) -> None:
-    """A frame that is not image_size x image_size is a data error."""
+def check_episode(episode: Episode, path: str | Path, image_size: int,
+                  num_slots: int | None) -> None:
+    """A frame that is not image_size x image_size or, given `num_slots`, has more
+    instances than slots is a data error naming `path`."""
     for record in episode.frames:
         h, w = record.rgb.shape[:2]
         if (h, w) != (image_size, image_size):
-            raise WorldError(f"frame t={record.t} is {h}x{w}, not image_size {image_size}")
+            raise WorldError(f"{path}: frame t={record.t} is {h}x{w}, "
+                             f"not image_size {image_size}")
+        if num_slots is not None and len(record.instances) > num_slots:
+            raise WorldError(f"{path}: frame t={record.t} has {len(record.instances)} "
+                             f"instances, more than num_slots {num_slots}")
 
 
 def _numbers(values, n: int, what: str, where: str) -> np.ndarray:
@@ -607,14 +618,16 @@ def load_episode(path: str | Path) -> Episode:
                     f"{where}: malformed record: instances is not a non-empty list of objects")
             task = _task(rec["task"], where)
             rgb = pnm.read_ppm(base / rec["frame_file"])
-            instances = [
-                InstanceRecord(
-                    instance_id=inst["id"],
-                    box=_numbers(inst["box"], 4, "box", where),
-                    relevant=bool(inst["relevant"]),
-                )
-                for inst in rec["instances"]
-            ]
+            instances = []
+            for inst in rec["instances"]:
+                if not (isinstance(inst["id"], str) and inst["id"]):
+                    raise EpisodeParseError(f"{where}: malformed record: instance id is not "
+                                            "a non-empty string")
+                if not isinstance(inst["relevant"], bool):
+                    raise EpisodeParseError(f"{where}: malformed record: instance relevant "
+                                            "is not true or false")
+                instances.append(InstanceRecord(
+                    inst["id"], _numbers(inst["box"], 4, "box", where), inst["relevant"]))
             instance_map = pnm.read_pgm(base / rec["map_file"])
             frames.append(FrameRecord(
                 t=rec["t"], task=task,

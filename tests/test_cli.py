@@ -217,17 +217,25 @@ def test_unreadable_episode_exits_with_data_error(content, message, tmp_path, ca
     assert f"{path}: {message}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["gen", "--episodes", "0"], "episodes must be >= 1, got 0"),
-    (["gen", "--episodes", "-1"], "episodes must be >= 1, got -1"),
-    (["eval", "--rollouts", "0"], "rollouts must be >= 1, got 0"),
-])
-def test_counts_below_one_exit_with_config_error(argv, message, tmp_path, capsys,
-                                                 stage1_ckpt):
+@pytest.mark.parametrize("argv, code, message", [
+    (["gen", "--episodes", "0"], EXIT_CONFIG, "config error: episodes must be >= 1, got 0"),
+    (["gen", "--episodes", "-1"], EXIT_CONFIG, "config error: episodes must be >= 1, got -1"),
+    (["eval", "--rollouts", "0"], EXIT_CONFIG, "config error: rollouts must be >= 1, got 0"),
+    # a scene that cannot fit its frame fails before it draws a position
+    (["gen", "--episodes", "2", "--override", "image_size=16"], EXIT_DATA,
+     "data error: circle1 (13 px) cannot fit a 16x16 frame"),
+    (["eval", "--expert", "--override", "image_size=16"], EXIT_DATA,
+     "data error: square1 (13 px) cannot fit a 16x16 frame"),
+    (["gen", "--subset", "long", "--override", "image_size=8"], EXIT_DATA,
+     "data error: square1 needs a 2x2 block of 8-pixel cells; the frame is 8x8"),
+], ids=["episodes-zero", "episodes-negative", "rollouts-zero", "gen-scene-too-large",
+        "eval-expert-scene-too-large", "gen-long-grid-too-small"])
+def test_bad_arguments_exit_with_their_code_and_one_line(argv, code, message, tmp_path,
+                                                         capsys, stage1_ckpt):
     if argv[0] == "eval":
         argv = argv + ["--stage1", str(stage1_ckpt), "--stage2", str(stage1_ckpt)]
-    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
-    assert message in capsys.readouterr().err
+    assert main(argv + ["--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == message + "\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -253,6 +261,32 @@ def test_frame_of_another_size_exits_with_data_error(command, tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def crowded(tmp_path_factory):
+    """The path of one serialized `long` episode, 29 instances to a frame."""
+    root = tmp_path_factory.mktemp("crowded")
+    return serialize_episode(generate_episode(3, load_config(
+        overrides=["subset=long"]).world_config()), root)
+
+
+@pytest.mark.parametrize("command", ["train1", "train1-val", "inspect"])
+def test_more_instances_than_slots_exits_with_data_error(command, tmp_path, capsys,
+                                                         stage1_ckpt, episode, crowded):
+    """A `long` episode under `goal`'s 16 slots fails as it loads, naming its
+    file: as training data, as validation data before any step, and inspected."""
+    argv = {
+        "train1": ["train1", "--data", str(crowded.parent)],
+        "train1-val": ["train1", "--data", str(episode.parent), "--val", str(crowded.parent)],
+        "inspect": ["inspect", "--stage1", str(stage1_ckpt), "--episode", str(crowded)],
+    }[command]
+    out = tmp_path / "out"
+    assert main(argv + ["--override", "subset=goal", "--override", "stage1_iters=1",
+                        "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: {crowded}: frame t=0 has 29 instances, more than num_slots 16\n")
+    assert not out.exists()
+
+
 def corrupt(kind, path):
     """Damage the one-episode corpus of `path`; return the expected error."""
     lines = path.read_text().splitlines()
@@ -273,6 +307,13 @@ def corrupt(kind, path):
             pnm.write_pgm(map_path, np.zeros((64, 64), dtype=np.uint8))
         path.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
         return f"{path}:1: malformed record: instances is not a non-empty list of objects"
+    if kind in ("id-list", "id-null", "id-empty", "relevant-string"):
+        field, value = {"id-list": ("id", [1]), "id-null": ("id", None), "id-empty": ("id", ""),
+                        "relevant-string": ("relevant", "no")}[kind]
+        rec["instances"][0][field] = value
+        path.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
+        return (f"{path}:1: malformed record: instance {field} is not "
+                + ("a non-empty string" if field == "id" else "true or false"))
     if kind == "truncated":
         frame_path = path.parent / rec["frame_file"]
         frame_path.write_bytes(frame_path.read_bytes()[:-10])
@@ -294,7 +335,7 @@ def corrupt(kind, path):
 
 @pytest.mark.parametrize("kind", [
     "map-size", "map-value", "truncated", "negative-size", "old-layout", "instances-int",
-    "instances-string", "instances-empty",
+    "instances-string", "instances-empty", "id-list", "id-null", "id-empty", "relevant-string",
     pytest.param("{not json", id="meta-not-json"),
     pytest.param("[1]", id="meta-not-object"),
     pytest.param('{"seed": "x"}', id="meta-seed-not-integer"),
@@ -303,8 +344,10 @@ def test_corrupt_corpus_exits_train1_with_data_error(kind, tmp_path, capsys):
     path = serialize_episode(generate_episode(3, RunConfig().world_config()), tmp_path / "data")
     message = corrupt(kind, path)
     out = tmp_path / "out"
-    assert main(["train1", "--data", str(path.parent), "--out", str(out)]) == EXIT_DATA
-    assert message in capsys.readouterr().err
+    assert main(["train1", "--data", str(path.parent), "--override", "stage1_iters=1",
+                 "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
     assert_no_manifest(out)
 
 

@@ -4,7 +4,8 @@ Every module-level function in `src/slotforge/*.py` must be referenced by
 name, as an `ast.Name` or an `ast.Attribute`, somewhere in `src/`, and every
 non-dunder method as an `ast.Attribute` (`x.name`); every field of a
 dataclass there must be read as an attribute (`x.field` in a load context)
-somewhere in `src/`.
+somewhere in `src/`; and every attribute a class stores as `self.name` must be
+read as `self.name` in that class.
 The scans match names only, so a reference to a same-named attribute
 elsewhere (`np.clip`) counts; they find code that nothing can reach, not
 every such piece. The tensor core gets a stricter scan: each of its
@@ -26,6 +27,13 @@ ALLOWED_UNREFERENCED = {
 # Class.field -> why it stays though nothing in src/ reads it
 ALLOWED_UNREAD_FIELDS = {
     "RolloutResult.steps": "the benchmark's rollout check reads it",
+}
+
+# Class.attribute -> why it stays though the class never reads it as self.attribute
+ALLOWED_UNREAD_SELF = {
+    "Tensor.grad": "backward and the optimizer read it as p.grad and t.grad",
+    "Tensor.uid": "the tape reads it as p.uid",
+    "World.layout_id": "generate_episode reads it as world.layout_id",
 }
 
 
@@ -97,6 +105,26 @@ def scan_fields() -> tuple[dict[str, str], set[str]]:
     return fields, read
 
 
+def scan_self() -> tuple[dict[str, str], set[str]]:
+    """(Class.attribute -> where the class first stores it as `self.attribute`,
+    every Class.attribute the class reads as `self.attribute`) over the package."""
+    stored: dict[str, str] = {}
+    read: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id == "self"):
+                    name = f"{cls.name}.{node.attr}"
+                    if isinstance(node.ctx, ast.Store):
+                        stored.setdefault(name, f"{path.name}:{node.lineno}")
+                    else:
+                        read.add(name)
+    return stored, read
+
+
 def test_every_function_and_method_is_referenced():
     defined, referenced = scan()
     unused = {name: where for name, where in defined.items()
@@ -126,3 +154,16 @@ def test_every_allowed_field_is_defined_and_still_unread():
     fields, read = scan_fields()
     assert sorted(set(ALLOWED_UNREAD_FIELDS) - set(fields)) == []
     assert sorted(name for name in ALLOWED_UNREAD_FIELDS if name.split(".")[1] in read) == []
+
+
+def test_every_attribute_a_class_stores_it_reads():
+    stored, read = scan_self()
+    unread = {name: where for name, where in stored.items()
+              if name not in read and name not in ALLOWED_UNREAD_SELF}
+    assert unread == {}
+
+
+def test_every_allowed_attribute_is_stored_and_still_unread():
+    stored, read = scan_self()
+    assert sorted(set(ALLOWED_UNREAD_SELF) - set(stored)) == []
+    assert sorted(set(ALLOWED_UNREAD_SELF) & read) == []

@@ -2,11 +2,13 @@
 
 The four passes the benchmark times, `Pipeline.policy_step`,
 `Pipeline.encode_episode_cache`, `train.stage1_metrics` and
-`train.action_accuracy`, run as `T.inference_pass`: their ops go unchecked,
-each pass checks what it reads out or decides on, and a failure replays the
-pass with every op checked. Here an op's output is made non-finite (a NaN,
-then -inf, in its first element) and the pass must raise the error it raised
-when every op was checked: `non-finite value produced by <op>`.
+`train.action_accuracy`, and `train.assignment_flip_rate`, which reads the
+same validation pass as `stage1_metrics`, run as `T.inference_pass`: their
+ops go unchecked, each pass checks what it reads out or decides on, and a
+failure replays the pass with every op checked. Here an op's output is made
+non-finite (a NaN, then -inf, in its first element) and the pass must raise
+the error it raised when every op was checked: `non-finite value produced by
+<op>`.
 """
 
 import dataclasses
@@ -20,7 +22,8 @@ from slotforge.cli import EXIT_TRAINING, main
 from slotforge.config import load_config
 from slotforge.pipeline import Pipeline
 from slotforge.tensor import NonFiniteError, Tensor
-from slotforge.train import Corpus, action_accuracy, flatten_cache, stage1_metrics
+from slotforge.train import (Corpus, action_accuracy, assignment_flip_rate, flatten_cache,
+                             stage1_metrics)
 from slotforge.world import World, generate_episode, serialize_episode
 
 # the ops each pass records on the default `goal` config
@@ -34,6 +37,9 @@ PASS_OPS = {
     "stage1_metrics": ["add", "attention_heads", "concat", "exp", "gather_rows", "gru_cell",
                        "layer_norm", "linear", "matmul", "mul", "relu", "sigmoid",
                        "slot_attention"],
+    "assignment_flip_rate": ["add", "attention_heads", "concat", "exp", "gather_rows",
+                             "gru_cell", "layer_norm", "linear", "matmul", "mul", "relu",
+                             "sigmoid", "slot_attention"],
     "action_accuracy": ["add", "attention_heads", "concat", "gather_rows", "group_mean",
                         "layer_norm", "linear", "matmul", "relu"],
 }
@@ -56,6 +62,7 @@ def passes():
         "encode_episode_cache": (Pipeline.encode_episode_cache,
                                  (pipeline, corpus.frames, [3])),
         "stage1_metrics": (stage1_metrics, (pipeline, corpus)),
+        "assignment_flip_rate": (assignment_flip_rate, (pipeline, corpus, True)),
         "action_accuracy": (action_accuracy, (pipeline, flatten_cache(pipeline, corpus))),
     }
 
