@@ -67,11 +67,15 @@ class Corpus:
             [frame_targets(r, patch_size) for r in frames] for frames in self.frames]
 
     @staticmethod
-    def load(data_dir: str | Path, patch_size: int | None) -> "Corpus":
+    def load(data_dir: str | Path, patch_size: int | None,
+             check=lambda files, episodes: None) -> "Corpus":
+        """Episodes under `data_dir`, passed to `check` before any targets are built."""
         files = episode_files(data_dir)
         if not files:
             raise WorldError(f"no episodes under {data_dir}")
-        return Corpus([load_episode(p) for p in files], patch_size)
+        episodes = [load_episode(p) for p in files]
+        check(files, episodes)
+        return Corpus(episodes, patch_size)
 
     def __len__(self) -> int:
         return len(self.episodes)
@@ -87,19 +91,18 @@ class Corpus:
 
 
 def load_corpus(cfg: RunConfig, data_dir: str | Path, targets: bool = True) -> Corpus:
-    """`Corpus.load` for a run, with targets at `cfg.patch_size` or none. Data
-    errors (`WorldError`): what `check_episode` rejects, a frame's instances
-    counted against `cfg.num_slots` only with targets, and tasks of different
-    word counts, as both stages group frames and a group's tasks must match."""
-    corpus = Corpus.load(data_dir, cfg.patch_size if targets else None)
-    for path, episode in zip(episode_files(data_dir), corpus.episodes):
-        check_episode(episode, path, cfg.image_size, cfg.num_slots if targets else None)
-    counts = {len(record.task.split()) for episode in corpus.episodes
-              for record in episode.frames}
-    if len(counts) > 1:
-        raise WorldError(f"{data_dir}: tasks differ in word count {sorted(counts)}; "
-                         "a corpus holds one task template")
-    return corpus
+    """`Corpus.load` for a run, with targets at `cfg.patch_size` or none. Data errors
+    (`WorldError`), raised before any targets are built: what `check_episode` rejects,
+    a frame's instances counted against `cfg.num_slots` only with targets, and tasks of
+    different word counts, as both stages group frames and a group's tasks must match."""
+    def check(files, episodes):
+        for path, episode in zip(files, episodes):
+            check_episode(episode, path, cfg.image_size, cfg.num_slots if targets else None)
+        counts = {len(record.task.split()) for episode in episodes for record in episode.frames}
+        if len(counts) > 1:
+            raise WorldError(f"{data_dir}: tasks differ in word count {sorted(counts)}; "
+                             "a corpus holds one task template")
+    return Corpus.load(data_dir, cfg.patch_size if targets else None, check)
 
 
 def sample_clips(corpus: Corpus, cfg: RunConfig, step: int) -> list[Clip]:

@@ -20,6 +20,9 @@ mask-tight box from row and column occupancy, counted in one pass over the
 instance map. `World.annotate` labels a frame with it, and
 `validate_episode` checks a frame's boxes against it.
 
+On disk an episode is 4 files: its records (`.jsonl`), its `.meta.json`, and
+two films, `_rgb.ppm` and `_map.pgm`, which hold its frames and instance maps.
+
 A `WorldConfig` is the world's view of a run, built only by
 `RunConfig.world_config()`; subset presets live in `config.SUBSET_PRESETS`
 and apply when the `RunConfig` is built.
@@ -505,44 +508,31 @@ def generate_episode(seed: int, cfg: WorldConfig) -> Episode:
 
 
 # ---------------------------------------------------------------------------
-# serialization: one jsonl per episode; each frame has a PPM image and a PGM
-# instance map beside it, so an episode is 2 files per frame plus 2
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# serialization: a film stacks an episode's S x S frames (or instance maps) top
+# to bottom, so the frame of record k is rows k*S to (k+1)*S of each film
 
 
 def _fmt_list(values) -> str:
-    return "[" + ",".join(_fmt(v) for v in values) + "]"
-
-
-def episode_stem(seed: int) -> str:
-    return f"ep_{seed:06d}"
+    return "[" + ",".join(format(float(v), ".17g") for v in values) + "]"
 
 
 def serialize_episode(episode: Episode, out_dir: str | Path) -> Path:
     out_dir = Path(out_dir)
-    stem = episode_stem(episode.seed)
-    sidecar = out_dir / stem
-    sidecar.mkdir(parents=True, exist_ok=True)
+    stem = f"ep_{episode.seed:06d}"
+    pnm.write_ppm(out_dir / f"{stem}_rgb.ppm", np.concatenate([f.rgb for f in episode.frames]))
+    pnm.write_pgm(out_dir / f"{stem}_map.pgm",
+                  np.concatenate([f.instance_map for f in episode.frames]))
     lines = []
     for frame in episode.frames:
-        frame_file = f"{stem}/t{frame.t:03d}_rgb.ppm"
-        map_file = f"{stem}/t{frame.t:03d}_map.pgm"
-        pnm.write_ppm(out_dir / frame_file, frame.rgb)
-        pnm.write_pgm(out_dir / map_file, frame.instance_map)
         inst_parts = [
             '{"id":%s,"box":%s,"relevant":%s}' % (
                 json.dumps(inst.instance_id), _fmt_list(inst.box),
                 "true" if inst.relevant else "false")
             for inst in frame.instances]
         lines.append(
-            '{"t":%d,"task":%s,"action":%s,"proprio":%s,"frame_file":%s,"map_file":%s,'
-            '"instances":[%s]}'
+            '{"t":%d,"task":%s,"action":%s,"proprio":%s,"instances":[%s]}'
             % (frame.t, json.dumps(frame.task), _fmt_list(frame.action),
-               _fmt_list(frame.proprio), json.dumps(frame_file), json.dumps(map_file),
-               ",".join(inst_parts)))
+               _fmt_list(frame.proprio), ",".join(inst_parts)))
     path = out_dir / f"{stem}.jsonl"
     path.write_text("\n".join(lines) + "\n")
     meta = {"subset": episode.subset, "seed": episode.seed,
@@ -567,9 +557,9 @@ def check_episode(episode: Episode, path: str | Path, image_size: int,
 
 
 def _numbers(values, n: int, what: str, where: str) -> np.ndarray:
-    """A JSON list of exactly n numbers as float64; anything else is a data error."""
+    """A JSON list of n finite numbers below 1e308 in size as float64, else a data error."""
     if not (isinstance(values, list) and len(values) == n
-            and all(type(v) in (int, float) for v in values)):
+            and all(type(v) in (int, float) and abs(v) < 1e308 for v in values)):
         raise EpisodeParseError(f"{where}: malformed record: {what} is not {n} numbers")
     return np.asarray(values, dtype=np.float64)
 
@@ -586,15 +576,17 @@ def _task(task, where: str) -> str:
 
 
 def load_episode(path: str | Path) -> Episode:
+    """The episode of a `.jsonl` file and its two films, each read once; a
+    frame is a view of S rows of each film, where S is the film's width. Any
+    flaw is an `EpisodeParseError` naming the file, and a record's line."""
     path = Path(path)
-    base = path.parent
     try:
         text = path.read_text()
     except OSError as exc:
         raise EpisodeParseError(f"{path}: cannot read episode: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise EpisodeParseError(f"{path}: not a text episode file: {exc.reason}") from exc
-    frames: list[FrameRecord] = []
+    records: list[tuple[str, dict]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -605,9 +597,9 @@ def load_episode(path: str | Path) -> Episode:
             raise EpisodeParseError(f"{where}: malformed record: {exc}") from exc
         if not isinstance(rec, dict):
             raise EpisodeParseError(f"{where}: malformed record: not a JSON object")
-        if "map_file" not in rec:
+        if "frame_file" in rec or "map_file" in rec:
             raise EpisodeParseError(
-                f"{where}: record names no instance map (an older corpus layout); "
+                f"{where}: record names its own image files (an older corpus layout); "
                 "regenerate the corpus with `slotforge gen`")
         try:
             if type(rec["t"]) is not int:
@@ -617,7 +609,6 @@ def load_episode(path: str | Path) -> Episode:
                 raise EpisodeParseError(
                     f"{where}: malformed record: instances is not a non-empty list of objects")
             task = _task(rec["task"], where)
-            rgb = pnm.read_ppm(base / rec["frame_file"])
             instances = []
             for inst in rec["instances"]:
                 if not (isinstance(inst["id"], str) and inst["id"]):
@@ -628,33 +619,38 @@ def load_episode(path: str | Path) -> Episode:
                                             "is not true or false")
                 instances.append(InstanceRecord(
                     inst["id"], _numbers(inst["box"], 4, "box", where), inst["relevant"]))
-            instance_map = pnm.read_pgm(base / rec["map_file"])
-            frames.append(FrameRecord(
+            records.append((where, dict(
                 t=rec["t"], task=task,
                 action=_numbers(rec["action"], 7, "action", where),
                 proprio=_numbers(rec["proprio"], 4, "proprio", where),
-                instances=instances, rgb=rgb, instance_map=instance_map))
+                instances=instances)))
         except KeyError as exc:
             raise EpisodeParseError(f"{where}: missing field {exc}") from exc
-        except (OSError, pnm.PnmError) as exc:
-            raise EpisodeParseError(f"{where}: cannot read frame: {exc}") from exc
-        if instance_map.shape != rgb.shape[:2]:
-            raise EpisodeParseError(
-                f"{where}: instance map is {instance_map.shape[0]}x{instance_map.shape[1]}, "
-                f"frame is {rgb.shape[0]}x{rgb.shape[1]}")
-        if instance_map.max() > len(instances):
-            raise EpisodeParseError(
-                f"{where}: instance map value {instance_map.max()} exceeds the record's "
-                f"{len(instances)} instances")
-    if not frames:
+    if not records:
         raise EpisodeParseError(f"{path}: no frame records")
-    meta_path = base / (path.stem + ".meta.json")
+    rgb_path, map_path = (path.with_name(path.stem + end) for end in ("_rgb.ppm", "_map.pgm"))
+    try:
+        rgb, instance_maps = pnm.read_ppm(rgb_path), pnm.read_pgm(map_path)
+    except (OSError, pnm.PnmError) as exc:
+        raise EpisodeParseError(f"cannot read film: {exc}") from exc
+    n, s = len(records), rgb.shape[1]
+    for film, (h, w) in ((rgb_path, rgb.shape[:2]), (map_path, instance_maps.shape)):
+        if (h, w) != (n * s, s):
+            raise EpisodeParseError(f"{film}: film is {h}x{w}, not {n} frames of {s}x{s}")
+    for (where, fields), peak in zip(records, instance_maps.reshape(n, -1).max(axis=1)):
+        if peak > len(fields["instances"]):
+            raise EpisodeParseError(f"{where}: instance map value {peak} exceeds the record's "
+                                    f"{len(fields['instances'])} instances")
+    frames = [FrameRecord(rgb=rgb[k * s:(k + 1) * s],
+                          instance_map=instance_maps[k * s:(k + 1) * s], **fields)
+              for k, (_, fields) in enumerate(records)]
+    meta_path = path.with_name(path.stem + ".meta.json")
     try:
         meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
         if not isinstance(meta, dict):
             raise ValueError("not a JSON object")
         seed, layout_id = int(meta.get("seed", -1)), int(meta.get("layout_id", -1))
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, OverflowError) as exc:
         raise EpisodeParseError(f"{meta_path}: malformed metadata: {exc}") from exc
     return Episode(frames=frames, subset=meta.get("subset", "unknown"),
                    seed=seed, layout_id=layout_id,

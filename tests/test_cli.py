@@ -261,6 +261,21 @@ def test_frame_of_another_size_exits_with_data_error(command, tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_frames_the_patch_grid_cannot_cut_exit_with_data_error(tmp_path, capsys):
+    """Every episode is checked before any frame's targets are built, so frames
+    of another size fail by name even where the run's patch size does not
+    divide them."""
+    data = tmp_path / "data"
+    assert main(["gen", "--episodes", "1", "--override", "image_size=60",
+                 "--override", "patch_size=4", "--out", str(data)]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["train1", "--data", str(data), "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: {data / 'ep_000000.jsonl'}: frame t=0 is 60x60, not image_size 64\n")
+    assert_no_manifest(out)
+
+
 @pytest.fixture(scope="module")
 def crowded(tmp_path_factory):
     """The path of one serialized `long` episode, 29 instances to a frame."""
@@ -291,20 +306,31 @@ def corrupt(kind, path):
     """Damage the one-episode corpus of `path`; return the expected error."""
     lines = path.read_text().splitlines()
     rec = json.loads(lines[0])
-    map_path = path.parent / rec["map_file"]
+    rgb_path = path.with_name(path.stem + "_rgb.ppm")
+    map_path = path.with_name(path.stem + "_map.pgm")
+    height = 64 * len(lines)
     k = len(rec["instances"])
     if kind == "map-size":
-        pnm.write_pgm(map_path, np.zeros((32, 32), dtype=np.uint8))
-        return f"{path}:1: instance map is 32x32, frame is 64x64"
+        pnm.write_pgm(map_path, pnm.read_pgm(map_path)[:, :32])
+        return f"{map_path}: film is {height}x32, not {len(lines)} frames of 64x64"
+    if kind == "film-height":  # one frame more than the records
+        film = pnm.read_ppm(rgb_path)
+        pnm.write_ppm(rgb_path, np.concatenate([film, film[:64]]))
+        return f"{rgb_path}: film is {height + 64}x64, not {len(lines)} frames of 64x64"
+    if kind == "missing-film":
+        rgb_path.unlink()
+        return f"cannot read film: [Errno 2] No such file or directory: '{rgb_path}'"
     if kind == "map-value":
-        instance_map = pnm.read_pgm(map_path)
-        instance_map[0, 0] = k + 1
-        pnm.write_pgm(map_path, instance_map)
+        maps = pnm.read_pgm(map_path)
+        maps[0, 0] = k + 1
+        pnm.write_pgm(map_path, maps)
         return f"{path}:1: instance map value {k + 1} exceeds the record's {k} instances"
     if kind.startswith("instances-"):
         rec["instances"] = {"int": 5, "string": ["a"], "empty": []}[kind[len("instances-"):]]
         if not rec["instances"]:  # no instances, and a map that shows none
-            pnm.write_pgm(map_path, np.zeros((64, 64), dtype=np.uint8))
+            maps = pnm.read_pgm(map_path)
+            maps[:64] = 0
+            pnm.write_pgm(map_path, maps)
         path.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
         return f"{path}:1: malformed record: instances is not a non-empty list of objects"
     if kind in ("id-list", "id-null", "id-empty", "relevant-string"):
@@ -315,18 +341,20 @@ def corrupt(kind, path):
         return (f"{path}:1: malformed record: instance {field} is not "
                 + ("a non-empty string" if field == "id" else "true or false"))
     if kind == "truncated":
-        frame_path = path.parent / rec["frame_file"]
-        frame_path.write_bytes(frame_path.read_bytes()[:-10])
-        return f"{path}:1: cannot read frame: {frame_path}: truncated pixel data"
+        rgb_path.write_bytes(rgb_path.read_bytes()[:-10])
+        return f"cannot read film: {rgb_path}: truncated pixel data"
     if kind == "negative-size":
         map_path.write_bytes(b"P5\n-8 -8\n255\n" + bytes(64))
-        return f"{path}:1: cannot read frame: {map_path}: image size -8x-8 is not positive"
-    if kind == "old-layout":  # one mask file per instance, no map
-        del rec["map_file"]
-        for inst in rec["instances"]:
-            inst["mask_file"] = f"{path.stem}/t000_{inst['id']}.pgm"
+        return f"cannot read film: {map_path}: image size -8x-8 is not positive"
+    if kind.startswith("old-"):  # a record that names its own image files
+        rec["frame_file"] = f"{path.stem}/t000_rgb.ppm"
+        if kind == "old-layout":  # one instance map file per frame
+            rec["map_file"] = f"{path.stem}/t000_map.pgm"
+        else:  # one mask file per instance
+            for inst in rec["instances"]:
+                inst["mask_file"] = f"{path.stem}/t000_{inst['id']}.pgm"
         path.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
-        return (f"{path}:1: record names no instance map (an older corpus layout); "
+        return (f"{path}:1: record names its own image files (an older corpus layout); "
                 "regenerate the corpus with `slotforge gen`")
     meta = path.with_name(path.stem + ".meta.json")
     meta.write_text(kind)
@@ -334,11 +362,13 @@ def corrupt(kind, path):
 
 
 @pytest.mark.parametrize("kind", [
-    "map-size", "map-value", "truncated", "negative-size", "old-layout", "instances-int",
+    "map-size", "film-height", "missing-film", "map-value", "truncated", "negative-size",
+    "old-layout", "old-mask-layout", "instances-int",
     "instances-string", "instances-empty", "id-list", "id-null", "id-empty", "relevant-string",
     pytest.param("{not json", id="meta-not-json"),
     pytest.param("[1]", id="meta-not-object"),
     pytest.param('{"seed": "x"}', id="meta-seed-not-integer"),
+    pytest.param('{"seed": 1e999}', id="meta-seed-infinite"),
 ])
 def test_corrupt_corpus_exits_train1_with_data_error(kind, tmp_path, capsys):
     path = serialize_episode(generate_episode(3, RunConfig().world_config()), tmp_path / "data")
@@ -385,7 +415,8 @@ def test_every_command_end_to_end(tmp_path, capsys):
         return sorted(p.name for p in path.iterdir())
 
     assert main(["gen", "--episodes", "1", "--out", str(data)] + pair) == EXIT_OK
-    assert names(data) == ["ep_000000", "ep_000000.jsonl", "ep_000000.meta.json"]
+    assert names(data) == ["ep_000000.jsonl", "ep_000000.meta.json", "ep_000000_map.pgm",
+                           "ep_000000_rgb.ppm"]
     assert main(["train1", "--data", str(data), "--out", str(s1)] + pair) == EXIT_OK
     assert names(s1) == ["config.txt", "manifest.json", "stage1.ckpt", "stage1_loss.csv"]
     assert len((s1 / "stage1_loss.csv").read_text().splitlines()) == 1 + 2

@@ -3,11 +3,14 @@
 `test_world.py` shows that one seed gives the same bytes twice in a row; this
 pins those bytes across changes to the world. For each subset, one episode at
 a fixed seed is serialized and the SHA-256 of its written tree (the `.jsonl`,
-the `.meta.json` and every PPM and PGM, by relative path) must equal the
-constant below. The in-memory episode is pinned as well: its rgb, instance
-map, action, proprio and box bytes in frame order. A frame is held as the
-uint8 bytes its PPM holds; the digest hashes it as `rgb / 255.0`, the float64
-frame that worlds before that held, so the constants computed then still hold.
+the `.meta.json`, the image film and the instance map film, by relative path)
+must equal the constant below. The in-memory episode is pinned as well: its
+rgb, instance map, action, proprio and box bytes in frame order. A frame is
+held as the uint8 bytes its film holds; the digest hashes it as `rgb / 255.0`,
+the float64 frame that worlds before that held, so the constants computed then
+still hold. Each film's pixels are its episode's frames (or instance maps)
+concatenated, the bytes that one PPM (or PGM) per frame held before films, so
+the tree constants trace back to those earlier pins through the episode ones.
 """
 
 import hashlib
@@ -20,13 +23,15 @@ from slotforge.world import generate_episode, serialize_episode
 
 SEED = 5
 
-# computed with the per-sprite render and annotate loops of the first world
+# computed when an episode's frames and instance maps became one film each;
+# EPISODE_SHA256 was computed with the per-sprite render and annotate loops of
+# the first world
 TREE_SHA256 = {
-    "goal": "29ac9234864619d624ec8872e65b6d27609c1d475a6ffc0080f227437122b63c",
-    "object": "130c35c5f255d228c38540ba0fa189c8eee368a9304b32af5e8f8a9540128982",
-    "spatial": "b74ba4afe61cc4a2509fe2303e64c794da6f402285690050d22609f63a6e4ae8",
-    "long": "078c6bef9b5f46014df58ff8f61255801c62583bb5302b2186b006568f2c09e3",
-    "pair": "4c466be05a7337e7d40c421e348564b8528823ebf3d5fc92842317918c915963",
+    "goal": "33504b855ff1df860ce3ddae872991b1405d31ab039fc91b0722332d3ba08612",
+    "object": "26b6ed758ab361665d74f12cf342ff6ef18ff0dac41e66e45a0271983b8e8f4a",
+    "spatial": "c3e58043a00f146047426a0c30de88adb196537a507fc118030074b54dba56d5",
+    "long": "6dbfef631d91db6e242e8e496bec340f4150bd1e375a83c8a03149e9d496a75c",
+    "pair": "ab1a1c36b272b49b45426991b81762edd39fe833aa2746f4b939806e37996ebd",
 }
 EPISODE_SHA256 = {
     "goal": "455d8687759f84d7fb66036d132e1b0f48815a6a7f144028dd0933af3d824584",
@@ -68,4 +73,10 @@ def test_a_seeded_episode_writes_the_pinned_bytes(subset, tmp_path):
         assert frame.rgb.dtype == np.uint8
         assert frame.rgb.shape == (*frame.instance_map.shape, 3)
     assert episode_digest(episode) == EPISODE_SHA256[subset]
+    for name, magic, field in (("rgb.ppm", b"P6", "rgb"), ("map.pgm", b"P5", "instance_map")):
+        arrays = [getattr(frame, field) for frame in episode.frames]
+        size = arrays[0].shape[1]
+        header = magic + b"\n%d %d\n255\n" % (size, size * len(arrays))
+        film = (tmp_path / f"ep_{SEED:06d}_{name}").read_bytes()
+        assert film == header + b"".join(array.tobytes() for array in arrays)
     assert tree_digest(tmp_path) == TREE_SHA256[subset]

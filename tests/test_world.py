@@ -162,8 +162,8 @@ class TestQuantization:
 
 class TestSerialization:
     def test_roundtrip_lossless(self, tmp_path):
-        """Every subset, `long` included, round-trips bitwise through 2 files
-        per frame (image and instance map) plus the `.jsonl` and `.meta.json`."""
+        """Every subset, `long` included, round-trips bitwise through 4 files:
+        the `.jsonl`, the `.meta.json`, the image film and the instance map film."""
         for subset in ("goal", "object", "spatial", "long", "pair"):
             ep = generate_episode(7, world_cfg(subset))
             path = serialize_episode(ep, tmp_path / subset)
@@ -173,8 +173,9 @@ class TestSerialization:
             assert instance_labels(loaded) == instance_labels(ep)
             assert all(f.instance_map.dtype == np.uint8 for f in loaded.frames)
             assert loaded.frames[0].task == ep.frames[0].task
-            files = [p for p in (tmp_path / subset).rglob("*") if p.is_file()]
-            assert len(files) == 2 * len(ep.frames) + 2
+            assert sorted(p.name for p in (tmp_path / subset).rglob("*")) == [
+                "ep_000007.jsonl", "ep_000007.meta.json", "ep_000007_map.pgm",
+                "ep_000007_rgb.ppm"]
 
     def test_empty_relevance_frame_roundtrips(self, tmp_path):
         ep = generate_episode(3, world_cfg("goal"))
@@ -198,6 +199,8 @@ class TestSerialization:
         ("t", "x", "t is not an integer"),
         ("action", [0.0] * 5, "action is not 7 numbers"),
         ("action", "x", "action is not 7 numbers"),
+        ("action", [10 ** 400] + [0.0] * 6, "action is not 7 numbers"),
+        ("proprio", [float("nan"), 0.0, 0.0, 0.0], "proprio is not 4 numbers"),
         ("proprio", [0.0] * 3, "proprio is not 4 numbers"),
         ("box", [0.5, 0.5, 0.1], "box is not 4 numbers"),
         ("box", [0.5, 0.5, 0.1, True], "box is not 4 numbers"),
@@ -208,7 +211,8 @@ class TestSerialization:
         ("task", 5, "task is not a string"),
         ("task", "put the red rocket on the blue square",
          "task 'put the red rocket on the blue square': word 'rocket' not in vocabulary"),
-    ], ids=["t", "action-length", "action-string", "proprio-length", "box-length",
+    ], ids=["t", "action-length", "action-string", "action-huge-int", "proprio-nan",
+            "proprio-length", "box-length",
             "box-bool", "record-list", "instances-int", "instances-string",
             "instances-empty", "task-int", "task-unknown-word"])
     def test_mistyped_field_is_a_malformed_record(self, field, value, message, tmp_path):
@@ -221,7 +225,10 @@ class TestSerialization:
             rec["instances"][0]["box"] = value
         else:
             if value == []:  # no instances, and a map that shows none
-                pnm.write_pgm(tmp_path / rec["map_file"], np.zeros((64, 64), dtype=np.uint8))
+                map_path = path.with_name(path.stem + "_map.pgm")
+                maps = pnm.read_pgm(map_path)
+                maps[64:128] = 0
+                pnm.write_pgm(map_path, maps)
             rec[field] = value
         lines[1] = json.dumps(rec)
         path.write_text("\n".join(lines) + "\n")
@@ -229,22 +236,98 @@ class TestSerialization:
                            match=re.escape(f"{path}:2: malformed record: {message}")):
             load_episode(path)
 
-    def test_missing_or_corrupt_frame_file_reports_line_number(self, tmp_path):
+    def test_missing_or_corrupt_film_names_the_film(self, tmp_path):
+        path = serialize_episode(generate_episode(4, world_cfg("pair")), tmp_path)
+        film = tmp_path / "ep_000004_rgb.ppm"
+        film.write_bytes(b"P2\n1 1\n255\n0")
+        with pytest.raises(EpisodeParseError,
+                           match=re.escape(f"cannot read film: {film}: expected P6 file")):
+            load_episode(path)
+        film.unlink()
+        with pytest.raises(EpisodeParseError, match=re.escape(
+                f"cannot read film: [Errno 2] No such file or directory: '{film}'")):
+            load_episode(path)
+
+    def test_frames_are_views_of_the_films(self, tmp_path):
         ep = generate_episode(4, world_cfg("pair"))
-        path = serialize_episode(ep, tmp_path)
-        frame_file = tmp_path / json.loads(path.read_text().splitlines()[1])["frame_file"]
-        frame_file.write_bytes(b"P2\n1 1\n255\n0")
-        with pytest.raises(EpisodeParseError, match=r":2: cannot read frame: .*expected P6"):
-            load_episode(path)
-        frame_file.unlink()
-        with pytest.raises(EpisodeParseError, match=r":2: cannot read frame: "):
-            load_episode(path)
+        loaded = load_episode(serialize_episode(ep, tmp_path))
+        rgb, maps = loaded.frames[0].rgb.base, loaded.frames[0].instance_map.base
+        assert rgb.shape == (64 * len(ep.frames), 64, 3)
+        assert all(f.rgb.base is rgb and f.instance_map.base is maps for f in loaded.frames)
 
     def test_floats_serialized_at_full_precision(self, tmp_path):
         ep = generate_episode(5, world_cfg("pair"))
         ep.frames[0].proprio[0] = 1.0 / 3.0
         loaded = load_episode(serialize_episode(ep, tmp_path))
         assert loaded.frames[0].proprio[0] == 1.0 / 3.0
+
+    @pytest.mark.parametrize("kind", ["flip", "truncate", "splice"])
+    def test_damaged_file_is_a_parse_error_or_loads_well_formed(self, kind, tmp_path):
+        """Seeded damage to each of an episode's 4 files raises `EpisodeParseError`
+        or loads an episode of well-formed frames; nothing else escapes. Every
+        truncation raises, except one that drops only the `.jsonl`'s final
+        newline, which loads the original values. The format holds no checksum,
+        so a changed byte in a film's pixels or a record's numbers loads the
+        changed values."""
+        ep = generate_episode(4, world_cfg("pair"))
+        path = serialize_episode(ep, tmp_path)
+        rng = np.random.default_rng(["flip", "truncate", "splice"].index(kind))
+        errors = loads = 0
+        for file in sorted(tmp_path.iterdir()):
+            original = file.read_bytes()
+            for _ in range(24):
+                damaged = mutate(original, kind, rng)
+                file.write_bytes(damaged)
+                try:
+                    loaded = load_episode(path)
+                except EpisodeParseError:
+                    errors += 1
+                    continue
+                loads += 1
+                assert_well_formed(loaded)
+                if kind == "truncate":
+                    assert file == path and damaged == original[:-1]
+                    assert same_values(loaded, ep)
+            file.write_bytes(original)
+        assert errors > 0 and (loads > 0 or kind == "truncate")
+        if kind == "truncate":
+            path.write_bytes(path.read_bytes()[:-1])
+            assert same_values(load_episode(path), ep)
+
+
+def mutate(data: bytes, kind: str, rng: np.random.Generator) -> bytes:
+    """`data` with one flipped byte, cut short, or with a run of up to 15 bytes
+    replaced by up to 15 random ones; half the time at one of the first 32
+    bytes, where a header or the first record starts."""
+    pos = int(rng.integers(min(len(data), 32) if rng.random() < 0.5 else len(data)))
+    if kind == "flip":
+        return data[:pos] + bytes([data[pos] ^ int(rng.integers(1, 256))]) + data[pos + 1:]
+    if kind == "truncate":
+        return data[:pos]
+    end = min(len(data), pos + int(rng.integers(16)))
+    return data[:pos] + rng.bytes(int(rng.integers(16))) + data[end:]
+
+
+def assert_well_formed(ep):
+    for frame in ep.frames:
+        size = frame.rgb.shape[0]
+        assert frame.rgb.shape == (size, size, 3) and frame.instance_map.shape == (size, size)
+        assert frame.rgb.dtype == frame.instance_map.dtype == np.uint8
+        assert frame.instances and frame.instance_map.max() <= len(frame.instances)
+        assert type(frame.t) is int and isinstance(frame.task, str)
+        assert frame.action.shape == (7,) and frame.proprio.shape == (4,)
+        assert np.isfinite(frame.action).all() and np.isfinite(frame.proprio).all()
+        for inst in frame.instances:
+            assert isinstance(inst.instance_id, str) and inst.instance_id
+            assert inst.box.shape == (4,) and np.isfinite(inst.box).all()
+            assert isinstance(inst.relevant, bool)
+
+
+def same_values(a, b):
+    return (episode_bytes(a) == episode_bytes(b) and instance_labels(a) == instance_labels(b)
+            and [(f.t, f.task) for f in a.frames] == [(f.t, f.task) for f in b.frames]
+            and (a.subset, a.seed, a.layout_id, a.carried_id, a.target_id)
+            == (b.subset, b.seed, b.layout_id, b.carried_id, b.target_id))
 
 
 class TestValidatorAndStats:
