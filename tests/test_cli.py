@@ -228,8 +228,11 @@ def test_unreadable_episode_exits_with_data_error(content, message, tmp_path, ca
      "data error: square1 (13 px) cannot fit a 16x16 frame"),
     (["gen", "--subset", "long", "--override", "image_size=8"], EXIT_DATA,
      "data error: square1 needs a 2x2 block of 8-pixel cells; the frame is 8x8"),
+    # the expert holds the grasp for idle_frames frames, past the frame cap
+    (["gen", "--episodes", "1", "--override", "idle_frames=500"], EXIT_DATA,
+     "data error: episode 0 exceeded 200 frames"),
 ], ids=["episodes-zero", "episodes-negative", "rollouts-zero", "gen-scene-too-large",
-        "eval-expert-scene-too-large", "gen-long-grid-too-small"])
+        "eval-expert-scene-too-large", "gen-long-grid-too-small", "gen-episode-too-long"])
 def test_bad_arguments_exit_with_their_code_and_one_line(argv, code, message, tmp_path,
                                                          capsys, stage1_ckpt):
     if argv[0] == "eval":
