@@ -152,8 +152,7 @@ def cmd_eval(args) -> int:
         pipeline = Pipeline(cfg)
         pipeline.stage1_params().load_state(load_checkpoint(args.stage1))
         pipeline.stage2_params().load_state(load_checkpoint(args.stage2))
-    table = evaluate(pipeline, cfg, args.rollouts, expert=args.expert,
-                     out_dir=args.out)
+    table = evaluate(pipeline, cfg, args.rollouts, out_dir=args.out)
     for row in table["rows"]:
         print(f"{row['task']}: {row['success']:.2f} over {row['rollouts']}")
     print(f"average: {table['average']:.3f} over {table['rollouts']} rollouts")

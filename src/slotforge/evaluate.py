@@ -1,16 +1,25 @@
-"""Closed-loop rollout evaluation and the token budget report."""
+"""Closed-loop rollout evaluation and the token budget report.
+
+A rollout is one loop over a stream of actions: the policy's
+(`policy_actions`, one greedy `policy_step` per frame) or the scripted
+expert's (`world.expert_actions`, the same script that writes every corpus
+episode). The loop steps the world with each action and stops at the
+horizon, or once the carried sprite lies on the target and is released.
+"""
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .config import RunConfig
 from .pipeline import Pipeline
-from .world import ScriptedExpert, World
+from .world import World, expert_actions
 
 
 @dataclass
@@ -21,25 +30,27 @@ class RolloutResult:
     steps: int
 
 
-def run_rollout(pipeline: Pipeline | None, cfg: RunConfig, seed: int,
-                expert: bool = False) -> RolloutResult:
-    """One closed-loop episode; ends early once the object is placed and
-    released, otherwise runs to the horizon. The expert needs no pipeline."""
-    world = World(cfg.world_config(), seed)
-    controller = ScriptedExpert(world) if expert else None
+def policy_actions(pipeline: Pipeline, world: World, seed: int) -> Iterator[np.ndarray]:
+    """The policy's greedy action for each frame of `world`, with its slots
+    carried over from frame to frame; each pull is one `policy_step`."""
     slots = None
+    while True:
+        rgb, _ = world.render()
+        action, slots = pipeline.policy_step(rgb, world.proprio(), world.task, slots,
+                                             episode_key=seed, t=world.t)
+        yield action
+
+
+def run_rollout(pipeline: Pipeline | None, cfg: RunConfig, seed: int) -> RolloutResult:
+    """One closed-loop episode of the policy, or of the scripted expert when
+    `pipeline` is None: one loop that takes the controller's actions in turn.
+    It ends once the object is placed and released, when the expert's script
+    runs out, or at the horizon; no action is pulled after the last step."""
+    world = World(cfg.world_config(), seed)
+    actions = expert_actions(world) if pipeline is None else policy_actions(pipeline, world, seed)
     steps = 0
-    for t in range(cfg.rollout_horizon):
-        if expert:
-            if controller.done():
-                break
-            action = controller.action()
-        else:
-            rgb, _ = world.render()
-            action, slots = pipeline.policy_step(rgb, world.proprio(), world.task, slots,
-                                                 episode_key=seed, t=t)
+    for steps, action in enumerate(islice(actions, cfg.rollout_horizon), start=1):
         world.step(action)
-        steps = t + 1
         if world.success() and not world.carrying:
             break
     return RolloutResult(seed=seed, task=world.task,
@@ -47,15 +58,14 @@ def run_rollout(pipeline: Pipeline | None, cfg: RunConfig, seed: int,
 
 
 def evaluate(pipeline: Pipeline | None, cfg: RunConfig, n_rollouts: int,
-             base_seed: int | None = None, expert: bool = False,
-             out_dir: str | Path | None = None) -> dict:
-    """Success over seeded rollouts, grouped per task string like a results
-    table row set: one row per task plus the average."""
+             base_seed: int | None = None, out_dir: str | Path | None = None) -> dict:
+    """Success over seeded rollouts of the policy, or of the scripted expert
+    when `pipeline` is None, grouped per task string like a results table row
+    set: one row per task plus the average."""
     if n_rollouts < 1:
         raise ValueError(f"n_rollouts must be >= 1, got {n_rollouts}")
     base = cfg.seed * 100003 + 50021 if base_seed is None else base_seed
-    results = [run_rollout(pipeline, cfg, base + i, expert=expert)
-               for i in range(n_rollouts)]
+    results = [run_rollout(pipeline, cfg, base + i) for i in range(n_rollouts)]
     by_task: dict[str, list[RolloutResult]] = {}
     for r in results:
         by_task.setdefault(r.task, []).append(r)

@@ -68,12 +68,16 @@ def _read_header(blob: bytes, magic: bytes, path) -> tuple[int, int, int]:
 
 
 def _read_pixels(path: str | Path, magic: bytes, channels: int) -> np.ndarray:
-    """(h, w, channels) pixels; a size below 1 or too few bytes is a PnmError."""
+    """(h, w, channels) pixels; a size below 1, or a payload of more or fewer
+    than w * h * channels bytes, is a PnmError."""
     blob = Path(path).read_bytes()
     w, h, offset = _read_header(blob, magic, path)
     count = w * h * channels
     if len(blob) - offset < count:
         raise PnmError(f"{path}: truncated pixel data")
+    if len(blob) - offset > count:
+        raise PnmError(f"{path}: {len(blob) - offset - count} trailing bytes "
+                       "after the pixel data")
     pixels = np.frombuffer(blob, dtype=np.uint8, count=count, offset=offset)
     return pixels.reshape(h, w, channels).copy()
 

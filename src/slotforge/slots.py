@@ -99,7 +99,6 @@ class SlotAttention:
         self.width = width
         self.num_slots = num_slots
         self.refine_steps = refine_steps
-        self.residual_mlp = residual_mlp
         d = width
         self.wq = param(rng, d, d)
         self.wk = param(rng, d, d)
@@ -108,7 +107,8 @@ class SlotAttention:
         # shared across slots so identity comes from carryover, not the init
         self.init_mu = param(rng, d, scale=0.5)
         self.init_log_sigma = Tensor(np.full(d, -1.0), requires_grad=True)
-        self.mlp = MlpParams.create(rng, d, 2 * d, d)
+        # the last draws from `rng`, so turning the MLP off moves no other weight
+        self.mlp = MlpParams.create(rng, d, 2 * d, d) if residual_mlp else None
 
     def params(self) -> ParamGroup:
         return ParamGroup().collect("slots", self)
@@ -134,7 +134,7 @@ class SlotAttention:
             raise ShapeError("refine_step: empty dense token set")
         update, weights = slot_attention(keys, values, slots, self.wq, groups)
         new_slots = gru_cell(update, slots, self.gru)
-        if self.residual_mlp:
+        if self.mlp is not None:
             new_slots = T.add(new_slots, mlp(T.layer_norm(new_slots), self.mlp))
         return new_slots, weights
 

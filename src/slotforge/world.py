@@ -8,6 +8,11 @@ instance ids, task-relevance flags derived from the templated task string,
 proprioception, and the executed action. Identical seeds reproduce episodes
 bitwise.
 
+The script is one generator, `expert_actions`, which computes each action
+only after the world has taken the one before. `generate_episode` labels a
+frame per action, and `evaluate.run_rollout` runs the same script as the
+`eval --expert` baseline.
+
 Sprite sizes are tiered (robot < carried < distractor < target) so a moving
 sprite can never fully occlude another: visible masks stay non-empty and
 mask-tight boxes stay well defined under overlap.
@@ -33,6 +38,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -397,73 +403,40 @@ class World:
         return bool(np.all(np.abs(carried - target) <= half))
 
 
-class ScriptedExpert:
-    """Deterministic pick-and-place controller emitting bin-centered actions."""
+def expert_actions(world: World) -> Iterator[np.ndarray]:
+    """The scripted pick-and-place as bin-centered actions, each computed
+    after `world` has taken the one before: moves to the carried sprite with
+    the gripper open, one close, `idle_frames` closed holds, moves onto the
+    target with the gripper closed, one open, and two moves away from the
+    target."""
+    bins = world.cfg.action_bins
+    carried, target = world.carried_sprite.instance_id, world.target_sprite.instance_id
 
-    def __init__(self, world: World):
-        self.world = world
-        self.phase = "approach"
-        self.idle_remaining = 0
-        self.retreat_remaining = 0
+    def arrived(goal: str) -> bool:
+        return bool(np.all(np.abs(world.positions[goal] - world.gripper_pos()) < ARRIVE_EPS))
 
-    def done(self) -> bool:
-        return self.phase == "done"
-
-    def _move_action(self, target: np.ndarray, gripper: float) -> np.ndarray:
-        bins = self.world.cfg.action_bins
-        delta = np.clip(target - self.world.gripper_pos(), -MAX_STEP, MAX_STEP)
+    def hold(gripper: float) -> np.ndarray:
         action = np.zeros(7)
-        action[0] = snap_action(delta[0] / MAX_STEP, bins)
-        action[1] = snap_action(delta[1] / MAX_STEP, bins)
         action[6] = gripper  # recorded exactly as -1 or +1
         return action
 
-    def _arrived(self, target: np.ndarray) -> bool:
-        return bool(np.all(np.abs(target - self.world.gripper_pos())
-                           < ARRIVE_EPS))
+    def move(goal: np.ndarray, gripper: float) -> np.ndarray:
+        delta = np.clip(goal - world.gripper_pos(), -MAX_STEP, MAX_STEP)
+        action = hold(gripper)
+        action[:2] = [snap_action(d, bins) for d in delta / MAX_STEP]
+        return action
 
-    def action(self) -> np.ndarray:
-        world = self.world
-        hold_closed, hold_open = 1.0, -1.0
-        if self.phase == "approach":
-            target = world.positions[world.carried_sprite.instance_id]
-            if self._arrived(target):
-                self.phase = "grasp"
-            else:
-                return self._move_action(target, -1.0)
-        if self.phase == "grasp":
-            self.phase = "carry"
-            self.idle_remaining = world.cfg.idle_frames
-            action = np.zeros(7)
-            action[6] = hold_closed
-            return action
-        if self.phase == "carry":
-            if self.idle_remaining > 0:
-                self.idle_remaining -= 1
-                action = np.zeros(7)
-                action[6] = hold_closed
-                return action
-            target = world.positions[world.target_sprite.instance_id]
-            if self._arrived(target):
-                self.phase = "release"
-            else:
-                return self._move_action(target, 1.0)
-        if self.phase == "release":
-            self.phase = "retreat"
-            self.retreat_remaining = 2
-            action = np.zeros(7)
-            action[6] = hold_open
-            return action
-        if self.phase == "retreat":
-            self.retreat_remaining -= 1
-            if self.retreat_remaining <= 0:
-                self.phase = "done"
-            away = np.sign(world.gripper_pos()
-                           - world.positions[world.target_sprite.instance_id])
-            away[away == 0] = 1.0
-            target = world.gripper_pos() + away * MAX_STEP
-            return self._move_action(target, -1.0)
-        raise WorldError(f"expert queried in phase {self.phase!r}")
+    while not arrived(carried):
+        yield move(world.positions[carried], -1.0)
+    for _ in range(1 + world.cfg.idle_frames):  # the close, then the holds
+        yield hold(1.0)
+    while not arrived(target):
+        yield move(world.positions[target], 1.0)
+    yield hold(-1.0)
+    for _ in range(2):
+        away = np.sign(world.gripper_pos() - world.positions[target])
+        away[away == 0] = 1.0
+        yield move(world.gripper_pos() + away * MAX_STEP, -1.0)
 
 
 def filter_noops(actions: list[np.ndarray], eps: float) -> list[int]:
@@ -486,12 +459,10 @@ def filter_noops(actions: list[np.ndarray], eps: float) -> list[int]:
 def generate_episode(seed: int, cfg: WorldConfig) -> Episode:
     """Run the scripted expert in a fresh world; same seed, same bytes."""
     world = World(cfg, seed)
-    expert = ScriptedExpert(world)
     frames: list[FrameRecord] = []
-    while not expert.done():
+    for action in expert_actions(world):
         if len(frames) >= MAX_FRAMES:
             raise WorldError(f"episode {seed} exceeded {MAX_FRAMES} frames")
-        action = expert.action()
         frames.append(world.annotate(action))
         world.step(action)
     if not world.success():

@@ -346,6 +346,9 @@ def corrupt(kind, path):
     if kind == "truncated":
         rgb_path.write_bytes(rgb_path.read_bytes()[:-10])
         return f"cannot read film: {rgb_path}: truncated pixel data"
+    if kind == "spliced":  # bytes added to the pixels, which would shift every later one
+        rgb_path.write_bytes(rgb_path.read_bytes() + bytes(3))
+        return f"cannot read film: {rgb_path}: 3 trailing bytes after the pixel data"
     if kind == "negative-size":
         map_path.write_bytes(b"P5\n-8 -8\n255\n" + bytes(64))
         return f"cannot read film: {map_path}: image size -8x-8 is not positive"
@@ -365,8 +368,8 @@ def corrupt(kind, path):
 
 
 @pytest.mark.parametrize("kind", [
-    "map-size", "film-height", "missing-film", "map-value", "truncated", "negative-size",
-    "old-layout", "old-mask-layout", "instances-int",
+    "map-size", "film-height", "missing-film", "map-value", "truncated", "spliced",
+    "negative-size", "old-layout", "old-mask-layout", "instances-int",
     "instances-string", "instances-empty", "id-list", "id-null", "id-empty", "relevant-string",
     pytest.param("{not json", id="meta-not-json"),
     pytest.param("[1]", id="meta-not-object"),

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import slotforge.tensor as T
+from slotforge.config import RunConfig
 from slotforge.nn import mlp
+from slotforge.pipeline import Pipeline
 from slotforge.slots import COLUMN_EPS, SlotAttention, SlotHeads, slot_attention
 from slotforge.tensor import NonFiniteError, Tensor
 from reference_ops import clip_min, finite_diff_check, softmax, tanh, zero_grads
@@ -356,6 +358,17 @@ class TestEncodeFrame:
     def test_refine_steps_validated(self):
         with pytest.raises(ValueError):
             make_attn(steps=0)
+
+    def test_without_the_mlp_no_mlp_parameter_exists_and_no_other_moves(self):
+        """The MLP's weights are the last draws from the slots' rng, so turning
+        it off drops `slots.mlp.*` from the checkpoint and keeps every other
+        tensor byte for byte."""
+        default = Pipeline(RunConfig()).stage1_params().state()
+        plain = Pipeline(RunConfig(residual_mlp=False)).stage1_params().state()
+        mlp_names = [name for name in default if name.startswith("slots.mlp.")]
+        assert len(mlp_names) == 4
+        assert list(plain) == [name for name in default if name not in mlp_names]
+        assert all(plain[name].tobytes() == default[name].tobytes() for name in plain)
 
 
 class TestSlotHeads:

@@ -10,11 +10,12 @@ import pytest
 from slotforge import pnm
 from slotforge.config import RunConfig
 from slotforge.world import (MAX_FRAMES, AllNoOpsError, EpisodeParseError,
-                             InfeasibleSceneError, ScriptedExpert, World, WorldError,
+                             InfeasibleSceneError, World, WorldError,
                              action_to_bins, bin_centers, dataset_statistics,
-                             episode_files, filter_noops, generate_episode,
-                             load_episode, relevant_nouns, serialize_episode,
-                             snap_action, validate_dataset, validate_episode)
+                             episode_files, expert_actions, filter_noops,
+                             generate_episode, load_episode, relevant_nouns,
+                             serialize_episode, snap_action, validate_dataset,
+                             validate_episode)
 
 
 def world_cfg(subset, **fields):
@@ -61,11 +62,8 @@ class TestGeneration:
     def test_scripted_expert_succeeds(self):
         cfg = world_cfg("pair")
         world = World(cfg, 9)
-        expert = ScriptedExpert(world)
-        for _ in range(MAX_FRAMES):
-            if expert.done():
-                break
-            world.step(expert.action())
+        for _, action in zip(range(MAX_FRAMES), expert_actions(world)):
+            world.step(action)
         assert world.success()
 
     def test_infeasible_config_raises(self):
@@ -129,9 +127,8 @@ class TestNoopFilter:
     def test_injected_idle_frames_removed_exactly(self):
         def expert_steps(cfg):
             world, steps = World(cfg, 23), 0
-            expert = ScriptedExpert(world)
-            while not expert.done():
-                world.step(expert.action())
+            for action in expert_actions(world):
+                world.step(action)
                 steps += 1
             return steps
 
