@@ -412,8 +412,9 @@ def expert_actions(world: World) -> Iterator[np.ndarray]:
     bins = world.cfg.action_bins
     carried, target = world.carried_sprite.instance_id, world.target_sprite.instance_id
 
-    def arrived(goal: str) -> bool:
-        return bool(np.all(np.abs(world.positions[goal] - world.gripper_pos()) < ARRIVE_EPS))
+    def arrived(sprite_id: str) -> bool:
+        gap = world.positions[sprite_id] - world.gripper_pos()
+        return bool(np.all(np.abs(gap) < ARRIVE_EPS))
 
     def hold(gripper: float) -> np.ndarray:
         action = np.zeros(7)
