@@ -7,13 +7,17 @@ the package's fused and batched ops against (`add_all`, `softmax`, `tanh`,
 `plain_concat`, `plain_slot_softmax` and `plain_adaptive_step` are the package's hot kernels in
 their plain form, one fresh array per step, which the rewritten kernels must
 match byte for byte. `finite_diff_check` compares a graph's analytic
-gradients against central differences.
+gradients against central differences. `scipy_hungarian_match` is the
+matching that `losses.hungarian_match` replaced: scipy's assignment, proved
+unique by `optimum_is_unique`'s n_gt forbidden-edge solves, else refined by
+one solve per candidate slot.
 """
 
 import functools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 import slotforge.tensor as T
 from slotforge.tensor import ShapeError, Tensor
@@ -220,3 +224,56 @@ def finite_diff_check(f: Callable[[], Tensor], wrt: Sequence[Tensor],
                 worst = max(worst, abs(an_flat[i] - num) / denom)
     zero_grads(wrt)
     return worst
+
+
+def _optimal_cost(cost: np.ndarray) -> float:
+    if cost.shape[1] == 0:
+        return 0.0
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum())
+
+
+def optimum_is_unique(cost: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                      bound: float) -> bool:
+    """True when every assignment that avoids one edge of (rows, cols) costs
+    more than `bound`, or none exists."""
+    trial = cost.copy()
+    for i, j in zip(rows, cols):
+        trial[i, j] = np.inf
+        try:
+            alt = trial[linear_sum_assignment(trial)].sum()
+        except ValueError:  # infeasible: every assignment uses this edge
+            alt = np.inf
+        trial[i, j] = cost[i, j]
+        if alt <= bound:
+            return False
+    return True
+
+
+def scipy_hungarian_match(cost: np.ndarray) -> list[tuple[int, int]]:
+    """The lexicographically smallest minimum-cost (slot, gt) pairs, in gt
+    order, of a valid slots × objects cost matrix; totals within
+    tol = 1e-12·max(1, |optimum|) of the optimum count as equal. The scipy
+    optimum is returned when the n_gt solves that each forbid one of its
+    edges all cost more than optimum + 2·tol; otherwise each column in turn
+    takes the lowest slot that still permits a completion within tol."""
+    cost = np.asarray(cost, dtype=np.float64)
+    n_slots, n_gt = cost.shape
+    rows, cols = linear_sum_assignment(cost)
+    best = float(cost[rows, cols].sum())
+    tol = 1e-12 * max(1.0, abs(best))
+    if optimum_is_unique(cost, rows, cols, best + 2.0 * tol):
+        return [(i, j) for j, i in sorted(zip(cols.tolist(), rows.tolist()))]
+    pairs, free, spent = [], list(range(n_slots)), 0.0
+    for j in range(n_gt):
+        rest = cost[:, j + 1:]
+        for pos, i in enumerate(free):
+            sub = np.delete(rest[free], pos, axis=0)
+            if spent + cost[i, j] + _optimal_cost(sub) <= best + tol:
+                pairs.append((i, j))
+                spent += cost[i, j]
+                free.pop(pos)
+                break
+        else:
+            raise RuntimeError("assignment refinement failed to complete")
+    return pairs

@@ -8,14 +8,19 @@ from scipy.optimize import linear_sum_assignment
 
 import slotforge.tensor as T
 from slotforge import losses
-from slotforge.config import ConfigError, RunConfig
+from slotforge.config import ConfigError, RunConfig, load_config
 from slotforge.losses import (FrameTargets, action_ce,
                               box_cost, giou_matrix, giou_pairs, hungarian_match,
                               relevance_loss, slot_attn_loss, slot_relevance_labels,
                               stage1_total, track_loss)
+from slotforge.optim import AdaptiveOptimizer
+from slotforge.pipeline import Pipeline
 from slotforge.slots import SlotPredictions
 from slotforge.tensor import Tensor
-from reference_ops import add_all, finite_diff_check, logsumexp_rows, slice_cols
+from slotforge.train import Corpus, sample_clips
+from slotforge.world import generate_episode
+from reference_ops import (add_all, finite_diff_check, logsumexp_rows, optimum_is_unique,
+                           scipy_hungarian_match, slice_cols)
 from test_tensor import assert_all_close
 
 # the loss weights a run uses unless its config overrides them
@@ -132,7 +137,10 @@ class TestHungarian:
         assert match == [(1, 0)]
         assert unmatched_slots(3, match) == [0, 2]
 
-    @pytest.mark.parametrize("n_slots,n_gt", [(16, 7), (24, 13), (32, 30), (5, 5), (4, 0)])
+    # every subset's largest frame, its objects plus the robot: goal (16, 8),
+    # object (24, 13), spatial (24, 12), long (32, 30) and pair (16, 3)
+    @pytest.mark.parametrize("n_slots,n_gt", [(16, 7), (16, 8), (24, 12), (24, 13), (32, 30),
+                                              (16, 3), (5, 5), (4, 0)])
     @pytest.mark.parametrize("kind", ["uniform", "integer", "equal", "box"])
     def test_same_result_as_the_refinement(self, n_slots, n_gt, kind):
         rng = np.random.default_rng(n_slots * 100 + n_gt)
@@ -158,6 +166,35 @@ class TestHungarian:
         tol = 1e-12 * 2.0
         cost = np.array([[1.0, 1.0], [1.0, 1.0 + gap * tol]])
         assert hungarian_match(cost) == refined_match(cost) == pairs
+
+    def test_long_frames_from_init_equal_the_reference(self, monkeypatch):
+        # every cost matrix matched in the first five stage-1 steps on `long`
+        cfg = load_config(overrides=["subset=long"])
+        corpus = Corpus([generate_episode(seed, cfg.world_config()) for seed in range(6)],
+                        cfg.patch_size)
+        pipeline = Pipeline(cfg)
+        opt = AdaptiveOptimizer(pipeline.stage1_params(), lr=cfg.lr,
+                                total_steps=cfg.stage1_iters, clip_norm=cfg.grad_clip)
+        seen, match = [], losses.hungarian_match
+        monkeypatch.setattr(losses, "hungarian_match", lambda c: seen.append(c) or match(c))
+        for step in range(5):
+            with T.fresh_tape() as tape:
+                loss, _ = pipeline.stage1_batch_loss(sample_clips(corpus, cfg, step))
+                opt.zero_grad()
+                tape.backward(loss)
+            opt.step()
+        monkeypatch.undo()
+        assert len(seen) == 60
+        assert sum(has_tied_optima(cost) for cost in seen) == 21
+        for cost in seen:
+            assert hungarian_match(cost) == scipy_hungarian_match(cost)
+
+
+def has_tied_optima(cost: np.ndarray) -> bool:
+    """Whether another assignment costs within 2·tol of scipy's optimum."""
+    rows, cols = linear_sum_assignment(cost)
+    best = float(cost[rows, cols].sum())
+    return not optimum_is_unique(cost, rows, cols, best + 2e-12 * max(1.0, abs(best)))
 
 
 def graph_giou_pairs(pred, gt):
