@@ -192,8 +192,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         out = getattr(args, "out", None)
-        if out is not None and out.exists() and not out.is_dir():
-            raise ConfigError(f"--out {out} exists and is not a directory")
+        if out is not None:  # made by the command itself, so a failed run leaves none
+            found = next(path for path in (out, *out.parents) if path.exists())
+            if not found.is_dir():
+                below = "" if found == out else f" is below {found}, which"
+                raise ConfigError(f"--out {out}{below} exists and is not a directory")
         # a non-finite value raises NonFiniteError, which names its op, so
         # numpy's overflow warnings would only add lines before that one
         with np.errstate(all="ignore"):

@@ -8,10 +8,10 @@ cross-entropy over discretized action bins.
 The two stage-1 hot spots are single tape entries with analytic backwards:
 `giou_pairs` (one entry per batch, over the matched rows of every frame),
 which shares its box arithmetic with `giou_matrix`, and the anchor term of
-`track_loss` (one entry per batch, after the similarity graph). `hungarian_match` proves the optimum unique
-with n_gt forbidden-edge solves before paying for its lexicographic
-tie-break. A frame's matching is its plain list of (slot, gt) index pairs,
-in gt order.
+`track_loss` (one entry per batch, after the similarity graph).
+`hungarian_match` solves once per frame with its own assignment solver, so
+the package needs numpy alone. A frame's matching is its plain list of
+(slot, gt) index pairs, in gt order.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import tensor as T
 from .config import RunConfig
@@ -31,28 +30,55 @@ from .tensor import ShapeError, Tensor
 _TIE_RTOL = 1e-12
 
 
-def _optimal_cost(cost: np.ndarray) -> float:
-    if cost.shape[1] == 0:
-        return 0.0
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum())
+def _assign(cost: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Each column's slot in a minimum-cost assignment of the columns of
+    `cost` (slots × objects, n_gt <= n_slots) to distinct slots, by shortest
+    augmenting paths from one column at a time (Crouse 2016), and the reduced
+    costs cost − v[slot] − u[column]: >= 0, 0 on the assignment, v = 0 on
+    every free slot and v <= 0 on the others. Plain lists beat numpy here."""
+    n_slots, n_gt = cost.shape
+    columns = cost.T.tolist()
+    u, v = [0.0] * n_gt, [0.0] * n_slots
+    slot_of, gt_of = [-1] * n_gt, [-1] * n_slots
+    for start in range(n_gt):
+        dist, came_from = [np.inf] * n_slots, [-1] * n_slots
+        unreached, reached, visited = list(range(n_slots)), [], []
+        j, reach = start, 0.0
+        while j >= 0:  # until the nearest unreached slot is free
+            visited.append(j)
+            row, uj = columns[j], u[j]
+            lowest, nearest = np.inf, -1
+            for i in unreached:
+                d = reach + row[i] - uj - v[i]
+                if d < dist[i]:
+                    dist[i], came_from[i] = d, j
+                else:
+                    d = dist[i]
+                if d < lowest or (d == lowest and gt_of[i] < 0):
+                    lowest, nearest = d, i
+            reach = lowest
+            unreached.remove(nearest)
+            reached.append(nearest)
+            j = gt_of[nearest]
+        u[start] += reach
+        for j in visited[1:]:
+            u[j] += reach - dist[slot_of[j]]
+        for i in reached:
+            v[i] -= reach - dist[i]
+        i = nearest
+        while i >= 0:  # flip the path back to `start`, whose slot was -1
+            j = came_from[i]
+            gt_of[i], slot_of[j], i = j, i, slot_of[j]
+    return slot_of, cost - np.array(v)[:, None] - np.array(u)
 
 
-def _optimum_is_unique(cost: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                       bound: float) -> bool:
-    """True when every assignment that avoids one edge of (rows, cols) costs
-    more than `bound`, or none exists."""
-    trial = cost.copy()
-    for i, j in zip(rows, cols):
-        trial[i, j] = np.inf
-        try:
-            alt = trial[linear_sum_assignment(trial)].sum()
-        except ValueError:  # infeasible: every assignment uses this edge
-            alt = np.inf
-        trial[i, j] = cost[i, j]
-        if alt <= bound:
-            return False
-    return True
+def _optimal_cost(cost: np.ndarray) -> tuple[float, list[int], np.ndarray]:
+    """The minimum total of `cost`, summed in ascending slot order, with
+    `_assign`'s slots and reduced costs."""
+    slot_of, reduced = _assign(cost)
+    cols = np.argsort(slot_of)
+    rows = np.asarray(slot_of, dtype=np.intp)[cols]
+    return float(cost[rows, cols].sum()), slot_of, reduced
 
 
 def hungarian_match(cost: np.ndarray) -> list[tuple[int, int]]:
@@ -63,11 +89,11 @@ def hungarian_match(cost: np.ndarray) -> list[tuple[int, int]]:
     the lowest slot index that still permits an optimal completion. Totals
     within tol = 1e-12·max(1, |optimum|) of the optimum count as equal.
 
-    That O(n_gt·n_slots) refinement runs only when a tie may exist. Any other
-    assignment avoids one of the optimum's n_gt edges, so when the n_gt
-    solves that each forbid one edge all cost more than optimum + 2·tol, the
-    optimum is unique and is what the refinement would return. The second
-    tol is a guard band for sums rounded in different orders.
+    One solve gives the optimum and its reduced costs r; an assignment through
+    slot i for column j costs at least r[i, j] more, so slots with r > 4·tol
+    are skipped (3·tol guards against rounding). While every earlier column
+    holds its optimal slot, so does this one without proof; any other
+    candidate takes one solve of the columns after it.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
@@ -77,25 +103,24 @@ def hungarian_match(cost: np.ndarray) -> list[tuple[int, int]]:
     n_slots, n_gt = cost.shape
     if n_gt > n_slots:
         raise ValueError(f"{n_gt} objects exceed {n_slots} slots")
-    rows, cols = linear_sum_assignment(cost)
-    best = float(cost[rows, cols].sum())
+    best, slot_of, reduced = _optimal_cost(cost)
     tol = _TIE_RTOL * max(1.0, abs(best))
-    if _optimum_is_unique(cost, rows, cols, best + 2.0 * tol):
-        pairs = [(i, j) for j, i in sorted(zip(cols.tolist(), rows.tolist()))]
-    else:
-        pairs, free, spent = [], list(range(n_slots)), 0.0
-        for j in range(n_gt):
-            rest = cost[:, j + 1:]
-            for pos, i in enumerate(free):
-                sub = np.delete(rest[free], pos, axis=0)
-                total = spent + cost[i, j] + _optimal_cost(sub)
-                if total <= best + tol:
-                    pairs.append((i, j))
-                    spent += cost[i, j]
-                    free.pop(pos)
-                    break
-            else:  # pragma: no cover - optimality guarantees a break
-                raise RuntimeError("assignment refinement failed to complete")
+    pairs, free, spent, on_optimum = [], list(range(n_slots)), 0.0, True
+    for j in range(n_gt):
+        for pos, i in enumerate(free):
+            if reduced[i, j] > 4.0 * tol:
+                continue
+            if not (on_optimum and i == slot_of[j]):
+                sub = np.delete(cost[free, j + 1:], pos, axis=0)
+                if spent + cost[i, j] + _optimal_cost(sub)[0] > best + tol:
+                    continue
+            on_optimum = on_optimum and i == slot_of[j]
+            pairs.append((i, j))
+            spent += cost[i, j]
+            free.pop(pos)
+            break
+        else:  # pragma: no cover - optimality guarantees a break
+            raise RuntimeError("assignment refinement failed to complete")
     return pairs
 
 

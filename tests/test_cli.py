@@ -485,4 +485,8 @@ def test_an_out_that_is_a_file_is_a_config_error(tmp_path, capsys, stage1_ckpt, 
             }[command]
     assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
     assert f"config error: --out {out} exists and is not a directory" in capsys.readouterr().err
+    assert main(argv + ["--out", str(out / "sub")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == (f"config error: --out {out / 'sub'} is below {out}, which exists and is "
+                   "not a directory\n")
     assert out.read_text() == "kept\n"

@@ -9,7 +9,7 @@ checks every op it records on the tape.
 import numpy as np
 import pytest
 
-from slotforge import tensor as T
+from slotforge import losses, tensor as T
 from slotforge.config import load_config
 from slotforge.decoder import action_to_bins
 from slotforge.losses import action_ce
@@ -64,6 +64,22 @@ def test_a_stage1_step_checks_every_op_on_its_tape(goal, counts):
         tape.backward(loss)
     assert len(tape) == 159
     assert counts["checks"] == 219
+
+
+# the scipy matcher made 78 `linear_sum_assignment` calls on this step: per
+# frame one solve, one per object that forbids an optimal edge, and on a tie
+# one per candidate slot
+SOLVES_PER_STAGE1_STEP = 19
+
+
+def test_a_stage1_step_solves_each_frame_once_and_its_candidates(goal, monkeypatch):
+    cfg, pipeline, corpus = goal
+    solves, assign = [], losses._assign
+    monkeypatch.setattr(losses, "_assign", lambda cost: solves.append(cost.shape) or assign(cost))
+    with T.fresh_tape():
+        pipeline.stage1_batch_loss(sample_clips(corpus, cfg, 0))
+    assert len(solves) == SOLVES_PER_STAGE1_STEP
+    assert len([s for s in solves if s[0] == cfg.num_slots]) == cfg.batch_clips * cfg.clip_len
 
 
 def test_a_stage2_step_records_its_tape_entries(goal):
