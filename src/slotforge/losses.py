@@ -56,10 +56,9 @@ def _assign(cost: np.ndarray) -> tuple[list[int], np.ndarray]:
                     d = dist[i]
                 if d < lowest or (d == lowest and gt_of[i] < 0):
                     lowest, nearest = d, i
-            reach = lowest
             unreached.remove(nearest)
             reached.append(nearest)
-            j = gt_of[nearest]
+            reach, j = lowest, gt_of[nearest]
         u[start] += reach
         for j in visited[1:]:
             u[j] += reach - dist[slot_of[j]]
@@ -110,11 +109,12 @@ def hungarian_match(cost: np.ndarray) -> list[tuple[int, int]]:
         for pos, i in enumerate(free):
             if reduced[i, j] > 4.0 * tol:
                 continue
-            if not (on_optimum and i == slot_of[j]):
+            optimal = on_optimum and i == slot_of[j]
+            if not optimal:
                 sub = np.delete(cost[free, j + 1:], pos, axis=0)
                 if spent + cost[i, j] + _optimal_cost(sub)[0] > best + tol:
                     continue
-            on_optimum = on_optimum and i == slot_of[j]
+            on_optimum = optimal
             pairs.append((i, j))
             spent += cost[i, j]
             free.pop(pos)

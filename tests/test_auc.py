@@ -1,8 +1,9 @@
 """Relevance AUC: numpy average ranks against `scipy.stats.rankdata`.
 
 `train.auc_score` ranks scores itself, so training never imports
-`scipy.stats`; no module of the package loads scipy at all. Its ranks are exact halves, so both the ranks and the AUC
-must equal the scipy formula bit for bit.
+`scipy.stats`, and no module of the package loads scipy at all. Its ranks
+are exact halves, so both the ranks and the AUC must equal the scipy
+formula bit for bit.
 """
 
 import os

@@ -121,6 +121,13 @@ class TestHungarian:
         match = hungarian_match(np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert match == [(0, 0), (1, 1)]
 
+    def test_each_column_after_a_break_from_the_optimum_is_proved(self):
+        # the solve's optimum is (3, 0), (1, 1); the rule takes (0, 0) at equal
+        # total, after which the optimum's slot 1 would cost 1 more for column 1
+        cost = np.array([[1.0, 1.0], [2.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
+        assert losses._assign(cost)[0] == [3, 1]
+        assert hungarian_match(cost) == refined_match(cost) == [(0, 0), (3, 1)]
+
     def test_scale_invariance_of_pair_set(self):
         rng = np.random.default_rng(1)
         cost = rng.uniform(0, 3, size=(6, 4))
