@@ -8,7 +8,9 @@ cross-entropy over discretized action bins.
 The two stage-1 hot spots are single tape entries with analytic backwards:
 `giou_pairs` (one entry per batch, over the matched rows of every frame),
 which shares its box arithmetic with `giou_matrix`, and the anchor term of
-`track_loss` (one entry per batch, after the similarity graph).
+`track_loss` (one entry per batch, after the similarity graph). `iou_pairs`
+is the same row-wise arithmetic in plain numpy, the IoU of matched pairs,
+bitwise `iou_matrix`'s entries; validation reads it once per episode.
 `hungarian_match` solves once per frame with its own assignment solver, so
 the package needs numpy alone. A frame's matching is its plain list of
 (slot, gt) index pairs, in gt order.
@@ -92,7 +94,8 @@ def hungarian_match(cost: np.ndarray) -> list[tuple[int, int]]:
     slot i for column j costs at least r[i, j] more, so slots with r > 4·tol
     are skipped (3·tol guards against rounding). While every earlier column
     holds its optimal slot, so does this one without proof; any other
-    candidate takes one solve of the columns after it.
+    candidate takes one solve of the columns after it. Where rounding refuses
+    every slot of a column, the one with the cheapest completion is taken.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
@@ -104,23 +107,31 @@ def hungarian_match(cost: np.ndarray) -> list[tuple[int, int]]:
         raise ValueError(f"{n_gt} objects exceed {n_slots} slots")
     best, slot_of, reduced = _optimal_cost(cost)
     tol = _TIE_RTOL * max(1.0, abs(best))
+    costs, reduced = cost.tolist(), reduced.tolist()
     pairs, free, spent, on_optimum = [], list(range(n_slots)), 0.0, True
     for j in range(n_gt):
+        over = []  # (completion total, position in free) of each candidate refused
         for pos, i in enumerate(free):
-            if reduced[i, j] > 4.0 * tol:
+            if reduced[i][j] > 4.0 * tol:
                 continue
             optimal = on_optimum and i == slot_of[j]
             if not optimal:
                 sub = np.delete(cost[free, j + 1:], pos, axis=0)
-                if spent + cost[i, j] + _optimal_cost(sub)[0] > best + tol:
+                total = spent + costs[i][j] + _optimal_cost(sub)[0]
+                if total > best + tol:
+                    over.append((total, pos))
                     continue
-            on_optimum = optimal
-            pairs.append((i, j))
-            spent += cost[i, j]
-            free.pop(pos)
             break
-        else:  # pragma: no cover - optimality guarantees a break
-            raise RuntimeError("assignment refinement failed to complete")
+        else:
+            # an assignment at exactly optimum + tol sums to either side of the
+            # bound in different orders, so an earlier column may have taken it
+            # and this one refuse every slot: take the cheapest completion
+            _, pos = min(over)
+            optimal = False
+        i = free.pop(pos)
+        on_optimum = optimal
+        pairs.append((i, j))
+        spent += costs[i][j]
     return pairs
 
 
@@ -168,13 +179,23 @@ def iou_matrix(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     return inter / union
 
 
+def iou_pairs(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """Row-wise IoU of matched (n, 4) cxcywh rows, (n,): bitwise the entries
+    `iou_matrix(pred, gt)[s, g]` of the pairs the rows were gathered from."""
+    if pred.shape != gt.shape or pred.ndim != 2 or pred.shape[1] != 4:
+        raise ShapeError(f"iou_pairs: shapes {pred.shape} vs {gt.shape}")
+    _, _, inter, union, _ = _overlap(pred, gt)
+    return inter / union
+
+
 def box_cost(pred: np.ndarray, gt: np.ndarray, l1_weight: float,
              giou_weight: float) -> np.ndarray:
-    """Assignment cost mirroring the box loss: weighted L1 plus (1 - GIoU)."""
-    pred = _validate_boxes(pred, "pred boxes", reject_degenerate=False)
-    gt = _validate_boxes(gt, "gt boxes", reject_degenerate=True)
+    """Assignment cost mirroring the box loss: weighted L1 plus (1 - GIoU).
+    `giou_matrix` validates both box arrays."""
+    giou = giou_matrix(pred, gt)
+    pred, gt = np.asarray(pred, dtype=np.float64), np.asarray(gt, dtype=np.float64)
     l1 = np.abs(pred[:, None, :] - gt[None, :, :]).sum(axis=2)
-    return l1_weight * l1 + giou_weight * (1.0 - giou_matrix(pred, gt))
+    return l1_weight * l1 + giou_weight * (1.0 - giou)
 
 
 def giou_pairs(pred: Tensor, gt: np.ndarray) -> Tensor:

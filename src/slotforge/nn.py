@@ -144,7 +144,7 @@ def gru_cell(inputs: Tensor, states: Tensor, p: GRUParams) -> Tensor:
     if inputs.shape != states.shape:
         raise ShapeError(f"gru_cell: inputs {inputs.shape} != states {states.shape}")
     x, s = inputs.data, states.data
-    with np.errstate(all="ignore"):
+    with T.quiet():
         # a gate saturates to a finite value on an infinite pre-activation
         pre_z = T.check_finite(x @ p.w_update.data + s @ p.u_update.data + p.b_update.data,
                                "gru_cell")

@@ -135,10 +135,13 @@ class Pipeline:
         """(dense tokens, refined slots, attention weights) of a group of frames,
         rgb arrays with one episode key and time each, stacked frame by frame;
         one frame is a group of one. `prev_slots`, if any, holds the group's
-        previous slots in the same order, carried over only when every t > 0."""
+        previous slots in the same order, carried over only when every t > 0.
+        Only a group that starts fresh draws its seeds, one `init_seed` of
+        (run seed, episode key, t) per frame; carried slots need none."""
         tokens = self.frontend(frames)
         carry = prev_slots if min(times) > 0 else None
-        seeds = [init_seed(self.cfg.seed, key, t) for key, t in zip(episode_keys, times)]
+        seeds = None if carry is not None else [
+            init_seed(self.cfg.seed, key, t) for key, t in zip(episode_keys, times)]
         slots, weights = self.slot_attn.encode_frame(tokens, carry, seeds)
         return tokens, slots, weights
 

@@ -57,7 +57,7 @@ def slot_attention(keys: Tensor, values: Tensor, slots: Tensor, wq: Tensor,
     d = sl.shape[1]
     scale = 1.0 / np.sqrt(d)
     kb, vb = k.reshape(groups, -1, d), v.reshape(groups, -1, v.shape[1])
-    with np.errstate(all="ignore"):
+    with T.quiet():
         queries = sl @ wq.data
         qb = queries.reshape(groups, -1, d)
         # the softmax runs in the logits buffer; it turns a -inf logit into a
@@ -113,11 +113,11 @@ class SlotAttention:
     def params(self) -> ParamGroup:
         return ParamGroup().collect("slots", self)
 
-    def init_slots(self, prev: Tensor | None, rng_seed: int | Sequence[int]) -> Tensor:
+    def init_slots(self, prev: Tensor | None, rng_seed: int | Sequence[int] | None) -> Tensor:
         """Slots of a group of frames, stacked frame by frame: a bitwise
-        carryover copy of `prev` when given, else fresh Gaussian slots, one
-        seeded draw per frame from its own seed (an int is one frame), so a
-        frame's start does not depend on its group."""
+        carryover copy of `prev` when given, with no seed needed, else fresh
+        Gaussian slots, one seeded draw per frame from its own seed (an int is
+        one frame), so a frame's start does not depend on its group."""
         if prev is not None:
             return prev.detach()
         noise = np.concatenate([
@@ -139,13 +139,15 @@ class SlotAttention:
         return new_slots, weights
 
     def encode_frame(self, tokens: Tensor, prev: Tensor | None,
-                     rng_seed: int | Sequence[int]) -> tuple[Tensor, np.ndarray]:
+                     rng_seed: int | Sequence[int] | None) -> tuple[Tensor, np.ndarray]:
         """Encode a group of frames, one seed per frame, whose tokens and `prev`
         slots are stacked frame by frame: init (carried over exactly when
-        `prev` is given), project the tokens to keys and values once, then run
-        the configured refinement steps with each frame's slots attending to
-        its own tokens. Returns (slots, the last step's attention weights)."""
-        groups = np.size(rng_seed)
+        `prev` is given, and then the seeds may be None), project the tokens to
+        keys and values once, then run the configured refinement steps with
+        each frame's slots attending to its own tokens. The group counts its
+        frames by `prev`'s slot blocks, or else by its seeds. Returns (slots,
+        the last step's attention weights)."""
+        groups = np.size(rng_seed) if prev is None else prev.shape[0] // self.num_slots
         keys, values = T.matmul(tokens, self.wk), T.matmul(tokens, self.wv)
         slots = self.init_slots(prev, rng_seed)
         weights = None

@@ -22,6 +22,13 @@ there instead, and the fused kernels keep their checks on intermediates. If
 the pass raises, it runs once more with every op checked, so the error names
 the op as it would have without the pass.
 
+numpy's floating-point warnings are off, through `quiet()`, around the
+arithmetic of the elementwise binary and unary ops, `linear`, the attention
+logits, `nn.gru_cell` and `slots.slot_attention`: a non-finite value is the
+finite checks' to report, not numpy's. An `inference_pass`'s first run sits
+whole under one `np.errstate`, so `quiet` is a no-op there; on the tape,
+under `no_grad` and in the pass's checked replay each op enters its own.
+
 An op writes in place only into arrays it allocated itself, such as a
 matmul's fresh product. It never writes into the gradient `g` its backward
 receives, into a parent's `.data`, or into an array that it returns and has
@@ -52,7 +59,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -206,6 +213,16 @@ def inference_pass(fn: Callable) -> Callable:
     return run
 
 
+_SILENT = nullcontext()
+
+
+def quiet():
+    """numpy's floating-point warnings off for one op's arithmetic: a fresh
+    `np.errstate(all="ignore")`, or a no-op inside an `inference_pass`'s first
+    run, which runs whole under one."""
+    return np.errstate(all="ignore") if _OP_CHECKS else _SILENT
+
+
 def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
@@ -268,7 +285,7 @@ def _binary(a, b, fwd, bwd_a, bwd_b, op: str) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     if not _broadcast_ok(a.shape, b.shape):
         raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
-    with np.errstate(all="ignore"):
+    with quiet():
         out = fwd(a.data, b.data)
 
     def backward(g):
@@ -329,7 +346,7 @@ def _unary(a, fwd, bwd, op: str, saturates: bool = False) -> Tensor:
     a = _coerce(a)
     if saturates and not _OP_CHECKS:
         check_finite(a.data, op)
-    with np.errstate(all="ignore"):
+    with quiet():
         out = fwd(a.data)
 
     def backward(g, out=out):
@@ -427,7 +444,7 @@ def _head_softmax(q: np.ndarray, k: np.ndarray, heads: int, groups: int):
     qh = _split_heads(q, heads, groups)
     kt = np.ascontiguousarray(
         k.reshape(groups, k.shape[0] // groups, heads, dh).transpose(0, 2, 3, 1))
-    with np.errstate(all="ignore"):
+    with quiet():
         weights = qh @ kt
         weights *= scale
     check_finite(weights, "attention logits")
@@ -542,7 +559,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     y = x.data @ w.data
     if not _broadcast_ok(y.shape, b.shape):
         raise ShapeError(f"linear: incompatible shapes {y.shape} and {b.shape}")
-    with np.errstate(all="ignore"):
+    with quiet():
         # of two shapes `_broadcast_ok` accepts, the larger is the result's
         out = np.add(y, b.data, out=y if b.data.size <= y.size else None)
 

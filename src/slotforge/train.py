@@ -22,7 +22,7 @@ from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .decoder import ACTION_DIMS, action_to_bins
-from .losses import action_ce, iou_matrix, match_frame, slot_relevance_labels
+from .losses import action_ce, iou_pairs, match_frame, slot_relevance_labels
 from .nn import ParamGroup
 from .optim import AdaptiveOptimizer, TrainingError
 from .pipeline import Clip, Pipeline, frame_targets, task_tokens
@@ -202,7 +202,9 @@ def validation_scores(pipeline: Pipeline, corpus: Corpus,
     """Matched box IoU, relevance AUC and assignment flip rate of a corpus, in
     a `T.inference_pass`. Each episode is walked whole, one frame per
     `encode_frame` call, with `carryover` as `Pipeline.walk` takes it; the box
-    head and task filter run once over its slots, and each frame matches once."""
+    head and task filter run once over its slots, and each frame matches once.
+    The IoU of an episode's matched pairs is one `iou_pairs` call over their
+    rows, gathered from its boxes and its frames' gt boxes stacked alike."""
     n_slots = pipeline.cfg.num_slots
     ious, pi_all, labels_all, flips = [], [], [], []
     for idx in range(len(corpus)):
@@ -215,15 +217,20 @@ def validation_scores(pipeline: Pipeline, corpus: Corpus,
         T.check_finite(logits.data, "filter logits")
         pi_all.extend(scores.scores.tolist())
         prev: dict[str, int] = {}
-        for targets, frame_boxes in zip(clip.targets, boxes.reshape(n, n_slots, 4)):
+        rows, gt_rows, offset = [], [], 0
+        for f, (targets, frame_boxes) in enumerate(zip(clip.targets,
+                                                       boxes.reshape(n, n_slots, 4))):
             match = match_frame(frame_boxes, targets, pipeline.cfg)
-            pairwise = iou_matrix(frame_boxes, targets.boxes)
-            ious.extend(pairwise[s, g] for s, g in match)
+            rows += [f * n_slots + s for s, _ in match]
+            gt_rows += [offset + g for _, g in match]
+            offset += len(targets.boxes)
             labels_all.extend(slot_relevance_labels(match, targets.relevance,
                                                     n_slots).tolist())
             current = {targets.instance_ids[g]: s for s, g in match}
             flips.extend(prev[name] != s for name, s in current.items() if name in prev)
             prev = current
+        gt = np.concatenate([targets.boxes for targets in clip.targets])
+        ious.extend(iou_pairs(boxes[rows], gt[gt_rows]).tolist())
     return {"iou": float(np.mean(ious)) if ious else 0.0,
             "auc": auc_score(np.array(pi_all), np.array(labels_all)),
             "flip_rate": float(np.mean(flips)) if flips else 0.0}

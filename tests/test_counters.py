@@ -1,15 +1,17 @@
-"""Counters that do not jitter: finite checks, ops and tape entries per step.
+"""Counters that do not jitter: finite checks, ops and tape entries per step,
+seed draws and `np.errstate` entries.
 
 A change to one of them shows here, in review, and not only as a timing in
 the benchmark. The policy step is an `inference_pass`, so it checks its
-read-outs and the few ops that hide a non-finite input; a training step
-checks every op it records on the tape.
+read-outs and the few ops that hide a non-finite input, and runs under one
+`np.errstate`; a training step checks every op it records on the tape, and
+each op that silences numpy enters its own.
 """
 
 import numpy as np
 import pytest
 
-from slotforge import losses, tensor as T
+from slotforge import losses, pipeline as pipeline_module, tensor as T
 from slotforge.config import load_config
 from slotforge.decoder import action_to_bins
 from slotforge.losses import action_ce
@@ -45,6 +47,25 @@ def counts(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def entries(monkeypatch):
+    """Count `init_seed` calls and `np.errstate` entries while a test runs."""
+    seen = {"seeds": 0, "errstates": 0}
+    init_seed, errstate = pipeline_module.init_seed, np.errstate
+
+    def counting_seed(*args):
+        seen["seeds"] += 1
+        return init_seed(*args)
+
+    def counting_errstate(**kwargs):
+        seen["errstates"] += 1
+        return errstate(**kwargs)
+
+    monkeypatch.setattr(pipeline_module, "init_seed", counting_seed)
+    monkeypatch.setattr(np, "errstate", counting_errstate)
+    return seen
+
+
 def test_a_policy_step_checks_its_read_outs_not_every_op(goal, counts):
     cfg, pipeline, _ = goal
     world = World(cfg.world_config(), 11)
@@ -55,6 +76,28 @@ def test_a_policy_step_checks_its_read_outs_not_every_op(goal, counts):
     counts.update(checks=0, ops=0)
     pipeline.policy_step(rgb, world.proprio(), world.task, slots, 11, 1)
     assert counts == {"checks": 33, "ops": 118}  # carried slots need no fresh init
+
+
+def test_a_policy_step_draws_seeds_only_when_fresh_under_one_errstate(goal, entries):
+    cfg, pipeline, _ = goal
+    world = World(cfg.world_config(), 11)
+    rgb, _ = world.render()
+    _, slots = pipeline.policy_step(rgb, world.proprio(), world.task, None, 11, 0)
+    assert entries == {"seeds": 1, "errstates": 1}
+    entries.update(seeds=0, errstates=0)
+    pipeline.policy_step(rgb, world.proprio(), world.task, slots, 11, 1)
+    # 67 before: one per op that silences numpy, inside the pass's own
+    assert entries == {"seeds": 0, "errstates": 1}
+
+
+def test_a_stage1_step_draws_seeds_per_clip_and_silences_each_op(goal, entries):
+    cfg, pipeline, corpus = goal
+    with T.fresh_tape() as tape:
+        loss, _ = pipeline.stage1_batch_loss(sample_clips(corpus, cfg, 0))
+        tape.backward(loss)
+    # one seed per clip's first frame; 12 before, one per frame
+    assert entries == {"seeds": cfg.batch_clips, "errstates": 110}
+    assert cfg.batch_clips == 4
 
 
 def test_a_stage1_step_checks_every_op_on_its_tape(goal, counts):

@@ -153,6 +153,22 @@ def test_a_pass_replays_with_every_op_checked_to_name_the_op(op):
         T.exp(Tensor(1000.0))  # outside a pass, no_grad still checks every op
 
 
+def test_quiet_is_a_no_op_only_in_a_pass_first_run():
+    silenced = []
+
+    @T.inference_pass
+    def read_out(x: float) -> np.ndarray:
+        silenced.append(isinstance(T.quiet(), np.errstate))
+        return T.check_finite(np.array(x), "read-out")
+
+    with pytest.raises(NonFiniteError, match="read-out"):
+        read_out(np.inf)
+    # the first run is under the pass's own errstate; the replay silences op by op
+    assert silenced == [False, True]
+    with T.no_grad():
+        assert isinstance(T.quiet(), np.errstate)
+
+
 @pytest.mark.parametrize("command, failed", [("eval", "evaluation"),
                                              ("inspect", "inspection")])
 def test_exit_4_names_the_command_that_failed_and_the_op(command, failed, tmp_path, capsys):

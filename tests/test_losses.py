@@ -1,6 +1,7 @@
 """Matching and loss contracts, checked against independent oracles."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from slotforge import losses
 from slotforge.config import ConfigError, RunConfig, load_config
 from slotforge.losses import (FrameTargets, action_ce,
                               box_cost, giou_matrix, giou_pairs, hungarian_match,
+                              iou_matrix, iou_pairs,
                               relevance_loss, slot_attn_loss, slot_relevance_labels,
                               stage1_total, track_loss)
 from slotforge.optim import AdaptiveOptimizer
@@ -127,6 +129,20 @@ class TestHungarian:
         cost = np.array([[1.0, 1.0], [2.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
         assert losses._assign(cost)[0] == [3, 1]
         assert hungarian_match(cost) == refined_match(cost) == [(0, 0), (3, 1)]
+
+    def test_an_assignment_at_optimum_plus_tol_completes(self):
+        # an assignment costs exactly optimum + tol in real arithmetic; an early
+        # column's check sums its completion just under the bound, a later
+        # one's just over, and the scipy reference gives up there too
+        cost = 1e-13 * np.array([[7, 4, 14, 6], [8, 18, 20, 10], [10, 6, 15, 7],
+                                 [2, 9, 18, 10]])
+        with pytest.raises(RuntimeError, match="refinement failed"):
+            scipy_hungarian_match(cost)
+        match = hungarian_match(cost)
+        assert [j for _, j in match] == [0, 1, 2, 3]
+        assert len({i for i, _ in match}) == 4
+        best = brute_force_assignment(cost)
+        assert math.fsum(cost[i, j] for i, j in match) - best <= 1e-12 * max(1.0, best)
 
     def test_scale_invariance_of_pair_set(self):
         rng = np.random.default_rng(1)
@@ -348,6 +364,27 @@ class TestBoxGeometry:
         bad = np.array([[0.5, 0.5, 0.0, 0.2]])
         with pytest.raises(ValueError):
             box_cost(good, bad, CFG.cost_l1, CFG.cost_giou)
+
+    @pytest.mark.parametrize("subset", ["goal", "object", "spatial", "long", "pair"])
+    def test_iou_pairs_are_the_matrix_entries_of_matched_frames(self, subset):
+        cfg = load_config(overrides=[f"subset={subset}"])
+        pipeline = Pipeline(cfg)
+        episode = generate_episode(5, cfg.world_config())
+        clip = Corpus([episode], cfg.patch_size).clip(0, 0, 4)
+        with T.no_grad():
+            slots = T.concat([slots for _, _, _, slots, _ in pipeline.walk([clip])])
+            boxes = pipeline.heads.boxes(slots).data.reshape(4, cfg.num_slots, 4)
+        for frame_boxes, targets in zip(boxes, clip.targets):
+            match = losses.match_frame(frame_boxes, targets, cfg)
+            slot_rows, gt_rows = ([s for s, _ in match], [g for _, g in match])
+            pairs = iou_pairs(frame_boxes[slot_rows], targets.boxes[gt_rows])
+            matrix = iou_matrix(frame_boxes, targets.boxes)[slot_rows, gt_rows]
+            assert len(match) == len(targets.boxes)
+            assert pairs.tobytes() == matrix.tobytes()
+
+    def test_iou_pairs_shape_mismatch_rejected(self):
+        with pytest.raises(T.ShapeError):
+            iou_pairs(np.zeros((2, 4)), np.zeros((3, 4)))
 
     def test_giou_pairs_matches_matrix_diagonal(self):
         rng = np.random.default_rng(3)

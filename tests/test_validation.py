@@ -67,3 +67,22 @@ def test_metrics_and_flip_rates_equal_a_per_frame_path(carryover_on):
     assert rates[True] != rates[False]
     # the flip rate passes its choice down instead of setting the config
     assert pipe.cfg.carryover_on is carryover_on
+
+
+@pytest.mark.parametrize("subset, seeds, frames", [("pair", (2, 3, 4), 6), ("long", (0, 2), 4)])
+def test_metrics_equal_a_per_frame_path_on_more_subsets(subset, seeds, frames):
+    # pair holds 3 instances on 16 slots; long up to 30 on 32 slots
+    cfg = load_config(overrides=[f"subset={subset}"])
+    pipe = Pipeline(cfg)
+    episodes = [dataclasses.replace(episode, frames=episode.frames[:frames - k])
+                for k, episode in enumerate(generate_episode(seed, cfg.world_config())
+                                            for seed in seeds)]
+    corpus = train.Corpus(episodes, cfg.patch_size)
+    most = max(len(record.instances) for frames in corpus.frames for record in frames)
+    assert most == {"pair": 3, "long": 30}[subset]
+    assert train.stage1_metrics(pipe, corpus) == per_frame_validation(
+        pipe, corpus, cfg.carryover_on)[0]
+    assert {carryover: train.assignment_flip_rate(pipe, corpus, carryover)
+            for carryover in (True, False)} == {
+        carryover: per_frame_validation(pipe, corpus, carryover)[1]
+        for carryover in (True, False)}
