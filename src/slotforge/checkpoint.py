@@ -14,6 +14,7 @@ so a save that fails or is interrupted leaves the previous file intact.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -75,7 +76,10 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
             offset += 4
             extents = struct.unpack_from(f"<{rank}I", blob, offset)
             offset += 4 * rank
-            count = int(np.prod(extents)) if rank else 1
+            # Python ints: extents near 2**32 overflow a numpy product
+            count = math.prod(extents)
+            if offset + 8 * count > len(blob):
+                raise CheckpointError(f"{path}: truncated record at byte {offset}")
             payload = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
             offset += 8 * count
         except (struct.error, ValueError) as exc:

@@ -147,6 +147,12 @@ class RunConfig:
         if self.clip_len < 2:
             raise ConfigError("clip_len must be >= 2 for the tracking loss")
 
+    @property
+    def object_tokens(self) -> int:
+        """Object tokens a frame hands the decoder: the slots the task filter
+        keeps, or every slot with the filter off."""
+        return self.num_selected if self.filter_on else self.num_slots
+
     def world_config(self) -> WorldConfig:
         """The world's view of this run: the fields WorldConfig shares with it."""
         return WorldConfig(**{f.name: getattr(self, f.name)

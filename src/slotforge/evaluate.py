@@ -32,12 +32,14 @@ class RolloutResult:
 
 def policy_actions(pipeline: Pipeline, world: World, seed: int) -> Iterator[np.ndarray]:
     """The policy's greedy action for each frame of `world`, with its slots
-    carried over from frame to frame; each pull is one `policy_step`."""
-    slots = None
+    carried over from frame to frame when `cfg.carryover_on` is set; each pull
+    is one `policy_step`."""
+    carry, slots = pipeline.cfg.carryover_on, None
     while True:
         rgb, _ = world.render()
         action, slots = pipeline.policy_step(rgb, world.proprio(), world.task, slots,
                                              episode_key=seed, t=world.t)
+        slots = slots if carry else None
         yield action
 
 
@@ -93,8 +95,9 @@ def _ratio_string(dense: int, tokens: int) -> tuple[float, str]:
 
 def token_budget_report(cfg: RunConfig) -> dict:
     """Token counts and reduction ratios for the configured run and for the
-    256-dense-token reference setting. Printed ratios round half-up to the
-    nearest integer."""
+    256-dense-token reference setting. The configured rows count the object
+    tokens a frame hands the decoder, plus the relation tokens when relations
+    are on. Printed ratios round half-up to the nearest integer."""
     rows = []
     for label, dense, tokens in (
         ("reference-goal OC", 256, 4),
@@ -106,8 +109,8 @@ def token_budget_report(cfg: RunConfig) -> dict:
         rows.append({"setting": label, "dense": dense, "tokens": tokens,
                      "ratio": ratio, "printed": printed})
     dense = (cfg.image_size // cfg.patch_size) ** 2
-    oc = cfg.num_selected
-    orc = cfg.num_selected + cfg.num_relations
+    oc = cfg.object_tokens
+    orc = oc + (cfg.num_relations if cfg.relations_on else 0)
     for label, tokens in (("configured OC", oc), ("configured ORC", orc)):
         ratio, printed = _ratio_string(dense, tokens)
         rows.append({"setting": label, "dense": dense, "tokens": tokens,

@@ -10,7 +10,8 @@ The two stage-1 hot spots are single tape entries with analytic backwards:
 which shares its box arithmetic with `giou_matrix`, and the anchor term of
 `track_loss` (one entry per batch, after the similarity graph). `iou_pairs`
 is the same row-wise arithmetic in plain numpy, the IoU of matched pairs,
-bitwise `iou_matrix`'s entries; validation reads it once per episode.
+and the package's one matched-IoU form: validation reads it once per episode
+and the inspection report once per frame.
 `hungarian_match` solves once per frame with its own assignment solver, so
 the package needs numpy alone. A frame's matching is its plain list of
 (slot, gt) index pairs, in gt order.
@@ -172,16 +173,9 @@ def giou_matrix(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     return inter / union - (hull - union) / hull
 
 
-def iou_matrix(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
-    pred = _validate_boxes(pred, "pred boxes", reject_degenerate=False)
-    gt = _validate_boxes(gt, "gt boxes", reject_degenerate=True)
-    _, _, inter, union, _ = _overlap(pred[:, None], gt)
-    return inter / union
-
-
 def iou_pairs(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
-    """Row-wise IoU of matched (n, 4) cxcywh rows, (n,): bitwise the entries
-    `iou_matrix(pred, gt)[s, g]` of the pairs the rows were gathered from."""
+    """Row-wise IoU of matched (n, 4) cxcywh rows, (n,): row i pairs pred[i]
+    with gt[i]."""
     if pred.shape != gt.shape or pred.ndim != 2 or pred.shape[1] != 4:
         raise ShapeError(f"iou_pairs: shapes {pred.shape} vs {gt.shape}")
     _, _, inter, union, _ = _overlap(pred, gt)

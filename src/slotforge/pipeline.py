@@ -6,9 +6,12 @@ closed-loop policy step used during rollouts.
 
 `Pipeline.encode_frame` encodes a group of frames, rgb arrays, as one graph,
 their dense tokens and slots plain Tensors stacked frame by frame as row
-blocks; one frame is a group of one. A group starts from the previous slots
-it is handed if every t > 0, and from one fresh seeded draw per frame
-otherwise; the walk and the policy step hand them over when carryover is on.
+blocks; one frame is a group of one. It is the one place that chooses a
+group's starting slots: a detached copy of the previous slots it is handed,
+so carryover passes values, not tape history, or else one fresh seeded draw
+per frame. Whether to hand them over is decided only by the two loops that
+hold slot state, `Pipeline.walk` and `evaluate.policy_actions`, which read
+`cfg.carryover_on`; `policy_step` carries whatever it is handed.
 
 `Pipeline.walk` is the one episode walk, and the slot recurrence is all it
 carries. It steps a list of clips in lockstep: the frames at each index form
@@ -22,9 +25,12 @@ filters each time step's frames as one group. Validation, one pass whose
 IoU, AUC and flip rate read one matching per frame, and inspection reports
 walk one episode at a time; only a closed-loop rollout, whose next frame
 depends on the action taken, steps `policy_step` itself.
-`Pipeline.select` is the one task-filter call, and stage-2 logits and the
-policy step share one decode tail, which decodes frames stacked as row blocks
-in one graph: a stage-2 batch, or the one frame of a policy step.
+`Pipeline.select` is the one task-filter call. It keeps `cfg.object_tokens`
+slots of each frame, the one count of object tokens a frame hands the
+decoder, by which the stage-2 cache slices and which the budget report
+prints. Stage-2 logits and the policy step share one decode tail, which
+decodes frames stacked as row blocks in one graph: a stage-2 batch, or the
+one frame of a policy step.
 
 Training checks every op for NaN/Inf on its tape. The passes outside the
 tape, the policy step and the stage-2 cache here and `train`'s validation
@@ -134,15 +140,17 @@ class Pipeline:
                      episode_keys: list[int], times: list[int]):
         """(dense tokens, refined slots, attention weights) of a group of frames,
         rgb arrays with one episode key and time each, stacked frame by frame;
-        one frame is a group of one. `prev_slots`, if any, holds the group's
-        previous slots in the same order, carried over only when every t > 0.
-        Only a group that starts fresh draws its seeds, one `init_seed` of
-        (run seed, episode key, t) per frame; carried slots need none."""
+        one frame is a group of one. `prev_slots`, if given, holds the group's
+        previous slots in the same order and starts it as a detached copy,
+        with no seed drawn; otherwise each frame starts fresh from one
+        `init_seed` of (run seed, episode key, t)."""
         tokens = self.frontend(frames)
-        carry = prev_slots if min(times) > 0 else None
-        seeds = None if carry is not None else [
-            init_seed(self.cfg.seed, key, t) for key, t in zip(episode_keys, times)]
-        slots, weights = self.slot_attn.encode_frame(tokens, carry, seeds)
+        if prev_slots is not None:
+            start = prev_slots.detach()
+        else:
+            start = self.slot_attn.fresh_slots(
+                [init_seed(self.cfg.seed, key, t) for key, t in zip(episode_keys, times)])
+        slots, weights = self.slot_attn.encode_frame(tokens, start)
         return tokens, slots, weights
 
     def walk(self, clips: list[Clip], carryover: bool | None = None) -> Iterator[
@@ -172,9 +180,8 @@ class Pipeline:
     def select(self, slots: Tensor, lang: Tensor, groups: int = 1):
         """Task filter over the slots of `groups` frames stacked as row blocks,
         with their task tokens stacked alike: (scores + selected rows, logit
-        column)."""
-        return self.filter(slots, lang, self.cfg.num_selected, enabled=self.cfg.filter_on,
-                           groups=groups)
+        column). Each frame keeps `cfg.object_tokens` slots."""
+        return self.filter(slots, lang, self.cfg.object_tokens, groups)
 
     def track_embedding(self, slots: Tensor) -> Tensor:
         return self.track_proj(slots) if self.track_proj is not None else slots
@@ -248,10 +255,9 @@ class Pipeline:
             for value, name in ((tokens, "dense tokens"), (slots, "slots"),
                                 (logits, "filter logits")):
                 T.check_finite(value.data, name)
-            selected = scores.selected
-            cells, keep = tokens.shape[0] // len(group), len(selected) // len(group)
+            cells, keep = tokens.shape[0] // len(group), self.cfg.object_tokens
             for j, c in enumerate(going):
-                record, rows = episodes[c][i], selected[j * keep:(j + 1) * keep]
+                record, rows = episodes[c][i], scores.selected[j * keep:(j + 1) * keep]
                 caches[c].append({
                     "dense": tokens.data[j * cells:(j + 1) * cells].copy(),
                     "grid": (grid, grid),
@@ -275,11 +281,8 @@ class Pipeline:
 
     def stage2_logits(self, entries: list[dict]) -> Tensor:
         """Logits of cached frames as one row-stacked graph, (frames·7, bins).
-        Bundles of mixed length cannot be grouped: that is a ShapeError."""
-        extra = (self.cfg.num_relations if self.cfg.relations_on else 0) + 1
-        lengths = [len(e["slots"]) + len(e["task"].split()) + extra for e in entries]
-        if len(set(lengths)) > 1:
-            raise ShapeError(f"stage-2 bundles differ in length: {lengths}")
+        Every frame holds `cfg.object_tokens` slots, so only the tasks' word
+        counts can differ, and `task_tokens` rejects that."""
         tokens, slots = (Tensor(np.concatenate([e[key] for e in entries]))
                          for key in ("dense", "slots"))
         return self._logits(tokens, slots, [e["task"] for e in entries],
@@ -292,9 +295,8 @@ class Pipeline:
     def policy_step(self, rgb: np.ndarray, proprio: np.ndarray, task: str,
                     prev_slots: Tensor | None, episode_key: int, t: int):
         """Greedy action for one observation, its rgb frame at time `t`;
-        returns (action, refined slots)."""
-        carry = prev_slots if self.cfg.carryover_on else None
-        tokens, slots, _ = self.encode_frame([rgb], carry, [episode_key], [t])
+        returns (action, refined slots). It carries `prev_slots` when given."""
+        tokens, slots, _ = self.encode_frame([rgb], prev_slots, [episode_key], [t])
         scores, filter_logits = self.select(slots, self.lang_filter(task))
         logits = self._logits(tokens, T.gather_rows(slots, scores.selected), [task], proprio)
         for value, name in ((slots, "slots"), (filter_logits, "filter logits"),

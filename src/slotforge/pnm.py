@@ -11,8 +11,13 @@ class PnmError(Exception):
     pass
 
 
-def _write_header(fh, magic: bytes, w: int, h: int) -> None:
-    fh.write(magic + b"\n%d %d\n255\n" % (w, h))
+def _write(path: str | Path, magic: bytes, pixels: np.ndarray) -> None:
+    """An 8-bit PNM file of (h, w[, channels]) uint8 pixels, parents made."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as fh:
+        fh.write(magic + b"\n%d %d\n255\n" % (pixels.shape[1], pixels.shape[0]))
+        fh.write(pixels.tobytes())
 
 
 def write_pgm(path: str | Path, gray: np.ndarray) -> None:
@@ -21,11 +26,7 @@ def write_pgm(path: str | Path, gray: np.ndarray) -> None:
         raise PnmError(f"PGM needs a 2-D array, got shape {gray.shape}")
     if gray.dtype != np.uint8:
         gray = np.clip(np.round(gray), 0, 255).astype(np.uint8)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        _write_header(fh, b"P5", gray.shape[1], gray.shape[0])
-        fh.write(gray.tobytes())
+    _write(path, b"P5", gray)
 
 
 def write_ppm(path: str | Path, rgb: np.ndarray) -> None:
@@ -34,11 +35,7 @@ def write_ppm(path: str | Path, rgb: np.ndarray) -> None:
         raise PnmError(f"PPM needs an HxWx3 array, got shape {rgb.shape}")
     if rgb.dtype != np.uint8:
         raise PnmError(f"PPM needs uint8 pixels, got {rgb.dtype}")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        _write_header(fh, b"P6", rgb.shape[1], rgb.shape[0])
-        fh.write(rgb.tobytes())
+    _write(path, b"P6", rgb)
 
 
 def _read_header(blob: bytes, magic: bytes, path) -> tuple[int, int, int]:

@@ -11,7 +11,7 @@ import numpy as np
 from . import tensor as T
 from . import pnm
 from .config import ConfigError
-from .losses import iou_matrix, match_frame, slot_relevance_labels
+from .losses import iou_pairs, match_frame, slot_relevance_labels
 from .pipeline import Pipeline
 from .train import Corpus
 from .world import Episode
@@ -52,7 +52,8 @@ def inspect_report(pipeline: Pipeline, episode: Episode, frame_idx: int,
 
     labels = slot_relevance_labels(match, targets.relevance, cfg.num_slots)
     gt_for_slot = dict(match)
-    pairwise_iou = iou_matrix(preds.boxes.data, targets.boxes)
+    rows, gts = list(gt_for_slot), list(gt_for_slot.values())
+    matched_iou = dict(zip(rows, iou_pairs(preds.boxes.data[rows], targets.boxes[gts])))
     with open(out_dir / "slots.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["slot", "pi", "selected", "gt_relevance", "matched_instance",
@@ -63,7 +64,7 @@ def inspect_report(pipeline: Pipeline, episode: Episode, frame_idx: int,
                 s, f"{scores.scores[s]:.4f}", int(s in scores.selected),
                 int(labels[s]),
                 targets.instance_ids[matched] if matched is not None else "",
-                f"{pairwise_iou[s, matched]:.4f}" if matched is not None else "",
+                f"{matched_iou[s]:.4f}" if matched is not None else "",
                 f"{preds.objectness.data[s, 0]:.4f}",
                 *(f"{v:.4f}" for v in preds.boxes.data[s]),
             ])

@@ -1,34 +1,31 @@
-"""Iterative slot refinement over dense tokens, with cross-frame carryover.
+"""Iterative slot refinement over dense tokens.
 
-A frame's dense tokens and slots are plain Tensors. The slots start from a
-seeded Gaussian draw, or, when the previous frame's final refined slots are
-passed in, as a bitwise copy of them; `Pipeline.encode_frame` decides which.
-The tokens are projected to keys and values once per frame (Algorithm 1 of
-Locatello et al. 2020). Each refinement step computes scaled dot-product
-logits between the keys and the projected slots, normalizes over the slot
-axis per token, re-normalizes the transposed weights over tokens, and feeds
-the weighted mean of the values into a row-wise GRU, optionally followed by
-a residual MLP. A step also returns those weights, a read-only numpy array
-whose columns sum to 1 over the tokens; reports draw them.
+A frame's dense tokens and slots are plain Tensors. The refiner knows nothing
+of carryover: `SlotAttention.encode_frame` refines whatever starting slots it
+is handed, and `SlotAttention.fresh_slots` draws seeded Gaussian ones; the
+caller, `Pipeline.encode_frame`, chooses between those and a copy of the
+previous frame's slots. The tokens are projected to keys and values once per
+frame (Algorithm 1 of Locatello et al. 2020). Each refinement step computes
+scaled dot-product logits between the keys and the projected slots,
+normalizes over the slot axis per token, re-normalizes the transposed weights
+over tokens, and feeds the weighted mean of the values into a row-wise GRU,
+optionally followed by a residual MLP. A step also returns those weights, a
+read-only numpy array whose columns sum to 1 over the tokens; reports draw
+them.
 
 A group of frames is encoded as one graph: their tokens and slots are
 stacked frame by frame as row blocks, and `slot_attention(..., groups)`
 keeps both normalizations within each frame's block; the projections, the
 GRU, the residual MLP and `layer_norm` are row-wise already. Whatever its
-size, a group records 2 tape entries for the projections, 3 for a fresh
-init (none for carried slots), and 7 per refinement step: `slot_attention`
-and `gru_cell` are one fused entry each, and the residual MLP block takes
-five. One frame is a group of one.
-
-Gradients are truncated at frame boundaries: carryover passes values, not
-tape history.
+size, a group records 3 tape entries for a fresh draw, 2 for the
+projections and 7 per refinement step: `slot_attention` and `gru_cell` are
+one fused entry each, and the residual MLP block takes five. One frame is a
+group of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from . import tensor as T
@@ -113,16 +110,13 @@ class SlotAttention:
     def params(self) -> ParamGroup:
         return ParamGroup().collect("slots", self)
 
-    def init_slots(self, prev: Tensor | None, rng_seed: int | Sequence[int] | None) -> Tensor:
-        """Slots of a group of frames, stacked frame by frame: a bitwise
-        carryover copy of `prev` when given, with no seed needed, else fresh
-        Gaussian slots, one seeded draw per frame from its own seed (an int is
-        one frame), so a frame's start does not depend on its group."""
-        if prev is not None:
-            return prev.detach()
+    def fresh_slots(self, seeds: list[int]) -> Tensor:
+        """Fresh Gaussian slots of a group of frames, stacked frame by frame:
+        one seeded draw per frame from its own seed, so a frame's start does
+        not depend on its group."""
         noise = np.concatenate([
             np.random.default_rng(seed).standard_normal((self.num_slots, self.width))
-            for seed in np.atleast_1d(rng_seed).tolist()])
+            for seed in seeds])
         sigma = T.exp(self.init_log_sigma)
         return T.add(self.init_mu, T.mul(Tensor(noise), sigma))
 
@@ -138,18 +132,14 @@ class SlotAttention:
             new_slots = T.add(new_slots, mlp(T.layer_norm(new_slots), self.mlp))
         return new_slots, weights
 
-    def encode_frame(self, tokens: Tensor, prev: Tensor | None,
-                     rng_seed: int | Sequence[int] | None) -> tuple[Tensor, np.ndarray]:
-        """Encode a group of frames, one seed per frame, whose tokens and `prev`
-        slots are stacked frame by frame: init (carried over exactly when
-        `prev` is given, and then the seeds may be None), project the tokens to
-        keys and values once, then run the configured refinement steps with
-        each frame's slots attending to its own tokens. The group counts its
-        frames by `prev`'s slot blocks, or else by its seeds. Returns (slots,
-        the last step's attention weights)."""
-        groups = np.size(rng_seed) if prev is None else prev.shape[0] // self.num_slots
+    def encode_frame(self, tokens: Tensor, slots: Tensor) -> tuple[Tensor, np.ndarray]:
+        """Refine the starting slots of a group of frames, whose tokens and
+        slots are stacked frame by frame: project the tokens to keys and values
+        once, then run the configured refinement steps with each frame's slots
+        attending to its own tokens. The group counts its frames by the slots'
+        row blocks. Returns (slots, the last step's attention weights)."""
+        groups = slots.shape[0] // self.num_slots
         keys, values = T.matmul(tokens, self.wk), T.matmul(tokens, self.wv)
-        slots = self.init_slots(prev, rng_seed)
         weights = None
         for _ in range(self.refine_steps):
             slots, weights = self.refine_step(slots, keys, values, groups)

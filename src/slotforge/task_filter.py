@@ -60,17 +60,15 @@ class TaskFilter:
         h = self_attention_block(slots_bca, self.trans, groups)
         return T.linear(h, self.head_w, self.head_b)
 
-    def __call__(self, slots: Tensor, lang: Tensor, k: int, enabled: bool,
+    def __call__(self, slots: Tensor, lang: Tensor, k: int,
                  groups: int = 1) -> tuple[RelevanceScores, Tensor]:
-        """Score every slot; select the top k of each frame (all of them when
-        disabled). With groups=B, `slots` and `lang` hold B frames' slots and
-        task tokens as row blocks, and each frame's slots attend to its own
-        task.
+        """Score every slot; select the top k of each frame. With groups=B,
+        `slots` and `lang` hold B frames' slots and task tokens as row blocks,
+        and each frame's slots attend to its own task.
 
         Returns (scores + selected rows, logit column tensor for the
         relevance loss)."""
         bca = cross_attention_block(slots, lang, self.bca_slots, groups)
         logits = self.score_slots(bca, groups)
         scores = T.stable_sigmoid(logits.data).reshape(-1)
-        keep = k if enabled else slots.shape[0] // groups
-        return RelevanceScores(scores, top_k_rows(scores, keep, groups)), logits
+        return RelevanceScores(scores, top_k_rows(scores, k, groups)), logits

@@ -33,9 +33,11 @@ LOSS_CSV_HEADER = "step,L_box,L_obj,L_seg,L_track,L_int,total"
 
 
 def git_describe() -> str:
+    """The package's own checkout's commit, whatever the cwd; else "unknown"."""
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
-                             capture_output=True, text=True, timeout=10)
+                             capture_output=True, text=True, timeout=10,
+                             cwd=Path(__file__).resolve().parent)
         if out.returncode == 0:
             return out.stdout.strip()
     except OSError:

@@ -10,7 +10,8 @@ match byte for byte. `finite_diff_check` compares a graph's analytic
 gradients against central differences. `scipy_hungarian_match` is the
 matching that `losses.hungarian_match` replaced: scipy's assignment, proved
 unique by `optimum_is_unique`'s n_gt forbidden-edge solves, else refined by
-one solve per candidate slot.
+one solve per candidate slot. `iou_matrix` is every pred box's IoU with
+every gt box, which `losses.iou_pairs` must match over the matched pairs.
 """
 
 import functools
@@ -20,6 +21,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 import slotforge.tensor as T
+from slotforge.losses import _overlap, _validate_boxes
 from slotforge.tensor import ShapeError, Tensor
 
 
@@ -224,6 +226,14 @@ def finite_diff_check(f: Callable[[], Tensor], wrt: Sequence[Tensor],
                 worst = max(worst, abs(an_flat[i] - num) / denom)
     zero_grads(wrt)
     return worst
+
+
+def iou_matrix(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """Pairwise IoU of cxcywh boxes, (n_pred, n_gt)."""
+    pred = _validate_boxes(pred, "pred boxes", reject_degenerate=False)
+    gt = _validate_boxes(gt, "gt boxes", reject_degenerate=True)
+    _, _, inter, union, _ = _overlap(pred[:, None], gt)
+    return inter / union
 
 
 def _optimal_cost(cost: np.ndarray) -> float:

@@ -61,6 +61,16 @@ def test_truncated_file_is_rejected(tmp_path):
             load_checkpoint(path)
 
 
+@pytest.mark.parametrize("extents", [(2**31, 2**31, 4), (2**32 - 1, 2**32 - 1)])
+def test_extents_whose_product_overflows_int64_are_a_truncated_record(tmp_path, extents):
+    path = tmp_path / "a.ckpt"
+    path.write_bytes(b"SLFG" + struct.pack("<I", 1) + struct.pack("<I", 1) + b"w"
+                     + struct.pack("<I", len(extents)) + struct.pack(f"<{len(extents)}I", *extents)
+                     + struct.pack("<2d", 1.0, 2.0))
+    with pytest.raises(CheckpointError, match="truncated record"):
+        load_checkpoint(path)
+
+
 def test_bad_magic_is_rejected(tmp_path):
     path = tmp_path / "a.ckpt"
     save_checkpoint(path, arrays())

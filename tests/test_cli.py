@@ -1,6 +1,7 @@
 """Command line exit codes for configuration, data and training errors."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -86,6 +87,19 @@ def test_eval_with_a_non_finite_parameter_exits_with_data_error(tmp_path, capsys
                  "--rollouts", "1", "--out", str(tmp_path / "out")])
     assert code == EXIT_DATA
     assert f"parameter {name}: checkpoint holds non-finite values" in capsys.readouterr().err
+
+
+def test_eval_with_extents_that_overflow_exits_with_one_data_error_line(
+        tmp_path, capsys, stage2_ckpt):
+    path = tmp_path / "stage1.ckpt"
+    # extents whose product wraps in int64, and a one-value payload
+    path.write_bytes(b"SLFG" + struct.pack("<I", 1) + struct.pack("<I", 1) + b"w"
+                     + struct.pack("<4I", 3, 2**31, 2**31, 4) + struct.pack("<d", 1.0))
+    code = main(["eval", "--stage1", str(path), "--stage2", str(stage2_ckpt),
+                 "--rollouts", "1", "--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == f"data error: {path}: truncated record at byte 29\n"
 
 
 def test_inspect_frame_outside_episode_exits_with_config_error(

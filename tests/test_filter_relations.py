@@ -69,7 +69,7 @@ class TestBca:
         weight = Tensor(rng.standard_normal((3, 1)))
 
         def f():
-            return T.sum_(T.mul(filt(slots, lang, k=2, enabled=True)[1], weight))
+            return T.sum_(T.mul(filt(slots, lang, k=2)[1], weight))
 
         wrt = [slots, lang] + filt.params().tensors()
         assert finite_diff_check(f, wrt) <= 1e-4
@@ -120,11 +120,12 @@ class TestTopK:
             top_k_rows(np.zeros(3), 4)
 
     def test_disabled_filter_is_identity(self):
+        # with the filter off, `RunConfig.object_tokens` keeps every slot
         filt = TaskFilter(np.random.default_rng(10), width=16, heads=4)
         rng = np.random.default_rng(11)
         slots = Tensor(rng.standard_normal((6, 16)))
         lang = Tensor(rng.standard_normal((3, 16)))
-        scores, _ = filt(slots, lang, k=2, enabled=False)
+        scores, _ = filt(slots, lang, k=6)
         assert scores.selected == list(range(6))
 
     def test_gradient_flows_through_selected_rows_only(self):
@@ -141,8 +142,8 @@ class TestTopK:
 class TestGroupedFilter:
     """Frames stacked as row blocks are filtered as if each were called alone."""
 
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_grouped_equals_per_block_calls(self, enabled):
+    @pytest.mark.parametrize("k", [2, 5], ids=["top-2", "every-slot"])
+    def test_grouped_equals_per_block_calls(self, k):
         filt = TaskFilter(np.random.default_rng(30), width=8, heads=2)
         rng = np.random.default_rng(31)
         groups, n_slots, words = 3, 5, 4
@@ -155,12 +156,12 @@ class TestGroupedFilter:
             zero_grads(leaves)
             with T.fresh_tape() as tape:
                 if grouped:
-                    scores, logits = filt(slots, lang, 2, enabled, groups)
+                    scores, logits = filt(slots, lang, k, groups)
                     selected = scores.selected
                 else:
                     calls = [filt(T.gather_rows(slots, range(g * n_slots, (g + 1) * n_slots)),
                                   T.gather_rows(lang, range(g * words, (g + 1) * words)),
-                                  2, enabled) for g in range(groups)]
+                                  k) for g in range(groups)]
                     logits = T.concat([c[1] for c in calls])
                     selected = [g * n_slots + s for g, c in enumerate(calls)
                                 for s in c[0].selected]
@@ -169,7 +170,7 @@ class TestGroupedFilter:
             results.append([kept.data, logits.data, np.array(selected)]
                            + [t.grad for t in leaves])
         grouped, per_block = results
-        assert len(grouped[2]) == groups * (2 if enabled else n_slots)
+        assert len(grouped[2]) == groups * k
         for a, b in zip(grouped, per_block):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 

@@ -12,7 +12,7 @@ from slotforge import losses
 from slotforge.config import ConfigError, RunConfig, load_config
 from slotforge.losses import (FrameTargets, action_ce,
                               box_cost, giou_matrix, giou_pairs, hungarian_match,
-                              iou_matrix, iou_pairs,
+                              iou_pairs,
                               relevance_loss, slot_attn_loss, slot_relevance_labels,
                               stage1_total, track_loss)
 from slotforge.optim import AdaptiveOptimizer
@@ -21,8 +21,8 @@ from slotforge.slots import SlotPredictions
 from slotforge.tensor import Tensor
 from slotforge.train import Corpus, sample_clips
 from slotforge.world import generate_episode
-from reference_ops import (add_all, finite_diff_check, logsumexp_rows, optimum_is_unique,
-                           scipy_hungarian_match, slice_cols)
+from reference_ops import (add_all, finite_diff_check, iou_matrix, logsumexp_rows,
+                           optimum_is_unique, scipy_hungarian_match, slice_cols)
 from test_tensor import assert_all_close
 
 # the loss weights a run uses unless its config overrides them

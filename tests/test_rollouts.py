@@ -1,11 +1,13 @@
-"""Closed-loop rollouts: the expert's walk on every subset, and one policy step
-per world step, never one past the horizon or the success break."""
+"""Closed-loop rollouts: the expert's walk on every subset, one policy step
+per world step, never one past the horizon or the success break, slots handed
+on only with carryover, and a token budget that counts what the decoder
+receives."""
 
 import pytest
 
 from slotforge import evaluate
 from slotforge.cli import EXIT_OK, main
-from slotforge.config import RunConfig
+from slotforge.config import RunConfig, load_config
 from slotforge.pipeline import Pipeline
 from slotforge.world import World
 
@@ -113,3 +115,55 @@ def test_a_rollout_that_succeeds_stops_the_policy_there(k, policy, policy_calls,
     result = evaluate.run_rollout(pipeline, cfg, 7)
     assert (result.steps, result.success) == (k, True)
     assert policy_calls == list(range(k))
+
+
+@pytest.mark.parametrize("carryover_on", [True, False], ids=["carryover", "no-carryover"])
+def test_a_rollout_hands_each_policy_step_the_last_slots_only_with_carryover(
+        carryover_on, monkeypatch):
+    cfg = RunConfig(rollout_horizon=5, carryover_on=carryover_on)
+    handed, returned, real = [], [], Pipeline.policy_step
+
+    def policy_step(self, rgb, proprio, task, prev_slots, episode_key, t):
+        handed.append(prev_slots)
+        result = real(self, rgb, proprio, task, prev_slots, episode_key, t)
+        returned.append(result[1])
+        return result
+
+    monkeypatch.setattr(Pipeline, "policy_step", policy_step)
+    monkeypatch.setattr(World, "success", lambda self: False)
+    evaluate.run_rollout(Pipeline(cfg), cfg, 7)
+    assert len(handed) == 5
+    expected = [None] + returned[:-1] if carryover_on else [None] * 5
+    assert all(a is b for a, b in zip(handed, expected))
+
+
+@pytest.mark.parametrize("overrides, oc, orc", [
+    ([], 4, 20),
+    (["filter_on=false", "relations_on=false"], 16, 16),
+    (["filter_on=false"], 16, 32),
+    (["relations_on=false"], 4, 4),
+], ids=["default", "no-filter-no-relations", "no-filter", "no-relations"])
+def test_the_budget_counts_the_tokens_the_decoder_receives(overrides, oc, orc, capsys,
+                                                           monkeypatch):
+    """`budget`'s configured OC and ORC rows are the object tokens, and those
+    plus the relation tokens, that a policy step hands the decoder."""
+    overrides = ["subset=goal"] + overrides
+    assert main(["budget"] + [arg for o in overrides for arg in ("--override", o)]) == EXIT_OK
+    printed = {line[:24].strip(): int(line[24:].split()[0])
+               for line in capsys.readouterr().out.splitlines()[1:]}
+    assert (printed["configured OC"], printed["configured ORC"]) == (oc, orc)
+
+    cfg = load_config(overrides=overrides)
+    pipeline, received = Pipeline(cfg), []
+    assemble = pipeline.decoder.assemble_bundle
+
+    def recording_assemble(objects, rel, language, proprio):
+        received.append((objects.shape[0], 0 if rel is None else rel.shape[0]))
+        return assemble(objects, rel, language, proprio)
+
+    monkeypatch.setattr(pipeline.decoder, "assemble_bundle", recording_assemble)
+    world = World(cfg.world_config(), 3)
+    rgb, _ = world.render()
+    pipeline.policy_step(rgb, world.proprio(), world.task, None, 3, 0)
+    [(objects, relations)] = received
+    assert (objects, objects + relations) == (oc, orc)

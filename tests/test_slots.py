@@ -1,9 +1,10 @@
-"""Slot refinement: attention normalizations, carryover, equivariance."""
+"""Slot refinement: attention normalizations, starting slots, equivariance."""
 
 import numpy as np
 import pytest
 
 import slotforge.tensor as T
+from slotforge import pipeline as pipeline_module
 from slotforge.config import RunConfig
 from slotforge.nn import mlp
 from slotforge.pipeline import Pipeline
@@ -27,27 +28,46 @@ def project(attn, tokens):
     return T.matmul(tokens, attn.wk), T.matmul(tokens, attn.wv)
 
 
-class TestInitSlots:
+class TestStartingSlots:
     def test_sigma_zero_limit_collapses_to_mu(self):
         attn = make_attn()
         attn.init_log_sigma.data[...] = -40.0
-        slots = attn.init_slots(None, rng_seed=5)
+        slots = attn.fresh_slots([5])
         assert np.allclose(slots.data, np.tile(attn.init_mu.data, (4, 1)), atol=1e-15)
 
-    def test_carryover_is_bitwise_copy(self):
-        attn = make_attn()
-        prev = Tensor(np.random.default_rng(1).standard_normal((4, 16)), requires_grad=True)
-        slots = attn.init_slots(prev, rng_seed=99)
-        assert slots.data.tobytes() == prev.data.tobytes()
-        assert not slots.requires_grad  # values cross the frame boundary, not history
+    def test_carryover_is_bitwise_copy(self, monkeypatch):
+        """`Pipeline.encode_frame` starts handed slots, whatever the frame's t,
+        as a detached bitwise copy, and draws no seed for them."""
+        pipe = Pipeline(RunConfig())
+        handed, seeds = [], []
+        refine = pipe.slot_attn.encode_frame
+
+        def recording_refine(tokens, slots):
+            handed.append(slots)
+            return refine(tokens, slots)
+
+        def recording_seed(*args):
+            seeds.append(args)
+            return 0
+
+        monkeypatch.setattr(pipe.slot_attn, "encode_frame", recording_refine)
+        monkeypatch.setattr(pipeline_module, "init_seed", recording_seed)
+        prev = Tensor(np.random.default_rng(1).standard_normal((16, 64)), requires_grad=True)
+        rgb = np.random.default_rng(2).integers(0, 256, (64, 64, 3), dtype=np.uint8)
+        pipe.encode_frame([rgb], prev, [3], [0])
+        [start] = handed
+        assert start.data.tobytes() == prev.data.tobytes()
+        assert not np.shares_memory(start.data, prev.data)
+        assert not start.requires_grad  # values cross the frame boundary, not history
+        assert seeds == []
 
     def test_seeded_init_reproducible_bitwise(self):
         attn = SlotAttention(np.random.default_rng(7), width=4, num_slots=2, refine_steps=3,
                              residual_mlp=True)
-        a = attn.init_slots(None, rng_seed=42).data
-        b = attn.init_slots(None, rng_seed=42).data
+        a = attn.fresh_slots([42]).data
+        b = attn.fresh_slots([42]).data
         assert a.tobytes() == b.tobytes()
-        c = attn.init_slots(None, rng_seed=43).data
+        c = attn.fresh_slots([43]).data
         assert a.tobytes() != c.tobytes()
 
 
@@ -126,7 +146,7 @@ class TestSlotAttentionOp:
             with T.fresh_tape() as tape:
                 tokens = T.mul(tok_leaf, 1.0)
                 slots = (Tensor(rng.standard_normal((4, 16))) if carried
-                         else attn.init_slots(None, rng_seed=3))
+                         else attn.fresh_slots([3]))
                 slots = refine(attn, slots, tokens, 3)
                 tape.backward(T.sum_(T.mul(slots, weight)))
             results.append([slots.data, tok_leaf.grad]
@@ -147,7 +167,7 @@ class TestSlotAttentionOp:
     @pytest.mark.parametrize("residual_mlp, entries", [(True, 7), (False, 2)])
     def test_tape_entries_per_refine_step(self, residual_mlp, entries):
         attn = make_attn(residual_mlp=residual_mlp)
-        slots = attn.init_slots(None, rng_seed=1)
+        slots = attn.fresh_slots([1])
         dense = dense_from(np.random.default_rng(15))
         with T.fresh_tape():
             keys, values = project(attn, dense)
@@ -232,19 +252,19 @@ class TestGroupedSlotAttention:
         frames = [dense_from(rng) for _ in range(3)]
         stacked = T.concat(frames)
         seeds = [40, 41, 42]
-        fresh, weights = attn.encode_frame(stacked, None, seeds)
-        carried, _ = attn.encode_frame(stacked, fresh, [50, 51, 52])
+        fresh, weights = attn.encode_frame(stacked, attn.fresh_slots(seeds))
+        carried, _ = attn.encode_frame(stacked, fresh.detach())
         assert fresh.shape == (3 * 4, 16) and weights.shape == (3 * 12, 4)
         for g, (dense, seed) in enumerate(zip(frames, seeds)):
-            one, one_weights = attn.encode_frame(dense, None, seed)
+            one, one_weights = attn.encode_frame(dense, attn.fresh_slots([seed]))
             rows = slice(4 * g, 4 * (g + 1))
             np.testing.assert_allclose(fresh.data[rows], one.data, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(weights[12 * g:12 * (g + 1)], one_weights,
                                        rtol=1e-12, atol=1e-12)
             # a frame's start does not depend on its group
-            assert (attn.init_slots(None, seeds).data[rows].tobytes()
-                    == attn.init_slots(None, seed).data.tobytes())
-            again, _ = attn.encode_frame(dense, Tensor(fresh.data[rows]), 60)
+            assert (attn.fresh_slots(seeds).data[rows].tobytes()
+                    == attn.fresh_slots([seed]).data.tobytes())
+            again, _ = attn.encode_frame(dense, Tensor(fresh.data[rows]))
             np.testing.assert_allclose(carried.data[rows], again.data, rtol=1e-12, atol=1e-12)
 
 
@@ -261,7 +281,7 @@ class TestRefineStep:
         attn = make_attn()
         rng = np.random.default_rng(3)
         dense = Tensor(rng.standard_normal((1, 16)))
-        slots = attn.init_slots(None, rng_seed=1)
+        slots = attn.fresh_slots([1])
         _, weights = attn.refine_step(slots, *project(attn, dense))
         assert np.allclose(weights, 1.0, atol=1e-12)
 
@@ -269,7 +289,7 @@ class TestRefineStep:
         attn = make_attn(steps=4)
         rng = np.random.default_rng(4)
         dense = dense_from(rng)
-        slots = attn.init_slots(None, rng_seed=2)
+        slots = attn.fresh_slots([2])
         for _ in range(4):
             slots, weights = attn.refine_step(slots, *project(attn, dense))
             assert np.all(np.abs(weights.sum(axis=0) - 1.0) <= 1e-9)
@@ -278,7 +298,7 @@ class TestRefineStep:
         # they are the arrays the backward of the step reads, not copies
         attn = make_attn()
         dense = dense_from(np.random.default_rng(6))
-        _, weights = attn.refine_step(attn.init_slots(None, rng_seed=3), *project(attn, dense))
+        _, weights = attn.refine_step(attn.fresh_slots([3]), *project(attn, dense))
         with pytest.raises(ValueError, match="read-only"):
             weights[0, 0] = 0.0
 
@@ -311,8 +331,8 @@ class TestEncodeFrame:
         attn = make_attn(steps=1)
         rng = np.random.default_rng(7)
         dense = dense_from(rng)
-        slots, _ = attn.encode_frame(dense, None, rng_seed=11)
-        manual = attn.init_slots(None, rng_seed=11)
+        slots, _ = attn.encode_frame(dense, attn.fresh_slots([11]))
+        manual = attn.fresh_slots([11])
         manual, _ = attn.refine_step(manual, *project(attn, dense))
         assert np.array_equal(slots.data, manual.data)
 
@@ -320,16 +340,16 @@ class TestEncodeFrame:
         attn = make_attn()
         rng = np.random.default_rng(8)
         dense = dense_from(rng)
-        slots_a, _ = attn.encode_frame(dense, None, rng_seed=20)
-        slots_b, _ = attn.encode_frame(dense, None, rng_seed=21)
+        slots_a, _ = attn.encode_frame(dense, attn.fresh_slots([20]))
+        slots_b, _ = attn.encode_frame(dense, attn.fresh_slots([21]))
         assert not np.array_equal(slots_a.data, slots_b.data)
 
     def test_carryover_enabled_chains_states(self):
         attn = make_attn()
         rng = np.random.default_rng(9)
         dense = dense_from(rng)
-        slots0, _ = attn.encode_frame(dense, None, rng_seed=30)
-        slots1, _ = attn.encode_frame(dense, slots0, rng_seed=31)
+        slots0, _ = attn.encode_frame(dense, attn.fresh_slots([30]))
+        slots1, _ = attn.encode_frame(dense, slots0.detach())
         manual = slots0.detach()
         for _ in range(attn.refine_steps):
             manual, _ = attn.refine_step(manual, *project(attn, dense))
@@ -337,12 +357,12 @@ class TestEncodeFrame:
 
     @pytest.mark.parametrize("residual_mlp, entries", [(True, 2 + 3 * 7), (False, 2 + 3 * 2)])
     def test_tape_entries_per_frame(self, residual_mlp, entries):
-        # two projections, then three refine steps; carried slots add no init
+        # two projections, then three refine steps; handed slots add no draw
         attn = make_attn(residual_mlp=residual_mlp)
-        prev = attn.init_slots(None, rng_seed=1)
+        prev = attn.fresh_slots([1])
         dense = dense_from(np.random.default_rng(15))
         with T.fresh_tape() as tape:
-            attn.encode_frame(dense, prev, rng_seed=2)
+            attn.encode_frame(dense, prev.detach())
         assert len(tape) == entries
 
     def test_whole_frame_gradient_vs_finite_differences(self):
@@ -352,7 +372,8 @@ class TestEncodeFrame:
         weight = Tensor(rng.standard_normal((3, 6)))
         wrt = [attn.wq, attn.wk, attn.wv] + [getattr(attn.gru, n) for n in vars(attn.gru)]
         err = finite_diff_check(
-            lambda: T.sum_(T.mul(attn.encode_frame(dense, None, rng_seed=4)[0], weight)), wrt)
+            lambda: T.sum_(T.mul(attn.encode_frame(dense, attn.fresh_slots([4]))[0], weight)),
+            wrt)
         assert err <= 1e-4
 
     def test_refine_steps_validated(self):

@@ -1,15 +1,20 @@
 """Stage-1 resume: a run stopped at step k and resumed reproduces the
 uninterrupted run bitwise, from a checkpoint written before the task filter
-lost its language-side block too."""
+lost its language-side block too. A run's manifest names the package's own
+checkout, not the caller's."""
 
 from __future__ import annotations
 
+import shutil
+import subprocess
+
 import numpy as np
+import pytest
 
 from slotforge.checkpoint import load_checkpoint, save_checkpoint
 from slotforge.config import load_config
 from slotforge.nn import CrossAttentionBlockParams, ParamGroup
-from slotforge.train import train_stage1
+from slotforge.train import git_describe, train_stage1
 from slotforge.world import generate_episode, serialize_episode
 
 OVERRIDES = ["subset=goal", "seed=5", "stage1_iters=4", "eval_every=2",
@@ -64,3 +69,15 @@ def test_resume_at_step_2_reproduces_the_uninterrupted_run_bitwise(tmp_path):
     final, uninterrupted = load_checkpoint(ckpt), load_checkpoint(full["checkpoint"])
     assert sorted(final) == sorted(uninterrupted)
     assert all(final[k].tobytes() == uninterrupted[k].tobytes() for k in final)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_git_describe_ignores_the_callers_repository(tmp_path, monkeypatch):
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
+           "-c", "commit.gpgsign=false"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "caller"], check=True)
+    callers = subprocess.run(git + ["describe", "--always", "--dirty"], check=True,
+                             capture_output=True, text=True).stdout.strip()
+    monkeypatch.chdir(tmp_path)
+    assert git_describe() != callers

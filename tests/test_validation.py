@@ -15,9 +15,10 @@ import pytest
 from slotforge import tensor as T
 from slotforge import train
 from slotforge.config import load_config
-from slotforge.losses import iou_matrix, match_frame, slot_relevance_labels
+from slotforge.losses import match_frame, slot_relevance_labels
 from slotforge.pipeline import Pipeline
 from slotforge.world import generate_episode
+from reference_ops import iou_matrix
 
 
 def per_frame_validation(pipe, corpus, carryover):
