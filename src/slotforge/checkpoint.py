@@ -70,6 +70,8 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
         try:
             (name_len,) = struct.unpack_from("<I", blob, offset)
             offset += 4
+            if offset + name_len > len(blob):
+                raise CheckpointError(f"{path}: truncated record at byte {offset - 4}")
             name = blob[offset:offset + name_len].decode("utf-8")
             offset += name_len
             (rank,) = struct.unpack_from("<I", blob, offset)
@@ -82,6 +84,8 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
                 raise CheckpointError(f"{path}: truncated record at byte {offset}")
             payload = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
             offset += 8 * count
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: record name at byte {offset} is not UTF-8") from exc
         except (struct.error, ValueError) as exc:
             raise CheckpointError(f"{path}: truncated record at byte {offset}") from exc
         if name in arrays:

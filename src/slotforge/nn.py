@@ -202,8 +202,7 @@ def multi_head_attention(queries: Tensor, context: Tensor, p: MhaParams,
 
 def attention_weights(queries: Tensor, context: Tensor, p: MhaParams) -> np.ndarray:
     """Head-averaged attention matrix (queries x context), for reports only."""
-    with T.no_grad():
-        q, k = T.matmul(queries, p.wq), T.matmul(context, p.wk)
+    q, k = T.matmul(queries, p.wq), T.matmul(context, p.wk)
     return T.attention_head_weights(q, k, p.heads).sum(axis=0) / p.heads
 
 

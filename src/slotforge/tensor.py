@@ -5,17 +5,20 @@ that only tests use as references (`softmax`, `tanh`, `slice_cols`,
 `logsumexp_rows`, `clip_min`, `neg`), built on `primitive`, and the test
 utilities `finite_diff_check` and `zero_grads` live in `tests/reference_ops.py`.
 
-Values are contiguous row-major numpy arrays of rank 0..2. Every op that
-receives a grad-requiring input records a tape entry (define-by-run). The
-backward pass is one reverse sweep over the tape: an entry runs only when
-its output has received a gradient, that gradient is dropped as the entry
-runs (creation order is topological, so nothing adds to it afterwards), and
-leaf gradients accumulate only into `.grad` on the requires_grad leaves.
+Values are contiguous row-major numpy arrays of rank 0..2. An op records an
+entry only onto the open tape (define-by-run), and only if it receives a
+grad-requiring input; outside `fresh_tape` no tape is open, so no graph
+outlives the caller's tensors. An entry holds its output, and the backward
+pass keys gradients by the identity of the tensors the tape holds. It is one
+reverse sweep over the tape: an entry runs only when its output has received
+a gradient, that gradient is dropped as the entry runs (creation order is
+topological, so nothing adds to it afterwards), and leaf gradients accumulate
+only into `.grad` on the requires_grad leaves.
 Operands with requires_grad=False get no gradient at all: the elementwise
 binary ops, `matmul`, `linear`, `layer_norm` and `attention_heads` return
 None for them and skip the work. Forward outputs are checked for NaN/Inf and
 raise NonFiniteError rather than propagating silently: every op checks its
-value, on the tape and under `no_grad`, except inside an `inference_pass`.
+value, on the tape and off it, except inside an `inference_pass`.
 Such a pass checks only what it reads out or decides on; `relu` and
 `sigmoid`, which map an infinite input to a finite output, check their input
 there instead, and the fused kernels keep their checks on intermediates. If
@@ -27,7 +30,7 @@ arithmetic of the elementwise binary and unary ops, `linear`, the attention
 logits, `nn.gru_cell` and `slots.slot_attention`: a non-finite value is the
 finite checks' to report, not numpy's. An `inference_pass`'s first run sits
 whole under one `np.errstate`, so `quiet` is a no-op there; on the tape,
-under `no_grad` and in the pass's checked replay each op enters its own.
+off it and in the pass's checked replay each op enters its own.
 
 An op writes in place only into arrays it allocated itself, such as a
 matmul's fresh product. It never writes into the gradient `g` its backward
@@ -77,8 +80,6 @@ class NonFiniteError(TensorError):
     pass
 
 
-_UIDS = itertools.count()
-_NO_GRAD = 0
 _OP_CHECKS = True  # off only inside an `inference_pass`
 
 
@@ -91,7 +92,7 @@ def check_finite(arr: np.ndarray, op: str) -> np.ndarray:
 class Tensor:
     """A dense float64 value, optionally participating in the grad tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "uid")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -103,7 +104,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self.uid = next(_UIDS)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -125,65 +125,61 @@ class GradTape:
     """Ordered record of primitive ops; creation order is topological."""
 
     def __init__(self):
-        # entry: (out_uid, parent tensors, fn(grad_out)->per-parent grads)
-        self._entries: list[tuple[int, tuple[Tensor, ...], Callable]] = []
-        self._produced: set[int] = set()
+        # entry: (output tensor, parent tensors, fn(grad_out)->per-parent grads)
+        self._entries: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def record(self, out: Tensor, parents: Sequence[Tensor], fn: Callable) -> None:
-        self._entries.append((out.uid, tuple(parents), fn))
-        self._produced.add(out.uid)
+        self._entries.append((out, tuple(parents), fn))
 
     def backward(self, loss: Tensor) -> None:
         if loss.data.size != 1:
             raise ShapeError(f"backward from non-scalar of shape {loss.shape}")
-        produced = self._produced
-        grads: dict[int, np.ndarray] = {loss.uid: np.ones_like(loss.data)}
-        for out_uid, parents, fn in reversed(self._entries):
-            grad_out = grads.pop(out_uid, None)
+        produced = {id(out) for out, _, _ in self._entries}
+        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        for out, parents, fn in reversed(self._entries):
+            grad_out = grads.pop(id(out), None)
             if grad_out is None:
                 continue
             for p, g in zip(parents, fn(grad_out)):
                 if g is None:
                     continue
-                if p.uid in produced:
-                    prev = grads.get(p.uid)
-                    grads[p.uid] = g if prev is None else prev + g
+                if id(p) in produced:
+                    prev = grads.get(id(p))
+                    grads[id(p)] = g if prev is None else prev + g
                 elif p.requires_grad:
                     p.grad = g.copy() if p.grad is None else p.grad + g
 
 
-_TAPE = GradTape()
+_TAPE: GradTape | None = None  # the open tape; ops record only while one is open
 
 
 @contextmanager
-def fresh_tape():
-    """Swap in a new tape for the duration of the block (one training step)."""
+def _open(tape: GradTape | None):
     global _TAPE
-    saved = _TAPE
-    _TAPE = GradTape()
+    saved, _TAPE = _TAPE, tape
     try:
-        yield _TAPE
+        yield tape
     finally:
         _TAPE = saved
 
 
-@contextmanager
+def fresh_tape():
+    """Open a new tape for the block (one training step); the innermost
+    `fresh_tape` or `no_grad` block decides whether ops record."""
+    return _open(GradTape())
+
+
 def no_grad():
-    """Disable tape recording; forward values and every op's NaN check still
-    run. `inference_pass` is the no-grad pass that checks only its read-outs."""
-    global _NO_GRAD
-    _NO_GRAD += 1
-    try:
-        yield
-    finally:
-        _NO_GRAD -= 1
+    """Close the tape for the block; the innermost such block decides. Values
+    and every op's NaN check still run (`inference_pass` checks read-outs only)."""
+    return _open(None)
 
 
 def grad_enabled() -> bool:
-    return _NO_GRAD == 0
+    return _TAPE is not None
 
 
 def inference_pass(fn: Callable) -> Callable:
@@ -236,8 +232,8 @@ def primitive(data: np.ndarray, parents: Sequence[Tensor], backward: Callable,
     its parent's shape. The value is made contiguous and checked for NaN/Inf,
     except inside an `inference_pass`, whose first run checks only what it
     reads out; `check_finite` names the op for intermediates that can be
-    non-finite while the value is not. No entry is recorded under `no_grad`
-    or when no parent requires a gradient.
+    non-finite while the value is not. No entry is recorded when no tape is
+    open or when no parent requires a gradient.
 
     A tensor the op uses more than once is listed once, and the backward
     returns the sum of its gradients.
@@ -252,7 +248,6 @@ def primitive(data: np.ndarray, parents: Sequence[Tensor], backward: Callable,
     out.data = data
     out.requires_grad = track
     out.grad = None
-    out.uid = next(_UIDS)
     if track:
         _TAPE.record(out, parents, backward)
     return out

@@ -58,12 +58,17 @@ def write_manifest(out_dir: Path, cfg: RunConfig, **extra) -> None:
 class Corpus:
     """Episodes, their frame records and, given a patch size, the stage-1
     supervision targets of every frame; stage 2 reads no targets and passes
-    None. An empty corpus is a data error (`WorldError`)."""
+    None. No episodes, or two with one key, is a data error (`WorldError`)."""
 
-    def __init__(self, episodes: list[Episode], patch_size: int | None):
+    def __init__(self, episodes: list[Episode], patch_size: int | None, names=None):
         if not episodes:
             raise WorldError("empty corpus")
         self.episodes = episodes
+        self.episode_keys = [ep.seed if ep.seed >= 0 else i for i, ep in enumerate(episodes)]
+        names = names or [f"episode {index}" for index in range(len(episodes))]
+        for index, key in enumerate(self.episode_keys):
+            if (first := self.episode_keys.index(key)) < index:
+                raise WorldError(f"{names[first]} and {names[index]} share episode key {key}")
         self.frames = [ep.frames for ep in episodes]
         self.targets = None if patch_size is None else [
             [frame_targets(r, patch_size) for r in frames] for frames in self.frames]
@@ -77,19 +82,15 @@ class Corpus:
             raise WorldError(f"no episodes under {data_dir}")
         episodes = [load_episode(p) for p in files]
         check(files, episodes)
-        return Corpus(episodes, patch_size)
+        return Corpus(episodes, patch_size, [str(p) for p in files])
 
     def __len__(self) -> int:
         return len(self.episodes)
 
-    def episode_key(self, index: int) -> int:
-        seed = self.episodes[index].seed
-        return seed if seed >= 0 else index
-
     def clip(self, index: int, start: int, length: int) -> Clip:
         return Clip(frames=self.frames[index][start:start + length],
                     targets=self.targets[index][start:start + length],
-                    episode_key=self.episode_key(index), base_t=start)
+                    episode_key=self.episode_keys[index], base_t=start)
 
 
 def load_corpus(cfg: RunConfig, data_dir: str | Path, targets: bool = True) -> Corpus:
@@ -284,7 +285,7 @@ def train_stage1(cfg: RunConfig, data_dir: str | Path, out_dir: str | Path,
 def flatten_cache(pipeline: Pipeline, corpus: Corpus) -> list[dict]:
     """The stage-2 cache of a corpus, episode-major, in one lockstep pass."""
     return pipeline.encode_episode_cache(
-        corpus.frames, [corpus.episode_key(idx) for idx in range(len(corpus))])
+        corpus.frames, corpus.episode_keys)
 
 
 @T.inference_pass

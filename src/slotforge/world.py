@@ -43,7 +43,7 @@ from typing import Iterator
 import numpy as np
 
 from . import pnm
-from .decoder import action_to_bins, bin_centers, snap_action
+from .decoder import snap_action
 from .language import COLORS, SHAPES, UnknownWordError, tokenize
 
 BACKGROUND_RGB = (28, 28, 32)
@@ -328,7 +328,7 @@ class World:
         action = np.asarray(action, dtype=np.float64)
         if action.shape != (7,):
             raise WorldError(f"action must have 7 dims, got shape {action.shape}")
-        if np.abs(action).max() > 1.0 + 1e-12:
+        if not (np.abs(action) <= 1.0 + 1e-12).all():  # NaN fails it too
             raise WorldError("action values outside [-1, 1]")
         delta = action[:2] * MAX_STEP
         new_pos = np.clip(self.gripper_pos() + delta, self._clamp_lo, self._clamp_hi)

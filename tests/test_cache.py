@@ -38,7 +38,7 @@ def test_lockstep_cache_equals_each_episode_cached_alone(overrides, monkeypatch)
     pipeline, corpus = Pipeline(cfg), corpus_of(cfg)
     alone = [entry for idx in range(len(corpus))
              for entry in pipeline.encode_episode_cache([corpus.frames[idx]],
-                                                        [corpus.episode_key(idx)])]
+                                                        [corpus.episode_keys[idx]])]
     calls = []
     encode_frame = pipeline.encode_frame
 

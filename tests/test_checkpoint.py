@@ -71,6 +71,21 @@ def test_extents_whose_product_overflows_int64_are_a_truncated_record(tmp_path, 
         load_checkpoint(path)
 
 
+def test_a_name_that_runs_past_the_end_names_the_record_start(tmp_path):
+    path = tmp_path / "a.ckpt"
+    path.write_bytes(b"SLFG" + struct.pack("<I", 1) + struct.pack("<I", 2**31) + b"w")
+    with pytest.raises(CheckpointError, match="^.*: truncated record at byte 8$"):
+        load_checkpoint(path)
+
+
+def test_a_name_that_is_not_utf8_is_reported_as_such(tmp_path):
+    path = tmp_path / "a.ckpt"
+    path.write_bytes(b"SLFG" + struct.pack("<I", 1) + struct.pack("<I", 2) + b"\xff\xfe"
+                     + struct.pack("<2I", 1, 1) + struct.pack("<d", 1.0))
+    with pytest.raises(CheckpointError, match="^.*: record name at byte 12 is not UTF-8$"):
+        load_checkpoint(path)
+
+
 def test_bad_magic_is_rejected(tmp_path):
     path = tmp_path / "a.ckpt"
     save_checkpoint(path, arrays())

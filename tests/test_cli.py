@@ -102,6 +102,21 @@ def test_eval_with_extents_that_overflow_exits_with_one_data_error_line(
     assert err == f"data error: {path}: truncated record at byte 29\n"
 
 
+@pytest.mark.parametrize("record, message", [
+    (struct.pack("<I", 2**31) + b"w", "truncated record at byte 8"),
+    (struct.pack("<I", 2) + b"\xff\xfe" + struct.pack("<2I", 1, 1) + struct.pack("<d", 1.0),
+     "record name at byte 12 is not UTF-8"),
+], ids=["name past the end", "name not utf-8"])
+def test_eval_with_a_bad_record_name_exits_with_one_data_error_line(
+        record, message, tmp_path, capsys, stage2_ckpt):
+    path = tmp_path / "stage1.ckpt"
+    path.write_bytes(b"SLFG" + struct.pack("<I", 1) + record)
+    code = main(["eval", "--stage1", str(path), "--stage2", str(stage2_ckpt),
+                 "--rollouts", "1", "--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {path}: {message}\n"
+
+
 def test_inspect_frame_outside_episode_exits_with_config_error(
         tmp_path, capsys, stage1_ckpt, episode):
     code = main(["inspect", "--stage1", str(stage1_ckpt), "--episode", str(episode),
@@ -291,6 +306,25 @@ def test_frames_the_patch_grid_cannot_cut_exit_with_data_error(tmp_path, capsys)
     assert capsys.readouterr().err == (
         f"data error: {data / 'ep_000000.jsonl'}: frame t=0 is 60x60, not image_size 64\n")
     assert_no_manifest(out)
+
+
+@pytest.mark.parametrize("command", ["train1", "train2"])
+def test_two_episodes_with_one_key_exit_with_data_error(command, tmp_path, capsys,
+                                                       stage1_ckpt):
+    """An episode without its `.meta.json` seed is keyed by its index, here 1,
+    which is the seed of the other episode: the two would share fresh-slot
+    seeds and tracking labels."""
+    data = tmp_path / "data"
+    data.mkdir()
+    cfg = load_config(overrides=["subset=goal"]).world_config()
+    first, second = (serialize_episode(generate_episode(seed, cfg), data) for seed in (1, 5))
+    second.with_suffix(".meta.json").unlink()
+    argv = {"train1": ["train1"], "train2": ["train2", "--stage1", str(stage1_ckpt)]}[command]
+    out = tmp_path / "out"
+    assert main(argv + ["--data", str(data), "--override", "stage1_iters=1",
+                        "--override", "stage2_iters=1", "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {first} and {second} share episode key 1\n"
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -4,8 +4,9 @@ Every module-level function in `src/slotforge/*.py` must be referenced by
 name, as an `ast.Name` or an `ast.Attribute`, somewhere in `src/`, and every
 non-dunder method as an `ast.Attribute` (`x.name`); every field of a
 dataclass there must be read as an attribute (`x.field` in a load context)
-somewhere in `src/`; and every attribute a class stores as `self.name` must be
-read as `self.name` in that class.
+somewhere in `src/`; every attribute a class stores as `self.name` must be
+read as `self.name` in that class; and every name a module binds by import
+must be read in that module (`__init__.py` reads the names in its `__all__`).
 The scans match names only, so a reference to a same-named attribute
 elsewhere (`np.clip`) counts; they find code that nothing can reach, not
 every such piece. The tensor core gets a stricter scan: each of its
@@ -32,7 +33,6 @@ ALLOWED_UNREAD_FIELDS = {
 # Class.attribute -> why it stays though the class never reads it as self.attribute
 ALLOWED_UNREAD_SELF = {
     "Tensor.grad": "backward and the optimizer read it as p.grad and t.grad",
-    "Tensor.uid": "the tape reads it as p.uid",
     "World.layout_id": "generate_episode reads it as world.layout_id",
 }
 
@@ -81,6 +81,29 @@ def scan_tensor() -> tuple[dict[str, str], set[str]]:
             elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "tensor":
                 reached.update(alias.name for alias in node.names)
     return defined, reached
+
+
+def scan_imports() -> dict[str, str]:
+    """(module:name -> where) for every name a package module binds by import
+    and never reads."""
+    unread: dict[str, str] = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+                read.update(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unread[f"{path.name}:{name}"] = f"{path.name}:{node.lineno}"
+    return unread
 
 
 def is_dataclass(node: ast.ClassDef) -> bool:
@@ -141,6 +164,10 @@ def test_every_allowed_name_is_defined_and_still_unreferenced():
     defined, referenced = scan()
     assert sorted(set(ALLOWED_UNREFERENCED) - set(defined)) == []
     assert sorted(set(ALLOWED_UNREFERENCED) & referenced) == []
+
+
+def test_every_imported_name_is_read_where_it_is_imported():
+    assert scan_imports() == {}
 
 
 def test_every_dataclass_field_is_read():

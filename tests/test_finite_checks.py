@@ -11,6 +11,7 @@ the error it raised when every op was checked: `non-finite value produced by
 <op>`.
 """
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -146,9 +147,11 @@ def overflow_through(op, x: float) -> np.ndarray:
 def test_a_pass_replays_with_every_op_checked_to_name_the_op(op):
     assert np.isfinite(overflow_through(op, 1.0))
     # exp(1000) is inf: relu and sigmoid map -inf to 0, abs carries it to the read-out
-    with pytest.raises(NonFiniteError, match="^non-finite value produced by exp$"):
-        overflow_through(op, 1000.0)
-    assert T.grad_enabled()
+    for mode, recording in ((contextlib.nullcontext(), False), (T.fresh_tape(), True)):
+        with mode:
+            with pytest.raises(NonFiniteError, match="^non-finite value produced by exp$"):
+                overflow_through(op, 1000.0)
+            assert T.grad_enabled() is recording  # the pass restores the caller's mode
     with T.no_grad(), pytest.raises(NonFiniteError, match="^non-finite value produced by exp$"):
         T.exp(Tensor(1000.0))  # outside a pass, no_grad still checks every op
 

@@ -1,5 +1,7 @@
 """Tensor core: forward contracts, gradient checks, tape determinism."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -567,6 +569,25 @@ class TestTapeSemantics:
                 y = T.mul(x, x)
             assert len(tape) == 0
             assert not y.requires_grad
+
+    def test_ops_outside_a_tape_record_nothing_and_hold_nothing(self):
+        w = Tensor([[0.5, -1.0], [2.0, 0.25]], requires_grad=True)
+        x = Tensor([[1.0, 2.0]])
+
+        def chain():
+            hidden = T.matmul(x, w)
+            return hidden, T.sum_(T.mul(hidden, hidden))
+
+        hidden, loss = chain()
+        assert not hidden.requires_grad and not loss.requires_grad
+        alive = weakref.ref(hidden.data)
+        del hidden
+        assert alive() is None  # no tape holds the graph once the caller lets go
+        with T.fresh_tape() as tape:
+            hidden, loss = chain()
+            assert hidden.requires_grad and loss.requires_grad and len(tape) == 3
+            tape.backward(loss)
+        np.testing.assert_allclose(w.grad, x.data.T @ (2 * hidden.data), rtol=1e-12)
 
     def test_detach_breaks_history(self):
         x = Tensor([2.0], requires_grad=True)

@@ -9,13 +9,13 @@ import pytest
 
 from slotforge import pnm
 from slotforge.config import RunConfig
+from slotforge.decoder import action_to_bins, bin_centers
 from slotforge.world import (MAX_FRAMES, AllNoOpsError, EpisodeParseError,
                              InfeasibleSceneError, World, WorldError,
-                             action_to_bins, bin_centers, dataset_statistics,
-                             episode_files, expert_actions, filter_noops,
-                             generate_episode, load_episode, relevant_nouns,
-                             serialize_episode, snap_action, validate_dataset,
-                             validate_episode)
+                             dataset_statistics, episode_files, expert_actions,
+                             filter_noops, generate_episode, load_episode,
+                             relevant_nouns, serialize_episode, snap_action,
+                             validate_dataset, validate_episode)
 
 
 def world_cfg(subset, **fields):
@@ -65,6 +65,18 @@ class TestGeneration:
         for _, action in zip(range(MAX_FRAMES), expert_actions(world)):
             world.step(action)
         assert world.success()
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.5])
+    def test_an_action_that_is_nan_or_out_of_range_changes_nothing(self, bad):
+        world = World(world_cfg("goal"), 3)
+        positions = {name: pos.copy() for name, pos in world.positions.items()}
+        action = np.zeros(7)
+        action[0] = bad
+        with pytest.raises(WorldError, match=r"^action values outside \[-1, 1\]$"):
+            world.step(action)
+        assert world.t == 0
+        assert {name: pos.tobytes() for name, pos in world.positions.items()} == {
+            name: pos.tobytes() for name, pos in positions.items()}
 
     def test_infeasible_config_raises(self):
         # a RunConfig rejects this; the world guards itself all the same
