@@ -190,27 +190,40 @@ class TestHungarian:
         cost = np.array([[1.0, 1.0], [1.0, 1.0 + gap * tol]])
         assert hungarian_match(cost) == refined_match(cost) == pairs
 
+    @pytest.mark.parametrize("subset", ["goal", "pair", "object", "spatial"])
+    def test_frames_from_init_equal_the_reference(self, monkeypatch, subset):
+        seen = matched_costs(monkeypatch, subset, steps=10)
+        assert len(seen) == 120
+        for cost in seen:
+            assert hungarian_match(cost) == scipy_hungarian_match(cost)
+
     def test_long_frames_from_init_equal_the_reference(self, monkeypatch):
-        # every cost matrix matched in the first five stage-1 steps on `long`
-        cfg = load_config(overrides=["subset=long"])
-        corpus = Corpus([generate_episode(seed, cfg.world_config()) for seed in range(6)],
-                        cfg.patch_size)
-        pipeline = Pipeline(cfg)
-        opt = AdaptiveOptimizer(pipeline.stage1_params(), lr=cfg.lr,
-                                total_steps=cfg.stage1_iters, clip_norm=cfg.grad_clip)
-        seen, match = [], losses.hungarian_match
-        monkeypatch.setattr(losses, "hungarian_match", lambda c: seen.append(c) or match(c))
-        for step in range(5):
-            with T.fresh_tape() as tape:
-                loss, _ = pipeline.stage1_batch_loss(sample_clips(corpus, cfg, step))
-                opt.zero_grad()
-                tape.backward(loss)
-            opt.step()
-        monkeypatch.undo()
+        seen = matched_costs(monkeypatch, "long", steps=5)
         assert len(seen) == 60
         assert sum(has_tied_optima(cost) for cost in seen) == 21
         for cost in seen:
             assert hungarian_match(cost) == scipy_hungarian_match(cost)
+
+
+def matched_costs(monkeypatch, subset: str, steps: int) -> list[np.ndarray]:
+    """Every cost matrix matched in the first `steps` stage-1 steps from init
+    on `subset`, default config, episodes 0-5."""
+    cfg = load_config(overrides=[f"subset={subset}"])
+    corpus = Corpus([generate_episode(seed, cfg.world_config()) for seed in range(6)],
+                    cfg.patch_size)
+    pipeline = Pipeline(cfg)
+    opt = AdaptiveOptimizer(pipeline.stage1_params(), lr=cfg.lr,
+                            total_steps=cfg.stage1_iters, clip_norm=cfg.grad_clip)
+    seen, match = [], losses.hungarian_match
+    monkeypatch.setattr(losses, "hungarian_match", lambda c: seen.append(c) or match(c))
+    for step in range(steps):
+        with T.fresh_tape() as tape:
+            loss, _ = pipeline.stage1_batch_loss(sample_clips(corpus, cfg, step))
+            opt.zero_grad()
+            tape.backward(loss)
+        opt.step()
+    monkeypatch.undo()
+    return seen
 
 
 def has_tied_optima(cost: np.ndarray) -> bool:
