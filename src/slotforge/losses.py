@@ -14,7 +14,8 @@ and the package's one matched-IoU form: validation reads it once per episode
 and the inspection report once per frame.
 `hungarian_match` solves once per frame with its own assignment solver, so
 the package needs numpy alone. A frame's matching is its plain list of
-(slot, gt) index pairs, in gt order.
+(slot, gt) index pairs, in gt order; among equal-total optima it is the
+solver's own deterministic pick.
 """
 
 from __future__ import annotations
@@ -30,15 +31,11 @@ from .nn import ParamGroup, param
 from .slots import SlotPredictions
 from .tensor import ShapeError, Tensor
 
-_TIE_RTOL = 1e-12
-
-
-def _assign(cost: np.ndarray) -> tuple[list[int], np.ndarray]:
+def _assign(cost: np.ndarray) -> list[int]:
     """Each column's slot in a minimum-cost assignment of the columns of
     `cost` (slots × objects, n_gt <= n_slots) to distinct slots, by shortest
-    augmenting paths from one column at a time (Crouse 2016), and the reduced
-    costs cost − v[slot] − u[column]: >= 0, 0 on the assignment, v = 0 on
-    every free slot and v <= 0 on the others. Plain lists beat numpy here."""
+    augmenting paths from one column at a time (Crouse 2016). Plain lists
+    beat numpy here."""
     n_slots, n_gt = cost.shape
     columns = cost.T.tolist()
     u, v = [0.0] * n_gt, [0.0] * n_slots
@@ -71,33 +68,13 @@ def _assign(cost: np.ndarray) -> tuple[list[int], np.ndarray]:
         while i >= 0:  # flip the path back to `start`, whose slot was -1
             j = came_from[i]
             gt_of[i], slot_of[j], i = j, i, slot_of[j]
-    return slot_of, cost - np.array(v)[:, None] - np.array(u)
-
-
-def _optimal_cost(cost: np.ndarray) -> tuple[float, list[int], np.ndarray]:
-    """The minimum total of `cost`, summed in ascending slot order, with
-    `_assign`'s slots and reduced costs."""
-    slot_of, reduced = _assign(cost)
-    cols = np.argsort(slot_of)
-    rows = np.asarray(slot_of, dtype=np.intp)[cols]
-    return float(cost[rows, cols].sum()), slot_of, reduced
+    return slot_of
 
 
 def hungarian_match(cost: np.ndarray) -> list[tuple[int, int]]:
-    """Minimum-total-cost assignment of every gt column to a distinct slot row.
-
-    Ties between equal-total assignments break toward the lexicographically
-    smallest (slot, gt) pair list: columns are fixed in order, each taking
-    the lowest slot index that still permits an optimal completion. Totals
-    within tol = 1e-12·max(1, |optimum|) of the optimum count as equal.
-
-    One solve gives the optimum and its reduced costs r; an assignment through
-    slot i for column j costs at least r[i, j] more, so slots with r > 4·tol
-    are skipped (3·tol guards against rounding). While every earlier column
-    holds its optimal slot, so does this one without proof; any other
-    candidate takes one solve of the columns after it. Where rounding refuses
-    every slot of a column, the one with the cheapest completion is taken.
-    """
+    """Minimum-total-cost assignment of every gt column to a distinct slot row,
+    as (slot, gt) pairs in gt order. One `_assign` solve; among equal-total
+    assignments its own deterministic pick is returned."""
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ShapeError(f"cost matrix must be 2-D, got shape {cost.shape}")
@@ -106,34 +83,7 @@ def hungarian_match(cost: np.ndarray) -> list[tuple[int, int]]:
     n_slots, n_gt = cost.shape
     if n_gt > n_slots:
         raise ValueError(f"{n_gt} objects exceed {n_slots} slots")
-    best, slot_of, reduced = _optimal_cost(cost)
-    tol = _TIE_RTOL * max(1.0, abs(best))
-    costs, reduced = cost.tolist(), reduced.tolist()
-    pairs, free, spent, on_optimum = [], list(range(n_slots)), 0.0, True
-    for j in range(n_gt):
-        over = []  # (completion total, position in free) of each candidate refused
-        for pos, i in enumerate(free):
-            if reduced[i][j] > 4.0 * tol:
-                continue
-            optimal = on_optimum and i == slot_of[j]
-            if not optimal:
-                sub = np.delete(cost[free, j + 1:], pos, axis=0)
-                total = spent + costs[i][j] + _optimal_cost(sub)[0]
-                if total > best + tol:
-                    over.append((total, pos))
-                    continue
-            break
-        else:
-            # an assignment at exactly optimum + tol sums to either side of the
-            # bound in different orders, so an earlier column may have taken it
-            # and this one refuse every slot: take the cheapest completion
-            _, pos = min(over)
-            optimal = False
-        i = free.pop(pos)
-        on_optimum = optimal
-        pairs.append((i, j))
-        spent += costs[i][j]
-    return pairs
+    return [(i, j) for j, i in enumerate(_assign(cost))]
 
 
 def _validate_boxes(boxes: np.ndarray, name: str, reject_degenerate: bool) -> np.ndarray:

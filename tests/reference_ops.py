@@ -8,9 +8,9 @@ the package's fused and batched ops against (`add_all`, `softmax`, `tanh`,
 their plain form, one fresh array per step, which the rewritten kernels must
 match byte for byte. `finite_diff_check` compares a graph's analytic
 gradients against central differences. `scipy_hungarian_match` is the
-matching that `losses.hungarian_match` replaced: scipy's assignment, proved
-unique by `optimum_is_unique`'s n_gt forbidden-edge solves, else refined by
-one solve per candidate slot. `iou_matrix` is every pred box's IoU with
+package's former matcher: scipy's assignment, proved unique by
+`optimum_is_unique`'s n_gt forbidden-edge solves, else refined by one solve
+per candidate slot to the lexicographically smallest optimum. `iou_matrix` is every pred box's IoU with
 every gt box, which `losses.iou_pairs` must match over the matched pairs.
 """
 
