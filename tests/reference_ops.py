@@ -10,8 +10,9 @@ match byte for byte. `finite_diff_check` compares a graph's analytic
 gradients against central differences. `scipy_hungarian_match` is the
 package's former matcher: scipy's assignment, proved unique by
 `optimum_is_unique`'s n_gt forbidden-edge solves, else refined by one solve
-per candidate slot to the lexicographically smallest optimum. `iou_matrix` is every pred box's IoU with
-every gt box, which `losses.iou_pairs` must match over the matched pairs.
+per candidate slot to the lexicographically smallest optimum. `iou_matrix`
+is every pred box's IoU with every gt box, which `losses.iou_pairs` must
+match over the matched pairs.
 """
 
 import functools

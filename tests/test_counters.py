@@ -109,9 +109,9 @@ def test_a_stage1_step_checks_every_op_on_its_tape(goal, counts):
     assert counts["checks"] == 219
 
 
-# the scipy matcher made 78 `linear_sum_assignment` calls on this step: per
-# frame one solve, one per object that forbids an optimal edge, and on a tie
-# one per candidate slot; now each frame takes one solve
+# one solve per frame; the scipy matcher made 78 `linear_sum_assignment`
+# calls on this step: per frame one solve, one per object that forbids an
+# optimal edge, and on a tie one per candidate slot
 SOLVES_PER_STAGE1_STEP = 12
 
 

@@ -173,7 +173,7 @@ class TestHungarian:
         for cost in seen:
             assert hungarian_match(cost) == scipy_hungarian_match(cost)
 
-    def test_long_frames_from_init_equal_the_reference(self, monkeypatch):
+    def test_long_frames_from_init_are_optimal(self, monkeypatch):
         # the solver's pick among tied optima is not the reference's on some
         seen = matched_costs(monkeypatch, "long", steps=5)
         assert len(seen) == 60
