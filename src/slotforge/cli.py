@@ -1,8 +1,12 @@
 """Command line surface: gen | train1 | train2 | eval | inspect | budget.
 
-Exit codes: 0 success, 2 configuration error, 3 data validation failure,
-4 a run failed: a non-finite value, or a stage-1 parameter that changed
-during stage 2. Each error ends in one line on stderr. Exit 4's line says
+`gen` reads back what it wrote through the same check as `train1`, `train2`
+and `inspect`, then prints the corpus statistics.
+
+Exit codes: 0 success, 2 configuration error, 3 data error: an episode that
+cannot be read or that `world.validate_episode` rejects, 4 a run failed: a
+non-finite value, or a stage-1 parameter that changed during stage 2. Each
+error ends in one line on stderr. Exit 4's line says
 what failed: `training failed:` from train1 and train2, `evaluation failed:`
 from eval, `inspection failed:` from inspect; a non-finite value names the op
 that made it.
@@ -20,7 +24,7 @@ from .checkpoint import CheckpointError, load_checkpoint
 from .config import SUBSET_PRESETS, ConfigError, load_config
 from .optim import TrainingError
 from .tensor import NonFiniteError
-from .world import WorldError, generate_episode, serialize_episode, validate_dataset
+from .world import WorldError, dataset_statistics, generate_episode, serialize_episode
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,10 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--subset", choices=list(SUBSET_PRESETS))
     p.add_argument("--episodes", type=int, default=20)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--validate", action="store_true",
-                   help="run the dataset validator after generation")
 
     p = sub.add_parser("train1", help="train the slot encoder stack")
     common(p)
@@ -94,25 +95,20 @@ def _require_positive(name: str, value: int) -> None:
 
 
 def cmd_gen(args) -> int:
+    from .train import load_corpus
     _require_positive("episodes", args.episodes)
     overrides = list(args.override)
     if args.subset:
         overrides.append(f"subset={args.subset}")
-    if args.seed is not None:
-        overrides.append(f"seed={args.seed}")
     cfg = load_config(args.config, overrides)
     world_cfg = cfg.world_config()
     for i in range(args.episodes):
         episode = generate_episode(cfg.seed + i, world_cfg)
         serialize_episode(episode, args.out)
     print(f"wrote {args.episodes} episodes to {args.out}")
-    if args.validate:
-        stats, errors = validate_dataset(args.out, cfg.noop_eps)
-        for line in errors:
-            print(f"validation: {line}", file=sys.stderr)
-        if errors:
-            return EXIT_DATA
-        print(f"validation clean; stats: {stats}")
+    corpus = load_corpus(cfg, args.out, targets=False)
+    for subset, row in dataset_statistics(corpus.episodes).items():
+        print(f"{subset}: " + " ".join(f"{key}={value}" for key, value in row.items()))
     return EXIT_OK
 
 
@@ -162,12 +158,13 @@ def cmd_eval(args) -> int:
 def cmd_inspect(args) -> int:
     from .pipeline import Pipeline
     from .reports import inspect_report
-    from .world import check_episode, load_episode
+    from .train import check_episode
+    from .world import load_episode
     cfg = load_config(args.config, args.override)
     pipeline = Pipeline(cfg)
     pipeline.stage1_params().load_state(load_checkpoint(args.stage1))
     episode = load_episode(args.episode)
-    check_episode(episode, args.episode, cfg.image_size, cfg.num_slots)
+    check_episode(cfg, episode, args.episode)
     summary = inspect_report(pipeline, episode, args.frame, args.out)
     print(f"task: {summary['task']}")
     print(f"selected slots: {summary['selected_slots']}")

@@ -27,7 +27,7 @@ from .nn import ParamGroup
 from .optim import AdaptiveOptimizer, TrainingError
 from .pipeline import Clip, Pipeline, frame_targets, task_tokens
 from .tensor import NonFiniteError
-from .world import Episode, WorldError, check_episode, episode_files, load_episode
+from .world import Episode, WorldError, episode_files, load_episode, validate_episode
 
 LOSS_CSV_HEADER = "step,L_box,L_obj,L_seg,L_track,L_int,total"
 
@@ -93,18 +93,27 @@ class Corpus:
                     episode_key=self.episode_keys[index], base_t=start)
 
 
+def check_episode(cfg: RunConfig, episode: Episode, path: str | Path,
+                  targets: bool = True) -> None:
+    """`validate_episode` under `cfg`, counting instances against `cfg.num_slots`
+    only for data with targets; its first error is a `WorldError` naming `path`."""
+    if errors := validate_episode(episode, cfg.noop_eps, cfg.image_size,
+                                  cfg.num_slots if targets else None):
+        raise WorldError(f"{path}: {errors[0]}")
+
+
 def load_corpus(cfg: RunConfig, data_dir: str | Path, targets: bool = True) -> Corpus:
     """`Corpus.load` for a run, with targets at `cfg.patch_size` or none. Data errors
-    (`WorldError`), raised before any targets are built: what `check_episode` rejects,
-    a frame's instances counted against `cfg.num_slots` only with targets, and tasks of
-    different word counts, as both stages group frames and a group's tasks must match."""
+    (`WorldError`), raised before any targets are built: tasks of different word
+    counts, as both stages group frames and a group's tasks must match, then the
+    first episode that `check_episode` rejects."""
     def check(files, episodes):
-        for path, episode in zip(files, episodes):
-            check_episode(episode, path, cfg.image_size, cfg.num_slots if targets else None)
         counts = {len(record.task.split()) for episode in episodes for record in episode.frames}
         if len(counts) > 1:
             raise WorldError(f"{data_dir}: tasks differ in word count {sorted(counts)}; "
                              "a corpus holds one task template")
+        for path, episode in zip(files, episodes):
+            check_episode(cfg, episode, path, targets)
     return Corpus.load(data_dir, cfg.patch_size if targets else None, check)
 
 

@@ -27,6 +27,9 @@ instance map. `World.annotate` labels a frame with it, and
 
 On disk an episode is 4 files: its records (`.jsonl`), its `.meta.json`, and
 two films, `_rgb.ppm` and `_map.pgm`, which hold its frames and instance maps.
+`load_episode` rejects what cannot be read as an episode. `validate_episode`
+is the one check of what an episode says: every command that reads a corpus
+runs it through `train.check_episode`, and `gen` runs it on what it wrote.
 
 A `WorldConfig` is the world's view of a run, built only by
 `RunConfig.world_config()`; subset presets live in `config.SUBSET_PRESETS`
@@ -514,20 +517,6 @@ def serialize_episode(episode: Episode, out_dir: str | Path) -> Path:
     return path
 
 
-def check_episode(episode: Episode, path: str | Path, image_size: int,
-                  num_slots: int | None) -> None:
-    """A frame that is not image_size x image_size or, given `num_slots`, has more
-    instances than slots is a data error naming `path`."""
-    for record in episode.frames:
-        h, w = record.rgb.shape[:2]
-        if (h, w) != (image_size, image_size):
-            raise WorldError(f"{path}: frame t={record.t} is {h}x{w}, "
-                             f"not image_size {image_size}")
-        if num_slots is not None and len(record.instances) > num_slots:
-            raise WorldError(f"{path}: frame t={record.t} has {len(record.instances)} "
-                             f"instances, more than num_slots {num_slots}")
-
-
 def _numbers(values, n: int, what: str, where: str) -> np.ndarray:
     """A JSON list of n finite numbers below 1e308 in size as float64, else a data error."""
     if not (isinstance(values, list) and len(values) == n
@@ -621,11 +610,14 @@ def load_episode(path: str | Path) -> Episode:
         meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
         if not isinstance(meta, dict):
             raise ValueError("not a JSON object")
-        seed, layout_id = int(meta.get("seed", -1)), int(meta.get("layout_id", -1))
-    except (OSError, ValueError, TypeError, OverflowError) as exc:
+        for key, kind in (("seed", int), ("layout_id", int), ("subset", str),
+                          ("carried_id", str), ("target_id", str)):  # a bool is no int here
+            if key in meta and type(meta[key]) is not kind:
+                raise ValueError(f"{key} is not {'an integer' if kind is int else 'a string'}")
+    except (OSError, ValueError) as exc:
         raise EpisodeParseError(f"{meta_path}: malformed metadata: {exc}") from exc
     return Episode(frames=frames, subset=meta.get("subset", "unknown"),
-                   seed=seed, layout_id=layout_id,
+                   seed=meta.get("seed", -1), layout_id=meta.get("layout_id", -1),
                    carried_id=meta.get("carried_id", ""),
                    target_id=meta.get("target_id", ""))
 
@@ -638,19 +630,30 @@ def episode_files(data_dir: str | Path) -> list[Path]:
 # validation and statistics
 
 
-def validate_episode(episode: Episode, noop_eps: float) -> list[str]:
-    """Errors of one episode; `noop_eps` is the run's `RunConfig.noop_eps`."""
+def validate_episode(episode: Episode, noop_eps: float, image_size: int | None = None,
+                     num_slots: int | None = None) -> list[str]:
+    """Errors of one episode; `noop_eps` is the run's `RunConfig.noop_eps`. Given
+    `image_size`, a frame of another size is an error; given `num_slots`, so is a
+    frame with more instances than slots."""
     errors: list[str] = []
     first_ids = [inst.instance_id for inst in episode.frames[0].instances]
+    first_task = episode.frames[0].task
     if len(episode.frames) < 2:
         errors.append("episode shorter than 2 frames")
     for frame_idx, frame in enumerate(episode.frames):
+        size = frame.rgb.shape[0]  # frames are square: a film is one frame wide
+        if image_size is not None and size != image_size:
+            errors.append(f"frame t={frame.t} is {size}x{size}, not image_size {image_size}")
+        if num_slots is not None and len(frame.instances) > num_slots:
+            errors.append(f"frame t={frame.t} has {len(frame.instances)} instances, "
+                          f"more than num_slots {num_slots}")
         ids = [inst.instance_id for inst in frame.instances]
         if ids != first_ids:
             errors.append(f"t={frame.t}: instance ids changed: {ids} != {first_ids}")
+        if frame.task != first_task:  # both stages filter an episode by its t=0 task
+            errors.append(f"t={frame.t}: task changed: {frame.task!r} != {first_task!r}")
         nouns = relevant_nouns(frame.task)
         visible, tight_px = tight_boxes(frame.instance_map, len(frame.instances))
-        size = frame.rgb.shape[0]
         for i, inst in enumerate(frame.instances):
             if not visible[i]:
                 errors.append(f"t={frame.t}: {inst.instance_id} has an empty mask")
@@ -696,25 +699,6 @@ def _noun_for_instance(instance_id: str, pixel: np.ndarray) -> str:
         if rgb == value:
             return f"{name} {shape}"
     return f"unknown {shape}"
-
-
-def validate_dataset(data_dir: str | Path, noop_eps: float) -> tuple[dict, list[str]]:
-    """Validate every episode file; returns (statistics, error list)."""
-    errors: list[str] = []
-    episodes: list[Episode] = []
-    files = episode_files(data_dir)
-    if not files:
-        errors.append(f"{data_dir}: no episode files found")
-    for path in files:
-        try:
-            episode = load_episode(path)
-        except EpisodeParseError as exc:
-            errors.append(str(exc))
-            continue
-        for err in validate_episode(episode, noop_eps):
-            errors.append(f"{path.name}: {err}")
-        episodes.append(episode)
-    return dataset_statistics(episodes), errors
 
 
 def dataset_statistics(episodes: list[Episode]) -> dict:

@@ -400,6 +400,32 @@ def corrupt(kind, path):
     if kind == "negative-size":
         map_path.write_bytes(b"P5\n-8 -8\n255\n" + bytes(64))
         return f"cannot read film: {map_path}: image size -8x-8 is not positive"
+    first = rec["instances"][0]
+    if kind in ("relevance-flipped", "box-moved", "box-zero-width"):  # in the first record
+        if kind == "relevance-flipped":
+            first["relevant"] = not first["relevant"]
+        elif kind == "box-moved":  # 0.3 of the frame is 19.2 px
+            first["box"][0] += 0.3
+        else:
+            first["box"][2] = 0.0
+        path.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
+        return f"{path}: t=0: {first['id']} " + {
+            "relevance-flipped": f"relevance flag {first['relevant']} contradicts task string",
+            "box-moved": "box deviates 19.20px from its mask",
+            "box-zero-width": "box deviates "}[kind]
+    if kind == "id-renamed":  # from the middle record on
+        half = len(lines) // 2
+        recs = [json.loads(line) for line in lines]
+        ids = [inst["id"] for inst in rec["instances"]]
+        for later in recs[half:]:
+            later["instances"][0]["id"] += "0"
+        path.write_text("\n".join(json.dumps(r) for r in recs) + "\n")
+        return f"{path}: t={half}: instance ids changed: {[ids[0] + '0'] + ids[1:]} != {ids}"
+    if kind == "t-swapped":
+        second = json.loads(lines[1])
+        rec["t"], second["t"] = second["t"], rec["t"]
+        path.write_text("\n".join([json.dumps(rec), json.dumps(second)] + lines[2:]) + "\n")
+        return f"{path}: frame index 1 not contiguous"
     if kind.startswith("old-"):  # a record that names its own image files
         rec["frame_file"] = f"{path.stem}/t000_rgb.ppm"
         if kind == "old-layout":  # one instance map file per frame
@@ -423,6 +449,13 @@ def corrupt(kind, path):
     pytest.param("[1]", id="meta-not-object"),
     pytest.param('{"seed": "x"}', id="meta-seed-not-integer"),
     pytest.param('{"seed": 1e999}', id="meta-seed-infinite"),
+    pytest.param('{"seed": 2.5}', id="meta-seed-float"),
+    pytest.param('{"seed": true}', id="meta-seed-bool"),
+    pytest.param('{"seed": "7"}', id="meta-seed-string"),
+    pytest.param('{"layout_id": false}', id="meta-layout-id-bool"),
+    pytest.param('{"subset": 5}', id="meta-subset-integer"),
+    pytest.param('{"carried_id": null}', id="meta-carried-id-null"),
+    pytest.param('{"target_id": ["square1"]}', id="meta-target-id-list"),
 ])
 def test_corrupt_corpus_exits_train1_with_data_error(kind, tmp_path, capsys):
     path = serialize_episode(generate_episode(3, RunConfig().world_config()), tmp_path / "data")
@@ -433,6 +466,28 @@ def test_corrupt_corpus_exits_train1_with_data_error(kind, tmp_path, capsys):
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
     assert_no_manifest(out)
+
+
+@pytest.mark.parametrize("kind", ["relevance-flipped", "box-moved", "id-renamed",
+                                  "t-swapped", "box-zero-width"])
+@pytest.mark.parametrize("command", ["train1", "train2", "inspect"])
+def test_labels_the_validator_rejects_exit_with_data_error(command, kind, tmp_path, capsys,
+                                                           stage1_ckpt):
+    """An episode that parses but whose labels disagree with its frames, its
+    own first frame or its record order fails as it loads, naming its file."""
+    path = serialize_episode(generate_episode(3, RunConfig().world_config()), tmp_path / "data")
+    message = corrupt(kind, path)
+    argv = {
+        "train1": ["train1", "--data", str(path.parent)],
+        "train2": ["train2", "--data", str(path.parent), "--stage1", str(stage1_ckpt)],
+        "inspect": ["inspect", "--stage1", str(stage1_ckpt), "--episode", str(path)],
+    }[command]
+    out = tmp_path / "out"
+    assert main(argv + ["--override", "stage1_iters=1", "--override", "stage2_iters=1",
+                        "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {message}") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("task, message", [

@@ -11,13 +11,18 @@ The scans match names only, so a reference to a same-named attribute
 elsewhere (`np.clip`) counts; they find code that nothing can reach, not
 every such piece. The tensor core gets a stricter scan: each of its
 module-level functions must be reached as `T.<name>` from another module,
-imported from `.tensor` by name, or named inside `tensor.py` itself.
+imported from `.tensor` by name, or named inside `tensor.py` itself. Every
+option string of the command line must appear as a string constant in some
+test module, so an option that no test passes is found.
 """
 
 import ast
 from pathlib import Path
 
+from slotforge.cli import build_parser
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "slotforge"
+TESTS = Path(__file__).resolve().parent
 
 # name -> why it stays without a caller in src/
 ALLOWED_UNREFERENCED = {
@@ -194,3 +199,17 @@ def test_every_allowed_attribute_is_stored_and_still_unread():
     stored, read = scan_self()
     assert sorted(set(ALLOWED_UNREAD_SELF) - set(stored)) == []
     assert sorted(set(ALLOWED_UNREAD_SELF) & read) == []
+
+
+def cli_option_strings() -> set[str]:
+    """Every option string a `slotforge` command defines, -h/--help aside."""
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    return {option for sub in commands.values() for action in sub._actions
+            if action.dest != "help" for option in action.option_strings}
+
+
+def test_every_cli_option_is_named_by_a_test():
+    named = {node.value for path in sorted(TESTS.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert sorted(cli_option_strings() - named) == []

@@ -10,12 +10,13 @@ import pytest
 from slotforge import pnm
 from slotforge.config import RunConfig
 from slotforge.decoder import action_to_bins, bin_centers
+from slotforge.train import load_corpus
 from slotforge.world import (MAX_FRAMES, AllNoOpsError, EpisodeParseError,
                              InfeasibleSceneError, World, WorldError,
                              dataset_statistics, episode_files, expert_actions,
                              filter_noops, generate_episode, load_episode,
                              relevant_nouns, serialize_episode, snap_action,
-                             validate_dataset, validate_episode)
+                             validate_episode)
 
 
 def world_cfg(subset, **fields):
@@ -340,25 +341,36 @@ def same_values(a, b):
 
 
 class TestValidatorAndStats:
-    def test_validator_passes_clean_corpus(self, tmp_path):
+    def test_a_clean_corpus_loads_and_counts(self, tmp_path):
         for seed in range(3):
             serialize_episode(generate_episode(seed, world_cfg("pair")), tmp_path)
-        stats, errors = validate_dataset(tmp_path, RunConfig().noop_eps)
-        assert errors == []
-        assert stats["pair"]["episodes"] == 3
+        corpus = load_corpus(RunConfig(subset="pair"), tmp_path)
+        assert dataset_statistics(corpus.episodes)["pair"]["episodes"] == 3
 
-    def test_validator_flags_corrupted_box(self, tmp_path):
+    def test_a_corrupted_box_fails_the_load_by_name(self, tmp_path):
         ep = generate_episode(6, world_cfg("pair"))
         ep.frames[0].instances[0].box = ep.frames[0].instances[0].box + 0.25
-        serialize_episode(ep, tmp_path)
-        _, errors = validate_dataset(tmp_path, RunConfig().noop_eps)
-        assert any("box deviates" in e for e in errors)
+        path = serialize_episode(ep, tmp_path)
+        with pytest.raises(WorldError, match=re.escape(
+                f"{path}: t=0: {ep.frames[0].instances[0].instance_id} box deviates")):
+            load_corpus(RunConfig(subset="pair"), tmp_path)
 
-    def test_statistics_structure(self, tmp_path):
-        for seed in range(2):
-            serialize_episode(generate_episode(seed, world_cfg("goal")), tmp_path)
-        stats, _ = validate_dataset(tmp_path, RunConfig().noop_eps)
-        row = stats["goal"]
+    def test_a_task_that_changes_mid_episode_is_an_error(self):
+        """The swapped goal names the same nouns, so every relevance flag still
+        agrees with it; only the change of task itself is reported."""
+        ep = generate_episode(9, world_cfg("goal"))
+        words = ep.frames[0].task.split()  # robot put the C C on the T T
+        swapped = " ".join(words[:3] + words[7:] + words[5:7] + words[3:5])
+        assert swapped != ep.frames[0].task
+        for frame in ep.frames[5:]:
+            frame.task = swapped
+        assert validate_episode(ep, RunConfig().noop_eps) == [
+            f"t={t}: task changed: {swapped!r} != {ep.frames[0].task!r}"
+            for t in range(5, len(ep.frames))]
+
+    def test_statistics_structure(self):
+        row = dataset_statistics([generate_episode(seed, world_cfg("goal"))
+                                  for seed in range(2)])["goal"]
         assert set(row) == {"episodes", "tasks", "layouts", "objects", "tr_objects",
                             "frames", "bboxes", "tr_bboxes"}
         assert row["tr_objects"] == "3-3"
