@@ -36,9 +36,10 @@ def action_to_bins(action: np.ndarray, bins: int) -> np.ndarray:
                    0, bins - 1).astype(np.int64)
 
 
-def snap_action(value: float, bins: int) -> float:
-    """Quantize a scalar to its containing bin center."""
-    return float(bin_centers(bins)[action_to_bins(np.asarray([value]), bins)[0]])
+def snap_action(values: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Quantize values to their containing bins' centers, `centers` being
+    `bin_centers(bins)`, built once by the caller."""
+    return centers[action_to_bins(values, len(centers))]
 
 
 class ActionDecoder:

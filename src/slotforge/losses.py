@@ -153,7 +153,7 @@ def giou_pairs(pred: Tensor, gt: np.ndarray) -> Tensor:
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape or pred.data.ndim != 2 or pred.shape[1] != 4:
         raise ShapeError(f"giou_pairs: shapes {pred.shape} vs {gt.shape}")
-    with np.errstate(all="ignore"):
+    with T.quiet():
         side, span, inter, union, hull = _overlap(pred.data, gt)
         out = (inter / union - (hull - union) / hull)[:, None]
 

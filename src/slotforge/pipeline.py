@@ -63,14 +63,18 @@ from .world import FrameRecord
 
 
 def frame_targets(record: FrameRecord, patch_size: int) -> FrameTargets:
-    """Boxes, patch-grid masks (cells at least half covered), relevance flags."""
+    """Boxes, patch-grid masks (cells at least half covered), relevance flags.
+    One `np.bincount` counts each instance's pixels in each cell; map values
+    above the instance count are ignored."""
     k = len(record.instances)
-    g = record.instance_map.shape[0] // patch_size
-    masks = record.instance_map == np.arange(1, k + 1)[:, None, None]
-    cells = masks.reshape(k, g, patch_size, g, patch_size).mean(axis=(2, 4))
+    size = record.instance_map.shape[0]
+    g = size // patch_size
+    cell = np.arange(size) // patch_size
+    keys = record.instance_map.astype(np.intp) * (g * g) + (cell[:, None] * g + cell)
+    counts = np.bincount(keys.ravel(), minlength=(k + 1) * g * g)[g * g:(k + 1) * g * g]
     return FrameTargets(
-        boxes=np.stack([inst.box for inst in record.instances]),
-        grid_masks=(cells >= 0.5).astype(np.float64).reshape(k, -1),
+        boxes=np.array([inst.box for inst in record.instances]),
+        grid_masks=(2 * counts.reshape(k, g * g) >= patch_size * patch_size).astype(np.float64),
         relevance=np.array([float(inst.relevant) for inst in record.instances]),
         instance_ids=[inst.instance_id for inst in record.instances])
 

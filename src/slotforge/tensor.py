@@ -27,10 +27,12 @@ the op as it would have without the pass.
 
 numpy's floating-point warnings are off, through `quiet()`, around the
 arithmetic of the elementwise binary and unary ops, `linear`, the attention
-logits, `nn.gru_cell` and `slots.slot_attention`: a non-finite value is the
-finite checks' to report, not numpy's. An `inference_pass`'s first run sits
-whole under one `np.errstate`, so `quiet` is a no-op there; on the tape,
-off it and in the pass's checked replay each op enters its own.
+logits, `nn.gru_cell`, `slots.slot_attention` and `losses.giou_pairs`: a
+non-finite value is the finite checks' to report, not numpy's. A
+`fresh_tape` block (a training step, its backward included) and an
+`inference_pass`'s first run each sit whole under one `np.errstate`, so
+`quiet` is a no-op there; outside both, as in `no_grad` or a pass's checked
+replay, each op enters its own.
 
 An op writes in place only into arrays it allocated itself, such as a
 matmul's fresh product. It never writes into the gradient `g` its backward
@@ -81,6 +83,7 @@ class NonFiniteError(TensorError):
 
 
 _OP_CHECKS = True  # off only inside an `inference_pass`
+_QUIET = False  # on while a block runs under one `np.errstate(all="ignore")`
 
 
 def check_finite(arr: np.ndarray, op: str) -> np.ndarray:
@@ -166,10 +169,26 @@ def _open(tape: GradTape | None):
         _TAPE = saved
 
 
+@contextmanager
+def _silenced():
+    """numpy's floating-point warnings off for the whole block, where `quiet`
+    is a no-op."""
+    global _QUIET
+    saved, _QUIET = _QUIET, True
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    finally:
+        _QUIET = saved
+
+
+@contextmanager
 def fresh_tape():
-    """Open a new tape for the block (one training step); the innermost
-    `fresh_tape` or `no_grad` block decides whether ops record."""
-    return _open(GradTape())
+    """Open a new tape for the block (one training step), under one
+    `np.errstate`; the innermost `fresh_tape` or `no_grad` block decides
+    whether ops record."""
+    with _open(GradTape()) as tape, _silenced():
+        yield tape
 
 
 def no_grad():
@@ -199,7 +218,7 @@ def inference_pass(fn: Callable) -> Callable:
         with no_grad():
             saved, _OP_CHECKS = _OP_CHECKS, False
             try:
-                with np.errstate(all="ignore"):
+                with _silenced():
                     return fn(*args, **kwargs)
             except NonFiniteError:
                 pass
@@ -214,9 +233,9 @@ _SILENT = nullcontext()
 
 def quiet():
     """numpy's floating-point warnings off for one op's arithmetic: a fresh
-    `np.errstate(all="ignore")`, or a no-op inside an `inference_pass`'s first
-    run, which runs whole under one."""
-    return np.errstate(all="ignore") if _OP_CHECKS else _SILENT
+    `np.errstate(all="ignore")`, or a no-op inside a `fresh_tape` block or an
+    `inference_pass`'s first run, which each run whole under one."""
+    return _SILENT if _QUIET else np.errstate(all="ignore")
 
 
 def _coerce(x) -> Tensor:

@@ -17,13 +17,18 @@ Sprite sizes are tiered (robot < carried < distractor < target) so a moving
 sprite can never fully occlude another: visible masks stay non-empty and
 mask-tight boxes stay well defined under overlap.
 
-Drawing loops over the sprites once: `World.ownership` stamps each sprite's
-footprint in painter's order. The rest of a frame takes a fixed number of
+What is fixed for an episode is built once, when its `World` is made: the
+task's nouns and each sprite's relevance flag, the color palette, and each
+sprite's footprint in draw order; the expert builds the action bin centers
+once. Drawing loops over the sprites once: `World.ownership` stamps each
+sprite's footprint, at its position rounded from plain floats, into the
+instance map in painter's order. The rest of a frame takes a fixed number of
 array ops, whatever the sprite count. `World.render` looks every pixel up in
-a color palette by its owner, and `tight_boxes` finds every instance's
-mask-tight box from row and column occupancy, counted in one pass over the
-instance map. `World.annotate` labels a frame with it, and
-`validate_episode` checks a frame's boxes against it.
+a color palette by the instance map, and `tight_boxes` finds every
+instance's mask-tight box from row and column occupancy, counted in one pass
+over the instance map. `World.annotate` labels a frame with it, and
+`validate_episode` checks a frame's boxes against it, all of a frame's
+instances as arrays.
 
 On disk an episode is 4 files: its records (`.jsonl`), its `.meta.json`, and
 two films, `_rgb.ppm` and `_map.pgm`, which hold its frames and instance maps.
@@ -38,6 +43,7 @@ and apply when the `RunConfig` is built.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,7 +52,7 @@ from typing import Iterator
 import numpy as np
 
 from . import pnm
-from .decoder import snap_action
+from .decoder import bin_centers, snap_action
 from .language import COLORS, SHAPES, UnknownWordError, tokenize
 
 BACKGROUND_RGB = (28, 28, 32)
@@ -269,16 +275,18 @@ def tight_boxes(instance_map: np.ndarray, count: int) -> tuple[np.ndarray, np.nd
     exclusive, which means nothing where it is not visible. Map values above
     `count` are ignored."""
     h, w = instance_map.shape
-    ids = instance_map.astype(np.intp)
-    # occupancy of each (instance, row) and (instance, column) pair
-    rows = np.bincount((ids * h + np.arange(h)[:, None]).ravel(), minlength=(count + 1) * h)
-    cols = np.bincount((ids * w + np.arange(w)).ravel(), minlength=(count + 1) * w)
-    rows = rows[h:(count + 1) * h].reshape(count, h) > 0
-    cols = cols[w:(count + 1) * w].reshape(count, w) > 0
-    boxes = np.stack([cols.argmax(axis=1), rows.argmax(axis=1),
-                      w - cols[:, ::-1].argmax(axis=1), h - rows[:, ::-1].argmax(axis=1)],
-                     axis=1)
-    return rows.any(axis=1), boxes
+    n = max(h, w)
+    # one bincount of the occupied (instance, column) and (instance, row) pairs:
+    # instance i's columns count at 2n·i + x, its rows at 2n·i + n + y
+    ids = instance_map.astype(np.intp) * (2 * n)
+    keys = np.concatenate([(ids + np.arange(w)).ravel(),
+                           (ids + (n + np.arange(h)[:, None])).ravel()])
+    occupied = np.bincount(keys, minlength=(count + 1) * 2 * n)[2 * n:(count + 1) * 2 * n] > 0
+    occupied = occupied.reshape(count, 2, n)  # [i, 0] columns, [i, 1] rows
+    # first and one past the last occupied index, columns then rows
+    boxes = np.concatenate([occupied.argmax(axis=2), n - occupied[:, :, ::-1].argmax(axis=2)],
+                           axis=1)
+    return occupied[:, 0].any(axis=1), boxes
 
 
 def relevant_nouns(task: str) -> set[str]:
@@ -302,14 +310,20 @@ class World:
         self.robot = next(s for s in self.sprites if s.role == "robot")
         self.task = (f"robot put the {self.carried_sprite.noun} "
                      f"on the {self.target_sprite.noun}")
+        nouns = relevant_nouns(self.task)
+        self._labels = [(sprite.instance_id, sprite.noun in nouns) for sprite in self.sprites]
         self.gripper_closed = GRIPPER_STARTS_CLOSED
         self.carrying = False
         self.t = 0
-        # draw order: static sprites first, then the carried object, robot on top
-        indexed = list(enumerate(self.sprites))
-        self._draw_order = ([(i, s) for i, s in indexed if s.role in ("distractor", "target")]
-                            + [(i, s) for i, s in indexed if s.role == "carried"]
-                            + [(i, s) for i, s in indexed if s.role == "robot"])
+        # draw order: static sprites first, then the carried object, robot on top;
+        # sprite k stamps k + 1 through its footprint, or its whole square (None)
+        order = [(k, sprite) for role in (("distractor", "target"), ("carried",), ("robot",))
+                 for k, sprite in enumerate(self.sprites) if sprite.role in role]
+        self._stamps = []
+        for k, sprite in order:
+            stamp = footprint(sprite.shape, sprite.size)
+            self._stamps.append((k + 1, sprite.instance_id, sprite.size,
+                                 None if stamp.all() else stamp))
         # covers every spawnable goal position; sprites may clip at the border
         # but can never leave the frame entirely
         self._clamp_lo = 2.0
@@ -322,23 +336,24 @@ class World:
         return self.positions[self.robot.instance_id]
 
     def proprio(self) -> np.ndarray:
-        pos = self.gripper_pos()
+        x, y = self.gripper_pos().tolist()
         s = self.cfg.image_size
-        return np.array([pos[0] / s, pos[1] / s, 0.0,
-                         1.0 if self.gripper_closed else -1.0])
+        return np.array([x / s, y / s, 0.0, 1.0 if self.gripper_closed else -1.0])
 
     def step(self, action: np.ndarray) -> None:
         action = np.asarray(action, dtype=np.float64)
         if action.shape != (7,):
             raise WorldError(f"action must have 7 dims, got shape {action.shape}")
-        if not (np.abs(action) <= 1.0 + 1e-12).all():  # NaN fails it too
+        values = action.tolist()
+        if not all(abs(v) <= 1.0 + 1e-12 for v in values):  # NaN fails it too
             raise WorldError("action values outside [-1, 1]")
-        delta = action[:2] * MAX_STEP
-        new_pos = np.clip(self.gripper_pos() + delta, self._clamp_lo, self._clamp_hi)
+        lo, hi = self._clamp_lo, self._clamp_hi
+        new_pos = np.array([min(max(p + v * MAX_STEP, lo), hi)  # np.clip, on plain floats
+                            for p, v in zip(self.gripper_pos().tolist(), values)])
         self.positions[self.robot.instance_id] = new_pos
         if self.carrying:
             self.positions[self.carried_sprite.instance_id] = new_pos.copy()
-        self.gripper_closed = action[6] > 0
+        self.gripper_closed = values[6] > 0
         if self.gripper_closed and not self.carrying:
             gap = np.linalg.norm(
                 self.positions[self.carried_sprite.instance_id] - new_pos)
@@ -350,49 +365,43 @@ class World:
         self.t += 1
 
     def ownership(self) -> np.ndarray:
-        """Per-pixel owning sprite index (painter's order), -1 for background."""
+        """The instance map, uint8 HxW: k + 1 where sprite k owns the pixel in
+        painter's order, 0 for background."""
         s = self.cfg.image_size
-        owner = np.full((s, s), -1, dtype=np.int16)
-        for idx, sprite in self._draw_order:
-            pos = self.positions[sprite.instance_id]
-            size = sprite.size
-            x0 = int(round(pos[0] - size / 2.0))
-            y0 = int(round(pos[1] - size / 2.0))
-            stamp = footprint(sprite.shape, size)
-            sx0, sy0 = max(0, -x0), max(0, -y0)
+        owner = np.zeros((s, s), dtype=np.uint8)
+        for value, instance_id, size, stamp in self._stamps:
+            x, y = self.positions[instance_id].tolist()
+            x0, y0 = round(x - size / 2.0), round(y - size / 2.0)
             x0c, y0c = max(0, x0), max(0, y0)
             x1c, y1c = min(s, x0 + size), min(s, y0 + size)
             if x1c <= x0c or y1c <= y0c:
                 continue
-            view = stamp[sy0:sy0 + (y1c - y0c), sx0:sx0 + (x1c - x0c)]
-            region = owner[y0c:y1c, x0c:x1c]
-            region[view] = idx
+            if stamp is None:
+                owner[y0c:y1c, x0c:x1c] = value
+            else:
+                owner[y0c:y1c, x0c:x1c][stamp[y0c - y0:y1c - y0, x0c - x0:x1c - x0]] = value
         return owner
 
     def render(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rgb, ownership): the frame as uint8 HxWx3, one palette lookup per
-        pixel by its owner, and the ownership map it was drawn from."""
-        owner = self.ownership()
-        return np.take(self._palette, owner + 1, axis=0), owner
+        """(rgb, instance_map): the frame as uint8 HxWx3, one palette lookup per
+        pixel by its owner, and the instance map it was drawn from."""
+        instance_map = self.ownership()
+        return np.take(self._palette, instance_map, axis=0), instance_map
 
     def annotate(self, action: np.ndarray) -> FrameRecord:
         """Render the current state and label it: every instance's mask-tight
         box from one pass over the instance map. A sprite with no visible
         pixel is an error that names the first such sprite."""
-        rgb, owner = self.render()
-        instance_map = (owner + 1).astype(np.uint8)
+        rgb, instance_map = self.render()
         visible, px = tight_boxes(instance_map, len(self.sprites))
         if not visible.all():
             hidden = self.sprites[int(np.argmin(visible))]
             raise WorldError(f"instance {hidden.instance_id} fully occluded at t={self.t}")
         s = self.cfg.image_size
-        x0, y0, x1, y1 = px.T
-        boxes = np.stack([(x0 + x1) / 2.0 / s, (y0 + y1) / 2.0 / s,
-                          (x1 - x0) / s, (y1 - y0) / s], axis=1)
-        nouns = relevant_nouns(self.task)
-        instances = [InstanceRecord(instance_id=sprite.instance_id, box=box,
-                                    relevant=sprite.noun in nouns)
-                     for sprite, box in zip(self.sprites, boxes)]
+        lo, hi = px[:, :2], px[:, 2:]  # (x0, y0) and (x1, y1)
+        boxes = np.concatenate([(lo + hi) / 2.0 / s, (hi - lo) / s], axis=1)
+        instances = [InstanceRecord(instance_id, box, relevant)
+                     for (instance_id, relevant), box in zip(self._labels, boxes)]
         return FrameRecord(t=self.t, task=self.task,
                            action=np.asarray(action, dtype=np.float64),
                            proprio=self.proprio(), instances=instances, rgb=rgb,
@@ -412,12 +421,12 @@ def expert_actions(world: World) -> Iterator[np.ndarray]:
     the gripper open, one close, `idle_frames` closed holds, moves onto the
     target with the gripper closed, one open, and two moves away from the
     target."""
-    bins = world.cfg.action_bins
+    centers = bin_centers(world.cfg.action_bins)
     carried, target = world.carried_sprite.instance_id, world.target_sprite.instance_id
 
     def arrived(sprite_id: str) -> bool:
-        gap = world.positions[sprite_id] - world.gripper_pos()
-        return bool(np.all(np.abs(gap) < ARRIVE_EPS))
+        (x, y), (gx, gy) = world.positions[sprite_id].tolist(), world.gripper_pos().tolist()
+        return abs(x - gx) < ARRIVE_EPS and abs(y - gy) < ARRIVE_EPS
 
     def hold(gripper: float) -> np.ndarray:
         action = np.zeros(7)
@@ -425,9 +434,10 @@ def expert_actions(world: World) -> Iterator[np.ndarray]:
         return action
 
     def move(goal: np.ndarray, gripper: float) -> np.ndarray:
-        delta = np.clip(goal - world.gripper_pos(), -MAX_STEP, MAX_STEP)
+        delta = [min(max(g - p, -MAX_STEP), MAX_STEP) / MAX_STEP  # np.clip, on plain floats
+                 for g, p in zip(goal.tolist(), world.gripper_pos().tolist())]
         action = hold(gripper)
-        action[:2] = [snap_action(d, bins) for d in delta / MAX_STEP]
+        action[:2] = snap_action(np.array(delta), centers)
         return action
 
     while not arrived(carried):
@@ -487,26 +497,29 @@ def generate_episode(seed: int, cfg: WorldConfig) -> Episode:
 # to bottom, so the frame of record k is rows k*S to (k+1)*S of each film
 
 
-def _fmt_list(values) -> str:
-    return "[" + ",".join(format(float(v), ".17g") for v in values) + "]"
+def _fmt_list(values: np.ndarray) -> str:
+    return "[" + ",".join([format(v, ".17g") for v in values.tolist()]) + "]"
 
 
 def serialize_episode(episode: Episode, out_dir: str | Path) -> Path:
+    """Write an episode's 4 files; returns the `.jsonl` path. Each task string
+    and instance id is JSON-encoded once per episode, not once per record."""
     out_dir = Path(out_dir)
     stem = f"ep_{episode.seed:06d}"
     pnm.write_ppm(out_dir / f"{stem}_rgb.ppm", np.concatenate([f.rgb for f in episode.frames]))
     pnm.write_pgm(out_dir / f"{stem}_map.pgm",
                   np.concatenate([f.instance_map for f in episode.frames]))
+    quoted = functools.cache(json.dumps)
     lines = []
     for frame in episode.frames:
         inst_parts = [
             '{"id":%s,"box":%s,"relevant":%s}' % (
-                json.dumps(inst.instance_id), _fmt_list(inst.box),
+                quoted(inst.instance_id), _fmt_list(inst.box),
                 "true" if inst.relevant else "false")
             for inst in frame.instances]
         lines.append(
             '{"t":%d,"task":%s,"action":%s,"proprio":%s,"instances":[%s]}'
-            % (frame.t, json.dumps(frame.task), _fmt_list(frame.action),
+            % (frame.t, quoted(frame.task), _fmt_list(frame.action),
                _fmt_list(frame.proprio), ",".join(inst_parts)))
     path = out_dir / f"{stem}.jsonl"
     path.write_text("\n".join(lines) + "\n")
@@ -537,9 +550,11 @@ def _task(task, where: str) -> str:
 
 
 def load_episode(path: str | Path) -> Episode:
-    """The episode of a `.jsonl` file and its two films, each read once; a
-    frame is a view of S rows of each film, where S is the film's width. Any
-    flaw is an `EpisodeParseError` naming the file, and a record's line."""
+    """The episode of a `.jsonl` file and its two films. Each film is read
+    once per episode and a frame is a view of S rows of it, where S is the
+    film's width; one pass over the map film checks every frame's peak against
+    its record's instance count. Any flaw is an `EpisodeParseError` naming
+    the file, and a record's line."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -634,10 +649,12 @@ def validate_episode(episode: Episode, noop_eps: float, image_size: int | None =
                      num_slots: int | None = None) -> list[str]:
     """Errors of one episode; `noop_eps` is the run's `RunConfig.noop_eps`. Given
     `image_size`, a frame of another size is an error; given `num_slots`, so is a
-    frame with more instances than slots."""
+    frame with more instances than slots. A frame's instances are checked as
+    arrays against one `tight_boxes` pass, and its lines come in instance order."""
     errors: list[str] = []
     first_ids = [inst.instance_id for inst in episode.frames[0].instances]
     first_task = episode.frames[0].task
+    first_nouns = relevant_nouns(first_task)
     if len(episode.frames) < 2:
         errors.append("episode shorter than 2 frames")
     for frame_idx, frame in enumerate(episode.frames):
@@ -652,27 +669,31 @@ def validate_episode(episode: Episode, noop_eps: float, image_size: int | None =
             errors.append(f"t={frame.t}: instance ids changed: {ids} != {first_ids}")
         if frame.task != first_task:  # both stages filter an episode by its t=0 task
             errors.append(f"t={frame.t}: task changed: {frame.task!r} != {first_task!r}")
-        nouns = relevant_nouns(frame.task)
-        visible, tight_px = tight_boxes(frame.instance_map, len(frame.instances))
-        for i, inst in enumerate(frame.instances):
+        nouns = first_nouns if frame.task == first_task else relevant_nouns(frame.task)
+        k = len(frame.instances)
+        visible, tight_px = tight_boxes(frame.instance_map, k)
+        boxes = np.array([inst.box for inst in frame.instances]).reshape(k, 4)
+        center, half = boxes[:, :2] * size, boxes[:, 2:] * size / 2  # in pixels
+        deviation = np.abs(np.concatenate([center - half, center + half], axis=1)
+                           - tight_px).max(axis=1)
+        degenerate = (boxes[:, 2] <= 0) | (boxes[:, 3] <= 0)
+        # the noun comes from the instance's first pixel in raster order
+        y = tight_px[:, 1]
+        x = np.argmax(frame.instance_map[y] == np.arange(1, k + 1)[:, None], axis=1)
+        expected = [_noun_for_instance(inst.instance_id, rgb) in nouns
+                    for inst, rgb in zip(frame.instances, frame.rgb[y, x].tolist())]
+        wrong = np.array([bool(inst.relevant) for inst in frame.instances]) != expected
+        for i in np.flatnonzero(~visible | (deviation > 1.0) | degenerate | wrong).tolist():
+            inst = frame.instances[i]
             if not visible[i]:
                 errors.append(f"t={frame.t}: {inst.instance_id} has an empty mask")
                 continue
-            box_px = np.array([inst.box[0] * size - inst.box[2] * size / 2,
-                               inst.box[1] * size - inst.box[3] * size / 2,
-                               inst.box[0] * size + inst.box[2] * size / 2,
-                               inst.box[1] * size + inst.box[3] * size / 2])
-            deviation = np.abs(box_px - tight_px[i]).max()
-            if deviation > 1.0:
+            if deviation[i] > 1.0:
                 errors.append(f"t={frame.t}: {inst.instance_id} box deviates "
-                              f"{deviation:.2f}px from its mask")
-            if inst.box[2] <= 0 or inst.box[3] <= 0:
+                              f"{deviation[i]:.2f}px from its mask")
+            if degenerate[i]:
                 errors.append(f"t={frame.t}: {inst.instance_id} degenerate box")
-            # the noun comes from the instance's first pixel in raster order
-            y = tight_px[i, 1]
-            x = np.argmax(frame.instance_map[y] == i + 1)
-            expected = _noun_for_instance(inst.instance_id, frame.rgb[y, x]) in nouns
-            if bool(inst.relevant) != expected:
+            if wrong[i]:
                 errors.append(f"t={frame.t}: {inst.instance_id} relevance flag "
                               f"{inst.relevant} contradicts task string")
         if frame.action.shape != (7,) or np.abs(frame.action).max() > 1.0:
@@ -689,16 +710,14 @@ def validate_episode(episode: Episode, noop_eps: float, image_size: int | None =
     return errors
 
 
-def _noun_for_instance(instance_id: str, pixel: np.ndarray) -> str:
+_COLOR_NAMES = {value: name for name, value in COLOR_VALUES.items()}
+
+
+def _noun_for_instance(instance_id: str, rgb: list[int]) -> str:
     """Recover the noun phrase for an instance from its id and one of its pixels."""
     if instance_id.startswith("robot"):
         return "robot"
-    shape = instance_id.rstrip("0123456789")
-    rgb = tuple(pixel.tolist())
-    for name, value in COLOR_VALUES.items():
-        if rgb == value:
-            return f"{name} {shape}"
-    return f"unknown {shape}"
+    return f"{_COLOR_NAMES.get(tuple(rgb), 'unknown')} {instance_id.rstrip('0123456789')}"
 
 
 def dataset_statistics(episodes: list[Episode]) -> dict:

@@ -1,23 +1,26 @@
 """Counters that do not jitter: finite checks, ops and tape entries per step,
-seed draws and `np.errstate` entries.
+seed draws, `np.errstate` entries, and the draws and box passes of the
+corpus path.
 
 A change to one of them shows here, in review, and not only as a timing in
 the benchmark. The policy step is an `inference_pass`, so it checks its
 read-outs and the few ops that hide a non-finite input, and runs under one
 `np.errstate`; a training step checks every op it records on the tape, and
-each op that silences numpy enters its own.
+runs under its `fresh_tape`'s one `np.errstate`. Generating an episode draws
+and boxes each frame once and reads its task's nouns once; validating one
+boxes each frame once.
 """
 
 import numpy as np
 import pytest
 
-from slotforge import losses, pipeline as pipeline_module, tensor as T
+from slotforge import losses, pipeline as pipeline_module, tensor as T, world as world_module
 from slotforge.config import load_config
 from slotforge.decoder import action_to_bins
 from slotforge.losses import action_ce
 from slotforge.pipeline import Pipeline
 from slotforge.train import Corpus, flatten_cache, sample_clips
-from slotforge.world import World, generate_episode
+from slotforge.world import World, generate_episode, validate_episode
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +69,19 @@ def entries(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """Count calls of the corpus path's per-frame and per-episode work."""
+    seen = {"step": 0, "render": 0, "tight_boxes": 0, "relevant_nouns": 0}
+    for owner, name in ((world_module.World, "step"), (world_module.World, "render"),
+                        (world_module, "tight_boxes"), (world_module, "relevant_nouns")):
+        def counting(*args, name=name, call=getattr(owner, name)):
+            seen[name] += 1
+            return call(*args)
+        monkeypatch.setattr(owner, name, counting)
+    return seen
+
+
 def test_a_policy_step_checks_its_read_outs_not_every_op(goal, counts):
     cfg, pipeline, _ = goal
     world = World(cfg.world_config(), 11)
@@ -90,13 +106,14 @@ def test_a_policy_step_draws_seeds_only_when_fresh_under_one_errstate(goal, entr
     assert entries == {"seeds": 0, "errstates": 1}
 
 
-def test_a_stage1_step_draws_seeds_per_clip_and_silences_each_op(goal, entries):
+def test_a_stage1_step_draws_seeds_per_clip_under_one_errstate(goal, entries):
     cfg, pipeline, corpus = goal
     with T.fresh_tape() as tape:
         loss, _ = pipeline.stage1_batch_loss(sample_clips(corpus, cfg, 0))
         tape.backward(loss)
-    # one seed per clip's first frame; 12 before, one per frame
-    assert entries == {"seeds": cfg.batch_clips, "errstates": 110}
+    # one seed per clip's first frame, 12 before, one per frame; the tape's
+    # one errstate, 110 before, one per op that silences numpy
+    assert entries == {"seeds": cfg.batch_clips, "errstates": 1}
     assert cfg.batch_clips == 4
 
 
@@ -133,3 +150,21 @@ def test_a_stage2_step_records_its_tape_entries(goal):
     with T.fresh_tape() as tape:
         tape.backward(action_ce(pipeline.stage2_logits(batch), bins))
     assert len(tape) == 68
+
+
+@pytest.mark.parametrize("subset", ["goal", "long"])
+def test_generation_draws_and_boxes_each_frame_once(subset, calls):
+    episode = generate_episode(3, load_config(overrides=[f"subset={subset}"]).world_config())
+    frames = calls["step"]  # one per action, before no-op frames are dropped
+    assert frames >= len(episode.frames)
+    assert calls == {"step": frames, "render": frames, "tight_boxes": frames,
+                     "relevant_nouns": 1}
+
+
+def test_validation_boxes_each_frame_once(goal, calls):
+    cfg, _, corpus = goal
+    for episode in corpus.episodes:
+        calls.update(step=0, render=0, tight_boxes=0, relevant_nouns=0)
+        assert validate_episode(episode, cfg.noop_eps, cfg.image_size, cfg.num_slots) == []
+        assert calls == {"step": 0, "render": 0, "tight_boxes": len(episode.frames),
+                         "relevant_nouns": 1}

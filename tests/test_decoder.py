@@ -21,7 +21,7 @@ def test_action_range_ends_land_in_the_outer_bins():
 def test_snap_maps_each_bin_center_to_itself():
     for bins in (2, 7, 256):
         for center in bin_centers(bins):
-            assert snap_action(center, bins) == center
+            assert snap_action(center, bin_centers(bins)) == center
 
 
 def test_greedy_action_breaks_ties_toward_the_lower_bin():

@@ -156,7 +156,7 @@ def test_a_pass_replays_with_every_op_checked_to_name_the_op(op):
         T.exp(Tensor(1000.0))  # outside a pass, no_grad still checks every op
 
 
-def test_quiet_is_a_no_op_only_in_a_pass_first_run():
+def test_quiet_is_a_no_op_in_a_pass_first_run_and_a_fresh_tape():
     silenced = []
 
     @T.inference_pass
@@ -170,6 +170,11 @@ def test_quiet_is_a_no_op_only_in_a_pass_first_run():
     assert silenced == [False, True]
     with T.no_grad():
         assert isinstance(T.quiet(), np.errstate)
+    with T.fresh_tape():  # a training step runs whole under one errstate
+        assert not isinstance(T.quiet(), np.errstate)
+        with T.no_grad():
+            assert not isinstance(T.quiet(), np.errstate)
+    assert isinstance(T.quiet(), np.errstate)
 
 
 @pytest.mark.parametrize("command, failed", [("eval", "evaluation"),

@@ -9,14 +9,13 @@ import pytest
 
 from slotforge import pnm
 from slotforge.config import RunConfig
-from slotforge.decoder import action_to_bins, bin_centers
+from slotforge.decoder import action_to_bins, bin_centers, snap_action
 from slotforge.train import load_corpus
 from slotforge.world import (MAX_FRAMES, AllNoOpsError, EpisodeParseError,
                              InfeasibleSceneError, World, WorldError,
                              dataset_statistics, episode_files, expert_actions,
                              filter_noops, generate_episode, load_episode,
-                             relevant_nouns, serialize_episode, snap_action,
-                             validate_episode)
+                             relevant_nouns, serialize_episode, validate_episode)
 
 
 def world_cfg(subset, **fields):
@@ -161,7 +160,7 @@ class TestQuantization:
     def test_snap_roundtrip_within_half_bin(self):
         rng = np.random.default_rng(1)
         for value in rng.uniform(-1, 1, 200):
-            assert abs(snap_action(value, 256) - value) <= 1.0 / 256
+            assert abs(snap_action(value, bin_centers(256)) - value) <= 1.0 / 256
 
     def test_bins_roundtrip(self):
         actions = np.array([-1.0, -0.5, 0.0, 0.3, 1.0])
