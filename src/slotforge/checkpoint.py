@@ -1,28 +1,23 @@
-"""Flat binary checkpoint files shared by every module's parameters.
+"""Checkpoints: numpy `.npz` archives of float64 records, one `<name>.npy` each.
 
-Layout (little-endian throughout):
-    magic  b"SLFG"
-    version u32
-    records until EOF, each:
-        name_len u32, name utf-8 bytes,
-        rank u32, extents rank*u32,
-        payload product(extents) float64 values
-
-A save writes `<name>.tmp` beside the target and renames it over the target,
+numpy stamps each member with zip's fixed 1980 time, so the same arrays give
+the same bytes. A load reads each member whole, so zipfile checks its CRC-32:
+a flipped bit, an archive that does not parse, a member that is not a float64
+array (nothing is unpickled), two of one name and a version-1 file (the flat
+`SLFG` format, which this release does not read: retrain) are each a
+`CheckpointError`. A save writes `<name>.tmp` and renames it over the target,
 so a save that fails or is interrupted leaves the previous file intact.
 """
 
 from __future__ import annotations
 
-import math
+import io
 import os
-import struct
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
-
-MAGIC = b"SLFG"
-VERSION = 1
 
 
 class CheckpointError(Exception):
@@ -30,65 +25,40 @@ class CheckpointError(Exception):
 
 
 def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    tmp = Path(f"{path}.tmp")
     try:
+        records = {name: np.asarray(arr, dtype="<f8", order="C") for name, arr in arrays.items()}
         with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", VERSION))
-            for name, arr in arrays.items():
-                arr = np.asarray(arr, dtype=np.float64)
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack("<I", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<I", arr.ndim))
-                for extent in arr.shape:
-                    fh.write(struct.pack("<I", extent))
-                fh.write(arr.astype("<f8").tobytes())
+            np.savez(fh, allow_pickle=False, **records)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
-    path = Path(path)
     try:
-        blob = path.read_bytes()
+        blob = Path(path).read_bytes()
     except OSError as exc:
         raise CheckpointError(f"{path}: cannot read checkpoint: {exc.strerror}") from exc
-    if blob[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < 8:
-        raise CheckpointError(f"{path}: truncated header")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
+    if blob[:4] == b"SLFG":
+        raise CheckpointError(f"{path}: version-1 checkpoint, which this release does not read; retrain")
+    if blob[:4] not in (b"PK\x03\x04", b"PK\x05\x06"):  # a zip's first member, or its end
+        raise CheckpointError(f"{path}: not a checkpoint: starts with {blob[:4]!r}")
     arrays: dict[str, np.ndarray] = {}
-    offset = 8
-    while offset < len(blob):
-        try:
-            (name_len,) = struct.unpack_from("<I", blob, offset)
-            offset += 4
-            if offset + name_len > len(blob):
-                raise CheckpointError(f"{path}: truncated record at byte {offset - 4}")
-            name = blob[offset:offset + name_len].decode("utf-8")
-            offset += name_len
-            (rank,) = struct.unpack_from("<I", blob, offset)
-            offset += 4
-            extents = struct.unpack_from(f"<{rank}I", blob, offset)
-            offset += 4 * rank
-            # Python ints: extents near 2**32 overflow a numpy product
-            count = math.prod(extents)
-            if offset + 8 * count > len(blob):
-                raise CheckpointError(f"{path}: truncated record at byte {offset}")
-            payload = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-            offset += 8 * count
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"{path}: record name at byte {offset} is not UTF-8") from exc
-        except (struct.error, ValueError) as exc:
-            raise CheckpointError(f"{path}: truncated record at byte {offset}") from exc
-        if name in arrays:
-            raise CheckpointError(f"{path}: duplicate record {name!r}")
-        arrays[name] = payload.reshape(extents).astype(np.float64)
+    try:
+        with zipfile.ZipFile(io.BytesIO(blob)) as archive:
+            for info in archive.infolist():
+                name = info.filename.removesuffix(".npy")
+                if name in arrays:
+                    raise CheckpointError(f"{path}: duplicate record {name!r}")
+                if info.comment:  # numpy writes none; a long one hides the members after it
+                    raise CheckpointError(f"{path}: corrupt directory entry of record {name!r}")
+                arr = np.lib.format.read_array(io.BytesIO(archive.read(info)), allow_pickle=False)
+                if arr.dtype != np.dtype("<f8"):
+                    raise CheckpointError(f"{path}: record {name!r} holds {arr.dtype}, not float64")
+                arrays[name] = arr
+    except (OSError, ValueError, EOFError, NotImplementedError, RuntimeError,
+            zipfile.BadZipFile, zlib.error) as exc:
+        raise CheckpointError(f"{path}: truncated or corrupt checkpoint: {exc}") from exc
     return arrays

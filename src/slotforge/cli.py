@@ -4,12 +4,12 @@
 and `inspect`, then prints the corpus statistics.
 
 Exit codes: 0 success, 2 configuration error, 3 data error: an episode that
-cannot be read or that `world.validate_episode` rejects, 4 a run failed: a
+cannot be read or that `world.validate_episode` rejects, or a checkpoint that
+is unreadable, corrupt or does not fit the model, 4 a run failed: a
 non-finite value, or a stage-1 parameter that changed during stage 2. Each
-error ends in one line on stderr. Exit 4's line says
-what failed: `training failed:` from train1 and train2, `evaluation failed:`
-from eval, `inspection failed:` from inspect; a non-finite value names the op
-that made it.
+error ends in one line on stderr. Exit 4's line says what failed: `training
+failed:` from train1 and train2, `evaluation failed:` from eval, `inspection
+failed:` from inspect; a non-finite value names the op that made it.
 """
 
 from __future__ import annotations

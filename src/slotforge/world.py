@@ -150,7 +150,10 @@ class Episode:
     target_id: str
 
 
-def _footprint(shape: str, size: int) -> np.ndarray:
+@functools.cache
+def footprint(shape: str, size: int) -> np.ndarray:
+    """A `shape` sprite's boolean mask in its size x size square, built once
+    per (shape, size) and shared by every caller, which only reads it."""
     ys, xs = np.mgrid[0:size, 0:size]
     cx = cy = size / 2.0
     dx = xs + 0.5 - cx
@@ -165,16 +168,6 @@ def _footprint(shape: str, size: int) -> np.ndarray:
     if shape == "diamond":
         return np.abs(dx) + np.abs(dy) <= size / 2.0
     raise WorldError(f"unknown shape {shape!r}")
-
-
-_FOOTPRINTS: dict[tuple[str, int], np.ndarray] = {}
-
-
-def footprint(shape: str, size: int) -> np.ndarray:
-    key = (shape, size)
-    if key not in _FOOTPRINTS:
-        _FOOTPRINTS[key] = _footprint(shape, size)
-    return _FOOTPRINTS[key]
 
 
 def _sample_scene(cfg: WorldConfig, seed: int) -> tuple[list[Sprite], dict[str, np.ndarray], int]:
