@@ -1,17 +1,15 @@
 """Checkpoints: numpy `.npz` archives of float64 records, one `<name>.npy` each.
 
-numpy stamps each member with zip's fixed 1980 time, so the same arrays give
-the same bytes. A load reads each member whole, so zipfile checks its CRC-32:
-a flipped bit, an archive that does not parse, a member that is not a float64
-array (nothing is unpickled), two of one name and a version-1 file (the flat
-`SLFG` format, which this release does not read: retrain) are each a
-`CheckpointError`. A save writes `<name>.tmp` and renames it over the target,
-so a save that fails or is interrupted leaves the previous file intact.
+Members carry zip's fixed 1980 time, so the same arrays give the same bytes.
+A save writes `<name>.tmp` and renames it over the target. A load reads each
+member whole (zipfile checks its CRC-32) and parses its `.npy` header itself,
+so nothing is unpickled or allocated before the shape fits the member. A
+flipped bit, a bad archive or record, a repeated name and a version-1 (`SLFG`)
+file, which this release does not read (retrain), are a `CheckpointError`.
 """
 
-from __future__ import annotations
-
 import io
+import math
 import os
 import zipfile
 import zlib
@@ -30,7 +28,7 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
     try:
         records = {name: np.asarray(arr, dtype="<f8", order="C") for name, arr in arrays.items()}
         with open(tmp, "wb") as fh:
-            np.savez(fh, allow_pickle=False, **records)
+            np.savez(fh, **records)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -50,14 +48,16 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
         with zipfile.ZipFile(io.BytesIO(blob)) as archive:
             for info in archive.infolist():
                 name = info.filename.removesuffix(".npy")
-                if name in arrays:
-                    raise CheckpointError(f"{path}: duplicate record {name!r}")
-                if info.comment:  # numpy writes none; a long one hides the members after it
-                    raise CheckpointError(f"{path}: corrupt directory entry of record {name!r}")
-                arr = np.lib.format.read_array(io.BytesIO(archive.read(info)), allow_pickle=False)
-                if arr.dtype != np.dtype("<f8"):
-                    raise CheckpointError(f"{path}: record {name!r} holds {arr.dtype}, not float64")
-                arrays[name] = arr
+                if name in arrays or info.comment:  # numpy writes no comments; one hides later entries
+                    raise CheckpointError(f"{path}: repeated or corrupt directory entry of record {name!r}")
+                member = io.BytesIO(archive.read(info))
+                np.lib.format.read_magic(member)  # numpy writes version 1.0 for headers this short
+                shape, fortran, dtype = np.lib.format.read_array_header_1_0(member)
+                body = member.read()
+                if dtype != np.dtype("<f8") or len(body) != 8 * math.prod(shape):
+                    raise CheckpointError(f"{path}: record {name!r} holds {len(body)} bytes of {dtype}, "
+                                          f"not float64 of shape {shape}")
+                arrays[name] = np.frombuffer(body, "<f8").reshape(shape, order="F" if fortran else "C").copy()
     except (OSError, ValueError, EOFError, NotImplementedError, RuntimeError,
             zipfile.BadZipFile, zlib.error) as exc:
         raise CheckpointError(f"{path}: truncated or corrupt checkpoint: {exc}") from exc

@@ -1,5 +1,6 @@
 """Checkpoint files: atomic saves, and corrupt or missing files or values rejected."""
 
+import io
 import pickle
 import struct
 import time
@@ -64,6 +65,27 @@ def test_failed_save_keeps_the_previous_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["a.ckpt"]
 
 
+def test_a_save_that_fails_while_writing_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(path, arrays())
+    before = path.read_bytes()
+    write_array, written = np.lib.format.write_array, []
+
+    def fail_on_the_second_record(fh, arr, **kwargs):
+        if written:
+            assert (tmp_path / "a.ckpt.tmp").exists()  # holding the first record
+            raise OSError("disk full")
+        written.append(arr)
+        write_array(fh, arr, **kwargs)
+
+    monkeypatch.setattr(np.lib.format, "write_array", fail_on_the_second_record)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, {"w": np.ones(4), "b": np.zeros(2)})
+    assert len(written) == 1
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["a.ckpt"]
+
+
 def test_truncated_file_is_rejected(tmp_path):
     path = tmp_path / "a.ckpt"
     save_checkpoint(path, arrays())
@@ -105,20 +127,35 @@ class Loud:
         return unpickle_loud, ()
 
 
+def npy(arr, shape=None):
+    """`arr` laid out as numpy's `.npy`; `shape`, if given, replaces its header's."""
+    fh = io.BytesIO()
+    if shape is None:
+        np.lib.format.write_array(fh, arr, allow_pickle=True)
+    else:
+        header = np.lib.format.header_data_from_array_1_0(arr) | {"shape": shape}
+        np.lib.format.write_array_header_1_0(fh, header)
+        fh.write(arr.tobytes())
+    return fh.getvalue()
+
+
 def write_archive(path, members):
-    """A zip of (name, array) members as numpy lays them out; names may repeat."""
+    """A zip of (name, `.npy` bytes) members, as numpy lays them out; names may repeat."""
     with warnings.catch_warnings(), zipfile.ZipFile(path, "w") as archive:
         warnings.simplefilter("ignore")  # zipfile warns of a repeated name
-        for name, arr in members:
+        for name, member in members:
             with archive.open(f"{name}.npy", "w") as fh:
-                np.lib.format.write_array(fh, arr, allow_pickle=True)
+                fh.write(member)
 
 
 @pytest.mark.parametrize("members, message", [
-    ([("w", np.array([Loud()], dtype=object))], "Object arrays cannot be loaded"),
-    ([("w", np.arange(3))], "record 'w' holds int64, not float64"),
-    ([("w", np.ones(2)), ("w", np.zeros(2))], "duplicate record 'w'"),
-], ids=["object", "int64", "duplicate"])
+    ([("w", npy(np.array([Loud()], dtype=object)))], r"record 'w' holds \d+ bytes of object, "),
+    ([("w", npy(np.arange(3)))], r"record 'w' holds 24 bytes of int64, not float64 of shape \(3,\)$"),
+    ([("w", npy(np.ones(2))), ("w", npy(np.zeros(2)))], "repeated or corrupt directory entry of record 'w'"),
+    ([("w", npy(np.ones(3), shape=(2**40,)))], r"holds 24 bytes of float64, not float64 of shape \(1099511627776,\)"),
+    ([("w", npy(np.ones(3), shape=(4,)))], r"holds 24 bytes of float64, not float64 of shape \(4,\)"),
+    ([("w", npy(np.ones(3), shape=(2,)))], r"holds 24 bytes of float64, not float64 of shape \(2,\)"),
+], ids=["object", "int64", "duplicate", "shape-past-memory", "shape-past-end", "shape-short-of-end"])
 def test_a_crafted_archive_is_rejected_and_nothing_is_unpickled(members, message, tmp_path):
     path = tmp_path / "a.ckpt"
     write_archive(path, members)
@@ -127,6 +164,14 @@ def test_a_crafted_archive_is_rejected_and_nothing_is_unpickled(members, message
     with pytest.raises(CheckpointError, match=message):
         load_checkpoint(path)
     assert UNPICKLED == []
+
+
+def test_a_fortran_order_member_loads_its_values(tmp_path):
+    path = tmp_path / "a.ckpt"
+    values = np.arange(6.0).reshape(2, 3)
+    write_archive(path, [("t", npy(np.asfortranarray(values)))])
+    loaded = load_checkpoint(path)["t"]
+    assert loaded.shape == (2, 3) and loaded.tobytes() == values.tobytes()
 
 
 def test_a_shrunk_shape_in_a_large_record_fails_its_crc(tmp_path):
@@ -145,7 +190,7 @@ def test_a_directory_comment_that_hides_later_records_is_rejected(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[blob.index(b"PK\x01\x02") + 33] = 1  # first entry's comment: 256 bytes, the rest
     path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match="corrupt directory entry of record 'w'"):
+    with pytest.raises(CheckpointError, match="repeated or corrupt directory entry of record 'w'"):
         load_checkpoint(path)
 
 
