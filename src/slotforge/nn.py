@@ -144,19 +144,18 @@ def gru_cell(inputs: Tensor, states: Tensor, p: GRUParams) -> Tensor:
     if inputs.shape != states.shape:
         raise ShapeError(f"gru_cell: inputs {inputs.shape} != states {states.shape}")
     x, s = inputs.data, states.data
-    with T.quiet():
-        # a gate saturates to a finite value on an infinite pre-activation
-        pre_z = T.check_finite(x @ p.w_update.data + s @ p.u_update.data + p.b_update.data,
-                               "gru_cell")
-        z = T.stable_sigmoid(pre_z)
-        pre_r = T.check_finite(x @ p.w_reset.data + s @ p.u_reset.data + p.b_reset.data,
-                               "gru_cell")
-        r = T.stable_sigmoid(pre_r)
-        rs = r * s
-        pre_c = T.check_finite(x @ p.w_cand.data + rs @ p.u_cand.data + p.b_cand.data,
-                               "gru_cell")
-        cand = np.tanh(pre_c)
-        out = z * s + (1.0 - z) * cand
+    # a gate saturates to a finite value on an infinite pre-activation
+    pre_z = T.check_finite(x @ p.w_update.data + s @ p.u_update.data + p.b_update.data,
+                           "gru_cell")
+    z = T.stable_sigmoid(pre_z)
+    pre_r = T.check_finite(x @ p.w_reset.data + s @ p.u_reset.data + p.b_reset.data,
+                           "gru_cell")
+    r = T.stable_sigmoid(pre_r)
+    rs = r * s
+    pre_c = T.check_finite(x @ p.w_cand.data + rs @ p.u_cand.data + p.b_cand.data,
+                           "gru_cell")
+    cand = np.tanh(pre_c)
+    out = z * s + (1.0 - z) * cand
     parents = (inputs, states, p.w_update, p.u_update, p.b_update, p.w_reset, p.u_reset,
                p.b_reset, p.w_cand, p.u_cand, p.b_cand)
 

@@ -42,7 +42,8 @@ class AdaptiveOptimizer:
     def _clip(self) -> None:
         """Scale every gradient by clip_norm / norm when the global norm exceeds
         clip_norm. A gradient holding NaN or Inf raises NonFiniteError naming
-        its parameter, before anything is changed."""
+        its parameter, and finite gradients whose squared norm overflows raise
+        one too, before anything is changed."""
         total = 0.0
         for t in self.params.tensors():
             if t.grad is not None:
@@ -51,6 +52,7 @@ class AdaptiveOptimizer:
             for name, t in self.params.items():
                 if t.grad is not None and not np.isfinite(t.grad).all():
                     raise NonFiniteError(f"non-finite gradient for parameter {name}")
+            raise NonFiniteError("global gradient norm overflows float64")
         norm = np.sqrt(total)
         if norm > self.clip_norm:
             scale = self.clip_norm / norm

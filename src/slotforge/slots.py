@@ -54,21 +54,20 @@ def slot_attention(keys: Tensor, values: Tensor, slots: Tensor, wq: Tensor,
     d = sl.shape[1]
     scale = 1.0 / np.sqrt(d)
     kb, vb = k.reshape(groups, -1, d), v.reshape(groups, -1, v.shape[1])
-    with T.quiet():
-        queries = sl @ wq.data
-        qb = queries.reshape(groups, -1, d)
-        # the softmax runs in the logits buffer; it turns a -inf logit into a
-        # finite 0, so check before it
-        attn = kb @ qb.transpose(0, 2, 1)
-        attn *= scale
-        T.check_finite(attn, "slot_attention")
-        attn -= np.maximum.reduce(attn, axis=2, keepdims=True)
-        np.exp(attn, out=attn)
-        attn /= np.add.reduce(attn, axis=2, keepdims=True)
-        col = attn.sum(axis=1, keepdims=True)
-        col_norm = np.maximum(col, COLUMN_EPS)
-        weights = attn / col_norm
-        out = (weights.transpose(0, 2, 1) @ vb).reshape(sl.shape[0], v.shape[1])
+    queries = sl @ wq.data
+    qb = queries.reshape(groups, -1, d)
+    # the softmax runs in the logits buffer; it turns a -inf logit into a
+    # finite 0, so check before it
+    attn = kb @ qb.transpose(0, 2, 1)
+    attn *= scale
+    T.check_finite(attn, "slot_attention")
+    attn -= np.maximum.reduce(attn, axis=2, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= np.add.reduce(attn, axis=2, keepdims=True)
+    col = attn.sum(axis=1, keepdims=True)
+    col_norm = np.maximum(col, COLUMN_EPS)
+    weights = attn / col_norm
+    out = (weights.transpose(0, 2, 1) @ vb).reshape(sl.shape[0], v.shape[1])
     parents = (keys, values, slots, wq)
 
     def backward(g):

@@ -18,21 +18,19 @@ Operands with requires_grad=False get no gradient at all: the elementwise
 binary ops, `matmul`, `linear`, `layer_norm` and `attention_heads` return
 None for them and skip the work. Forward outputs are checked for NaN/Inf and
 raise NonFiniteError rather than propagating silently: every op checks its
-value, on the tape and off it, except inside an `inference_pass`.
-Such a pass checks only what it reads out or decides on; `relu` and
+value, except inside an `inference_pass`'s first run.
+Such a run checks only what it reads out or decides on; `relu` and
 `sigmoid`, which map an infinite input to a finite output, check their input
 there instead, and the fused kernels keep their checks on intermediates. If
 the pass raises, it runs once more with every op checked, so the error names
 the op as it would have without the pass.
 
-numpy's floating-point warnings are off, through `quiet()`, around the
-arithmetic of the elementwise binary and unary ops, `linear`, the attention
-logits, `nn.gru_cell`, `slots.slot_attention` and `losses.giou_pairs`: a
-non-finite value is the finite checks' to report, not numpy's. A
-`fresh_tape` block (a training step, its backward included) and an
-`inference_pass`'s first run each sit whole under one `np.errstate`, so
-`quiet` is a no-op there; outside both, as in `no_grad` or a pass's checked
-replay, each op enters its own.
+A block sets the core's mode; ops set none of it. `fresh_tape` (a training
+step, its backward included), `no_grad` and an `inference_pass`'s first run
+each set the open tape, whether every op is checked, and one
+`np.errstate(all="ignore")` together, and the innermost block decides: a
+non-finite value is the finite checks' to report, not numpy's. An op called
+outside every block shows numpy's own warning before its NonFiniteError.
 
 An op writes in place only into arrays it allocated itself, such as a
 matmul's fresh product. It never writes into the gradient `g` its backward
@@ -64,7 +62,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -80,10 +78,6 @@ class ShapeError(TensorError):
 
 class NonFiniteError(TensorError):
     pass
-
-
-_OP_CHECKS = True  # off only inside an `inference_pass`
-_QUIET = False  # on while a block runs under one `np.errstate(all="ignore")`
 
 
 def check_finite(arr: np.ndarray, op: str) -> np.ndarray:
@@ -157,44 +151,33 @@ class GradTape:
 
 
 _TAPE: GradTape | None = None  # the open tape; ops record only while one is open
+_OP_CHECKS = True  # off only in an `inference_pass`'s first run
 
 
 @contextmanager
-def _open(tape: GradTape | None):
-    global _TAPE
-    saved, _TAPE = _TAPE, tape
-    try:
-        yield tape
-    finally:
-        _TAPE = saved
-
-
-@contextmanager
-def _silenced():
-    """numpy's floating-point warnings off for the whole block, where `quiet`
-    is a no-op."""
-    global _QUIET
-    saved, _QUIET = _QUIET, True
+def _block(tape: GradTape | None, checks: bool):
+    """The core's mode for a block: `tape` open, every op checked if `checks`,
+    numpy's floating-point warnings off; all three restored on exit."""
+    global _TAPE, _OP_CHECKS
+    saved = _TAPE, _OP_CHECKS
+    _TAPE, _OP_CHECKS = tape, checks
     try:
         with np.errstate(all="ignore"):
-            yield
+            yield tape
     finally:
-        _QUIET = saved
+        _TAPE, _OP_CHECKS = saved
 
 
-@contextmanager
 def fresh_tape():
-    """Open a new tape for the block (one training step), under one
-    `np.errstate`; the innermost `fresh_tape` or `no_grad` block decides
-    whether ops record."""
-    with _open(GradTape()) as tape, _silenced():
-        yield tape
+    """Open a new tape for the block (one training step), with every op
+    checked; the innermost block decides."""
+    return _block(GradTape(), True)
 
 
 def no_grad():
-    """Close the tape for the block; the innermost such block decides. Values
-    and every op's NaN check still run (`inference_pass` checks read-outs only)."""
-    return _open(None)
+    """Close the tape for the block, with every op checked; the innermost
+    block decides."""
+    return _block(None, True)
 
 
 def grad_enabled() -> bool:
@@ -202,40 +185,26 @@ def grad_enabled() -> bool:
 
 
 def inference_pass(fn: Callable) -> Callable:
-    """Run `fn` under `no_grad` without per-op finite checks.
+    """Run `fn` with no tape open and without per-op finite checks.
 
     The function checks what it reads out or decides on itself, with
-    `check_finite`. If it raises NonFiniteError, it runs once more with every
-    op checked, so the error names the op that made the first non-finite
-    value. That replay is exact only for a pure function of its arguments and
-    the parameters, and only for a whole call: a generator would run its body
-    after the wrapper returned. numpy's floating-point warnings are off in the
-    unchecked run, where non-finite values may travel on to a read-out.
+    `check_finite`. If it raises NonFiniteError, it runs once more under
+    `no_grad`, with every op checked, so the error names the op that made the
+    first non-finite value. That replay is exact only for a pure function of
+    its arguments and the parameters, and only for a whole call: a generator
+    would run its body after the wrapper returned. A `fresh_tape` or `no_grad`
+    opened inside the pass checks every op of its block.
     """
     @functools.wraps(fn)
     def run(*args, **kwargs):
-        global _OP_CHECKS
+        try:
+            with _block(None, False):
+                return fn(*args, **kwargs)
+        except NonFiniteError:
+            pass
         with no_grad():
-            saved, _OP_CHECKS = _OP_CHECKS, False
-            try:
-                with _silenced():
-                    return fn(*args, **kwargs)
-            except NonFiniteError:
-                pass
-            finally:
-                _OP_CHECKS = saved
             return fn(*args, **kwargs)
     return run
-
-
-_SILENT = nullcontext()
-
-
-def quiet():
-    """numpy's floating-point warnings off for one op's arithmetic: a fresh
-    `np.errstate(all="ignore")`, or a no-op inside a `fresh_tape` block or an
-    `inference_pass`'s first run, which each run whole under one."""
-    return _SILENT if _QUIET else np.errstate(all="ignore")
 
 
 def _coerce(x) -> Tensor:
@@ -299,8 +268,7 @@ def _binary(a, b, fwd, bwd_a, bwd_b, op: str) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     if not _broadcast_ok(a.shape, b.shape):
         raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
-    with quiet():
-        out = fwd(a.data, b.data)
+    out = fwd(a.data, b.data)
 
     def backward(g):
         return (
@@ -360,8 +328,7 @@ def _unary(a, fwd, bwd, op: str, saturates: bool = False) -> Tensor:
     a = _coerce(a)
     if saturates and not _OP_CHECKS:
         check_finite(a.data, op)
-    with quiet():
-        out = fwd(a.data)
+    out = fwd(a.data)
 
     def backward(g, out=out):
         return (bwd(g, a.data, out),)
@@ -458,9 +425,8 @@ def _head_softmax(q: np.ndarray, k: np.ndarray, heads: int, groups: int):
     qh = _split_heads(q, heads, groups)
     kt = np.ascontiguousarray(
         k.reshape(groups, k.shape[0] // groups, heads, dh).transpose(0, 2, 3, 1))
-    with quiet():
-        weights = qh @ kt
-        weights *= scale
+    weights = qh @ kt
+    weights *= scale
     check_finite(weights, "attention logits")
     weights -= np.maximum.reduce(weights, axis=3, keepdims=True)
     np.exp(weights, out=weights)
@@ -573,9 +539,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     y = x.data @ w.data
     if not _broadcast_ok(y.shape, b.shape):
         raise ShapeError(f"linear: incompatible shapes {y.shape} and {b.shape}")
-    with quiet():
-        # of two shapes `_broadcast_ok` accepts, the larger is the result's
-        out = np.add(y, b.data, out=y if b.data.size <= y.size else None)
+    # of two shapes `_broadcast_ok` accepts, the larger is the result's
+    out = np.add(y, b.data, out=y if b.data.size <= y.size else None)
 
     def backward(g):
         gy = unbroadcast(g, y.shape)

@@ -1,5 +1,5 @@
-"""Every test leaves the tensor core as it found it: no tape open, every
-op checked, and `quiet` silencing op by op."""
+"""Every test leaves the tensor core as it found it: no block open, so no
+tape open and every op checked."""
 
 import pytest
 
@@ -11,4 +11,3 @@ def core_mode_is_restored():
     yield
     assert not T.grad_enabled(), "a tape is still open after the test"
     assert T._OP_CHECKS, "op checks are still off after the test"
-    assert not T._QUIET, "numpy's warnings are still silenced after the test"

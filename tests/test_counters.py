@@ -6,7 +6,9 @@ A change to one of them shows here, in review, and not only as a timing in
 the benchmark. The policy step is an `inference_pass`, so it checks its
 read-outs and the few ops that hide a non-finite input, and runs under one
 `np.errstate`; a training step checks every op it records on the tape, and
-runs under its `fresh_tape`'s one `np.errstate`. Generating an episode draws
+runs under its `fresh_tape`'s one `np.errstate`. No op enters its own: an
+inspection runs under its `no_grad`'s one, and a pass that replays under
+one per run. Generating an episode draws
 and boxes each frame once and reads its task's nouns once; validating one
 boxes each frame once.
 """
@@ -19,6 +21,8 @@ from slotforge.config import load_config
 from slotforge.decoder import action_to_bins
 from slotforge.losses import action_ce
 from slotforge.pipeline import Pipeline
+from slotforge.reports import inspect_report
+from slotforge.tensor import NonFiniteError, Tensor
 from slotforge.train import Corpus, flatten_cache, sample_clips
 from slotforge.world import World, generate_episode, validate_episode
 
@@ -115,6 +119,25 @@ def test_a_stage1_step_draws_seeds_per_clip_under_one_errstate(goal, entries):
     # one errstate, 110 before, one per op that silences numpy
     assert entries == {"seeds": cfg.batch_clips, "errstates": 1}
     assert cfg.batch_clips == 4
+
+
+def test_an_inspection_runs_under_its_no_grad_block_errstate(goal, entries, tmp_path):
+    cfg, pipeline, corpus = goal
+    inspect_report(pipeline, corpus.episodes[0], 4, tmp_path)
+    # 131 before: the block's own, and one per op that silenced numpy
+    assert entries["errstates"] == 1
+
+
+def test_a_pass_that_replays_enters_one_errstate_per_run(entries):
+    @T.inference_pass
+    def read_out(x: float) -> np.ndarray:
+        y = T.add(T.mul(T.exp(Tensor(1.0)), 2.0), 1.0)
+        return T.check_finite(y.data * x, "read-out")
+
+    with pytest.raises(NonFiniteError, match="by read-out$"):
+        read_out(np.inf)
+    # 4 before with these three ops: the first run's, then one per op in the replay
+    assert entries["errstates"] == 2
 
 
 def test_a_stage1_step_checks_every_op_on_its_tape(goal, counts):

@@ -13,10 +13,14 @@ every such piece. The tensor core gets a stricter scan: each of its
 module-level functions must be reached as `T.<name>` from another module,
 imported from `.tensor` by name, or named inside `tensor.py` itself. Every
 option string of the command line must appear as a string constant in some
-test module, so an option that no test passes is found.
+test module, so an option that no test passes is found. numpy's error state
+is set by a block, not by an op: `np.errstate` is named only in the tensor
+core's `_block` and in `cli.main`, and no name for a per-op silencer (`quiet`,
+`silenced`, `silent`) is defined or reached anywhere in the package.
 """
 
 import ast
+import re
 from pathlib import Path
 
 from slotforge.cli import build_parser
@@ -111,6 +115,36 @@ def scan_imports() -> dict[str, str]:
     return unread
 
 
+def scan_errstate() -> set[str]:
+    """Every `module:function` of the package that names `errstate`, by the
+    module-level function or class around it (`<module>` outside both)."""
+    where: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if any(isinstance(node, ast.Attribute) and node.attr == "errstate"
+                   or isinstance(node, ast.Name) and node.id == "errstate"
+                   or isinstance(node, ast.alias) and node.name == "errstate"
+                   for node in ast.walk(top)):
+                where.add(f"{path.name}:{getattr(top, 'name', '<module>')}")
+    return where
+
+
+SILENCER = re.compile("quiet|silen", re.IGNORECASE)
+
+
+def scan_silencers() -> dict[str, str]:
+    """(name -> where) for every name the package defines, binds or reaches
+    that reads like a per-op silencer."""
+    found: dict[str, str] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            for field in ("id", "attr", "arg", "name"):
+                name = getattr(node, field, None)
+                if isinstance(name, str) and SILENCER.search(name):
+                    found.setdefault(name, f"{path.name}:{node.lineno}")
+    return found
+
+
 def is_dataclass(node: ast.ClassDef) -> bool:
     return any(isinstance(d, ast.Name) and d.id == "dataclass"
                or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
@@ -199,6 +233,14 @@ def test_every_allowed_attribute_is_stored_and_still_unread():
     stored, read = scan_self()
     assert sorted(set(ALLOWED_UNREAD_SELF) - set(stored)) == []
     assert sorted(set(ALLOWED_UNREAD_SELF) & read) == []
+
+
+def test_only_a_block_and_the_cli_enter_numpy_errstate():
+    assert scan_errstate() == {"tensor.py:_block", "cli.py:main"}
+
+
+def test_no_per_op_silencer_is_defined_or_reached():
+    assert scan_silencers() == {}
 
 
 def cli_option_strings() -> set[str]:

@@ -156,25 +156,34 @@ def test_a_pass_replays_with_every_op_checked_to_name_the_op(op):
         T.exp(Tensor(1000.0))  # outside a pass, no_grad still checks every op
 
 
-def test_quiet_is_a_no_op_in_a_pass_first_run_and_a_fresh_tape():
-    silenced = []
+def test_each_block_enters_one_errstate_and_the_innermost_decides_checking(monkeypatch):
+    entered = []
+    errstate = np.errstate
+    monkeypatch.setattr(np, "errstate", lambda **kw: entered.append(kw) or errstate(**kw))
+    silent = dict.fromkeys(("divide", "over", "under", "invalid"), "ignore")
+    for block, recording in ((T.fresh_tape, True), (T.no_grad, False)):
+        entered.clear()
+        with block():
+            assert np.geterr() == silent and T.grad_enabled() is recording
+            T.exp(T.mul(Tensor(2.0, requires_grad=True), 3.0))  # no op enters its own
+        assert entered == [{"all": "ignore"}]
 
     @T.inference_pass
-    def read_out(x: float) -> np.ndarray:
-        silenced.append(isinstance(T.quiet(), np.errstate))
-        return T.check_finite(np.array(x), "read-out")
+    def overflow(block) -> np.ndarray:
+        with block():
+            return T.exp(Tensor(1000.0)).data  # no read-out check
 
-    with pytest.raises(NonFiniteError, match="read-out"):
-        read_out(np.inf)
-    # the first run is under the pass's own errstate; the replay silences op by op
-    assert silenced == [False, True]
-    with T.no_grad():
-        assert isinstance(T.quiet(), np.errstate)
-    with T.fresh_tape():  # a training step runs whole under one errstate
-        assert not isinstance(T.quiet(), np.errstate)
-        with T.no_grad():
-            assert not isinstance(T.quiet(), np.errstate)
-    assert isinstance(T.quiet(), np.errstate)
+    entered.clear()
+    assert overflow(contextlib.nullcontext) == np.inf  # the first run checks no op
+    assert len(entered) == 1
+    for block in (T.fresh_tape, T.no_grad):
+        entered.clear()
+        # a block inside the pass checks every op, in the first run and the replay
+        with pytest.raises(NonFiniteError, match="^non-finite value produced by exp$"):
+            overflow(block)
+        assert len(entered) == 4
+    with T.no_grad(), T.fresh_tape():
+        assert T.grad_enabled()  # the innermost block decides recording too
 
 
 @pytest.mark.parametrize("command, failed", [("eval", "evaluation"),

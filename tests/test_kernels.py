@@ -202,13 +202,14 @@ class TestAdaptiveOptimizer:
         assert {k: v.tobytes() for k, v in (opt.params.state() | opt.state()).items()} == before
         assert {name: t.grad.tobytes() for name, t in tensors.items()} == grads
 
-    def test_finite_gradients_whose_squared_sum_overflows_are_clipped_to_zero(self):
+    def test_finite_gradients_whose_squared_sum_overflows_raise_before_anything_changes(self):
+        # clip_norm / inf would zero every gradient, and the step would still count
         opt = make_optimizer(10.0)
-        before = {name: t.data.tobytes() for name, t in opt.params.items()}
         for t in opt.params.tensors():
             t.grad = np.full(t.data.shape, 1e200)
-        with np.errstate(over="ignore"):
+        before = {k: v.tobytes() for k, v in (opt.params.state() | opt.state()).items()}
+        with pytest.raises(NonFiniteError, match="^global gradient norm overflows float64$"), \
+                np.errstate(over="ignore"):
             opt.step()
-        assert {name: t.data.tobytes() for name, t in opt.params.items()} == before
-        assert all(not t.grad.any() for t in opt.params.tensors())
-        assert opt.step_count == 1
+        assert {k: v.tobytes() for k, v in (opt.params.state() | opt.state()).items()} == before
+        assert all((t.grad == 1e200).all() for t in opt.params.tensors())

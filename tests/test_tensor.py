@@ -133,7 +133,7 @@ class TestAttentionHeads:
 
     def test_overflowing_logits_raise(self):
         big = Tensor(np.full((2, 4), 1e160), requires_grad=True)
-        with pytest.raises(NonFiniteError, match="attention logits"):
+        with T.no_grad(), pytest.raises(NonFiniteError, match="attention logits"):
             T.attention_heads(big, big, big, 2)
 
     def test_width_not_divisible_by_heads(self):
@@ -272,7 +272,7 @@ class TestGruCell:
         p = nn.GRUParams.create(rng, 4)
         p.u_update.data[...] = 1e300
         states = Tensor(np.full((2, 4), 1e10), requires_grad=True)
-        with pytest.raises(NonFiniteError, match="gru_cell"):
+        with T.no_grad(), pytest.raises(NonFiniteError, match="gru_cell"):
             nn.gru_cell(Tensor(np.zeros((2, 4))), states, p)
 
     def test_zero_everything_gives_zero(self):
@@ -534,12 +534,17 @@ class TestNanPolicy:
             Tensor([np.nan])
 
     def test_forward_overflow_raises(self):
-        with pytest.raises(NonFiniteError):
+        with T.no_grad(), pytest.raises(NonFiniteError, match="by exp$"):
             T.exp(Tensor([1000.0]))
 
     def test_division_by_zero_raises(self):
-        with pytest.raises(NonFiniteError):
+        with T.no_grad(), pytest.raises(NonFiniteError, match="by div$"):
             T.div(Tensor([1.0]), Tensor([0.0]))
+
+    def test_an_op_outside_every_block_shows_numpy_warning_then_raises(self):
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(NonFiniteError, match="^non-finite value produced by exp$"):
+            T.exp(Tensor([1000.0]))
 
 
 class TestTapeSemantics:
