@@ -160,7 +160,7 @@ def fit(pipeline: Pipeline, params: ParamGroup, iters: int, out_dir: Path, stage
                     loss, row = step_loss(step)
                     opt.zero_grad()
                     tape.backward(loss)
-                opt.step()
+                    opt.step()
                 log.write(f"{step},{row}\n")
                 if validate is not None and (step + 1) % cfg.eval_every == 0:
                     log.flush()

@@ -2,16 +2,20 @@
 
 Resume cuts the loss log back to the checkpoint's step; stage 2 stops early
 and refuses to save when a stage-1 parameter moved or gained a gradient; a
-0-step run takes no step.
+0-step run takes no step; the optimizer's step runs inside the step's
+block, so a gradient norm that overflows is one `NonFiniteError`.
 """
 
 import numpy as np
 import pytest
 
+from slotforge import tensor as T
 from slotforge import train
 from slotforge.checkpoint import load_checkpoint, save_checkpoint
+from slotforge.nn import ParamGroup
 from slotforge.config import load_config
 from slotforge.pipeline import Pipeline
+from slotforge.tensor import NonFiniteError
 from slotforge.world import generate_episode, serialize_episode
 
 OVERRIDES = ["subset=pair", "seed=5", "batch_clips=1", "clip_len=2", "batch_frames=2"]
@@ -115,3 +119,15 @@ def test_stage2_refuses_to_save_when_a_stage1_parameter_is_touched(
     with pytest.raises(train.TrainingError, match=message):
         train.train_stage2(cfg, corpora / "s1.ckpt", corpora / "train", corpora / "s2")
     assert not (corpora / "s2" / "stage2.ckpt").exists()
+
+
+def test_a_gradient_norm_that_overflows_is_one_error_and_no_warning(tmp_path):
+    """Finite gradients whose squared norm overflows: under pytest's
+    `filterwarnings = error`, numpy's overflow warning would fail first
+    unless the optimizer's arithmetic runs inside the step's block."""
+    params = ParamGroup()
+    p = params.add("p", T.Tensor(np.ones(1), requires_grad=True))
+    with pytest.raises(NonFiniteError, match="^global gradient norm overflows float64$"):
+        train.fit(Pipeline(load_config(overrides=OVERRIDES)), params, 1, tmp_path, 1,
+                  train.LOSS_CSV_HEADER, lambda step: (T.mean(T.mul(p, 1e200)), ""), None)
+    assert p.grad[0] == 1e200 and p.data[0] == 1.0
