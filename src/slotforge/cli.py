@@ -175,9 +175,8 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_budget(args) -> int:
-    from .evaluate import format_budget_table, token_budget_report
-    cfg = load_config(args.config, args.override)
-    print(format_budget_table(token_budget_report(cfg)))
+    from .evaluate import budget_table
+    print(budget_table(load_config(args.config, args.override)))
     return EXIT_OK
 
 

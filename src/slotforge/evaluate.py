@@ -1,4 +1,4 @@
-"""Closed-loop rollout evaluation and the token budget report.
+"""Closed-loop rollout evaluation and the token budget table.
 
 A rollout is one loop over a stream of actions: the policy's
 (`policy_actions`, one greedy `policy_step` per frame) or the scripted
@@ -88,39 +88,22 @@ def evaluate(pipeline: Pipeline | None, cfg: RunConfig, n_rollouts: int,
     return table
 
 
-def _ratio_string(dense: int, tokens: int) -> tuple[float, str]:
-    ratio = dense / tokens
-    return ratio, f"{int(np.floor(ratio + 0.5))}×"
-
-
-def token_budget_report(cfg: RunConfig) -> dict:
-    """Token counts and reduction ratios for the configured run and for the
-    256-dense-token reference setting. The configured rows count the object
-    tokens a frame hands the decoder, plus the relation tokens when relations
-    are on. Printed ratios round half-up to the nearest integer."""
-    rows = []
-    for label, dense, tokens in (
+def budget_table(cfg: RunConfig) -> str:
+    """Token counts and reduction ratios, one line per setting: the paper's four
+    256-dense-token reference settings, then the configured run's OC and ORC.
+    Those count the object tokens a frame hands the decoder, plus the relation
+    tokens when relations are on. Printed ratios round half-up to an integer."""
+    grid, oc = (cfg.image_size // cfg.patch_size) ** 2, cfg.object_tokens
+    lines = [f"{'setting':24} {'tokens':>6} {'dense':>6} {'ratio':>8}  printed"]
+    for setting, dense, tokens in (
         ("reference-goal OC", 256, 4),
         ("reference-goal ORC", 256, 4 + 16),
         ("reference-other OC", 256, 4),
         ("reference-other ORC", 256, 4 + 24),
+        ("configured OC", grid, oc),
+        ("configured ORC", grid, oc + (cfg.num_relations if cfg.relations_on else 0)),
     ):
-        ratio, printed = _ratio_string(dense, tokens)
-        rows.append({"setting": label, "dense": dense, "tokens": tokens,
-                     "ratio": ratio, "printed": printed})
-    dense = (cfg.image_size // cfg.patch_size) ** 2
-    oc = cfg.object_tokens
-    orc = oc + (cfg.num_relations if cfg.relations_on else 0)
-    for label, tokens in (("configured OC", oc), ("configured ORC", orc)):
-        ratio, printed = _ratio_string(dense, tokens)
-        rows.append({"setting": label, "dense": dense, "tokens": tokens,
-                     "ratio": ratio, "printed": printed})
-    return {"rows": rows}
-
-
-def format_budget_table(report: dict) -> str:
-    lines = [f"{'setting':24} {'tokens':>6} {'dense':>6} {'ratio':>8}  printed"]
-    for row in report["rows"]:
-        lines.append(f"{row['setting']:24} {row['tokens']:>6} {row['dense']:>6} "
-                     f"{row['ratio']:>8.3f}  {row['printed']}")
+        ratio = dense / tokens
+        lines.append(f"{setting:24} {tokens:>6} {dense:>6} {ratio:>8.3f}  "
+                     f"{int(np.floor(ratio + 0.5))}×")
     return "\n".join(lines)

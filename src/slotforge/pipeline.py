@@ -27,7 +27,7 @@ walk one episode at a time; only a closed-loop rollout, whose next frame
 depends on the action taken, steps `policy_step` itself.
 `Pipeline.select` is the one task-filter call. It keeps `cfg.object_tokens`
 slots of each frame, the one count of object tokens a frame hands the
-decoder, by which the stage-2 cache slices and which the budget report
+decoder, by which the stage-2 cache slices and which the budget table
 prints. Stage-2 logits and the policy step share one decode tail, which
 decodes frames stacked as row blocks in one graph: a stage-2 batch, or the
 one frame of a policy step.

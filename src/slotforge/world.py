@@ -714,36 +714,22 @@ def _noun_for_instance(instance_id: str, rgb: list[int]) -> str:
 
 
 def dataset_statistics(episodes: list[Episode]) -> dict:
-    """Per-subset corpus summary: tasks, layouts, objects, frames, boxes."""
-    stats: dict[str, dict] = {}
-    for ep in episodes:
-        row = stats.setdefault(ep.subset, {
-            "episodes": 0, "tasks": set(), "layouts": set(), "objects": 0,
-            "tr_objects_min": np.inf, "tr_objects_max": 0,
-            "frames": 0, "bboxes": 0, "tr_bboxes": 0,
-        })
-        row["episodes"] += 1
-        row["tasks"].add(ep.frames[0].task)
-        row["layouts"].add(ep.layout_id)
-        n_instances = len(ep.frames[0].instances)
-        row["objects"] = max(row["objects"], n_instances - 1)  # robot excluded
-        for frame in ep.frames:
-            n_rel = sum(1 for i in frame.instances if i.relevant)
-            row["tr_objects_min"] = min(row["tr_objects_min"], n_rel)
-            row["tr_objects_max"] = max(row["tr_objects_max"], n_rel)
-            row["frames"] += 1
-            row["bboxes"] += len(frame.instances)
-            row["tr_bboxes"] += n_rel
-    return {
-        subset: {
-            "episodes": row["episodes"],
-            "tasks": len(row["tasks"]),
-            "layouts": len(row["layouts"]),
-            "objects": row["objects"],
-            "tr_objects": f"{int(row['tr_objects_min'])}-{int(row['tr_objects_max'])}",
-            "frames": row["frames"],
-            "bboxes": row["bboxes"],
-            "tr_bboxes": row["tr_bboxes"],
+    """Per-subset corpus summary, subsets in first-seen order: episodes, distinct
+    t=0 tasks and layouts, the most objects in a scene (robot excluded), the range
+    of task-relevant instances per frame, frames, boxes and task-relevant boxes."""
+    stats = {}
+    for subset in dict.fromkeys(ep.subset for ep in episodes):
+        group = [ep for ep in episodes if ep.subset == subset]
+        frames = [frame for ep in group for frame in ep.frames]
+        relevant = [sum(inst.relevant for inst in frame.instances) for frame in frames]
+        stats[subset] = {
+            "episodes": len(group),
+            "tasks": len({ep.frames[0].task for ep in group}),
+            "layouts": len({ep.layout_id for ep in group}),
+            "objects": max(len(ep.frames[0].instances) for ep in group) - 1,
+            "tr_objects": f"{min(relevant)}-{max(relevant)}",
+            "frames": len(frames),
+            "bboxes": sum(len(frame.instances) for frame in frames),
+            "tr_bboxes": sum(relevant),
         }
-        for subset, row in stats.items()
-    }
+    return stats
