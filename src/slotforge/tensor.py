@@ -1,9 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The core holds only the ops, options and methods the package calls. The ops
-that only tests use as references (`softmax`, `tanh`, `slice_cols`,
+The core holds the ops, options and methods the package calls, and two forms
+only tests call: `sum_` with no axis, most gradient tests' scalar loss (the
+package sums along `axis=1`), and `concat(..., axis=1)` (the package stacks
+rows). The ops only tests use as references (`softmax`, `tanh`, `slice_cols`,
 `logsumexp_rows`, `clip_min`, `neg`), built on `primitive`, and the test
-utilities `finite_diff_check` and `zero_grads` live in `tests/reference_ops.py`.
+utilities `finite_diff_check` and `zero_grads` are in `tests/reference_ops.py`.
 
 Values are contiguous row-major numpy arrays of rank 0..2. An op records an
 entry only onto the open tape (define-by-run), and only if it receives a
@@ -46,16 +48,16 @@ Multi-head attention is one fused op, `attention_heads(q, k, v, heads,
 groups)`: the heads are a reshape inside it, not separate graph nodes, so one
 attention costs one tape entry whatever the head count. With groups=B it runs
 B equal-sized attentions stacked as row blocks, `(B·L, d)`, so a batch stays
-rank 2; `group_mean` pools each block in one entry. Likewise
-`linear(x, w, b)` is one entry, not a matmul and an add, and `abs_` is one
-entry. `layer_norm(a, affine=None)` normalizes the rows of a rank-2 tensor in
-the package's two modes: no affine, or `affine=(gain, bias)`. Every op records its entry through `primitive`, which callers also use
-for ops that live beside them: the GIoU of matched box pairs
-`losses.giou_pairs`, the anchor term of `losses.track_loss`, the GRU cell
-`nn.gru_cell` and slot-competitive attention `slots.slot_attention`, which
-takes `groups` as `attention_heads` does. The grouped ops, `attention_heads`,
-`group_mean` and `slot_attention`, are what let a batch of frames be one
-graph of rank-2 tensors.
+rank 2; `group_mean` pools each block in one entry. Likewise `linear(x, w, b)`
+is one entry, not a matmul and an add, and `abs_` is one entry.
+`layer_norm(a, affine=None)` normalizes the rows of a rank-2 tensor in the
+package's two modes: no affine, or `affine=(gain, bias)`. Every op records its
+entry through `primitive`, which callers also use for ops that live beside
+them: the GIoU of matched box pairs `losses.giou_pairs`, the anchor term of
+`losses.track_loss`, the GRU cell `nn.gru_cell` and slot-competitive
+attention `slots.slot_attention`, which takes `groups` as `attention_heads`
+does. The grouped ops, `attention_heads`, `group_mean` and `slot_attention`,
+are what let a batch of frames be one graph of rank-2 tensors.
 """
 
 from __future__ import annotations
