@@ -12,8 +12,8 @@ import pytest
 from slotforge import tensor as T
 from slotforge import train
 from slotforge.checkpoint import load_checkpoint, save_checkpoint
-from slotforge.nn import ParamGroup
 from slotforge.config import load_config
+from slotforge.nn import ParamGroup
 from slotforge.pipeline import Pipeline
 from slotforge.tensor import NonFiniteError
 from slotforge.world import generate_episode, serialize_episode
