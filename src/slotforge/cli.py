@@ -1,7 +1,8 @@
 """Command line surface: gen | train1 | train2 | eval | inspect | budget.
 
-`gen` reads back what it wrote through the same check as `train1`, `train2`
-and `inspect`, then prints the corpus statistics.
+`gen` reads back the episodes it wrote, and no others in its `--out`, through
+the same check as `train1`, `train2` and `inspect`, then prints their corpus
+statistics.
 
 Exit codes: 0 success, 2 configuration error, 3 data error: an episode that
 cannot be read or that `world.validate_episode` rejects, or a checkpoint that
@@ -24,7 +25,8 @@ from .checkpoint import CheckpointError, load_checkpoint
 from .config import SUBSET_PRESETS, ConfigError, load_config
 from .optim import TrainingError
 from .tensor import NonFiniteError
-from .world import WorldError, dataset_statistics, generate_episode, serialize_episode
+from .world import (WorldError, dataset_statistics, generate_episode, load_episode,
+                    serialize_episode)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -95,19 +97,21 @@ def _require_positive(name: str, value: int) -> None:
 
 
 def cmd_gen(args) -> int:
-    from .train import load_corpus
+    from .train import check_episode
     _require_positive("episodes", args.episodes)
     overrides = list(args.override)
     if args.subset:
         overrides.append(f"subset={args.subset}")
     cfg = load_config(args.config, overrides)
     world_cfg = cfg.world_config()
-    for i in range(args.episodes):
-        episode = generate_episode(cfg.seed + i, world_cfg)
-        serialize_episode(episode, args.out)
+    paths = [serialize_episode(generate_episode(cfg.seed + i, world_cfg), args.out)
+             for i in range(args.episodes)]
     print(f"wrote {args.episodes} episodes to {args.out}")
-    corpus = load_corpus(cfg, args.out, targets=False)
-    for subset, row in dataset_statistics(corpus.episodes).items():
+    # only what this run wrote: other episodes in --out are not its to check or count
+    episodes = [load_episode(path) for path in paths]
+    for path, episode in zip(paths, episodes):
+        check_episode(cfg, episode, path, targets=False)
+    for subset, row in dataset_statistics(episodes).items():
         print(f"{subset}: " + " ".join(f"{key}={value}" for key, value in row.items()))
     return EXIT_OK
 

@@ -306,6 +306,24 @@ def test_frames_the_patch_grid_cannot_cut_exit_with_data_error(tmp_path, capsys)
     assert_no_manifest(out)
 
 
+@pytest.mark.parametrize("corrupt", [False, True], ids=["stale", "stale-and-corrupt"])
+def test_gen_checks_and_counts_only_the_episodes_it_wrote(tmp_path, capsys, corrupt):
+    """A second `gen` into the same --out reports its own two `pair` episodes:
+    not the `goal` episode seed 2 left from the first run, nor a file beside
+    them that is no episode at all."""
+    data = tmp_path / "data"
+    assert main(["gen", "--subset", "goal", "--episodes", "3", "--out", str(data)]) == EXIT_OK
+    if corrupt:
+        (data / "ep_999999.jsonl").write_text("not an episode\n")
+    capsys.readouterr()
+    assert main(["gen", "--subset", "pair", "--episodes", "2", "--out", str(data)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"wrote 2 episodes to {data}"
+    assert [line.split(":")[0] for line in lines[1:]] == ["pair"]
+    assert lines[1].startswith("pair: episodes=2 ")
+    assert (data / "ep_000002.jsonl").exists()
+
+
 @pytest.mark.parametrize("command", ["train1", "train2"])
 def test_two_episodes_with_one_key_exit_with_data_error(command, tmp_path, capsys,
                                                        stage1_ckpt):
