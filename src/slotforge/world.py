@@ -9,9 +9,10 @@ proprioception, and the executed action. Identical seeds reproduce episodes
 bitwise.
 
 The script is one generator, `expert_actions`, which computes each action
-only after the world has taken the one before. `generate_episode` labels a
-frame per action, and `evaluate.run_rollout` runs the same script as the
-`eval --expert` baseline.
+only after the world has taken the one before. `generate_episode` walks it
+through `World.step`, recording only each frame's sprite positions and
+proprioception, then draws and labels the whole walk as one film;
+`evaluate.run_rollout` runs the same script as the `eval --expert` baseline.
 
 Sprite sizes are tiered (robot < carried < distractor < target) so a moving
 sprite can never fully occlude another: visible masks stay non-empty and
@@ -20,15 +21,17 @@ mask-tight boxes stay well defined under overlap.
 What is fixed for an episode is built once, when its `World` is made: the
 task's nouns and each sprite's relevance flag, the color palette, and each
 sprite's footprint in draw order; the expert builds the action bin centers
-once. Drawing loops over the sprites once: `World.ownership` stamps each
-sprite's footprint, at its position rounded from plain floats, into the
-instance map in painter's order. The rest of a frame takes a fixed number of
-array ops, whatever the sprite count. `World.render` looks every pixel up in
-a color palette by the instance map, and `tight_boxes` finds every
-instance's mask-tight box from row and column occupancy, counted in one pass
-over the instance map. `World.annotate` labels a frame with it, and
-`validate_episode` checks a frame's boxes against it, all of a frame's
-instances as arrays.
+once. Drawing loops over the sprites once per film, be it one frame or a
+whole episode: `World.draw` stamps each sprite's footprint, at its corner
+rounded from its position, into the instance maps in painter's order, with
+one slice for all the frames in which the sprite stays put, then colors every
+pixel with one palette lookup by its owner. `World.render` is its one-frame
+case. `World.film` labels a walk's frames: every instance's mask-tight box
+comes from row and column occupancy in its sprite's own stamp window, all
+windows of the film at once. `tight_boxes` finds the same boxes from one pass
+over a whole instance map; `validate_episode` checks a frame's boxes against
+it, all of a frame's instances as arrays, so the check shares no code with
+the labeller.
 
 On disk an episode is 4 files: its records (`.jsonl`), its `.meta.json`, and
 two films, `_rgb.ppm` and `_map.pgm`, which hold its frames and instance maps.
@@ -44,12 +47,14 @@ and apply when the `RunConfig` is built.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import pnm
 from .decoder import bin_centers, snap_action
@@ -214,7 +219,7 @@ def _sample_scene(cfg: WorldConfig, seed: int) -> tuple[list[Sprite], dict[str, 
 def _rejection_place(cfg: WorldConfig, sprites: list[Sprite],
                      rng: np.random.Generator) -> dict[str, np.ndarray]:
     margin = 2.0
-    placed: list[tuple[np.ndarray, float]] = []
+    placed: list[tuple[float, float, float]] = []  # x, y and half size, plain floats
     positions: dict[str, np.ndarray] = {}
     for sprite in sorted(sprites, key=lambda s: -s.size):
         half = sprite.size / 2.0
@@ -224,9 +229,10 @@ def _rejection_place(cfg: WorldConfig, sprites: list[Sprite],
                                        f"a {cfg.image_size}x{cfg.image_size} frame")
         for _ in range(100):
             pos = rng.uniform(lo, hi, size=2)
-            if all(np.max(np.abs(pos - other)) >= half + other_half + margin
-                   for other, other_half in placed):
-                placed.append((pos, half))
+            x, y = pos.tolist()
+            if all(max(abs(x - ox), abs(y - oy)) >= half + other_half + margin
+                   for ox, oy, other_half in placed):
+                placed.append((x, y, half))
                 positions[sprite.instance_id] = pos
                 break
         else:
@@ -315,8 +321,8 @@ class World:
         self._stamps = []
         for k, sprite in order:
             stamp = footprint(sprite.shape, sprite.size)
-            self._stamps.append((k + 1, sprite.instance_id, sprite.size,
-                                 None if stamp.all() else stamp))
+            self._stamps.append((k, sprite.size, None if stamp.all() else stamp))
+        self._halves = np.array([[sprite.size / 2.0] for sprite in self.sprites])
         # covers every spawnable goal position; sprites may clip at the border
         # but can never leave the frame entirely
         self._clamp_lo = 2.0
@@ -357,48 +363,90 @@ class World:
             self.carrying = False
         self.t += 1
 
-    def ownership(self) -> np.ndarray:
-        """The instance map, uint8 HxW: k + 1 where sprite k owns the pixel in
-        painter's order, 0 for background."""
+    def sprite_positions(self) -> list[np.ndarray]:
+        """Every sprite's position, in sprite order. `step` replaces a moved
+        sprite's position array and never writes into one, so a list taken
+        before a step still holds the positions of its frame."""
+        return [self.positions[sprite.instance_id] for sprite in self.sprites]
+
+    def walk(self, actions: Iterable[np.ndarray]) -> Iterator[tuple]:
+        """Take `actions` in turn, yielding before each the frame it acts on as
+        a film records it, drawing nothing: (t, action, sprite positions,
+        proprioception)."""
+        for action in actions:
+            yield self.t, action, self.sprite_positions(), self.proprio()
+            self.step(action)
+
+    def corners(self, positions) -> np.ndarray:
+        """Every sprite's top-left pixel (x0, y0), intp n x sprites x 2, where
+        `positions[t]` holds frame t's `sprite_positions()`: each position
+        less half the sprite's size, rounded half to even as plain floats round."""
+        return np.rint(np.asarray(positions) - self._halves).astype(np.intp)
+
+    def draw(self, corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rgb, instance maps) of the n frames of `corners`. The maps are uint8
+        n x S x S: k + 1 where sprite k owns the pixel in painter's order, 0
+        for background; the frames are uint8 n x S x S x 3, one palette lookup
+        per pixel by its owner. A sprite stamps one run of frames at a time,
+        the frames in which its corner stays put: a sprite that never moves
+        stamps every frame with one slice, a moving one frame by frame."""
         s = self.cfg.image_size
-        owner = np.zeros((s, s), dtype=np.uint8)
-        for value, instance_id, size, stamp in self._stamps:
-            x, y = self.positions[instance_id].tolist()
-            x0, y0 = round(x - size / 2.0), round(y - size / 2.0)
-            x0c, y0c = max(0, x0), max(0, y0)
-            x1c, y1c = min(s, x0 + size), min(s, y0 + size)
-            if x1c <= x0c or y1c <= y0c:
-                continue
-            if stamp is None:
-                owner[y0c:y1c, x0c:x1c] = value
-            else:
-                owner[y0c:y1c, x0c:x1c][stamp[y0c - y0:y1c - y0, x0c - x0:x1c - x0]] = value
-        return owner
+        maps = np.zeros((len(corners), s, s), dtype=np.uint8)
+        tracks = corners.transpose(1, 0, 2).tolist()  # [sprite][frame] -> [x0, y0]
+        for k, size, stamp in self._stamps:
+            b = 0
+            for (x0, y0), run in itertools.groupby(tracks[k]):
+                a, b = b, b + len(list(run))
+                x0c, y0c = max(0, x0), max(0, y0)
+                x1c, y1c = min(s, x0 + size), min(s, y0 + size)
+                if x1c <= x0c or y1c <= y0c:
+                    continue
+                window = maps[a:b, y0c:y1c, x0c:x1c]
+                if stamp is None:
+                    window[...] = k + 1
+                else:
+                    np.copyto(window, k + 1, where=stamp[y0c - y0:y1c - y0, x0c - x0:x1c - x0])
+        return np.take(self._palette, maps, axis=0), maps
 
     def render(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rgb, instance_map): the frame as uint8 HxWx3, one palette lookup per
-        pixel by its owner, and the instance map it was drawn from."""
-        instance_map = self.ownership()
-        return np.take(self._palette, instance_map, axis=0), instance_map
+        """(rgb, instance_map) of the current state: `draw`'s one-frame case."""
+        rgb, maps = self.draw(self.corners([self.sprite_positions()]))
+        return rgb[0], maps[0]
 
-    def annotate(self, action: np.ndarray) -> FrameRecord:
-        """Render the current state and label it: every instance's mask-tight
-        box from one pass over the instance map. A sprite with no visible
-        pixel is an error that names the first such sprite."""
-        rgb, instance_map = self.render()
-        visible, px = tight_boxes(instance_map, len(self.sprites))
+    def film(self, positions) -> tuple[np.ndarray, np.ndarray, list[list[InstanceRecord]]]:
+        """(rgb, instance maps, instances) of the frames of `positions`, as
+        `corners` reads it, in one `draw`: instances[t] labels frame t. Every
+        instance's mask-tight box comes from its own stamp window, the only
+        place its pixels can be, all windows of the film boxed at once. A
+        sprite with no visible pixel is an error that names the first such
+        frame and, in it, the first such sprite in sprite order."""
+        corners = self.corners(positions)
+        rgb, maps = self.draw(corners)
+        n, count = corners.shape[:2]
+        s, reach = self.cfg.image_size, max(sprite.size for sprite in self.sprites)
+        # a reach x reach window from a sprite's corner holds its whole stamp;
+        # one over the border reads a zero margin, and a corner clipped here
+        # is a sprite off the frame, which owns no pixel either way
+        corners = np.clip(corners, -reach, s)
+        framed = np.zeros((n, s + 2 * reach, s + 2 * reach), dtype=np.uint8)
+        framed[:, reach:reach + s, reach:reach + s] = maps
+        windows = sliding_window_view(framed, (reach, reach), axis=(1, 2))[
+            np.arange(n)[:, None], corners[..., 1] + reach, corners[..., 0] + reach]
+        owned = windows == np.arange(1, count + 1)[:, None, None]
+        # [t, k, 0] the window's occupied columns, [t, k, 1] its occupied rows
+        occupied = np.stack([owned.any(axis=2), owned.any(axis=3)], axis=2)
+        visible = occupied[:, :, 0].any(axis=2)
         if not visible.all():
-            hidden = self.sprites[int(np.argmin(visible))]
-            raise WorldError(f"instance {hidden.instance_id} fully occluded at t={self.t}")
-        s = self.cfg.image_size
-        lo, hi = px[:, :2], px[:, 2:]  # (x0, y0) and (x1, y1)
-        boxes = np.concatenate([(lo + hi) / 2.0 / s, (hi - lo) / s], axis=1)
-        instances = [InstanceRecord(instance_id, box, relevant)
-                     for (instance_id, relevant), box in zip(self._labels, boxes)]
-        return FrameRecord(t=self.t, task=self.task,
-                           action=np.asarray(action, dtype=np.float64),
-                           proprio=self.proprio(), instances=instances, rgb=rgb,
-                           instance_map=instance_map)
+            t, k = divmod(int(np.argmin(visible)), count)
+            raise WorldError(f"instance {self.sprites[k].instance_id} fully occluded at t={t}")
+        # the first and one past the last occupied pixel, (x, y) each
+        lo = corners + occupied.argmax(axis=3)
+        hi = corners + reach - occupied[..., ::-1].argmax(axis=3)
+        boxes = np.concatenate([(lo + hi) / 2.0 / s, (hi - lo) / s], axis=2)
+        instances = [[InstanceRecord(instance_id, box, relevant)
+                      for (instance_id, relevant), box in zip(self._labels, frame_boxes)]
+                     for frame_boxes in boxes]
+        return rgb, maps, instances
 
     def success(self) -> bool:
         """Carried sprite center inside the target sprite's extent."""
@@ -464,21 +512,34 @@ def filter_noops(actions: list[np.ndarray], eps: float) -> list[int]:
 
 
 def generate_episode(seed: int, cfg: WorldConfig) -> Episode:
-    """Run the scripted expert in a fresh world; same seed, same bytes."""
+    """Run the scripted expert in a fresh world; same seed, same bytes. The
+    walk takes each action in the world and records only the frame it acted
+    on: the sprite positions and proprioception. Nothing is drawn during it.
+    Then `World.film` draws, colors and labels every frame of the walk at
+    once, so an occluded frame is an error even where the walk then ran over
+    `MAX_FRAMES`. The frames kept after no-op filtering are views of the
+    film's arrays."""
     world = World(cfg, seed)
-    frames: list[FrameRecord] = []
-    for action in expert_actions(world):
-        if len(frames) >= MAX_FRAMES:
-            raise WorldError(f"episode {seed} exceeded {MAX_FRAMES} frames")
-        frames.append(world.annotate(action))
-        world.step(action)
+    actions, positions, proprios = [], [], []
+    overran = False
+    for t, action, sprite_positions, proprio in world.walk(expert_actions(world)):
+        if t == MAX_FRAMES:
+            overran = True
+            break
+        actions.append(action)
+        positions.append(sprite_positions)
+        proprios.append(proprio)
+    rgb, maps, instances = world.film(positions)
+    if overran:
+        raise WorldError(f"episode {seed} exceeded {MAX_FRAMES} frames")
     if not world.success():
         raise WorldError(f"scripted episode {seed} failed its own task")
-    frames = [frames[i] for i in filter_noops([f.action for f in frames], cfg.noop_eps)]
-    if len(frames) < 2:
+    keep = filter_noops(actions, cfg.noop_eps)
+    if len(keep) < 2:
         raise WorldError(f"episode {seed} shorter than 2 frames after filtering")
-    for new_t, frame in enumerate(frames):
-        frame.t = new_t
+    frames = [FrameRecord(t=t, task=world.task, action=actions[i], proprio=proprios[i],
+                          instances=instances[i], rgb=rgb[i], instance_map=maps[i])
+              for t, i in enumerate(keep)]
     return Episode(frames=frames, subset=cfg.subset, seed=seed,
                    layout_id=world.layout_id,
                    carried_id=world.carried_sprite.instance_id,

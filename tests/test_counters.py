@@ -176,12 +176,17 @@ def test_a_stage2_step_records_its_tape_entries(goal):
 
 
 @pytest.mark.parametrize("subset", ["goal", "long"])
-def test_generation_draws_and_boxes_each_frame_once(subset, calls):
+def test_generation_draws_and_boxes_each_frame_once(subset, calls, monkeypatch):
+    # the walk steps the world and draws nothing; one film draws every frame it
+    # walked, and the film's own windows box them, with no whole-map pass
+    films, draw = [], world_module.World.draw
+    monkeypatch.setattr(world_module.World, "draw",
+                        lambda self, corners: films.append(len(corners)) or draw(self, corners))
     episode = generate_episode(3, load_config(overrides=[f"subset={subset}"]).world_config())
     frames = calls["step"]  # one per action, before no-op frames are dropped
     assert frames >= len(episode.frames)
-    assert calls == {"step": frames, "render": frames, "tight_boxes": frames,
-                     "relevant_nouns": 1}
+    assert films == [frames]
+    assert calls == {"step": frames, "render": 0, "tight_boxes": 0, "relevant_nouns": 1}
 
 
 def test_validation_boxes_each_frame_once(goal, calls):
