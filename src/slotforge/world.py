@@ -27,11 +27,11 @@ rounded from its position, into the instance maps in painter's order, with
 one slice for all the frames in which the sprite stays put, then colors every
 pixel with one palette lookup by its owner. `World.render` is its one-frame
 case. `World.film` labels a walk's frames: every instance's mask-tight box
-comes from row and column occupancy in its sprite's own stamp window, all
-windows of the film at once. `tight_boxes` finds the same boxes from one pass
-over a whole instance map; `validate_episode` checks a frame's boxes against
-it, all of a frame's instances as arrays, so the check shares no code with
-the labeller.
+comes from row and column occupancy in a window at its sprite's corner, the
+only place its pixels can be, all windows of the film at once. `tight_boxes`
+finds the same boxes from one pass over a whole instance map;
+`validate_episode` checks a frame's boxes against it, all of a frame's
+instances as arrays, so the check shares no code with the labeller.
 
 On disk an episode is 4 files: its records (`.jsonl`), its `.meta.json`, and
 two films, `_rgb.ppm` and `_map.pgm`, which hold its frames and instance maps.
@@ -369,7 +369,7 @@ class World:
         before a step still holds the positions of its frame."""
         return [self.positions[sprite.instance_id] for sprite in self.sprites]
 
-    def walk(self, actions: Iterable[np.ndarray]) -> Iterator[tuple]:
+    def walk(self, actions: Iterable[np.ndarray]) -> Iterator[tuple[int, np.ndarray, list, np.ndarray]]:
         """Take `actions` in turn, yielding before each the frame it acts on as
         a film records it, drawing nothing: (t, action, sprite positions,
         proprioception)."""
@@ -377,7 +377,7 @@ class World:
             yield self.t, action, self.sprite_positions(), self.proprio()
             self.step(action)
 
-    def corners(self, positions) -> np.ndarray:
+    def corners(self, positions: list[list[np.ndarray]]) -> np.ndarray:
         """Every sprite's top-left pixel (x0, y0), intp n x sprites x 2, where
         `positions[t]` holds frame t's `sprite_positions()`: each position
         less half the sprite's size, rounded half to even as plain floats round."""
@@ -413,11 +413,11 @@ class World:
         rgb, maps = self.draw(self.corners([self.sprite_positions()]))
         return rgb[0], maps[0]
 
-    def film(self, positions) -> tuple[np.ndarray, np.ndarray, list[list[InstanceRecord]]]:
+    def film(self, positions: list[list[np.ndarray]]) -> tuple[np.ndarray, np.ndarray, list]:
         """(rgb, instance maps, instances) of the frames of `positions`, as
         `corners` reads it, in one `draw`: instances[t] labels frame t. Every
-        instance's mask-tight box comes from its own stamp window, the only
-        place its pixels can be, all windows of the film boxed at once. A
+        instance's mask-tight box is found in a window at its sprite's corner,
+        the only place its pixels can be, all windows of the film at once. A
         sprite with no visible pixel is an error that names the first such
         frame and, in it, the first such sprite in sprite order."""
         corners = self.corners(positions)
